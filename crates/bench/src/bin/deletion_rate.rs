@@ -8,57 +8,24 @@
 //! instance are asserted to make identical selections, so every
 //! comparison is work-for-work.
 //!
-//! Rows: a ~1400-cell `RATE` instance (where the scoreboard is asserted
-//! to win, and — on multi-core hosts — the multi-thread scoreboard is
-//! asserted ≥ 1.5× the single-thread one) plus the paper-scale
-//! `C2P1`/`C3P1` reconstructions (report-only). Every row is also
-//! appended to a machine-readable `BENCH_deletion.json` (default
-//! `target/bench/BENCH_deletion.json`) so the bench trajectory is
-//! tracked across PRs.
+//! Rows: a ~1400-cell `RATE` instance, swept across threads ∈
+//! {1, 2, 4, 8}, plus the paper-scale `C2P1`/`C3P1` reconstructions.
+//! The timings are a report, not a gate: regressions are judged by the
+//! repository benchmark (`BENCHMARK.json`).
 //!
-//! Usage: `deletion_rate [--smoke] [--paper] [out.json]` — `--smoke`
-//! routes only the `RATE` scoreboard rows (the CI matrix runs one
-//! smoke per `BGR_THREADS` configuration); `--paper` additionally
-//! routes one scoreboard row for each of `C2P1`/`C3P1`, giving the
-//! regression gate paper-scale throughput rows without the full
-//! bench's strategy sweeps.
+//! Usage: `deletion_rate`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use bgr_core::{GlobalRouter, RouteStats, RouterConfig, SelectionStrategy};
 use bgr_gen::{c2_cached, c3_cached, custom, DataSet, GenParams, PlacementStyle};
 
-/// One benchmark run, as serialized into `BENCH_deletion.json`.
-struct Record {
-    instance: String,
-    strategy: &'static str,
-    threads: usize,
-    shards: usize,
-    wall_ms: f64,
-    selections: usize,
-    deletions: usize,
-}
-
-fn strategy_label(s: SelectionStrategy) -> &'static str {
-    match s {
-        SelectionStrategy::Scoreboard => "scoreboard",
-        SelectionStrategy::FullRescan => "full_rescan",
-    }
-}
-
-fn run(
-    ds: &DataSet,
-    strategy: SelectionStrategy,
-    threads: usize,
-    records: &mut Vec<Record>,
-) -> (f64, RouteStats) {
+fn run(ds: &DataSet, strategy: SelectionStrategy, threads: usize) -> (f64, RouteStats) {
     let config = RouterConfig {
         selection: strategy,
         threads,
         ..RouterConfig::default()
     };
-    let shards = config.shards;
     let t = Instant::now();
     let routed = GlobalRouter::new(config)
         .route(
@@ -74,32 +41,17 @@ fn run(
         stats.deletions,
         stats.deletions as f64 / secs
     );
-    records.push(Record {
-        instance: ds.name.clone(),
-        strategy: strategy_label(strategy),
-        threads,
-        shards,
-        wall_ms: secs * 1e3,
-        selections: stats.selection_log.len(),
-        deletions: stats.deletions,
-    });
     (secs, stats)
 }
 
-struct Row {
-    /// Scoreboard, single worker thread.
-    t_seq: f64,
-    /// Scoreboard, `multi` worker threads.
-    t_par: f64,
-    /// Full-rescan oracle.
-    t_slow: f64,
-}
-
-fn bench_row(ds: &DataSet, multi: usize, records: &mut Vec<Record>) -> Row {
+/// Routes `ds` under the scoreboard at 1 and `multi` threads and under
+/// the rescan oracle, asserts all three select identically, and prints
+/// the speedups. Returns the single-thread scoreboard's stats.
+fn bench_row(ds: &DataSet, multi: usize) -> RouteStats {
     println!("{}: {} nets", ds.name, ds.design.circuit.nets().len());
-    let (t_seq, seq) = run(ds, SelectionStrategy::Scoreboard, 1, records);
-    let (t_par, par) = run(ds, SelectionStrategy::Scoreboard, multi, records);
-    let (t_slow, slow) = run(ds, SelectionStrategy::FullRescan, 1, records);
+    let (t_seq, seq) = run(ds, SelectionStrategy::Scoreboard, 1);
+    let (t_par, par) = run(ds, SelectionStrategy::Scoreboard, multi);
+    let (t_slow, slow) = run(ds, SelectionStrategy::FullRescan, 1);
     assert_eq!(
         seq.selection_log, slow.selection_log,
         "strategies diverged on {}",
@@ -126,31 +78,7 @@ fn bench_row(ds: &DataSet, multi: usize, records: &mut Vec<Record>) -> Row {
         t_slow / t_seq,
         t_seq / t_par
     );
-    Row {
-        t_seq,
-        t_par,
-        t_slow,
-    }
-}
-
-fn write_json(records: &[Record], path: &str) {
-    let mut out = String::from("{\"schema\":1,\"bench\":\"deletion_rate\",\"rows\":[\n");
-    for (i, r) in records.iter().enumerate() {
-        let sep = if i + 1 == records.len() { "" } else { "," };
-        writeln!(
-            out,
-            "{{\"instance\":\"{}\",\"strategy\":\"{}\",\"threads\":{},\"shards\":{},\
-             \"wall_ms\":{:.3},\"selections\":{},\"deletions\":{}}}{sep}",
-            r.instance, r.strategy, r.threads, r.shards, r.wall_ms, r.selections, r.deletions
-        )
-        .expect("write to string");
-    }
-    out.push_str("]}\n");
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).expect("create bench dir");
-    }
-    std::fs::write(path, &out).expect("write BENCH_deletion.json");
-    println!("wrote {path} ({} rows)", records.len());
+    seq
 }
 
 fn rate_dataset() -> DataSet {
@@ -167,98 +95,35 @@ fn rate_dataset() -> DataSet {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut paper = false;
-    let mut out_path = "target/bench/BENCH_deletion.json".to_owned();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else if arg == "--paper" {
-            paper = true;
-        } else {
-            out_path = arg;
-        }
-    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The multi-thread configuration under test: BGR_THREADS when set
-    // (the CI matrix pins it), else every core the host offers.
+    // The multi-thread configuration under test: BGR_THREADS when set,
+    // else every core the host offers.
     let multi = RouterConfig::default().threads.max(cores).max(2);
-    let mut records = Vec::new();
 
     let ds = rate_dataset();
     let nets = ds.design.circuit.nets().len();
     assert!(nets >= 200, "instance too small: {nets} nets");
+    let base = bench_row(&ds, multi);
 
-    if smoke {
-        // One smoke row per CI configuration: the scoreboard at the
-        // environment's thread count (BGR_THREADS or 1).
-        let threads = RouterConfig::default().threads;
-        println!("{} (smoke): {} nets", ds.name, nets);
-        run(&ds, SelectionStrategy::Scoreboard, threads, &mut records);
-        if paper {
-            // Paper-scale gate rows: one scoreboard pass each, so the
-            // C2P1/C3P1 deletions/s baselines are regression-gated
-            // without the full bench's strategy sweeps.
-            for ds in [c2_cached(), c3_cached()] {
-                println!(
-                    "{} (paper gate): {} nets",
-                    ds.name,
-                    ds.design.circuit.nets().len()
-                );
-                run(ds, SelectionStrategy::Scoreboard, threads, &mut records);
-            }
-        }
-        write_json(&records, &out_path);
-        return;
-    }
-
-    let row = bench_row(&ds, multi, &mut records);
-    assert!(
-        row.t_seq < row.t_slow,
-        "scoreboard ({:.3}s) must beat full rescan ({:.3}s)",
-        row.t_seq,
-        row.t_slow
-    );
-    if cores >= 2 {
-        assert!(
-            row.t_seq / row.t_par >= 1.5,
-            "multi-thread scoreboard ({:.3}s at {multi} threads) must be >= 1.5x \
-             the single-thread one ({:.3}s) on a {cores}-core host",
-            row.t_par,
-            row.t_seq
-        );
-    } else {
-        println!("  (single-core host: skipping the 1.5x multi-thread assertion)");
-    }
-
-    // Thread-scaling curve (ROADMAP "real-core benchmarking"): the RATE
-    // instance at threads ∈ {1, 2, 4, 8}. Threads 1 and `multi` are
-    // already measured above; the remaining points fill the curve. All
-    // points make identical selections, so the curve is work-for-work,
-    // and every row lands in BENCH_deletion.json for cross-PR tracking.
-    let base_selections = records
-        .iter()
-        .find(|r| r.instance == ds.name && r.strategy == "scoreboard")
-        .map(|r| r.selections)
-        .expect("RATE scoreboard row recorded");
+    // Thread-scaling curve: the RATE instance at threads ∈ {1, 2, 4, 8}.
+    // Threads 1 and `multi` are already measured above; the remaining
+    // points fill the curve. All points must make identical selections,
+    // so the curve is work-for-work.
     println!("{} thread-scaling sweep:", ds.name);
-    for threads in [1usize, 2, 4, 8] {
-        if threads == 1 || threads == multi {
+    for threads in [2usize, 4, 8] {
+        if threads == multi {
             continue;
         }
-        let (_, stats) = run(&ds, SelectionStrategy::Scoreboard, threads, &mut records);
+        let (_, stats) = run(&ds, SelectionStrategy::Scoreboard, threads);
         assert_eq!(
-            stats.selection_log.len(),
-            base_selections,
+            stats.selection_log, base.selection_log,
             "thread count changed the selection stream on {}",
             ds.name
         );
     }
 
-    // Paper-scale rows (Table 1 reconstructions), report-only: on these
-    // the constraint structure and density interactions differ from
-    // RATE, so the speedups are informative rather than asserted.
-    bench_row(c2_cached(), multi, &mut records);
-    bench_row(c3_cached(), multi, &mut records);
-    write_json(&records, &out_path);
+    // Paper-scale rows (Table 1 reconstructions): the constraint
+    // structure and density interactions differ from RATE.
+    bench_row(c2_cached(), multi);
+    bench_row(c3_cached(), multi);
 }

@@ -17,6 +17,7 @@
 //! [`ParseError`] — never a panic (`tests/checkpoint_robustness.rs`
 //! proves this under truncation, corruption and version-skew fuzzing).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use bgr_core::session::{EngineSnapshot, SessionStage, SnapshotStats, SNAPSHOT_VERSION};
@@ -27,16 +28,13 @@ use bgr_core::{
 use bgr_netlist::NetId;
 use bgr_timing::{DelayModel, WireParams};
 
+use crate::codec::{f64_hex, fnv1a, opt_u64, Reader};
 use crate::constraints::{parse_constraints, write_constraints};
 use crate::error::ParseError;
 use crate::netlist::{parse_netlist, write_netlist};
 use crate::placement::{parse_placement, write_placement};
 
 const HEADER: &str = "bgr-checkpoint v1";
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
 
 fn verify_str(v: VerifyLevel) -> String {
     match v {
@@ -45,25 +43,6 @@ fn verify_str(v: VerifyLevel) -> String {
         VerifyLevel::Phases => "phases".into(),
         VerifyLevel::Steps(n) => format!("steps:{n}"),
     }
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "none".into(),
-    }
-}
-
-/// FNV-1a 64-bit hash of a design text — the integrity check of the
-/// design-by-reference checkpoint mode. Stable across platforms (pure
-/// byte fold, no seeding).
-pub fn design_hash(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Paths of an externalized design, stored verbatim in `design-ref`
@@ -168,19 +147,19 @@ pub fn write_checkpoint_ref(snap: &EngineSnapshot, refs: &DesignRefs) -> String 
     let _ = writeln!(
         out,
         "design-ref netlist {:016x} {}",
-        design_hash(&write_netlist(&snap.circuit)),
+        fnv1a(write_netlist(&snap.circuit).as_bytes()),
         refs.netlist
     );
     let _ = writeln!(
         out,
         "design-ref placement {:016x} {}",
-        design_hash(&write_placement(&snap.circuit, &snap.placement)),
+        fnv1a(write_placement(&snap.circuit, &snap.placement).as_bytes()),
         refs.placement
     );
     let _ = writeln!(
         out,
         "design-ref constraints {:016x} {}",
-        design_hash(&write_constraints(&snap.circuit, &snap.constraints)),
+        fnv1a(write_constraints(&snap.circuit, &snap.constraints).as_bytes()),
         refs.constraints
     );
     write_state(&mut out, snap);
@@ -330,120 +309,40 @@ fn write_state(out: &mut String, snap: &EngineSnapshot) {
     let _ = writeln!(out, "end checkpoint");
 }
 
-/// Line cursor over the checkpoint text, tracking 1-based positions for
-/// error reporting.
-struct Cursor<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
-    pos: usize,
+/// A `0`/`1` flag.
+struct Flag(bool);
+
+impl std::str::FromStr for Flag {
+    type Err = ();
+
+    fn from_str(raw: &str) -> Result<Self, ()> {
+        match raw {
+            "0" => Ok(Self(false)),
+            "1" => Ok(Self(true)),
+            _ => Err(()),
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            lines: text.lines().enumerate(),
-            pos: 0,
-        }
+/// The body of a `begin name` .. `end name` block, borrowed from `text`
+/// (the document `cur` reads).
+fn design_block<'a>(
+    cur: &mut Reader<'a>,
+    text: &'a str,
+    name: &str,
+) -> Result<&'a str, ParseError> {
+    let open = cur.line()?;
+    if open.strip_prefix("begin ") != Some(name) {
+        return Err(cur.err(format!("expected `begin {name}`, got {open:?}")));
     }
-
-    fn next(&mut self) -> Result<&'a str, ParseError> {
-        match self.lines.next() {
-            Some((i, l)) => {
-                self.pos = i + 1;
-                Ok(l)
-            }
-            None => Err(ParseError::new(0, "unexpected end of checkpoint")),
-        }
-    }
-
-    /// The upcoming line, without consuming it.
-    fn peek(&self) -> Option<&'a str> {
-        self.lines.clone().next().map(|(_, l)| l)
-    }
-
-    /// Next line, which must start with `keyword `; returns the rest.
-    fn field(&mut self, keyword: &str) -> Result<&'a str, ParseError> {
-        let line = self.next()?;
-        match line.strip_prefix(keyword).and_then(|r| r.strip_prefix(' ')) {
-            Some(rest) => Ok(rest),
-            None => Err(ParseError::new(
-                self.pos,
-                format!("expected `{keyword} ...`, got {line:?}"),
-            )),
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError::new(self.pos, message)
-    }
-
-    /// Collects the lines of a `begin name` .. `end name` block.
-    fn block(&mut self, name: &str) -> Result<String, ParseError> {
-        let open = self.next()?;
-        if open != format!("begin {name}") {
-            return Err(self.err(format!("expected `begin {name}`, got {open:?}")));
-        }
-        let close = format!("end {name}");
-        let mut body = String::new();
-        loop {
-            let line = self.next()?;
-            if line == close {
-                return Ok(body);
-            }
-            body.push_str(line);
-            body.push('\n');
-        }
-    }
-
-    fn f64_hex(&self, raw: &str) -> Result<f64, ParseError> {
-        u64::from_str_radix(raw, 16)
-            .map(f64::from_bits)
-            .map_err(|_| self.err(format!("bad f64 bits {raw:?}")))
-    }
-
-    fn usize_of(&self, raw: &str) -> Result<usize, ParseError> {
-        raw.parse()
-            .map_err(|_| self.err(format!("bad integer {raw:?}")))
-    }
-
-    fn u64_of(&self, raw: &str) -> Result<u64, ParseError> {
-        raw.parse()
-            .map_err(|_| self.err(format!("bad integer {raw:?}")))
-    }
-
-    fn bool_of(&self, raw: &str) -> Result<bool, ParseError> {
-        match raw {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(self.err(format!("bad flag {raw:?} (want 0 or 1)"))),
-        }
-    }
-
-    fn usize_field(&mut self, keyword: &str) -> Result<usize, ParseError> {
-        let raw = self.field(keyword)?;
-        self.usize_of(raw)
-    }
-
-    fn u64_field(&mut self, keyword: &str) -> Result<u64, ParseError> {
-        let raw = self.field(keyword)?;
-        self.u64_of(raw)
-    }
-
-    fn bool_field(&mut self, keyword: &str) -> Result<bool, ParseError> {
-        let raw = self.field(keyword)?;
-        self.bool_of(raw)
-    }
-
-    fn f64_field(&mut self, keyword: &str) -> Result<f64, ParseError> {
-        let raw = self.field(keyword)?;
-        self.f64_hex(raw)
-    }
-
-    fn opt_u64_field(&mut self, keyword: &str) -> Result<Option<u64>, ParseError> {
-        let raw = self.field(keyword)?;
-        if raw == "none" {
-            Ok(None)
-        } else {
-            self.u64_of(raw).map(Some)
+    let start = cur.offset();
+    loop {
+        let end = cur.offset();
+        if cur.line()?.strip_prefix("end ") == Some(name) {
+            // Both offsets sit just past a `\n`, so on char boundaries.
+            return text
+                .get(start..end)
+                .ok_or_else(|| cur.err(format!("{name} block is not utf-8")));
         }
     }
 }
@@ -452,12 +351,9 @@ impl<'a> Cursor<'a> {
 ///
 /// # Errors
 ///
-/// A structured [`ParseError`] for version skew, truncation, or any
-/// malformed line — by design this function never panics on arbitrary
-/// input.
-// Config fields are parsed sequentially in the fixed emission order so
-// errors point at the offending line; a struct literal can't do that.
-#[allow(clippy::field_reassign_with_default)]
+/// A structured [`ParseError`] for version skew, truncation, trailing
+/// bytes after `end checkpoint`, or any malformed line — by design this
+/// function never panics on arbitrary input.
 pub fn parse_checkpoint(text: &str) -> Result<EngineSnapshot, ParseError> {
     parse_checkpoint_inner(text, None)
 }
@@ -483,11 +379,11 @@ pub fn parse_checkpoint_in(
 
 /// One `design-ref <kind> <fnv64> <path>` line: resolve, read, verify.
 fn design_ref_text(
-    cur: &mut Cursor,
+    cur: &mut Reader,
     kind: &str,
     base_dir: Option<&std::path::Path>,
 ) -> Result<String, ParseError> {
-    let rest = cur.field("design-ref")?;
+    let rest = cur.value("design-ref")?;
     let mut parts = rest.splitn(3, ' ');
     match parts.next() {
         Some(k) if k == kind => {}
@@ -526,7 +422,7 @@ fn design_ref_text(
             full.display()
         ))
     })?;
-    let got = design_hash(&text);
+    let got = fnv1a(text.as_bytes());
     if got != expected {
         return Err(cur.err(format!(
             "design-ref {kind}: hash mismatch for {} (checkpoint records {expected:016x}, \
@@ -538,13 +434,15 @@ fn design_ref_text(
     Ok(text)
 }
 
+// Config fields are parsed sequentially in the fixed emission order so
+// errors point at the offending line; a struct literal can't do that.
 #[allow(clippy::field_reassign_with_default)]
 fn parse_checkpoint_inner(
     text: &str,
     base_dir: Option<&std::path::Path>,
 ) -> Result<EngineSnapshot, ParseError> {
-    let mut cur = Cursor::new(text);
-    let header = cur.next()?;
+    let mut cur = Reader::new(text.as_bytes());
+    let header = cur.line()?;
     match header.strip_prefix("bgr-checkpoint v") {
         Some(v) if v == SNAPSHOT_VERSION.to_string() => {}
         Some(v) => {
@@ -556,19 +454,20 @@ fn parse_checkpoint_inner(
     }
 
     let by_reference = cur.peek().is_some_and(|l| l.starts_with("design-ref "));
-    let (netlist_text, placement_text, constraints_text) = if by_reference {
-        (
-            design_ref_text(&mut cur, "netlist", base_dir)?,
-            design_ref_text(&mut cur, "placement", base_dir)?,
-            design_ref_text(&mut cur, "constraints", base_dir)?,
-        )
-    } else {
-        (
-            cur.block("netlist")?,
-            cur.block("placement")?,
-            cur.block("constraints")?,
-        )
-    };
+    let (netlist_text, placement_text, constraints_text): (Cow<str>, Cow<str>, Cow<str>) =
+        if by_reference {
+            (
+                design_ref_text(&mut cur, "netlist", base_dir)?.into(),
+                design_ref_text(&mut cur, "placement", base_dir)?.into(),
+                design_ref_text(&mut cur, "constraints", base_dir)?.into(),
+            )
+        } else {
+            (
+                design_block(&mut cur, text, "netlist")?.into(),
+                design_block(&mut cur, text, "placement")?.into(),
+                design_block(&mut cur, text, "constraints")?.into(),
+            )
+        };
     let circuit =
         parse_netlist(&netlist_text).map_err(|e| cur.err(format!("embedded netlist: {e}")))?;
     let placement = parse_placement(&circuit, &placement_text)
@@ -578,48 +477,48 @@ fn parse_checkpoint_inner(
 
     // Config fields, in the fixed emission order.
     let mut config = RouterConfig::default();
-    config.use_constraints = cur.bool_field("config use_constraints")?;
-    config.delay_model = match cur.field("config delay_model")? {
+    config.use_constraints = cur.get::<Flag>("config use_constraints")?.0;
+    config.delay_model = match cur.value("config delay_model")? {
         "capacitance" => DelayModel::Capacitance,
         "elmore" => DelayModel::Elmore,
         other => return Err(cur.err(format!("unknown delay model {other:?}"))),
     };
-    {
-        let raw = cur.field("config wire")?;
+    config.wire = {
+        let raw = cur.value("config wire")?;
         let mut it = raw.split(' ');
         let cap = it.next().ok_or_else(|| cur.err("missing wire cap"))?;
         let res = it.next().ok_or_else(|| cur.err("missing wire res"))?;
-        config.wire = WireParams {
-            cap_ff_per_um: cur.f64_hex(cap)?,
-            res_ohm_per_um: cur.f64_hex(res)?,
-        };
-    }
-    config.branch_length_um = cur.f64_field("config branch_length_um")?;
-    config.recover_passes = cur.usize_field("config recover_passes")?;
-    config.delay_passes = cur.usize_field("config delay_passes")?;
-    config.area_passes = cur.usize_field("config area_passes")?;
-    config.criteria_order = match cur.field("config criteria_order")? {
+        WireParams {
+            cap_ff_per_um: cur.f64_token("wire cap", cap)?,
+            res_ohm_per_um: cur.f64_token("wire res", res)?,
+        }
+    };
+    config.branch_length_um = cur.f64_bits("config branch_length_um")?;
+    config.recover_passes = cur.get("config recover_passes")?;
+    config.delay_passes = cur.get("config delay_passes")?;
+    config.area_passes = cur.get("config area_passes")?;
+    config.criteria_order = match cur.value("config criteria_order")? {
         "delay_first" => CriteriaOrder::DelayFirst,
         "area_first" => CriteriaOrder::AreaFirst,
         "density_only" => CriteriaOrder::DensityOnly,
         other => return Err(cur.err(format!("unknown criteria order {other:?}"))),
     };
-    config.pair_differential = cur.bool_field("config pair_differential")?;
-    config.slack_ordering = cur.bool_field("config slack_ordering")?;
-    config.selection = match cur.field("config selection")? {
+    config.pair_differential = cur.get::<Flag>("config pair_differential")?.0;
+    config.slack_ordering = cur.get::<Flag>("config slack_ordering")?.0;
+    config.selection = match cur.value("config selection")? {
         "scoreboard" => SelectionStrategy::Scoreboard,
         "full_rescan" => SelectionStrategy::FullRescan,
         other => return Err(cur.err(format!("unknown selection strategy {other:?}"))),
     };
-    config.threads = cur.usize_field("config threads")?;
-    config.shards = cur.usize_field("config shards")?;
-    config.on_violation = match cur.field("config on_violation")? {
+    config.threads = cur.get("config threads")?;
+    config.shards = cur.get("config shards")?;
+    config.on_violation = match cur.value("config on_violation")? {
         "fail" => OnViolation::Fail,
         "best_effort" => OnViolation::BestEffort,
         other => return Err(cur.err(format!("unknown violation policy {other:?}"))),
     };
     config.verify = {
-        let raw = cur.field("config verify")?;
+        let raw = cur.value("config verify")?;
         let level = VerifyLevel::parse(raw);
         // VerifyLevel::parse maps garbage to Off; reject it here instead.
         if level == VerifyLevel::Off && raw != "off" {
@@ -628,25 +527,23 @@ fn parse_checkpoint_inner(
         level
     };
     config.budgets = Budgets {
-        deletion_steps: cur.opt_u64_field("config deletion_steps")?,
-        phase_reroutes: cur.opt_u64_field("config phase_reroutes")?,
+        deletion_steps: cur.opt_u64("config deletion_steps")?,
+        phase_reroutes: cur.opt_u64("config phase_reroutes")?,
     };
-    config.deadline = match cur.field("config deadline_ns")? {
+    config.deadline = match cur.value("config deadline_ns")? {
         "none" => None,
         raw => {
-            let ns: u128 = raw
-                .parse()
-                .map_err(|_| cur.err(format!("bad deadline {raw:?}")))?;
+            let ns: u128 = cur.parse("deadline", raw)?;
             let ns64 = u64::try_from(ns).map_err(|_| cur.err("deadline out of range"))?;
             Some(std::time::Duration::from_nanos(ns64))
         }
     };
 
     let stage = {
-        let raw = cur.field("stage")?;
+        let raw = cur.value("stage")?;
         match raw.split_once(' ') {
             Some(("initial_routing", done)) => SessionStage::InitialRouting {
-                done: cur.u64_of(done)?,
+                done: cur.parse("stage initial_routing", done)?,
             },
             None => match raw {
                 "recover_violate" => SessionStage::RecoverViolate,
@@ -658,89 +555,80 @@ fn parse_checkpoint_inner(
             Some((other, _)) => return Err(cur.err(format!("unknown stage {other:?}"))),
         }
     };
-    let events_emitted = cur.u64_field("events_emitted")?;
+    let events_emitted = cur.get("events_emitted")?;
 
     let mut stats = SnapshotStats {
-        deletions: cur.usize_field("stat deletions")?,
-        reroutes: cur.usize_field("stat reroutes")?,
+        deletions: cur.get("stat deletions")?,
+        reroutes: cur.get("stat reroutes")?,
         ..SnapshotStats::default()
     };
     stats.rekey_causes = {
-        let raw = cur.field("stat rekey_causes")?;
+        let raw = cur.value("stat rekey_causes")?;
         let mut counts = [0usize; 4];
         let mut it = raw.split(' ');
         for slot in &mut counts {
             let tok = it
                 .next()
                 .ok_or_else(|| cur.err("rekey_causes wants 4 counts"))?;
-            *slot = cur.usize_of(tok)?;
+            *slot = cur.parse("rekey_causes", tok)?;
         }
         RekeyCauses::from_counts(counts)
     };
-    stats.audits_passed = cur.u64_field("stat audits_passed")?;
-    stats.audit_checks = cur.u64_field("stat audit_checks")?;
-    stats.feed_cells_inserted = cur.usize_field("stat feed_cells_inserted")?;
-    stats.widened_pitches = {
-        let raw = cur.field("stat widened_pitches")?;
-        raw.parse()
-            .map_err(|_| cur.err(format!("bad integer {raw:?}")))?
-    };
-    stats.diff_pairs_locked = cur.usize_field("stat diff_pairs_locked")?;
-    stats.diff_pairs_independent = cur.usize_field("stat diff_pairs_independent")?;
+    stats.audits_passed = cur.get("stat audits_passed")?;
+    stats.audit_checks = cur.get("stat audit_checks")?;
+    stats.feed_cells_inserted = cur.get("stat feed_cells_inserted")?;
+    stats.widened_pitches = cur.get("stat widened_pitches")?;
+    stats.diff_pairs_locked = cur.get("stat diff_pairs_locked")?;
+    stats.diff_pairs_independent = cur.get("stat diff_pairs_independent")?;
 
     let recovery = {
-        let raw = cur.field("recovery")?;
+        let raw = cur.value("recovery")?;
         let mut it = raw.split(' ');
-        let mut toks = Vec::with_capacity(4);
-        for _ in 0..4 {
-            toks.push(
-                it.next()
-                    .ok_or_else(|| cur.err("recovery wants 4 fields"))?,
-            );
+        let mut toks = [""; 4];
+        for tok in &mut toks {
+            *tok = it
+                .next()
+                .ok_or_else(|| cur.err("recovery wants 4 fields"))?;
         }
         PhaseOutcome {
-            reroutes: cur.usize_of(toks[0])?,
-            passes: cur.usize_of(toks[1])?,
-            budget_exhausted: cur.bool_of(toks[2])?,
-            deadline_fired: cur.bool_of(toks[3])?,
+            reroutes: cur.parse("recovery reroutes", toks[0])?,
+            passes: cur.parse("recovery passes", toks[1])?,
+            budget_exhausted: cur.parse::<Flag>("recovery budget_exhausted", toks[2])?.0,
+            deadline_fired: cur.parse::<Flag>("recovery deadline_fired", toks[3])?.0,
         }
     };
 
-    let n_branch = cur.usize_field("branch_lens")?;
+    let n_branch: usize = cur.get("branch_lens")?;
     let mut branch_lens = Vec::with_capacity(n_branch.min(1 << 20));
     for _ in 0..n_branch {
-        branch_lens.push(cur.f64_field("b")?);
+        branch_lens.push(cur.f64_bits("b")?);
     }
-    let n_sel = cur.usize_field("selection_log")?;
+    let n_sel: usize = cur.get("selection_log")?;
     let mut selection_log = Vec::with_capacity(n_sel.min(1 << 20));
     for _ in 0..n_sel {
-        let raw = cur.field("s")?;
+        let raw = cur.value("s")?;
         let (net, edge) = raw
             .split_once(' ')
             .ok_or_else(|| cur.err("selection entry wants `net edge`"))?;
-        let net = cur.usize_of(net)?;
-        let edge: u32 = edge
-            .parse()
-            .map_err(|_| cur.err(format!("bad edge {edge:?}")))?;
+        let net = cur.parse("selection net", net)?;
+        let edge: u32 = cur.parse("selection edge", edge)?;
         selection_log.push((NetId::new(net), edge));
     }
     stats.selection_log = selection_log;
-    let n_feeds = cur.usize_field("feeds")?;
+    let n_feeds: usize = cur.get("feeds")?;
     let mut feeds = Vec::with_capacity(n_feeds.min(1 << 20));
     for _ in 0..n_feeds {
-        let raw = cur.field("f")?;
+        let raw = cur.value("f")?;
         let mut it = raw.split(' ');
-        let count = cur.usize_of(it.next().unwrap_or(""))?;
+        let count: usize = cur.parse("feed count", it.next().unwrap_or(""))?;
         let mut per_net = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
             let tok = it.next().ok_or_else(|| cur.err("short feed list"))?;
             let (row, x) = tok
                 .split_once(':')
                 .ok_or_else(|| cur.err(format!("bad feed {tok:?} (want row:x)")))?;
-            let row = cur.usize_of(row)?;
-            let x: i32 = x
-                .parse()
-                .map_err(|_| cur.err(format!("bad feed x {x:?}")))?;
+            let row: usize = cur.parse("feed row", row)?;
+            let x: i32 = cur.parse("feed x", x)?;
             per_net.push((row, x));
         }
         if it.next().is_some() {
@@ -748,10 +636,10 @@ fn parse_checkpoint_inner(
         }
         feeds.push(per_net);
     }
-    let n_alive = cur.usize_field("alive")?;
+    let n_alive: usize = cur.get("alive")?;
     let mut alive = Vec::with_capacity(n_alive.min(1 << 20));
     for _ in 0..n_alive {
-        let raw = cur.field("a")?;
+        let raw = cur.value("a")?;
         let mut mask = Vec::with_capacity(raw.len());
         for ch in raw.chars() {
             match ch {
@@ -762,10 +650,11 @@ fn parse_checkpoint_inner(
         }
         alive.push(mask);
     }
-    let tail = cur.next()?;
+    let tail = cur.line()?;
     if tail != "end checkpoint" {
         return Err(cur.err(format!("expected `end checkpoint`, got {tail:?}")));
     }
+    cur.finish()?;
 
     Ok(EngineSnapshot {
         version: SNAPSHOT_VERSION,
@@ -862,6 +751,13 @@ mod tests {
         // (same design → same hashes) and to the identical embedded text.
         assert_eq!(write_checkpoint_ref(&back, &refs), text);
         assert_eq!(write_checkpoint(&back), embedded);
+        // Nothing may follow `end checkpoint`, in either mode.
+        for tail in ["garbage\nbgr-checkpoint v1\n", "\n", "x"] {
+            let err = parse_checkpoint_in(&format!("{text}{tail}"), &dir).unwrap_err();
+            assert!(err.message.contains("trailing bytes"), "{err}");
+            let err = parse_checkpoint(&format!("{embedded}{tail}")).unwrap_err();
+            assert!(err.message.contains("trailing bytes"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -917,15 +813,6 @@ mod tests {
             assert!(parse_checkpoint_in(&mangled, &dir).is_err(), "{bad}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn design_hash_is_stable_and_content_sensitive() {
-        // Pinned FNV-1a 64 vectors: a changed algorithm would silently
-        // orphan every existing by-reference checkpoint.
-        assert_eq!(design_hash(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(design_hash("a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(design_hash("net n0"), design_hash("net n1"));
     }
 
     #[test]

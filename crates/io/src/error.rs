@@ -3,7 +3,9 @@
 /// A parse failure with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line number of the offending line (0 for end-of-input).
+    /// 1-based line number of the offending line. Running out of input
+    /// reports the line after the last one read (0 where a format does
+    /// not track lines).
     pub line: usize,
     /// What went wrong.
     pub message: String,

@@ -3,8 +3,8 @@
 //! The coordinator's durability layer (DESIGN.md §15) logs every
 //! applied slice result as one journal record; a killed coordinator
 //! restarts, replays the journal against a freshly submitted queue, and
-//! lands on the exact pre-crash state. The codec follows the `.bgrc`
-//! conventions: line-oriented text headers, byte-length-prefixed
+//! lands on the exact pre-crash state. The codec is built on
+//! [`crate::codec`]: line-oriented text headers, byte-length-prefixed
 //! payload blocks, per-record FNV-1a 64 checksums, and structured
 //! [`ParseError`]s for every damage class.
 //!
@@ -31,6 +31,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use crate::codec::{fnv1a, Reader};
 use crate::error::ParseError;
 
 /// Structured failure from the journal's write path.
@@ -169,17 +170,6 @@ impl JournalSink for FileSink {
 /// First line of every journal file.
 pub const JOURNAL_MAGIC: &str = "bgr-journal v1";
 
-/// FNV-1a 64-bit — the same integrity hash the frame codec and the
-/// design-reference checkpoints use.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// One replayable record: an opaque payload under a short kind tag
 /// (the coordinator journals applied slice results as `result`
 /// records whose payload is the wire `RESULT` message text).
@@ -227,71 +217,36 @@ pub fn encode_journal_record(kind: &str, payload: &[u8]) -> Vec<u8> {
 /// whitespace, or a payload checksum mismatch — the damage classes a
 /// crash cannot produce.
 pub fn read_journal(bytes: &[u8]) -> Result<(Vec<JournalEntry>, JournalTail), ParseError> {
-    let header_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| ParseError::new(1, "missing journal header line"))?;
-    let header = std::str::from_utf8(&bytes[..header_end])
-        .map_err(|_| ParseError::new(1, "journal header is not utf-8"))?;
+    let mut r = Reader::new(bytes);
+    let header = r.line()?;
     if header != JOURNAL_MAGIC {
-        return Err(ParseError::new(
-            1,
-            format!("expected header {JOURNAL_MAGIC:?}, found {header:?}"),
-        ));
+        return Err(r.err(format!(
+            "expected header {JOURNAL_MAGIC:?}, found {header:?}"
+        )));
     }
     let mut entries = Vec::new();
-    let mut pos = header_end + 1;
-    let mut line_no = 2usize;
-    while pos < bytes.len() {
-        let record_start = pos;
-        let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-            // No newline: a header line torn mid-write.
-            return Ok((entries, JournalTail::Truncated { at: record_start }));
+    while !r.is_empty() {
+        let at = r.offset();
+        // No newline: a header line torn mid-write.
+        let Some(line) = r.try_line()? else {
+            return Ok((entries, JournalTail::Truncated { at }));
         };
-        let line = match std::str::from_utf8(&bytes[pos..pos + nl]) {
-            Ok(l) => l,
-            Err(_) => return Err(ParseError::new(line_no, "record header line is not utf-8")),
+        let fields: Vec<&str> = line.split(' ').collect();
+        let ["record", kind, len, sum] = fields[..] else {
+            return Err(r.err(format!("malformed record header {line:?}")));
         };
-        let mut fields = line.split(' ');
-        let (kind, len, sum) = match (
-            fields.next(),
-            fields.next(),
-            fields.next(),
-            fields.next(),
-            fields.next(),
-        ) {
-            (Some("record"), Some(kind), Some(len), Some(sum), None) => (kind, len, sum),
-            _ => {
-                return Err(ParseError::new(
-                    line_no,
-                    format!("malformed record header {line:?}"),
-                ))
-            }
-        };
-        let len: usize = len.parse().map_err(|_| {
-            ParseError::new(line_no, format!("record length is not a usize: {len:?}"))
-        })?;
-        let carried = u64::from_str_radix(sum, 16).map_err(|_| {
-            ParseError::new(line_no, format!("record checksum is not hex: {sum:?}"))
-        })?;
-        let payload_start = pos + nl + 1;
-        // `saturating_add` keeps a lying length from overflowing; the
-        // bounds check below rejects it as a torn tail either way.
-        let payload_end = payload_start.saturating_add(len);
-        if payload_end >= bytes.len() {
+        let len: usize = r.parse("record length", len)?;
+        let carried = u64::from_str_radix(sum, 16)
+            .map_err(|_| r.err(format!("record checksum is not hex: {sum:?}")))?;
+        if !r.has_block(len) {
             // Payload (or its trailing newline) torn mid-write. A
             // *lying* length is indistinguishable from a torn payload
             // without the checksum, and a torn payload is the expected
             // crash artifact — tolerate, stop here.
-            return Ok((entries, JournalTail::Truncated { at: record_start }));
+            return Ok((entries, JournalTail::Truncated { at }));
         }
-        let payload = &bytes[payload_start..payload_end];
-        if bytes[payload_end] != b'\n' {
-            return Err(ParseError::new(
-                line_no,
-                "record payload missing terminator",
-            ));
-        }
+        let line_no = r.line_no();
+        let payload = r.block_bytes(len)?;
         let computed = fnv1a(payload);
         if computed != carried {
             return Err(ParseError::new(
@@ -305,8 +260,6 @@ pub fn read_journal(bytes: &[u8]) -> Result<(Vec<JournalEntry>, JournalTail), Pa
             kind: kind.to_string(),
             payload: payload.to_vec(),
         });
-        line_no += 1 + payload.iter().filter(|&&b| b == b'\n').count() + 1;
-        pos = payload_end + 1;
     }
     Ok((entries, JournalTail::Clean))
 }

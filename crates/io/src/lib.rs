@@ -18,6 +18,11 @@
 //!   route session's [`bgr_core::EngineSnapshot`] —
 //!   [`write_checkpoint`] / [`parse_checkpoint`].
 //!
+//! Checkpoints, the crash journal and the `bgr-net` wire payloads share
+//! one set of byte-level conventions (FNV-1a 64, floats as `to_bits`
+//! hex, `key value` lines, length-prefixed blocks, no trailing bytes),
+//! kept in [`codec`].
+//!
 //! All writers round-trip: `parse(write(x))` reconstructs an equivalent
 //! object (see the crate's property tests).
 //!
@@ -45,6 +50,7 @@
 //! ```
 
 pub mod checkpoint;
+pub mod codec;
 pub mod constraints;
 pub mod error;
 pub mod journal;
@@ -55,7 +61,7 @@ pub mod svg;
 pub mod trace;
 
 pub use checkpoint::{
-    design_hash, externalize_design, parse_checkpoint, parse_checkpoint_in, reconfigure_checkpoint,
+    externalize_design, parse_checkpoint, parse_checkpoint_in, reconfigure_checkpoint,
     write_checkpoint, write_checkpoint_ref, DesignRefs,
 };
 pub use constraints::{parse_constraints, write_constraints};

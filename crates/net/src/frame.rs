@@ -9,14 +9,17 @@
 //! +------+---------+------+---------+----------------+------------+
 //! ```
 //!
-//! The checksum covers everything before it (magic through payload), so
-//! a flipped bit anywhere in the frame is caught. Decoding never
-//! panics: every malformed input maps to a structured [`FrameError`]
-//! (asserted exhaustively by `tests/frame_robustness.rs`, mirroring the
-//! checkpoint codec's damage tests).
+//! The checksum ([`bgr_io::codec::fnv1a`]) covers everything before it
+//! (magic through payload), so a flipped bit anywhere in the frame is
+//! caught. Decoding never panics: every malformed input maps to a
+//! structured [`FrameError`] (asserted exhaustively by
+//! `tests/frame_robustness.rs`, mirroring the checkpoint codec's damage
+//! tests).
 
 use std::fmt;
 use std::io::{Read, Write};
+
+use bgr_io::codec::fnv1a;
 
 /// Frame preamble: identifies a `bgr-net` byte stream.
 pub const MAGIC: [u8; 4] = *b"BGRW";
@@ -120,17 +123,6 @@ impl From<std::io::Error> for FrameError {
             }
         }
     }
-}
-
-/// FNV-1a 64-bit over `bytes` — tiny, dependency-free, and plenty to
-/// catch wire corruption (integrity, not authentication).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Serializes one frame to bytes (magic, version, kind, length,

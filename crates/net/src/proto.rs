@@ -2,15 +2,17 @@
 //!
 //! Payloads are line-oriented text — `key value` lines plus
 //! byte-length-prefixed blocks for multi-line text (checkpoints, trace
-//! segments) — in the same self-describing style as the repo's other
-//! interchange formats. Floats travel as `f64::to_bits` hex, exactly
-//! like the checkpoint codec, so a verdict survives the wire
-//! bit-identically. Decoding never panics; every malformed payload maps
-//! to a structured [`ProtoError`].
+//! segments) — written and read through [`bgr_io::codec`], the kernel
+//! the checkpoint and journal codecs share. Floats travel as
+//! `f64::to_bits` hex, so a verdict survives the wire bit-identically.
+//! Decoding never panics; every malformed payload maps to a structured
+//! [`ProtoError`].
 
 use std::fmt;
 
 use bgr_core::RouteError;
+use bgr_io::codec::{f64_hex, opt_u64, put_block, put_line, Reader};
+use bgr_io::ParseError;
 use bgr_serve::{FinishVerdict, SliceOutcome};
 
 use crate::frame::{Frame, FrameError};
@@ -111,6 +113,12 @@ impl std::error::Error for ProtoError {}
 impl From<FrameError> for ProtoError {
     fn from(e: FrameError) -> Self {
         Self::Frame(e)
+    }
+}
+
+impl From<ParseError> for ProtoError {
+    fn from(e: ParseError) -> Self {
+        malformed(e.to_string())
     }
 }
 
@@ -350,128 +358,6 @@ pub enum Message {
     Bye,
 }
 
-// --- payload text helpers ---------------------------------------------
-
-fn put_line(out: &mut Vec<u8>, key: &str, value: impl fmt::Display) {
-    out.extend_from_slice(key.as_bytes());
-    out.push(b' ');
-    out.extend_from_slice(value.to_string().as_bytes());
-    out.push(b'\n');
-}
-
-/// `key <bytelen>\n<bytes>\n` — the only place raw multi-line text
-/// (checkpoints, trace segments) enters a payload.
-fn put_block(out: &mut Vec<u8>, key: &str, text: &str) {
-    put_line(out, key, text.len());
-    out.extend_from_slice(text.as_bytes());
-    out.push(b'\n');
-}
-
-/// Sequential reader over a payload with field-context errors.
-struct PayloadReader<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> PayloadReader<'a> {
-    fn new(payload: &'a [u8]) -> Self {
-        Self { rest: payload }
-    }
-
-    /// Next `key value` line; checks the key.
-    fn line(&mut self, key: &str) -> Result<&'a str, ProtoError> {
-        let nl = self
-            .rest
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| malformed(format!("missing line {key:?}")))?;
-        let line = std::str::from_utf8(&self.rest[..nl])
-            .map_err(|_| malformed(format!("line {key:?} is not utf-8")))?;
-        self.rest = &self.rest[nl + 1..];
-        let (k, v) = line
-            .split_once(' ')
-            .ok_or_else(|| malformed(format!("line {line:?} has no value")))?;
-        if k != key {
-            return Err(malformed(format!("expected key {key:?}, found {k:?}")));
-        }
-        Ok(v)
-    }
-
-    fn u64(&mut self, key: &str) -> Result<u64, ProtoError> {
-        let v = self.line(key)?;
-        v.parse()
-            .map_err(|_| malformed(format!("{key} is not a u64: {v:?}")))
-    }
-
-    fn bool(&mut self, key: &str) -> Result<bool, ProtoError> {
-        match self.line(key)? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            v => Err(malformed(format!("{key} is not a bool: {v:?}"))),
-        }
-    }
-
-    /// `f64` carried as `to_bits` hex (checkpoint-codec convention).
-    fn f64_bits(&mut self, key: &str) -> Result<f64, ProtoError> {
-        let v = self.line(key)?;
-        let bits = u64::from_str_radix(v, 16)
-            .map_err(|_| malformed(format!("{key} is not f64 hex bits: {v:?}")))?;
-        Ok(f64::from_bits(bits))
-    }
-
-    /// Byte-length-prefixed text block.
-    fn block(&mut self, key: &str) -> Result<String, ProtoError> {
-        let len: usize = self
-            .line(key)?
-            .parse()
-            .map_err(|_| malformed(format!("{key} block length is not a usize")))?;
-        // `<=` rather than `< len + 1`: `len` is attacker-controlled and
-        // may be `usize::MAX`, where `len + 1` would overflow.
-        if self.rest.len() <= len {
-            return Err(malformed(format!(
-                "{key} block truncated: need {} bytes, have {}",
-                len as u128 + 1,
-                self.rest.len()
-            )));
-        }
-        let text = std::str::from_utf8(&self.rest[..len])
-            .map_err(|_| malformed(format!("{key} block is not utf-8")))?
-            .to_string();
-        if self.rest[len] != b'\n' {
-            return Err(malformed(format!("{key} block missing terminator")));
-        }
-        self.rest = &self.rest[len + 1..];
-        Ok(text)
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} trailing bytes after message",
-                self.rest.len()
-            )))
-        }
-    }
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, key: &str, value: Option<u64>) {
-    match value {
-        Some(v) => put_line(out, key, v),
-        None => put_line(out, key, "none"),
-    }
-}
-
-fn read_opt_u64(r: &mut PayloadReader<'_>, key: &str) -> Result<Option<u64>, ProtoError> {
-    match r.line(key)? {
-        "none" => Ok(None),
-        v => v
-            .parse()
-            .map(Some)
-            .map_err(|_| malformed(format!("{key} is not a u64: {v:?}"))),
-    }
-}
-
 fn put_verdict(out: &mut Vec<u8>, v: &FinishVerdict) {
     put_line(out, "audit_clean", v.audit_clean);
     put_line(out, "audit_checks", v.audit_checks);
@@ -484,25 +370,17 @@ fn put_verdict(out: &mut Vec<u8>, v: &FinishVerdict) {
         None => put_line(out, "violations", "none"),
     }
     put_line(out, "feasible", v.feasible);
-    put_line(
-        out,
-        "worst_margin_ps",
-        format!("{:x}", v.worst_margin_ps.to_bits()),
-    );
+    put_line(out, "worst_margin_ps", f64_hex(v.worst_margin_ps));
     put_line(out, "area_tracks", v.area_tracks);
-    put_line(
-        out,
-        "total_length_um",
-        format!("{:x}", v.total_length_um.to_bits()),
-    );
+    put_line(out, "total_length_um", f64_hex(v.total_length_um));
 }
 
-fn read_verdict(r: &mut PayloadReader<'_>) -> Result<FinishVerdict, ProtoError> {
-    let audit_clean = r.bool("audit_clean")?;
-    let audit_checks = r.u64("audit_checks")?;
-    let audit_line = r.block("audit_line")?;
-    let violations_line = match r.line("violations")? {
-        "some" => Some(r.block("violations_line")?),
+fn read_verdict(r: &mut Reader<'_>) -> Result<FinishVerdict, ProtoError> {
+    let audit_clean = r.get("audit_clean")?;
+    let audit_checks = r.get("audit_checks")?;
+    let audit_line = r.block("audit_line")?.to_owned();
+    let violations_line = match r.value("violations")? {
+        "some" => Some(r.block("violations_line")?.to_owned()),
         "none" => None,
         v => return Err(malformed(format!("violations marker {v:?}"))),
     };
@@ -511,9 +389,9 @@ fn read_verdict(r: &mut PayloadReader<'_>) -> Result<FinishVerdict, ProtoError> 
         audit_checks,
         audit_line,
         violations_line,
-        feasible: r.bool("feasible")?,
+        feasible: r.get("feasible")?,
         worst_margin_ps: r.f64_bits("worst_margin_ps")?,
-        area_tracks: r.u64("area_tracks")?,
+        area_tracks: r.get("area_tracks")?,
         total_length_um: r.f64_bits("total_length_um")?,
     })
 }
@@ -571,8 +449,8 @@ impl Message {
             } => {
                 put_line(&mut out, "job", job);
                 put_line(&mut out, "slice", slice);
-                put_opt_u64(&mut out, "quota", *quota);
-                put_opt_u64(&mut out, "deadline_ms", *deadline_ms);
+                put_line(&mut out, "quota", opt_u64(*quota));
+                put_line(&mut out, "deadline_ms", opt_u64(*deadline_ms));
                 put_block(&mut out, "checkpoint", checkpoint);
             }
             Self::NoWork { settled } => put_line(&mut out, "settled", settled),
@@ -642,16 +520,13 @@ impl Message {
     /// [`ProtoError::Malformed`] on any schema violation — including
     /// trailing bytes after a complete message. Never panics.
     pub fn decode(frame: &Frame) -> Result<Self, ProtoError> {
-        let mut r = PayloadReader::new(&frame.payload);
+        let mut r = Reader::new(&frame.payload);
         let msg = match frame.kind {
             1 => {
-                let version = r
-                    .line("version")?
-                    .parse()
-                    .map_err(|_| malformed("version is not a u16"))?;
-                let worker = r.block("worker")?;
-                let token = match r.line("token")? {
-                    "some" => Some(r.block("token_text")?),
+                let version = r.get("version")?;
+                let worker = r.block("worker")?.to_owned();
+                let token = match r.value("token")? {
+                    "some" => Some(r.block("token_text")?.to_owned()),
                     "none" => None,
                     v => return Err(malformed(format!("token marker {v:?}"))),
                 };
@@ -662,42 +537,39 @@ impl Message {
                 }
             }
             2 => Self::Welcome {
-                version: r
-                    .line("version")?
-                    .parse()
-                    .map_err(|_| malformed("version is not a u16"))?,
-                heartbeat_ms: r.u64("heartbeat_ms")?,
+                version: r.get("version")?,
+                heartbeat_ms: r.get("heartbeat_ms")?,
             },
             3 => Self::LeaseReq,
             4 => Self::Lease {
-                job: r.u64("job")?,
-                slice: r.u64("slice")?,
-                quota: read_opt_u64(&mut r, "quota")?,
-                deadline_ms: read_opt_u64(&mut r, "deadline_ms")?,
-                checkpoint: r.block("checkpoint")?,
+                job: r.get("job")?,
+                slice: r.get("slice")?,
+                quota: r.opt_u64("quota")?,
+                deadline_ms: r.opt_u64("deadline_ms")?,
+                checkpoint: r.block("checkpoint")?.to_owned(),
             },
             5 => Self::NoWork {
-                settled: r.bool("settled")?,
+                settled: r.get("settled")?,
             },
             6 => {
-                let job = r.u64("job")?;
-                let slice = r.u64("slice")?;
-                let outcome = match r.line("outcome")? {
+                let job = r.get("job")?;
+                let slice = r.get("slice")?;
+                let outcome = match r.value("outcome")? {
                     "suspended" => WireOutcome::Suspended {
-                        stage: r.line("stage")?.to_string(),
-                        events_emitted: r.u64("events_emitted")?,
-                        selections_done: r.u64("selections_done")?,
-                        checkpoint: r.block("checkpoint")?,
-                        events_jsonl: r.block("events_jsonl")?,
+                        stage: r.value("stage")?.to_owned(),
+                        events_emitted: r.get("events_emitted")?,
+                        selections_done: r.get("selections_done")?,
+                        checkpoint: r.block("checkpoint")?.to_owned(),
+                        events_jsonl: r.block("events_jsonl")?.to_owned(),
                     },
                     "finished" => WireOutcome::Finished {
-                        events_emitted: r.u64("events_emitted")?,
-                        selections_done: r.u64("selections_done")?,
-                        events_jsonl: r.block("events_jsonl")?,
+                        events_emitted: r.get("events_emitted")?,
+                        selections_done: r.get("selections_done")?,
+                        events_jsonl: r.block("events_jsonl")?.to_owned(),
                         verdict: read_verdict(&mut r)?,
                     },
                     "failed" => WireOutcome::Failed {
-                        message: r.block("message")?,
+                        message: r.block("message")?.to_owned(),
                     },
                     v => return Err(malformed(format!("unknown outcome {v:?}"))),
                 };
@@ -708,16 +580,16 @@ impl Message {
                 }
             }
             7 => Self::Heartbeat {
-                job: r.u64("job")?,
-                slice: r.u64("slice")?,
+                job: r.get("job")?,
+                slice: r.get("slice")?,
             },
             8 => Self::Nack {
-                code: r.block("code")?,
-                detail: r.block("detail")?,
-                retry_after_ms: r.u64("retry_after_ms")?,
+                code: r.block("code")?.to_owned(),
+                detail: r.block("detail")?.to_owned(),
+                retry_after_ms: r.get("retry_after_ms")?,
             },
             9 => Self::Metrics {
-                snapshot: r.block("snapshot")?,
+                snapshot: r.block("snapshot")?.to_owned(),
             },
             10 => Self::Bye,
             kind => return Err(ProtoError::UnknownKind { kind }),
@@ -885,6 +757,37 @@ mod tests {
             };
             assert_eq!(verdict.worst_margin_ps.to_bits(), margin.to_bits());
         }
+    }
+
+    #[test]
+    fn unpadded_verdict_hex_from_older_writers_still_decodes() {
+        // The pre-kernel writer emitted verdict floats as unpadded hex
+        // (`{:x}`); journals holding such RESULT payloads must replay.
+        let payload = b"job 3\nslice 9\noutcome finished\nevents_emitted 5\n\
+            selections_done 2\nevents_jsonl 0\n\naudit_clean true\naudit_checks 1\n\
+            audit_line 1\na\nviolations none\nfeasible true\nworst_margin_ps 0\n\
+            area_tracks 4\ntotal_length_um 1a56e1fc2f8f359\n";
+        let frame = Frame {
+            kind: 6,
+            payload: payload.to_vec(),
+        };
+        let msg = Message::decode(&frame).unwrap();
+        let Message::Result {
+            outcome: WireOutcome::Finished { verdict, .. },
+            ..
+        } = &msg
+        else {
+            panic!("wrong shape: {msg:?}");
+        };
+        assert_eq!(verdict.worst_margin_ps.to_bits(), 0);
+        assert_eq!(verdict.total_length_um.to_bits(), 0x01a5_6e1f_c2f8_f359);
+        // Re-encoding pads; nothing else about the payload changes.
+        let text = String::from_utf8(msg.encode_payload()).unwrap();
+        let expected = String::from_utf8(payload.to_vec())
+            .unwrap()
+            .replace("worst_margin_ps 0\n", "worst_margin_ps 0000000000000000\n")
+            .replace("total_length_um 1a5", "total_length_um 01a5");
+        assert_eq!(text, expected);
     }
 
     #[test]

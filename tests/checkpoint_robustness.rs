@@ -12,6 +12,7 @@
 //! - token corruption (garbled hex, non-numeric counts, wrong
 //!   keywords, bad mask characters) → `ParseError`;
 //! - version skew → `ParseError` naming the version;
+//! - bytes after `end checkpoint` → `ParseError`;
 //! - a syntactically valid checkpoint whose alive-mask disconnects a
 //!   net → `RouteError::Checkpoint` at resume;
 //! - a `diff_pairs_locked` stat bump — parses and resumes cleanly, but
@@ -21,7 +22,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bgr::gen::golden_instance;
-use bgr::io::{parse_checkpoint, write_checkpoint};
+use bgr::io::{parse_checkpoint, write_checkpoint, ParseError};
 use bgr::router::{CollectingProbe, RouteError, RouteSession, RouterConfig};
 use bgr::verify::{audit, Invariant};
 
@@ -44,11 +45,11 @@ fn mid_run_checkpoint() -> String {
 }
 
 /// Asserts `parse_checkpoint(text)` errors structurally — and, via
-/// `catch_unwind`, that it does not panic either.
-fn assert_parse_rejects(text: &str, what: &str) {
+/// `catch_unwind`, that it does not panic either. Returns the error.
+fn assert_parse_rejects(text: &str, what: &str) -> ParseError {
     let outcome = catch_unwind(AssertUnwindSafe(|| parse_checkpoint(text).map(|_| ())));
     match outcome {
-        Ok(Err(_)) => {}
+        Ok(Err(e)) => e,
         Ok(Ok(())) => panic!("{what}: damaged checkpoint parsed cleanly"),
         Err(_) => panic!("{what}: parser panicked instead of erroring"),
     }
@@ -63,6 +64,13 @@ fn truncation_never_panics_and_always_errors() {
     for keep in [0, 1, 2, lines.len() / 4, lines.len() / 2, lines.len() - 1] {
         let cut = lines[..keep].join("\n");
         assert_parse_rejects(&cut, &format!("cut after {keep} lines"));
+    }
+    // Cuts at a line end: running out of input is reported at the line
+    // after the last one read, not at line 0.
+    for keep in [1, 2, lines.len() / 4, lines.len() / 2, lines.len() - 1] {
+        let cut = format!("{}\n", lines[..keep].join("\n"));
+        let err = assert_parse_rejects(&cut, &format!("cut after line {keep}"));
+        assert_eq!(err.line, keep + 1, "cut after line {keep}: {err}");
     }
     // Mid-line byte cuts (sliced at char boundaries).
     for frac in [1usize, 3, 7] {
@@ -94,6 +102,10 @@ fn corrupted_tokens_are_parse_errors() {
         (
             text.replacen("config wire ", "config wire zz", 1),
             "garbled hex",
+        ),
+        (
+            format!("{text}garbage\nbgr-checkpoint v1\n"),
+            "bytes after end checkpoint",
         ),
     ];
     for (damaged, what) in &cases {
