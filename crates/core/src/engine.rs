@@ -49,13 +49,14 @@
 //!
 //! # Per-net scan state and parallel re-keying
 //!
-//! Each net carries a private [`NetScanState`]: the cache of *hypothetical
-//! wire states* (tentative-tree length assuming an edge's deletion,
-//! keyed on the owning graph's generation) and the *delay-prefix memo*
-//! (the `C_d/Gl/LD` triple of an edge, keyed on the graph generation
-//! **and** the summed generations of the net's timing constraints — so
-//! density-only invalidations reuse it and skip the delay recomputation
-//! entirely).
+//! Each net carries a private [`NetScanState`]: its shortest-path search,
+//! its current tentative tree, and the *hypothetical* trees (assuming one
+//! edge deleted) of the edges that tree depends on — every other edge
+//! shares the current tree, and cached trees survive deletions that miss
+//! them (exact rules in `tentative::ShortestPaths`) — each with
+//! a *delay-prefix memo* (the `C_d/Gl/LD` triple, keyed on the summed
+//! generations of the net's timing constraints, so density-only
+//! invalidations skip the delay recomputation entirely).
 //!
 //! Because a champion scan touches only that per-net state plus the
 //! shared density map and timing analyzer immutably, re-keying a dirty
@@ -83,40 +84,227 @@ use crate::probe::{
 use crate::scoreboard::Scoreboard;
 use crate::select::{compare, deciding_tier, DecidingTier, EdgeKey};
 use crate::shard::ShardMap;
-use crate::tentative::tentative_length_um;
+use crate::tentative::{tentative_length_um, tree_deps_exact, EdgeSet, ShortestPaths, TreeDeps};
 
-/// Per-net cache of hypothetical wire states, valid only while the
-/// owning graph's generation matches `stamp`.
-#[derive(Debug, Default)]
-struct HypCache {
-    stamp: u64,
-    slots: Vec<Option<HypWire>>,
+/// One tentative tree cached for a net: its wire state, the edges it
+/// depends on, and the delay prefix memoized for it.
+#[derive(Debug, Clone)]
+struct CachedTree {
+    wire: HypWire,
+    deps: EdgeSet,
+    /// `C_d/Gl/LD` at [`NetScanState::sta_stamp`] (constrained nets
+    /// only).
+    delay: Option<DelayCriteria>,
 }
 
-/// Per-net memo of the delay prefix (`C_d`, `Gl`, `LD`) of an edge's
-/// key, valid while the owning graph's generation **and** the summed
-/// generations of the net's constraints both match. Density-only
-/// invalidations (`aggregate_moved` / `span_overlap`) move neither, so
-/// their re-keys skip the hypothetical-wire path entirely.
-///
-/// The constraint stamp is the *sum* of
-/// [`Sta::constraint_generation`] over the net's constraints: each
-/// refresh strictly increases one term, so the sum is strictly
-/// monotonic and can never alias a previous state.
-#[derive(Debug, Default)]
-struct DelayMemo {
-    graph_stamp: u64,
-    sta_stamp: u64,
-    slots: Vec<Option<DelayCriteria>>,
+impl CachedTree {
+    fn new(sta: &Sta, net: NetId, tree: Option<TreeDeps>) -> Self {
+        let tree =
+            tree.expect("§3.2 invariant: deleting a non-bridge edge keeps the net connected");
+        let (cl_ff, rc_ps) = sta.lengths().wire_terms_at(net, tree.length_um);
+        Self {
+            wire: HypWire {
+                length_um: tree.length_um,
+                cl_ff,
+                rc_ps,
+            },
+            deps: tree.deps,
+            delay: None,
+        }
+    }
 }
 
 /// The mutable state one champion scan needs: everything per-net, so
 /// scans of distinct nets are data-disjoint and may run on worker
 /// threads (see the [module docs](self)).
+///
+/// It holds the net's shortest-path search, its *current* tentative
+/// tree and, per edge the current tree depends on, the *hypothetical*
+/// tree assuming that edge deleted, found by re-settling only the
+/// subtree the edge detaches ([`ShortestPaths::tree_without`]). Every
+/// other edge's hypothetical tree is the current one, so its key needs
+/// no search and shares the current tree's delay prefix. A deletion
+/// keeps every cached tree that does not depend on a deleted edge
+/// ([`NetScanState::retain_after`]) and drops the search; any other
+/// graph change (reroute, snapshot restore) drops everything. The rules
+/// are exact — see [`ShortestPaths`] — and [`Engine::audit_state`]
+/// checks them against full searches.
+///
+/// Delay prefixes are memoized per tree, stamped with the *sum* of
+/// [`Sta::constraint_generation`] over the net's constraints: each
+/// refresh strictly increases one term, so the sum is strictly
+/// monotonic and can never alias a previous state. Density-only
+/// invalidations move neither stamp, so their re-keys skip the delay
+/// criteria entirely.
 #[derive(Debug, Default)]
 struct NetScanState {
-    hyp: HypCache,
-    memo: DelayMemo,
+    /// Graph generation the cached state was taken at.
+    stamp: u64,
+    /// Summed constraint generations the memoized delays belong to.
+    sta_stamp: u64,
+    /// [`tree_deps_exact`] for the net's graph (edge lengths never
+    /// change, so it is fixed at construction).
+    exact: bool,
+    /// The driver-rooted search of the current graph.
+    paths: Option<ShortestPaths>,
+    /// The net's current tentative tree.
+    current: Option<CachedTree>,
+    /// Per edge: the tentative tree assuming that edge deleted (empty
+    /// until the net's first delay key).
+    hyp: Vec<Option<Box<CachedTree>>>,
+}
+
+impl NetScanState {
+    fn new(g: &RoutingGraph) -> Self {
+        Self {
+            exact: tree_deps_exact(g),
+            ..Self::default()
+        }
+    }
+
+    /// Drops everything cached if the graph moved since it was taken.
+    fn sync_graph(&mut self, g: &RoutingGraph) {
+        if self.stamp != g.generation() {
+            self.paths = None;
+            self.current = None;
+            self.hyp.fill(None);
+            self.stamp = g.generation();
+        }
+    }
+
+    /// The graph went from generation `before` to its current one by
+    /// losing exactly the edges `deleted`: keeps the trees that provably
+    /// did not change (see the type docs).
+    fn retain_after(&mut self, g: &RoutingGraph, before: u64, deleted: &[u32]) {
+        if self.stamp != before {
+            self.sync_graph(g);
+            return;
+        }
+        self.paths = None;
+        let keep = |t: &CachedTree| !deleted.iter().any(|&e| t.deps.contains(e));
+        if !self.current.as_ref().is_some_and(keep) {
+            self.current = None;
+        }
+        for slot in &mut self.hyp {
+            if !slot.as_deref().is_some_and(keep) {
+                *slot = None;
+            }
+        }
+        self.stamp = g.generation();
+    }
+
+    fn paths(&mut self, g: &RoutingGraph) -> &mut ShortestPaths {
+        self.sync_graph(g);
+        self.paths
+            .get_or_insert_with(|| ShortestPaths::search(g, None))
+    }
+
+    /// The net's current tentative tree, searched only if no cached one
+    /// survived. The search is kept only for nets whose keys carry delay
+    /// criteria (the first [`NetScanState::delay`] allocates `hyp`):
+    /// other nets never ask for a hypothetical tree.
+    fn current_tree(&mut self, g: &RoutingGraph, sta: &Sta, net: NetId) -> &CachedTree {
+        self.sync_graph(g);
+        if self.current.is_none() {
+            let tree = match &self.paths {
+                Some(paths) => paths.tree(g, self.exact),
+                None => {
+                    let paths = ShortestPaths::search(g, None);
+                    let tree = paths.tree(g, self.exact);
+                    if !self.hyp.is_empty() {
+                        self.paths = Some(paths);
+                    }
+                    tree
+                }
+            };
+            self.current = Some(CachedTree::new(sta, net, tree));
+        }
+        self.current.as_ref().expect("filled above")
+    }
+
+    /// The delay prefix of deleting `e`, through the per-tree memo. Only
+    /// called for constrained nets.
+    fn delay(
+        &mut self,
+        g: &RoutingGraph,
+        sta: &Sta,
+        net: NetId,
+        e: u32,
+        c: &mut ScanCounters,
+    ) -> DelayCriteria {
+        let depends = self.current_tree(g, sta, net).deps.contains(e);
+        if self.hyp.is_empty() {
+            self.hyp.resize(g.edges().len(), None);
+        }
+        let sta_stamp = net_timing_stamp(sta, net);
+        if self.sta_stamp != sta_stamp {
+            for t in self.hyp.iter_mut().flatten() {
+                t.delay = None;
+            }
+            if let Some(t) = &mut self.current {
+                t.delay = None;
+            }
+            self.sta_stamp = sta_stamp;
+        }
+        let own = depends || self.hyp[e as usize].is_some();
+        let cached = if own {
+            self.hyp[e as usize].as_deref()
+        } else {
+            self.current.as_ref()
+        };
+        if let Some(d) = cached.and_then(|t| t.delay) {
+            c.memo_hits += 1;
+            return d;
+        }
+        c.memo_misses += 1;
+        if cached.is_some() {
+            c.hyp_hits += 1;
+        } else {
+            c.hyp_misses += 1;
+            let exact = self.exact;
+            let tree = self.paths(g).tree_without(g, e, exact);
+            self.hyp[e as usize] = Some(Box::new(CachedTree::new(sta, net, tree)));
+        }
+        let tree = if own {
+            self.hyp[e as usize].as_deref_mut()
+        } else {
+            self.current.as_mut()
+        };
+        let tree = tree.expect("filled above");
+        let d = DelayCriteria::evaluate(sta, net, &tree.wire);
+        tree.delay = Some(d);
+        d
+    }
+
+    /// The hypothetical length the scan uses for deleting `e` — cached,
+    /// shared with the current tree, or re-settled from the current
+    /// search — which [`Engine::audit_state`] checks against a full
+    /// search.
+    fn hyp_length_um(&self, g: &RoutingGraph, e: u32) -> Option<f64> {
+        let synced = self.stamp == g.generation();
+        if synced {
+            if let Some(t) = self.hyp.get(e as usize).and_then(Option::as_ref) {
+                return Some(t.wire.length_um);
+            }
+            if let Some(t) = self.current.as_ref().filter(|t| !t.deps.contains(e)) {
+                return Some(t.wire.length_um);
+            }
+        }
+        let mut paths = match &self.paths {
+            Some(p) if synced => p.clone(),
+            _ => ShortestPaths::search(g, None),
+        };
+        paths.tree_without(g, e, self.exact).map(|t| t.length_um)
+    }
+}
+
+/// The summed constraint-generation stamp of `net` (see
+/// [`NetScanState`]).
+fn net_timing_stamp(sta: &Sta, net: NetId) -> u64 {
+    sta.constraints_of_net(net)
+        .iter()
+        .map(|&cid| sta.constraint_generation(cid as usize))
+        .sum()
 }
 
 /// Probe counters accumulated by one scan, flushed to the engine's
@@ -148,80 +336,6 @@ impl ScanCounters {
     }
 }
 
-/// Hypothetical wire state if `e` of `net` were deleted (cached until
-/// the graph's generation moves).
-fn hyp_for(
-    g: &RoutingGraph,
-    sta: &Sta,
-    net: NetId,
-    e: u32,
-    cache: &mut HypCache,
-    c: &mut ScanCounters,
-) -> HypWire {
-    let gen = g.generation();
-    if cache.stamp != gen || cache.slots.len() != g.edges().len() {
-        cache.slots.clear();
-        cache.slots.resize(g.edges().len(), None);
-        cache.stamp = gen;
-    }
-    if let Some(h) = cache.slots[e as usize] {
-        c.hyp_hits += 1;
-        return h;
-    }
-    c.hyp_misses += 1;
-    let len = tentative_length_um(g, Some(e))
-        .expect("§3.2 invariant: deleting a non-bridge edge keeps the net connected");
-    let (cl_ff, rc_ps) = sta.lengths().wire_terms_at(net, len);
-    let h = HypWire {
-        length_um: len,
-        cl_ff,
-        rc_ps,
-    };
-    cache.slots[e as usize] = Some(h);
-    h
-}
-
-/// The summed constraint-generation stamp of `net` (see [`DelayMemo`]).
-fn net_timing_stamp(sta: &Sta, net: NetId) -> u64 {
-    sta.constraints_of_net(net)
-        .iter()
-        .map(|&cid| sta.constraint_generation(cid as usize))
-        .sum()
-}
-
-/// The delay prefix of `(net, e)`'s key, through the memo. Only called
-/// for constrained nets.
-fn delay_for(
-    g: &RoutingGraph,
-    sta: &Sta,
-    net: NetId,
-    e: u32,
-    state: &mut NetScanState,
-    c: &mut ScanCounters,
-) -> DelayCriteria {
-    let graph_stamp = g.generation();
-    let sta_stamp = net_timing_stamp(sta, net);
-    let memo = &mut state.memo;
-    if memo.graph_stamp != graph_stamp
-        || memo.sta_stamp != sta_stamp
-        || memo.slots.len() != g.edges().len()
-    {
-        memo.slots.clear();
-        memo.slots.resize(g.edges().len(), None);
-        memo.graph_stamp = graph_stamp;
-        memo.sta_stamp = sta_stamp;
-    }
-    if let Some(d) = state.memo.slots[e as usize] {
-        c.memo_hits += 1;
-        return d;
-    }
-    c.memo_misses += 1;
-    let hyp = hyp_for(g, sta, net, e, &mut state.hyp, c);
-    let d = DelayCriteria::evaluate(sta, net, &hyp);
-    state.memo.slots[e as usize] = Some(d);
-    d
-}
-
 /// Builds the full comparison key for a deletable edge of `net`. The
 /// free-function twin of [`Engine::edge_key`], callable from worker
 /// threads: everything mutable it needs is in `state` and `c`.
@@ -238,7 +352,7 @@ fn scan_edge_key(
     let delay = if sta.constraints_of_net(net).is_empty() {
         DelayCriteria::default()
     } else {
-        delay_for(g, sta, net, e, state, c)
+        state.delay(g, sta, net, e, c)
     };
     let edge = g.edges()[e as usize];
     let (is_trunk, f_min, n_min, f_max, n_max) = match edge.kind {
@@ -327,7 +441,7 @@ fn scan_edge_key_raw(
     let delay = if sta.constraints_of_net(net).is_empty() {
         DelayCriteria::default()
     } else {
-        delay_for(g, sta, net, e, state, c)
+        state.delay(g, sta, net, e, c)
     };
     let edge = g.edges()[e as usize];
     let (is_trunk, f_min, n_min, f_max, n_max, channel) = match edge.kind {
@@ -570,7 +684,7 @@ impl<P: Probe> Engine<P> {
                 }
             }
         }
-        let scan = graphs.iter().map(|_| NetScanState::default()).collect();
+        let scan = graphs.iter().map(NetScanState::new).collect();
         let mut channel_nets: Vec<Vec<(NetId, i32, i32)>> = vec![Vec::new(); num_channels];
         for (i, g) in graphs.iter().enumerate() {
             // (channel, trunk bounding interval); the empty sentinel
@@ -710,8 +824,11 @@ impl<P: Probe> Engine<P> {
     }
 
     fn refresh_length(&mut self, net: NetId) {
-        let mut len = tentative_length_um(&self.graphs[net.index()], None)
-            .expect("§3.2 invariant: only non-bridge deletions run, so net graphs stay connected");
+        let ni = net.index();
+        let mut len = self.scan[ni]
+            .current_tree(&self.graphs[ni], &self.sta, net)
+            .wire
+            .length_um;
         if P::ENABLED {
             // SkewDelay injection lives *inside* the refresh so
             // improvement-phase snapshots/restores (which re-refresh)
@@ -765,9 +882,10 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// Recomputes the density profile and every memoized net length
-    /// from scratch and compares them against the incremental state.
-    /// Returns the number of comparisons performed.
+    /// Recomputes the density profile, every memoized net length and
+    /// every deletable edge's hypothetical length from scratch and
+    /// compares them against the incremental state. Returns the number
+    /// of comparisons performed.
     ///
     /// # Panics
     ///
@@ -812,6 +930,19 @@ impl<P: Probe> Engine<P> {
                 "self-audit: memoized length of net {i} diverged: \
                  incremental {got} um, from-scratch {want} um"
             );
+            // The hypothetical length of every deletable edge — cached,
+            // shared with the current tree, or searched with dependency
+            // tracking — must be bit-identical to a full search.
+            for e in g.non_bridge_edges() {
+                let want = tentative_length_um(g, Some(e));
+                let got = self.scan[i].hyp_length_um(g, e);
+                checks += 1;
+                assert!(
+                    got == want,
+                    "self-audit: hypothetical length of net {i} without edge {e} diverged: \
+                     incremental {got:?} um, full search {want:?} um"
+                );
+            }
         }
         checks
     }
@@ -880,8 +1011,9 @@ impl<P: Probe> Engine<P> {
 
     /// Deletes one edge of one net and restores every invariant: density
     /// spans, pruned dangling chains, bridge flags (with `d_m`
-    /// promotions), and the net's tentative length / margins. The
-    /// hypothesis cache invalidates itself through the graph generation.
+    /// promotions), the net's cached tentative trees (kept only where
+    /// they provably did not change), and its tentative length /
+    /// margins.
     ///
     /// Touched channels, refreshed constraints and the changed net are
     /// recorded in the engine's delta scratch for scoreboard re-keying.
@@ -893,6 +1025,7 @@ impl<P: Probe> Engine<P> {
         let ni = net.index();
         assert!(self.graphs[ni].is_alive(e), "edge already dead");
         assert!(!self.graphs[ni].is_bridge(e), "refusing to delete a bridge");
+        let before = self.graphs[ni].generation();
         self.remove_density(net, e);
         self.graphs[ni].delete_edge(e);
         self.deletions += 1;
@@ -905,7 +1038,7 @@ impl<P: Probe> Engine<P> {
                 count: pruned.len() as u32,
             });
         }
-        for pe in pruned {
+        for &pe in &pruned {
             // Density removal uses the stale bridge flag, which is exactly
             // the status the span was added/promoted under.
             let g = &self.graphs[ni];
@@ -932,6 +1065,9 @@ impl<P: Probe> Engine<P> {
                 }
             }
         }
+        let mut deleted = pruned;
+        deleted.push(e);
+        self.scan[ni].retain_after(&self.graphs[ni], before, &deleted);
         self.refresh_length(net);
         // Deletion always starts from a non-tree (a tree has only
         // bridges), so the transition fires exactly once per completion.

@@ -238,24 +238,80 @@ impl RoutingGraph {
                 });
             }
         }
+        Self::from_parts(
+            net,
+            n.width_pitches(),
+            verts,
+            edges,
+            terminal_verts,
+            driver_vert,
+        )
+    }
 
+    /// A graph over arbitrary vertices and edges for unit tests: vertex
+    /// `terminals[i]` is terminal `i` (the first drives), every other
+    /// vertex a feed point, every edge a channel-0 trunk of the given
+    /// length.
+    #[cfg(test)]
+    pub(crate) fn from_edges(nv: usize, edges: &[(u32, u32, f64)], terminals: &[u32]) -> Self {
+        let mut verts = vec![
+            RVert {
+                kind: RVertKind::Feed { row: 0 },
+                x: 0,
+            };
+            nv
+        ];
+        for (i, &t) in terminals.iter().enumerate() {
+            verts[t as usize].kind = RVertKind::Terminal(TermId::new(i));
+        }
+        let edges = edges
+            .iter()
+            .map(|&(a, b, len_um)| REdge {
+                a,
+                b,
+                kind: REdgeKind::Trunk {
+                    channel: ChannelId::new(0),
+                },
+                x1: 0,
+                x2: 0,
+                len_um,
+            })
+            .collect();
+        Self::from_parts(
+            NetId::new(0),
+            1,
+            verts,
+            edges,
+            terminals.to_vec(),
+            terminals[0],
+        )
+    }
+
+    /// Indexes adjacency, marks every edge alive and finds the bridges.
+    fn from_parts(
+        net: NetId,
+        width: u32,
+        verts: Vec<RVert>,
+        edges: Vec<REdge>,
+        terminal_verts: Vec<u32>,
+        driver_vert: u32,
+    ) -> Self {
         let mut adj = vec![Vec::new(); verts.len()];
         for (i, e) in edges.iter().enumerate() {
             adj[e.a as usize].push((e.b, i as u32));
             adj[e.b as usize].push((e.a, i as u32));
         }
-        let alive_count = edges.len();
         let mut graph = Self {
             net,
-            width: n.width_pitches(),
+            width,
             alive: vec![true; edges.len()],
             bridge: vec![false; edges.len()],
+            alive_count: edges.len(),
             verts,
             edges,
             adj,
             terminal_verts,
             driver_vert,
-            alive_count,
             generation: 0,
         };
         graph.recompute_bridges();

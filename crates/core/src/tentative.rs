@@ -65,58 +65,15 @@ pub fn tentative_tree_with(
     skip: Option<u32>,
     weight: impl Fn(u32) -> f64,
 ) -> Option<TentativeTree> {
-    let nv = graph.verts().len();
-    let mut dist = vec![f64::INFINITY; nv];
-    let mut parent_edge = vec![u32::MAX; nv];
-    let src = graph.driver_vert();
-    dist[src as usize] = 0.0;
-    let mut heap = BinaryHeap::with_capacity(nv);
-    heap.push(HeapItem {
-        dist: 0.0,
-        vert: src,
-    });
-    while let Some(HeapItem { dist: d, vert: v }) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for &(w, e) in graph.adj(v) {
-            if !graph.is_alive(e) || Some(e) == skip {
-                continue;
-            }
-            let nd = d + weight(e);
-            if nd < dist[w as usize] {
-                dist[w as usize] = nd;
-                parent_edge[w as usize] = e;
-                heap.push(HeapItem { dist: nd, vert: w });
-            }
-        }
-    }
-    // Union of the driver-to-terminal paths.
-    let mut in_union = vec![false; graph.edges().len()];
-    for &t in graph.terminal_verts() {
-        if dist[t as usize].is_infinite() {
-            return None;
-        }
-        let mut cur = t;
-        while cur != src {
-            let e = parent_edge[cur as usize];
-            if e == u32::MAX || in_union[e as usize] {
-                break;
-            }
-            in_union[e as usize] = true;
-            let edge = &graph.edges()[e as usize];
-            cur = if edge.a == cur { edge.b } else { edge.a };
-        }
-    }
-    let mut length_um = 0.0;
-    let mut edges = Vec::new();
-    for (i, &used) in in_union.iter().enumerate() {
-        if used {
-            length_um += graph.edges()[i].len_um;
-            edges.push(i as u32);
-        }
-    }
-    Some(TentativeTree { length_um, edges })
+    let paths = ShortestPaths::search_with(graph, skip, weight);
+    let in_union = terminal_union(graph, &paths.parent_edge)?;
+    let edges = (0..in_union.len() as u32)
+        .filter(|&e| in_union[e as usize])
+        .collect();
+    Some(TentativeTree {
+        length_um: union_length_um(graph, &in_union),
+        edges,
+    })
 }
 
 /// Tentative length only (µm); `None` on disconnection.
@@ -124,11 +81,548 @@ pub fn tentative_length_um(graph: &RoutingGraph, skip: Option<u32>) -> Option<f6
     tentative_tree(graph, skip).map(|t| t.length_um)
 }
 
+/// Union of the parent chains from every terminal back to the driver,
+/// as a per-edge mask; `None` if some terminal is unreachable.
+fn terminal_union(graph: &RoutingGraph, parent_edge: &[u32]) -> Option<Vec<bool>> {
+    let src = graph.driver_vert();
+    let mut in_union = vec![false; graph.edges().len()];
+    for &t in graph.terminal_verts() {
+        if t != src && parent_edge[t as usize] == u32::MAX {
+            return None;
+        }
+        let mut cur = t;
+        while cur != src {
+            let e = parent_edge[cur as usize];
+            if in_union[e as usize] {
+                break;
+            }
+            in_union[e as usize] = true;
+            cur = other_end(graph, e, cur);
+        }
+    }
+    Some(in_union)
+}
+
+/// The endpoint of edge `e` that is not `v`.
+fn other_end(graph: &RoutingGraph, e: u32, v: u32) -> u32 {
+    let edge = &graph.edges()[e as usize];
+    if edge.a == v {
+        edge.b
+    } else {
+        edge.a
+    }
+}
+
+/// Physical length of a union, summed in edge-index order.
+fn union_length_um(graph: &RoutingGraph, in_union: &[bool]) -> f64 {
+    let mut length_um = 0.0;
+    for (i, &used) in in_union.iter().enumerate() {
+        if used {
+            length_um += graph.edges()[i].len_um;
+        }
+    }
+    length_um
+}
+
+/// A set of edge indices of one routing graph.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct EdgeSet(Box<[u64]>);
+
+impl EdgeSet {
+    fn from_mask(mask: &[bool]) -> Self {
+        let mut words = vec![0u64; mask.len().div_ceil(64)];
+        for (e, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+            words[e / 64] |= 1 << (e % 64);
+        }
+        Self(words.into_boxed_slice())
+    }
+
+    /// Whether edge `e` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, e: u32) -> bool {
+        self.0
+            .get(e as usize / 64)
+            .is_some_and(|w| (w >> (e % 64)) & 1 == 1)
+    }
+}
+
+/// A tentative tree's length together with the edges it *depends on*:
+/// deleting any alive edge outside `deps` leaves the tree, and so
+/// `length_um`, exactly as it is (see [`ShortestPaths`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TreeDeps {
+    /// Total length of the union of driver-to-sink shortest paths, in µm
+    /// (bit-identical to [`tentative_length_um`]).
+    pub(crate) length_um: f64,
+    /// The edges the tree depends on.
+    pub(crate) deps: EdgeSet,
+}
+
+/// Whether the exact reuse rules of [`ShortestPaths`] hold for `graph`:
+/// every edge is exactly zero long, or longer than one ulp of any
+/// distance a search can reach (a simple path sums to at most twice the
+/// total edge length, whatever the rounding). So a relaxation either
+/// keeps the distance (zero edges) or strictly increases it, and never
+/// rounds one way at one distance and the other way at another.
+pub(crate) fn tree_deps_exact(graph: &RoutingGraph) -> bool {
+    let bound = 4.0 * graph.edges().iter().map(|e| e.len_um).sum::<f64>();
+    graph
+        .edges()
+        .iter()
+        .all(|e| e.len_um == 0.0 || (e.len_um > 0.0 && bound + e.len_um > bound))
+}
+
+/// The driver-rooted shortest-path search behind a tentative tree:
+/// Dijkstra over the alive edges with strict relaxation and pops ordered
+/// by `(dist, vertex)`, kept whole (every vertex's distance and parent
+/// edge) so that hypothetical deletions can be answered without a fresh
+/// search.
+///
+/// # Exact reuse
+///
+/// Everything rests on one lemma. Let `X` be a set of vertices closed
+/// under taking parents, and delete edges none of which is the parent
+/// edge of a vertex in `X`. If [`tree_deps_exact`] holds, every vertex
+/// of `X` keeps its distance and its parent edge.
+///
+/// *Proof.* Write `d` before and `d'` after. `X`'s tree paths survive
+/// and distances never shrink, so `d' = d` on `X`; a predecessor tight
+/// after is tight before. Vertices settle level by level (non-decreasing
+/// `d`); within a level the search settles the smallest-index vertex
+/// among those reached, a vertex being reached from a lower level before
+/// the level starts or along a zero edge from a settled vertex of the
+/// level; a vertex's parent is its first-settled tight predecessor
+/// (first tight edge in adjacency order). So it suffices that `u ∈ X`
+/// settled before a same-level `v` still is. If not, take the earliest
+/// such `v` after. By the weight condition no zero edge joins a vertex
+/// that rose into the level to one that did not (it would have carried
+/// the old, lower distance), so `v` was reached from below — then also
+/// before, and it would have preceded `u` — or along a zero edge from an
+/// `a` settled earlier, which settled after `u` before: `(u, a)`
+/// contradicts the choice of `v`. If `u` was not yet reached when `v`
+/// settled, the same holds for its first reached ancestor on the level,
+/// which keeps its reach because its lower parent is untouched. ∎
+///
+/// Two rules follow:
+///
+/// * **Off-tree deletions** (`X` = the tree's vertices): deleting edges
+///   outside the tentative tree leaves it unchanged. So the tree
+///   depends only on its own edges ([`ShortestPaths::tree`]), and a
+///   tree found with one edge skipped stays valid while the graph loses
+///   edges outside it.
+/// * **Tree-edge deletions** (`X` = all but the detached subtree):
+///   only the subtree hanging below a deleted parent edge needs
+///   re-settling ([`ShortestPaths::tree_without`]).
+///
+/// When the weight condition fails, dependencies widen to every edge
+/// and hypothetical trees fall back to full searches.
+#[derive(Debug, Clone)]
+pub(crate) struct ShortestPaths {
+    dist: Vec<f64>,
+    parent_edge: Vec<u32>,
+    scratch: Resettle,
+}
+
+impl ShortestPaths {
+    /// Searches the alive edges of `graph` minus `skip` by edge length.
+    pub(crate) fn search(graph: &RoutingGraph, skip: Option<u32>) -> Self {
+        Self::search_with(graph, skip, |e| graph.edges()[e as usize].len_um)
+    }
+
+    fn search_with(graph: &RoutingGraph, skip: Option<u32>, weight: impl Fn(u32) -> f64) -> Self {
+        let nv = graph.verts().len();
+        let mut dist = vec![f64::INFINITY; nv];
+        let mut parent_edge = vec![u32::MAX; nv];
+        let src = graph.driver_vert();
+        dist[src as usize] = 0.0;
+        let mut heap = BinaryHeap::with_capacity(nv);
+        heap.push(HeapItem {
+            dist: 0.0,
+            vert: src,
+        });
+        while let Some(HeapItem { dist: d, vert: v }) = heap.pop() {
+            if d > dist[v as usize] {
+                continue;
+            }
+            for &(w, e) in graph.adj(v) {
+                if !graph.is_alive(e) || Some(e) == skip {
+                    continue;
+                }
+                let nd = d + weight(e);
+                if nd < dist[w as usize] {
+                    dist[w as usize] = nd;
+                    parent_edge[w as usize] = e;
+                    heap.push(HeapItem { dist: nd, vert: w });
+                }
+            }
+        }
+        Self {
+            dist,
+            parent_edge,
+            scratch: Resettle::default(),
+        }
+    }
+
+    /// The tentative tree of this search with its dependencies: the tree
+    /// itself when `exact` ([`tree_deps_exact`]), otherwise every edge.
+    /// `None` if some terminal is unreachable.
+    pub(crate) fn tree(&self, graph: &RoutingGraph, exact: bool) -> Option<TreeDeps> {
+        let in_union = terminal_union(graph, &self.parent_edge)?;
+        let length_um = union_length_um(graph, &in_union);
+        let deps = if exact {
+            EdgeSet::from_mask(&in_union)
+        } else {
+            EdgeSet::from_mask(&vec![true; in_union.len()])
+        };
+        Some(TreeDeps { length_um, deps })
+    }
+
+    /// The tentative tree assuming alive edge `e` deleted, bit-identical
+    /// to `Self::search(graph, Some(e)).tree(graph, exact)`.
+    ///
+    /// When `exact` and `e` is a parent edge, only the subtree `S` below
+    /// it is re-settled. Every other vertex keeps its distance and
+    /// parent, so the search replays just the vertices that can affect
+    /// `S`: the outside vertices adjacent to it, plus their ancestors on
+    /// the same level, which reach them along zero edges. Each enters
+    /// the heap when the full search would reach it — at the start if
+    /// its parent is on a lower level, otherwise when its parent pops —
+    /// so the relative `(dist, vertex)` pop order, and hence every
+    /// parent chosen inside `S`, is the full search's. The work is
+    /// proportional to `S`, its surroundings and the new tree, not to
+    /// the graph: all per-vertex and per-edge state lives in scratch
+    /// buffers that are cleared entry by entry.
+    pub(crate) fn tree_without(
+        &mut self,
+        graph: &RoutingGraph,
+        e: u32,
+        exact: bool,
+    ) -> Option<TreeDeps> {
+        if !exact {
+            return Self::search(graph, Some(e)).tree(graph, false);
+        }
+        let edge = &graph.edges()[e as usize];
+        let Some(child) = [edge.a, edge.b]
+            .into_iter()
+            .find(|&v| self.parent_edge[v as usize] == e)
+        else {
+            return self.tree(graph, true);
+        };
+        let (dist, parent_edge) = (&self.dist, &self.parent_edge);
+        let s = &mut self.scratch;
+        s.fit(graph);
+        let usable = |f: u32| f != e && graph.is_alive(f);
+        // S: `child` and its descendants, unsettled.
+        s.mark[child as usize] = Mark::Detached;
+        s.members.push(child);
+        let mut i = 0;
+        while i < s.members.len() {
+            let v = s.members[i];
+            s.dist[v as usize] = f64::INFINITY;
+            s.parent_edge[v as usize] = u32::MAX;
+            for &(w, f) in graph.adj(v) {
+                if parent_edge[w as usize] == f && s.mark[w as usize] == Mark::Clear {
+                    s.mark[w as usize] = Mark::Detached;
+                    s.members.push(w);
+                }
+            }
+            i += 1;
+        }
+        // The replayed outside vertices; those reached from a lower level
+        // (or the driver) start in the heap.
+        for &v in &s.members {
+            for &(w, f) in graph.adj(v) {
+                if !usable(f) {
+                    continue;
+                }
+                let mut u = w;
+                while s.mark[u as usize] == Mark::Clear {
+                    s.mark[u as usize] = Mark::Replayed;
+                    s.replayed.push(u);
+                    let pe = parent_edge[u as usize];
+                    let d = dist[u as usize];
+                    match (pe != u32::MAX).then(|| other_end(graph, pe, u)) {
+                        Some(p) if dist[p as usize] == d => u = p,
+                        _ => {
+                            s.heap.push(HeapItem { dist: d, vert: u });
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        while let Some(HeapItem { dist: d, vert: v }) = s.heap.pop() {
+            let inside = s.mark[v as usize] == Mark::Detached;
+            if inside && d > s.dist[v as usize] {
+                continue;
+            }
+            for &(w, f) in graph.adj(v) {
+                if !usable(f) {
+                    continue;
+                }
+                let wi = w as usize;
+                match s.mark[wi] {
+                    Mark::Detached => {
+                        let nd = d + graph.edges()[f as usize].len_um;
+                        if nd < s.dist[wi] {
+                            s.dist[wi] = nd;
+                            s.parent_edge[wi] = f;
+                            s.heap.push(HeapItem { dist: nd, vert: w });
+                        }
+                    }
+                    Mark::Replayed if !inside && parent_edge[wi] == f && dist[wi] == d => {
+                        s.heap.push(HeapItem { dist: d, vert: w });
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // The union: the current one, minus what only detached terminals
+        // used — edges inside S, `e`, and the chain above `e` up to the
+        // first edge that other terminals use too — plus their new
+        // chains, which end on the first edge still in the union (its
+        // chain to the driver is in it too).
+        let src = graph.driver_vert();
+        if s.uses.is_empty() {
+            s.index_union(graph, parent_edge);
+        }
+        s.next_union.clone_from(&s.union);
+        let detached = |v: u32| s.mark[v as usize] == Mark::Detached;
+        let k = graph
+            .terminal_verts()
+            .iter()
+            .filter(|&&t| detached(t))
+            .count() as u32;
+        let mut unlink = |f: u32| s.next_union[f as usize / 64] &= !(1 << (f % 64));
+        for &v in &s.members {
+            unlink(parent_edge[v as usize]);
+        }
+        let mut cur = other_end(graph, e, child);
+        while cur != src {
+            let pe = parent_edge[cur as usize];
+            if s.uses[pe as usize] > k {
+                break;
+            }
+            unlink(pe);
+            cur = other_end(graph, pe, cur);
+        }
+        let mut reachable = true;
+        'terminals: for &t in graph.terminal_verts().iter().filter(|&&t| detached(t)) {
+            let mut cur = t;
+            while cur != src {
+                let pe = match s.mark[cur as usize] {
+                    Mark::Detached => s.parent_edge[cur as usize],
+                    _ => parent_edge[cur as usize],
+                };
+                if pe == u32::MAX {
+                    reachable = false;
+                    break 'terminals;
+                }
+                let (word, bit) = (pe as usize / 64, 1 << (pe % 64));
+                if s.next_union[word] & bit != 0 {
+                    break;
+                }
+                s.next_union[word] |= bit;
+                cur = other_end(graph, pe, cur);
+            }
+        }
+        let tree = reachable.then(|| {
+            // Summed in edge-index order, as `union_length_um` does.
+            let mut length_um = 0.0;
+            for (i, &word) in s.next_union.iter().enumerate() {
+                let mut w = word;
+                while w != 0 {
+                    length_um += graph.edges()[i * 64 + w.trailing_zeros() as usize].len_um;
+                    w &= w - 1;
+                }
+            }
+            TreeDeps {
+                length_um,
+                deps: EdgeSet(s.next_union.clone().into_boxed_slice()),
+            }
+        });
+        s.clear();
+        tree
+    }
+}
+
+/// Per-vertex role in one [`ShortestPaths::tree_without`] replay.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Mark {
+    #[default]
+    Clear,
+    /// In the detached subtree: re-settled.
+    Detached,
+    /// Outside it, replayed at its known distance.
+    Replayed,
+}
+
+/// State of [`ShortestPaths::tree_without`]: the search's own union
+/// with, per edge, how many terminal chains use it (built on first use),
+/// and scratch buffers that are clear between calls. `dist` and
+/// `parent_edge` hold the re-settled values of detached vertices only.
+#[derive(Debug, Clone, Default)]
+struct Resettle {
+    union: Vec<u64>,
+    uses: Vec<u32>,
+    mark: Vec<Mark>,
+    dist: Vec<f64>,
+    parent_edge: Vec<u32>,
+    members: Vec<u32>,
+    replayed: Vec<u32>,
+    next_union: Vec<u64>,
+    heap: BinaryHeap<HeapItem>,
+}
+
+impl Resettle {
+    fn fit(&mut self, graph: &RoutingGraph) {
+        let nv = graph.verts().len();
+        if self.mark.len() != nv {
+            self.mark = vec![Mark::Clear; nv];
+            self.dist = vec![f64::INFINITY; nv];
+            self.parent_edge = vec![u32::MAX; nv];
+        }
+    }
+
+    fn index_union(&mut self, graph: &RoutingGraph, parent_edge: &[u32]) {
+        let ne = graph.edges().len();
+        self.union = vec![0; ne.div_ceil(64)];
+        self.uses = vec![0; ne];
+        for &t in graph.terminal_verts() {
+            let mut cur = t;
+            while cur != graph.driver_vert() {
+                let pe = parent_edge[cur as usize];
+                if pe == u32::MAX {
+                    break;
+                }
+                self.uses[pe as usize] += 1;
+                self.union[pe as usize / 64] |= 1 << (pe % 64);
+                cur = other_end(graph, pe, cur);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        for v in self.members.drain(..).chain(self.replayed.drain(..)) {
+            self.mark[v as usize] = Mark::Clear;
+        }
+        self.heap.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::tests::{cross_row_net, same_row_net};
     use crate::graph::RoutingGraph;
+    use bgr_netlist::SplitMix64;
+
+    /// A random connected multigraph: a random spanning tree plus extra
+    /// (possibly parallel) edges, lengths drawn from `lengths`, edges
+    /// listed in random order, driver at vertex 0.
+    fn random_graph(rng: &mut SplitMix64, lengths: &[f64]) -> RoutingGraph {
+        let nv = rng.range_usize(3, 14);
+        let mut edges = Vec::new();
+        let len = |rng: &mut SplitMix64| lengths[rng.range_usize(0, lengths.len())];
+        for v in 1..nv as u32 {
+            let u = rng.range_usize(0, v as usize) as u32;
+            edges.push((u, v, len(rng)));
+        }
+        for _ in 0..rng.range_usize(1, 14) {
+            let (a, b) = (rng.range_usize(0, nv), rng.range_usize(0, nv));
+            if a != b {
+                edges.push((a as u32, b as u32, len(rng)));
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.range_usize(0, i + 1));
+        }
+        let mut terminals = vec![0];
+        for _ in 0..rng.range_usize(1, nv) {
+            let t = rng.range_usize(1, nv) as u32;
+            if !terminals.contains(&t) {
+                terminals.push(t);
+            }
+        }
+        RoutingGraph::from_edges(nv, &edges, &terminals)
+    }
+
+    /// Every reuse rule of [`ShortestPaths`] against full searches, on
+    /// random multigraphs with zero lengths, rounding-prone lengths and
+    /// sub-ulp lengths (which must disable the rules), through whole
+    /// random deletion sequences.
+    #[test]
+    fn reuse_rules_match_full_searches_on_random_graphs() {
+        let length_sets: [&[f64]; 4] = [
+            &[0.0, 8.0, 16.0, 30.0],
+            &[0.0, 0.0, 1.0],
+            &[0.0, 0.1, 0.2, 0.3, 0.7],
+            &[0.0, 1e-17, 1.0, 3.0],
+        ];
+        let mut rng = SplitMix64::new(0x7E57_7EE5);
+        let (mut resettled, mut inexact) = (0, 0);
+        for case in 0..4000 {
+            let lengths = length_sets[case % length_sets.len()];
+            let mut g = random_graph(&mut rng, lengths);
+            let exact = tree_deps_exact(&g);
+            // Only a sub-ulp length next to ordinary ones breaks the rules.
+            assert!(exact || lengths.contains(&1e-17));
+            inexact += !exact as usize;
+            // Hypothetical trees cached across the deletion sequence.
+            let mut kept: Vec<(u32, TreeDeps)> = Vec::new();
+            loop {
+                let mut paths = ShortestPaths::search(&g, None);
+                let full = tentative_tree(&g, None).expect("connected");
+                let current = paths.tree(&g, exact).expect("connected");
+                assert_eq!(current.length_um.to_bits(), full.length_um.to_bits());
+                for (skip, tree) in &kept {
+                    let want = tentative_length_um(&g, Some(*skip)).expect("non-bridge");
+                    assert_eq!(
+                        tree.length_um.to_bits(),
+                        want.to_bits(),
+                        "case {case}: kept tree"
+                    );
+                }
+                let deletable: Vec<u32> = g.non_bridge_edges().collect();
+                if deletable.is_empty() {
+                    break;
+                }
+                kept.clear();
+                for &e in &deletable {
+                    let want = tentative_tree(&g, Some(e)).expect("non-bridge");
+                    let got = paths.tree_without(&g, e, exact).expect("non-bridge");
+                    assert_eq!(
+                        got.length_um.to_bits(),
+                        want.length_um.to_bits(),
+                        "case {case}"
+                    );
+                    if !exact {
+                        continue;
+                    }
+                    resettled += full.edges.contains(&e) as usize;
+                    for x in 0..g.edges().len() as u32 {
+                        assert_eq!(got.deps.contains(x), want.edges.contains(&x));
+                    }
+                    if !current.deps.contains(e) {
+                        assert_eq!(want.edges, full.edges, "case {case}: off-tree edge {e}");
+                    }
+                    kept.push((e, got));
+                }
+                let doomed = deletable[rng.range_usize(0, deletable.len())];
+                g.delete_edge(doomed);
+                g.recompute_bridges();
+                kept.retain(|(skip, t)| *skip != doomed && !t.deps.contains(doomed));
+            }
+        }
+        assert!(
+            resettled > 10_000,
+            "only {resettled} subtree re-settles exercised"
+        );
+        assert!(
+            inexact > 100,
+            "only {inexact} graphs exercised the fallback"
+        );
+    }
 
     #[test]
     fn picks_shortest_side_of_cycle() {

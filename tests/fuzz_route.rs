@@ -17,6 +17,8 @@
 //!
 //! 8. every `BestEffort` result passes the full independent audit
 //!    (`bgr::verify`, DESIGN.md §12) — all six from-scratch oracles.
+//! 9. reused hypothetical tentative trees match full searches after
+//!    every selection (`VerifyLevel::Steps(1)`, DESIGN.md §8).
 //!
 //! On any violated expectation the failing seed is written to
 //! `target/fuzz/failing_seed.txt` (the CI `fuzz-smoke` job uploads it as
@@ -32,7 +34,7 @@ use bgr::gen::{adversarial_case, shrink_case, AdversarialCase};
 use bgr::netlist::NetId;
 use bgr::router::{
     Budgets, Fault, FaultProbe, GlobalRouter, OnViolation, Phase, RouteError, Routed, RouterConfig,
-    Segment, FAULT_MARKER,
+    Segment, VerifyLevel, FAULT_MARKER,
 };
 
 const SEEDS: std::ops::Range<u64> = 0..256;
@@ -282,4 +284,29 @@ fn fuzz_injected_faults_become_internal_errors() {
         }
     }
     assert!(tripped >= 1, "no injected fault ever tripped");
+}
+
+#[test]
+fn fuzz_hypothetical_trees_match_full_searches() {
+    // (9) After every selection the engine's self-audit recomputes each
+    // deletable edge's hypothetical tentative length with a full search
+    // and compares it, bit for bit, with the one the scan uses (cached
+    // across deletions, shared with the current tree, or re-settled
+    // from the current search). A mismatch panics inside the router and
+    // surfaces as `RouteError::Internal`.
+    for seed in SEEDS.filter(|s| s % 8 == 1) {
+        let case = adversarial_case(seed);
+        let config = RouterConfig {
+            verify: VerifyLevel::Steps(1),
+            ..config(OnViolation::BestEffort)
+        };
+        if let Err(e) = GlobalRouter::new(config).route_checked(
+            case.design.circuit.clone(),
+            case.placement.clone(),
+            case.design.constraints.clone(),
+        ) {
+            record_failure(seed, &format!("step-audited route failed: {e}"));
+            panic!("seed {seed} (Steps(1)): {e}");
+        }
+    }
 }
