@@ -4,9 +4,10 @@
 //! Routes each instance under both [`SelectionStrategy`] variants and
 //! under threads ∈ {1, N} for the scoreboard, reports the deletion
 //! throughput of each, the strategy and thread speedups, and the
-//! scoreboard's re-key breakdown by typed cause. All runs of an
-//! instance are asserted to make identical selections, so every
-//! comparison is work-for-work.
+//! scoreboard's re-key breakdown by typed cause (read from the counters
+//! of one extra, untimed traced route). All runs of an instance are
+//! asserted to make identical selections, so every comparison is
+//! work-for-work.
 //!
 //! Rows: a ~1400-cell `RATE` instance, swept across threads ∈
 //! {1, 2, 4, 8}, plus the paper-scale `C2P1`/`C3P1` reconstructions.
@@ -17,15 +18,19 @@
 
 use std::time::Instant;
 
-use bgr_core::{GlobalRouter, RouteStats, RouterConfig, SelectionStrategy};
+use bgr_core::{GlobalRouter, RekeyCause, RouteStats, RouterConfig, SelectionStrategy};
 use bgr_gen::{c2_cached, c3_cached, custom, DataSet, GenParams, PlacementStyle};
 
-fn run(ds: &DataSet, strategy: SelectionStrategy, threads: usize) -> (f64, RouteStats) {
-    let config = RouterConfig {
+fn config(strategy: SelectionStrategy, threads: usize) -> RouterConfig {
+    RouterConfig {
         selection: strategy,
         threads,
         ..RouterConfig::default()
-    };
+    }
+}
+
+fn run(ds: &DataSet, strategy: SelectionStrategy, threads: usize) -> (f64, RouteStats) {
+    let config = config(strategy, threads);
     let t = Instant::now();
     let routed = GlobalRouter::new(config)
         .route(
@@ -63,15 +68,23 @@ fn bench_row(ds: &DataSet, multi: usize) -> RouteStats {
         ds.name
     );
     assert_eq!(seq.deletions, slow.deletions);
-    let rekeys: Vec<String> = seq
-        .rekey_causes
+    let (traced, trace) = GlobalRouter::new(config(SelectionStrategy::Scoreboard, 1))
+        .route_traced(
+            ds.design.circuit.clone(),
+            ds.placement.clone(),
+            ds.design.constraints.clone(),
+        )
+        .expect("instance routes");
+    assert_eq!(traced.result.stats.selection_log, seq.selection_log);
+    let rekeys = RekeyCause::ALL.map(|cause| (cause, trace.counter(cause.counter())));
+    let causes: Vec<String> = rekeys
         .iter()
         .map(|(cause, n)| format!("{} {n}", cause.label()))
         .collect();
     println!(
         "  re-keys: {} ({})",
-        seq.rekey_causes.total(),
-        rekeys.join(", ")
+        rekeys.iter().map(|(_, n)| n).sum::<u64>(),
+        causes.join(", ")
     );
     println!(
         "  speedup: {:.2}x vs rescan, {:.2}x from {multi} threads",

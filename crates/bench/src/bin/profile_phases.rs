@@ -15,13 +15,13 @@
 //!
 //! Usage: `profile_phases [out_dir]` (default `target/profile`).
 
-use bgr_core::{GlobalRouter, RouterConfig};
+use bgr_core::{GlobalRouter, RekeyCause, RouterConfig};
 use bgr_gen::{c2_cached, c3_cached, DataSet};
 
 fn profile(ds: &DataSet, out_dir: &str) {
     println!("{}: {} nets", ds.name, ds.design.circuit.nets().len());
     let router = GlobalRouter::new(RouterConfig::default());
-    let (routed, _trace, profile) = router
+    let (routed, trace, profile) = router
         .route_profiled(
             ds.design.circuit.clone(),
             ds.placement.clone(),
@@ -49,7 +49,7 @@ fn profile(ds: &DataSet, out_dir: &str) {
     );
 
     // Per-RekeyCause attribution: the rekey:* children of the profile
-    // tree, tied back to the scoreboard's own cause counters.
+    // tree, tied back to the trace's per-cause re-key counters.
     let rekey_entries: Vec<_> = profile
         .entries()
         .into_iter()
@@ -68,8 +68,12 @@ fn profile(ds: &DataSet, out_dir: &str) {
             );
         }
     }
-    for (cause, n) in s.rekey_causes.iter() {
-        println!("    scoreboard counter: {:<16} {n}", cause.label());
+    for cause in RekeyCause::ALL {
+        println!(
+            "    trace counter: {:<16} {}",
+            cause.label(),
+            trace.counter(cause.counter())
+        );
     }
 
     std::fs::create_dir_all(out_dir).expect("create out dir");

@@ -19,8 +19,8 @@ use bgr_core::session::{RouteSession, StepOutcome};
 use bgr_core::{GlobalRouter, RouterConfig};
 use bgr_gen::golden_instance;
 use bgr_io::{
-    deterministic_event_lines, parse_checkpoint, write_checkpoint, write_trace_jsonl,
-    write_trace_jsonl_offset,
+    deterministic_event_lines, parse_checkpoint, write_checkpoint, write_event_lines,
+    write_trace_jsonl,
 };
 use bgr_serve::{JobQueue, SessionState};
 
@@ -74,10 +74,7 @@ fn main() {
         sample_checkpoint.get_or_insert(text);
 
         let trace = session.into_probe().finish();
-        events.push_str(&deterministic_event_lines(&write_trace_jsonl_offset(
-            &trace,
-            start_events,
-        )));
+        events.push_str(&write_event_lines(&trace, start_events));
         start_events = reparsed.events_emitted;
 
         let t = Instant::now();
@@ -86,10 +83,7 @@ fn main() {
         hops += 1;
     }
     let (routed, probe) = session.finish().expect("finish succeeds");
-    events.push_str(&deterministic_event_lines(&write_trace_jsonl_offset(
-        &probe.finish(),
-        start_events,
-    )));
+    events.push_str(&write_event_lines(&probe.finish(), start_events));
     println!(
         "sliced route: {hops} suspensions, {} selections, start {:.2} ms",
         routed.result.stats.selection_log.len(),

@@ -19,7 +19,7 @@
 //! the process exits non-zero. Run with `BGR_BLESS=1` to rewrite the
 //! golden after an intentional behavior change.
 
-use bgr_core::{Counter, GlobalRouter, RouterConfig, TraceSummary};
+use bgr_core::{Counter, GlobalRouter, RouterConfig};
 use bgr_gen::golden_instance;
 use bgr_io::{deterministic_lines, trace_divergence, write_trace_jsonl, TraceStats};
 
@@ -50,8 +50,8 @@ fn main() {
         "event stream must account for every deletion"
     );
 
-    // The per-net delay memo fronts the hypotenuse cache: a full
-    // hypotenuse lookup happens only on a memo miss, so the two layers
+    // The per-net delay memo fronts the hypothetical-tree cache: a
+    // hypothetical-tree lookup happens only on a memo miss, so the two layers
     // must tie out exactly, the memo must actually absorb traffic, and
     // delay work must stay a strict subset of key evaluations.
     let hyp_lookups = trace.counter(Counter::HypCacheHit) + trace.counter(Counter::HypCacheMiss);
@@ -60,7 +60,7 @@ fn main() {
     let key_evals = trace.counter(Counter::KeyEval);
     assert_eq!(
         hyp_lookups, memo_misses,
-        "every hypotenuse lookup must come from exactly one delay-memo miss"
+        "every hypothetical-tree lookup must come from exactly one delay-memo miss"
     );
     assert!(
         memo_hits > 0,
@@ -68,7 +68,7 @@ fn main() {
     );
     assert!(
         hyp_lookups < key_evals,
-        "memoization must keep hypotenuse lookups ({hyp_lookups}) below key evaluations ({key_evals})"
+        "memoization must keep hypothetical-tree lookups ({hyp_lookups}) below key evaluations ({key_evals})"
     );
     println!("delay memo: {memo_hits} hits / {memo_misses} misses over {key_evals} key evals");
 
@@ -89,12 +89,12 @@ fn main() {
         std::process::exit(1);
     }
 
-    let summary = TraceSummary::from_trace(&trace);
-    let text = summary.to_ascii();
+    let jsonl = write_trace_jsonl(&trace);
+    let stats = TraceStats::from_jsonl(&jsonl).expect("own trace parses");
+    let text = stats.to_ascii();
     print!("{text}");
 
     std::fs::create_dir_all(&out_dir).expect("create out dir");
-    let jsonl = write_trace_jsonl(&trace);
     let jsonl_path = format!("{out_dir}/trace.jsonl");
     let text_path = format!("{out_dir}/trace_summary.txt");
     std::fs::write(&jsonl_path, &jsonl).expect("write trace.jsonl");
@@ -115,7 +115,6 @@ fn main() {
     std::fs::write(&folded_path, profile.to_folded()).expect("write profile.folded");
     println!("wrote {profile_path} and {folded_path}");
 
-    let stats = TraceStats::from_jsonl(&jsonl).expect("own trace parses");
     let stats_path = format!("{out_dir}/trace_stats.json");
     std::fs::write(&stats_path, format!("{}\n", stats.to_json())).expect("write trace_stats.json");
     println!("wrote {stats_path}");

@@ -38,8 +38,7 @@
 //! A net dirty for several reasons at once is *counted* once, under a
 //! deterministic precedence (graph > span-overlap > constraint — see
 //! [`derive_dirty`] and DESIGN.md §9); the dirty *set* is independent
-//! of the attribution. The historical `aggregate_moved` re-key cause
-//! remains in the probe schema but is structurally zero now.
+//! of the attribution.
 //!
 //! Nets outside the dirty set provably keep their keys, so the
 //! scoreboard's pool always equals what a full rescan would compute.
@@ -79,10 +78,11 @@ use crate::density::DensityMap;
 use crate::graph::{REdgeKind, RoutingGraph};
 use crate::par;
 use crate::probe::{
-    Corruption, Counter, Hist, NoopProbe, Phase, Probe, RekeyCause, RekeyCauses, Scope, TraceEvent,
+    Corruption, Counter, Hist, NoopProbe, Phase, Probe, RekeyCause, Scope, TraceEvent,
 };
 use crate::scoreboard::Scoreboard;
 use crate::select::{compare, deciding_tier, DecidingTier, EdgeKey};
+use crate::session::SnapshotStats;
 use crate::shard::ShardMap;
 use crate::tentative::{tentative_length_um, tree_deps_exact, EdgeSet, ShortestPaths, TreeDeps};
 
@@ -336,9 +336,9 @@ impl ScanCounters {
     }
 }
 
-/// Builds the full comparison key for a deletable edge of `net`. The
-/// free-function twin of [`Engine::edge_key`], callable from worker
-/// threads: everything mutable it needs is in `state` and `c`.
+/// Builds the full comparison key for a deletable edge of `net`.
+/// Callable from worker threads: everything mutable it needs is in
+/// `state` and `c`.
 fn scan_edge_key(
     g: &RoutingGraph,
     density: &DensityMap,
@@ -521,8 +521,7 @@ fn scan_raw_keys(
 /// Aggregate motion is *not* a dirty cause: raw keys carry no
 /// aggregates, so a channel whose aggregates moved only needs its
 /// shard's cached minimum recomposed
-/// ([`Scoreboard::refresh_channel`]). The historical
-/// [`RekeyCause::AggregateMoved`] is structurally zero.
+/// ([`Scoreboard::refresh_channel`]).
 ///
 /// Each argument is one clause of the dirty-set derivation (§8); they
 /// stay separate so the signature reads as the specification.
@@ -615,22 +614,14 @@ pub struct Engine<P: Probe = NoopProbe> {
     delta_cons: Vec<u32>,
     /// Nets whose graph changed during the current deletion.
     delta_nets: Vec<NetId>,
-    /// Every selection made by `run_deletion`, in order — the audit
-    /// trail compared across strategies by the oracle tests.
-    pub selection_log: Vec<(NetId, u32)>,
-    /// Diagnostic: nets re-keyed by the scoreboard path, by typed
-    /// [`RekeyCause`].
-    pub rekey_causes: RekeyCauses,
-    /// Total edges deleted (selected + cascaded + pruned).
-    pub deletions: usize,
-    /// Total nets ripped up and rerouted.
-    pub reroutes: usize,
+    /// The route's cumulative deterministic counters. The engine
+    /// advances the work counters (the selection log — the audit trail
+    /// compared across strategies by the oracle tests — deletions,
+    /// reroutes, passed self-audits); a session fills in the setup
+    /// counts at start and restores the whole record on resume.
+    pub stats: SnapshotStats,
     /// Self-audit level ([`Engine::set_verify`]); `Off` emits nothing.
     verify: VerifyLevel,
-    /// Self-audits passed ([`Engine::audit_state`] runs).
-    pub audits_passed: u64,
-    /// Total comparisons performed across passed self-audits.
-    pub audit_checks: u64,
     /// Injected [`Corruption::StaleChampion`] net: re-keying silently
     /// drops its fresh candidates. Always `None` outside fault tests.
     frozen: Option<NetId>,
@@ -720,13 +711,8 @@ impl<P: Probe> Engine<P> {
             delta_snap: Vec::new(),
             delta_cons: Vec::new(),
             delta_nets: Vec::new(),
-            selection_log: Vec::new(),
-            rekey_causes: RekeyCauses::default(),
-            deletions: 0,
-            reroutes: 0,
+            stats: SnapshotStats::default(),
             verify: VerifyLevel::Off,
-            audits_passed: 0,
-            audit_checks: 0,
             frozen: None,
             skew: None,
             probe,
@@ -952,8 +938,8 @@ impl<P: Probe> Engine<P> {
     /// leave the deterministic event stream untouched.
     pub fn audit_silent(&mut self) -> u64 {
         let checks = self.audit_state();
-        self.audits_passed += 1;
-        self.audit_checks += checks;
+        self.stats.audits_passed += 1;
+        self.stats.audit_checks += checks;
         checks
     }
 
@@ -980,22 +966,6 @@ impl<P: Probe> Engine<P> {
                 self.probe.event(TraceEvent::AuditStep { step, checks });
             }
         }
-    }
-
-    /// Builds the full comparison key for a deletable edge.
-    pub fn edge_key(&mut self, net: NetId, e: u32) -> EdgeKey {
-        let mut c = ScanCounters::default();
-        let key = scan_edge_key(
-            &self.graphs[net.index()],
-            &self.density,
-            &self.sta,
-            net,
-            e,
-            &mut self.scan[net.index()],
-            &mut c,
-        );
-        c.flush(&mut self.probe);
-        key
     }
 
     fn remove_density(&mut self, net: NetId, e: u32) {
@@ -1028,10 +998,10 @@ impl<P: Probe> Engine<P> {
         let before = self.graphs[ni].generation();
         self.remove_density(net, e);
         self.graphs[ni].delete_edge(e);
-        self.deletions += 1;
+        self.stats.deletions += 1;
         self.delta_nets.push(net);
         let pruned = self.graphs[ni].prune_dangling();
-        self.deletions += pruned.len();
+        self.stats.deletions += pruned.len();
         if !pruned.is_empty() {
             self.probe.event(TraceEvent::Pruned {
                 net,
@@ -1094,46 +1064,20 @@ impl<P: Probe> Engine<P> {
     /// Runs the deletion loop over `scope` (all nets when `None`) until no
     /// in-scope non-bridge edge remains. Returns the number of selections.
     pub fn run_deletion(&mut self, scope: Option<&[NetId]>, order: CriteriaOrder) -> usize {
-        self.run_deletion_budgeted(scope, order, None)
-    }
-
-    /// [`Engine::run_deletion`] with a deterministic selection ceiling.
-    ///
-    /// When `budget` runs out before every in-scope graph is a tree, the
-    /// engine emits [`TraceEvent::BudgetExhausted`] (attributed to
-    /// [`Phase::InitialRouting`] — the only phase the router budgets
-    /// through this path) and switches to the fallback completion path:
-    /// per net in ascending id order, repeatedly delete the first alive
-    /// non-bridge edge until only bridges remain. The fallback skips all
-    /// key evaluation, so it is cheap, and it is a pure function of the
-    /// graph state at the stop point — which both selection strategies
-    /// reach identically — so the trace stream stays byte-identical
-    /// across strategies, threads and shards. Every graph still ends a
-    /// spanning tree (the loop only terminates on all-bridges).
-    pub fn run_deletion_budgeted(
-        &mut self,
-        scope: Option<&[NetId]>,
-        order: CriteriaOrder,
-        budget: Option<u64>,
-    ) -> usize {
-        let run = self.continue_deletion(scope, order, 0, budget);
-        let selections = run.selections as usize;
-        match budget {
-            Some(b) if run.selections >= b => selections + self.fallback_complete(scope, b),
-            _ => selections,
-        }
+        self.continue_deletion(scope, order, 0, None).selections as usize
     }
 
     /// One *slice* of the deletion loop: picks up at global selection
     /// count `start` and runs until the in-scope candidate pool drains
     /// or the global count reaches `stop`.
     ///
-    /// This is the resumable core of [`Engine::run_deletion_budgeted`]
-    /// (which is `continue_deletion(scope, order, 0, budget)` plus the
-    /// fallback completion path). Because selection is memoryless — the
-    /// scoreboard is rebuilt from the current graph/density/timing state
-    /// at every entry, and that state is a pure function of the alive
-    /// masks — running the loop in slices produces exactly the
+    /// This is the resumable core of [`Engine::run_deletion`] (which is
+    /// `continue_deletion(scope, order, 0, None)`); `RouteSession::step`
+    /// drives it with budgets and quotas. Because selection is
+    /// memoryless — the scoreboard is rebuilt from the current
+    /// graph/density/timing state at every entry, and that state is a
+    /// pure function of the alive masks — running the loop in slices
+    /// produces exactly the
     /// selections, trace events and step audits of one uninterrupted
     /// run: `start` only offsets the step counter fed to
     /// [`TraceEvent::AuditStep`] and the `stop` comparison, both of
@@ -1153,9 +1097,17 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// Post-budget completion: deletes first-deletable edges until every
-    /// in-scope graph is a tree. Returns the number of fallback
-    /// deletions; emits nothing when there was nothing left to do.
+    /// Post-budget completion: once the deletion budget ran out before
+    /// every in-scope graph is a tree, emits
+    /// [`TraceEvent::BudgetExhausted`] (attributed to
+    /// [`Phase::InitialRouting`], the only budgeted phase) and, per net
+    /// in ascending id order, deletes the first alive non-bridge edge
+    /// until only bridges remain. It skips all key evaluation and is a
+    /// pure function of the graph state at the stop point, which every
+    /// strategy, thread and shard count reaches identically, so the
+    /// trace stays byte-identical across them. Returns the number of
+    /// fallback deletions; emits nothing when there was nothing left to
+    /// do.
     pub(crate) fn fallback_complete(&mut self, scope: Option<&[NetId]>, steps_used: u64) -> usize {
         let nets: Vec<NetId> = match scope {
             Some(s) => s.to_vec(),
@@ -1179,7 +1131,7 @@ impl<P: Probe> Engine<P> {
                     .event(TraceEvent::FallbackDeleted { net, edge: e });
                 self.clear_delta();
                 self.delete_with_partner(net, e);
-                self.selection_log.push((net, e));
+                self.stats.selection_log.push((net, e));
                 extra += 1;
             }
         }
@@ -1248,7 +1200,7 @@ impl<P: Probe> Engine<P> {
             }
             self.clear_delta();
             self.delete_with_partner(key.net, key.edge);
-            self.selection_log.push((key.net, key.edge));
+            self.stats.selection_log.push((key.net, key.edge));
             selections += 1;
             self.maybe_step_audit(start + selections);
         };
@@ -1457,7 +1409,7 @@ impl<P: Probe> Engine<P> {
             }
             self.clear_delta();
             self.delete_with_partner(key.net, key.edge);
-            self.selection_log.push((key.net, key.edge));
+            self.stats.selection_log.push((key.net, key.edge));
             selections += 1;
             if P::PROFILING {
                 self.probe.scope_exit(Scope::DeleteModify);
@@ -1494,7 +1446,6 @@ impl<P: Probe> Engine<P> {
             self.probe.sample(Hist::DirtySetSize, dirty.len() as u64);
             let mut dirty_nets = Vec::with_capacity(dirty.len());
             for &(net, cause) in &dirty {
-                self.rekey_causes.record(cause);
                 self.probe.rekey(net, cause);
                 dirty_nets.push(net);
             }
@@ -1571,7 +1522,7 @@ impl<P: Probe> Engine<P> {
                 }
             }
             self.refresh_length(n);
-            self.reroutes += 1;
+            self.stats.reroutes += 1;
         }
         self.run_deletion(Some(&scope), order);
     }
@@ -1644,9 +1595,14 @@ mod tests {
     use super::*;
     use crate::graph::tests::same_row_net;
     use crate::graph::RoutingGraph;
+    use crate::probe::CollectingProbe;
     use bgr_timing::{DelayModel, Sta, WireParams};
 
     fn engine_for_same_row() -> Engine {
+        engine_for_same_row_with(NoopProbe)
+    }
+
+    fn engine_for_same_row_with<P: Probe>(probe: P) -> Engine<P> {
         let (circuit, placement, _net) = same_row_net();
         let graphs: Vec<RoutingGraph> = circuit
             .net_ids()
@@ -1661,7 +1617,7 @@ mod tests {
         .unwrap();
         let partner = vec![None; circuit.nets().len()];
         let width = placement.width_pitches() as usize;
-        Engine::new(graphs, sta, partner, placement.num_channels(), width)
+        Engine::with_probe(graphs, sta, partner, placement.num_channels(), width, probe)
     }
 
     #[test]
@@ -1720,7 +1676,7 @@ mod tests {
     fn deletion_count_includes_prunes() {
         let mut engine = engine_for_same_row();
         engine.run_deletion(None, CriteriaOrder::DelayFirst);
-        assert!(engine.deletions > 0);
+        assert!(engine.stats.deletions > 0);
     }
 
     #[test]
@@ -1731,7 +1687,7 @@ mod tests {
         let s1 = fast.run_deletion(None, CriteriaOrder::DelayFirst);
         let s2 = oracle.run_deletion(None, CriteriaOrder::DelayFirst);
         assert_eq!(s1, s2);
-        assert_eq!(fast.selection_log, oracle.selection_log);
+        assert_eq!(fast.stats.selection_log, oracle.stats.selection_log);
         for (gf, go) in fast.graphs().iter().zip(oracle.graphs()) {
             assert_eq!(gf.alive_mask(), go.alive_mask());
         }
@@ -1744,7 +1700,7 @@ mod tests {
             engine.set_selection(strategy);
             let masks: Vec<_> = engine.graphs().iter().map(|g| g.alive_mask()).collect();
             assert_eq!(engine.run_deletion(Some(&[]), CriteriaOrder::DelayFirst), 0);
-            assert!(engine.selection_log.is_empty());
+            assert!(engine.stats.selection_log.is_empty());
             let after: Vec<_> = engine.graphs().iter().map(|g| g.alive_mask()).collect();
             assert_eq!(masks, after, "{strategy:?} touched a graph");
         }
@@ -1752,17 +1708,29 @@ mod tests {
 
     #[test]
     fn parallel_rekeying_matches_sequential_engine_byte_for_byte() {
-        let mut seq = engine_for_same_row();
-        let mut par = engine_for_same_row();
+        let mut seq = engine_for_same_row_with(CollectingProbe::new());
+        let mut par = engine_for_same_row_with(CollectingProbe::new());
         par.set_parallelism(8, 4);
         let s1 = seq.run_deletion(None, CriteriaOrder::DelayFirst);
         let s2 = par.run_deletion(None, CriteriaOrder::DelayFirst);
         assert_eq!(s1, s2);
-        assert_eq!(seq.selection_log, par.selection_log);
-        assert_eq!(seq.rekey_causes, par.rekey_causes);
+        assert_eq!(seq.stats.selection_log, par.stats.selection_log);
         for (gs, gp) in seq.graphs().iter().zip(par.graphs()) {
             assert_eq!(gs.alive_mask(), gp.alive_mask());
         }
+        let (seq, par) = (seq.into_parts().3.finish(), par.into_parts().3.finish());
+        for cause in RekeyCause::ALL {
+            assert_eq!(
+                seq.counter(cause.counter()),
+                par.counter(cause.counter()),
+                "{} re-keys differ across thread counts",
+                cause.label()
+            );
+        }
+        assert!(
+            seq.counter(Counter::RekeyGraph) > 0,
+            "every selection re-keys the deleted net"
+        );
     }
 
     /// A net dirty for several reasons at once is attributed exactly
@@ -1883,7 +1851,7 @@ mod tests {
             engine.reroute_net(bgr_netlist::NetId::new(1), CriteriaOrder::AreaFirst);
             engine.reroute_net(bgr_netlist::NetId::new(0), CriteriaOrder::DelayFirst);
         }
-        assert_eq!(fast.selection_log, oracle.selection_log);
-        assert_eq!(fast.deletions, oracle.deletions);
+        assert_eq!(fast.stats.selection_log, oracle.stats.selection_log);
+        assert_eq!(fast.stats.deletions, oracle.stats.deletions);
     }
 }

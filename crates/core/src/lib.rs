@@ -85,10 +85,10 @@ pub use graph::{REdge, REdgeKind, RVert, RVertKind, RoutingGraph};
 pub use improve::{PhaseLimits, PhaseOutcome};
 pub use probe::{
     CollectingProbe, Corruption, Counter, Fault, FaultProbe, Hist, NoopProbe, Phase, PhaseSpan,
-    Probe, ProfileEntry, ProfileTree, ProfilingProbe, RekeyCause, RekeyCauses, RouteTrace, Scope,
-    TraceEvent, FAULT_MARKER, HIST_BUCKETS,
+    Probe, ProfileEntry, ProfileTree, ProfilingProbe, RekeyCause, RouteTrace, Scope, TraceEvent,
+    FAULT_MARKER, HIST_BUCKETS,
 };
-pub use report::{ChannelCongestion, CongestionReport, TraceSummary};
+pub use report::{ChannelCongestion, CongestionReport};
 pub use result::{
     NetTree, RouteStats, RoutingResult, Segment, TimingReport, ViolationEntry, ViolationReport,
 };

@@ -24,8 +24,8 @@
 //!   pops, cache hits) live only in [`Counter`]s / [`Hist`]ograms.
 //!
 //! [`CollectingProbe`] records everything into a [`RouteTrace`];
-//! `bgr_io::write_trace_jsonl` serializes it and
-//! [`crate::report::TraceSummary`] renders it for humans.
+//! `bgr_io::write_trace_jsonl` serializes it and `bgr_io::TraceStats`
+//! digests the serialized document for humans and tools.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -83,11 +83,8 @@ impl Phase {
 pub enum RekeyCause {
     /// The net's own graph changed (deleted net or cascaded partner).
     Graph,
-    /// A touched channel's aggregates (`C_M/NC_M/C_m/NC_m`) moved, so
-    /// every key referencing the channel changed.
-    AggregateMoved,
-    /// Aggregates held but the net's trunk interval overlaps a touched
-    /// span (its window query reads the mutated profile).
+    /// The net's trunk interval overlaps a touched density span (its
+    /// window query reads the mutated profile).
     SpanOverlap,
     /// The net belongs to a constraint whose margins were refreshed.
     Constraint,
@@ -95,9 +92,8 @@ pub enum RekeyCause {
 
 impl RekeyCause {
     /// Every cause, in dirty-set derivation order.
-    pub const ALL: [RekeyCause; 4] = [
+    pub const ALL: [RekeyCause; 3] = [
         RekeyCause::Graph,
-        RekeyCause::AggregateMoved,
         RekeyCause::SpanOverlap,
         RekeyCause::Constraint,
     ];
@@ -106,18 +102,8 @@ impl RekeyCause {
     pub fn label(self) -> &'static str {
         match self {
             RekeyCause::Graph => "graph",
-            RekeyCause::AggregateMoved => "aggregate_moved",
             RekeyCause::SpanOverlap => "span_overlap",
             RekeyCause::Constraint => "constraint",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            RekeyCause::Graph => 0,
-            RekeyCause::AggregateMoved => 1,
-            RekeyCause::SpanOverlap => 2,
-            RekeyCause::Constraint => 3,
         }
     }
 
@@ -125,61 +111,9 @@ impl RekeyCause {
     pub fn counter(self) -> Counter {
         match self {
             RekeyCause::Graph => Counter::RekeyGraph,
-            RekeyCause::AggregateMoved => Counter::RekeyAggregate,
             RekeyCause::SpanOverlap => Counter::RekeySpan,
             RekeyCause::Constraint => Counter::RekeyConstraint,
         }
-    }
-}
-
-/// Per-cause re-key totals, indexed by [`RekeyCause`] (replaces the
-/// former magic-index `[usize; 4]` of `RouteStats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RekeyCauses {
-    counts: [usize; 4],
-}
-
-impl RekeyCauses {
-    /// Records one re-key attributed to `cause`.
-    pub fn record(&mut self, cause: RekeyCause) {
-        self.counts[cause.index()] += 1;
-    }
-
-    /// Re-keys attributed to `cause`.
-    pub fn of(&self, cause: RekeyCause) -> usize {
-        self.counts[cause.index()]
-    }
-
-    /// Total re-keys across all causes.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Raw counts in [`RekeyCause::ALL`] order (the checkpoint codec's
-    /// wire form).
-    pub fn counts(&self) -> [usize; 4] {
-        self.counts
-    }
-
-    /// Rebuilds the table from raw counts in [`RekeyCause::ALL`] order
-    /// (checkpoint restore).
-    pub fn from_counts(counts: [usize; 4]) -> Self {
-        Self { counts }
-    }
-
-    /// Element-wise sum — merges a resumed slice's counts into the
-    /// totals carried by a checkpoint.
-    pub fn merged(&self, other: &Self) -> Self {
-        let mut counts = self.counts;
-        for (c, o) in counts.iter_mut().zip(other.counts) {
-            *c += o;
-        }
-        Self { counts }
-    }
-
-    /// `(cause, count)` pairs in [`RekeyCause::ALL`] order.
-    pub fn iter(&self) -> impl Iterator<Item = (RekeyCause, usize)> + '_ {
-        RekeyCause::ALL.iter().map(|&c| (c, self.of(c)))
     }
 }
 
@@ -202,7 +136,7 @@ pub enum Scope {
     /// Deriving the dirty set from the invalidation contract's clauses.
     DeriveDirty,
     /// Re-keying champions over the dirty set (the dominant cost at
-    /// paper scale — see ROADMAP "incremental STA").
+    /// paper scale: hypothetical tentative trees under `rekey:graph`).
     Rekey,
     /// Re-keying attributed to one [`RekeyCause`] — children of
     /// [`Scope::Rekey`] when per-cause attribution is enabled
@@ -224,7 +158,6 @@ impl Scope {
             Scope::DeriveDirty => "derive_dirty",
             Scope::Rekey => "rekey",
             Scope::RekeyFor(RekeyCause::Graph) => "rekey:graph",
-            Scope::RekeyFor(RekeyCause::AggregateMoved) => "rekey:aggregate_moved",
             Scope::RekeyFor(RekeyCause::SpanOverlap) => "rekey:span_overlap",
             Scope::RekeyFor(RekeyCause::Constraint) => "rekey:constraint",
             Scope::Reroute => "reroute",
@@ -348,7 +281,8 @@ pub enum TraceEvent {
 /// strategies (the full rescan pushes no heap entries at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Candidate keys evaluated (`Engine::edge_key` calls).
+    /// Candidate keys evaluated (one per deletable edge per champion
+    /// scan).
     KeyEval,
     /// Scoreboard heap pushes.
     HeapPush,
@@ -358,9 +292,7 @@ pub enum Counter {
     StaleHeapPop,
     /// Re-keys caused by a changed graph (deleted net / partner).
     RekeyGraph,
-    /// Re-keys caused by moved channel aggregates.
-    RekeyAggregate,
-    /// Re-keys caused by span overlap with held aggregates.
+    /// Re-keys caused by span overlap with a touched density span.
     RekeySpan,
     /// Re-keys caused by refreshed timing constraints.
     RekeyConstraint,
@@ -385,8 +317,9 @@ pub enum Counter {
     ParTask,
     /// Fan-out batches dispatched by the parallel executor.
     ParBatch,
-    /// Scoreboard shards that received at least one fresh champion
-    /// during a re-key batch (the shards a deletion actually rebuilt).
+    /// Cached shard minima rebuilt at pop time: one per shard whose
+    /// cache a push, an invalidation, an aggregate refresh or the
+    /// previous pop had invalidated.
     ShardRebuild,
     /// Improvement-phase stops forced by the wall-clock deadline
     /// (`RouterConfig::deadline`). Inherently machine-dependent, which
@@ -397,7 +330,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 17;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -406,7 +339,6 @@ impl Counter {
         Counter::HeapPop,
         Counter::StaleHeapPop,
         Counter::RekeyGraph,
-        Counter::RekeyAggregate,
         Counter::RekeySpan,
         Counter::RekeyConstraint,
         Counter::DensityWindowQuery,
@@ -429,19 +361,18 @@ impl Counter {
             Counter::HeapPop => 2,
             Counter::StaleHeapPop => 3,
             Counter::RekeyGraph => 4,
-            Counter::RekeyAggregate => 5,
-            Counter::RekeySpan => 6,
-            Counter::RekeyConstraint => 7,
-            Counter::DensityWindowQuery => 8,
-            Counter::DensityAggregateQuery => 9,
-            Counter::HypCacheHit => 10,
-            Counter::HypCacheMiss => 11,
-            Counter::DelayMemoHit => 12,
-            Counter::DelayMemoMiss => 13,
-            Counter::ParTask => 14,
-            Counter::ParBatch => 15,
-            Counter::ShardRebuild => 16,
-            Counter::DeadlineStop => 17,
+            Counter::RekeySpan => 5,
+            Counter::RekeyConstraint => 6,
+            Counter::DensityWindowQuery => 7,
+            Counter::DensityAggregateQuery => 8,
+            Counter::HypCacheHit => 9,
+            Counter::HypCacheMiss => 10,
+            Counter::DelayMemoHit => 11,
+            Counter::DelayMemoMiss => 12,
+            Counter::ParTask => 13,
+            Counter::ParBatch => 14,
+            Counter::ShardRebuild => 15,
+            Counter::DeadlineStop => 16,
         }
     }
 
@@ -453,7 +384,6 @@ impl Counter {
             Counter::HeapPop => "heap_pops",
             Counter::StaleHeapPop => "stale_heap_pops",
             Counter::RekeyGraph => "rekeys_graph",
-            Counter::RekeyAggregate => "rekeys_aggregate_moved",
             Counter::RekeySpan => "rekeys_span_overlap",
             Counter::RekeyConstraint => "rekeys_constraint",
             Counter::DensityWindowQuery => "density_window_queries",
@@ -1362,9 +1292,6 @@ mod tests {
         for (i, h) in Hist::ALL.iter().enumerate() {
             assert_eq!(h.index(), i);
         }
-        for (i, r) in RekeyCause::ALL.iter().enumerate() {
-            assert_eq!(r.index(), i);
-        }
         // Labels are unique (the JSONL schema depends on it).
         let mut labels: Vec<&str> = Counter::ALL.iter().map(|c| c.label()).collect();
         labels.sort_unstable();
@@ -1383,20 +1310,6 @@ mod tests {
         assert_eq!(Hist::bucket(63), 6);
         assert_eq!(Hist::bucket(64), 7);
         assert_eq!(Hist::bucket(u64::MAX), 7);
-    }
-
-    #[test]
-    fn rekey_causes_replace_magic_indices() {
-        let mut rc = RekeyCauses::default();
-        rc.record(RekeyCause::Graph);
-        rc.record(RekeyCause::AggregateMoved);
-        rc.record(RekeyCause::AggregateMoved);
-        assert_eq!(rc.of(RekeyCause::Graph), 1);
-        assert_eq!(rc.of(RekeyCause::AggregateMoved), 2);
-        assert_eq!(rc.of(RekeyCause::SpanOverlap), 0);
-        assert_eq!(rc.total(), 3);
-        let pairs: Vec<_> = rc.iter().collect();
-        assert_eq!(pairs[1], (RekeyCause::AggregateMoved, 2));
     }
 
     #[test]
@@ -1583,7 +1496,6 @@ mod tests {
             Scope::DeriveDirty,
             Scope::Rekey,
             Scope::RekeyFor(RekeyCause::Graph),
-            Scope::RekeyFor(RekeyCause::AggregateMoved),
             Scope::RekeyFor(RekeyCause::SpanOverlap),
             Scope::RekeyFor(RekeyCause::Constraint),
             Scope::Reroute,

@@ -1,15 +1,12 @@
-//! Human-readable congestion and trace reporting.
+//! Human-readable congestion reporting.
 //!
 //! The paper's heuristics are all about "keeping track of ... channel
 //! densities"; this module renders the final density profile the way a
 //! routing engineer would want to eyeball it: one histogram bar per
-//! channel plus the hot columns. [`TraceSummary`] does the same for a
-//! [`RouteTrace`]: which criterion tier decided the deletions, and where
-//! the route spent its time and work.
+//! channel plus the hot columns. Trace digests live in
+//! `bgr_io::TraceStats`.
 
-use crate::probe::{Counter, Hist, PhaseSpan, RouteTrace, TraceEvent, HIST_BUCKETS};
 use crate::result::{RoutingResult, Segment};
-use crate::select::DecidingTier;
 
 /// Per-channel congestion summary derived from a routing result.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,128 +98,6 @@ impl CongestionReport {
     }
 }
 
-/// Human-readable digest of a [`RouteTrace`]: the criterion-decision
-/// breakdown and the per-phase time/work profile.
-#[derive(Debug, Clone)]
-pub struct TraceSummary {
-    /// Deletion-loop selections.
-    pub selections: usize,
-    /// Total edges deleted (selections + cascades + prunes).
-    pub deletions: usize,
-    /// Nets whose graph reached tree state.
-    pub nets_completed: usize,
-    /// Improvement reroutes kept.
-    pub reroutes_accepted: usize,
-    /// Improvement reroutes reverted.
-    pub reroutes_rejected: usize,
-    /// Feed-cell groups inserted (§4.3).
-    pub feed_groups: usize,
-    /// Selections per deciding tier, in [`DecidingTier::ALL`] order.
-    pub tier_breakdown: Vec<(DecidingTier, usize)>,
-    /// Completed phase spans, in completion order.
-    pub phases: Vec<PhaseSpan>,
-    /// Final counter totals, indexed by [`Counter::index`].
-    pub counters: [u64; Counter::COUNT],
-    /// Histograms, indexed by [`Hist::index`] then bucket.
-    pub hists: [[u64; HIST_BUCKETS]; Hist::COUNT],
-}
-
-impl TraceSummary {
-    /// Digests a trace.
-    pub fn from_trace(trace: &RouteTrace) -> Self {
-        let mut nets_completed = 0;
-        let mut reroutes_accepted = 0;
-        let mut reroutes_rejected = 0;
-        let mut feed_groups = 0;
-        for ev in &trace.events {
-            match ev {
-                TraceEvent::NetBecameTree { .. } => nets_completed += 1,
-                TraceEvent::RerouteAccepted { .. } => reroutes_accepted += 1,
-                TraceEvent::RerouteRejected { .. } => reroutes_rejected += 1,
-                TraceEvent::FeedCellsInserted { .. } => feed_groups += 1,
-                _ => {}
-            }
-        }
-        Self {
-            selections: trace.selections(),
-            deletions: trace.deletions(),
-            nets_completed,
-            reroutes_accepted,
-            reroutes_rejected,
-            feed_groups,
-            tier_breakdown: trace.tier_breakdown(),
-            phases: trace.spans.clone(),
-            counters: trace.counters,
-            hists: trace.hists,
-        }
-    }
-
-    /// Renders the summary as ASCII tables.
-    pub fn to_ascii(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "deletion loop: {} selections, {} edges deleted, {} nets completed\n",
-            self.selections, self.deletions, self.nets_completed
-        ));
-        out.push_str(&format!(
-            "improvement:   {} reroutes kept, {} reverted; {} feed-cell groups inserted\n\n",
-            self.reroutes_accepted, self.reroutes_rejected, self.feed_groups
-        ));
-
-        out.push_str("deciding criterion tier      selections\n");
-        let total = self.selections.max(1);
-        for &(tier, n) in &self.tier_breakdown {
-            if n == 0 {
-                continue;
-            }
-            let bar = "#".repeat((n * 30).div_ceil(total));
-            out.push_str(&format!("{:<24} {:>8}  {}\n", tier.label(), n, bar));
-        }
-        out.push('\n');
-
-        out.push_str("phase              wall        events  key evals\n");
-        for span in &self.phases {
-            out.push_str(&format!(
-                "{:<16} {:>9.3?} {:>9} {:>10}\n",
-                span.phase.label(),
-                span.wall,
-                span.events_len,
-                span.counters[Counter::KeyEval.index()],
-            ));
-        }
-        out.push('\n');
-
-        out.push_str("counters\n");
-        for c in Counter::ALL {
-            out.push_str(&format!(
-                "  {:<26} {:>12}\n",
-                c.label(),
-                self.counters[c.index()]
-            ));
-        }
-        out.push('\n');
-
-        for h in Hist::ALL {
-            out.push_str(&format!("{}\n", h.label()));
-            let buckets = &self.hists[h.index()];
-            let max = buckets.iter().copied().max().unwrap_or(0).max(1);
-            for (i, &n) in buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                let bar = "#".repeat(((n * 30).div_ceil(max)) as usize);
-                out.push_str(&format!(
-                    "  {:>6} {:>10}  {}\n",
-                    Hist::bucket_label(i),
-                    n,
-                    bar
-                ));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,37 +160,6 @@ mod tests {
         assert_eq!(report.channels.len(), 2);
         assert_eq!(report.channels[1].tracks, 0);
         assert_eq!(report.channels[1].hottest_x, None);
-    }
-
-    #[test]
-    fn trace_summary_digests_a_trace() {
-        use crate::probe::{CollectingProbe, Phase, Probe};
-        use bgr_netlist::NetId;
-        let mut p = CollectingProbe::new();
-        p.phase_enter(Phase::InitialRouting);
-        p.event(TraceEvent::DeletionSelected {
-            net: NetId::new(0),
-            edge: 1,
-            tier: DecidingTier::Cd,
-        });
-        p.event(TraceEvent::Pruned {
-            net: NetId::new(0),
-            count: 2,
-        });
-        p.event(TraceEvent::NetBecameTree { net: NetId::new(0) });
-        p.count(Counter::KeyEval, 7);
-        p.sample(Hist::DirtySetSize, 3);
-        p.phase_exit(Phase::InitialRouting);
-        let summary = TraceSummary::from_trace(&p.finish());
-        assert_eq!(summary.selections, 1);
-        assert_eq!(summary.deletions, 3); // selection + 2 pruned
-        assert_eq!(summary.nets_completed, 1);
-        assert_eq!(summary.phases.len(), 1);
-        let text = summary.to_ascii();
-        assert!(text.contains("cd"));
-        assert!(text.contains("initial_routing"));
-        assert!(text.contains("key_evals"));
-        assert!(text.contains("dirty_set_size"));
     }
 
     #[test]

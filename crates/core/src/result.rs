@@ -303,10 +303,6 @@ pub struct RouteStats {
     /// the determinism audit trail compared between
     /// [`crate::SelectionStrategy`] variants by the oracle tests.
     pub selection_log: Vec<(bgr_netlist::NetId, u32)>,
-    /// Scoreboard diagnostic: nets re-keyed per typed
-    /// [`RekeyCause`](crate::probe::RekeyCause). All zero under the
-    /// full-rescan strategy.
-    pub rekey_causes: crate::probe::RekeyCauses,
     /// Engine self-audits passed (`RouterConfig::verify` levels above
     /// `Off`; each rebuilt the density profile and every net length
     /// from scratch and found the incremental state consistent).

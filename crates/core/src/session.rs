@@ -54,13 +54,13 @@ use crate::error::RouteError;
 use crate::feedcell::assign_with_insertion;
 use crate::graph::RoutingGraph;
 use crate::improve::{improve_area, improve_delay, recover_violate, PhaseLimits, PhaseOutcome};
-use crate::probe::{Phase, Probe, RekeyCauses};
+use crate::probe::{Phase, Probe};
 use crate::result::{NetTree, RouteStats, RoutingResult, TimingReport, ViolationReport};
 use crate::router::Routed;
 
 /// Version tag of [`EngineSnapshot`] (and its serialized checkpoint
 /// form in `bgr-io`). Bump on any change to the captured state set.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Where a session stands in the routing pipeline. Checkpoint
 /// boundaries are exactly the values of this enum: mid-deletion-loop
@@ -98,9 +98,10 @@ impl SessionStage {
 }
 
 /// Cumulative deterministic counters carried across suspensions —
-/// the pieces of [`RouteStats`] that accumulate over the engine's
-/// lifetime plus the one-shot setup stats. Wall-clock durations are
-/// deliberately absent (diagnostics, not observables).
+/// the pieces of [`RouteStats`] that accumulate over the route plus the
+/// one-shot setup stats. They live in [`Engine::stats`] while a session
+/// runs. Wall-clock durations and strategy-dependent diagnostics are
+/// deliberately absent (those belong to the probe).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotStats {
     /// Every `(net, edge)` selection so far, in order.
@@ -109,9 +110,6 @@ pub struct SnapshotStats {
     pub deletions: usize,
     /// Nets ripped up and rerouted.
     pub reroutes: usize,
-    /// Scoreboard re-keys by cause (diagnostic, carried for continuity
-    /// of the final report).
-    pub rekey_causes: RekeyCauses,
     /// Engine self-audits passed.
     pub audits_passed: u64,
     /// Comparisons across passed self-audits.
@@ -188,11 +186,9 @@ pub struct RouteSession<P: Probe> {
     constraints: Vec<PathConstraint>,
     feeds: Vec<Vec<(usize, i32)>>,
     branch_lens: Vec<f64>,
+    /// The engine; its `stats` hold the cumulative counters.
     engine: Engine<P>,
     stage: SessionStage,
-    /// Counters carried in from the checkpoint this session resumed
-    /// from (all zero for a fresh start).
-    base: SnapshotStats,
     recovery: PhaseOutcome,
     /// Events emitted before this session's probe existed.
     events_base: u64,
@@ -286,70 +282,22 @@ impl<P: Probe> RouteSession<P> {
             .map(|&tracks| (tracks as f64 / 2.0 * tp).max(config.branch_length_um))
             .collect();
         drop(est_graphs);
-        let graphs: Vec<RoutingGraph> = circuit
-            .net_ids()
-            .map(|n| {
-                RoutingGraph::build_with_channel_branches(
-                    &circuit,
-                    &placement,
-                    n,
-                    &plan.feeds[n.index()],
-                    &branch_lens,
-                )
-            })
-            .collect();
-        for (i, g) in graphs.iter().enumerate() {
-            if !g.terminals_connected() {
-                return Err(RouteError::DisconnectedNet(NetId::new(i)));
-            }
-        }
 
-        // Fig. 2 line 03: delay constraint graphs.
-        let routing_constraints = if config.use_constraints {
-            constraints.clone()
-        } else {
-            Vec::new()
-        };
-        let sta = Sta::new(
+        // Fig. 2 lines 02–03: the routing graphs, §4.1 lockstep partners
+        // and the delay constraint graphs.
+        let mut engine = assemble_engine(
+            &config,
             &circuit,
-            routing_constraints,
-            config.delay_model,
-            config.wire,
-        )?;
-
-        // §4.1: lockstep partners for homogeneous pairs.
-        let mut partner = vec![None; circuit.nets().len()];
-        let mut base = SnapshotStats {
-            feed_cells_inserted: plan.inserted_cells,
-            widened_pitches: plan.widened,
-            ..SnapshotStats::default()
-        };
-        if config.pair_differential {
-            for &(a, b) in circuit.diff_pairs() {
-                if is_homogeneous(&graphs[a.index()], &graphs[b.index()]) {
-                    partner[a.index()] = Some(b);
-                    partner[b.index()] = Some(a);
-                    base.diff_pairs_locked += 1;
-                } else {
-                    base.diff_pairs_independent += 1;
-                }
-            }
-        } else {
-            base.diff_pairs_independent = circuit.diff_pairs().len();
-        }
-
-        probe.phase_exit(Phase::GraphBuild);
-        let mut engine = Engine::with_probe(
-            graphs,
-            sta,
-            partner,
-            placement.num_channels(),
-            placement.width_pitches().max(1) as usize,
+            &placement,
+            &constraints,
+            &plan.feeds,
+            &branch_lens,
+            None,
             probe,
-        );
-        engine.set_selection(config.selection);
-        engine.set_parallelism(config.threads, config.shards);
-        engine.set_verify(config.verify);
+        )?;
+        engine.probe_mut().phase_exit(Phase::GraphBuild);
+        engine.stats.feed_cells_inserted = plan.inserted_cells;
+        engine.stats.widened_pitches = plan.widened;
 
         Ok(Self {
             config,
@@ -360,7 +308,6 @@ impl<P: Probe> RouteSession<P> {
             branch_lens,
             engine,
             stage: SessionStage::InitialRouting { done: 0 },
-            base,
             recovery: PhaseOutcome::default(),
             events_base: 0,
             t_start,
@@ -438,74 +385,25 @@ impl<P: Probe> RouteSession<P> {
                 placement.num_channels()
             )));
         }
-        let mut graphs: Vec<RoutingGraph> = circuit
-            .net_ids()
-            .map(|n| {
-                RoutingGraph::build_with_channel_branches(
-                    &circuit,
-                    &placement,
-                    n,
-                    &feeds[n.index()],
-                    &branch_lens,
-                )
-            })
-            .collect();
-        for (i, g) in graphs.iter().enumerate() {
-            if !g.terminals_connected() {
-                return Err(bad(format!(
-                    "rebuilt routing graph of net {i} is disconnected \
-                     (feed assignment does not fit the embedded design)"
-                )));
-            }
-        }
-        // Partner lockstep is decided on the fresh graphs, exactly as
-        // the original run decided it before any deletion.
-        let mut partner = vec![None; nets];
-        if config.pair_differential {
-            for &(a, b) in circuit.diff_pairs() {
-                if is_homogeneous(&graphs[a.index()], &graphs[b.index()]) {
-                    partner[a.index()] = Some(b);
-                    partner[b.index()] = Some(a);
-                }
-            }
-        }
-        for (i, mask) in alive.iter().enumerate() {
-            if mask.len() != graphs[i].edges().len() {
-                return Err(bad(format!(
-                    "alive mask of net {i} has {} bits, rebuilt graph has {} edges",
-                    mask.len(),
-                    graphs[i].edges().len()
-                )));
-            }
-            graphs[i].set_alive_mask(mask);
-            if !graphs[i].terminals_connected() {
-                return Err(bad(format!(
-                    "alive set of net {i} disconnects its terminals"
-                )));
-            }
-        }
-        let routing_constraints = if config.use_constraints {
-            constraints.clone()
-        } else {
-            Vec::new()
-        };
-        let sta = Sta::new(
+        let mut engine = assemble_engine(
+            &config,
             &circuit,
-            routing_constraints,
-            config.delay_model,
-            config.wire,
-        )?;
-        let mut engine = Engine::with_probe(
-            graphs,
-            sta,
-            partner,
-            placement.num_channels(),
-            placement.width_pitches().max(1) as usize,
+            &placement,
+            &constraints,
+            &feeds,
+            &branch_lens,
+            Some(&alive),
             probe,
-        );
-        engine.set_selection(config.selection);
-        engine.set_parallelism(config.threads, config.shards);
-        engine.set_verify(config.verify);
+        )
+        .map_err(|e| match e {
+            RouteError::DisconnectedNet(n) => bad(format!(
+                "rebuilt routing graph of net {} is disconnected \
+                 (feed assignment does not fit the embedded design)",
+                n.index()
+            )),
+            e => e,
+        })?;
+        engine.stats = stats;
         Ok(Self {
             config,
             circuit,
@@ -515,7 +413,6 @@ impl<P: Probe> RouteSession<P> {
             branch_lens,
             engine,
             stage,
-            base: stats,
             recovery,
             events_base: events_emitted,
             t_start: Instant::now(),
@@ -542,7 +439,7 @@ impl<P: Probe> RouteSession<P> {
 
     /// Global selections performed across the session's whole history.
     pub fn selections_done(&self) -> u64 {
-        (self.base.selection_log.len() + self.engine.selection_log.len()) as u64
+        self.engine.stats.selection_log.len() as u64
     }
 
     /// Per-phase limits, deadline re-anchored at this session's start
@@ -686,8 +583,6 @@ impl<P: Probe> RouteSession<P> {
     /// at any suspension point; cheap — clones the design and the
     /// alive masks, nothing derived.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut selection_log = self.base.selection_log.clone();
-        selection_log.extend_from_slice(&self.engine.selection_log);
         EngineSnapshot {
             version: SNAPSHOT_VERSION,
             config: self.config.clone(),
@@ -703,18 +598,7 @@ impl<P: Probe> RouteSession<P> {
                 .map(|g| g.alive_mask())
                 .collect(),
             stage: self.stage,
-            stats: SnapshotStats {
-                selection_log,
-                deletions: self.base.deletions + self.engine.deletions,
-                reroutes: self.base.reroutes + self.engine.reroutes,
-                rekey_causes: self.base.rekey_causes.merged(&self.engine.rekey_causes),
-                audits_passed: self.base.audits_passed + self.engine.audits_passed,
-                audit_checks: self.base.audit_checks + self.engine.audit_checks,
-                feed_cells_inserted: self.base.feed_cells_inserted,
-                widened_pitches: self.base.widened_pitches,
-                diff_pairs_locked: self.base.diff_pairs_locked,
-                diff_pairs_independent: self.base.diff_pairs_independent,
-            },
+            stats: self.engine.stats.clone(),
             recovery: self.recovery,
             events_emitted: self.events_emitted(),
         }
@@ -766,19 +650,27 @@ impl<P: Probe> RouteSession<P> {
         }
 
         let mut engine = self.engine;
-        let mut selection_log = self.base.selection_log;
-        selection_log.append(&mut engine.selection_log);
-        let stats = RouteStats {
-            deletions: self.base.deletions + engine.deletions,
-            reroutes: self.base.reroutes + engine.reroutes,
-            feed_cells_inserted: self.base.feed_cells_inserted,
-            widened_pitches: self.base.widened_pitches,
-            diff_pairs_locked: self.base.diff_pairs_locked,
-            diff_pairs_independent: self.base.diff_pairs_independent,
+        let SnapshotStats {
             selection_log,
-            rekey_causes: self.base.rekey_causes.merged(&engine.rekey_causes),
-            audits_passed: self.base.audits_passed + engine.audits_passed,
-            audit_checks: self.base.audit_checks + engine.audit_checks,
+            deletions,
+            reroutes,
+            audits_passed,
+            audit_checks,
+            feed_cells_inserted,
+            widened_pitches,
+            diff_pairs_locked,
+            diff_pairs_independent,
+        } = std::mem::take(&mut engine.stats);
+        let stats = RouteStats {
+            deletions,
+            reroutes,
+            feed_cells_inserted,
+            widened_pitches,
+            diff_pairs_locked,
+            diff_pairs_independent,
+            selection_log,
+            audits_passed,
+            audit_checks,
             initial_routing: self.initial_elapsed,
             improvement: self.improve_elapsed,
             total: self.t_start.elapsed(),
@@ -814,6 +706,101 @@ impl<P: Probe> RouteSession<P> {
             probe,
         ))
     }
+}
+
+/// The setup steps [`RouteSession::start`] and [`RouteSession::resume`]
+/// share: per-net routing graphs built from the feed assignment and
+/// branch lengths, lockstep partners for homogeneous differential pairs
+/// (§4.1) decided on those *fresh* graphs — homogeneity is structural,
+/// independent of deletions — then the `alive` masks of a resumed
+/// session applied, the timing analyzer built, and the engine set up
+/// under the configured strategy, parallelism and verify level. The
+/// lockstep counts land in the engine's stats.
+///
+/// # Errors
+///
+/// [`RouteError::DisconnectedNet`] for the first fresh graph that does
+/// not connect its terminals (each caller reports it its own way),
+/// [`RouteError::Checkpoint`] for an alive mask that does not fit its
+/// graph or disconnects it, and analyzer construction errors.
+#[allow(clippy::too_many_arguments)]
+fn assemble_engine<P: Probe>(
+    config: &RouterConfig,
+    circuit: &Circuit,
+    placement: &Placement,
+    constraints: &[PathConstraint],
+    feeds: &[Vec<(usize, i32)>],
+    branch_lens: &[f64],
+    alive: Option<&[Vec<bool>]>,
+    probe: P,
+) -> Result<Engine<P>, RouteError> {
+    let mut graphs: Vec<RoutingGraph> = circuit
+        .net_ids()
+        .map(|n| {
+            RoutingGraph::build_with_channel_branches(
+                circuit,
+                placement,
+                n,
+                &feeds[n.index()],
+                branch_lens,
+            )
+        })
+        .collect();
+    if let Some(i) = graphs.iter().position(|g| !g.terminals_connected()) {
+        return Err(RouteError::DisconnectedNet(NetId::new(i)));
+    }
+    let mut partner = vec![None; graphs.len()];
+    let mut locked = 0;
+    if config.pair_differential {
+        for &(a, b) in circuit.diff_pairs() {
+            if is_homogeneous(&graphs[a.index()], &graphs[b.index()]) {
+                partner[a.index()] = Some(b);
+                partner[b.index()] = Some(a);
+                locked += 1;
+            }
+        }
+    }
+    for (i, mask) in alive.unwrap_or_default().iter().enumerate() {
+        let bad = |message| RouteError::Checkpoint { message };
+        if mask.len() != graphs[i].edges().len() {
+            return Err(bad(format!(
+                "alive mask of net {i} has {} bits, rebuilt graph has {} edges",
+                mask.len(),
+                graphs[i].edges().len()
+            )));
+        }
+        graphs[i].set_alive_mask(mask);
+        if !graphs[i].terminals_connected() {
+            return Err(bad(format!(
+                "alive set of net {i} disconnects its terminals"
+            )));
+        }
+    }
+    let routing_constraints = if config.use_constraints {
+        constraints.to_vec()
+    } else {
+        Vec::new()
+    };
+    let sta = Sta::new(
+        circuit,
+        routing_constraints,
+        config.delay_model,
+        config.wire,
+    )?;
+    let mut engine = Engine::with_probe(
+        graphs,
+        sta,
+        partner,
+        placement.num_channels(),
+        placement.width_pitches().max(1) as usize,
+        probe,
+    );
+    engine.set_selection(config.selection);
+    engine.set_parallelism(config.threads, config.shards);
+    engine.set_verify(config.verify);
+    engine.stats.diff_pairs_locked = locked;
+    engine.stats.diff_pairs_independent = circuit.diff_pairs().len() - locked;
+    Ok(engine)
 }
 
 #[cfg(test)]
@@ -906,10 +893,25 @@ mod tests {
         assert_eq!(probe.finish().events, mono_trace.events);
     }
 
+    /// `stats` without its three wall-clock durations.
+    fn deterministic(stats: &RouteStats) -> RouteStats {
+        RouteStats {
+            initial_routing: Duration::ZERO,
+            improvement: Duration::ZERO,
+            total: Duration::ZERO,
+            ..stats.clone()
+        }
+    }
+
     #[test]
     fn snapshot_resume_at_every_boundary_is_equivalent() {
         let (circuit, placement, cons) = testcase();
-        let config = RouterConfig::default();
+        // Phase audits make the audit counters non-zero, so their
+        // carry across checkpoints is checked too.
+        let config = RouterConfig {
+            verify: VerifyLevel::Phases,
+            ..RouterConfig::default()
+        };
         let mono = GlobalRouter::new(config.clone())
             .route(circuit.clone(), placement.clone(), cons.clone())
             .unwrap();
@@ -929,11 +931,11 @@ mod tests {
         assert!(hops > 1, "test must exercise at least two resumes");
         let (routed, _) = session.finish().unwrap();
         assert_eq!(routed.result.trees, mono.result.trees);
+        assert!(mono.result.stats.audits_passed > 0);
         assert_eq!(
-            routed.result.stats.selection_log,
-            mono.result.stats.selection_log
+            deterministic(&routed.result.stats),
+            deterministic(&mono.result.stats)
         );
-        assert_eq!(routed.result.stats.deletions, mono.result.stats.deletions);
         assert_eq!(routed.result.channel_tracks, mono.result.channel_tracks);
     }
 

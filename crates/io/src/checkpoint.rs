@@ -22,8 +22,7 @@ use std::fmt::Write as _;
 
 use bgr_core::session::{EngineSnapshot, SessionStage, SnapshotStats, SNAPSHOT_VERSION};
 use bgr_core::{
-    Budgets, CriteriaOrder, OnViolation, PhaseOutcome, RekeyCauses, RouterConfig,
-    SelectionStrategy, VerifyLevel,
+    Budgets, CriteriaOrder, OnViolation, PhaseOutcome, RouterConfig, SelectionStrategy, VerifyLevel,
 };
 use bgr_netlist::NetId;
 use bgr_timing::{DelayModel, WireParams};
@@ -34,7 +33,8 @@ use crate::error::ParseError;
 use crate::netlist::{parse_netlist, write_netlist};
 use crate::placement::{parse_placement, write_placement};
 
-const HEADER: &str = "bgr-checkpoint v1";
+/// The header line is this prefix followed by [`SNAPSHOT_VERSION`].
+const MAGIC: &str = "bgr-checkpoint v";
 
 fn verify_str(v: VerifyLevel) -> String {
     match v {
@@ -118,7 +118,7 @@ pub fn reconfigure_checkpoint(
 /// Serializes a snapshot to the checkpoint text format.
 pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{HEADER}");
+    let _ = writeln!(out, "{MAGIC}{SNAPSHOT_VERSION}");
     // The embedded design first: everything after it is interpreted
     // against these objects.
     let _ = writeln!(out, "begin netlist");
@@ -143,7 +143,7 @@ pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
 /// error directing there.
 pub fn write_checkpoint_ref(snap: &EngineSnapshot, refs: &DesignRefs) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{HEADER}");
+    let _ = writeln!(out, "{MAGIC}{SNAPSHOT_VERSION}");
     let _ = writeln!(
         out,
         "design-ref netlist {:016x} {}",
@@ -259,12 +259,6 @@ fn write_state(out: &mut String, snap: &EngineSnapshot) {
     let s = &snap.stats;
     let _ = writeln!(out, "stat deletions {}", s.deletions);
     let _ = writeln!(out, "stat reroutes {}", s.reroutes);
-    let rk = s.rekey_causes.counts();
-    let _ = writeln!(
-        out,
-        "stat rekey_causes {} {} {} {}",
-        rk[0], rk[1], rk[2], rk[3]
-    );
     let _ = writeln!(out, "stat audits_passed {}", s.audits_passed);
     let _ = writeln!(out, "stat audit_checks {}", s.audit_checks);
     let _ = writeln!(out, "stat feed_cells_inserted {}", s.feed_cells_inserted);
@@ -443,7 +437,7 @@ fn parse_checkpoint_inner(
 ) -> Result<EngineSnapshot, ParseError> {
     let mut cur = Reader::new(text.as_bytes());
     let header = cur.line()?;
-    match header.strip_prefix("bgr-checkpoint v") {
+    match header.strip_prefix(MAGIC) {
         Some(v) if v == SNAPSHOT_VERSION.to_string() => {}
         Some(v) => {
             return Err(cur.err(format!(
@@ -561,18 +555,6 @@ fn parse_checkpoint_inner(
         deletions: cur.get("stat deletions")?,
         reroutes: cur.get("stat reroutes")?,
         ..SnapshotStats::default()
-    };
-    stats.rekey_causes = {
-        let raw = cur.value("stat rekey_causes")?;
-        let mut counts = [0usize; 4];
-        let mut it = raw.split(' ');
-        for slot in &mut counts {
-            let tok = it
-                .next()
-                .ok_or_else(|| cur.err("rekey_causes wants 4 counts"))?;
-            *slot = cur.parse("rekey_causes", tok)?;
-        }
-        RekeyCauses::from_counts(counts)
     };
     stats.audits_passed = cur.get("stat audits_passed")?;
     stats.audit_checks = cur.get("stat audit_checks")?;
@@ -752,7 +734,8 @@ mod tests {
         assert_eq!(write_checkpoint_ref(&back, &refs), text);
         assert_eq!(write_checkpoint(&back), embedded);
         // Nothing may follow `end checkpoint`, in either mode.
-        for tail in ["garbage\nbgr-checkpoint v1\n", "\n", "x"] {
+        let garbage = format!("garbage\n{MAGIC}{SNAPSHOT_VERSION}\n");
+        for tail in [garbage.as_str(), "\n", "x"] {
             let err = parse_checkpoint_in(&format!("{text}{tail}"), &dir).unwrap_err();
             assert!(err.message.contains("trailing bytes"), "{err}");
             let err = parse_checkpoint(&format!("{embedded}{tail}")).unwrap_err();
@@ -818,7 +801,12 @@ mod tests {
     #[test]
     fn version_skew_is_a_parse_error() {
         let text = write_checkpoint(&sample_snapshot());
-        let skewed = text.replacen("bgr-checkpoint v1", "bgr-checkpoint v2", 1);
+        let skewed = text.replacen(
+            &format!("{MAGIC}{SNAPSHOT_VERSION}\n"),
+            &format!("{MAGIC}{}\n", SNAPSHOT_VERSION + 1),
+            1,
+        );
+        assert_ne!(skewed, text);
         let err = parse_checkpoint(&skewed).unwrap_err();
         assert!(err.message.contains("version"), "{err}");
         let err = parse_checkpoint("hello world\n").unwrap_err();

@@ -76,5 +76,5 @@ pub use placement::{parse_placement, write_placement};
 pub use svg::render_svg;
 pub use trace::{
     deterministic_event_lines, deterministic_lines, segment_seq_span, trace_divergence,
-    write_trace_jsonl, write_trace_jsonl_offset, TraceStats,
+    write_event_lines, write_trace_jsonl, write_trace_jsonl_offset, TraceStats,
 };

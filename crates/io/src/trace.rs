@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 
-use bgr_core::probe::{Counter, Hist, RouteTrace, TraceEvent};
+use bgr_core::probe::{Counter, Hist, RouteTrace, TraceEvent, HIST_BUCKETS};
 
 use crate::json::Json;
 
@@ -164,11 +164,8 @@ pub fn trace_divergence(golden: &str, actual: &str) -> Option<String> {
 }
 
 /// The `"type":"event"` lines of a trace JSONL document only — no meta
-/// line — newline-terminated. This is the slice a resumed session
-/// appends to its stream: concatenating the event lines of every slice
-/// (each serialized with [`write_trace_jsonl_offset`] at its
-/// checkpoint's `events_emitted` offset) reproduces the uninterrupted
-/// run's event lines byte-for-byte, `seq` included.
+/// line — newline-terminated: what [`write_event_lines`] writes
+/// directly for a [`RouteTrace`].
 pub fn deterministic_event_lines(trace_text: &str) -> String {
     trace_text
         .lines()
@@ -178,7 +175,7 @@ pub fn deterministic_event_lines(trace_text: &str) -> String {
 }
 
 /// Validates a per-slice trace segment (event lines only, as produced
-/// by [`deterministic_event_lines`]) and returns its `seq` span as
+/// by [`write_event_lines`]) and returns its `seq` span as
 /// `Some((first, last))`, or `None` for a segment with no events.
 ///
 /// This is the frame-safety check `bgr_serve::JobQueue::apply_remote`
@@ -223,6 +220,20 @@ pub fn write_trace_jsonl(trace: &RouteTrace) -> String {
     write_trace_jsonl_offset(trace, 0)
 }
 
+/// The `"type":"event"` lines of `trace` only, newline-terminated, with
+/// `seq` numbers starting at `seq_offset`. This is the slice a resumed
+/// session appends to its stream: concatenating the event lines of
+/// every slice (each written at its checkpoint's `events_emitted`
+/// offset) reproduces the uninterrupted run's event lines
+/// byte-for-byte, `seq` included.
+pub fn write_event_lines(trace: &RouteTrace, seq_offset: u64) -> String {
+    let mut out = String::new();
+    for (i, ev) in trace.events.iter().enumerate() {
+        write_event(&mut out, seq_offset as usize + i, ev);
+    }
+    out
+}
+
 /// [`write_trace_jsonl`] with event `seq` numbers starting at
 /// `seq_offset` — the serialization of one *slice* of a checkpointed
 /// session, whose events continue a stream that already emitted
@@ -235,9 +246,7 @@ pub fn write_trace_jsonl_offset(trace: &RouteTrace, seq_offset: u64) -> String {
         "{{\"type\":\"meta\",\"format\":\"bgr-trace\",\"version\":1,\"events\":{}}}",
         trace.events.len()
     );
-    for (i, ev) in trace.events.iter().enumerate() {
-        write_event(&mut out, seq_offset as usize + i, ev);
-    }
+    out.push_str(&write_event_lines(trace, seq_offset));
     for c in Counter::ALL {
         let _ = writeln!(
             out,
@@ -297,9 +306,12 @@ pub struct TraceStats {
     /// `(name, value)` of every counter line, in document order (the
     /// per-[`bgr_core::RekeyCause`] `rekeys_*` provenance lives here).
     pub counters: Vec<(String, u64)>,
-    /// `(phase, wall_us, events)` per span line, summed over repeated
-    /// phases (a resumed session emits one span per slice).
-    pub phase_walls: Vec<(String, u64, u64)>,
+    /// `(name, buckets)` of every histogram line, in document order,
+    /// summed bucket-wise over repeated names.
+    pub hists: Vec<(String, Vec<u64>)>,
+    /// `(phase, wall_us, events, key_evals)` per span line, summed over
+    /// repeated phases (a resumed session emits one span per slice).
+    pub phase_walls: Vec<(String, u64, u64, u64)>,
 }
 
 impl TraceStats {
@@ -357,7 +369,28 @@ impl TraceStats {
                     let value = record.get("value").and_then(Json::as_u64).unwrap_or(0);
                     bump(&mut stats.counters, name, value);
                 }
-                "hist" => {}
+                "hist" => {
+                    let name = record
+                        .get("name")
+                        .and_then(Json::as_str)
+                        .ok_or_else(|| format!("line {}: hist without \"name\"", i + 1))?;
+                    let buckets: Vec<u64> = record
+                        .get("buckets")
+                        .and_then(Json::as_arr)
+                        .ok_or_else(|| format!("line {}: hist without \"buckets\"", i + 1))?
+                        .iter()
+                        .map(|b| b.as_u64().unwrap_or(0))
+                        .collect();
+                    match stats.hists.iter_mut().find(|(n, _)| n == name) {
+                        Some((_, sum)) => {
+                            sum.resize(sum.len().max(buckets.len()), 0);
+                            for (s, b) in sum.iter_mut().zip(&buckets) {
+                                *s += b;
+                            }
+                        }
+                        None => stats.hists.push((name.to_string(), buckets)),
+                    }
+                }
                 "span" => {
                     let phase = record
                         .get("phase")
@@ -365,12 +398,22 @@ impl TraceStats {
                         .ok_or_else(|| format!("line {}: span without \"phase\"", i + 1))?;
                     let wall = record.get("wall_us").and_then(Json::as_u64).unwrap_or(0);
                     let events = record.get("events").and_then(Json::as_u64).unwrap_or(0);
-                    match stats.phase_walls.iter_mut().find(|(p, _, _)| p == phase) {
+                    let key_evals = record
+                        .get("counters")
+                        .and_then(|c| c.get(Counter::KeyEval.label()))
+                        .and_then(Json::as_u64)
+                        .unwrap_or(0);
+                    match stats.phase_walls.iter_mut().find(|row| row.0 == phase) {
                         Some(row) => {
                             row.1 += wall;
                             row.2 += events;
+                            row.3 += key_evals;
                         }
-                        None => stats.phase_walls.push((phase.to_string(), wall, events)),
+                        None => {
+                            stats
+                                .phase_walls
+                                .push((phase.to_string(), wall, events, key_evals))
+                        }
                     }
                 }
                 other => return Err(format!("line {}: unknown record type {other:?}", i + 1)),
@@ -408,10 +451,10 @@ impl TraceStats {
         }
         if !self.phase_walls.is_empty() {
             let _ = writeln!(out, "phase wall-clock:");
-            for (phase, wall_us, events) in &self.phase_walls {
+            for (phase, wall_us, events, key_evals) in &self.phase_walls {
                 let _ = writeln!(
                     out,
-                    "  {phase:<24} {:>9.2}ms {events:>8} events",
+                    "  {phase:<24} {:>9.2}ms {events:>8} events {key_evals:>10} key evals",
                     *wall_us as f64 / 1_000.0
                 );
             }
@@ -420,6 +463,16 @@ impl TraceStats {
             let _ = writeln!(out, "counters:");
             for (name, v) in &self.counters {
                 let _ = writeln!(out, "  {name:<28} {v:>12}");
+            }
+        }
+        for (name, buckets) in &self.hists {
+            let _ = writeln!(out, "{name}:");
+            let max = buckets.iter().copied().max().unwrap_or(0).max(1);
+            for (i, &n) in buckets.iter().take(HIST_BUCKETS).enumerate() {
+                if n > 0 {
+                    let bar = "#".repeat((n * 30).div_ceil(max) as usize);
+                    let _ = writeln!(out, "  {:>6} {n:>10}  {bar}", Hist::bucket_label(i));
+                }
             }
         }
         out
@@ -443,12 +496,26 @@ impl TraceStats {
         let _ = write!(out, ",\"event_kinds\":{{{}}}", fields(&self.kind_counts));
         let _ = write!(out, ",\"deciding_tiers\":{{{}}}", fields(&self.tier_counts));
         let _ = write!(out, ",\"counters\":{{{}}}", fields(&self.counters));
+        let hists = self
+            .hists
+            .iter()
+            .map(|(name, buckets)| {
+                let buckets: Vec<String> = buckets.iter().map(u64::to_string).collect();
+                format!(
+                    "\"{}\":[{}]",
+                    crate::json::escape_json(name),
+                    buckets.join(",")
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let _ = write!(out, ",\"hists\":{{{hists}}}");
         let spans = self
             .phase_walls
             .iter()
-            .map(|(p, wall, events)| {
+            .map(|(p, wall, events, key_evals)| {
                 format!(
-                    "{{\"phase\":\"{}\",\"wall_us\":{wall},\"events\":{events}}}",
+                    "{{\"phase\":\"{}\",\"wall_us\":{wall},\"events\":{events},\"key_evals\":{key_evals}}}",
                     crate::json::escape_json(p)
                 )
             })
@@ -599,6 +666,7 @@ mod tests {
         });
         p.count(Counter::KeyEval, 42);
         p.rekey(NetId::new(1), bgr_core::RekeyCause::Graph);
+        p.sample(Hist::DirtySetSize, 6);
         p.phase_exit(Phase::InitialRouting);
         let text = write_trace_jsonl(&p.finish());
 
@@ -627,10 +695,21 @@ mod tests {
         assert_eq!(stats.phase_walls.len(), 1);
         assert_eq!(stats.phase_walls[0].0, "initial_routing");
         assert_eq!(stats.phase_walls[0].2, 4, "interior events of the span");
+        assert_eq!(stats.phase_walls[0].3, 42, "key evals of the span");
+        let dirty = stats.hists.iter().find(|(n, _)| n == "dirty_set_size");
+        assert_eq!(
+            dirty.map(|(_, b)| b.as_slice()),
+            Some(&[0, 0, 0, 1, 0, 0, 0, 0][..])
+        );
 
         let ascii = stats.to_ascii();
         assert!(ascii.contains("selections 2"), "{ascii}");
         assert!(ascii.contains("deletion_selected"), "{ascii}");
+        assert!(ascii.contains("42 key evals"), "{ascii}");
+        assert!(
+            ascii.contains("dirty_set_size:\n     4-7          1  #"),
+            "{ascii}"
+        );
 
         let json = stats.to_json();
         let parsed = Json::parse(&json).expect("self-parsing digest");
@@ -642,6 +721,26 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
+        let dirty = parsed
+            .get("hists")
+            .and_then(|h| h.get("dirty_set_size"))
+            .and_then(Json::as_arr)
+            .map(|b| b.iter().filter_map(Json::as_u64).collect::<Vec<_>>());
+        assert_eq!(dirty, Some(vec![0, 0, 0, 1, 0, 0, 0, 0]));
+        let phases = parsed.get("phases").and_then(Json::as_arr).unwrap();
+        assert_eq!(phases[0].get("key_evals").and_then(Json::as_u64), Some(42));
+    }
+
+    #[test]
+    fn event_lines_are_the_documents_event_lines() {
+        let trace = sample_trace();
+        for offset in [0, 17] {
+            assert_eq!(
+                write_event_lines(&trace, offset),
+                deterministic_event_lines(&write_trace_jsonl_offset(&trace, offset))
+            );
+        }
+        assert!(write_event_lines(&trace, 17).starts_with("{\"type\":\"event\",\"seq\":17,"));
     }
 
     #[test]

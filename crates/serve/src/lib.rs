@@ -45,8 +45,7 @@ use bgr_core::probe::CollectingProbe;
 use bgr_core::session::{RouteSession, SessionStage, StepOutcome};
 use bgr_core::{par, RouteError, Routed, RouterConfig};
 use bgr_io::{
-    deterministic_event_lines, escape_json, parse_checkpoint, segment_seq_span, write_checkpoint,
-    write_trace_jsonl_offset,
+    escape_json, parse_checkpoint, segment_seq_span, write_checkpoint, write_event_lines,
 };
 use bgr_layout::Placement;
 use bgr_metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
@@ -199,10 +198,7 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
                 stage,
                 events_emitted,
                 selections_done,
-                events_jsonl: deterministic_event_lines(&write_trace_jsonl_offset(
-                    &trace,
-                    start_events,
-                )),
+                events_jsonl: write_event_lines(&trace, start_events),
             }
         }
         StepOutcome::Ready => {
@@ -211,8 +207,7 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
             match session.finish() {
                 Ok((routed, probe)) => {
                     let trace = probe.finish();
-                    let events_jsonl =
-                        deterministic_event_lines(&write_trace_jsonl_offset(&trace, start_events));
+                    let events_jsonl = write_event_lines(&trace, start_events);
                     let report = audit(
                         &routed.circuit,
                         &routed.placement,
@@ -662,10 +657,7 @@ impl Job {
         self.selections_done = session.selections_done();
         self.checkpoint = Some(write_checkpoint(&snap));
         let trace = session.into_probe().finish();
-        self.stream
-            .push_str(&deterministic_event_lines(&write_trace_jsonl_offset(
-                &trace, 0,
-            )));
+        self.stream.push_str(&write_event_lines(&trace, 0));
         Ok(())
     }
 
@@ -1339,7 +1331,7 @@ pub struct ReplayStats {
 mod tests {
     use super::*;
     use bgr_core::GlobalRouter;
-    use bgr_io::write_trace_jsonl;
+    use bgr_io::{deterministic_event_lines, write_trace_jsonl};
 
     fn small_case(seed: u64) -> (Circuit, Placement, Vec<PathConstraint>) {
         let params = bgr_gen::GenParams::small(seed);
@@ -1496,7 +1488,8 @@ mod tests {
         assert_eq!(q.job(id).state(), SessionState::Suspended);
         assert!(q.job(id).is_cancelled());
         let checkpoint = q.job(id).checkpoint().unwrap().to_string();
-        assert!(checkpoint.starts_with("bgr-checkpoint v1"));
+        let header = format!("bgr-checkpoint v{}\n", bgr_core::SNAPSHOT_VERSION);
+        assert!(checkpoint.starts_with(&header));
         assert!(q.settled());
 
         q.reactivate(id);
@@ -1714,7 +1707,7 @@ mod tests {
         assert_eq!(q.job(id).state(), SessionState::Suspended);
         // Sabotage the checkpoint text between rounds.
         let garbled = q.jobs[id].checkpoint.take().unwrap().replacen(
-            "bgr-checkpoint v1",
+            &format!("bgr-checkpoint v{}", bgr_core::SNAPSHOT_VERSION),
             "bgr-checkpoint v9",
             1,
         );

@@ -23,11 +23,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bgr::gen::golden_instance;
 use bgr::io::{parse_checkpoint, write_checkpoint, ParseError};
-use bgr::router::{CollectingProbe, RouteError, RouteSession, RouterConfig};
+use bgr::router::{CollectingProbe, RouteError, RouteSession, RouterConfig, SNAPSHOT_VERSION};
 use bgr::verify::{audit, Invariant};
 
 /// A mid-run checkpoint of the golden instance (parked inside the
 /// deletion loop, several suspensions in).
+/// The checkpoint header line of format version `v`.
+fn header(v: u32) -> String {
+    format!("bgr-checkpoint v{v}\n")
+}
+
 fn mid_run_checkpoint() -> String {
     let ds = golden_instance();
     let mut session = RouteSession::start(
@@ -87,11 +92,15 @@ fn corrupted_tokens_are_parse_errors() {
     let text = mid_run_checkpoint();
     let cases: Vec<(String, &str)> = vec![
         (
-            text.replacen("bgr-checkpoint v1", "bgr-checkpoint v2", 1),
-            "version skew",
+            text.replacen(&header(SNAPSHOT_VERSION), &header(SNAPSHOT_VERSION + 1), 1),
+            "version skew (newer)",
         ),
         (
-            text.replacen("bgr-checkpoint v1", "some other file", 1),
+            text.replacen(&header(SNAPSHOT_VERSION), &header(SNAPSHOT_VERSION - 1), 1),
+            "version skew (older)",
+        ),
+        (
+            text.replacen(&header(SNAPSHOT_VERSION), "some other file\n", 1),
             "foreign header",
         ),
         (text.replacen("stage", "stge", 1), "misspelled keyword"),
@@ -104,7 +113,7 @@ fn corrupted_tokens_are_parse_errors() {
             "garbled hex",
         ),
         (
-            format!("{text}garbage\nbgr-checkpoint v1\n"),
+            format!("{text}garbage\n{}", header(SNAPSHOT_VERSION)),
             "bytes after end checkpoint",
         ),
     ];
@@ -124,7 +133,8 @@ fn corrupted_tokens_are_parse_errors() {
 
 #[test]
 fn version_skew_error_names_the_version() {
-    let text = mid_run_checkpoint().replacen("bgr-checkpoint v1", "bgr-checkpoint v7", 1);
+    let text =
+        mid_run_checkpoint().replacen(&header(SNAPSHOT_VERSION), &header(SNAPSHOT_VERSION + 6), 1);
     let err = parse_checkpoint(&text).expect_err("skewed version must not parse");
     assert!(
         err.to_string().contains("version"),

@@ -12,7 +12,9 @@
 //! (see DESIGN.md §10 for the structural argument the proof backs).
 
 use bgr::gen::{generate, place_design, GenParams, PlacementStyle};
-use bgr::router::{GlobalRouter, RouteTrace, Routed, RouterConfig, SelectionStrategy, TraceEvent};
+use bgr::router::{
+    GlobalRouter, RekeyCause, RouteTrace, Routed, RouterConfig, SelectionStrategy, TraceEvent,
+};
 
 /// The threads × shards matrix every shape is routed under.
 const MATRIX: [(usize, usize); 6] = [(1, 1), (1, 4), (2, 1), (2, 4), (8, 1), (8, 4)];
@@ -46,7 +48,8 @@ fn assert_matrix_matches_oracle(params: &GenParams, base: RouterConfig) {
     };
     let (oracle, oracle_trace) = route_traced(params, oracle_config);
     // Re-key attribution is scoreboard-only (the rescan derives no dirty
-    // sets); it must still be invariant across the matrix.
+    // sets), so it lives in the trace counters; it must still be
+    // invariant across the matrix.
     let mut rekey_reference = None;
     for (threads, shards) in MATRIX {
         let config = RouterConfig {
@@ -73,7 +76,8 @@ fn assert_matrix_matches_oracle(params: &GenParams, base: RouterConfig) {
             routed.result.total_length_um, oracle.result.total_length_um,
             "{tag}: total lengths diverge"
         );
-        let rekeys = routed.result.stats.rekey_causes;
+        let rekeys = RekeyCause::ALL.map(|cause| trace.counter(cause.counter()));
+        assert!(rekeys.iter().sum::<u64>() > 0, "{tag}: no re-keys counted");
         match rekey_reference {
             None => rekey_reference = Some(rekeys),
             Some(reference) => assert_eq!(

@@ -27,8 +27,8 @@
 
 use bgr::gen::golden_instance;
 use bgr::io::{
-    deterministic_event_lines, parse_checkpoint, write_checkpoint, write_trace_jsonl,
-    write_trace_jsonl_offset,
+    deterministic_event_lines, parse_checkpoint, write_checkpoint, write_event_lines,
+    write_trace_jsonl,
 };
 use bgr::layout::Placement;
 use bgr::netlist::Circuit;
@@ -79,10 +79,7 @@ fn sliced_route(
         let snapshot = session.snapshot();
         let text = write_checkpoint(&snapshot);
         let trace = session.into_probe().finish();
-        events.push_str(&deterministic_event_lines(&write_trace_jsonl_offset(
-            &trace,
-            start_events,
-        )));
+        events.push_str(&write_event_lines(&trace, start_events));
         let reparsed = parse_checkpoint(&text).expect("checkpoint parses");
         start_events = reparsed.events_emitted;
         session = RouteSession::resume(reparsed, CollectingProbe::new()).expect("resume succeeds");
@@ -90,10 +87,7 @@ fn sliced_route(
     }
     let (routed, probe) = session.finish().expect("finish succeeds");
     let trace = probe.finish();
-    events.push_str(&deterministic_event_lines(&write_trace_jsonl_offset(
-        &trace,
-        start_events,
-    )));
+    events.push_str(&write_event_lines(&trace, start_events));
     (routed, events, hops)
 }
 
