@@ -289,7 +289,6 @@ impl DensityMap {
         }
         let ch = &mut self.channels[channel.index()];
         ch.d_max.range_add(a, b, -w);
-        debug_assert!(ch.d_max.root_max() >= 0 || ch.d_max.values().iter().all(|&d| d >= 0));
         if was_bridge {
             ch.d_min.range_add(a, b, -w);
         }
@@ -379,6 +378,11 @@ impl DensityMap {
     /// router's lower-bound checks).
     pub fn snapshot_max(&self) -> Vec<Vec<i32>> {
         self.channels.iter().map(|c| c.d_max.values()).collect()
+    }
+
+    /// Snapshot of `d_m` per channel (for the engine's self-audit).
+    pub fn snapshot_min(&self) -> Vec<Vec<i32>> {
+        self.channels.iter().map(|c| c.d_min.values()).collect()
     }
 
     /// Final per-channel density (`C_M`), the global-routing estimate of

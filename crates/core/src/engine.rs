@@ -16,32 +16,38 @@
 //! aggregates — sits in its channel's heap with generation-stamped
 //! lazy invalidation, and the aggregates are composed in at pop time
 //! (see the scoreboard docs for why in-heap order is invariant under
-//! composition). After a deletion only the *dirty* nets are re-keyed;
-//! since aggregates are not stored, aggregate motion dirties **no**
-//! net — the engine merely calls `Scoreboard::refresh_channel` for
-//! each channel whose aggregates moved, so the shard's cached minimum
-//! is recomposed. The dirty set is derived from explicit invalidation
-//! hooks:
+//! composition). After a deletion only the *dirty* nets are re-keyed,
+//! and only on the heaps whose keys can have moved; since aggregates
+//! are not stored, aggregate motion dirties **no** net — the engine
+//! merely calls `Scoreboard::refresh_channel` for each channel whose
+//! aggregates moved, so the shard's cached minimum is recomposed. The
+//! dirty set is derived from explicit invalidation hooks:
 //!
 //! * **graph** — the deleted net and its cascaded partner (their
-//!   [`RoutingGraph::generation`] advanced: alive set, bridges, pruning);
+//!   [`RoutingGraph::generation`] advanced: alive set, bridges,
+//!   pruning), re-keyed on every heap;
 //! * **density window** — nets whose trunk interval overlaps a
-//!   *touched span* (removed, pruned or promoted) of a touched
-//!   channel, found through a static channel → nets reverse index:
-//!   their raw window terms read the density profile there. Branch and
+//!   *touched span* (removed, pruned or promoted; half-open, as the
+//!   density map treats it) of a touched channel, found through a
+//!   static channel → nets reverse index: their raw window terms read
+//!   the density profile there. Only those channels' heaps are re-keyed,
+//!   and within them only the windows a touched span overlaps are
+//!   re-read (the rest come from the per-run window cache). Branch and
 //!   feed keys carry no window terms and never go stale this way;
 //! * **timing** — every member net of each constraint the analyzer
-//!   refreshed ([`bgr_timing::Sta::nets_of_constraint`]); a length
-//!   change moves that constraint's longest paths and margins, which
-//!   feed the delay criteria of all member nets.
+//!   refreshed ([`bgr_timing::Sta::nets_of_constraint`]), re-keyed on
+//!   every heap: a length change moves that constraint's longest paths
+//!   and margins, which feed the delay criteria of all member nets.
 //!
 //! A net dirty for several reasons at once is *counted* once, under a
 //! deterministic precedence (graph > span-overlap > constraint — see
-//! [`derive_dirty`] and DESIGN.md §9); the dirty *set* is independent
-//! of the attribution.
+//! [`derive_dirty`] and DESIGN.md §9), but re-keyed on the union of the
+//! heaps its causes reach; the dirty *set* is independent of the
+//! attribution.
 //!
-//! Nets outside the dirty set provably keep their keys, so the
-//! scoreboard's pool always equals what a full rescan would compute.
+//! Nets outside the dirty set, and the heaps a dirty net's causes do
+//! not reach, provably keep their keys, so the scoreboard's pool always
+//! equals what a full rescan would compute.
 //! The rescan itself remains available as
 //! [`SelectionStrategy::FullRescan`] — an executable oracle used by the
 //! differential tests to prove byte-identical deletion sequences.
@@ -55,7 +61,8 @@
 //! them (exact rules in `tentative::ShortestPaths`) — each with
 //! a *delay-prefix memo* (the `C_d/Gl/LD` triple, keyed on the summed
 //! generations of the net's timing constraints, so density-only
-//! invalidations skip the delay recomputation entirely).
+//! invalidations skip the delay recomputation entirely) — and its trunk
+//! edges' density windows, cached for one scoreboard run.
 //!
 //! Because a champion scan touches only that per-net state plus the
 //! shared density map and timing analyzer immutably, re-keying a dirty
@@ -74,7 +81,7 @@ use bgr_timing::Sta;
 
 use crate::config::{CriteriaOrder, SelectionStrategy, VerifyLevel};
 use crate::criteria::{DelayCriteria, HypWire};
-use crate::density::DensityMap;
+use crate::density::{DensityMap, EdgeDensity};
 use crate::graph::{REdgeKind, RoutingGraph};
 use crate::par;
 use crate::probe::{
@@ -136,6 +143,11 @@ impl CachedTree {
 /// monotonic and can never alias a previous state. Density-only
 /// invalidations move neither stamp, so their re-keys skip the delay
 /// criteria entirely.
+///
+/// Trunk edges' density windows are cached for one scoreboard run
+/// ([`NetScanState::window`]): a window is re-read only when a span the
+/// current deletion touched overlaps it (DESIGN.md §8, "Density-window
+/// reuse").
 #[derive(Debug, Default)]
 struct NetScanState {
     /// Graph generation the cached state was taken at.
@@ -152,13 +164,69 @@ struct NetScanState {
     /// Per edge: the tentative tree assuming that edge deleted (empty
     /// until the net's first delay key).
     hyp: Vec<Option<Box<CachedTree>>>,
+    /// The net's *lanes*: its edges grouped by the scoreboard heap they
+    /// key into (`None` = the channelless feed heap), heaps in order of
+    /// first appearance, edges ascending. Static: edge sets never grow.
+    lanes: Vec<(Option<ChannelId>, Vec<u32>)>,
+    /// Scoreboard run the cached windows belong to.
+    window_run: u64,
+    /// Per edge: its density window, cached during run `window_run`
+    /// (trunk edges only).
+    windows: Vec<Option<EdgeDensity>>,
 }
 
 impl NetScanState {
     fn new(g: &RoutingGraph) -> Self {
+        let mut lanes: Vec<(Option<ChannelId>, Vec<u32>)> = Vec::new();
+        for (e, edge) in g.edges().iter().enumerate() {
+            let heap = edge.kind.channel();
+            match lanes.iter_mut().find(|(h, _)| *h == heap) {
+                Some((_, edges)) => edges.push(e as u32),
+                None => lanes.push((heap, vec![e as u32])),
+            }
+        }
         Self {
             exact: tree_deps_exact(g),
+            lanes,
             ..Self::default()
+        }
+    }
+
+    /// Drops every cached window unless they were taken during `run`.
+    fn sync_windows(&mut self, run: u64, edges: usize) {
+        if self.window_run != run {
+            self.windows.clear();
+            self.window_run = run;
+        }
+        self.windows.resize(edges, None);
+    }
+
+    /// Trunk edge `e`'s density window over `[x1, x2)` of `channel`:
+    /// the cached one unless a span in `touched` (the current
+    /// deletion's) overlaps it. Exact: a range-add moves no column
+    /// outside its range, and every net owning an overlapped edge is
+    /// re-keyed at that deletion (its bounding interval contains the
+    /// edge), so no stale window survives a re-key.
+    fn window(
+        &mut self,
+        density: &DensityMap,
+        e: u32,
+        (channel, x1, x2): (ChannelId, i32, i32),
+        touched: &[(ChannelId, i32, i32)],
+        c: &mut ScanCounters,
+    ) -> EdgeDensity {
+        let slot = &mut self.windows[e as usize];
+        let moved = touched
+            .iter()
+            .any(|&(tc, a, b)| tc == channel && a < x2 && x1 < b);
+        match slot {
+            Some(w) if !moved => *w,
+            _ => {
+                c.window_queries += 1;
+                let w = density.edge_density(channel, x1, x2);
+                *slot = Some(w);
+                w
+            }
         }
     }
 
@@ -422,101 +490,163 @@ fn scan_champion(
     best
 }
 
-/// Builds the **raw** (composition-free) key for a deletable edge of
-/// `net`, plus the channel heap it belongs to (`None` = the
-/// channelless feed heap). Raw trunk keys carry the *negated* own
-/// window terms, so adding the channel aggregates at pop time yields
-/// exactly [`scan_edge_key`]'s composed values; branch and feed keys
-/// carry zero density terms (see the scoreboard docs).
-fn scan_edge_key_raw(
-    g: &RoutingGraph,
-    density: &DensityMap,
-    sta: &Sta,
-    net: NetId,
-    e: u32,
-    state: &mut NetScanState,
-    c: &mut ScanCounters,
-) -> (EdgeKey, Option<ChannelId>) {
-    c.key_evals += 1;
-    let delay = if sta.constraints_of_net(net).is_empty() {
-        DelayCriteria::default()
-    } else {
-        state.delay(g, sta, net, e, c)
-    };
-    let edge = g.edges()[e as usize];
-    let (is_trunk, f_min, n_min, f_max, n_max, channel) = match edge.kind {
-        REdgeKind::Trunk { channel } => {
-            c.window_queries += 1;
-            let ed = density.edge_density(channel, edge.x1, edge.x2);
-            (
-                true,
-                -ed.d_min,
-                -ed.nd_min,
-                -ed.d_max,
-                -ed.nd_max,
-                Some(channel),
-            )
-        }
-        REdgeKind::Branch { channel } => (false, 0, 0, 0, 0, Some(channel)),
-        REdgeKind::FeedHalf { .. } => (false, 0, 0, 0, 0, None),
-    };
-    (
-        EdgeKey {
-            delay,
-            is_trunk,
-            f_min,
-            n_min,
-            f_max,
-            n_max,
-            len_um: edge.len_um,
-            net,
-            edge: e,
-        },
-        channel,
-    )
+/// What every scan of one scoreboard re-key batch shares: the state
+/// read immutably, the criteria order, the scoreboard run (for the
+/// window cache) and the spans the current deletion touched.
+#[derive(Clone, Copy)]
+struct RawScan<'a> {
+    density: &'a DensityMap,
+    sta: &'a Sta,
+    order: CriteriaOrder,
+    run: u64,
+    touched: &'a [(ChannelId, i32, i32)],
 }
 
-/// The scoreboard re-key payload of `net`: the per-heap **minimum**
-/// raw key over its deletable (alive, non-bridge) edges, in first-seen
-/// heap order. Every deletable edge is still evaluated, but only one
-/// key per heap is kept: composition adds the same aggregates to every
-/// key of a heap, so a net's dominated raw keys there can never become
-/// its champion — pushing them would only bloat the heaps (ties cannot
-/// occur: [`compare`] ends in a net/edge id tie-break).
-fn scan_raw_keys(
+/// Builds the **raw** (composition-free) key for a deletable edge of
+/// `net`. Raw trunk keys carry the *negated* own window terms, so
+/// adding the channel aggregates at pop time yields exactly
+/// [`scan_edge_key`]'s composed values; branch and feed keys carry
+/// zero density terms (see the scoreboard docs).
+fn scan_edge_key_raw(
     g: &RoutingGraph,
-    density: &DensityMap,
-    sta: &Sta,
     net: NetId,
-    order: CriteriaOrder,
+    e: u32,
+    cx: &RawScan<'_>,
     state: &mut NetScanState,
     c: &mut ScanCounters,
-) -> Vec<(EdgeKey, Option<ChannelId>)> {
-    let mut out: Vec<(EdgeKey, Option<ChannelId>)> = Vec::new();
-    for e in 0..g.edges().len() as u32 {
-        if !g.is_alive(e) || g.is_bridge(e) {
+) -> EdgeKey {
+    c.key_evals += 1;
+    let delay = if cx.sta.constraints_of_net(net).is_empty() {
+        DelayCriteria::default()
+    } else {
+        state.delay(g, cx.sta, net, e, c)
+    };
+    let edge = g.edges()[e as usize];
+    let (is_trunk, f_min, n_min, f_max, n_max) = match edge.kind {
+        REdgeKind::Trunk { channel } => {
+            let span = (channel, edge.x1, edge.x2);
+            let ed = state.window(cx.density, e, span, cx.touched, c);
+            (true, -ed.d_min, -ed.nd_min, -ed.d_max, -ed.nd_max)
+        }
+        REdgeKind::Branch { .. } | REdgeKind::FeedHalf { .. } => (false, 0, 0, 0, 0),
+    };
+    EdgeKey {
+        delay,
+        is_trunk,
+        f_min,
+        n_min,
+        f_max,
+        n_max,
+        len_um: edge.len_um,
+        net,
+        edge: e,
+    }
+}
+
+/// A set of one net's lanes ([`NetScanState::lanes`]) as a bit mask.
+/// Lanes from the 64th on share the top bit, which only ever re-keys
+/// more heaps than needed — still exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lanes(u64);
+
+impl Lanes {
+    const ALL: Lanes = Lanes(u64::MAX);
+    const NONE: Lanes = Lanes(0);
+
+    fn bit(lane: usize) -> u64 {
+        1 << lane.min(63)
+    }
+
+    fn with(self, lane: usize) -> Lanes {
+        Lanes(self.0 | Self::bit(lane))
+    }
+
+    fn contains(self, lane: usize) -> bool {
+        self.0 & Self::bit(lane) != 0
+    }
+}
+
+/// The scoreboard re-key payload of `net` over the selected `lanes`:
+/// per lane, its heap and the **minimum** raw key over its deletable
+/// (alive, non-bridge) edges, `None` when it has none. Only one key per
+/// heap is kept: composition adds the same aggregates to every key of a
+/// heap, so a net's dominated raw keys there can never become its
+/// champion — pushing them would only bloat the heaps (ties cannot
+/// occur: [`compare`] ends in a net/edge id tie-break).
+///
+/// Non-deletable edges drop their cached windows: they are never read
+/// again in this run, and dropping them keeps every cached window
+/// exact for [`Engine::audit_state`].
+fn scan_raw_keys(
+    g: &RoutingGraph,
+    net: NetId,
+    lanes: Lanes,
+    cx: &RawScan<'_>,
+    state: &mut NetScanState,
+    c: &mut ScanCounters,
+) -> Vec<(Option<ChannelId>, Option<EdgeKey>)> {
+    state.sync_windows(cx.run, g.edges().len());
+    let mut out = Vec::new();
+    // The lane lists are static; take them out so the scan can borrow
+    // the rest of the state mutably.
+    let all = std::mem::take(&mut state.lanes);
+    for (lane, (heap, edges)) in all.iter().enumerate() {
+        if !lanes.contains(lane) {
             continue;
         }
-        let (key, channel) = scan_edge_key_raw(g, density, sta, net, e, state, c);
-        match out.iter_mut().find(|(_, ch)| *ch == channel) {
-            None => out.push((key, channel)),
-            Some(slot) => {
-                if compare(&key, &slot.0, order) == std::cmp::Ordering::Less {
-                    slot.0 = key;
-                }
+        let mut best: Option<EdgeKey> = None;
+        for &e in edges {
+            if !g.is_alive(e) || g.is_bridge(e) {
+                state.windows[e as usize] = None;
+                continue;
+            }
+            let key = scan_edge_key_raw(g, net, e, cx, state, c);
+            if best
+                .as_ref()
+                .is_none_or(|b| compare(&key, b, cx.order) == std::cmp::Ordering::Less)
+            {
+                best = Some(key);
             }
         }
+        out.push((*heap, best));
     }
+    state.lanes = all;
     out
 }
 
-/// Derives the dirty set of one deletion with a **deterministic
-/// per-net cause attribution**: a net dirty for several reasons is
-/// returned once, attributed to the highest-precedence cause —
-/// [`RekeyCause::Graph`] > [`RekeyCause::SpanOverlap`] >
+/// One net's entry in a channel of [`Engine::channel_nets`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChannelNet {
+    net: NetId,
+    /// Bounding half-open interval `[lo, hi)` of the net's trunk edges
+    /// in the channel; the empty sentinel `(MAX, MIN)` when the net only
+    /// branches into it.
+    lo: i32,
+    hi: i32,
+    /// The net's lane for the channel's heap.
+    lane: usize,
+}
+
+/// One net of a deletion's dirty set: its attributed cause and the
+/// lanes to re-key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Dirty {
+    net: NetId,
+    cause: RekeyCause,
+    lanes: Lanes,
+}
+
+/// Derives the dirty set of one deletion in one pass, with a
+/// **deterministic per-net cause attribution**: a net dirty for several
+/// reasons is returned once, attributed to the highest-precedence cause
+/// — [`RekeyCause::Graph`] > [`RekeyCause::SpanOverlap`] >
 /// [`RekeyCause::Constraint`] — independent of the order channels were
-/// touched in (DESIGN.md §9). Returns `(net, cause)` pairs in
-/// ascending net-id order.
+/// touched in (DESIGN.md §9). Returns the nets in ascending id order.
+///
+/// The lanes to re-key are the *union* over the causes: every lane of a
+/// net whose graph or constraints moved, and for a net dirty by span
+/// overlap alone only the lanes of the channels where a touched span
+/// overlaps its trunks — the other heaps' keys read nothing that moved.
 ///
 /// Aggregate motion is *not* a dirty cause: raw keys carry no
 /// aggregates, so a channel whose aggregates moved only needs its
@@ -529,37 +659,46 @@ fn derive_dirty<'a>(
     in_scope: &[bool],
     graph_nets: &[NetId],
     spans: &[(ChannelId, i32, i32)],
-    channel_nets: &[Vec<(NetId, i32, i32)>],
+    channel_nets: &[Vec<ChannelNet>],
     refreshed_constraints: &[u32],
     nets_of_constraint: impl Fn(usize) -> &'a [NetId],
-) -> Vec<(NetId, RekeyCause)> {
-    let mut dirty: BTreeMap<NetId, RekeyCause> = BTreeMap::new();
+) -> Vec<Dirty> {
+    let mut dirty: BTreeMap<NetId, (RekeyCause, Lanes)> = BTreeMap::new();
     // Insertion passes run in precedence order; `or_insert` keeps the
     // first (highest-precedence) attribution.
     for &n in graph_nets {
         if in_scope[n.index()] {
-            dirty.entry(n).or_insert(RekeyCause::Graph);
+            dirty.insert(n, (RekeyCause::Graph, Lanes::ALL));
         }
     }
     for &(c, x1, x2) in spans {
-        // A touched span moves the density profile over `[x1, x2]`;
+        // A touched span moves the density profile over `[x1, x2)`;
         // only trunk keys whose interval overlaps it can have changed
         // raw window terms. Branch-only nets carry the empty sentinel
         // `(MAX, MIN)` and never match.
-        for &(n, lo, hi) in &channel_nets[c.index()] {
-            if in_scope[n.index()] && lo <= x2 && x1 <= hi {
-                dirty.entry(n).or_insert(RekeyCause::SpanOverlap);
+        for cn in &channel_nets[c.index()] {
+            if in_scope[cn.net.index()] && cn.lo < x2 && x1 < cn.hi {
+                let slot = dirty
+                    .entry(cn.net)
+                    .or_insert((RekeyCause::SpanOverlap, Lanes::NONE));
+                slot.1 = slot.1.with(cn.lane);
             }
         }
     }
     for &cid in refreshed_constraints {
         for &n in nets_of_constraint(cid as usize) {
             if in_scope[n.index()] {
-                dirty.entry(n).or_insert(RekeyCause::Constraint);
+                dirty
+                    .entry(n)
+                    .or_insert((RekeyCause::Constraint, Lanes::ALL))
+                    .1 = Lanes::ALL;
             }
         }
     }
-    dirty.into_iter().collect()
+    dirty
+        .into_iter()
+        .map(|(net, (cause, lanes))| Dirty { net, cause, lanes })
+        .collect()
 }
 
 /// Below this many champion scans per worker, a batch runs on the
@@ -595,10 +734,14 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// Static reverse index: per channel, every net owning at least one
     /// trunk or branch edge there, with the bounding interval of its
     /// *trunk* edges (empty sentinel when the net only branches into the
-    /// channel — branch keys read aggregates only). Edge sets never
-    /// grow, so this needs no maintenance; dead edges only make it
-    /// conservative.
-    channel_nets: Vec<Vec<(NetId, i32, i32)>>,
+    /// channel — branch keys read aggregates only) and its lane there.
+    /// Edge sets never grow, so this needs no maintenance; dead edges
+    /// only make it conservative.
+    channel_nets: Vec<Vec<ChannelNet>>,
+    /// Scoreboard run counter, bumped on entry to and exit from every
+    /// scoreboard run: cached density windows are valid only within the
+    /// run they were read in, and none is current between runs.
+    window_run: u64,
     selection: SelectionStrategy,
     /// Worker threads for champion re-keying (1 = fully sequential).
     threads: usize,
@@ -675,26 +818,27 @@ impl<P: Probe> Engine<P> {
                 }
             }
         }
-        let scan = graphs.iter().map(NetScanState::new).collect();
-        let mut channel_nets: Vec<Vec<(NetId, i32, i32)>> = vec![Vec::new(); num_channels];
-        for (i, g) in graphs.iter().enumerate() {
-            // (channel, trunk bounding interval); the empty sentinel
-            // (MAX, MIN) never overlaps anything.
-            let mut bounds = vec![(i32::MAX, i32::MIN); num_channels];
-            let mut present = vec![false; num_channels];
-            for e in g.edges() {
-                let Some(c) = e.kind.channel() else { continue };
-                present[c.index()] = true;
-                if matches!(e.kind, REdgeKind::Trunk { .. }) {
-                    let b = &mut bounds[c.index()];
-                    b.0 = b.0.min(e.x1);
-                    b.1 = b.1.max(e.x2);
+        let scan: Vec<NetScanState> = graphs.iter().map(NetScanState::new).collect();
+        let mut channel_nets: Vec<Vec<ChannelNet>> = vec![Vec::new(); num_channels];
+        for (i, (g, state)) in graphs.iter().zip(&scan).enumerate() {
+            for (lane, (heap, edges)) in state.lanes.iter().enumerate() {
+                let Some(c) = heap else { continue };
+                // Trunk bounding interval; the empty sentinel (MAX, MIN)
+                // never overlaps anything.
+                let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+                for &e in edges {
+                    let edge = &g.edges()[e as usize];
+                    if matches!(edge.kind, REdgeKind::Trunk { .. }) {
+                        lo = lo.min(edge.x1);
+                        hi = hi.max(edge.x2);
+                    }
                 }
-            }
-            for c in 0..num_channels {
-                if present[c] {
-                    channel_nets[c].push((NetId::new(i), bounds[c].0, bounds[c].1));
-                }
+                channel_nets[c.index()].push(ChannelNet {
+                    net: NetId::new(i),
+                    lo,
+                    hi,
+                    lane,
+                });
             }
         }
         let mut engine = Self {
@@ -704,6 +848,7 @@ impl<P: Probe> Engine<P> {
             scan,
             partner,
             channel_nets,
+            window_run: 0,
             selection: SelectionStrategy::default(),
             threads: 1,
             shards: 1,
@@ -873,6 +1018,14 @@ impl<P: Probe> Engine<P> {
     /// compares them against the incremental state. Returns the number
     /// of comparisons performed.
     ///
+    /// The density check compares both whole profiles column by column
+    /// (so a phantom span below the channel peak cannot hide behind
+    /// unchanged aggregates) and asserts `0 ≤ d_m(x) ≤ d_M(x)`. Cached
+    /// density windows of the current scoreboard run are checked against
+    /// the map too; those checks are not counted, because only the
+    /// scoreboard path caches windows and the count must not depend on
+    /// the selection strategy.
+    ///
     /// # Panics
     ///
     /// Panics with a descriptive message on the first divergence; under
@@ -890,21 +1043,49 @@ impl<P: Probe> Engine<P> {
                 }
             }
         }
+        let (got_max, want_max) = (self.density.snapshot_max(), fresh.snapshot_max());
+        let (got_min, want_min) = (self.density.snapshot_min(), fresh.snapshot_min());
         for c in 0..self.density.num_channels() {
-            let ch = ChannelId::new(c);
-            let got = self.channel_aggregates(ch);
-            let want = [
-                fresh.c_max(ch),
-                fresh.nc_max(ch),
-                fresh.c_min(ch),
-                fresh.nc_min(ch),
+            let profiles = [
+                ("d_M", &got_max[c], &want_max[c]),
+                ("d_m", &got_min[c], &want_min[c]),
             ];
-            checks += 4;
-            assert!(
-                got == want,
-                "self-audit: density aggregates [C_M, NC_M, C_m, NC_m] of channel {c} diverged: \
-                 incremental {got:?}, from-scratch {want:?}"
-            );
+            for (name, got, want) in profiles {
+                checks += got.len() as u64;
+                if let Some(x) = (0..got.len()).find(|&x| got[x] != want[x]) {
+                    panic!(
+                        "self-audit: density profile {name} of channel {c} diverged at column \
+                         {x}: incremental {}, from-scratch {}",
+                        got[x], want[x]
+                    );
+                }
+            }
+            if let Some(x) =
+                (0..got_max[c].len()).find(|&x| !(0..=got_max[c][x]).contains(&got_min[c][x]))
+            {
+                panic!(
+                    "self-audit: density bounds of channel {c} broken at column {x}: \
+                     d_m {} outside [0, d_M {}]",
+                    got_min[c][x], got_max[c][x]
+                );
+            }
+        }
+        for (i, (g, state)) in self.graphs.iter().zip(&self.scan).enumerate() {
+            if state.window_run != self.window_run {
+                continue;
+            }
+            for (e, w) in state.windows.iter().enumerate() {
+                let (Some(w), REdgeKind::Trunk { channel }) = (w, g.edges()[e].kind) else {
+                    continue;
+                };
+                let edge = &g.edges()[e];
+                let want = self.density.edge_density(channel, edge.x1, edge.x2);
+                assert!(
+                    *w == want,
+                    "self-audit: cached density window of net {i} edge {e} diverged: \
+                     cached {w:?}, map {want:?}"
+                );
+            }
         }
         for (i, g) in self.graphs.iter().enumerate() {
             let want = tentative_length_um(g, None)
@@ -933,6 +1114,49 @@ impl<P: Probe> Engine<P> {
         checks
     }
 
+    /// The step-level oracle of the scoreboard path: every in-scope net's
+    /// live entries in `sb` — one per heap it has a deletable edge in —
+    /// must equal the per-heap minima a cache-free [`scan_raw_keys`]
+    /// computes from scratch (fresh scan state: no cached trees, delay
+    /// prefixes or windows).
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first net whose live entries diverge.
+    fn audit_scoreboard(&self, sb: &Scoreboard, nets: &[NetId]) {
+        let heap = |h: &Option<ChannelId>| h.map_or(usize::MAX, ChannelId::index);
+        let mut live: Vec<Vec<(Option<ChannelId>, EdgeKey)>> = vec![Vec::new(); self.graphs.len()];
+        for (h, key) in sb.live_entries() {
+            live[key.net.index()].push((h, key));
+        }
+        let cx = RawScan {
+            density: &self.density,
+            sta: &self.sta,
+            order: sb.order(),
+            run: 0,
+            touched: &[],
+        };
+        for &net in nets {
+            let g = &self.graphs[net.index()];
+            let mut state = NetScanState::new(g);
+            let mut c = ScanCounters::default();
+            let mut want: Vec<(Option<ChannelId>, EdgeKey)> =
+                scan_raw_keys(g, net, Lanes::ALL, &cx, &mut state, &mut c)
+                    .into_iter()
+                    .filter_map(|(h, key)| key.map(|k| (h, k)))
+                    .collect();
+            let got = &mut live[net.index()];
+            want.sort_by_key(|(h, _)| heap(h));
+            got.sort_by_key(|(h, _)| heap(h));
+            assert!(
+                *got == want,
+                "self-audit: scoreboard entries of net {} diverged from a cache-free scan: \
+                 live {got:?}, from-scratch {want:?}",
+                net.index()
+            );
+        }
+    }
+
     /// [`Engine::audit_state`] recorded in the audit totals but emitting
     /// no trace event — the [`VerifyLevel::Final`] path, which must
     /// leave the deterministic event stream untouched.
@@ -958,10 +1182,15 @@ impl<P: Probe> Engine<P> {
     /// events are strategy-independent. `step` is the *global* selection
     /// count (the loop's `start` offset plus this slice's selections) so
     /// a resumed run audits at the same stream positions as an
-    /// uninterrupted one.
-    fn maybe_step_audit(&mut self, step: u64) {
+    /// uninterrupted one. The scoreboard path passes its `pool` (and
+    /// the in-scope nets) for [`Engine::audit_scoreboard`]; those checks
+    /// are not counted, so the event stays strategy-independent.
+    fn maybe_step_audit(&mut self, step: u64, pool: Option<(&Scoreboard, &[NetId])>) {
         if let Some(n) = self.verify.step_interval() {
             if step.is_multiple_of(n) {
+                if let Some((sb, nets)) = pool {
+                    self.audit_scoreboard(sb, nets);
+                }
                 let checks = self.audit_silent();
                 self.probe.event(TraceEvent::AuditStep { step, checks });
             }
@@ -1202,7 +1431,7 @@ impl<P: Probe> Engine<P> {
             self.delete_with_partner(key.net, key.edge);
             self.stats.selection_log.push((key.net, key.edge));
             selections += 1;
-            self.maybe_step_audit(start + selections);
+            self.maybe_step_audit(start + selections, None);
         };
         DeletionRun {
             selections,
@@ -1227,89 +1456,79 @@ impl<P: Probe> Engine<P> {
         best
     }
 
-    /// The per-heap minimum raw keys of one net's deletable edges (see
-    /// [`scan_raw_keys`]), counters flushed to the probe.
-    fn raw_keys(&mut self, net: NetId, order: CriteriaOrder) -> Vec<(EdgeKey, Option<ChannelId>)> {
-        let mut c = ScanCounters::default();
-        let keys = scan_raw_keys(
-            &self.graphs[net.index()],
-            &self.density,
-            &self.sta,
-            net,
-            order,
-            &mut self.scan[net.index()],
-            &mut c,
-        );
-        c.flush(&mut self.probe);
-        keys
-    }
-
-    /// Raw keys of `nets` (ascending net ids, no duplicates), in input
-    /// order — the batch twin of [`Engine::raw_keys`], fanned out over
-    /// [`par::scoped_map`] when the batch is big enough for the granted
-    /// thread count to pay for its spawns.
+    /// Re-keys the selected lanes of each net in `batch` (ascending net
+    /// ids, no duplicates): scans them ([`scan_raw_keys`]), then per lane
+    /// invalidates the net's entries in that heap — unless `invalidate`
+    /// is `false` (the initial build, where nothing was pushed yet) —
+    /// and pushes the fresh minimum. `touched` are the spans of the
+    /// deletion being re-keyed for (empty for the initial build).
     ///
-    /// Every observable is independent of the fan-out: each scan reads
-    /// the shared density map / analyzer immutably and owns its net's
+    /// The scans fan out over [`par::scoped_map`] when the batch is big
+    /// enough for the granted thread count to pay for its spawns. Every
+    /// observable is independent of the fan-out: each scan reads the
+    /// shared density map / analyzer immutably and owns its net's
     /// [`NetScanState`] (taken out of the engine, restored after the
     /// join), results come back in input order, and per-scan probe
     /// counters are flushed in that same order.
-    fn raw_keys_for(
+    fn rekey(
         &mut self,
-        nets: &[NetId],
-        order: CriteriaOrder,
-    ) -> Vec<Vec<(EdgeKey, Option<ChannelId>)>> {
-        let threads = self.threads.min(nets.len() / MIN_TASKS_PER_THREAD).max(1);
-        if threads <= 1 {
-            return nets.iter().map(|&n| self.raw_keys(n, order)).collect();
-        }
-        let mut tasks: Vec<(NetId, NetScanState)> = nets
-            .iter()
-            .map(|&n| (n, std::mem::take(&mut self.scan[n.index()])))
-            .collect();
-        let (graphs, density, sta) = (&self.graphs, &self.density, &self.sta);
-        let results = par::scoped_map(threads, &mut tasks, |(net, state)| {
-            let mut c = ScanCounters::default();
-            let keys = scan_raw_keys(
-                &graphs[net.index()],
-                density,
-                sta,
-                *net,
-                order,
-                state,
-                &mut c,
-            );
-            (keys, c)
-        });
-        for (net, state) in tasks {
-            self.scan[net.index()] = state;
-        }
-        if P::ENABLED {
-            self.probe.count(Counter::ParBatch, 1);
-            self.probe.count(Counter::ParTask, nets.len() as u64);
-        }
-        results
-            .into_iter()
-            .map(|(keys, c)| {
-                c.flush(&mut self.probe);
-                keys
-            })
-            .collect()
-    }
-
-    /// Computes and pushes the raw keys of `nets` (ascending, deduped)
-    /// into the scoreboard, bumping their generations first when
-    /// `invalidate` (the re-key path; `false` only for the initial
-    /// build, where generations are already fresh).
-    fn rekey_nets(&mut self, sb: &mut Scoreboard, nets: &[NetId], invalidate: bool) {
-        let raw = self.raw_keys_for(nets, sb.order());
+        sb: &mut Scoreboard,
+        batch: &[(NetId, Lanes)],
+        touched: &[(ChannelId, i32, i32)],
+        invalidate: bool,
+    ) {
+        let cx = RawScan {
+            density: &self.density,
+            sta: &self.sta,
+            order: sb.order(),
+            run: self.window_run,
+            touched,
+        };
+        let graphs = &self.graphs;
+        let threads = self.threads.min(batch.len() / MIN_TASKS_PER_THREAD).max(1);
+        let results = if threads <= 1 {
+            batch
+                .iter()
+                .map(|&(net, lanes)| {
+                    let mut c = ScanCounters::default();
+                    let state = &mut self.scan[net.index()];
+                    let keys = scan_raw_keys(&graphs[net.index()], net, lanes, &cx, state, &mut c);
+                    (keys, c)
+                })
+                .collect::<Vec<_>>()
+        } else {
+            let mut tasks: Vec<(NetId, Lanes, NetScanState)> = batch
+                .iter()
+                .map(|&(n, lanes)| (n, lanes, std::mem::take(&mut self.scan[n.index()])))
+                .collect();
+            let results = par::scoped_map(threads, &mut tasks, |(net, lanes, state)| {
+                let mut c = ScanCounters::default();
+                let keys = scan_raw_keys(&graphs[net.index()], *net, *lanes, &cx, state, &mut c);
+                (keys, c)
+            });
+            for (net, _, state) in tasks {
+                self.scan[net.index()] = state;
+            }
+            if P::ENABLED {
+                self.probe.count(Counter::ParBatch, 1);
+                self.probe.count(Counter::ParTask, batch.len() as u64);
+            }
+            results
+        };
         if P::ENABLED && invalidate {
-            let fresh = raw.iter().map(Vec::len).sum::<usize>() as u64;
-            self.probe.sample(Hist::MergeBatchSize, fresh);
+            let fresh = results
+                .iter()
+                .flat_map(|(keys, _)| keys)
+                .filter(|(_, k)| k.is_some())
+                .count();
+            self.probe.sample(Hist::MergeBatchSize, fresh as u64);
         }
-        for (&net, keys) in nets.iter().zip(raw) {
+        for (&(net, _), (keys, c)) in batch.iter().zip(results) {
+            c.flush(&mut self.probe);
             if invalidate {
-                sb.invalidate_net(net);
+                for &(heap, _) in &keys {
+                    sb.invalidate(net, heap);
+                }
             }
             if P::ENABLED && self.frozen == Some(net) {
                 // StaleChampion injection: invalidation ran but the
@@ -1317,11 +1536,15 @@ impl<P: Probe> Engine<P> {
                 // believes the net is finished.
                 continue;
             }
-            if P::ENABLED && !keys.is_empty() {
-                self.probe.count(Counter::HeapPush, keys.len() as u64);
+            let mut pushes = 0u64;
+            for (heap, key) in keys {
+                if let Some(key) = key {
+                    sb.push(key, heap);
+                    pushes += 1;
+                }
             }
-            for (key, channel) in keys {
-                sb.push(key, channel);
+            if P::ENABLED && pushes > 0 {
+                self.probe.count(Counter::HeapPush, pushes);
             }
         }
     }
@@ -1356,11 +1579,13 @@ impl<P: Probe> Engine<P> {
             ShardMap::by_channel_bands_weighted(self.shards, &weights)
         };
         let mut sb = Scoreboard::with_shards(map, self.graphs.len(), order);
+        self.window_run += 1;
         self.apply_corruption();
         if P::PROFILING {
             self.probe.scope_enter(Scope::Rekey);
         }
-        self.rekey_nets(&mut sb, &nets, false);
+        let all: Vec<(NetId, Lanes)> = nets.iter().map(|&n| (n, Lanes::ALL)).collect();
+        self.rekey(&mut sb, &all, &[], false);
         if P::PROFILING {
             self.probe.scope_exit(Scope::Rekey);
         }
@@ -1419,8 +1644,9 @@ impl<P: Probe> Engine<P> {
             // Dirty set: changed nets ∪ window-affected nets ∪ nets of
             // refreshed constraints, restricted to the scope, each net
             // attributed to one cause under the deterministic precedence
-            // of `derive_dirty`. Channels whose aggregates moved dirty
-            // no net — their shard minima are merely recomposed.
+            // of `derive_dirty` and re-keyed on the lanes its causes
+            // reach. Channels whose aggregates moved dirty no net —
+            // their shard minima are merely recomposed.
             let d_nets = std::mem::take(&mut self.delta_nets);
             let d_spans = std::mem::take(&mut self.delta_spans);
             let d_snap = std::mem::take(&mut self.delta_snap);
@@ -1438,40 +1664,42 @@ impl<P: Probe> Engine<P> {
                 &d_cons,
                 |cid| self.sta.nets_of_constraint(cid),
             );
-            // Hand the scratch buffers back for reuse.
-            self.delta_nets = d_nets;
-            self.delta_spans = d_spans;
-            self.delta_snap = d_snap;
-            self.delta_cons = d_cons;
             self.probe.sample(Hist::DirtySetSize, dirty.len() as u64);
-            let mut dirty_nets = Vec::with_capacity(dirty.len());
-            for &(net, cause) in &dirty {
-                self.probe.rekey(net, cause);
-                dirty_nets.push(net);
+            for d in &dirty {
+                self.probe.rekey(d.net, d.cause);
             }
             if P::PROFILING {
                 self.probe.scope_exit(Scope::DeriveDirty);
                 // Per-cause attribution: re-key each dirty net alone so
                 // its wall-clock lands under `rekey:<cause>`. Same nets,
-                // same order, same keys pushed — deterministic
-                // observables are untouched; only the batch-size
-                // diagnostics (MergeBatchSize, ParBatch) differ, which
-                // strategy-dependent counters are allowed to do.
+                // same lanes, same order, same keys pushed —
+                // deterministic observables are untouched; only the
+                // batch-size diagnostics (MergeBatchSize, ParBatch)
+                // differ, which strategy-dependent counters are allowed
+                // to do.
                 self.probe.scope_enter(Scope::Rekey);
-                for &(net, cause) in &dirty {
-                    self.probe.scope_enter(Scope::RekeyFor(cause));
-                    self.rekey_nets(&mut sb, &[net], true);
-                    self.probe.scope_exit(Scope::RekeyFor(cause));
+                for d in &dirty {
+                    self.probe.scope_enter(Scope::RekeyFor(d.cause));
+                    self.rekey(&mut sb, &[(d.net, d.lanes)], &d_spans, true);
+                    self.probe.scope_exit(Scope::RekeyFor(d.cause));
                 }
                 self.probe.scope_exit(Scope::Rekey);
                 self.probe.scope_enter(Scope::Audit);
-                self.maybe_step_audit(start + selections);
-                self.probe.scope_exit(Scope::Audit);
             } else {
-                self.rekey_nets(&mut sb, &dirty_nets, true);
-                self.maybe_step_audit(start + selections);
+                let batch: Vec<(NetId, Lanes)> = dirty.iter().map(|d| (d.net, d.lanes)).collect();
+                self.rekey(&mut sb, &batch, &d_spans, true);
+            }
+            // Hand the scratch buffers back for reuse.
+            self.delta_nets = d_nets;
+            self.delta_spans = d_spans;
+            self.delta_snap = d_snap;
+            self.delta_cons = d_cons;
+            self.maybe_step_audit(start + selections, Some((&sb, &nets)));
+            if P::PROFILING {
+                self.probe.scope_exit(Scope::Audit);
             }
         };
+        self.window_run += 1;
         DeletionRun {
             selections,
             complete,
@@ -1733,6 +1961,39 @@ mod tests {
         );
     }
 
+    fn cn(net: usize, lo: i32, hi: i32, lane: usize) -> ChannelNet {
+        ChannelNet {
+            net: NetId::new(net),
+            lo,
+            hi,
+            lane,
+        }
+    }
+
+    /// `(net, cause, lane mask)` triples of a derived dirty set.
+    fn summary(dirty: &[Dirty]) -> Vec<(usize, RekeyCause, u64)> {
+        dirty
+            .iter()
+            .map(|d| (d.net.index(), d.cause, d.lanes.0))
+            .collect()
+    }
+
+    const ALL: u64 = u64::MAX;
+
+    /// Channel 0: nets 0, 1 (net 1 trunk over [0, 10)). Channel 1: nets
+    /// 1, 2 (trunks over [0, 10) and [20, 30)), net 3 branch-only (empty
+    /// interval sentinel). Net 1 keys into channel 1 through its lane 1.
+    fn two_channel_index() -> Vec<Vec<ChannelNet>> {
+        vec![
+            vec![cn(0, 2, 6, 0), cn(1, 0, 10, 0)],
+            vec![
+                cn(1, 0, 10, 1),
+                cn(2, 20, 30, 0),
+                cn(3, i32::MAX, i32::MIN, 0),
+            ],
+        ]
+    }
+
     /// A net dirty for several reasons at once is attributed exactly
     /// once, under the fixed precedence Graph > SpanOverlap >
     /// Constraint, however the channels were touched; and aggregate
@@ -1743,22 +2004,13 @@ mod tests {
         use bgr_layout::ChannelId;
         let in_scope = vec![true; 4];
         let c1 = ChannelId::new(1);
-        // Channel 0: nets 0, 1 (net 1 trunk over [0, 10]).
-        // Channel 1: nets 1, 2 (trunks over [0, 10] and [20, 30]), net 3
-        // branch-only (empty interval sentinel).
-        let channel_nets = vec![
-            vec![(NetId::new(0), 2, 6), (NetId::new(1), 0, 10)],
-            vec![
-                (NetId::new(1), 0, 10),
-                (NetId::new(2), 20, 30),
-                (NetId::new(3), i32::MAX, i32::MIN),
-            ],
-        ];
+        let channel_nets = two_channel_index();
         let cons_nets = [NetId::new(0), NetId::new(2)];
         let nets_of = |_cid: usize| &cons_nets[..];
         // Net 0 changed its graph *and* belongs to a refreshed
         // constraint (Graph wins); net 1 overlaps the touched span of
-        // c1; net 2 is constraint-dirty only.
+        // c1 and re-keys only that channel's lane; net 2 is
+        // constraint-dirty only.
         let dirty = super::derive_dirty(
             &in_scope,
             &[NetId::new(0)],
@@ -1768,29 +2020,11 @@ mod tests {
             nets_of,
         );
         assert_eq!(
-            dirty,
+            summary(&dirty),
             vec![
-                (NetId::new(0), RekeyCause::Graph),
-                (NetId::new(1), RekeyCause::SpanOverlap),
-                (NetId::new(2), RekeyCause::Constraint),
-            ]
-        );
-        // Span [25, 28] overlaps net 2's trunk instead: net 2 gets
-        // SpanOverlap (> Constraint); net 1's interval misses it and
-        // falls out of the density clause entirely.
-        let dirty = super::derive_dirty(
-            &in_scope,
-            &[],
-            &[(c1, 25, 28)],
-            &channel_nets,
-            &[0],
-            nets_of,
-        );
-        assert_eq!(
-            dirty,
-            vec![
-                (NetId::new(0), RekeyCause::Constraint),
-                (NetId::new(2), RekeyCause::SpanOverlap),
+                (0, RekeyCause::Graph, ALL),
+                (1, RekeyCause::SpanOverlap, 1 << 1),
+                (2, RekeyCause::Constraint, ALL),
             ]
         );
         // Branch-only nets (empty sentinel) never match a span overlap,
@@ -1805,10 +2039,69 @@ mod tests {
             nets_of,
         );
         assert_eq!(
-            dirty,
+            summary(&dirty),
             vec![
-                (NetId::new(1), RekeyCause::SpanOverlap),
-                (NetId::new(2), RekeyCause::SpanOverlap),
+                (1, RekeyCause::SpanOverlap, 1 << 1),
+                (2, RekeyCause::SpanOverlap, 1 << 0),
+            ]
+        );
+    }
+
+    /// One deletion makes net 2 both span-dirty and constraint-dirty:
+    /// the attribution stays SpanOverlap, but the lanes are the union of
+    /// the causes — every lane, since its delay prefix moved.
+    #[test]
+    fn derive_dirty_rekeys_every_lane_of_a_span_and_constraint_dirty_net() {
+        use bgr_layout::ChannelId;
+        let in_scope = vec![true; 4];
+        let channel_nets = two_channel_index();
+        let cons_nets = [NetId::new(0), NetId::new(2)];
+        // Span [25, 28) overlaps net 2's trunk; net 1's interval misses
+        // it and falls out of the density clause entirely.
+        let dirty = super::derive_dirty(
+            &in_scope,
+            &[],
+            &[(ChannelId::new(1), 25, 28)],
+            &channel_nets,
+            &[0],
+            |_| &cons_nets[..],
+        );
+        assert_eq!(
+            summary(&dirty),
+            vec![
+                (0, RekeyCause::Constraint, ALL),
+                (2, RekeyCause::SpanOverlap, ALL),
+            ]
+        );
+    }
+
+    /// Spans and trunk intervals are half-open, as `add_span` and
+    /// `edge_density` treat them: a net whose trunks only abut a touched
+    /// span reads no column it moved and is not dirtied.
+    #[test]
+    fn derive_dirty_skips_nets_that_only_abut_a_touched_span() {
+        use bgr_layout::ChannelId;
+        let c0 = ChannelId::new(0);
+        let in_scope = vec![true; 2];
+        let channel_nets = vec![vec![cn(0, 0, 4, 0), cn(1, 4, 9, 0)]];
+        let empty: [NetId; 0] = [];
+        let derive = |x1, x2| {
+            summary(&super::derive_dirty(
+                &in_scope,
+                &[],
+                &[(c0, x1, x2)],
+                &channel_nets,
+                &[],
+                |_| &empty[..],
+            ))
+        };
+        assert_eq!(derive(0, 4), vec![(0, RekeyCause::SpanOverlap, 1)]);
+        assert_eq!(derive(9, 12), vec![]);
+        assert_eq!(
+            derive(3, 5),
+            vec![
+                (0, RekeyCause::SpanOverlap, 1),
+                (1, RekeyCause::SpanOverlap, 1)
             ]
         );
     }
@@ -1818,12 +2111,12 @@ mod tests {
         use bgr_layout::ChannelId;
         let in_scope = vec![true; 2];
         let c0 = ChannelId::new(0);
-        let channel_nets = vec![vec![(NetId::new(0), 0, 4), (NetId::new(1), 2, 9)]];
+        let channel_nets = vec![vec![cn(0, 0, 4, 0), cn(1, 2, 9, 2)]];
         let empty: [NetId; 0] = [];
         // The deleted net's own span was touched: the net is both
         // graph-dirty and span-overlap-dirty; Graph wins, and the
         // neighbor whose trunk overlaps the span re-keys as
-        // SpanOverlap.
+        // SpanOverlap, on its lane for the channel only.
         let dirty = super::derive_dirty(
             &in_scope,
             &[NetId::new(0)],
@@ -1833,10 +2126,10 @@ mod tests {
             |_| &empty[..],
         );
         assert_eq!(
-            dirty,
+            summary(&dirty),
             vec![
-                (NetId::new(0), RekeyCause::Graph),
-                (NetId::new(1), RekeyCause::SpanOverlap),
+                (0, RekeyCause::Graph, ALL),
+                (1, RekeyCause::SpanOverlap, 1 << 2)
             ]
         );
     }

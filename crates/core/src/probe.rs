@@ -296,7 +296,9 @@ pub enum Counter {
     RekeySpan,
     /// Re-keys caused by refreshed timing constraints.
     RekeyConstraint,
-    /// Density window queries (`edge_density` over a trunk interval).
+    /// Density window queries actually made (`edge_density` over a
+    /// trunk interval); windows the scoreboard path reuses from its
+    /// per-run cache are not counted.
     DensityWindowQuery,
     /// Density aggregate reads (`C_M/NC_M/C_m/NC_m` of a channel).
     DensityAggregateQuery,

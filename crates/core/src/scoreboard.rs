@@ -43,18 +43,18 @@
 //!
 //! # Invalidation contract
 //!
-//! The scoreboard holds one generation counter per net. Re-keying a net
-//! (or invalidating it) bumps the counter; heap entries carry the
-//! counter value at push time and are discarded on pop when they no
-//! longer match. Consequently:
+//! The scoreboard holds one generation counter per **(net, heap)**.
+//! Re-keying a net's heap (or invalidating it) bumps that counter; heap
+//! entries carry the counter value at push time and are discarded on pop
+//! when they no longer match. Consequently:
 //!
-//! * callers must invalidate-and-re-key every net whose **raw** key set
-//!   may have changed (the *dirty set* — graph generations, touched
-//!   span overlaps, refreshed timing constraints; see
-//!   `Engine::run_deletion`), and call
-//!   [`Scoreboard::refresh_channel`] for every channel whose aggregates
-//!   moved;
-//! * nets outside the dirty set keep their entries, which remain
+//! * callers must invalidate-and-re-key every (net, heap) whose **raw**
+//!   minimum may have changed — every heap of a net whose graph or
+//!   timing constraints moved, and the heaps of the channels where a
+//!   touched span overlaps the net's trunks (see `Engine::run_deletion`)
+//!   — and call [`Scoreboard::refresh_channel`] for every channel whose
+//!   aggregates moved;
+//! * (net, heap) pairs outside that set keep their entries, which remain
 //!   *exactly* the raw keys a full rescan would compute, because every
 //!   raw-key input is covered by the dirty-set definition.
 //!
@@ -67,7 +67,7 @@
 //! The heaps are grouped into contiguous channel bands by a
 //! [`ShardMap`], and each shard caches its minimum *composed* key. A
 //! cache stays valid until something that could move it happens: a push
-//! into the shard, a pop out of it, an [`Scoreboard::invalidate_net`]
+//! into the shard, a pop out of it, an [`Scoreboard::invalidate`]
 //! touching a heap the net has entries in, or a
 //! [`Scoreboard::refresh_channel`] on one of its channels. Selection
 //! rebuilds only the invalid shards (draining stale heap tops,
@@ -97,8 +97,10 @@ use crate::shard::ShardMap;
 #[derive(Debug, Clone)]
 struct Entry {
     key: EdgeKey,
-    /// Owning net's scoreboard generation at push time.
+    /// Generation of the entry's (net, heap) slot at push time.
     stamp: u64,
+    /// Index of the entry's (net, heap) slot.
+    slot: u32,
     /// Criteria order of the run (uniform across one scoreboard).
     order: CriteriaOrder,
 }
@@ -126,6 +128,15 @@ impl Ord for Entry {
     }
 }
 
+/// Generation state of one (net, heap) pair.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    gen: u64,
+    /// Whether entries were pushed since the last invalidation: only
+    /// then does an invalidation dirty the heap's shard.
+    pushed: bool,
+}
+
 /// Cached minimum of one shard: the best composed key over its heaps,
 /// valid until the shard receives a push / pop / invalidation /
 /// aggregate refresh.
@@ -146,11 +157,9 @@ pub struct Scoreboard {
     /// (feed-half candidates; composed with the identity).
     heaps: Vec<BinaryHeap<Entry>>,
     map: ShardMap,
-    net_gen: Vec<u64>,
-    /// Conservative per-net list of heaps holding its entries, recorded
-    /// at push and cleared at invalidation — the shards to dirty when
-    /// the net's generation bumps.
-    net_heaps: Vec<Vec<u32>>,
+    /// Per net: `(heap, slot)` of every heap it ever pushed into.
+    net_slots: Vec<Vec<(u32, u32)>>,
+    slots: Vec<Slot>,
     cache: Vec<ShardCache>,
     /// Precomputed shard → heaps expansion of `map`.
     shard_heaps: Vec<Vec<u32>>,
@@ -176,8 +185,8 @@ impl Scoreboard {
         }
         Self {
             heaps: (0..map.num_heaps()).map(|_| BinaryHeap::new()).collect(),
-            net_gen: vec![0; num_nets],
-            net_heaps: vec![Vec::new(); num_nets],
+            net_slots: vec![Vec::new(); num_nets],
+            slots: Vec::new(),
             cache: vec![ShardCache::default(); shards],
             shard_heaps,
             map,
@@ -239,25 +248,46 @@ impl Scoreboard {
         self.cache[s].valid = false;
     }
 
-    /// Invalidates every entry of `net`: bumps its generation so existing
-    /// heap entries die lazily, and dirties the shards that held them.
-    /// Call before re-pushing the net's current keys.
+    /// The slot of `(net, heap)`, if the net ever pushed there.
+    fn slot_of(&self, net: NetId, heap: usize) -> Option<usize> {
+        self.net_slots[net.index()]
+            .iter()
+            .find(|&&(h, _)| h as usize == heap)
+            .map(|&(_, s)| s as usize)
+    }
+
+    /// Whether `e` is live: its slot's generation has not moved since
+    /// the push.
+    fn is_live(&self, e: &Entry) -> bool {
+        e.stamp == self.slots[e.slot as usize].gen
+    }
+
+    /// Invalidates every entry of `net` in `channel`'s heap (the
+    /// channelless heap when `None`): bumps the (net, heap) generation
+    /// so existing entries die lazily, and dirties the heap's shard if
+    /// the net pushed there since its last invalidation. The net's
+    /// entries in other heaps stay live. Call before re-pushing the
+    /// heap's current key.
     ///
     /// # Panics
     ///
-    /// Panics if the net's generation counter would wrap. A `u64` bump
-    /// per re-key cannot overflow in any real route (half a million
-    /// re-keys per second for a million years), so wraparound could only
-    /// mean memory corruption — and silently wrapping would resurrect
-    /// every stale entry pushed under generation zero.
-    pub fn invalidate_net(&mut self, net: NetId) {
-        let g = &mut self.net_gen[net.index()];
-        *g = g
+    /// Panics if the generation counter would wrap. A `u64` bump per
+    /// re-key cannot overflow in any real route (half a million re-keys
+    /// per second for a million years), so wraparound could only mean
+    /// memory corruption — and silently wrapping would resurrect every
+    /// stale entry pushed under generation zero.
+    pub fn invalidate(&mut self, net: NetId, channel: Option<ChannelId>) {
+        let heap = self.heap_of(channel);
+        let Some(s) = self.slot_of(net, heap) else {
+            return;
+        };
+        let slot = &mut self.slots[s];
+        slot.gen = slot
+            .gen
             .checked_add(1)
             .expect("scoreboard generation counter overflowed");
-        let heaps = std::mem::take(&mut self.net_heaps[net.index()]);
-        for &h in &heaps {
-            self.dirty_shard_of_heap(h as usize);
+        if std::mem::take(&mut slot.pushed) {
+            self.dirty_shard_of_heap(heap);
         }
     }
 
@@ -270,20 +300,43 @@ impl Scoreboard {
 
     /// Pushes a raw candidate key into its channel's heap (the
     /// channelless heap when `channel` is `None`), stamped with the
-    /// net's current generation.
+    /// (net, heap) pair's current generation.
     pub fn push(&mut self, key: EdgeKey, channel: Option<ChannelId>) {
-        let stamp = self.net_gen[key.net.index()];
         let heap = self.heap_of(channel);
+        let s = match self.slot_of(key.net, heap) {
+            Some(s) => s,
+            None => {
+                let s = self.slots.len();
+                self.slots.push(Slot::default());
+                self.net_slots[key.net.index()].push((heap as u32, s as u32));
+                s
+            }
+        };
+        self.slots[s].pushed = true;
         self.heaps[heap].push(Entry {
             key,
-            stamp,
+            stamp: self.slots[s].gen,
+            slot: s as u32,
             order: self.order,
         });
-        let list = &mut self.net_heaps[key.net.index()];
-        if !list.contains(&(heap as u32)) {
-            list.push(heap as u32);
-        }
         self.dirty_shard_of_heap(heap);
+    }
+
+    /// Every live entry as `(channel, raw key)` (`None` = the
+    /// channelless heap), heap by heap in unspecified order within a
+    /// heap — the step-level oracle's view of the pool. `O(entries)`.
+    pub(crate) fn live_entries(&self) -> Vec<(Option<ChannelId>, EdgeKey)> {
+        let channelless = self.channelless();
+        let mut out = Vec::new();
+        for (h, heap) in self.heaps.iter().enumerate() {
+            let channel = (h != channelless).then(|| ChannelId::new(h));
+            out.extend(
+                heap.iter()
+                    .filter(|e| self.is_live(e))
+                    .map(|e| (channel, e.key)),
+            );
+        }
+        out
     }
 
     /// Drains stale entries off the top of heap `h`, returning how many
@@ -291,7 +344,7 @@ impl Scoreboard {
     fn drain_stale_top(&mut self, h: usize) -> u64 {
         let mut stale = 0u64;
         while let Some(e) = self.heaps[h].peek() {
-            if e.stamp == self.net_gen[e.key.net.index()] {
+            if self.is_live(e) {
                 break;
             }
             self.heaps[h].pop();
@@ -408,7 +461,7 @@ impl Scoreboard {
         let mut stash: Vec<(usize, Entry)> = Vec::new();
         for h in 0..self.heaps.len() {
             while let Some(e) = self.heaps[h].peek() {
-                if e.stamp != self.net_gen[e.key.net.index()] {
+                if !self.is_live(e) {
                     self.heaps[h].pop();
                 } else if e.key.net == exclude {
                     let e = self.heaps[h].pop().expect("peeked entry pops");
@@ -490,7 +543,7 @@ mod tests {
         let mut sb = Scoreboard::new(2, 4, CriteriaOrder::DelayFirst);
         sb.push(key(0, 0, -10), ch(0)); // would win…
         sb.push(key(1, 0, 3), ch(0));
-        sb.invalidate_net(NetId::new(0)); // …but is now stale
+        sb.invalidate(NetId::new(0), ch(0)); // …but is now stale
         assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(1)));
         assert_eq!(sb.pop_valid(&d), None);
     }
@@ -500,7 +553,7 @@ mod tests {
         let d = flat();
         let mut sb = Scoreboard::new(2, 4, CriteriaOrder::DelayFirst);
         sb.push(key(0, 0, 0), ch(1));
-        sb.invalidate_net(NetId::new(0));
+        sb.invalidate(NetId::new(0), ch(1));
         sb.push(key(0, 1, 7), ch(1)); // fresh key under the new generation
         let k = sb.pop_valid(&d).unwrap();
         assert_eq!((k.net, k.edge), (NetId::new(0), 1));
@@ -557,7 +610,7 @@ mod tests {
         let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
         sb.push(key(0, 0, -5), ch(0)); // shard 0: would win the tournament…
         sb.push(key(2, 0, 3), ch(2)); // shard 1
-        sb.invalidate_net(NetId::new(0)); // …but its net is now fully bridged
+        sb.invalidate(NetId::new(0), ch(0)); // …but its net is now fully bridged
         assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(2)));
         assert_eq!(sb.pop_valid(&d), None);
         assert!(sb.is_empty(), "stale entries were drained, not leaked");
@@ -567,8 +620,35 @@ mod tests {
     #[should_panic(expected = "scoreboard generation counter overflowed")]
     fn generation_wraparound_is_a_loud_failure() {
         let mut sb = Scoreboard::new(1, 4, CriteriaOrder::DelayFirst);
-        sb.net_gen[0] = u64::MAX;
-        sb.invalidate_net(NetId::new(0));
+        sb.push(key(0, 0, 0), ch(0));
+        sb.slots[0].gen = u64::MAX;
+        sb.invalidate(NetId::new(0), ch(0));
+    }
+
+    #[test]
+    fn invalidating_one_heap_keeps_the_nets_other_heaps_live() {
+        let d = flat();
+        let mut sb = Scoreboard::with_shards(two_shard_map(), 2, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, -5), ch(0)); // shard 0
+        sb.push(key(0, 1, -4), ch(2)); // shard 1
+        sb.push(key(0, 2, -3), None); // channelless heap, shard 0
+        sb.push(key(1, 0, 0), ch(2));
+        // Re-key net 0's channel-0 heap only: its old entry dies, the
+        // fresh one and the untouched heaps' entries stay live.
+        sb.invalidate(NetId::new(0), ch(0));
+        sb.push(key(0, 3, 2), ch(0));
+        let mut live: Vec<(usize, u32)> = sb
+            .live_entries()
+            .into_iter()
+            .map(|(_, k)| (k.net.index(), k.edge))
+            .collect();
+        live.sort_unstable();
+        assert_eq!(live, vec![(0, 1), (0, 2), (0, 3), (1, 0)]);
+        let pops: Vec<u32> = std::iter::from_fn(|| sb.pop_valid(&d).map(|k| k.edge)).collect();
+        assert_eq!(pops, vec![1, 2, 0, 3]);
+        // Invalidating a heap the net never pushed into is a no-op.
+        sb.invalidate(NetId::new(1), ch(3));
+        assert_eq!(sb.pop_valid(&d), None);
     }
 
     #[test]
@@ -579,7 +659,7 @@ mod tests {
         sb.push(key(0, 0, 1), ch(0));
         sb.push(key(0, 1, 2), ch(0));
         sb.push(key(2, 0, 5), ch(2));
-        sb.invalidate_net(NetId::new(0)); // both shard-0 entries go stale
+        sb.invalidate(NetId::new(0), ch(0)); // both shard-0 entries go stale
         let mut probe = CollectingProbe::new();
         let got = sb.pop_valid_probed(&d, &mut probe);
         assert_eq!(got.map(|k| k.net), Some(NetId::new(2)));

@@ -89,3 +89,52 @@ fn final_trace_is_byte_identical_to_off() {
         "VerifyLevel::Final must not perturb the decision stream"
     );
 }
+
+#[test]
+fn phases_catch_a_phantom_span_below_the_channel_peak() {
+    use bgr::router::{Corruption, Fault, FaultProbe, RouteError};
+    let params = GenParams::small(3);
+    let design = generate(&params);
+    let placement = place_design(&design, &params, PlacementStyle::EvenFeed);
+    let route = |verify: VerifyLevel, fault: Option<Fault>| {
+        let router = GlobalRouter::new(RouterConfig {
+            verify,
+            ..RouterConfig::default()
+        });
+        let (circuit, placement, constraints) = (
+            design.circuit.clone(),
+            placement.clone(),
+            design.constraints.clone(),
+        );
+        match fault {
+            None => router.route_checked(circuit, placement, constraints),
+            Some(f) => router
+                .route_checked_with_probe(circuit, placement, constraints, FaultProbe::new(f))
+                .map(|(routed, _)| routed),
+        }
+    };
+    // One phantom track over column 0 of channel 2, whose peak is far
+    // higher: every channel aggregate stays what it would have been.
+    let flip = Fault::Corrupt(Corruption::FlipDensitySpan {
+        channel: 2,
+        x1: 0,
+        x2: 1,
+        width: 1,
+    });
+    let clean = route(VerifyLevel::Off, None).expect("clean route");
+    assert!(clean.result.channel_tracks[2] > 1);
+    let blind = route(VerifyLevel::Off, Some(flip)).expect("unaudited corrupted route");
+    assert_eq!(blind.result.channel_tracks, clean.result.channel_tracks);
+    assert_eq!(
+        blind.result.stats.selection_log,
+        clean.result.stats.selection_log
+    );
+    // The profile compare still sees the phantom column.
+    match route(VerifyLevel::Phases, Some(flip)) {
+        Err(RouteError::Internal { message, .. }) => assert!(
+            message.contains("density profile d_M of channel 2 diverged at column 0"),
+            "{message}"
+        ),
+        other => panic!("sub-peak phantom span escaped the self-audit: {other:?}"),
+    }
+}
