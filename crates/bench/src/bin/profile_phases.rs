@@ -15,6 +15,7 @@
 //!
 //! Usage: `profile_phases [out_dir]` (default `target/profile`).
 
+use bgr_bench::resettled_per_search;
 use bgr_core::{GlobalRouter, RekeyCause, RouterConfig};
 use bgr_gen::{c2_cached, c3_cached, DataSet};
 
@@ -75,6 +76,7 @@ fn profile(ds: &DataSet, out_dir: &str) {
             trace.counter(cause.counter())
         );
     }
+    println!("  {}", resettled_per_search(&trace));
 
     std::fs::create_dir_all(out_dir).expect("create out dir");
     let folded_path = format!("{out_dir}/{}.folded", ds.name);

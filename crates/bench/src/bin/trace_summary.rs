@@ -19,6 +19,7 @@
 //! the process exits non-zero. Run with `BGR_BLESS=1` to rewrite the
 //! golden after an intentional behavior change.
 
+use bgr_bench::resettled_per_search;
 use bgr_core::{Counter, GlobalRouter, RouterConfig};
 use bgr_gen::golden_instance;
 use bgr_io::{deterministic_lines, trace_divergence, write_trace_jsonl, TraceStats};
@@ -71,6 +72,7 @@ fn main() {
         "memoization must keep hypothetical-tree lookups ({hyp_lookups}) below key evaluations ({key_evals})"
     );
     println!("delay memo: {memo_hits} hits / {memo_misses} misses over {key_evals} key evals");
+    println!("{}", resettled_per_search(&trace));
 
     // Independent audit (DESIGN.md §12): recompute every claim of the
     // result from scratch. Runs *outside* the router, so it can never

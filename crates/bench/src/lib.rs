@@ -7,7 +7,7 @@
 //! the *shape* of the results (who wins, by roughly what factor).
 
 use bgr_channel::{route_channels, DetailedRoute};
-use bgr_core::{GlobalRouter, Routed, RouterConfig};
+use bgr_core::{Counter, GlobalRouter, RouteTrace, Routed, RouterConfig};
 use bgr_gen::{arrival_with_lengths, hpwl_net_lengths_in_layout_um, hpwl_net_lengths_um, DataSet};
 use bgr_timing::{DelayModel, WireParams};
 
@@ -151,6 +151,18 @@ pub fn table2_row(m: &Measurement) -> String {
     format!(
         "{:<6} {:>9.0} {:>9.2} {:>9.1} {:>8.2} {:>6}/{}",
         m.name, m.delay_ps, m.area_mm2, m.length_mm, m.cpu_s, m.violations, m.constraints
+    )
+}
+
+/// The tree layer's work per hypothetical search: vertices re-settled
+/// (`hyp_resettled`) over searches (`hyp_cache_misses`), as one line.
+pub fn resettled_per_search(trace: &RouteTrace) -> String {
+    let searches = trace.counter(Counter::HypCacheMiss);
+    let resettled = trace.counter(Counter::HypResettled);
+    let per = resettled as f64 / searches.max(1) as f64;
+    format!(
+        "hypothetical trees: {per:.1} re-settled vertices per search \
+         ({resettled} over {searches} searches)"
     )
 }
 

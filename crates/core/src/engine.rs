@@ -26,14 +26,16 @@
 //! * **graph** — the deleted net and its cascaded partner (their
 //!   [`RoutingGraph::generation`] advanced: alive set, bridges,
 //!   pruning), re-keyed on every heap;
-//! * **density window** — nets whose trunk interval overlaps a
-//!   *touched span* (removed, pruned or promoted; half-open, as the
-//!   density map treats it) of a touched channel, found through a
-//!   static channel → nets reverse index: their raw window terms read
-//!   the density profile there. Only those channels' heaps are re-keyed,
-//!   and within them only the windows a touched span overlaps are
-//!   re-read (the rest come from the per-run window cache). Branch and
-//!   feed keys carry no window terms and never go stale this way;
+//! * **density window** — nets whose *live trunk extent* in a channel
+//!   (the interval over its still-deletable trunk edges there, taken at
+//!   the lane's last scan) overlaps a *touched span* (removed, pruned or
+//!   promoted; half-open, as the density map treats it) of that
+//!   channel, found through a static channel → nets reverse index:
+//!   their raw window terms read the density profile there. Only those
+//!   channels' heaps are re-keyed, and within them only the windows a
+//!   touched span overlaps are re-read (the rest come from the per-run
+//!   window cache). Branch and feed keys carry no window terms and
+//!   never go stale this way;
 //! * **timing** — every member net of each constraint the analyzer
 //!   refreshed ([`bgr_timing::Sta::nets_of_constraint`]), re-keyed on
 //!   every heap: a length change moves that constraint's longest paths
@@ -147,7 +149,8 @@ impl CachedTree {
 /// Trunk edges' density windows are cached for one scoreboard run
 /// ([`NetScanState::window`]): a window is re-read only when a span the
 /// current deletion touched overlaps it (DESIGN.md §8, "Density-window
-/// reuse").
+/// reuse"). So are the lanes' live trunk extents, which decide whether
+/// a touched span dirties a lane at all.
 #[derive(Debug, Default)]
 struct NetScanState {
     /// Graph generation the cached state was taken at.
@@ -173,7 +176,14 @@ struct NetScanState {
     /// Per edge: its density window, cached during run `window_run`
     /// (trunk edges only).
     windows: Vec<Option<EdgeDensity>>,
+    /// Per lane: the half-open extent `[lo, hi)` of its deletable
+    /// (alive, non-bridge) trunk edges at its last scan during run
+    /// `window_run`; the empty sentinel [`NO_EXTENT`] when it has none.
+    extents: Vec<(i32, i32)>,
 }
+
+/// The empty extent `(MAX, MIN)`: overlaps no span.
+const NO_EXTENT: (i32, i32) = (i32::MAX, i32::MIN);
 
 impl NetScanState {
     fn new(g: &RoutingGraph) -> Self {
@@ -192,20 +202,23 @@ impl NetScanState {
         }
     }
 
-    /// Drops every cached window unless they were taken during `run`.
+    /// Drops every cached window and extent unless they were taken
+    /// during `run`.
     fn sync_windows(&mut self, run: u64, edges: usize) {
         if self.window_run != run {
             self.windows.clear();
+            self.extents.clear();
             self.window_run = run;
         }
         self.windows.resize(edges, None);
+        self.extents.resize(self.lanes.len(), NO_EXTENT);
     }
 
     /// Trunk edge `e`'s density window over `[x1, x2)` of `channel`:
     /// the cached one unless a span in `touched` (the current
     /// deletion's) overlaps it. Exact: a range-add moves no column
-    /// outside its range, and every net owning an overlapped edge is
-    /// re-keyed at that deletion (its bounding interval contains the
+    /// outside its range, and the lane of every deletable overlapped
+    /// edge is re-keyed at that deletion (its live extent contains the
     /// edge), so no stale window survives a re-key.
     fn window(
         &mut self,
@@ -330,7 +343,8 @@ impl NetScanState {
         } else {
             c.hyp_misses += 1;
             let exact = self.exact;
-            let tree = self.paths(g).tree_without(g, e, exact);
+            let (tree, resettled) = self.paths(g).tree_without(g, e, exact);
+            c.resettled += u64::from(resettled);
             self.hyp[e as usize] = Some(Box::new(CachedTree::new(sta, net, tree)));
         }
         let tree = if own {
@@ -362,7 +376,7 @@ impl NetScanState {
             Some(p) if synced => p.clone(),
             _ => ShortestPaths::search(g, None),
         };
-        paths.tree_without(g, e, self.exact).map(|t| t.length_um)
+        paths.tree_without(g, e, self.exact).0.map(|t| t.length_um)
     }
 }
 
@@ -383,6 +397,7 @@ struct ScanCounters {
     key_evals: u64,
     hyp_hits: u64,
     hyp_misses: u64,
+    resettled: u64,
     memo_hits: u64,
     memo_misses: u64,
     window_queries: u64,
@@ -397,6 +412,7 @@ impl ScanCounters {
         probe.count(Counter::KeyEval, self.key_evals);
         probe.count(Counter::HypCacheHit, self.hyp_hits);
         probe.count(Counter::HypCacheMiss, self.hyp_misses);
+        probe.count(Counter::HypResettled, self.resettled);
         probe.count(Counter::DelayMemoHit, self.memo_hits);
         probe.count(Counter::DelayMemoMiss, self.memo_misses);
         probe.count(Counter::DensityWindowQuery, self.window_queries);
@@ -574,9 +590,11 @@ impl Lanes {
 /// champion — pushing them would only bloat the heaps (ties cannot
 /// occur: [`compare`] ends in a net/edge id tie-break).
 ///
-/// Non-deletable edges drop their cached windows: they are never read
-/// again in this run, and dropping them keeps every cached window
-/// exact for [`Engine::audit_state`].
+/// The same walk records each scanned lane's live trunk extent
+/// ([`NetScanState::extents`]), which [`derive_dirty`] tests touched
+/// spans against. Non-deletable edges drop their cached windows: they
+/// are never read again in this run, and dropping them keeps every
+/// cached window exact for [`Engine::audit_state`].
 fn scan_raw_keys(
     g: &RoutingGraph,
     net: NetId,
@@ -595,10 +613,16 @@ fn scan_raw_keys(
             continue;
         }
         let mut best: Option<EdgeKey> = None;
+        let (mut lo, mut hi) = NO_EXTENT;
         for &e in edges {
             if !g.is_alive(e) || g.is_bridge(e) {
                 state.windows[e as usize] = None;
                 continue;
+            }
+            let edge = &g.edges()[e as usize];
+            if matches!(edge.kind, REdgeKind::Trunk { .. }) {
+                lo = lo.min(edge.x1);
+                hi = hi.max(edge.x2);
             }
             let key = scan_edge_key_raw(g, net, e, cx, state, c);
             if best
@@ -608,6 +632,7 @@ fn scan_raw_keys(
                 best = Some(key);
             }
         }
+        state.extents[lane] = (lo, hi);
         out.push((*heap, best));
     }
     state.lanes = all;
@@ -618,11 +643,6 @@ fn scan_raw_keys(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChannelNet {
     net: NetId,
-    /// Bounding half-open interval `[lo, hi)` of the net's trunk edges
-    /// in the channel; the empty sentinel `(MAX, MIN)` when the net only
-    /// branches into it.
-    lo: i32,
-    hi: i32,
     /// The net's lane for the channel's heap.
     lane: usize,
 }
@@ -645,8 +665,14 @@ struct Dirty {
 ///
 /// The lanes to re-key are the *union* over the causes: every lane of a
 /// net whose graph or constraints moved, and for a net dirty by span
-/// overlap alone only the lanes of the channels where a touched span
-/// overlaps its trunks — the other heaps' keys read nothing that moved.
+/// overlap alone only the lanes whose live trunk `extent` a touched
+/// span overlaps — the other heaps' keys read nothing that moved.
+///
+/// The extent is the one a lane's last scan recorded. That is current
+/// for every net a span can dirty: a lane's deletable set changes only
+/// with its net's graph, which re-keys every lane of the net (the graph
+/// clause), and each scoreboard run starts by re-keying every in-scope
+/// lane.
 ///
 /// Aggregate motion is *not* a dirty cause: raw keys carry no
 /// aggregates, so a channel whose aggregates moved only needs its
@@ -660,6 +686,7 @@ fn derive_dirty<'a>(
     graph_nets: &[NetId],
     spans: &[(ChannelId, i32, i32)],
     channel_nets: &[Vec<ChannelNet>],
+    extent: impl Fn(ChannelNet) -> (i32, i32),
     refreshed_constraints: &[u32],
     nets_of_constraint: impl Fn(usize) -> &'a [NetId],
 ) -> Vec<Dirty> {
@@ -673,11 +700,15 @@ fn derive_dirty<'a>(
     }
     for &(c, x1, x2) in spans {
         // A touched span moves the density profile over `[x1, x2)`;
-        // only trunk keys whose interval overlaps it can have changed
-        // raw window terms. Branch-only nets carry the empty sentinel
-        // `(MAX, MIN)` and never match.
-        for cn in &channel_nets[c.index()] {
-            if in_scope[cn.net.index()] && cn.lo < x2 && x1 < cn.hi {
+        // only deletable trunks overlapping it can have changed raw
+        // window terms. Lanes without any carry the empty extent and
+        // never match.
+        for &cn in &channel_nets[c.index()] {
+            if !in_scope[cn.net.index()] {
+                continue;
+            }
+            let (lo, hi) = extent(cn);
+            if lo < x2 && x1 < hi {
                 let slot = dirty
                     .entry(cn.net)
                     .or_insert((RekeyCause::SpanOverlap, Lanes::NONE));
@@ -732,11 +763,10 @@ pub struct Engine<P: Probe = NoopProbe> {
     scan: Vec<NetScanState>,
     partner: Vec<Option<NetId>>,
     /// Static reverse index: per channel, every net owning at least one
-    /// trunk or branch edge there, with the bounding interval of its
-    /// *trunk* edges (empty sentinel when the net only branches into the
-    /// channel — branch keys read aggregates only) and its lane there.
-    /// Edge sets never grow, so this needs no maintenance; dead edges
-    /// only make it conservative.
+    /// trunk or branch edge there, with its lane there. Edge sets never
+    /// grow, so this needs no maintenance; whether a touched span
+    /// dirties the lane is decided by its live extent
+    /// ([`NetScanState::extents`]).
     channel_nets: Vec<Vec<ChannelNet>>,
     /// Scoreboard run counter, bumped on entry to and exit from every
     /// scoreboard run: cached density windows are valid only within the
@@ -820,25 +850,14 @@ impl<P: Probe> Engine<P> {
         }
         let scan: Vec<NetScanState> = graphs.iter().map(NetScanState::new).collect();
         let mut channel_nets: Vec<Vec<ChannelNet>> = vec![Vec::new(); num_channels];
-        for (i, (g, state)) in graphs.iter().zip(&scan).enumerate() {
-            for (lane, (heap, edges)) in state.lanes.iter().enumerate() {
-                let Some(c) = heap else { continue };
-                // Trunk bounding interval; the empty sentinel (MAX, MIN)
-                // never overlaps anything.
-                let (mut lo, mut hi) = (i32::MAX, i32::MIN);
-                for &e in edges {
-                    let edge = &g.edges()[e as usize];
-                    if matches!(edge.kind, REdgeKind::Trunk { .. }) {
-                        lo = lo.min(edge.x1);
-                        hi = hi.max(edge.x2);
-                    }
+        for (i, state) in scan.iter().enumerate() {
+            for (lane, (heap, _)) in state.lanes.iter().enumerate() {
+                if let Some(c) = heap {
+                    channel_nets[c.index()].push(ChannelNet {
+                        net: NetId::new(i),
+                        lane,
+                    });
                 }
-                channel_nets[c.index()].push(ChannelNet {
-                    net: NetId::new(i),
-                    lo,
-                    hi,
-                    lane,
-                });
             }
         }
         let mut engine = Self {
@@ -1022,9 +1041,11 @@ impl<P: Probe> Engine<P> {
     /// (so a phantom span below the channel peak cannot hide behind
     /// unchanged aggregates) and asserts `0 ≤ d_m(x) ≤ d_M(x)`. Cached
     /// density windows of the current scoreboard run are checked against
-    /// the map too; those checks are not counted, because only the
-    /// scoreboard path caches windows and the count must not depend on
-    /// the selection strategy.
+    /// the map too, and every lane's live trunk extent against one
+    /// recomputed from the graph (every in-scope net was scanned in the
+    /// current run); those checks are not counted, because only the
+    /// scoreboard path keeps them and the count must not depend on the
+    /// selection strategy.
     ///
     /// # Panics
     ///
@@ -1073,6 +1094,21 @@ impl<P: Probe> Engine<P> {
         for (i, (g, state)) in self.graphs.iter().zip(&self.scan).enumerate() {
             if state.window_run != self.window_run {
                 continue;
+            }
+            for ((heap, edges), &got) in state.lanes.iter().zip(&state.extents) {
+                let want = edges
+                    .iter()
+                    .filter(|&&e| g.is_alive(e) && !g.is_bridge(e))
+                    .map(|&e| &g.edges()[e as usize])
+                    .filter(|edge| matches!(edge.kind, REdgeKind::Trunk { .. }))
+                    .fold(NO_EXTENT, |(lo, hi), edge| {
+                        (lo.min(edge.x1), hi.max(edge.x2))
+                    });
+                assert!(
+                    got == want,
+                    "self-audit: live trunk extent of net {i} in heap {heap:?} diverged: \
+                     stored {got:?}, from-scratch {want:?}"
+                );
             }
             for (e, w) in state.windows.iter().enumerate() {
                 let (Some(w), REdgeKind::Trunk { channel }) = (w, g.edges()[e].kind) else {
@@ -1661,6 +1697,7 @@ impl<P: Probe> Engine<P> {
                 &d_nets,
                 &d_spans,
                 &self.channel_nets,
+                |cn| self.scan[cn.net.index()].extents[cn.lane],
                 &d_cons,
                 |cid| self.sta.nets_of_constraint(cid),
             );
@@ -1961,15 +1998,6 @@ mod tests {
         );
     }
 
-    fn cn(net: usize, lo: i32, hi: i32, lane: usize) -> ChannelNet {
-        ChannelNet {
-            net: NetId::new(net),
-            lo,
-            hi,
-            lane,
-        }
-    }
-
     /// `(net, cause, lane mask)` triples of a derived dirty set.
     fn summary(dirty: &[Dirty]) -> Vec<(usize, RekeyCause, u64)> {
         dirty
@@ -1980,18 +2008,74 @@ mod tests {
 
     const ALL: u64 = u64::MAX;
 
-    /// Channel 0: nets 0, 1 (net 1 trunk over [0, 10)). Channel 1: nets
-    /// 1, 2 (trunks over [0, 10) and [20, 30)), net 3 branch-only (empty
-    /// interval sentinel). Net 1 keys into channel 1 through its lane 1.
-    fn two_channel_index() -> Vec<Vec<ChannelNet>> {
-        vec![
-            vec![cn(0, 2, 6, 0), cn(1, 0, 10, 0)],
-            vec![
-                cn(1, 0, 10, 1),
-                cn(2, 20, 30, 0),
-                cn(3, i32::MAX, i32::MIN, 0),
-            ],
-        ]
+    /// One entry of a test index: `(net, lane, live extent)`.
+    type Row = (usize, usize, (i32, i32));
+
+    /// A reverse index with one live extent per entry, built from rows
+    /// per channel.
+    struct Index {
+        channel_nets: Vec<Vec<ChannelNet>>,
+        extents: BTreeMap<(NetId, usize), (i32, i32)>,
+    }
+
+    impl Index {
+        fn new(channels: &[&[Row]]) -> Self {
+            let mut extents = BTreeMap::new();
+            let channel_nets = channels
+                .iter()
+                .map(|rows| {
+                    rows.iter()
+                        .map(|&(net, lane, extent)| {
+                            extents.insert((NetId::new(net), lane), extent);
+                            ChannelNet {
+                                net: NetId::new(net),
+                                lane,
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            Self {
+                channel_nets,
+                extents,
+            }
+        }
+
+        /// [`derive_dirty`] over this index, summarized.
+        fn derive(
+            &self,
+            in_scope: &[bool],
+            graph_nets: &[usize],
+            spans: &[(usize, i32, i32)],
+            refreshed: &[u32],
+            cons_nets: &[NetId],
+        ) -> Vec<(usize, RekeyCause, u64)> {
+            let graph_nets: Vec<NetId> = graph_nets.iter().map(|&n| NetId::new(n)).collect();
+            let spans: Vec<(ChannelId, i32, i32)> = spans
+                .iter()
+                .map(|&(c, x1, x2)| (ChannelId::new(c), x1, x2))
+                .collect();
+            summary(&derive_dirty(
+                in_scope,
+                &graph_nets,
+                &spans,
+                &self.channel_nets,
+                |cn| self.extents[&(cn.net, cn.lane)],
+                refreshed,
+                |_| cons_nets,
+            ))
+        }
+    }
+
+    /// Channel 0: nets 0, 1 (net 1's live trunks over [0, 10)).
+    /// Channel 1: nets 1, 2 (live trunks over [0, 10) and [20, 30)),
+    /// net 3 with no deletable trunk (empty extent). Net 1 keys into
+    /// channel 1 through its lane 1.
+    fn two_channel_index() -> Index {
+        Index::new(&[
+            &[(0, 0, (2, 6)), (1, 0, (0, 10))],
+            &[(1, 1, (0, 10)), (2, 0, (20, 30)), (3, 0, NO_EXTENT)],
+        ])
     }
 
     /// A net dirty for several reasons at once is attributed exactly
@@ -2001,45 +2085,25 @@ mod tests {
     /// density readers now that raw keys carry no aggregates.
     #[test]
     fn derive_dirty_attributes_one_cause_with_fixed_precedence() {
-        use bgr_layout::ChannelId;
-        let in_scope = vec![true; 4];
-        let c1 = ChannelId::new(1);
-        let channel_nets = two_channel_index();
+        let index = two_channel_index();
         let cons_nets = [NetId::new(0), NetId::new(2)];
-        let nets_of = |_cid: usize| &cons_nets[..];
         // Net 0 changed its graph *and* belongs to a refreshed
         // constraint (Graph wins); net 1 overlaps the touched span of
         // c1 and re-keys only that channel's lane; net 2 is
         // constraint-dirty only.
-        let dirty = super::derive_dirty(
-            &in_scope,
-            &[NetId::new(0)],
-            &[(c1, 5, 8)],
-            &channel_nets,
-            &[0],
-            nets_of,
-        );
         assert_eq!(
-            summary(&dirty),
+            index.derive(&[true; 4], &[0], &[(1, 5, 8)], &[0], &cons_nets),
             vec![
                 (0, RekeyCause::Graph, ALL),
                 (1, RekeyCause::SpanOverlap, 1 << 1),
                 (2, RekeyCause::Constraint, ALL),
             ]
         );
-        // Branch-only nets (empty sentinel) never match a span overlap,
-        // and out-of-scope nets are dropped entirely.
-        let scoped = vec![false, true, true, true];
-        let dirty = super::derive_dirty(
-            &scoped,
-            &[NetId::new(0)],
-            &[(c1, 0, 40)],
-            &channel_nets,
-            &[],
-            nets_of,
-        );
+        // Lanes with an empty extent never match a span overlap, and
+        // out-of-scope nets are dropped entirely.
+        let scoped = [false, true, true, true];
         assert_eq!(
-            summary(&dirty),
+            index.derive(&scoped, &[0], &[(1, 0, 40)], &[], &cons_nets),
             vec![
                 (1, RekeyCause::SpanOverlap, 1 << 1),
                 (2, RekeyCause::SpanOverlap, 1 << 0),
@@ -2052,22 +2116,11 @@ mod tests {
     /// the causes — every lane, since its delay prefix moved.
     #[test]
     fn derive_dirty_rekeys_every_lane_of_a_span_and_constraint_dirty_net() {
-        use bgr_layout::ChannelId;
-        let in_scope = vec![true; 4];
-        let channel_nets = two_channel_index();
         let cons_nets = [NetId::new(0), NetId::new(2)];
-        // Span [25, 28) overlaps net 2's trunk; net 1's interval misses
+        // Span [25, 28) overlaps net 2's trunk; net 1's extent misses
         // it and falls out of the density clause entirely.
-        let dirty = super::derive_dirty(
-            &in_scope,
-            &[],
-            &[(ChannelId::new(1), 25, 28)],
-            &channel_nets,
-            &[0],
-            |_| &cons_nets[..],
-        );
         assert_eq!(
-            summary(&dirty),
+            two_channel_index().derive(&[true; 4], &[], &[(1, 25, 28)], &[0], &cons_nets),
             vec![
                 (0, RekeyCause::Constraint, ALL),
                 (2, RekeyCause::SpanOverlap, ALL),
@@ -2075,26 +2128,13 @@ mod tests {
         );
     }
 
-    /// Spans and trunk intervals are half-open, as `add_span` and
-    /// `edge_density` treat them: a net whose trunks only abut a touched
-    /// span reads no column it moved and is not dirtied.
+    /// Spans and extents are half-open, as `add_span` and
+    /// `edge_density` treat them: a net whose live trunks only abut a
+    /// touched span reads no column it moved and is not dirtied.
     #[test]
     fn derive_dirty_skips_nets_that_only_abut_a_touched_span() {
-        use bgr_layout::ChannelId;
-        let c0 = ChannelId::new(0);
-        let in_scope = vec![true; 2];
-        let channel_nets = vec![vec![cn(0, 0, 4, 0), cn(1, 4, 9, 0)]];
-        let empty: [NetId; 0] = [];
-        let derive = |x1, x2| {
-            summary(&super::derive_dirty(
-                &in_scope,
-                &[],
-                &[(c0, x1, x2)],
-                &channel_nets,
-                &[],
-                |_| &empty[..],
-            ))
-        };
+        let index = Index::new(&[&[(0, 0, (0, 4)), (1, 0, (4, 9))]]);
+        let derive = |x1, x2| index.derive(&[true; 2], &[], &[(0, x1, x2)], &[], &[]);
         assert_eq!(derive(0, 4), vec![(0, RekeyCause::SpanOverlap, 1)]);
         assert_eq!(derive(9, 12), vec![]);
         assert_eq!(
@@ -2106,32 +2146,110 @@ mod tests {
         );
     }
 
+    /// A lane whose remaining deletable trunks lie outside a touched
+    /// span is not dirty, although trunks it lost (inside its old
+    /// static bounding interval [0, 30)) did overlap the span.
+    #[test]
+    fn derive_dirty_skips_lanes_whose_live_trunks_miss_the_span() {
+        let index = Index::new(&[&[(0, 0, (20, 30)), (1, 0, (0, 30))]]);
+        let derive = |x1, x2| index.derive(&[true; 2], &[], &[(0, x1, x2)], &[], &[]);
+        assert_eq!(derive(5, 8), vec![(1, RekeyCause::SpanOverlap, 1)]);
+        assert_eq!(
+            derive(19, 21),
+            vec![
+                (0, RekeyCause::SpanOverlap, 1),
+                (1, RekeyCause::SpanOverlap, 1)
+            ]
+        );
+    }
+
     #[test]
     fn derive_dirty_graph_beats_span_overlap_for_the_deleted_net() {
-        use bgr_layout::ChannelId;
-        let in_scope = vec![true; 2];
-        let c0 = ChannelId::new(0);
-        let channel_nets = vec![vec![cn(0, 0, 4, 0), cn(1, 2, 9, 2)]];
-        let empty: [NetId; 0] = [];
         // The deleted net's own span was touched: the net is both
         // graph-dirty and span-overlap-dirty; Graph wins, and the
         // neighbor whose trunk overlaps the span re-keys as
         // SpanOverlap, on its lane for the channel only.
-        let dirty = super::derive_dirty(
-            &in_scope,
-            &[NetId::new(0)],
-            &[(c0, 0, 4)],
-            &channel_nets,
-            &[],
-            |_| &empty[..],
-        );
+        let index = Index::new(&[&[(0, 0, (0, 4)), (1, 2, (2, 9))]]);
         assert_eq!(
-            summary(&dirty),
+            index.derive(&[true; 2], &[0], &[(0, 0, 4)], &[], &[]),
             vec![
                 (0, RekeyCause::Graph, ALL),
                 (1, RekeyCause::SpanOverlap, 1 << 2)
             ]
         );
+    }
+
+    /// Opens a scoreboard run as `run_deletion_scoreboard` does: a new
+    /// window run, with every lane of every net keyed.
+    fn open_run<P: Probe>(engine: &mut Engine<P>) -> Scoreboard {
+        let map = ShardMap::single(engine.channel_nets.len() + 1);
+        let mut sb = Scoreboard::with_shards(map, engine.graphs.len(), CriteriaOrder::DelayFirst);
+        engine.window_run += 1;
+        let all: Vec<(NetId, Lanes)> = (0..engine.graphs.len())
+            .map(|n| (NetId::new(n), Lanes::ALL))
+            .collect();
+        engine.rekey(&mut sb, &all, &[], false);
+        sb
+    }
+
+    /// Once every net is a tree, every lane is all bridges: its live
+    /// extent is empty, so no span dirties it — although its static
+    /// bounding interval over every trunk edge still overlaps the span.
+    #[test]
+    fn derive_dirty_skips_all_bridge_lanes() {
+        let mut engine = engine_for_same_row();
+        engine.run_deletion(None, CriteriaOrder::DelayFirst);
+        assert!(engine.all_trees());
+        open_run(&mut engine);
+        let in_scope = vec![true; engine.graphs.len()];
+        let mut spans = 0;
+        for (c, nets) in engine.channel_nets.iter().enumerate() {
+            for cn in nets {
+                let (_, edges) = &engine.scan[cn.net.index()].lanes[cn.lane];
+                let g = &engine.graphs[cn.net.index()];
+                let trunks = edges
+                    .iter()
+                    .map(|&e| g.edges()[e as usize])
+                    .filter(|edge| matches!(edge.kind, REdgeKind::Trunk { .. }));
+                let Some((lo, hi)) = trunks
+                    .map(|e| (e.x1, e.x2))
+                    .reduce(|(a, b), (x1, x2)| (a.min(x1), b.max(x2)))
+                else {
+                    continue;
+                };
+                spans += 1;
+                let dirty = derive_dirty(
+                    &in_scope,
+                    &[],
+                    &[(ChannelId::new(c), lo, hi.max(lo + 1))],
+                    &engine.channel_nets,
+                    |cn| engine.scan[cn.net.index()].extents[cn.lane],
+                    &[],
+                    |_| &[],
+                );
+                assert_eq!(summary(&dirty), vec![], "channel {c} net {:?}", cn.net);
+            }
+        }
+        assert!(spans > 0, "the instance has trunk lanes");
+    }
+
+    /// The `Steps` oracle of the live extents: an untouched run passes
+    /// the audit, and narrowing one stored extent fails it.
+    #[test]
+    fn audit_catches_a_narrowed_live_extent() {
+        let mut engine = engine_for_same_row();
+        open_run(&mut engine);
+        engine.audit_state();
+        let (net, lane) = (0..engine.scan.len())
+            .flat_map(|n| (0..engine.scan[n].extents.len()).map(move |l| (n, l)))
+            .find(|&(n, l)| engine.scan[n].extents[l] != NO_EXTENT)
+            .expect("some lane has a deletable trunk");
+        let (lo, hi) = engine.scan[net].extents[lane];
+        engine.scan[net].extents[lane] = (lo, hi - 1);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.audit_state()))
+            .expect_err("a narrowed extent must fail the audit");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("live trunk extent"), "{msg}");
     }
 
     #[test]

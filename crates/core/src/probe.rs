@@ -306,6 +306,11 @@ pub enum Counter {
     HypCacheHit,
     /// Hypothetical-wire cache misses (tentative-tree recomputations).
     HypCacheMiss,
+    /// Vertices re-settled by those recomputations: the subtree each
+    /// detached tree edge hangs (every vertex when a graph falls back to
+    /// full searches), so `hyp_resettled / hyp_cache_misses` is the
+    /// re-settled vertices per hypothetical search.
+    HypResettled,
     /// Delay-prefix memo hits: key evaluations that reused a memoized
     /// `C_d/Gl/LD` prefix and skipped the hypothetical-wire path
     /// entirely.
@@ -332,7 +337,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 18;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -347,6 +352,7 @@ impl Counter {
         Counter::DensityAggregateQuery,
         Counter::HypCacheHit,
         Counter::HypCacheMiss,
+        Counter::HypResettled,
         Counter::DelayMemoHit,
         Counter::DelayMemoMiss,
         Counter::ParTask,
@@ -369,12 +375,13 @@ impl Counter {
             Counter::DensityAggregateQuery => 8,
             Counter::HypCacheHit => 9,
             Counter::HypCacheMiss => 10,
-            Counter::DelayMemoHit => 11,
-            Counter::DelayMemoMiss => 12,
-            Counter::ParTask => 13,
-            Counter::ParBatch => 14,
-            Counter::ShardRebuild => 15,
-            Counter::DeadlineStop => 16,
+            Counter::HypResettled => 11,
+            Counter::DelayMemoHit => 12,
+            Counter::DelayMemoMiss => 13,
+            Counter::ParTask => 14,
+            Counter::ParBatch => 15,
+            Counter::ShardRebuild => 16,
+            Counter::DeadlineStop => 17,
         }
     }
 
@@ -392,6 +399,7 @@ impl Counter {
             Counter::DensityAggregateQuery => "density_aggregate_queries",
             Counter::HypCacheHit => "hyp_cache_hits",
             Counter::HypCacheMiss => "hyp_cache_misses",
+            Counter::HypResettled => "hyp_resettled",
             Counter::DelayMemoHit => "delay_memo_hits",
             Counter::DelayMemoMiss => "delay_memo_misses",
             Counter::ParTask => "par_tasks",

@@ -278,7 +278,9 @@ impl ShortestPaths {
     }
 
     /// The tentative tree assuming alive edge `e` deleted, bit-identical
-    /// to `Self::search(graph, Some(e)).tree(graph, exact)`.
+    /// to `Self::search(graph, Some(e)).tree(graph, exact)`, and the
+    /// number of vertices re-settled to find it (every vertex for a full
+    /// search, none when `e` is not a parent edge).
     ///
     /// When `exact` and `e` is a parent edge, only the subtree `S` below
     /// it is re-settled. Every other vertex keeps its distance and
@@ -297,16 +299,17 @@ impl ShortestPaths {
         graph: &RoutingGraph,
         e: u32,
         exact: bool,
-    ) -> Option<TreeDeps> {
+    ) -> (Option<TreeDeps>, u32) {
         if !exact {
-            return Self::search(graph, Some(e)).tree(graph, false);
+            let full = Self::search(graph, Some(e)).tree(graph, false);
+            return (full, graph.verts().len() as u32);
         }
         let edge = &graph.edges()[e as usize];
         let Some(child) = [edge.a, edge.b]
             .into_iter()
             .find(|&v| self.parent_edge[v as usize] == e)
         else {
-            return self.tree(graph, true);
+            return (self.tree(graph, true), 0);
         };
         let (dist, parent_edge) = (&self.dist, &self.parent_edge);
         let s = &mut self.scratch;
@@ -441,8 +444,9 @@ impl ShortestPaths {
                 deps: EdgeSet(s.next_union.clone().into_boxed_slice()),
             }
         });
+        let resettled = s.members.len() as u32;
         s.clear();
-        tree
+        (tree, resettled)
     }
 }
 
@@ -590,15 +594,24 @@ mod tests {
                 kept.clear();
                 for &e in &deletable {
                     let want = tentative_tree(&g, Some(e)).expect("non-bridge");
-                    let got = paths.tree_without(&g, e, exact).expect("non-bridge");
+                    let (got, count) = paths.tree_without(&g, e, exact);
+                    let got = got.expect("non-bridge");
                     assert_eq!(
                         got.length_um.to_bits(),
                         want.length_um.to_bits(),
                         "case {case}"
                     );
                     if !exact {
+                        assert_eq!(count as usize, g.verts().len(), "case {case}");
                         continue;
                     }
+                    // A tentative-tree edge is a parent edge: it detaches
+                    // at least its child, and never more than the graph.
+                    assert!(count as usize <= g.verts().len(), "case {case}");
+                    assert!(
+                        count > 0 || !full.edges.contains(&e),
+                        "case {case}: tree edge {e} re-settled nothing"
+                    );
                     resettled += full.edges.contains(&e) as usize;
                     for x in 0..g.edges().len() as u32 {
                         assert_eq!(got.deps.contains(x), want.edges.contains(&x));

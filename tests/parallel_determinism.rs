@@ -174,6 +174,10 @@ fn scan_counters_are_thread_invariant() {
         },
     )
     .1;
+    assert!(
+        reference.counter(Counter::HypResettled) > 0,
+        "the instance exercises subtree re-settles"
+    );
     for threads in [2, 8] {
         let trace = route_traced(
             &params,
@@ -190,6 +194,7 @@ fn scan_counters_are_thread_invariant() {
             Counter::DensityAggregateQuery,
             Counter::HypCacheHit,
             Counter::HypCacheMiss,
+            Counter::HypResettled,
             Counter::DelayMemoHit,
             Counter::DelayMemoMiss,
             Counter::HeapPush,
