@@ -1,6 +1,6 @@
 //! Hierarchical self-profile of the paper-scale reconstructions: where
 //! routing time goes, per phase, per deletion-loop scope, and per
-//! [`RekeyCause`](bgr_core::probe::RekeyCause) (DESIGN.md §14).
+//! [`RekeyCause`] (DESIGN.md §14).
 //!
 //! Routes `C2P1` and `C3P1` under the [`bgr_core::ProfilingProbe`] and
 //! prints each call-tree (total vs self time, call counts) plus the

@@ -8,7 +8,7 @@
 
 use bgr_channel::{route_channels, DetailedRoute};
 use bgr_core::{Counter, GlobalRouter, RouteTrace, Routed, RouterConfig};
-use bgr_gen::{arrival_with_lengths, hpwl_net_lengths_in_layout_um, hpwl_net_lengths_um, DataSet};
+use bgr_gen::{arrival_with_lengths, hpwl_net_lengths_in_layout_um, DataSet};
 use bgr_timing::{DelayModel, WireParams};
 
 /// One measured routing run (one half of a Table 2 row).
@@ -77,20 +77,6 @@ pub fn measure(ds: &DataSet, config: RouterConfig) -> (Measurement, Routed, Deta
             .collect(),
     };
     (m, routed, detail)
-}
-
-/// Per-constraint half-perimeter lower-bound delays (Table 3's
-/// reference), ps. Uses placement-only geometry (no channel heights).
-pub fn lower_bound_delays(ds: &DataSet) -> Vec<f64> {
-    let lb = hpwl_net_lengths_um(&ds.design.circuit, &ds.placement);
-    ds.design
-        .constraints
-        .iter()
-        .map(|c| {
-            arrival_with_lengths(&ds.design.circuit, c.source, c.sink, &lb)
-                .expect("constraints are reachable")
-        })
-        .collect()
 }
 
 /// Per-constraint lower-bound delays measured *in the routed layout*

@@ -35,6 +35,8 @@
 
 use bgr_layout::ChannelId;
 
+use crate::graph::RoutingGraph;
+
 /// Per-edge density parameters over the edge's interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EdgeDensity {
@@ -291,6 +293,16 @@ impl DensityMap {
         ch.d_max.range_add(a, b, -w);
         if was_bridge {
             ch.d_min.range_add(a, b, -w);
+        }
+    }
+
+    /// Adds (`sign = 1`) or removes (`sign = -1`) the whole density
+    /// footprint of a net: every span of [`RoutingGraph::trunk_spans`],
+    /// weighted by the net's width, under its current bridge status.
+    pub(crate) fn apply_net(&mut self, g: &RoutingGraph, sign: i32) {
+        let w = sign * g.width() as i32;
+        for (channel, x1, x2, bridge) in g.trunk_spans() {
+            self.add_span(channel, x1, x2, w, bridge);
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! # Incremental selection
 //!
-//! Selection runs on a [`Scoreboard`](crate::scoreboard::Scoreboard) by
+//! Selection runs on a [`Scoreboard`] by
 //! default: every deletable edge's **raw** [`EdgeKey`] — delay prefix
 //! plus the edge's own density window, *without* the channel
 //! aggregates — sits in its channel's heap with generation-stamped
@@ -43,7 +43,7 @@
 //!
 //! A net dirty for several reasons at once is *counted* once, under a
 //! deterministic precedence (graph > span-overlap > constraint — see
-//! [`derive_dirty`] and DESIGN.md §9), but re-keyed on the union of the
+//! `derive_dirty` and DESIGN.md §9), but re-keyed on the union of the
 //! heaps its causes reach; the dirty *set* is independent of the
 //! attribution.
 //!
@@ -53,10 +53,14 @@
 //! The rescan itself remains available as
 //! [`SelectionStrategy::FullRescan`] — an executable oracle used by the
 //! differential tests to prove byte-identical deletion sequences.
+//! Every minimum either path takes — scan, tournament, runner-up —
+//! goes through `select::ranks_first` (strict-less: the first scanned
+//! wins), and a rip-up and a snapshot restore are one operation,
+//! `Engine::set_alive`.
 //!
 //! # Per-net scan state and parallel re-keying
 //!
-//! Each net carries a private [`NetScanState`]: its shortest-path search,
+//! Each net carries a private `NetScanState`: its shortest-path search,
 //! its current tentative tree, and the *hypothetical* trees (assuming one
 //! edge deleted) of the edges that tree depends on — every other edge
 //! shares the current tree, and cached trees survive deletions that miss
@@ -90,7 +94,7 @@ use crate::probe::{
     Corruption, Counter, Hist, NoopProbe, Phase, Probe, RekeyCause, Scope, TraceEvent,
 };
 use crate::scoreboard::Scoreboard;
-use crate::select::{compare, deciding_tier, DecidingTier, EdgeKey};
+use crate::select::{deciding_tier, ranks_first, DecidingTier, EdgeKey};
 use crate::session::SnapshotStats;
 use crate::shard::ShardMap;
 use crate::tentative::{tentative_length_um, tree_deps_exact, EdgeSet, ShortestPaths, TreeDeps};
@@ -478,8 +482,9 @@ fn scan_edge_key(
 }
 
 /// `net`'s *champion*: the minimum key over its deletable edges, found
-/// with the strict-less linear scan shared by both selection
-/// strategies (and by every worker thread of a parallel batch).
+/// with the first-wins linear scan ([`ranks_first`]) shared by both
+/// selection strategies (and by every worker thread of a parallel
+/// batch).
 fn scan_champion(
     g: &RoutingGraph,
     density: &DensityMap,
@@ -495,11 +500,7 @@ fn scan_champion(
             continue;
         }
         let key = scan_edge_key(g, density, sta, net, e, state, c);
-        let better = match &best {
-            None => true,
-            Some(b) => compare(&key, b, order) == std::cmp::Ordering::Less,
-        };
-        if better {
+        if ranks_first(&key, best.as_ref(), order) {
             best = Some(key);
         }
     }
@@ -588,7 +589,7 @@ impl Lanes {
 /// heap is kept: composition adds the same aggregates to every key of a
 /// heap, so a net's dominated raw keys there can never become its
 /// champion — pushing them would only bloat the heaps (ties cannot
-/// occur: [`compare`] ends in a net/edge id tie-break).
+/// occur: [`crate::select::compare`] ends in a net/edge id tie-break).
 ///
 /// The same walk records each scanned lane's live trunk extent
 /// ([`NetScanState::extents`]), which [`derive_dirty`] tests touched
@@ -625,10 +626,7 @@ fn scan_raw_keys(
                 hi = hi.max(edge.x2);
             }
             let key = scan_edge_key_raw(g, net, e, cx, state, c);
-            if best
-                .as_ref()
-                .is_none_or(|b| compare(&key, b, cx.order) == std::cmp::Ordering::Less)
-            {
+            if ranks_first(&key, best.as_ref(), cx.order) {
                 best = Some(key);
             }
         }
@@ -840,13 +838,7 @@ impl<P: Probe> Engine<P> {
             g.recompute_bridges();
         }
         for g in &graphs {
-            let w = g.width() as i32;
-            for e in g.alive_edges() {
-                let edge = &g.edges()[e as usize];
-                if let REdgeKind::Trunk { channel } = edge.kind {
-                    density.add_span(channel, edge.x1, edge.x2, w, g.is_bridge(e));
-                }
-            }
+            density.apply_net(g, 1);
         }
         let scan: Vec<NetScanState> = graphs.iter().map(NetScanState::new).collect();
         let mut channel_nets: Vec<Vec<ChannelNet>> = vec![Vec::new(); num_channels];
@@ -1056,13 +1048,7 @@ impl<P: Probe> Engine<P> {
         let mut checks = 0u64;
         let mut fresh = DensityMap::new(self.density.num_channels(), self.density.width());
         for g in &self.graphs {
-            let w = g.width() as i32;
-            for e in g.alive_edges() {
-                let edge = &g.edges()[e as usize];
-                if let REdgeKind::Trunk { channel } = edge.kind {
-                    fresh.add_span(channel, edge.x1, edge.x2, w, g.is_bridge(e));
-                }
-            }
+            fresh.apply_net(g, 1);
         }
         let (got_max, want_max) = (self.density.snapshot_max(), fresh.snapshot_max());
         let (got_min, want_min) = (self.density.snapshot_min(), fresh.snapshot_min());
@@ -1276,14 +1262,7 @@ impl<P: Probe> Engine<P> {
         for &pe in &pruned {
             // Density removal uses the stale bridge flag, which is exactly
             // the status the span was added/promoted under.
-            let g = &self.graphs[ni];
-            let edge = g.edges()[pe as usize];
-            if let REdgeKind::Trunk { channel } = edge.kind {
-                let (w, bridge) = (g.width() as i32, g.is_bridge(pe));
-                self.note_touch(channel, edge.x1, edge.x2);
-                self.density
-                    .remove_span(channel, edge.x1, edge.x2, w, bridge);
-            }
+            self.remove_density(net, pe);
         }
         let old_bridge: Vec<bool> = (0..self.graphs[ni].edges().len() as u32)
             .map(|i| self.graphs[ni].is_bridge(i))
@@ -1323,6 +1302,23 @@ impl<P: Probe> Engine<P> {
                     .event(TraceEvent::CascadeDeleted { net: p, edge: e });
                 self.delete_one(p, e);
             }
+        }
+    }
+
+    /// Carries out one selection: deletes `e` of `net` with its partner
+    /// cascade, its effects recorded in a fresh delta, and appends it to
+    /// the selection log.
+    fn select(&mut self, net: NetId, e: u32) {
+        self.clear_delta();
+        self.delete_with_partner(net, e);
+        self.stats.selection_log.push((net, e));
+    }
+
+    /// The nets of a deletion `scope`: all nets when `None`.
+    fn scope_nets(&self, scope: Option<&[NetId]>) -> Vec<NetId> {
+        match scope {
+            Some(s) => s.to_vec(),
+            None => (0..self.graphs.len()).map(NetId::new).collect(),
         }
     }
 
@@ -1374,10 +1370,7 @@ impl<P: Probe> Engine<P> {
     /// fallback deletions; emits nothing when there was nothing left to
     /// do.
     pub(crate) fn fallback_complete(&mut self, scope: Option<&[NetId]>, steps_used: u64) -> usize {
-        let nets: Vec<NetId> = match scope {
-            Some(s) => s.to_vec(),
-            None => (0..self.graphs.len()).map(NetId::new).collect(),
-        };
+        let nets = self.scope_nets(scope);
         let deletable = |g: &RoutingGraph| g.alive_edges().find(|&e| !g.is_bridge(e));
         if !nets
             .iter()
@@ -1394,9 +1387,7 @@ impl<P: Probe> Engine<P> {
             while let Some(e) = deletable(&self.graphs[net.index()]) {
                 self.probe
                     .event(TraceEvent::FallbackDeleted { net, edge: e });
-                self.clear_delta();
-                self.delete_with_partner(net, e);
-                self.stats.selection_log.push((net, e));
+                self.select(net, e);
                 extra += 1;
             }
         }
@@ -1416,10 +1407,7 @@ impl<P: Probe> Engine<P> {
         start: u64,
         stop: Option<u64>,
     ) -> DeletionRun {
-        let nets: Vec<NetId> = match scope {
-            Some(s) => s.to_vec(),
-            None => (0..self.graphs.len()).map(NetId::new).collect(),
-        };
+        let nets = self.scope_nets(scope);
         let mut selections: u64 = 0;
         let complete = loop {
             if stop.is_some_and(|b| start + selections >= b) {
@@ -1432,23 +1420,13 @@ impl<P: Probe> Engine<P> {
                 let Some(key) = self.champion(net, order) else {
                     continue;
                 };
-                let better = match &best {
-                    None => true,
-                    Some(b) => compare(&key, b, order) == std::cmp::Ordering::Less,
-                };
-                if better {
+                if ranks_first(&key, best.as_ref(), order) {
                     if P::ENABLED {
                         second = best;
                     }
                     best = Some(key);
-                } else if P::ENABLED {
-                    let closer = match &second {
-                        None => true,
-                        Some(s) => compare(&key, s, order) == std::cmp::Ordering::Less,
-                    };
-                    if closer {
-                        second = Some(key);
-                    }
+                } else if P::ENABLED && ranks_first(&key, second.as_ref(), order) {
+                    second = Some(key);
                 }
             }
             let Some(key) = best else { break true };
@@ -1463,9 +1441,7 @@ impl<P: Probe> Engine<P> {
                     tier,
                 });
             }
-            self.clear_delta();
-            self.delete_with_partner(key.net, key.edge);
-            self.stats.selection_log.push((key.net, key.edge));
+            self.select(key.net, key.edge);
             selections += 1;
             self.maybe_step_audit(start + selections, None);
         };
@@ -1595,10 +1571,7 @@ impl<P: Probe> Engine<P> {
         start: u64,
         stop: Option<u64>,
     ) -> DeletionRun {
-        let nets: Vec<NetId> = match scope {
-            Some(s) => s.to_vec(),
-            None => (0..self.graphs.len()).map(NetId::new).collect(),
-        };
+        let nets = self.scope_nets(scope);
         let mut in_scope = vec![false; self.graphs.len()];
         for &n in &nets {
             in_scope[n.index()] = true;
@@ -1668,9 +1641,7 @@ impl<P: Probe> Engine<P> {
                 self.probe.scope_exit(Scope::Select);
                 self.probe.scope_enter(Scope::DeleteModify);
             }
-            self.clear_delta();
-            self.delete_with_partner(key.net, key.edge);
-            self.stats.selection_log.push((key.net, key.edge));
+            self.select(key.net, key.edge);
             selections += 1;
             if P::PROFILING {
                 self.probe.scope_exit(Scope::DeleteModify);
@@ -1744,49 +1715,13 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Rips up a net (and its lockstep partner) and reroutes it with the
-    /// given criteria order (§3.5 improvement phases).
+    /// given criteria order (§3.5 improvement phases). The rip-up is
+    /// `Engine::set_alive` back to the full pruned graph, the same path
+    /// [`Engine::restore`] takes to a snapshot.
     pub fn reroute_net(&mut self, net: NetId, order: CriteriaOrder) {
-        let mut scope = vec![net];
-        if let Some(p) = self.partner[net.index()] {
-            scope.push(p);
-        }
+        let scope = self.with_partner(net);
         for &n in &scope {
-            let ni = n.index();
-            // Remove the current (tree) density contribution.
-            for e in 0..self.graphs[ni].edges().len() as u32 {
-                if self.graphs[ni].is_alive(e) {
-                    let g = &self.graphs[ni];
-                    let edge = g.edges()[e as usize];
-                    if let REdgeKind::Trunk { channel } = edge.kind {
-                        self.density.remove_span(
-                            channel,
-                            edge.x1,
-                            edge.x2,
-                            g.width() as i32,
-                            g.is_bridge(e),
-                        );
-                    }
-                }
-            }
-            self.graphs[ni].restore_all();
-            self.graphs[ni].prune_dangling();
-            self.graphs[ni].recompute_bridges();
-            for e in 0..self.graphs[ni].edges().len() as u32 {
-                let g = &self.graphs[ni];
-                if g.is_alive(e) {
-                    let edge = g.edges()[e as usize];
-                    if let REdgeKind::Trunk { channel } = edge.kind {
-                        self.density.add_span(
-                            channel,
-                            edge.x1,
-                            edge.x2,
-                            g.width() as i32,
-                            g.is_bridge(e),
-                        );
-                    }
-                }
-            }
-            self.refresh_length(n);
+            self.set_alive(n, None);
             self.stats.reroutes += 1;
         }
         self.run_deletion(Some(&scope), order);
@@ -1795,52 +1730,44 @@ impl<P: Probe> Engine<P> {
     /// Captures the alive-edge masks of a net and its partner, for
     /// revertible rerouting.
     pub fn snapshot(&self, net: NetId) -> Vec<(NetId, Vec<bool>)> {
-        let mut out = vec![(net, self.graphs[net.index()].alive_mask())];
-        if let Some(p) = self.partner[net.index()] {
-            out.push((p, self.graphs[p.index()].alive_mask()));
-        }
-        out
+        self.with_partner(net)
+            .into_iter()
+            .map(|n| (n, self.graphs[n.index()].alive_mask()))
+            .collect()
     }
 
     /// Restores a snapshot taken with [`Engine::snapshot`], rebuilding
     /// density spans, lengths and margins.
     pub fn restore(&mut self, snapshot: &[(NetId, Vec<bool>)]) {
         for (net, mask) in snapshot {
-            let ni = net.index();
-            // Remove current density contribution.
-            for e in 0..self.graphs[ni].edges().len() as u32 {
-                if self.graphs[ni].is_alive(e) {
-                    let g = &self.graphs[ni];
-                    let edge = g.edges()[e as usize];
-                    if let REdgeKind::Trunk { channel } = edge.kind {
-                        self.density.remove_span(
-                            channel,
-                            edge.x1,
-                            edge.x2,
-                            g.width() as i32,
-                            g.is_bridge(e),
-                        );
-                    }
-                }
-            }
-            self.graphs[ni].set_alive_mask(mask);
-            for e in 0..self.graphs[ni].edges().len() as u32 {
-                let g = &self.graphs[ni];
-                if g.is_alive(e) {
-                    let edge = g.edges()[e as usize];
-                    if let REdgeKind::Trunk { channel } = edge.kind {
-                        self.density.add_span(
-                            channel,
-                            edge.x1,
-                            edge.x2,
-                            g.width() as i32,
-                            g.is_bridge(e),
-                        );
-                    }
-                }
-            }
-            self.refresh_length(*net);
+            self.set_alive(*net, Some(mask));
         }
+    }
+
+    /// `net` followed by its lockstep partner, if any.
+    fn with_partner(&self, net: NetId) -> Vec<NetId> {
+        std::iter::once(net)
+            .chain(self.partner[net.index()])
+            .collect()
+    }
+
+    /// Sets `net`'s alive edges to `mask`, or with `None` to the whole
+    /// graph minus its dangling chains (a rip-up), and rebuilds what
+    /// depends on them: the net's density spans, bridge flags and
+    /// memoized length (with the margins it feeds).
+    fn set_alive(&mut self, net: NetId, mask: Option<&[bool]>) {
+        let g = &mut self.graphs[net.index()];
+        self.density.apply_net(g, -1);
+        match mask {
+            Some(mask) => g.set_alive_mask(mask),
+            None => {
+                g.restore_all();
+                g.prune_dangling();
+                g.recompute_bridges();
+            }
+        }
+        self.density.apply_net(g, 1);
+        self.refresh_length(net);
     }
 
     /// Whether every net's graph is now a spanning tree.
@@ -1935,6 +1862,38 @@ mod tests {
         // Deterministic graphs: rerouting an optimal tree keeps length.
         let len_after = engine.sta().lengths().total_length_um();
         assert!((len_before - len_after).abs() < 1e-6);
+    }
+
+    #[test]
+    fn reroute_then_restore_round_trips_exactly() {
+        let mut engine = engine_for_same_row();
+        let net = bgr_netlist::NetId::new(1);
+        let masks = |e: &Engine| -> Vec<Vec<bool>> {
+            e.graphs().iter().map(RoutingGraph::alive_mask).collect()
+        };
+        let lengths = |e: &Engine| -> Vec<u64> {
+            (0..e.graphs().len())
+                .map(|i| e.sta().lengths().length_um(NetId::new(i)).to_bits())
+                .collect()
+        };
+        let before = (
+            masks(&engine),
+            engine.density().snapshot_max(),
+            engine.density().snapshot_min(),
+            lengths(&engine),
+        );
+        let snap = engine.snapshot(net);
+        engine.reroute_net(net, CriteriaOrder::AreaFirst);
+        assert_ne!(masks(&engine), before.0, "the reroute must move the net");
+        engine.restore(&snap);
+        let after = (
+            masks(&engine),
+            engine.density().snapshot_max(),
+            engine.density().snapshot_min(),
+            lengths(&engine),
+        );
+        assert_eq!(after, before);
+        engine.audit_state();
     }
 
     #[test]

@@ -393,6 +393,21 @@ impl RoutingGraph {
         self.alive_edges().filter(|&e| !self.bridge[e as usize])
     }
 
+    /// The net's density footprint: `(channel, x1, x2, bridge)` of every
+    /// alive trunk edge, in edge order. A bridge span also counts in
+    /// `d_m` (see [`crate::density`]).
+    pub(crate) fn trunk_spans(&self) -> impl Iterator<Item = (ChannelId, i32, i32, bool)> + '_ {
+        self.alive_edges().filter_map(|e| {
+            let edge = &self.edges[e as usize];
+            match edge.kind {
+                REdgeKind::Trunk { channel } => {
+                    Some((channel, edge.x1, edge.x2, self.bridge[e as usize]))
+                }
+                _ => None,
+            }
+        })
+    }
+
     /// Whether any deletable edge remains.
     pub fn has_non_bridge(&self) -> bool {
         self.non_bridge_edges().next().is_some()

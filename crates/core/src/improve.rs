@@ -221,32 +221,15 @@ pub fn improve_area<P: Probe>(
             break;
         }
         // Score nets by the peak density their tree runs through.
-        let all_spans: Vec<Vec<(bgr_layout::ChannelId, i32, i32)>> = engine
-            .graphs()
-            .iter()
-            .map(|g| {
-                g.alive_edges()
-                    .filter_map(|e| {
-                        let edge = &g.edges()[e as usize];
-                        match edge.kind {
-                            crate::graph::REdgeKind::Trunk { channel } => {
-                                Some((channel, edge.x1, edge.x2))
-                            }
-                            _ => None,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let density = engine.density();
         let mut scored: Vec<(i32, NetId)> = Vec::new();
-        for (i, spans) in all_spans.into_iter().enumerate() {
-            let net = NetId::new(i);
-            let mut score = 0;
-            for (c, x1, x2) in spans {
-                score = score.max(engine.density().edge_density(c, x1, x2).d_max);
-            }
+        for (i, g) in engine.graphs().iter().enumerate() {
+            let score = g
+                .trunk_spans()
+                .map(|(c, x1, x2, _)| density.edge_density(c, x1, x2).d_max)
+                .fold(0, i32::max);
             if score >= hottest - 1 && score > 0 {
-                scored.push((score, net));
+                scored.push((score, NetId::new(i)));
             }
         }
         scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));

@@ -361,28 +361,9 @@ impl Counter {
         Counter::DeadlineStop,
     ];
 
-    /// Dense index into counter arrays.
+    /// Dense index into counter arrays: the declaration order.
     pub fn index(self) -> usize {
-        match self {
-            Counter::KeyEval => 0,
-            Counter::HeapPush => 1,
-            Counter::HeapPop => 2,
-            Counter::StaleHeapPop => 3,
-            Counter::RekeyGraph => 4,
-            Counter::RekeySpan => 5,
-            Counter::RekeyConstraint => 6,
-            Counter::DensityWindowQuery => 7,
-            Counter::DensityAggregateQuery => 8,
-            Counter::HypCacheHit => 9,
-            Counter::HypCacheMiss => 10,
-            Counter::HypResettled => 11,
-            Counter::DelayMemoHit => 12,
-            Counter::DelayMemoMiss => 13,
-            Counter::ParTask => 14,
-            Counter::ParBatch => 15,
-            Counter::ShardRebuild => 16,
-            Counter::DeadlineStop => 17,
-        }
+        self as usize
     }
 
     /// Stable snake_case label (used by the JSONL schema).
@@ -437,13 +418,9 @@ impl Hist {
         Hist::MergeBatchSize,
     ];
 
-    /// Dense index into histogram arrays.
+    /// Dense index into histogram arrays: the declaration order.
     pub fn index(self) -> usize {
-        match self {
-            Hist::DirtySetSize => 0,
-            Hist::StalePopsPerSelection => 1,
-            Hist::MergeBatchSize => 2,
-        }
+        self as usize
     }
 
     /// Stable snake_case label (used by the JSONL schema).
@@ -1256,12 +1233,8 @@ impl<P: Probe> Probe for PhaseTracked<P> {
     }
 
     fn phase_enter(&mut self, phase: Phase) {
-        let idx = Phase::ALL
-            .iter()
-            .position(|&p| p == phase)
-            .unwrap_or(Self::SETUP);
         self.current
-            .store(idx, std::sync::atomic::Ordering::Relaxed);
+            .store(phase as usize, std::sync::atomic::Ordering::Relaxed);
         self.inner.phase_enter(phase);
     }
 
@@ -1301,6 +1274,11 @@ mod tests {
         }
         for (i, h) in Hist::ALL.iter().enumerate() {
             assert_eq!(h.index(), i);
+        }
+        // `PhaseTracked` stores `phase as usize` and reads it back
+        // through `Phase::ALL`.
+        for (i, &p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(p as usize, i);
         }
         // Labels are unique (the JSONL schema depends on it).
         let mut labels: Vec<&str> = Counter::ALL.iter().map(|c| c.label()).collect();

@@ -91,7 +91,7 @@ use bgr_netlist::NetId;
 use crate::config::CriteriaOrder;
 use crate::density::DensityMap;
 use crate::probe::{Counter, Hist, NoopProbe, Probe};
-use crate::select::{compare, EdgeKey};
+use crate::select::{compare, ranks_first, EdgeKey};
 use crate::shard::ShardMap;
 
 #[derive(Debug, Clone)]
@@ -373,11 +373,7 @@ impl Scoreboard {
                 probe.count(Counter::DensityAggregateQuery, 1);
             }
             let composed = self.compose(h as usize, raw, density);
-            let better = match &min {
-                None => true,
-                Some((_, b)) => compare(&composed, b, self.order) == Ordering::Less,
-            };
-            if better {
+            if ranks_first(&composed, min.as_ref().map(|(_, b)| b), self.order) {
                 min = Some((h, composed));
             }
         }
@@ -419,11 +415,7 @@ impl Scoreboard {
         let mut best: Option<(usize, EdgeKey)> = None;
         for c in &self.cache {
             let Some((heap, key)) = c.min else { continue };
-            let better = match &best {
-                None => true,
-                Some((_, b)) => compare(&key, b, self.order) == Ordering::Less,
-            };
-            if better {
+            if ranks_first(&key, best.as_ref().map(|(_, b)| b), self.order) {
                 best = Some((heap as usize, key));
             }
         }
@@ -474,11 +466,7 @@ impl Scoreboard {
                 continue;
             };
             let composed = self.compose(h, raw, density);
-            let better = match &best {
-                None => true,
-                Some(b) => compare(&composed, b, self.order) == Ordering::Less,
-            };
-            if better {
+            if ranks_first(&composed, best.as_ref(), self.order) {
                 best = Some(composed);
             }
         }

@@ -97,6 +97,14 @@ pub fn compare(a: &EdgeKey, b: &EdgeKey, order: CriteriaOrder) -> Ordering {
     }
 }
 
+/// The first-wins minimum rule every selection scan and tournament
+/// shares: `key` displaces the running minimum `best` only when it
+/// ranks strictly before it, so of two candidates [`compare`] cannot
+/// separate the one scanned first wins (DESIGN.md §10).
+pub(crate) fn ranks_first(key: &EdgeKey, best: Option<&EdgeKey>, order: CriteriaOrder) -> bool {
+    best.is_none_or(|b| compare(key, b, order) == Ordering::Less)
+}
+
 /// Which comparison tier of [`compare`] decided a selection — the
 /// *decision provenance* attached to every `DeletionSelected` trace
 /// event. A selection's provenance is computed against the runner-up

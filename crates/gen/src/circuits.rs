@@ -190,7 +190,7 @@ pub fn golden_instance() -> DataSet {
     custom("TRACE", params, PlacementStyle::EvenFeed)
 }
 
-/// `C1P1`, built once per process. [`DataSet::build`] runs a full
+/// `C1P1`, built once per process. `DataSet::build` runs a full
 /// reference route to anchor the constraints, which dwarfs everything a
 /// bench does with the result — harnesses comparing strategies or
 /// configurations on the same data set must share one construction.

@@ -89,14 +89,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The fields in source order, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
 }
 
 /// A structured parse failure: what went wrong and where.
@@ -285,7 +277,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 }
 
 /// Escapes `s` for embedding inside a JSON string literal (the inverse
-/// of what [`parse_string`] unescapes). Shared by every hand-rolled
+/// of what `parse_string` unescapes). Shared by every hand-rolled
 /// writer that needs to embed free text (audit verdicts, error
 /// messages) in a JSONL stream.
 pub fn escape_json(s: &str) -> String {

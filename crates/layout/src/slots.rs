@@ -284,13 +284,6 @@ impl SlotStore {
         }
     }
 
-    /// Releases all occupancy (flags are kept).
-    pub fn release_all(&mut self) {
-        for row in &mut self.rows {
-            row.occ.iter_mut().for_each(|o| *o = None);
-        }
-    }
-
     /// Number of free slots in a row.
     pub fn free_in_row(&self, row: usize) -> usize {
         self.rows[row].occ.iter().filter(|o| o.is_none()).count()

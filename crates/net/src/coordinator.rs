@@ -24,7 +24,7 @@
 //! enforced *before* any grant, so an arm runs exactly
 //! `min(natural, max_slices)` slices regardless of worker timing, and
 //! the winner is decided only once every arm has parked or finished —
-//! by the total order ([`FinishVerdict::beats`], then arm index), never
+//! by the total order ([`bgr_serve::FinishVerdict::beats`], then arm index), never
 //! by which arm finished first on the wall clock.
 
 use std::collections::HashMap;
@@ -498,11 +498,6 @@ impl Coordinator {
     /// order is fine here: merged counters are commutative sums).
     pub fn worker_snapshots(&self) -> &[(String, MetricsSnapshot)] {
         &self.worker_snapshots
-    }
-
-    /// Consumes the coordinator, returning the drained queue.
-    pub fn into_queue(self) -> JobQueue {
-        self.queue
     }
 
     /// True once every job reached `Completed` (drain succeeded

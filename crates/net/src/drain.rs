@@ -263,7 +263,7 @@ impl Drop for ActiveGuard {
 /// # Panics
 ///
 /// Panics if a handler thread panicked (nothing in the handler should;
-/// the drain still settles first, because [`ActiveGuard`] un-counts the
+/// the drain still settles first, because `ActiveGuard` un-counts the
 /// dead connection).
 pub fn serve_drain(
     listener: TcpListener,

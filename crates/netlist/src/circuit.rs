@@ -504,11 +504,6 @@ impl CircuitBuilder {
         self.pads[pad.index()].term()
     }
 
-    /// Kind of an added cell.
-    pub fn cell_kind(&self, cell: CellId) -> KindId {
-        self.cells[cell.index()].kind()
-    }
-
     /// Terminal id of `cell`'s pin by index (see
     /// [`CircuitBuilder::cell_term`] for lookup by name).
     pub fn cell_term_at(&self, cell: CellId, pin: usize) -> TermId {
