@@ -44,14 +44,13 @@ pub enum RouteError {
         message: String,
     },
     /// A serving-layer slice deadline expired before the slice could
-    /// run (`bgr-serve`'s `QueuePolicy`): the job is abandoned with
-    /// this structured verdict instead of consuming further budget.
-    /// `budget_ms` is the configured per-job budget (0 when the expiry
-    /// was detected remotely, where the original budget is unknown).
-    DeadlineExpired {
-        /// Configured wall-clock budget in milliseconds.
-        budget_ms: u64,
-    },
+    /// run (`bgr-serve`'s `QueuePolicy`): the slice's lease carried a
+    /// spent budget, so the job is abandoned with this structured
+    /// verdict instead of consuming further budget. The configured
+    /// budget stays on the job (`bgr_serve::Job::deadline_ms`). Braced
+    /// without fields, so `DeadlineExpired { .. }` patterns written when
+    /// it carried a budget still match.
+    DeadlineExpired {},
     /// A checkpoint could not be restored into a live session: version
     /// skew, a truncated or corrupted file, or serialized state
     /// inconsistent with the embedded design (wrong mask lengths, a
@@ -85,9 +84,7 @@ impl std::fmt::Display for RouteError {
             Self::Internal { phase, message } => {
                 write!(f, "internal error during {phase}: {message}")
             }
-            Self::DeadlineExpired { budget_ms } => {
-                write!(f, "slice deadline expired (budget {budget_ms} ms)")
-            }
+            Self::DeadlineExpired {} => write!(f, "slice deadline expired"),
             Self::Checkpoint { message } => {
                 write!(f, "checkpoint rejected: {message}")
             }

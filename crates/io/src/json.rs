@@ -209,15 +209,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| JsonError {
+                // Consume the run up to the next quote or escape at once
+                // (multi-byte sequences pass through unchanged). Both
+                // delimiters are ASCII, so the run is whole UTF-8, and
+                // only the run is validated — not the rest of the input
+                // per character.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| JsonError {
                     offset: *pos,
                     message: "invalid utf-8 in string".into(),
                 })?;
-                let ch = rest.chars().next().expect("non-empty rest");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -376,5 +382,8 @@ mod tests {
     fn unicode_passthrough() {
         let v = Json::parse("{\"s\":\"µs → done\"}").expect("utf-8 ok");
         assert_eq!(v.get("s").and_then(Json::as_str), Some("µs → done"));
+        // Multi-byte runs split by escapes.
+        let v = Json::parse("\"é\\n→\\\"ü\"").expect("utf-8 ok");
+        assert_eq!(v.as_str(), Some("é\n→\"ü"));
     }
 }

@@ -1,8 +1,8 @@
 //! Lease-based drain coordination over a [`JobQueue`].
 //!
 //! The [`Coordinator`] owns the queue and a lease table. Workers pull:
-//! each asks for a lease, computes the slice with the *same*
-//! `bgr_serve::run_slice` the local rounds use, and returns the
+//! each asks for a lease, runs it with the *same*
+//! `bgr_serve::run_lease` the local rounds use, and returns the
 //! outcome. Three rules keep a distributed drain byte-identical to a
 //! local one (DESIGN.md §15):
 //!
@@ -393,18 +393,11 @@ impl Coordinator {
                 _ => {}
             }
             let expired = self.leases.contains_key(&id);
-            let spec = match self.queue.lease_spec(id) {
-                Ok(Some(spec)) => spec,
-                Ok(None) => {
-                    self.leases.remove(&id);
-                    continue;
-                }
-                Err(_) => {
-                    // The job failed to materialize; it is terminal now
-                    // and its structured error lives on the job.
-                    self.leases.remove(&id);
-                    continue;
-                }
+            // Nothing to lease: the job is terminal or cancelled, or it
+            // failed to materialize (its structured error lives on it).
+            let Ok(Some(spec)) = self.queue.lease_spec(id) else {
+                self.leases.remove(&id);
+                continue;
             };
             self.leases.insert(
                 id,

@@ -78,13 +78,7 @@ fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 fn lease_or_nowork(coord: &Mutex<Coordinator>) -> Message {
     let mut c = coord.lock().expect("coordinator mutex");
     match c.next_lease(Instant::now()) {
-        Some(spec) => Message::Lease {
-            job: spec.job as u64,
-            slice: spec.slice,
-            quota: spec.quota,
-            deadline_ms: spec.deadline_ms,
-            checkpoint: spec.checkpoint,
-        },
+        Some(spec) => Message::Lease(spec),
         None => Message::NoWork {
             settled: c.settled(),
         },

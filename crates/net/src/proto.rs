@@ -13,7 +13,7 @@ use std::fmt;
 use bgr_core::RouteError;
 use bgr_io::codec::{f64_hex, opt_u64, put_block, put_line, Reader};
 use bgr_io::ParseError;
-use bgr_serve::{FinishVerdict, SliceOutcome};
+use bgr_serve::{FinishVerdict, LeaseSpec, SliceOutcome};
 
 use crate::frame::{Frame, FrameError};
 
@@ -222,10 +222,11 @@ impl WireOutcome {
     /// Reconstructs the [`SliceOutcome`] a coordinator applies.
     /// Remote finishes carry no `Routed`/`AuditReport`; remote failures
     /// surface as [`RouteError::Internal`] in phase `"remote"` — except
-    /// a deadline abandonment, whose canonical message maps back onto
-    /// [`RouteError::DeadlineExpired`] so coordinator-side accounting
-    /// (the `bgr_deadline_missed_total` counter) matches the local
-    /// path. The original budget does not travel; it lands as 0.
+    /// a deadline abandonment, whose message (the error's `Display`,
+    /// or the longer `"... (budget 0 ms)"` text of older journals) maps
+    /// back onto [`RouteError::DeadlineExpired`] so coordinator-side
+    /// accounting (the `bgr_deadline_missed_total` counter) matches the
+    /// local path.
     ///
     /// # Errors
     ///
@@ -261,7 +262,7 @@ impl WireOutcome {
             },
             Self::Failed { message } => SliceOutcome::Failed {
                 error: if message.starts_with("slice deadline expired") {
-                    RouteError::DeadlineExpired { budget_ms: 0 }
+                    RouteError::DeadlineExpired {}
                 } else {
                     RouteError::Internal {
                         phase: "remote",
@@ -298,21 +299,9 @@ pub enum Message {
     },
     /// Worker → coordinator: ready for a lease.
     LeaseReq,
-    /// Coordinator → worker: one slice of work.
-    Lease {
-        /// Queue id of the job.
-        job: u64,
-        /// Slice index this lease produces.
-        slice: u64,
-        /// Per-slice selection quota.
-        quota: Option<u64>,
-        /// Remaining deadline budget in ms under the queue's policy
-        /// (`Some(0)` = already expired, abandon without routing;
-        /// `None` = no deadline governance).
-        deadline_ms: Option<u64>,
-        /// Checkpoint to resume from (self-contained).
-        checkpoint: String,
-    },
+    /// Coordinator → worker: one slice of work, the spec the worker
+    /// hands to [`bgr_serve::run_lease`]. The job id travels as `u64`.
+    Lease(LeaseSpec),
     /// Coordinator → worker: nothing leasable right now.
     NoWork {
         /// Whether the drain is over (workers should report metrics and
@@ -403,7 +392,7 @@ impl Message {
             Self::Hello { .. } => 1,
             Self::Welcome { .. } => 2,
             Self::LeaseReq => 3,
-            Self::Lease { .. } => 4,
+            Self::Lease(_) => 4,
             Self::NoWork { .. } => 5,
             Self::Result { .. } => 6,
             Self::Heartbeat { .. } => 7,
@@ -440,18 +429,12 @@ impl Message {
                 put_line(&mut out, "heartbeat_ms", heartbeat_ms);
             }
             Self::LeaseReq | Self::Bye => {}
-            Self::Lease {
-                job,
-                slice,
-                quota,
-                deadline_ms,
-                checkpoint,
-            } => {
-                put_line(&mut out, "job", job);
-                put_line(&mut out, "slice", slice);
-                put_line(&mut out, "quota", opt_u64(*quota));
-                put_line(&mut out, "deadline_ms", opt_u64(*deadline_ms));
-                put_block(&mut out, "checkpoint", checkpoint);
+            Self::Lease(spec) => {
+                put_line(&mut out, "job", spec.job as u64);
+                put_line(&mut out, "slice", spec.slice);
+                put_line(&mut out, "quota", opt_u64(spec.quota));
+                put_line(&mut out, "deadline_ms", opt_u64(spec.deadline_ms));
+                put_block(&mut out, "checkpoint", &spec.checkpoint);
             }
             Self::NoWork { settled } => put_line(&mut out, "settled", settled),
             Self::Result {
@@ -541,13 +524,17 @@ impl Message {
                 heartbeat_ms: r.get("heartbeat_ms")?,
             },
             3 => Self::LeaseReq,
-            4 => Self::Lease {
-                job: r.get("job")?,
-                slice: r.get("slice")?,
-                quota: r.opt_u64("quota")?,
-                deadline_ms: r.opt_u64("deadline_ms")?,
-                checkpoint: r.block("checkpoint")?.to_owned(),
-            },
+            4 => {
+                let job: u64 = r.get("job")?;
+                Self::Lease(LeaseSpec {
+                    job: usize::try_from(job)
+                        .map_err(|_| malformed(format!("lease job id {job} exceeds usize")))?,
+                    slice: r.get("slice")?,
+                    quota: r.opt_u64("quota")?,
+                    deadline_ms: r.opt_u64("deadline_ms")?,
+                    checkpoint: r.block("checkpoint")?.to_owned(),
+                })
+            }
             5 => Self::NoWork {
                 settled: r.get("settled")?,
             },
@@ -647,27 +634,27 @@ mod tests {
             heartbeat_ms: 1250,
         });
         round_trip(Message::LeaseReq);
-        round_trip(Message::Lease {
+        round_trip(Message::Lease(LeaseSpec {
             job: 3,
             slice: 7,
             quota: Some(16),
             deadline_ms: Some(1500),
             checkpoint: "bgr-checkpoint v1\nfake\n".into(),
-        });
-        round_trip(Message::Lease {
+        }));
+        round_trip(Message::Lease(LeaseSpec {
             job: 0,
             slice: 0,
             quota: None,
             deadline_ms: None,
             checkpoint: String::new(),
-        });
-        round_trip(Message::Lease {
+        }));
+        round_trip(Message::Lease(LeaseSpec {
             job: 1,
             slice: 2,
             quota: Some(4),
             deadline_ms: Some(0), // expired budget: worker abandons
             checkpoint: "bgr-checkpoint v1\nfake\n".into(),
-        });
+        }));
         round_trip(Message::NoWork { settled: true });
         round_trip(Message::Result {
             job: 2,
@@ -828,17 +815,18 @@ mod tests {
 
     #[test]
     fn deadline_abandonment_maps_back_to_the_structured_error() {
-        let out = WireOutcome::Failed {
-            message: "slice deadline expired (budget 0 ms)".into(),
+        // The current message, and the one journals written before the
+        // error lost its budget field carry.
+        let legacy = "slice deadline expired (budget 0 ms)".to_string();
+        for message in [RouteError::DeadlineExpired {}.to_string(), legacy] {
+            let out = WireOutcome::Failed { message }.into_outcome().unwrap();
+            assert!(matches!(
+                out,
+                SliceOutcome::Failed {
+                    error: RouteError::DeadlineExpired { .. }
+                }
+            ));
         }
-        .into_outcome()
-        .unwrap();
-        assert!(matches!(
-            out,
-            SliceOutcome::Failed {
-                error: RouteError::DeadlineExpired { budget_ms: 0 }
-            }
-        ));
         let out = WireOutcome::Failed {
             message: "checkpoint damaged".into(),
         }

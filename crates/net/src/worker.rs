@@ -3,7 +3,7 @@
 //! [`run_worker`] connects to a coordinator, performs the
 //! HELLO/WELCOME handshake (version check, optional auth token), then
 //! loops: request a lease, execute it with the *same*
-//! [`bgr_serve::run_slice`] the local queue uses, return the result,
+//! [`bgr_serve::run_lease`] the local queue uses, return the result,
 //! repeat — until the coordinator reports the drain settled, at which
 //! point the worker ships its metrics snapshot and disconnects. The
 //! worker holds no routing state between leases: everything it needs is
@@ -26,8 +26,9 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use bgr_core::RouteError;
 use bgr_metrics::{CounterHandle, HistogramHandle, MetricsRegistry};
-use bgr_serve::run_slice;
+use bgr_serve::{run_lease, LeaseSpec, SliceOutcome};
 
 use crate::frame::PROTO_VERSION;
 use crate::proto::{recv, send, Message, ProtoError, WireOutcome};
@@ -130,8 +131,8 @@ pub struct WorkerOptions {
     /// Heartbeat cadence override while a slice computes. `None` uses
     /// the cadence the coordinator advertises in WELCOME.
     pub heartbeat: Option<Duration>,
-    /// Test support: sleep this long inside every slice (before
-    /// [`run_slice`]) to simulate slow work. Wall clock only — never a
+    /// Test support: sleep this long inside every lease (before
+    /// [`run_lease`]) to simulate slow work. Wall clock only — never a
     /// determinism input.
     pub slice_delay: Option<Duration>,
     /// Reconnect attempts after a retryable fault before giving up.
@@ -346,13 +347,7 @@ fn drain_connection(
         // has definitively been received (and applied or rejected).
         state.pending = None;
         match reply {
-            Message::Lease {
-                job,
-                slice,
-                quota,
-                deadline_ms,
-                checkpoint,
-            } => {
+            Message::Lease(spec) => {
                 idle = 0;
                 state.report.leases += 1;
                 metrics.leases_total.inc();
@@ -364,37 +359,23 @@ fn drain_connection(
                     state.report.died = true;
                     return Ok(());
                 }
-                if deadline_ms == Some(0) {
-                    // The slice's budget was already spent when the
-                    // lease was frozen: abandon it unrun. The canonical
-                    // message maps back to `RouteError::DeadlineExpired`
-                    // on the coordinator, same as a local expiry.
-                    metrics.deadline_abandoned_total.inc();
-                    metrics.failed_total.inc();
-                    state.pending = Some((
-                        job,
-                        slice,
-                        WireOutcome::Failed {
-                            message: "slice deadline expired (budget 0 ms)".to_string(),
-                        },
-                    ));
-                    continue;
-                }
                 let start = Instant::now();
-                let (out, hb_err) = run_slice_heartbeating(
-                    &mut stream,
-                    job,
-                    slice,
-                    &checkpoint,
-                    quota,
-                    cadence,
-                    opts,
-                    metrics,
-                );
-                metrics
-                    .slice_latency_us
-                    .observe(start.elapsed().as_micros() as u64);
-                state.report.slices += 1;
+                let (out, hb_err) =
+                    run_lease_heartbeating(&mut stream, &spec, cadence, opts, metrics);
+                if let SliceOutcome::Failed {
+                    error: RouteError::DeadlineExpired { .. },
+                } = &out
+                {
+                    // Abandoned unrun: `run_lease` returns at once for a
+                    // spent budget, so no slice ran and no heartbeat fell
+                    // due.
+                    metrics.deadline_abandoned_total.inc();
+                } else {
+                    metrics
+                        .slice_latency_us
+                        .observe(start.elapsed().as_micros() as u64);
+                    state.report.slices += 1;
+                }
                 let wire = WireOutcome::from_outcome(&out);
                 match &wire {
                     WireOutcome::Suspended { .. } => metrics.suspended_total.inc(),
@@ -406,7 +387,7 @@ fn drain_connection(
                 // stream (including one detected by the heartbeat loop)
                 // resends it after reconnecting instead of wasting the
                 // slice.
-                state.pending = Some((job, slice, wire));
+                state.pending = Some((spec.job as u64, spec.slice, wire));
                 if let Some(e) = hb_err {
                     return Err(e);
                 }
@@ -453,22 +434,18 @@ fn drain_connection(
     }
 }
 
-/// Executes one leased slice on a scoped thread while this thread
-/// heartbeats the lease on `cadence`. Returns the outcome plus the
+/// Executes one lease with [`run_lease`] on a scoped thread while
+/// this thread heartbeats it on `cadence`. Returns the outcome plus the
 /// first heartbeat error, if any — the slice always runs to completion
 /// (the work is never wasted; a dead stream means the caller resends
 /// the parked result after reconnecting).
-#[allow(clippy::too_many_arguments)]
-fn run_slice_heartbeating(
+fn run_lease_heartbeating(
     stream: &mut TcpStream,
-    job: u64,
-    slice: u64,
-    checkpoint: &str,
-    quota: Option<u64>,
+    spec: &LeaseSpec,
     cadence: Duration,
     opts: &WorkerOptions,
     metrics: &WorkerMetrics,
-) -> (bgr_serve::SliceOutcome, Option<ProtoError>) {
+) -> (SliceOutcome, Option<ProtoError>) {
     let done = AtomicBool::new(false);
     let mut hb_err: Option<ProtoError> = None;
     let out = std::thread::scope(|s| {
@@ -476,7 +453,7 @@ fn run_slice_heartbeating(
             if let Some(d) = opts.slice_delay {
                 std::thread::sleep(d);
             }
-            let out = run_slice(checkpoint, quota);
+            let out = run_lease(spec);
             done.store(true, Ordering::Release);
             out
         });
@@ -486,8 +463,11 @@ fn run_slice_heartbeating(
             if hb_err.is_some() || last.elapsed() < cadence {
                 continue;
             }
-            let echoed = send(&mut *stream, &Message::Heartbeat { job, slice })
-                .and_then(|()| recv(&mut *stream));
+            let heartbeat = Message::Heartbeat {
+                job: spec.job as u64,
+                slice: spec.slice,
+            };
+            let echoed = send(&mut *stream, &heartbeat).and_then(|()| recv(&mut *stream));
             match echoed {
                 Ok(Message::Heartbeat { .. }) => metrics.heartbeats_total.inc(),
                 Ok(other) => {

@@ -6,16 +6,20 @@
 //! # State machine
 //!
 //! ```text
-//! Created ──▶ Running ──▶ Suspended(checkpoint) ──▶ Completed
-//!                ▲             │        │
-//!                └─────────────┘        └──────────▶ Failed
+//!            ┌─────── slice ───────┐
+//!            ▼                     │
+//! Created ──▶ Suspended(checkpoint) ┘
+//!    │              │
+//!    └──────────────┴──▶ Completed │ Failed
 //! ```
 //!
-//! [`JobQueue::run_round`] advances every runnable job by one slice,
-//! fanning the slices over `bgr_core::par::scoped_map`. A slice is:
-//! restore the session from the job's checkpoint text (or start it),
-//! run one [`RouteSession::step`] under the job's selection quota, then
-//! either write a fresh checkpoint (suspension) or finish and audit.
+//! Every arrow is one slice, taken the same way in-process and on a
+//! `bgr-net` worker: **lease** ([`JobQueue::lease_spec`] materializes
+//! the step-0 checkpoint on demand and freezes the remaining deadline
+//! budget), **run** ([`run_lease`], the one executor) and **apply**
+//! ([`JobQueue::apply_remote`] validates the trace segment and folds
+//! the [`SliceOutcome`]). [`JobQueue::run_round`] takes those steps for
+//! every runnable job over `bgr_core::par::scoped_map`.
 //! **Every suspension round-trips through the serialized codec** —
 //! `bgr_io::write_checkpoint` / `bgr_io::parse_checkpoint` — never a
 //! kept-alive in-memory session, so the resume path is exercised on
@@ -154,11 +158,8 @@ pub enum SliceOutcome {
 
 /// Runs one budgeted slice from a serialized checkpoint: parse →
 /// resume → one [`RouteSession::step`] → re-checkpoint or finish +
-/// independent audit. **This is the single slice execution path** —
-/// [`JobQueue`] calls it for local rounds and `bgr-net` workers call it
-/// for leased slices, so a distributed drain is byte-identical to a
-/// local one by construction, not by parallel maintenance of two
-/// pipelines.
+/// independent audit. [`run_lease`] is its one caller on the serving
+/// path.
 ///
 /// Self-contained: the checkpoint embeds the design, configuration and
 /// the global event offset, so `(checkpoint, quota)` fully determines
@@ -243,6 +244,23 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
             }
         }
     }
+}
+
+/// Runs one leased slice — **the single slice executor**: local rounds
+/// ([`JobQueue::run_round`]) and `bgr-net` workers both call it, so a
+/// distributed drain is byte-identical to a local one by construction,
+/// not by parallel maintenance of two pipelines.
+///
+/// A lease whose frozen budget is spent (`deadline_ms == Some(0)`) is
+/// abandoned unrun with [`RouteError::DeadlineExpired`]; any other
+/// lease is [`run_slice`] from its checkpoint under its quota.
+pub fn run_lease(spec: &LeaseSpec) -> SliceOutcome {
+    if spec.deadline_ms == Some(0) {
+        return SliceOutcome::Failed {
+            error: RouteError::DeadlineExpired {},
+        };
+    }
+    run_slice(&spec.checkpoint, spec.quota)
 }
 
 /// Admission limits for a [`JobQueue`] — the serve layer's half of the
@@ -452,9 +470,6 @@ impl ServeMetrics {
 pub enum SessionState {
     /// Submitted; no slice has run yet.
     Created,
-    /// A slice is executing right now (transient — never observed
-    /// between [`JobQueue::run_round`] calls).
-    Running,
     /// Parked at a checkpoint; the next round resumes it (unless
     /// cancelled).
     Suspended,
@@ -470,7 +485,6 @@ impl SessionState {
     pub fn label(&self) -> &'static str {
         match self {
             Self::Created => "created",
-            Self::Running => "running",
             Self::Suspended => "suspended",
             Self::Completed => "completed",
             Self::Failed => "failed",
@@ -483,14 +497,24 @@ impl SessionState {
     }
 }
 
-/// One routing session managed by the queue.
+/// The raw design inputs of a job submitted by [`JobQueue::submit`],
+/// kept only until its step-0 checkpoint exists (the checkpoint embeds
+/// them).
 #[derive(Debug)]
-pub struct Job {
-    name: String,
+struct Design {
     circuit: Circuit,
     placement: Placement,
     constraints: Vec<PathConstraint>,
     config: RouterConfig,
+}
+
+/// One routing session managed by the queue.
+#[derive(Debug)]
+pub struct Job {
+    name: String,
+    /// Present from submission until materialization moves it into the
+    /// session that writes the step-0 checkpoint.
+    design: Option<Design>,
     /// Max deletion-loop selections per slice (`None` = run each stage
     /// to its natural end).
     slice_quota: Option<u64>,
@@ -597,10 +621,6 @@ impl Job {
         !self.state.is_terminal() && !self.cancelled
     }
 
-    fn deadline_expired(&self) -> bool {
-        self.deadline_at.is_some_and(|at| Instant::now() >= at)
-    }
-
     fn fail(&mut self, err: RouteError) {
         self.stream_record(&format!(
             "{{\"type\":\"done\",\"slice\":{},\"state\":\"failed\"}}",
@@ -608,6 +628,15 @@ impl Job {
         ));
         self.error = Some(err);
         self.state = SessionState::Failed;
+    }
+
+    /// Fails the job outside a slice and counts it in
+    /// `bgr_jobs_terminal_total`.
+    fn abort(&mut self, err: RouteError, metrics: Option<&ServeMetrics>) {
+        self.fail(err);
+        if let Some(m) = metrics {
+            m.jobs_failed_total.inc();
+        }
     }
 
     fn stream_record(&mut self, line: &str) {
@@ -625,14 +654,15 @@ impl Job {
         self.stream_record(&line);
     }
 
-    /// Starts the session and parks it at a step-0 checkpoint without
-    /// advancing, so *every* slice — local round or remote lease — runs
+    /// The checkpoint the next slice resumes from. A job that has none
+    /// yet starts its session (moving the design into it) and parks it
+    /// at a step-0 checkpoint without advancing, so *every* slice runs
     /// from a checkpoint through [`run_slice`]. Setup events (feed
     /// assignment, graph build) land in the stream at offset 0, exactly
     /// where the monolithic run puts them; the first real slice then
     /// continues at the checkpoint's embedded `seq` offset, keeping the
     /// concatenated stream byte-identical to the pre-distributed path.
-    fn materialize_checkpoint(&mut self) -> Result<(), RouteError> {
+    fn materialize_checkpoint(&mut self) -> Result<String, RouteError> {
         // The deadline clock starts at the job's first activity, not at
         // submission, so a job parked behind a long backlog gets its
         // full budget once it finally runs.
@@ -641,30 +671,158 @@ impl Job {
                 self.deadline_at = Some(Instant::now() + Duration::from_millis(ms));
             }
         }
-        if self.checkpoint.is_some() {
-            return Ok(());
+        if let Some(checkpoint) = &self.checkpoint {
+            return Ok(checkpoint.clone());
         }
+        // A runnable job holds a design until its first checkpoint and a
+        // checkpoint after it; losing both is an internal invariant
+        // violation that degrades this one job, never the process.
+        let Some(design) = self.design.take() else {
+            return Err(RouteError::Internal {
+                phase: "serve",
+                message: "runnable job has neither a design nor a checkpoint".into(),
+            });
+        };
         let session = RouteSession::start(
-            self.config.clone(),
-            self.circuit.clone(),
-            self.placement.clone(),
-            self.constraints.clone(),
+            design.config,
+            design.circuit,
+            design.placement,
+            design.constraints,
             CollectingProbe::new(),
         )?;
         let snap = session.snapshot();
         self.stage = snap.stage.label();
         self.events_emitted = snap.events_emitted;
         self.selections_done = session.selections_done();
-        self.checkpoint = Some(write_checkpoint(&snap));
+        let checkpoint = write_checkpoint(&snap);
+        self.checkpoint = Some(checkpoint.clone());
         let trace = session.into_probe().finish();
         self.stream.push_str(&write_event_lines(&trace, 0));
-        Ok(())
+        Ok(checkpoint)
     }
 
-    /// Folds a [`SliceOutcome`] into the job — the one place slice
-    /// results become job state, shared by the local round path and
-    /// [`JobQueue::apply_remote`].
-    fn apply_outcome(&mut self, out: SliceOutcome) {
+    /// This job's next leasable slice, for the queue id `id` (see
+    /// [`JobQueue::lease_spec`]). Materialization counts its setup
+    /// events and selections; a materialization failure fails the job
+    /// and counts it in `bgr_jobs_terminal_total`, not as a slice.
+    fn lease(
+        &mut self,
+        id: usize,
+        metrics: Option<&ServeMetrics>,
+    ) -> Result<Option<LeaseSpec>, RouteError> {
+        if !self.runnable() {
+            return Ok(None);
+        }
+        let fresh = self.checkpoint.is_none();
+        let checkpoint = match self.materialize_checkpoint() {
+            Ok(checkpoint) => checkpoint,
+            Err(e) => {
+                self.abort(e.clone(), metrics);
+                return Err(e);
+            }
+        };
+        if let (true, Some(m)) = (fresh, metrics) {
+            // Step 0's setup work, counted from zero.
+            m.selections_total.add(self.selections_done);
+            m.events_total.add(self.events_emitted);
+        }
+        // Freeze the remaining deadline budget once per slice: an
+        // expiry-driven re-grant of the same slice must hand out the
+        // byte-identical spec (DESIGN.md §15 rule 3), so the wall clock
+        // is consulted only when the slice index moves.
+        let slice = self.slices;
+        let deadline_ms = self.deadline_at.map(|at| match self.spec_deadline {
+            Some((s, ms)) if s == slice => ms,
+            _ => {
+                let ms = at
+                    .saturating_duration_since(Instant::now())
+                    .as_millis()
+                    .min(u128::from(u64::MAX)) as u64;
+                self.spec_deadline = Some((slice, ms));
+                ms
+            }
+        });
+        Ok(Some(LeaseSpec {
+            job: id,
+            slice,
+            quota: self.slice_quota,
+            deadline_ms,
+            checkpoint,
+        }))
+    }
+
+    /// Whether `out`'s trace segment contiguously continues this job's
+    /// stream: every line a parsable `"type":"event"` record, `seq`
+    /// running from [`Job::events_emitted`] to the outcome's
+    /// `events_emitted` exclusive. Failures carry no segment.
+    fn continues_stream(&self, out: &SliceOutcome) -> bool {
+        let (SliceOutcome::Suspended {
+            events_emitted,
+            events_jsonl,
+            ..
+        }
+        | SliceOutcome::Finished {
+            events_emitted,
+            events_jsonl,
+            ..
+        }) = out
+        else {
+            return true;
+        };
+        match segment_seq_span(events_jsonl) {
+            Ok(Some((first, last))) => {
+                first == self.events_emitted && last.checked_add(1) == Some(*events_emitted)
+            }
+            Ok(None) => *events_emitted == self.events_emitted,
+            Err(_) => false,
+        }
+    }
+
+    /// Applies the outcome of this job's lease for `slice` (see
+    /// [`JobQueue::apply_remote`]) and counts it on `metrics` — the one
+    /// place slice results become job state and slice metrics.
+    fn apply(&mut self, slice: u64, out: SliceOutcome, metrics: Option<&ServeMetrics>) -> bool {
+        if !self.runnable() || slice != self.slices || !self.continues_stream(&out) {
+            return false;
+        }
+        let before_selections = self.selections_done;
+        let before_events = self.events_emitted;
+        self.fold(out);
+        if let Some(m) = metrics {
+            m.slices_total.inc();
+            m.selections_total
+                .add(self.selections_done.saturating_sub(before_selections));
+            m.events_total
+                .add(self.events_emitted.saturating_sub(before_events));
+            if let Some(cp) = &self.checkpoint {
+                m.checkpoint_bytes_total.add(cp.len() as u64);
+            }
+            // Only a runnable job applies, so a verdict here is the one
+            // this slice just produced.
+            if let Some(verdict) = &self.verdict {
+                if verdict.audit_clean {
+                    m.audit_clean_total.inc();
+                } else {
+                    m.audit_failed_total.inc();
+                }
+            }
+            match self.state {
+                SessionState::Completed => m.jobs_completed_total.inc(),
+                SessionState::Failed => {
+                    m.jobs_failed_total.inc();
+                    if matches!(self.error, Some(RouteError::DeadlineExpired { .. })) {
+                        m.deadline_missed_total.inc();
+                    }
+                }
+                _ => {}
+            }
+        }
+        true
+    }
+
+    /// Folds a validated [`SliceOutcome`] into the job's state and
+    /// stream.
+    fn fold(&mut self, out: SliceOutcome) {
         match out {
             SliceOutcome::Suspended {
                 checkpoint,
@@ -727,32 +885,6 @@ impl Job {
             SliceOutcome::Failed { error } => self.fail(error),
         }
     }
-
-    /// Runs one slice in-process: materialize the first checkpoint if
-    /// needed, then [`run_slice`] → [`Job::apply_outcome`]. Local
-    /// rounds and remote leases thus execute the identical slice code.
-    fn advance_slice(&mut self) {
-        self.state = SessionState::Running;
-        if let Err(e) = self.materialize_checkpoint() {
-            return self.fail(e);
-        }
-        if self.deadline_expired() {
-            return self.fail(RouteError::DeadlineExpired {
-                budget_ms: self.deadline_ms.unwrap_or(0),
-            });
-        }
-        // A missing checkpoint after a successful materialization is an
-        // internal invariant violation; it degrades this one job with a
-        // structured error instead of tearing the process down.
-        let Some(checkpoint) = self.checkpoint.clone() else {
-            return self.fail(RouteError::Internal {
-                phase: "serve",
-                message: "runnable job has no checkpoint after materialization".into(),
-            });
-        };
-        let out = run_slice(&checkpoint, self.slice_quota);
-        self.apply_outcome(out);
-    }
 }
 
 /// A leasable unit of work: everything a worker needs to run one slice
@@ -770,8 +902,8 @@ pub struct LeaseSpec {
     pub quota: Option<u64>,
     /// Remaining wall-clock budget in ms under the queue's
     /// [`QueuePolicy::deadline_ms`], frozen per slice so re-grants are
-    /// identical. `Some(0)` means the budget already expired: a worker
-    /// receiving this abandons the slice with
+    /// identical. `Some(0)` means the budget already expired, and
+    /// [`run_lease`] abandons the slice with
     /// [`RouteError::DeadlineExpired`] instead of routing. `None` = no
     /// deadline governance (the inert default).
     pub deadline_ms: Option<u64>,
@@ -877,15 +1009,13 @@ impl JobQueue {
         config: RouterConfig,
         slice_quota: Option<u64>,
     ) -> usize {
-        self.push_job(
-            name.into(),
+        let design = Design {
             circuit,
             placement,
             constraints,
             config,
-            slice_quota,
-            None,
-        )
+        };
+        self.push_job(name.into(), Some(design), slice_quota, None)
     }
 
     /// Governed intake: checks the [`QueuePolicy`] and either admits
@@ -898,7 +1028,6 @@ impl JobQueue {
     /// [`Rejected`] when a configured limit is at capacity; the queue
     /// is unchanged and the refusal is counted in
     /// `bgr_jobs_rejected_total` when metrics are attached.
-    #[allow(clippy::too_many_arguments)]
     pub fn try_submit(
         &mut self,
         name: impl Into<String>,
@@ -912,34 +1041,31 @@ impl JobQueue {
             self.count_rejection(&verdict);
             return Err(verdict);
         }
-        Ok(self.push_job(
-            name.into(),
+        let design = Design {
             circuit,
             placement,
             constraints,
             config,
+        };
+        Ok(self.push_job(
+            name.into(),
+            Some(design),
             slice_quota,
             self.policy.deadline_ms,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Appends a `Created` job and returns its id.
     fn push_job(
         &mut self,
         name: String,
-        circuit: Circuit,
-        placement: Placement,
-        constraints: Vec<PathConstraint>,
-        config: RouterConfig,
+        design: Option<Design>,
         slice_quota: Option<u64>,
         deadline_ms: Option<u64>,
     ) -> usize {
         self.jobs.push(Job {
             name,
-            circuit,
-            placement,
-            constraints,
-            config,
+            design,
             slice_quota,
             deadline_ms,
             deadline_at: None,
@@ -1010,54 +1136,48 @@ impl JobQueue {
     /// Advances every runnable job by one slice, fanning the slices
     /// over `threads` workers. Returns how many jobs advanced.
     ///
-    /// Slices are independent (each owns its job's state), and
-    /// `scoped_map` preserves submission order, so round outcomes are
-    /// deterministic for any thread count.
+    /// Each slice is [`JobQueue::lease_spec`] → [`run_lease`] →
+    /// [`JobQueue::apply_remote`] on its own job, exactly what a
+    /// `bgr-net` worker drives remotely; only `bgr_slice_latency_us`
+    /// and `bgr_queue_depth` are observed here alone. Slices are
+    /// independent (each owns its job's state), and `scoped_map`
+    /// preserves submission order, so round outcomes are deterministic
+    /// for any thread count.
     pub fn run_round(&mut self, threads: usize) -> usize {
-        let metrics = self.metrics.clone();
-        let mut active: Vec<&mut Job> = self.jobs.iter_mut().filter(|j| j.runnable()).collect();
-        if let Some(m) = &metrics {
+        let metrics = self.metrics.as_ref();
+        let mut active: Vec<(usize, &mut Job)> = self
+            .jobs
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, j)| j.runnable())
+            .collect();
+        if let Some(m) = metrics {
             m.queue_depth.set(active.len() as i64);
         }
         if active.is_empty() {
             return 0;
         }
-        par::scoped_map(threads, &mut active, |job| match &metrics {
-            None => job.advance_slice(),
-            Some(m) => {
-                let before_selections = job.selections_done;
-                let before_events = job.events_emitted;
-                let had_audit = job.audit.is_some();
-                let start = Instant::now();
-                job.advance_slice();
+        par::scoped_map(threads, &mut active, |(id, job)| {
+            let start = Instant::now();
+            let Ok(Some(spec)) = job.lease(*id, metrics) else {
+                return;
+            };
+            if !job.apply(spec.slice, run_lease(&spec), metrics) {
+                // A local slice always continues its own job's stream, so
+                // a rejection is an executor bug: fail the job rather
+                // than re-run the slice forever.
+                let message = "slice outcome does not continue the job's stream".into();
+                job.abort(
+                    RouteError::Internal {
+                        phase: "serve",
+                        message,
+                    },
+                    metrics,
+                );
+            }
+            if let Some(m) = metrics {
                 m.slice_latency_us
                     .observe(start.elapsed().as_micros() as u64);
-                m.slices_total.inc();
-                m.selections_total
-                    .add(job.selections_done - before_selections);
-                m.events_total.add(job.events_emitted - before_events);
-                if let Some(cp) = &job.checkpoint {
-                    m.checkpoint_bytes_total.add(cp.len() as u64);
-                }
-                if !had_audit {
-                    if let Some(report) = &job.audit {
-                        if report.is_clean() {
-                            m.audit_clean_total.inc();
-                        } else {
-                            m.audit_failed_total.inc();
-                        }
-                    }
-                }
-                match job.state {
-                    SessionState::Completed => m.jobs_completed_total.inc(),
-                    SessionState::Failed => {
-                        m.jobs_failed_total.inc();
-                        if matches!(job.error, Some(RouteError::DeadlineExpired { .. })) {
-                            m.deadline_missed_total.inc();
-                        }
-                    }
-                    _ => {}
-                }
             }
         });
         active.len()
@@ -1077,9 +1197,10 @@ impl JobQueue {
     /// fan one suspended checkpoint under several configuration arms
     /// (see `bgr_io::reconfigure_checkpoint`) and race them.
     ///
-    /// The job parks `Suspended` with its counters adopted from the
-    /// snapshot; its stream begins at the checkpoint (earlier slices
-    /// belong to whichever job produced it).
+    /// The checkpoint is parsed to validate it and to adopt its
+    /// counters; the job keeps only the text. It parks `Suspended`, and
+    /// its stream begins at the checkpoint (earlier slices belong to
+    /// whichever job produced it).
     ///
     /// # Errors
     ///
@@ -1094,30 +1215,14 @@ impl JobQueue {
         let snap = parse_checkpoint(checkpoint).map_err(|e| RouteError::Checkpoint {
             message: e.to_string(),
         })?;
-        self.jobs.push(Job {
-            name: name.into(),
-            circuit: snap.circuit,
-            placement: snap.placement,
-            constraints: snap.constraints,
-            config: snap.config,
-            slice_quota,
-            deadline_ms: None,
-            deadline_at: None,
-            spec_deadline: None,
-            state: SessionState::Suspended,
-            checkpoint: Some(checkpoint.to_string()),
-            stream: String::new(),
-            cancelled: false,
-            stage: snap.stage.label(),
-            slices: 0,
-            events_emitted: snap.events_emitted,
-            selections_done: snap.stats.selection_log.len() as u64,
-            error: None,
-            audit: None,
-            routed: None,
-            verdict: None,
-        });
-        Ok(self.jobs.len() - 1)
+        let id = self.push_job(name.into(), None, slice_quota, None);
+        let job = &mut self.jobs[id];
+        job.state = SessionState::Suspended;
+        job.checkpoint = Some(checkpoint.to_string());
+        job.stage = snap.stage.label();
+        job.events_emitted = snap.events_emitted;
+        job.selections_done = snap.stats.selection_log.len() as u64;
+        Ok(id)
     }
 
     /// The next leasable slice of job `id`, materializing the first
@@ -1132,66 +1237,14 @@ impl JobQueue {
     /// # Errors
     ///
     /// Propagates the structured error when materializing the first
-    /// checkpoint fails (the job is failed as a side effect, exactly as
-    /// a local round would).
+    /// checkpoint fails. The job is failed as a side effect and counted
+    /// in `bgr_jobs_terminal_total`, but not as a slice.
     ///
     /// # Panics
     ///
     /// Panics on an id [`JobQueue::submit`] never returned.
     pub fn lease_spec(&mut self, id: usize) -> Result<Option<LeaseSpec>, RouteError> {
-        if !self.jobs[id].runnable() {
-            return Ok(None);
-        }
-        if self.jobs[id].checkpoint.is_none() {
-            if let Err(e) = self.jobs[id].materialize_checkpoint() {
-                self.jobs[id].fail(e.clone());
-                if let Some(m) = &self.metrics {
-                    m.jobs_failed_total.inc();
-                }
-                return Err(e);
-            }
-        }
-        let job = &mut self.jobs[id];
-        // Freeze the remaining deadline budget once per slice: an
-        // expiry-driven re-grant of the same slice must hand out the
-        // byte-identical spec (DESIGN.md §15 rule 3), so the wall clock
-        // is consulted only when the slice index moves.
-        let deadline_ms = job.deadline_at.map(|at| {
-            let slice = job.slices;
-            match job.spec_deadline {
-                Some((s, ms)) if s == slice => ms,
-                _ => {
-                    let ms = at
-                        .saturating_duration_since(Instant::now())
-                        .as_millis()
-                        .min(u128::from(u64::MAX)) as u64;
-                    job.spec_deadline = Some((slice, ms));
-                    ms
-                }
-            }
-        });
-        let Some(checkpoint) = job.checkpoint.clone() else {
-            // Invariant violation (runnable job, no checkpoint after a
-            // successful materialization): degrade the one job with a
-            // structured error instead of panicking the coordinator.
-            let e = RouteError::Internal {
-                phase: "serve",
-                message: "runnable job has no checkpoint after materialization".into(),
-            };
-            self.jobs[id].fail(e.clone());
-            if let Some(m) = &self.metrics {
-                m.jobs_failed_total.inc();
-            }
-            return Err(e);
-        };
-        let job = &self.jobs[id];
-        Ok(Some(LeaseSpec {
-            job: id,
-            slice: job.slices,
-            quota: job.slice_quota,
-            deadline_ms,
-            checkpoint,
-        }))
+        self.jobs[id].lease(id, self.metrics.as_ref())
     }
 
     /// Applies a slice outcome computed elsewhere (a worker draining a
@@ -1221,69 +1274,7 @@ impl JobQueue {
     ///
     /// Panics on an id [`JobQueue::submit`] never returned.
     pub fn apply_remote(&mut self, id: usize, slice: u64, out: SliceOutcome) -> bool {
-        {
-            let job = &self.jobs[id];
-            if !job.runnable() || slice != job.slices {
-                return false;
-            }
-            if let SliceOutcome::Suspended {
-                events_emitted,
-                events_jsonl,
-                ..
-            }
-            | SliceOutcome::Finished {
-                events_emitted,
-                events_jsonl,
-                ..
-            } = &out
-            {
-                let contiguous = match segment_seq_span(events_jsonl) {
-                    Ok(Some((first, last))) => {
-                        first == job.events_emitted && last.checked_add(1) == Some(*events_emitted)
-                    }
-                    Ok(None) => *events_emitted == job.events_emitted,
-                    Err(_) => false,
-                };
-                if !contiguous {
-                    return false;
-                }
-            }
-        }
-        let job = &mut self.jobs[id];
-        let before_selections = job.selections_done;
-        let before_events = job.events_emitted;
-        let had_verdict = job.verdict.is_some();
-        job.apply_outcome(out);
-        if let Some(m) = &self.metrics {
-            let job = &self.jobs[id];
-            m.slices_total.inc();
-            m.selections_total
-                .add(job.selections_done - before_selections);
-            m.events_total.add(job.events_emitted - before_events);
-            if let Some(cp) = &job.checkpoint {
-                m.checkpoint_bytes_total.add(cp.len() as u64);
-            }
-            if !had_verdict {
-                if let Some(verdict) = &job.verdict {
-                    if verdict.audit_clean {
-                        m.audit_clean_total.inc();
-                    } else {
-                        m.audit_failed_total.inc();
-                    }
-                }
-            }
-            match job.state {
-                SessionState::Completed => m.jobs_completed_total.inc(),
-                SessionState::Failed => {
-                    m.jobs_failed_total.inc();
-                    if matches!(job.error, Some(RouteError::DeadlineExpired { .. })) {
-                        m.deadline_missed_total.inc();
-                    }
-                }
-                _ => {}
-            }
-        }
-        true
+        self.jobs[id].apply(slice, out, self.metrics.as_ref())
     }
 
     /// Replays journaled slice outcomes in order, applying each through
@@ -1675,10 +1666,7 @@ mod tests {
         q.run(1);
         assert_eq!(q.job(id).state(), SessionState::Failed);
         assert!(
-            matches!(
-                q.job(id).error(),
-                Some(RouteError::DeadlineExpired { budget_ms: 0 })
-            ),
+            matches!(q.job(id).error(), Some(RouteError::DeadlineExpired { .. })),
             "{:?}",
             q.job(id).error()
         );
@@ -1695,6 +1683,110 @@ mod tests {
         q.run(1);
         assert_eq!(q.job(ok).state(), SessionState::Completed);
         assert_eq!(m.deadline_missed_total.get(), 1);
+    }
+
+    /// Fills a queue with the same jobs every time: two ungoverned ones
+    /// (whole stages, quota 4) and one admitted under an already-spent
+    /// deadline budget.
+    fn submit_mixed_jobs(q: &mut JobQueue) {
+        let config = RouterConfig::default();
+        for (seed, quota) in [(3u64, None), (11, Some(4))] {
+            let (c, p, k) = small_case(seed);
+            q.submit(format!("s{seed}"), c, p, k, config.clone(), quota);
+        }
+        q.set_policy(QueuePolicy {
+            deadline_ms: Some(0),
+            ..QueuePolicy::default()
+        });
+        let (c, p, k) = small_case(13);
+        q.try_submit("doomed", c, p, k, config, Some(4))
+            .expect("admission is separate from deadline");
+    }
+
+    /// Rendered metrics minus the two instruments only local rounds
+    /// observe.
+    fn shared_metrics(registry: &MetricsRegistry) -> String {
+        registry
+            .render_prometheus()
+            .lines()
+            .filter(|l| !l.contains("bgr_slice_latency_us") && !l.contains("bgr_queue_depth"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn local_rounds_and_leased_slices_are_indistinguishable() {
+        let local_registry = MetricsRegistry::new();
+        let mut local = JobQueue::with_metrics(&local_registry);
+        submit_mixed_jobs(&mut local);
+        local.run(1);
+
+        let leased_registry = MetricsRegistry::new();
+        let mut leased = JobQueue::with_metrics(&leased_registry);
+        submit_mixed_jobs(&mut leased);
+        loop {
+            let mut advanced = false;
+            for id in 0..leased.jobs().len() {
+                if let Some(spec) = leased.lease_spec(id).unwrap() {
+                    assert!(leased.apply_remote(id, spec.slice, run_lease(&spec)));
+                    advanced = true;
+                }
+            }
+            if !advanced {
+                break;
+            }
+        }
+
+        for (a, b) in local.jobs().iter().zip(leased.jobs()) {
+            assert_eq!(a.stream(), b.stream(), "{}", a.name());
+            assert_eq!(a.state(), b.state());
+            assert_eq!(a.slices(), b.slices());
+            assert_eq!(a.events_emitted(), b.events_emitted());
+            assert_eq!(a.selections_done(), b.selections_done());
+            assert_eq!(a.verdict(), b.verdict());
+            assert_eq!(a.error(), b.error());
+        }
+        assert_eq!(local.job(0).state(), SessionState::Completed);
+        assert!(matches!(
+            local.job(2).error(),
+            Some(RouteError::DeadlineExpired { .. })
+        ));
+        let text = shared_metrics(&local_registry);
+        assert!(text.contains("bgr_deadline_missed_total 1"), "{text}");
+        assert_eq!(text, shared_metrics(&leased_registry));
+    }
+
+    #[test]
+    fn local_slice_that_breaks_the_stream_fails_the_job() {
+        let config = RouterConfig::default();
+        let (c, p, k) = small_case(23);
+        let registry = MetricsRegistry::new();
+        let mut q = JobQueue::with_metrics(&registry);
+        let id = q.submit("shifted", c, p, k, config, Some(2));
+        q.run_round(1);
+        // A checkpoint that parses but claims a different event offset:
+        // the slice it resumes emits a segment the job cannot splice.
+        let events = q.job(id).events_emitted();
+        let shifted = q.jobs[id].checkpoint.take().unwrap().replacen(
+            &format!("\nevents_emitted {events}\n"),
+            &format!("\nevents_emitted {}\n", events + 1),
+            1,
+        );
+        q.jobs[id].checkpoint = Some(shifted);
+        let stream_before = q.job(id).stream().to_string();
+        assert_eq!(q.run_round(1), 1);
+        assert_eq!(q.job(id).state(), SessionState::Failed);
+        assert!(
+            matches!(q.job(id).error(), Some(RouteError::Internal { .. })),
+            "{:?}",
+            q.job(id).error()
+        );
+        assert_eq!(
+            q.job(id).stream(),
+            format!("{stream_before}{{\"type\":\"done\",\"slice\":1,\"state\":\"failed\"}}\n")
+        );
+        assert_eq!(q.run(1), 0, "a failed job is never re-run");
+        assert_eq!(ServeMetrics::register(&registry).jobs_failed_total.get(), 1);
     }
 
     #[test]
