@@ -13,6 +13,9 @@
 //! unprofiled run's (asserted here against `route`), so the numbers
 //! describe the production code path, not an instrumented variant.
 //!
+//! After each instance it prints the process's peak resident set
+//! (`VmHWM`), the memory of the constrained C3P1 route included.
+//!
 //! Usage: `profile_phases [out_dir]` (default `target/profile`).
 
 use bgr_bench::resettled_per_search;
@@ -82,6 +85,21 @@ fn profile(ds: &DataSet, out_dir: &str) {
     let folded_path = format!("{out_dir}/{}.folded", ds.name);
     std::fs::write(&folded_path, profile.to_folded()).expect("write folded stacks");
     println!("  wrote {folded_path}");
+    println!("  process peak RSS so far (VmHWM): {}", peak_rss());
+}
+
+/// The `VmHWM` line of `/proc/self/status` (the process's peak resident
+/// set since start, so later instances report the maximum over all
+/// instances so far), or `n/a` where procfs is unavailable.
+fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .map(|v| v.trim().to_owned())
+        })
+        .unwrap_or_else(|| "n/a".to_owned())
 }
 
 fn main() {

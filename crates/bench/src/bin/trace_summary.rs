@@ -73,6 +73,12 @@ fn main() {
     );
     println!("delay memo: {memo_hits} hits / {memo_misses} misses over {key_evals} key evals");
     println!("{}", resettled_per_search(&trace));
+    println!(
+        "scoreboard: {} pushes, {} stale entries drained by pops, {} purged by compaction",
+        trace.counter(Counter::HeapPush),
+        trace.counter(Counter::StaleHeapPop),
+        trace.counter(Counter::StaleHeapPurged)
+    );
 
     // Independent audit (DESIGN.md §12): recompute every claim of the
     // result from scratch. Runs *outside* the router, so it can never

@@ -1140,12 +1140,15 @@ impl<P: Probe> Engine<P> {
     /// live entries in `sb` — one per heap it has a deletable edge in —
     /// must equal the per-heap minima a cache-free [`scan_raw_keys`]
     /// computes from scratch (fresh scan state: no cached trees, delay
-    /// prefixes or windows).
+    /// prefixes or windows). The scoreboard's live counts and compaction
+    /// bound are checked first ([`Scoreboard::audit_live_counts`]).
     ///
     /// # Panics
     ///
-    /// Panics naming the first net whose live entries diverge.
+    /// Panics naming the first net whose live entries diverge, or the
+    /// first heap whose live accounting does.
     fn audit_scoreboard(&self, sb: &Scoreboard, nets: &[NetId]) {
+        sb.audit_live_counts();
         let heap = |h: &Option<ChannelId>| h.map_or(usize::MAX, ChannelId::index);
         let mut live: Vec<Vec<(Option<ChannelId>, EdgeKey)>> = vec![Vec::new(); self.graphs.len()];
         for (h, key) in sb.live_entries() {
@@ -1538,8 +1541,9 @@ impl<P: Probe> Engine<P> {
         for (&(net, _), (keys, c)) in batch.iter().zip(results) {
             c.flush(&mut self.probe);
             if invalidate {
-                for &(heap, _) in &keys {
-                    sb.invalidate(net, heap);
+                let purged: u64 = keys.iter().map(|&(heap, _)| sb.invalidate(net, heap)).sum();
+                if P::ENABLED && purged > 0 {
+                    self.probe.count(Counter::StaleHeapPurged, purged);
                 }
             }
             if P::ENABLED && self.frozen == Some(net) {

@@ -113,7 +113,13 @@ pub struct RoutingGraph {
     width: u32,
     verts: Vec<RVert>,
     edges: Vec<REdge>,
-    adj: Vec<Vec<(u32, u32)>>,
+    /// Compressed-sparse-row adjacency: vertex `v`'s incident
+    /// `(neighbour, edge)` pairs are `adj_list[adj_start[v]..adj_start[v + 1]]`,
+    /// listed in ascending edge index. Edge sets never grow, so both
+    /// arrays are built once, in `RoutingGraph::from_parts`.
+    adj_start: Vec<u32>,
+    /// The incidence pairs of every vertex, back to back (two per edge).
+    adj_list: Vec<(u32, u32)>,
     alive: Vec<bool>,
     bridge: Vec<bool>,
     terminal_verts: Vec<u32>,
@@ -288,6 +294,11 @@ impl RoutingGraph {
     }
 
     /// Indexes adjacency, marks every edge alive and finds the bridges.
+    ///
+    /// The CSR arrays are filled by a counting sort over the edges in
+    /// index order, so each vertex lists its incident edges exactly as
+    /// per-vertex pushes in edge order would: Dijkstra's tie-breaking
+    /// and the reuse rules of `ShortestPaths` depend on that order.
     fn from_parts(
         net: NetId,
         width: u32,
@@ -296,10 +307,21 @@ impl RoutingGraph {
         terminal_verts: Vec<u32>,
         driver_vert: u32,
     ) -> Self {
-        let mut adj = vec![Vec::new(); verts.len()];
+        let mut adj_start = vec![0u32; verts.len() + 1];
+        for e in &edges {
+            adj_start[e.a as usize + 1] += 1;
+            adj_start[e.b as usize + 1] += 1;
+        }
+        for v in 0..verts.len() {
+            adj_start[v + 1] += adj_start[v];
+        }
+        let mut cursor = adj_start.clone();
+        let mut adj_list = vec![(0u32, 0u32); 2 * edges.len()];
         for (i, e) in edges.iter().enumerate() {
-            adj[e.a as usize].push((e.b, i as u32));
-            adj[e.b as usize].push((e.a, i as u32));
+            for (v, w) in [(e.a, e.b), (e.b, e.a)] {
+                adj_list[cursor[v as usize] as usize] = (w, i as u32);
+                cursor[v as usize] += 1;
+            }
         }
         let mut graph = Self {
             net,
@@ -309,7 +331,8 @@ impl RoutingGraph {
             alive_count: edges.len(),
             verts,
             edges,
-            adj,
+            adj_start,
+            adj_list,
             terminal_verts,
             driver_vert,
             generation: 0,
@@ -340,8 +363,10 @@ impl RoutingGraph {
 
     /// Adjacency `(neighbor vertex, edge index)` of a vertex, including
     /// dead edges.
+    #[inline]
     pub fn adj(&self, v: u32) -> &[(u32, u32)] {
-        &self.adj[v as usize]
+        let v = v as usize;
+        &self.adj_list[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
     }
 
     /// Whether edge `e` is alive.
@@ -415,7 +440,7 @@ impl RoutingGraph {
 
     /// Alive degree of a vertex.
     pub fn degree(&self, v: u32) -> usize {
-        self.adj[v as usize]
+        self.adj(v)
             .iter()
             .filter(|&&(_, e)| self.alive[e as usize])
             .count()
@@ -479,7 +504,8 @@ impl RoutingGraph {
             if self.degree(v) != 1 {
                 continue;
             }
-            let &(w, e) = self.adj[v as usize]
+            let &(w, e) = self
+                .adj(v)
                 .iter()
                 .find(|&&(_, e)| self.alive[e as usize])
                 .expect("§3.2 prune invariant: a degree-1 vertex has exactly one alive edge");
@@ -517,8 +543,9 @@ impl RoutingGraph {
             stack.push((root, u32::MAX, 0));
             while let Some(&mut (v, pe, ref mut cur)) = stack.last_mut() {
                 let vi = v as usize;
-                if *cur < self.adj[vi].len() {
-                    let (w, e) = self.adj[vi][*cur];
+                let adj = self.adj(v);
+                if *cur < adj.len() {
+                    let (w, e) = adj[*cur];
                     *cur += 1;
                     if !self.alive[e as usize] || e == pe {
                         continue;
@@ -556,7 +583,7 @@ impl RoutingGraph {
         let mut stack = vec![start];
         seen[start as usize] = true;
         while let Some(v) = stack.pop() {
-            for &(w, e) in &self.adj[v as usize] {
+            for &(w, e) in self.adj(v) {
                 if self.alive[e as usize] && !seen[w as usize] {
                     seen[w as usize] = true;
                     stack.push(w);
@@ -593,7 +620,7 @@ impl RoutingGraph {
         // so a simple stack pass suffices.
         let mut stack = vec![self.driver_vert];
         while let Some(v) = stack.pop() {
-            for &(w, e) in &self.adj[v as usize] {
+            for &(w, e) in self.adj(v) {
                 if !self.alive[e as usize] {
                     continue;
                 }
@@ -815,6 +842,29 @@ pub(crate) mod tests {
         let g = RoutingGraph::build(&circuit, &placement, net, &[], 30.0);
         // 4 branches à 30 µm + 2 trunks à 8 µm.
         assert!((g.alive_length_um() - (4.0 * 30.0 + 2.0 * 8.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn csr_adjacency_lists_incident_edges_in_edge_order() {
+        let mut rng = bgr_netlist::SplitMix64::new(0xC5A0_AD1C);
+        for _ in 0..500 {
+            let nv = rng.range_usize(1, 12);
+            let edges: Vec<(u32, u32, f64)> = (0..rng.range_usize(0, 24))
+                .map(|_| {
+                    let a = rng.range_usize(0, nv) as u32;
+                    (a, rng.range_usize(0, nv) as u32, 1.0)
+                })
+                .collect();
+            let g = RoutingGraph::from_edges(nv, &edges, &[0]);
+            let mut naive = vec![Vec::new(); nv];
+            for (i, &(a, b, _)) in edges.iter().enumerate() {
+                naive[a as usize].push((b, i as u32));
+                naive[b as usize].push((a, i as u32));
+            }
+            for (v, want) in naive.iter().enumerate() {
+                assert_eq!(g.adj(v as u32), &want[..], "vertex {v} of {edges:?}");
+            }
+        }
     }
 
     use bgr_layout::Placement;

@@ -333,11 +333,15 @@ pub enum Counter {
     /// is exactly why deadline firings are a counter and not a
     /// [`TraceEvent`].
     DeadlineStop,
+    /// Stale scoreboard entries dropped by heap compaction rather than
+    /// drained by a pop, so `stale_heap_pops + stale_heap_purged`
+    /// counts every stale entry the heaps discarded.
+    StaleHeapPurged,
 }
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 19;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -359,6 +363,7 @@ impl Counter {
         Counter::ParBatch,
         Counter::ShardRebuild,
         Counter::DeadlineStop,
+        Counter::StaleHeapPurged,
     ];
 
     /// Dense index into counter arrays: the declaration order.
@@ -387,6 +392,7 @@ impl Counter {
             Counter::ParBatch => "par_batches",
             Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
+            Counter::StaleHeapPurged => "stale_heap_purged",
         }
     }
 }

@@ -58,9 +58,30 @@
 //!   *exactly* the raw keys a full rescan would compute, because every
 //!   raw-key input is covered by the dirty-set definition.
 //!
-//! Stale entries are never purged eagerly; the heaps are drained
-//! lazily, so a push is `O(log heap)` and a pop amortizes over the
-//! entries it discards.
+//! # Memory bound and compaction
+//!
+//! Invalidation is lazy: a stale entry stays in its heap until it
+//! surfaces at the top, where a pop drains it. Left at that, a heap
+//! would keep every key ever pushed into it. Instead each (net, heap)
+//! slot counts its *live* entries — pushed under the current generation
+//! and not yet popped — and the scoreboard keeps their sum per heap. An
+//! invalidation and a winning pop are the only operations that lower a
+//! live count; after either, a heap whose length has reached
+//! `2 × live + 64` is **compacted**: `BinaryHeap::retain` drops every
+//! stale entry and re-heapifies the rest. Pushes raise the live count
+//! with the length, and stale drains shorten the heap, so
+//!
+//! ```text
+//! len(heap) < 2 × live(heap) + 64      for every heap, at all times
+//! ```
+//!
+//! and the pool's memory is proportional to its live candidates, not to
+//! the keys pushed over the run. A compaction scans `len` entries and
+//! drops `len − live ≥ live + 64` of them — at least half of what it
+//! scans — so its cost is amortised `O(1)` per push. It leaves the set
+//! of live entries unchanged, so no cached shard minimum moves and no
+//! shard needs to be dirtied. A push stays `O(log heap)`, and a pop
+//! amortizes over the stale entries it drains.
 //!
 //! # Sharding, cached minima and the tournament
 //!
@@ -128,13 +149,19 @@ impl Ord for Entry {
     }
 }
 
+/// Extra stale entries a heap may hold beyond its live count before it
+/// is compacted: a heap is compacted once `len ≥ 2 × live +
+/// COMPACT_SLACK` (see the module docs).
+const COMPACT_SLACK: usize = 64;
+
 /// Generation state of one (net, heap) pair.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     gen: u64,
-    /// Whether entries were pushed since the last invalidation: only
-    /// then does an invalidation dirty the heap's shard.
-    pushed: bool,
+    /// Entries pushed under the current generation and not yet popped
+    /// (the slot's live entries): only while it is non-zero does an
+    /// invalidation change the heap's live set and dirty its shard.
+    live: u32,
 }
 
 /// Cached minimum of one shard: the best composed key over its heaps,
@@ -157,6 +184,8 @@ pub struct Scoreboard {
     /// (feed-half candidates; composed with the identity).
     heaps: Vec<BinaryHeap<Entry>>,
     map: ShardMap,
+    /// Live entries per heap: the sum of its slots' live counts.
+    live: Vec<usize>,
     /// Per net: `(heap, slot)` of every heap it ever pushed into.
     net_slots: Vec<Vec<(u32, u32)>>,
     slots: Vec<Slot>,
@@ -185,6 +214,7 @@ impl Scoreboard {
         }
         Self {
             heaps: (0..map.num_heaps()).map(|_| BinaryHeap::new()).collect(),
+            live: vec![0; map.num_heaps()],
             net_slots: vec![Vec::new(); num_nets],
             slots: Vec::new(),
             cache: vec![ShardCache::default(); shards],
@@ -194,13 +224,13 @@ impl Scoreboard {
         }
     }
 
-    /// Number of live (non-stale) entries is at most this; stale entries
-    /// inflate it until they are popped.
+    /// Number of entries the heaps hold, live and stale: fewer than
+    /// `2 × live + 64` per heap (see the [module docs](self)).
     pub fn len(&self) -> usize {
         self.heaps.iter().map(BinaryHeap::len).sum()
     }
 
-    /// Whether the heaps hold no entries at all (stale or live).
+    /// Whether the heaps hold no entries at all, live or stale.
     pub fn is_empty(&self) -> bool {
         self.heaps.iter().all(BinaryHeap::is_empty)
     }
@@ -256,18 +286,31 @@ impl Scoreboard {
             .map(|&(_, s)| s as usize)
     }
 
-    /// Whether `e` is live: its slot's generation has not moved since
-    /// the push.
-    fn is_live(&self, e: &Entry) -> bool {
-        e.stamp == self.slots[e.slot as usize].gen
+    /// Compacts heap `h` if its length has reached `2 × live +
+    /// COMPACT_SLACK`: drops every stale entry and re-heapifies the live
+    /// ones. Returns how many stale entries were dropped. The live set
+    /// is unchanged, so no shard cache is dirtied.
+    fn compact_if_due(&mut self, h: usize) -> u64 {
+        let live = self.live[h];
+        let heap = &mut self.heaps[h];
+        let before = heap.len();
+        if before < 2 * live + COMPACT_SLACK {
+            return 0;
+        }
+        let slots = &self.slots;
+        heap.retain(|e| is_live(slots, e));
+        debug_assert_eq!(heap.len(), live, "heap {h}: live count diverged");
+        (before - heap.len()) as u64
     }
 
     /// Invalidates every entry of `net` in `channel`'s heap (the
     /// channelless heap when `None`): bumps the (net, heap) generation
     /// so existing entries die lazily, and dirties the heap's shard if
-    /// the net pushed there since its last invalidation. The net's
-    /// entries in other heaps stay live. Call before re-pushing the
-    /// heap's current key.
+    /// the net had live entries there. The net's entries in other heaps
+    /// stay live. Call before re-pushing the heap's current key.
+    ///
+    /// Returns the stale entries a compaction of the heap dropped (see
+    /// the [module docs](self)), for [`Counter::StaleHeapPurged`].
     ///
     /// # Panics
     ///
@@ -276,19 +319,23 @@ impl Scoreboard {
     /// per second for a million years), so wraparound could only mean
     /// memory corruption — and silently wrapping would resurrect every
     /// stale entry pushed under generation zero.
-    pub fn invalidate(&mut self, net: NetId, channel: Option<ChannelId>) {
+    pub fn invalidate(&mut self, net: NetId, channel: Option<ChannelId>) -> u64 {
         let heap = self.heap_of(channel);
         let Some(s) = self.slot_of(net, heap) else {
-            return;
+            return 0;
         };
         let slot = &mut self.slots[s];
         slot.gen = slot
             .gen
             .checked_add(1)
             .expect("scoreboard generation counter overflowed");
-        if std::mem::take(&mut slot.pushed) {
-            self.dirty_shard_of_heap(heap);
+        let died = std::mem::take(&mut slot.live);
+        if died == 0 {
+            return 0;
         }
+        self.live[heap] -= died as usize;
+        self.dirty_shard_of_heap(heap);
+        self.compact_if_due(heap)
     }
 
     /// Declares that `channel`'s aggregates moved: the raw entries of
@@ -312,13 +359,18 @@ impl Scoreboard {
                 s
             }
         };
-        self.slots[s].pushed = true;
+        self.slots[s].live += 1;
+        self.live[heap] += 1;
         self.heaps[heap].push(Entry {
             key,
             stamp: self.slots[s].gen,
             slot: s as u32,
             order: self.order,
         });
+        debug_assert!(
+            self.heaps[heap].len() < 2 * self.live[heap] + COMPACT_SLACK,
+            "heap {heap} outgrew its compaction bound"
+        );
         self.dirty_shard_of_heap(heap);
     }
 
@@ -332,11 +384,51 @@ impl Scoreboard {
             let channel = (h != channelless).then(|| ChannelId::new(h));
             out.extend(
                 heap.iter()
-                    .filter(|e| self.is_live(e))
+                    .filter(|e| is_live(&self.slots, e))
                     .map(|e| (channel, e.key)),
             );
         }
         out
+    }
+
+    /// The step-level check of the live accounting: recounts the live
+    /// entries of every heap and slot against the maintained counts, and
+    /// checks every heap against the compaction bound
+    /// `len < 2 × live + 64`. `O(entries)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first heap or slot whose count diverges or the
+    /// first heap over the bound.
+    pub(crate) fn audit_live_counts(&self) {
+        let mut slot_live = vec![0u32; self.slots.len()];
+        for (h, heap) in self.heaps.iter().enumerate() {
+            let mut live = 0;
+            for e in heap.iter().filter(|e| is_live(&self.slots, e)) {
+                live += 1;
+                slot_live[e.slot as usize] += 1;
+            }
+            assert!(
+                live == self.live[h],
+                "self-audit: scoreboard heap {h} holds {live} live entries, \
+                 its live count says {}",
+                self.live[h]
+            );
+            assert!(
+                heap.len() < 2 * live + COMPACT_SLACK,
+                "self-audit: scoreboard heap {h} holds {} entries, over the \
+                 compaction bound 2 × {live} + {COMPACT_SLACK}",
+                heap.len()
+            );
+        }
+        for (s, (slot, &live)) in self.slots.iter().zip(&slot_live).enumerate() {
+            assert!(
+                slot.live == live,
+                "self-audit: scoreboard slot {s} holds {live} live entries, \
+                 its live count says {}",
+                slot.live
+            );
+        }
     }
 
     /// Drains stale entries off the top of heap `h`, returning how many
@@ -344,7 +436,7 @@ impl Scoreboard {
     fn drain_stale_top(&mut self, h: usize) -> u64 {
         let mut stale = 0u64;
         while let Some(e) = self.heaps[h].peek() {
-            if self.is_live(e) {
+            if is_live(&self.slots, e) {
                 break;
             }
             self.heaps[h].pop();
@@ -392,10 +484,12 @@ impl Scoreboard {
     /// [`Scoreboard::pop_valid`] with instrumentation: every pop is
     /// counted ([`Counter::HeapPop`]), stale discards additionally as
     /// [`Counter::StaleHeapPop`], the discards preceding the answer are
-    /// one [`Hist::StalePopsPerSelection`] observation, and every shard
+    /// one [`Hist::StalePopsPerSelection`] observation, every shard
     /// whose cached minimum had to be rebuilt counts one
     /// [`Counter::ShardRebuild`] (shards with no fresh entries are
-    /// skipped — their cache is still valid).
+    /// skipped — their cache is still valid), and the stale entries a
+    /// compaction of the winner's heap drops count as
+    /// [`Counter::StaleHeapPurged`].
     ///
     /// The tournament scans cached shard minima in ascending shard
     /// index and takes a candidate only when strictly less than the
@@ -419,6 +513,7 @@ impl Scoreboard {
                 best = Some((heap as usize, key));
             }
         }
+        let mut purged = 0;
         let out = best.map(|(heap, key)| {
             let popped = self.heaps[heap]
                 .pop()
@@ -427,12 +522,16 @@ impl Scoreboard {
                 popped.key.net == key.net && popped.key.edge == key.edge,
                 "cached shard minimum diverged from its heap top"
             );
+            self.slots[popped.slot as usize].live -= 1;
+            self.live[heap] -= 1;
             self.dirty_shard_of_heap(heap);
+            purged = self.compact_if_due(heap);
             key
         });
         if P::ENABLED {
             probe.count(Counter::HeapPop, stale + u64::from(out.is_some()));
             probe.count(Counter::StaleHeapPop, stale);
+            probe.count(Counter::StaleHeapPurged, purged);
             probe.sample(Hist::StalePopsPerSelection, stale);
         }
         out
@@ -444,8 +543,9 @@ impl Scoreboard {
     /// second-best champion.
     ///
     /// Excluded entries are popped and re-pushed verbatim (same stamp),
-    /// so the live set — and with it every shard's cached minimum — is
-    /// unchanged; only stale entries are (harmlessly) drained. Unprobed
+    /// so the live set — and with it every live count and every shard's
+    /// cached minimum — is unchanged; only stale entries are
+    /// (harmlessly) drained. Unprobed
     /// on purpose: provenance peeking must not perturb the heap-pop
     /// diagnostics.
     pub fn runner_up(&mut self, exclude: NetId, density: &DensityMap) -> Option<EdgeKey> {
@@ -453,7 +553,7 @@ impl Scoreboard {
         let mut stash: Vec<(usize, Entry)> = Vec::new();
         for h in 0..self.heaps.len() {
             while let Some(e) = self.heaps[h].peek() {
-                if !self.is_live(e) {
+                if !is_live(&self.slots, e) {
                     self.heaps[h].pop();
                 } else if e.key.net == exclude {
                     let e = self.heaps[h].pop().expect("peeked entry pops");
@@ -475,6 +575,12 @@ impl Scoreboard {
         }
         best
     }
+}
+
+/// Whether `e` is live: its slot's generation has not moved since the
+/// push.
+fn is_live(slots: &[Slot], e: &Entry) -> bool {
+    e.stamp == slots[e.slot as usize].gen
 }
 
 #[cfg(test)]
@@ -716,6 +822,63 @@ mod tests {
         let k = sb.pop_valid(&d).unwrap();
         assert_eq!(k.net, NetId::new(1), "stale composed minimum won");
         assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(2)));
+    }
+
+    #[test]
+    fn compaction_keeps_the_live_set_and_bounds_the_heap() {
+        use crate::probe::CollectingProbe;
+        use bgr_netlist::SplitMix64;
+        let d = flat();
+        let nets = 24;
+        let mut sb = Scoreboard::new(nets, 4, CriteriaOrder::DelayFirst);
+        let mut probe = CollectingProbe::new();
+        let mut rng = SplitMix64::new(0x5C04_EB00);
+        // The model: each net's one live key in channel 1's heap, if any.
+        let mut live: Vec<Option<EdgeKey>> = vec![None; nets];
+        let (mut pushes, mut winners, mut purged, mut compactions) = (0u64, 0u64, 0u64, 0);
+        let check = |sb: &Scoreboard, live: &[Option<EdgeKey>], what: &str| {
+            let n = live.iter().flatten().count();
+            assert!(
+                sb.len() < 2 * n + COMPACT_SLACK,
+                "{what}: {} ≥ 2 × {n} + 64",
+                sb.len()
+            );
+            sb.audit_live_counts();
+        };
+        for step in 0..600u32 {
+            let net = rng.range_usize(0, nets);
+            let dropped = sb.invalidate(NetId::new(net), ch(1));
+            purged += dropped;
+            compactions += usize::from(dropped > 0);
+            live[net] = None;
+            check(&sb, &live, "invalidate");
+            if rng.range_usize(0, 8) > 0 {
+                let k = key(net, step, rng.range_i32(-50, 50));
+                sb.push(k, ch(1));
+                pushes += 1;
+                live[net] = Some(k);
+                check(&sb, &live, "push");
+            }
+            if rng.range_usize(0, 16) == 0 {
+                let won = sb.pop_valid_probed(&d, &mut probe).expect("a live key");
+                winners += 1;
+                assert_eq!(live[won.net.index()].take(), Some(won));
+                check(&sb, &live, "pop");
+            }
+        }
+        assert!(compactions >= 3, "only {compactions} compactions");
+        let mut want: Vec<EdgeKey> = live.iter().flatten().copied().collect();
+        want.sort_by(|a, b| compare(a, b, CriteriaOrder::DelayFirst));
+        let got: Vec<EdgeKey> =
+            std::iter::from_fn(|| sb.pop_valid_probed(&d, &mut probe)).collect();
+        assert_eq!(got, want);
+        assert!(sb.is_empty());
+        // Every pushed entry was either a winner or went stale, and every
+        // stale entry was either drained by a pop or purged.
+        let trace = probe.finish();
+        let stale = pushes - winners - got.len() as u64;
+        purged += trace.counter(Counter::StaleHeapPurged);
+        assert_eq!(trace.counter(Counter::StaleHeapPop) + purged, stale);
     }
 
     #[test]

@@ -200,6 +200,7 @@ fn scan_counters_are_thread_invariant() {
             Counter::HeapPush,
             Counter::HeapPop,
             Counter::StaleHeapPop,
+            Counter::StaleHeapPurged,
         ] {
             assert_eq!(
                 trace.counter(c),
