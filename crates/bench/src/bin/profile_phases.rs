@@ -13,13 +13,19 @@
 //! unprofiled run's (asserted here against `route`), so the numbers
 //! describe the production code path, not an instrumented variant.
 //!
+//! Next to the re-settled vertices per hypothetical search it prints
+//! the tree layer's time per search: `rekey:graph` self time over
+//! `hyp_cache_misses`.
+//!
 //! After each instance it prints the process's peak resident set
 //! (`VmHWM`), the memory of the constrained C3P1 route included.
 //!
 //! Usage: `profile_phases [out_dir]` (default `target/profile`).
 
+use std::time::Duration;
+
 use bgr_bench::resettled_per_search;
-use bgr_core::{GlobalRouter, RekeyCause, RouterConfig};
+use bgr_core::{Counter, GlobalRouter, RekeyCause, RouterConfig, Scope};
 use bgr_gen::{c2_cached, c3_cached, DataSet};
 
 fn profile(ds: &DataSet, out_dir: &str) {
@@ -80,6 +86,20 @@ fn profile(ds: &DataSet, out_dir: &str) {
         );
     }
     println!("  {}", resettled_per_search(&trace));
+    // The tree layer's cost per hypothetical search: `rekey:graph` self
+    // time over every path it occurs on, per hypothetical-tree miss.
+    let graph_label = Scope::RekeyFor(RekeyCause::Graph).label();
+    let graph_self: Duration = rekey_entries
+        .iter()
+        .filter(|e| e.path.last() == Some(&graph_label))
+        .map(|e| e.self_time)
+        .sum();
+    let searches = trace.counter(Counter::HypCacheMiss);
+    println!(
+        "  hypothetical trees: {:.2} µs of {graph_label} self time per search \
+         ({graph_self:?} over {searches} searches)",
+        graph_self.as_secs_f64() * 1e6 / searches.max(1) as f64
+    );
 
     std::fs::create_dir_all(out_dir).expect("create out dir");
     let folded_path = format!("{out_dir}/{}.folded", ds.name);

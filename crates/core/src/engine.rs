@@ -97,7 +97,9 @@ use crate::scoreboard::Scoreboard;
 use crate::select::{deciding_tier, ranks_first, DecidingTier, EdgeKey};
 use crate::session::SnapshotStats;
 use crate::shard::ShardMap;
-use crate::tentative::{tentative_length_um, tree_deps_exact, EdgeSet, ShortestPaths, TreeDeps};
+use crate::tentative::{
+    tentative_length_um, tree_deps_exact, union_sum_exact, EdgeSet, ShortestPaths, TreeDeps,
+};
 
 /// One tentative tree cached for a net: its wire state, the edges it
 /// depends on, and the delay prefix memoized for it.
@@ -138,10 +140,11 @@ impl CachedTree {
 /// other edge's hypothetical tree is the current one, so its key needs
 /// no search and shares the current tree's delay prefix. A deletion
 /// keeps every cached tree that does not depend on a deleted edge
-/// ([`NetScanState::retain_after`]) and drops the search; any other
-/// graph change (reroute, snapshot restore) drops everything. The rules
-/// are exact — see [`ShortestPaths`] — and [`Engine::audit_state`]
-/// checks them against full searches.
+/// ([`NetScanState::retain_after`]); any other graph change (reroute,
+/// snapshot restore) drops everything. The rules are exact — see
+/// [`ShortestPaths`] — and [`Engine::audit_state`] checks them against
+/// full searches. The search itself lives for one scan
+/// ([`scan_raw_keys`]).
 ///
 /// Delay prefixes are memoized per tree, stamped with the *sum* of
 /// [`Sta::constraint_generation`] over the net's constraints: each
@@ -164,7 +167,10 @@ struct NetScanState {
     /// [`tree_deps_exact`] for the net's graph (edge lengths never
     /// change, so it is fixed at construction).
     exact: bool,
-    /// The driver-rooted search of the current graph.
+    /// [`union_sum_exact`] for the net's graph (fixed likewise).
+    sum_exact: bool,
+    /// The driver-rooted search of the current graph, kept for one scan
+    /// of the net (the scan leaves every tree it needs cached).
     paths: Option<ShortestPaths>,
     /// The net's current tentative tree.
     current: Option<CachedTree>,
@@ -201,6 +207,7 @@ impl NetScanState {
         }
         Self {
             exact: tree_deps_exact(g),
+            sum_exact: union_sum_exact(g),
             lanes,
             ..Self::default()
         }
@@ -346,8 +353,8 @@ impl NetScanState {
             c.hyp_hits += 1;
         } else {
             c.hyp_misses += 1;
-            let exact = self.exact;
-            let (tree, resettled) = self.paths(g).tree_without(g, e, exact);
+            let (exact, sum_exact) = (self.exact, self.sum_exact);
+            let (tree, resettled) = self.paths(g).tree_without(g, e, exact, sum_exact);
             c.resettled += u64::from(resettled);
             self.hyp[e as usize] = Some(Box::new(CachedTree::new(sta, net, tree)));
         }
@@ -380,7 +387,10 @@ impl NetScanState {
             Some(p) if synced => p.clone(),
             _ => ShortestPaths::search(g, None),
         };
-        paths.tree_without(g, e, self.exact).0.map(|t| t.length_um)
+        paths
+            .tree_without(g, e, self.exact, self.sum_exact)
+            .0
+            .map(|t| t.length_um)
     }
 }
 
@@ -504,6 +514,8 @@ fn scan_champion(
             best = Some(key);
         }
     }
+    // Every deletable edge's tree is cached now (see `scan_raw_keys`).
+    state.paths = None;
     best
 }
 
@@ -634,6 +646,10 @@ fn scan_raw_keys(
         out.push((*heap, best));
     }
     state.lanes = all;
+    // The search lives for one scan. Every graph change re-keys all of
+    // a net's lanes, which caches a tree for each deletable edge, so
+    // later scans of the same graph never need the search again.
+    state.paths = None;
     out
 }
 

@@ -7,33 +7,35 @@
 //! delay model; re-running it *assuming the deletion of `e`* yields the
 //! hypothetical lengths behind `LM(e, P)`.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::RoutingGraph;
 
-/// Min-heap entry with a total-order `f64` key.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapItem {
-    dist: f64,
-    vert: u32,
-}
+/// Min-heap entry: `(dist, vertex)` packed into one integer that orders
+/// exactly like the pair. Distances are non-negative — a search starts
+/// at `+0.0` and adds non-negative weights, and `+0.0 + x` is never
+/// `-0.0` — and the bits of a non-negative `f64` order like its value,
+/// so `dist.to_bits()` above the vertex compares like
+/// `(dist.total_cmp, vertex)`. Ties by vertex keep pops deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapItem(Reverse<u128>);
 
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; ties by vertex for determinism.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.vert.cmp(&self.vert))
+impl HeapItem {
+    #[inline]
+    fn new(dist: f64, vert: u32) -> Self {
+        debug_assert!(dist.is_sign_positive(), "negative distance {dist}");
+        Self(Reverse(u128::from(dist.to_bits()) << 32 | u128::from(vert)))
     }
-}
 
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    #[inline]
+    fn dist(self) -> f64 {
+        f64::from_bits((self.0 .0 >> 32) as u64)
+    }
+
+    #[inline]
+    fn vert(self) -> u32 {
+        self.0 .0 as u32
     }
 }
 
@@ -55,11 +57,11 @@ pub fn tentative_tree(graph: &RoutingGraph, skip: Option<u32>) -> Option<Tentati
     tentative_tree_with(graph, skip, |e| graph.edges()[e as usize].len_um)
 }
 
-/// Like [`tentative_tree`], but with a caller-supplied edge weight for
-/// the shortest-path search (e.g. length plus a congestion penalty, as
-/// the sequential baseline router uses). The returned `length_um` is
-/// always the *physical* length of the union, independent of the
-/// weights.
+/// Like [`tentative_tree`], but with a caller-supplied non-negative edge
+/// weight for the shortest-path search (e.g. length plus a congestion
+/// penalty, as the sequential baseline router uses). The returned
+/// `length_um` is always the *physical* length of the union,
+/// independent of the weights.
 pub fn tentative_tree_with(
     graph: &RoutingGraph,
     skip: Option<u32>,
@@ -124,6 +126,20 @@ fn union_length_um(graph: &RoutingGraph, in_union: &[bool]) -> f64 {
     length_um
 }
 
+/// Physical length of a union given as bit words, summed in edge-index
+/// order (bit-identical to [`union_length_um`] on the same set).
+fn union_words_length_um(graph: &RoutingGraph, words: &[u64]) -> f64 {
+    let mut length_um = 0.0;
+    for (i, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            length_um += graph.edges()[i * 64 + w.trailing_zeros() as usize].len_um;
+            w &= w - 1;
+        }
+    }
+    length_um
+}
+
 /// A set of edge indices of one routing graph.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct EdgeSet(Box<[u64]>);
@@ -172,6 +188,29 @@ pub(crate) fn tree_deps_exact(graph: &RoutingGraph) -> bool {
         .all(|e| e.len_um == 0.0 || (e.len_um > 0.0 && bound + e.len_um > bound))
 }
 
+/// The grid every edge length must lie on for [`union_sum_exact`]: 2⁻¹⁰ µm.
+const SUM_GRID_UM: f64 = 1.0 / 1024.0;
+
+/// The bound the total edge length must stay below for
+/// [`union_sum_exact`]: 2⁴² µm, so every multiple of [`SUM_GRID_UM`]
+/// up to it has at most 52 significant bits.
+const SUM_CAP_UM: f64 = (1u64 << 42) as f64;
+
+/// Whether every sum of a subset of `graph`'s edge lengths is exact in
+/// any order: every length is a non-negative multiple of 2⁻¹⁰ µm and
+/// the total stays below 2⁴² µm, so every partial sum is a multiple of
+/// 2⁻¹⁰ below 2⁴², which an `f64` holds exactly. Then
+/// [`ShortestPaths::tree_without`] may update the current union's
+/// length by the edges it unlinks and links, bit-identically to summing
+/// the new union in edge-index order. The float total is a sound test:
+/// rounding is monotone and 2⁴² is representable, so it stays below the
+/// cap exactly when the true total does.
+pub(crate) fn union_sum_exact(graph: &RoutingGraph) -> bool {
+    let on_grid = |len: f64| len >= 0.0 && (len / SUM_GRID_UM).fract() == 0.0;
+    graph.edges().iter().all(|e| on_grid(e.len_um))
+        && graph.edges().iter().map(|e| e.len_um).sum::<f64>() < SUM_CAP_UM
+}
+
 /// The driver-rooted shortest-path search behind a tentative tree:
 /// Dijkstra over the alive edges with strict relaxation and pops ordered
 /// by `(dist, vertex)`, kept whole (every vertex's distance and parent
@@ -216,11 +255,15 @@ pub(crate) fn tree_deps_exact(graph: &RoutingGraph) -> bool {
 ///
 /// When the weight condition fails, dependencies widen to every edge
 /// and hypothetical trees fall back to full searches.
+///
+/// The first hypothetical tree indexes the search once ([`Resettle`]);
+/// the index lives as long as the search, which the engine keeps for
+/// one scan of the net.
 #[derive(Debug, Clone)]
 pub(crate) struct ShortestPaths {
     dist: Vec<f64>,
     parent_edge: Vec<u32>,
-    scratch: Resettle,
+    resettle: Option<Box<Resettle>>,
 }
 
 impl ShortestPaths {
@@ -236,11 +279,9 @@ impl ShortestPaths {
         let src = graph.driver_vert();
         dist[src as usize] = 0.0;
         let mut heap = BinaryHeap::with_capacity(nv);
-        heap.push(HeapItem {
-            dist: 0.0,
-            vert: src,
-        });
-        while let Some(HeapItem { dist: d, vert: v }) = heap.pop() {
+        heap.push(HeapItem::new(0.0, src));
+        while let Some(item) = heap.pop() {
+            let (d, v) = (item.dist(), item.vert());
             if d > dist[v as usize] {
                 continue;
             }
@@ -248,18 +289,20 @@ impl ShortestPaths {
                 if !graph.is_alive(e) || Some(e) == skip {
                     continue;
                 }
-                let nd = d + weight(e);
+                let we = weight(e);
+                debug_assert!(we >= 0.0, "edge {e} weighs {we}");
+                let nd = d + we;
                 if nd < dist[w as usize] {
                     dist[w as usize] = nd;
                     parent_edge[w as usize] = e;
-                    heap.push(HeapItem { dist: nd, vert: w });
+                    heap.push(HeapItem::new(nd, w));
                 }
             }
         }
         Self {
             dist,
             parent_edge,
-            scratch: Resettle::default(),
+            resettle: None,
         }
     }
 
@@ -280,7 +323,8 @@ impl ShortestPaths {
     /// The tentative tree assuming alive edge `e` deleted, bit-identical
     /// to `Self::search(graph, Some(e)).tree(graph, exact)`, and the
     /// number of vertices re-settled to find it (every vertex for a full
-    /// search, none when `e` is not a parent edge).
+    /// search, none when `e` is not a parent edge). `sum_exact` is
+    /// [`union_sum_exact`] for `graph`.
     ///
     /// When `exact` and `e` is a parent edge, only the subtree `S` below
     /// it is re-settled. Every other vertex keeps its distance and
@@ -292,13 +336,21 @@ impl ShortestPaths {
     /// so the relative `(dist, vertex)` pop order, and hence every
     /// parent chosen inside `S`, is the full search's. The work is
     /// proportional to `S`, its surroundings and the new tree, not to
-    /// the graph: all per-vertex and per-edge state lives in scratch
-    /// buffers that are cleared entry by entry.
+    /// the graph: the search's [`Resettle`] index answers every
+    /// structural question, and all per-vertex and per-edge state lives
+    /// in scratch buffers that are cleared entry by entry.
+    ///
+    /// The new union is the current one minus the edges only detached
+    /// terminals used, plus their new chains. With `sum_exact` its
+    /// length is the current length minus the unlinked edges plus the
+    /// linked ones — exact, so bit-identical to the edge-index-order
+    /// sum a full search makes, which is the fallback otherwise.
     pub(crate) fn tree_without(
         &mut self,
         graph: &RoutingGraph,
         e: u32,
         exact: bool,
+        sum_exact: bool,
     ) -> (Option<TreeDeps>, u32) {
         if !exact {
             let full = Self::search(graph, Some(e)).tree(graph, false);
@@ -312,69 +364,81 @@ impl ShortestPaths {
             return (self.tree(graph, true), 0);
         };
         let (dist, parent_edge) = (&self.dist, &self.parent_edge);
-        let s = &mut self.scratch;
-        s.fit(graph);
-        let usable = |f: u32| f != e && graph.is_alive(f);
+        let s = self
+            .resettle
+            .get_or_insert_with(|| Box::new(Resettle::index(graph, parent_edge)));
+        let Resettle {
+            index: ix,
+            mark,
+            dist: new_dist,
+            parent_edge: new_parent_edge,
+            parent: new_parent,
+            members,
+            replayed,
+            next_union,
+            heap,
+        } = &mut **s;
         // S: `child` and its descendants, unsettled.
-        s.mark[child as usize] = Mark::Detached;
-        s.members.push(child);
+        mark[child as usize] = Mark::Detached;
+        members.push(child);
         let mut i = 0;
-        while i < s.members.len() {
-            let v = s.members[i];
-            s.dist[v as usize] = f64::INFINITY;
-            s.parent_edge[v as usize] = u32::MAX;
-            for &(w, f) in graph.adj(v) {
-                if parent_edge[w as usize] == f && s.mark[w as usize] == Mark::Clear {
-                    s.mark[w as usize] = Mark::Detached;
-                    s.members.push(w);
-                }
+        while i < members.len() {
+            let v = members[i];
+            new_dist[v as usize] = f64::INFINITY;
+            new_parent_edge[v as usize] = u32::MAX;
+            let mut w = ix.first_child[v as usize];
+            while w != u32::MAX {
+                mark[w as usize] = Mark::Detached;
+                members.push(w);
+                w = ix.next_sibling[w as usize];
             }
             i += 1;
         }
         // The replayed outside vertices; those reached from a lower level
         // (or the driver) start in the heap.
-        for &v in &s.members {
-            for &(w, f) in graph.adj(v) {
-                if !usable(f) {
+        for &v in members.iter() {
+            for &(w, f, _) in ix.adj(v) {
+                if f == e {
                     continue;
                 }
                 let mut u = w;
-                while s.mark[u as usize] == Mark::Clear {
-                    s.mark[u as usize] = Mark::Replayed;
-                    s.replayed.push(u);
-                    let pe = parent_edge[u as usize];
+                while mark[u as usize] == Mark::Clear {
+                    mark[u as usize] = Mark::Replayed;
+                    replayed.push(u);
+                    let p = ix.parent[u as usize];
                     let d = dist[u as usize];
-                    match (pe != u32::MAX).then(|| other_end(graph, pe, u)) {
-                        Some(p) if dist[p as usize] == d => u = p,
-                        _ => {
-                            s.heap.push(HeapItem { dist: d, vert: u });
-                            break;
-                        }
+                    if p != u32::MAX && dist[p as usize] == d {
+                        u = p;
+                    } else {
+                        heap.push(HeapItem::new(d, u));
+                        break;
                     }
                 }
             }
         }
-        while let Some(HeapItem { dist: d, vert: v }) = s.heap.pop() {
-            let inside = s.mark[v as usize] == Mark::Detached;
-            if inside && d > s.dist[v as usize] {
+        while let Some(item) = heap.pop() {
+            let (d, v) = (item.dist(), item.vert());
+            let inside = mark[v as usize] == Mark::Detached;
+            if inside && d > new_dist[v as usize] {
                 continue;
             }
-            for &(w, f) in graph.adj(v) {
-                if !usable(f) {
+            for &(w, f, len_um) in ix.adj(v) {
+                if f == e {
                     continue;
                 }
                 let wi = w as usize;
-                match s.mark[wi] {
+                match mark[wi] {
                     Mark::Detached => {
-                        let nd = d + graph.edges()[f as usize].len_um;
-                        if nd < s.dist[wi] {
-                            s.dist[wi] = nd;
-                            s.parent_edge[wi] = f;
-                            s.heap.push(HeapItem { dist: nd, vert: w });
+                        let nd = d + len_um;
+                        if nd < new_dist[wi] {
+                            new_dist[wi] = nd;
+                            new_parent_edge[wi] = f;
+                            new_parent[wi] = v;
+                            heap.push(HeapItem::new(nd, w));
                         }
                     }
                     Mark::Replayed if !inside && parent_edge[wi] == f && dist[wi] == d => {
-                        s.heap.push(HeapItem { dist: d, vert: w });
+                        heap.push(HeapItem::new(d, w));
                     }
                     _ => {}
                 }
@@ -386,65 +450,60 @@ impl ShortestPaths {
         // chains, which end on the first edge still in the union (its
         // chain to the driver is in it too).
         let src = graph.driver_vert();
-        if s.uses.is_empty() {
-            s.index_union(graph, parent_edge);
-        }
-        s.next_union.clone_from(&s.union);
-        let detached = |v: u32| s.mark[v as usize] == Mark::Detached;
-        let k = graph
-            .terminal_verts()
-            .iter()
-            .filter(|&&t| detached(t))
-            .count() as u32;
-        let mut unlink = |f: u32| s.next_union[f as usize / 64] &= !(1 << (f % 64));
-        for &v in &s.members {
+        let len_of = |f: u32| graph.edges()[f as usize].len_um;
+        next_union.clone_from(&ix.union);
+        let mut length_um = ix.length_um;
+        let mut unlink = |f: u32| {
+            let (word, bit) = (f as usize / 64, 1 << (f % 64));
+            if next_union[word] & bit != 0 {
+                next_union[word] &= !bit;
+                length_um -= len_of(f);
+            }
+        };
+        let mut k = 0;
+        for &v in members.iter() {
             unlink(parent_edge[v as usize]);
+            k += ix.terminals[v as usize];
         }
-        let mut cur = other_end(graph, e, child);
+        let mut cur = ix.parent[child as usize];
         while cur != src {
             let pe = parent_edge[cur as usize];
-            if s.uses[pe as usize] > k {
+            if ix.uses[pe as usize] > k {
                 break;
             }
             unlink(pe);
-            cur = other_end(graph, pe, cur);
+            cur = ix.parent[cur as usize];
         }
         let mut reachable = true;
-        'terminals: for &t in graph.terminal_verts().iter().filter(|&&t| detached(t)) {
+        'terminals: for &t in members.iter().filter(|&&t| ix.terminals[t as usize] > 0) {
             let mut cur = t;
             while cur != src {
-                let pe = match s.mark[cur as usize] {
-                    Mark::Detached => s.parent_edge[cur as usize],
-                    _ => parent_edge[cur as usize],
+                let (pe, p) = match mark[cur as usize] {
+                    Mark::Detached => (new_parent_edge[cur as usize], new_parent[cur as usize]),
+                    _ => (parent_edge[cur as usize], ix.parent[cur as usize]),
                 };
                 if pe == u32::MAX {
                     reachable = false;
                     break 'terminals;
                 }
                 let (word, bit) = (pe as usize / 64, 1 << (pe % 64));
-                if s.next_union[word] & bit != 0 {
+                if next_union[word] & bit != 0 {
                     break;
                 }
-                s.next_union[word] |= bit;
-                cur = other_end(graph, pe, cur);
+                next_union[word] |= bit;
+                length_um += len_of(pe);
+                cur = p;
             }
         }
-        let tree = reachable.then(|| {
-            // Summed in edge-index order, as `union_length_um` does.
-            let mut length_um = 0.0;
-            for (i, &word) in s.next_union.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    length_um += graph.edges()[i * 64 + w.trailing_zeros() as usize].len_um;
-                    w &= w - 1;
-                }
-            }
-            TreeDeps {
-                length_um,
-                deps: EdgeSet(s.next_union.clone().into_boxed_slice()),
-            }
+        let tree = reachable.then(|| TreeDeps {
+            length_um: if sum_exact {
+                length_um
+            } else {
+                union_words_length_um(graph, next_union)
+            },
+            deps: EdgeSet(next_union.clone().into_boxed_slice()),
         });
-        let resettled = s.members.len() as u32;
+        let resettled = members.len() as u32;
         s.clear();
         (tree, resettled)
     }
@@ -461,17 +520,54 @@ enum Mark {
     Replayed,
 }
 
-/// State of [`ShortestPaths::tree_without`]: the search's own union
-/// with, per edge, how many terminal chains use it (built on first use),
-/// and scratch buffers that are clear between calls. `dist` and
-/// `parent_edge` hold the re-settled values of detached vertices only.
-#[derive(Debug, Clone, Default)]
-struct Resettle {
+/// What every [`ShortestPaths::tree_without`] of one search reads,
+/// built once before its first detach. Alive edges and the search tree
+/// are fixed for the search's life.
+#[derive(Debug, Clone)]
+struct SearchIndex {
+    /// Per vertex: its parent in the search tree (`u32::MAX` for the
+    /// driver and unreached vertices).
+    parent: Vec<u32>,
+    /// Per vertex: its first child in the search tree, then per child
+    /// the next one (`u32::MAX` ends a list), so a detach walks the
+    /// subtree without scanning neighbours.
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    /// Per vertex: how often it occurs in the graph's terminal list
+    /// (repeats count, as in `uses`).
+    terminals: Vec<u32>,
+    /// Alive-only adjacency `(neighbour, edge, len_um)` in CSR form,
+    /// filtered from the graph's adjacency in its order (with strict
+    /// relaxation the first tight relaxer becomes the parent).
+    adj_start: Vec<u32>,
+    adj_list: Vec<(u32, u32, f64)>,
+    /// The search's own union as bit words, and per edge how many
+    /// terminal chains use it.
     union: Vec<u64>,
     uses: Vec<u32>,
+    /// The union's length, summed in edge-index order.
+    length_um: f64,
+}
+
+impl SearchIndex {
+    #[inline]
+    fn adj(&self, v: u32) -> &[(u32, u32, f64)] {
+        let v = v as usize;
+        &self.adj_list[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
+    }
+}
+
+/// State of [`ShortestPaths::tree_without`]: the search's [`SearchIndex`]
+/// and scratch buffers that are clear between calls. `dist`,
+/// `parent_edge` and `parent` hold the re-settled values of detached
+/// vertices only.
+#[derive(Debug, Clone)]
+struct Resettle {
+    index: SearchIndex,
     mark: Vec<Mark>,
     dist: Vec<f64>,
     parent_edge: Vec<u32>,
+    parent: Vec<u32>,
     members: Vec<u32>,
     replayed: Vec<u32>,
     next_union: Vec<u64>,
@@ -479,30 +575,66 @@ struct Resettle {
 }
 
 impl Resettle {
-    fn fit(&mut self, graph: &RoutingGraph) {
-        let nv = graph.verts().len();
-        if self.mark.len() != nv {
-            self.mark = vec![Mark::Clear; nv];
-            self.dist = vec![f64::INFINITY; nv];
-            self.parent_edge = vec![u32::MAX; nv];
+    /// Indexes the search with parent edges `parent_edge` of `graph`.
+    fn index(graph: &RoutingGraph, parent_edge: &[u32]) -> Self {
+        let (nv, ne) = (graph.verts().len(), graph.edges().len());
+        let mut parent = vec![u32::MAX; nv];
+        let mut first_child = vec![u32::MAX; nv];
+        let mut next_sibling = vec![u32::MAX; nv];
+        for (v, &pe) in parent_edge.iter().enumerate() {
+            if pe != u32::MAX {
+                let p = other_end(graph, pe, v as u32);
+                parent[v] = p;
+                next_sibling[v] = first_child[p as usize];
+                first_child[p as usize] = v as u32;
+            }
         }
-    }
-
-    fn index_union(&mut self, graph: &RoutingGraph, parent_edge: &[u32]) {
-        let ne = graph.edges().len();
-        self.union = vec![0; ne.div_ceil(64)];
-        self.uses = vec![0; ne];
+        let mut terminals = vec![0; nv];
+        let mut union = vec![0u64; ne.div_ceil(64)];
+        let mut uses = vec![0; ne];
         for &t in graph.terminal_verts() {
+            terminals[t as usize] += 1;
             let mut cur = t;
             while cur != graph.driver_vert() {
                 let pe = parent_edge[cur as usize];
                 if pe == u32::MAX {
                     break;
                 }
-                self.uses[pe as usize] += 1;
-                self.union[pe as usize / 64] |= 1 << (pe % 64);
-                cur = other_end(graph, pe, cur);
+                uses[pe as usize] += 1;
+                union[pe as usize / 64] |= 1 << (pe % 64);
+                cur = parent[cur as usize];
             }
+        }
+        let mut adj_start = Vec::with_capacity(nv + 1);
+        let mut adj_list = Vec::with_capacity(2 * graph.alive_count());
+        adj_start.push(0);
+        for v in 0..nv as u32 {
+            for &(w, f) in graph.adj(v).iter().filter(|&&(_, f)| graph.is_alive(f)) {
+                adj_list.push((w, f, graph.edges()[f as usize].len_um));
+            }
+            adj_start.push(adj_list.len() as u32);
+        }
+        let length_um = union_words_length_um(graph, &union);
+        Self {
+            index: SearchIndex {
+                parent,
+                first_child,
+                next_sibling,
+                terminals,
+                adj_start,
+                adj_list,
+                union,
+                uses,
+                length_um,
+            },
+            mark: vec![Mark::Clear; nv],
+            dist: vec![f64::INFINITY; nv],
+            parent_edge: vec![u32::MAX; nv],
+            parent: vec![u32::MAX; nv],
+            members: Vec::new(),
+            replayed: Vec::new(),
+            next_union: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -565,13 +697,23 @@ mod tests {
         ];
         let mut rng = SplitMix64::new(0x7E57_7EE5);
         let (mut resettled, mut inexact) = (0, 0);
+        let (mut summed, mut ordered) = (0, 0);
         for case in 0..4000 {
-            let lengths = length_sets[case % length_sets.len()];
+            let set = case % length_sets.len();
+            let lengths = length_sets[set];
             let mut g = random_graph(&mut rng, lengths);
             let exact = tree_deps_exact(&g);
             // Only a sub-ulp length next to ordinary ones breaks the rules.
             assert!(exact || lengths.contains(&1e-17));
             inexact += !exact as usize;
+            // The first two sets lie on the 2⁻¹⁰ µm grid; the others fall
+            // back to ordered sums whenever they draw an off-grid length.
+            let sum_exact = union_sum_exact(&g);
+            assert!(sum_exact || set >= 2, "case {case}");
+            if exact {
+                summed += sum_exact as usize;
+                ordered += !sum_exact as usize;
+            }
             // Hypothetical trees cached across the deletion sequence.
             let mut kept: Vec<(u32, TreeDeps)> = Vec::new();
             loop {
@@ -594,7 +736,7 @@ mod tests {
                 kept.clear();
                 for &e in &deletable {
                     let want = tentative_tree(&g, Some(e)).expect("non-bridge");
-                    let (got, count) = paths.tree_without(&g, e, exact);
+                    let (got, count) = paths.tree_without(&g, e, exact, sum_exact);
                     let got = got.expect("non-bridge");
                     assert_eq!(
                         got.length_um.to_bits(),
@@ -635,6 +777,62 @@ mod tests {
             inexact > 100,
             "only {inexact} graphs exercised the fallback"
         );
+        assert!(
+            summed > 100 && ordered > 100,
+            "{summed} incremental and {ordered} ordered union sums exercised"
+        );
+    }
+
+    /// The exact-sum guard: lengths on the 2⁻¹⁰ µm grid pass, an
+    /// off-grid length or a total at the 2⁴² µm cap fails.
+    #[test]
+    fn union_sum_guard_needs_grid_lengths_below_the_cap() {
+        let path = |lengths: &[f64]| {
+            let edges: Vec<(u32, u32, f64)> = (0..lengths.len())
+                .map(|i| (i as u32, i as u32 + 1, lengths[i]))
+                .collect();
+            RoutingGraph::from_edges(lengths.len() + 1, &edges, &[0, lengths.len() as u32])
+        };
+        assert!(union_sum_exact(&path(&[0.5, 0.25, 0.0, 30.0])));
+        assert!(union_sum_exact(&path(&[1.0 / 1024.0, 8.0])));
+        assert!(!union_sum_exact(&path(&[0.5, 0.1])));
+        assert!(!union_sum_exact(&path(&[1.0 / 2048.0])));
+        let half_cap = (1u64 << 41) as f64;
+        assert!(union_sum_exact(&path(&[half_cap, half_cap / 2.0])));
+        assert!(!union_sum_exact(&path(&[half_cap, half_cap])));
+        assert!(!union_sum_exact(&path(&[half_cap, half_cap, 1.0])));
+    }
+
+    /// Packed heap entries order like `(dist.total_cmp, vertex)`
+    /// reversed (a min-heap), on non-negative distances with ties and
+    /// zeros, and unpack to what they were built from.
+    #[test]
+    fn packed_heap_items_order_like_their_pairs() {
+        let mut rng = SplitMix64::new(0x4EA9_17E5);
+        let dists = [0.0, 0.5, 1.0, 30.0, 1e-300, 7.25e9, f64::MAX];
+        let draw = |rng: &mut SplitMix64| {
+            let d = match rng.range_usize(0, 3) {
+                0 => dists[rng.range_usize(0, dists.len())],
+                _ => rng.range_usize(0, 1 << 20) as f64 / 64.0,
+            };
+            (d, rng.range_usize(0, 6) as u32)
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (draw(&mut rng), draw(&mut rng));
+            let (x, y) = (HeapItem::new(a.0, a.1), HeapItem::new(b.0, b.1));
+            let want = b.0.total_cmp(&a.0).then(b.1.cmp(&a.1));
+            assert_eq!(x.cmp(&y), want, "{a:?} vs {b:?}");
+            assert_eq!((x.dist().to_bits(), x.vert()), (a.0.to_bits(), a.1));
+        }
+        let mut heap: BinaryHeap<HeapItem> = [(1.0, 3), (0.0, 9), (1.0, 2), (0.0, 4)]
+            .into_iter()
+            .map(|(d, v)| HeapItem::new(d, v))
+            .collect();
+        let mut popped = Vec::new();
+        while let Some(item) = heap.pop() {
+            popped.push((item.dist(), item.vert()));
+        }
+        assert_eq!(popped, [(0.0, 4), (0.0, 9), (1.0, 2), (1.0, 3)]);
     }
 
     #[test]

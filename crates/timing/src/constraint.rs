@@ -49,6 +49,8 @@ pub struct ConstraintGraph {
     /// Arc indices grouped by loading net: `net → arcs of this graph whose
     /// delay depends on that net's wire length`.
     arcs_by_net: HashMap<NetId, Vec<u32>>,
+    /// The keys of `arcs_by_net`, ascending.
+    nets: Vec<NetId>,
 }
 
 const ABSENT: u32 = u32::MAX;
@@ -159,12 +161,15 @@ impl ConstraintGraph {
                 }
             }
         }
+        let mut nets: Vec<NetId> = arcs_by_net.keys().copied().collect();
+        nets.sort_unstable();
         Ok(Self {
             constraint,
             topo,
             dense,
             arcs,
             arcs_by_net,
+            nets,
         })
     }
 
@@ -204,9 +209,10 @@ impl ConstraintGraph {
         self.arcs_by_net.get(&net).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Nets with at least one loading arc in this graph.
+    /// Nets with at least one loading arc in this graph, ascending by
+    /// [`NetId`] (the same order in every build from the same inputs).
     pub fn nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.arcs_by_net.keys().copied()
+        self.nets.iter().copied()
     }
 
     /// Forward longest-path sweep: returns `lp(v)` per dense index (ps

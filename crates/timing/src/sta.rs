@@ -225,7 +225,9 @@ impl Sta {
     }
 
     /// Member nets of constraint `cid` (inverse of
-    /// [`Sta::constraints_of_net`]). A net's length change perturbs the
+    /// [`Sta::constraints_of_net`]), ascending by [`NetId`], so every
+    /// analyzer built from the same inputs lists them in the same order
+    /// ([`ConstraintGraph::nets`]). A net's length change perturbs the
     /// longest paths — and hence local margins — of *every* member net of
     /// each affected constraint; incremental consumers must re-evaluate
     /// all of them.
@@ -316,12 +318,17 @@ mod tests {
     use bgr_netlist::{CellLibrary, Circuit, CircuitBuilder, TermId};
 
     fn chain3() -> (Circuit, TermId, TermId) {
+        chain(3)
+    }
+
+    /// A pad-to-pad chain of `n` inverters (`n + 1` nets).
+    fn chain(n: usize) -> (Circuit, TermId, TermId) {
         let lib = CellLibrary::ecl();
         let inv = lib.kind_by_name("INV").unwrap();
         let mut cb = CircuitBuilder::new(lib);
         let a = cb.add_input_pad("a");
         let y = cb.add_output_pad("y");
-        let cells: Vec<_> = (0..3).map(|i| cb.add_cell(format!("u{i}"), inv)).collect();
+        let cells: Vec<_> = (0..n).map(|i| cb.add_cell(format!("u{i}"), inv)).collect();
         let mut prev = cb.pad_term(a);
         for &c in &cells {
             cb.add_net(format!("n{c:?}"), prev, [cb.cell_term(c, "A").unwrap()])
@@ -435,6 +442,27 @@ mod tests {
                 sta.constraints_of_net(net).contains(&0)
             );
         }
+    }
+
+    #[test]
+    fn member_nets_are_ascending_in_every_analyzer() {
+        let (circuit, s, t) = chain(24);
+        let build = || {
+            Sta::new(
+                &circuit,
+                vec![PathConstraint::new("p", s, t, 1000.0)],
+                DelayModel::Capacitance,
+                WireParams::default(),
+            )
+            .unwrap()
+        };
+        let (a, b) = (build(), build());
+        let members = a.nets_of_constraint(0);
+        assert_eq!(members.len(), 24);
+        assert_eq!(members, b.nets_of_constraint(0));
+        assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
+        let listed: Vec<NetId> = a.constraint(0).nets().collect();
+        assert_eq!(listed, members);
     }
 
     #[test]
