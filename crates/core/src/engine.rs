@@ -97,9 +97,7 @@ use crate::scoreboard::Scoreboard;
 use crate::select::{deciding_tier, ranks_first, DecidingTier, EdgeKey};
 use crate::session::SnapshotStats;
 use crate::shard::ShardMap;
-use crate::tentative::{
-    tentative_length_um, tree_deps_exact, union_sum_exact, EdgeSet, ShortestPaths, TreeDeps,
-};
+use crate::tentative::{tentative_length_um, EdgeSet, ShortestPaths, TreeDeps};
 
 /// One tentative tree cached for a net: its wire state, the edges it
 /// depends on, and the delay prefix memoized for it.
@@ -164,11 +162,6 @@ struct NetScanState {
     stamp: u64,
     /// Summed constraint generations the memoized delays belong to.
     sta_stamp: u64,
-    /// [`tree_deps_exact`] for the net's graph (edge lengths never
-    /// change, so it is fixed at construction).
-    exact: bool,
-    /// [`union_sum_exact`] for the net's graph (fixed likewise).
-    sum_exact: bool,
     /// The driver-rooted search of the current graph, kept for one scan
     /// of the net (the scan leaves every tree it needs cached).
     paths: Option<ShortestPaths>,
@@ -206,8 +199,6 @@ impl NetScanState {
             }
         }
         Self {
-            exact: tree_deps_exact(g),
-            sum_exact: union_sum_exact(g),
             lanes,
             ..Self::default()
         }
@@ -299,10 +290,10 @@ impl NetScanState {
         self.sync_graph(g);
         if self.current.is_none() {
             let tree = match &self.paths {
-                Some(paths) => paths.tree(g, self.exact),
+                Some(paths) => paths.tree(g),
                 None => {
                     let paths = ShortestPaths::search(g, None);
-                    let tree = paths.tree(g, self.exact);
+                    let tree = paths.tree(g);
                     if !self.hyp.is_empty() {
                         self.paths = Some(paths);
                     }
@@ -353,8 +344,7 @@ impl NetScanState {
             c.hyp_hits += 1;
         } else {
             c.hyp_misses += 1;
-            let (exact, sum_exact) = (self.exact, self.sum_exact);
-            let (tree, resettled) = self.paths(g).tree_without(g, e, exact, sum_exact);
+            let (tree, resettled) = self.paths(g).tree_without(g, e);
             c.resettled += u64::from(resettled);
             self.hyp[e as usize] = Some(Box::new(CachedTree::new(sta, net, tree)));
         }
@@ -387,10 +377,7 @@ impl NetScanState {
             Some(p) if synced => p.clone(),
             _ => ShortestPaths::search(g, None),
         };
-        paths
-            .tree_without(g, e, self.exact, self.sum_exact)
-            .0
-            .map(|t| t.length_um)
+        paths.tree_without(g, e).0.map(|t| t.length_um)
     }
 }
 
@@ -840,6 +827,10 @@ impl Engine<NoopProbe> {
 impl<P: Probe> Engine<P> {
     /// [`Engine::new`] with an explicit [`Probe`] (moved in; retrieve it
     /// with [`Engine::into_parts`] or borrow via [`Engine::probe_mut`]).
+    ///
+    /// Every graph's total edge length must stay below 2⁴² µm, so that
+    /// its length sums are exact (checked in debug builds; a session
+    /// rejects a longer graph with [`crate::RouteError::GraphTooLong`]).
     pub fn with_probe(
         mut graphs: Vec<RoutingGraph>,
         sta: Sta,
@@ -848,6 +839,10 @@ impl<P: Probe> Engine<P> {
         chip_width: usize,
         probe: P,
     ) -> Self {
+        debug_assert!(
+            graphs.iter().all(RoutingGraph::within_length_cap),
+            "a routing graph's total length reaches the 2^42 um cap"
+        );
         let mut density = DensityMap::new(num_channels, chip_width);
         for g in &mut graphs {
             g.prune_dangling();
@@ -1131,7 +1126,7 @@ impl<P: Probe> Engine<P> {
             let got = self.sta.lengths().length_um(NetId::new(i));
             checks += 1;
             assert!(
-                (got - want).abs() <= 1e-6,
+                got == want,
                 "self-audit: memoized length of net {i} diverged: \
                  incremental {got} um, from-scratch {want} um"
             );

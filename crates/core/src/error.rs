@@ -12,6 +12,9 @@ pub enum RouteError {
     /// A net's routing graph is disconnected even after feed-cell
     /// insertion — the placement offers no path between its terminals.
     DisconnectedNet(NetId),
+    /// A net's routing graph totals 2⁴² µm or more, past which its
+    /// length sums stop being exact (DESIGN.md §8).
+    GraphTooLong(NetId),
     /// The circuit failed validation.
     Netlist(NetlistError),
     /// Constraint-graph construction failed.
@@ -66,6 +69,7 @@ impl std::fmt::Display for RouteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::DisconnectedNet(n) => write!(f, "routing graph of net {n} is disconnected"),
+            Self::GraphTooLong(n) => write!(f, "routing graph of net {n} totals 2^42 um or more"),
             Self::Netlist(e) => write!(f, "netlist error: {e}"),
             Self::Timing(e) => write!(f, "timing error: {e}"),
             Self::Layout(e) => write!(f, "layout error: {e}"),

@@ -15,6 +15,13 @@
 use bgr_layout::{ChannelId, Placement};
 use bgr_netlist::{Circuit, NetId, TermId};
 
+/// The grid every edge length is rounded to when its graph is built.
+pub(crate) const LEN_GRID_UM: f64 = 1.0 / 1024.0;
+
+/// The bound a graph's total edge length must stay below, so that every
+/// sum of its grid lengths is exact (see `tentative::ShortestPaths`).
+pub(crate) const LEN_CAP_UM: f64 = (1u64 << 42) as f64;
+
 /// What a routing-graph vertex stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RVertKind {
@@ -102,7 +109,8 @@ pub struct REdge {
     /// Right end of the x interval (pitches); `x1 == x2` for vertical
     /// edges.
     pub x2: i32,
-    /// Physical length in µm charged to delay estimation.
+    /// Physical length in µm charged to delay estimation: a multiple of
+    /// 2⁻¹⁰ µm (the graph rounds the length it is given).
     pub len_um: f64,
 }
 
@@ -293,7 +301,9 @@ impl RoutingGraph {
         )
     }
 
-    /// Indexes adjacency, marks every edge alive and finds the bridges.
+    /// Rounds every edge length to [`LEN_GRID_UM`] (on-grid lengths keep
+    /// every bit), indexes adjacency, marks every edge alive and finds
+    /// the bridges.
     ///
     /// The CSR arrays are filled by a counting sort over the edges in
     /// index order, so each vertex lists its incident edges exactly as
@@ -303,10 +313,13 @@ impl RoutingGraph {
         net: NetId,
         width: u32,
         verts: Vec<RVert>,
-        edges: Vec<REdge>,
+        mut edges: Vec<REdge>,
         terminal_verts: Vec<u32>,
         driver_vert: u32,
     ) -> Self {
+        for e in &mut edges {
+            e.len_um = (e.len_um / LEN_GRID_UM).round() * LEN_GRID_UM;
+        }
         let mut adj_start = vec![0u32; verts.len() + 1];
         for e in &edges {
             adj_start[e.a as usize + 1] += 1;
@@ -606,6 +619,13 @@ impl RoutingGraph {
             .sum()
     }
 
+    /// Whether the total length of every edge, dead ones included, stays
+    /// below [`LEN_CAP_UM`]. The float total is a sound test: rounding is
+    /// monotone and the cap representable (a NaN total fails).
+    pub(crate) fn within_length_cap(&self) -> bool {
+        self.edges.iter().map(|e| e.len_um).sum::<f64>() < LEN_CAP_UM
+    }
+
     /// Wire distance (µm) from the driver to every terminal over the
     /// alive subgraph — on a routed tree, the unique path lengths that
     /// determine per-sink delay and skew (§4.2).
@@ -842,6 +862,23 @@ pub(crate) mod tests {
         let g = RoutingGraph::build(&circuit, &placement, net, &[], 30.0);
         // 4 branches à 30 µm + 2 trunks à 8 µm.
         assert!((g.alive_length_um() - (4.0 * 30.0 + 2.0 * 8.0)).abs() < 1e-9);
+    }
+
+    /// Edge lengths land on the 2⁻¹⁰ µm grid: off-grid ones round to the
+    /// nearest grid point, on-grid ones keep every bit.
+    #[test]
+    fn from_parts_snaps_lengths_to_the_grid() {
+        let lengths = [0.1, 1e-17, 0.5, 8.0, 80.0];
+        let edges: Vec<(u32, u32, f64)> = (0..lengths.len())
+            .map(|i| (i as u32, i as u32 + 1, lengths[i]))
+            .collect();
+        let g = RoutingGraph::from_edges(lengths.len() + 1, &edges, &[0, 1]);
+        let got: Vec<u64> = g.edges().iter().map(|e| e.len_um.to_bits()).collect();
+        let want: Vec<u64> = [102.0 / 1024.0, 0.0, 0.5, 8.0, 80.0]
+            .iter()
+            .map(|l: &f64| l.to_bits())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

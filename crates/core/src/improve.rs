@@ -91,18 +91,38 @@ fn timing_score<P: Probe>(engine: &Engine<P>) -> (f64, f64) {
     (violation, arrival)
 }
 
-/// Reroutes one net, reverting if the timing score regresses (the
-/// improvement phases must never make things worse).
-fn reroute_guarded<P: Probe>(engine: &mut Engine<P>, net: NetId, order: CriteriaOrder) {
+/// Phases 1–2 reject more total violation, or as much and more arrival.
+fn timing_worse(before: &(f64, f64), after: &(f64, f64)) -> bool {
+    after.0 > before.0 + EPS || (after.0 > before.0 - EPS && after.1 > before.1 + EPS)
+}
+
+/// Area score of the current state: total channel tracks and timing.
+fn area_score<P: Probe>(engine: &Engine<P>) -> (i32, (f64, f64)) {
+    let tracks = engine.density().channel_maxima().iter().sum();
+    (tracks, timing_score(engine))
+}
+
+/// Phase 3 rejects more tracks, or more total violation.
+fn area_worse(before: &(i32, (f64, f64)), after: &(i32, (f64, f64))) -> bool {
+    after.0 > before.0 || after.1 .0 > before.1 .0 + EPS
+}
+
+/// Reroutes one net under `order`, reverting if the state's `score`
+/// gets `worse` (the improvement phases must never make things worse).
+fn reroute_guarded<P: Probe, S>(
+    engine: &mut Engine<P>,
+    net: NetId,
+    order: CriteriaOrder,
+    score: fn(&Engine<P>) -> S,
+    worse: fn(&S, &S) -> bool,
+) {
     if P::PROFILING {
         engine.probe_mut().scope_enter(Scope::Reroute);
     }
     let snap = engine.snapshot(net);
-    let before = timing_score(engine);
+    let before = score(engine);
     engine.reroute_net(net, order);
-    let after = timing_score(engine);
-    let worse = after.0 > before.0 + EPS || (after.0 > before.0 - EPS && after.1 > before.1 + EPS);
-    if worse {
+    if worse(&before, &score(engine)) {
         engine.restore(&snap);
         engine
             .probe_mut()
@@ -157,7 +177,7 @@ pub fn recover_violate<P: Probe>(
             if !step_allowed(engine, Phase::RecoverViolate, limits, &mut out) {
                 return out;
             }
-            reroute_guarded(engine, net, order);
+            reroute_guarded(engine, net, order, timing_score, timing_worse);
             out.reroutes += 1;
         }
         if engine.sta().worst_margin_ps() <= before + EPS {
@@ -188,7 +208,7 @@ pub fn improve_delay<P: Probe>(
             if !step_allowed(engine, Phase::ImproveDelay, limits, &mut out) {
                 return out;
             }
-            reroute_guarded(engine, net, order);
+            reroute_guarded(engine, net, order, timing_score, timing_worse);
             out.reroutes += 1;
         }
         let improved = engine.sta().worst_margin_ps() > worst_before + EPS
@@ -237,22 +257,13 @@ pub fn improve_area<P: Probe>(
             if !step_allowed(engine, Phase::ImproveArea, limits, &mut out) {
                 return out;
             }
-            let snap = engine.snapshot(net);
-            let tracks_b: i32 = engine.density().channel_maxima().iter().sum();
-            let timing_b = timing_score(engine);
-            engine.reroute_net(net, CriteriaOrder::AreaFirst);
-            let tracks_a: i32 = engine.density().channel_maxima().iter().sum();
-            let timing_a = timing_score(engine);
-            if tracks_a > tracks_b || timing_a.0 > timing_b.0 + EPS {
-                engine.restore(&snap);
-                engine
-                    .probe_mut()
-                    .event(TraceEvent::RerouteRejected { net });
-            } else {
-                engine
-                    .probe_mut()
-                    .event(TraceEvent::RerouteAccepted { net });
-            }
+            reroute_guarded(
+                engine,
+                net,
+                CriteriaOrder::AreaFirst,
+                area_score,
+                area_worse,
+            );
             out.reroutes += 1;
         }
         let tracks_after: i32 = engine.density().channel_maxima().iter().sum();

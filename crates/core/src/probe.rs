@@ -307,9 +307,8 @@ pub enum Counter {
     /// Hypothetical-wire cache misses (tentative-tree recomputations).
     HypCacheMiss,
     /// Vertices re-settled by those recomputations: the subtree each
-    /// detached tree edge hangs (every vertex when a graph falls back to
-    /// full searches), so `hyp_resettled / hyp_cache_misses` is the
-    /// re-settled vertices per hypothetical search.
+    /// detached tree edge hangs, so `hyp_resettled / hyp_cache_misses`
+    /// is the re-settled vertices per hypothetical search.
     HypResettled,
     /// Delay-prefix memo hits: key evaluations that reused a memoized
     /// `C_d/Gl/LD` prefix and skipped the hypothetical-wire path

@@ -44,6 +44,9 @@ pub struct EdgeKey {
     pub edge: u32,
 }
 
+/// The tolerance within which `Gl` and `LD` compare equal. Lengths need
+/// none: they lie on a 2⁻¹⁰ µm grid, so two differ by at least that much
+/// or not at all, and compare exactly.
 const EPS: f64 = 1e-9;
 
 fn cmp_f64(a: f64, b: f64) -> Ordering {
@@ -74,7 +77,8 @@ fn cmp_density(a: &EdgeKey, b: &EdgeKey) -> Ordering {
 
 fn cmp_tail(a: &EdgeKey, b: &EdgeKey) -> Ordering {
     // Longer edge preferred -> reverse length comparison; then ids.
-    cmp_f64(b.len_um, a.len_um)
+    b.len_um
+        .total_cmp(&a.len_um)
         .then_with(|| a.net.cmp(&b.net))
         .then_with(|| a.edge.cmp(&b.edge))
 }
@@ -185,7 +189,7 @@ pub fn deciding_tier(a: &EdgeKey, b: &EdgeKey, order: CriteriaOrder) -> Deciding
     let nd_min = (a.n_min.cmp(&b.n_min), DecidingTier::NdMin);
     let d_max = (a.f_max.cmp(&b.f_max), DecidingTier::DMax);
     let nd_max = (a.n_max.cmp(&b.n_max), DecidingTier::NdMax);
-    let len = (cmp_f64(b.len_um, a.len_um), DecidingTier::Length);
+    let len = (b.len_um.total_cmp(&a.len_um), DecidingTier::Length);
     let id = (
         a.net.cmp(&b.net).then_with(|| a.edge.cmp(&b.edge)),
         DecidingTier::IdTieBreak,

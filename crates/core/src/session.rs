@@ -335,7 +335,9 @@ impl<P: Probe> RouteSession<P> {
     ///
     /// [`RouteError::Checkpoint`] for any inconsistency — version
     /// skew, mask/feed/branch tables not matching the embedded design,
-    /// an alive set that disconnects a net. Never panics on bad input.
+    /// a negative or non-finite branch length, a routing graph of 2⁴² µm
+    /// or more, an alive set that disconnects a net. Never panics on bad
+    /// input.
     pub fn resume(snapshot: EngineSnapshot, probe: P) -> Result<Self, RouteError> {
         fn bad(message: String) -> RouteError {
             RouteError::Checkpoint { message }
@@ -385,6 +387,12 @@ impl<P: Probe> RouteSession<P> {
                 placement.num_channels()
             )));
         }
+        if let Some(c) = branch_lens.iter().position(|l| !l.is_finite() || *l < 0.0) {
+            return Err(bad(format!(
+                "branch length of channel {c} is {} um, not a finite non-negative length",
+                branch_lens[c]
+            )));
+        }
         let mut engine = assemble_engine(
             &config,
             &circuit,
@@ -401,6 +409,7 @@ impl<P: Probe> RouteSession<P> {
                  (feed assignment does not fit the embedded design)",
                 n.index()
             )),
+            e @ RouteError::GraphTooLong(_) => bad(e.to_string()),
             e => e,
         })?;
         engine.stats = stats;
@@ -720,7 +729,9 @@ impl<P: Probe> RouteSession<P> {
 /// # Errors
 ///
 /// [`RouteError::DisconnectedNet`] for the first fresh graph that does
-/// not connect its terminals (each caller reports it its own way),
+/// not connect its terminals and [`RouteError::GraphTooLong`] for the
+/// first whose total edge length reaches 2⁴² µm (each caller reports
+/// them its own way),
 /// [`RouteError::Checkpoint`] for an alive mask that does not fit its
 /// graph or disconnects it, and analyzer construction errors.
 #[allow(clippy::too_many_arguments)]
@@ -748,6 +759,9 @@ fn assemble_engine<P: Probe>(
         .collect();
     if let Some(i) = graphs.iter().position(|g| !g.terminals_connected()) {
         return Err(RouteError::DisconnectedNet(NetId::new(i)));
+    }
+    if let Some(i) = graphs.iter().position(|g| !g.within_length_cap()) {
+        return Err(RouteError::GraphTooLong(NetId::new(i)));
     }
     let mut partner = vec![None; graphs.len()];
     let mut locked = 0;

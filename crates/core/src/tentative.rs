@@ -68,13 +68,10 @@ pub fn tentative_tree_with(
     weight: impl Fn(u32) -> f64,
 ) -> Option<TentativeTree> {
     let paths = ShortestPaths::search_with(graph, skip, weight);
-    let in_union = terminal_union(graph, &paths.parent_edge)?;
-    let edges = (0..in_union.len() as u32)
-        .filter(|&e| in_union[e as usize])
-        .collect();
+    let union = terminal_union(graph, &paths.parent_edge)?;
     Some(TentativeTree {
-        length_um: union_length_um(graph, &in_union),
-        edges,
+        length_um: union_length_um(graph, &union),
+        edges: bits(&union).collect(),
     })
 }
 
@@ -84,10 +81,10 @@ pub fn tentative_length_um(graph: &RoutingGraph, skip: Option<u32>) -> Option<f6
 }
 
 /// Union of the parent chains from every terminal back to the driver,
-/// as a per-edge mask; `None` if some terminal is unreachable.
-fn terminal_union(graph: &RoutingGraph, parent_edge: &[u32]) -> Option<Vec<bool>> {
+/// as bit words over the edges; `None` if some terminal is unreachable.
+fn terminal_union(graph: &RoutingGraph, parent_edge: &[u32]) -> Option<Vec<u64>> {
     let src = graph.driver_vert();
-    let mut in_union = vec![false; graph.edges().len()];
+    let mut union = vec![0u64; graph.edges().len().div_ceil(64)];
     for &t in graph.terminal_verts() {
         if t != src && parent_edge[t as usize] == u32::MAX {
             return None;
@@ -95,14 +92,15 @@ fn terminal_union(graph: &RoutingGraph, parent_edge: &[u32]) -> Option<Vec<bool>
         let mut cur = t;
         while cur != src {
             let e = parent_edge[cur as usize];
-            if in_union[e as usize] {
+            let (word, bit) = (e as usize / 64, 1 << (e % 64));
+            if union[word] & bit != 0 {
                 break;
             }
-            in_union[e as usize] = true;
+            union[word] |= bit;
             cur = other_end(graph, e, cur);
         }
     }
-    Some(in_union)
+    Some(union)
 }
 
 /// The endpoint of edge `e` that is not `v`.
@@ -115,29 +113,19 @@ fn other_end(graph: &RoutingGraph, e: u32, v: u32) -> u32 {
     }
 }
 
-/// Physical length of a union, summed in edge-index order.
-fn union_length_um(graph: &RoutingGraph, in_union: &[bool]) -> f64 {
-    let mut length_um = 0.0;
-    for (i, &used) in in_union.iter().enumerate() {
-        if used {
-            length_um += graph.edges()[i].len_um;
-        }
-    }
-    length_um
+/// Physical length of a union given as bit words. Exact in any order:
+/// grid lengths below the cap sum exactly (see [`ShortestPaths`]).
+fn union_length_um(graph: &RoutingGraph, words: &[u64]) -> f64 {
+    bits(words).fold(0.0, |sum, e| sum + graph.edges()[e as usize].len_um)
 }
 
-/// Physical length of a union given as bit words, summed in edge-index
-/// order (bit-identical to [`union_length_um`] on the same set).
-fn union_words_length_um(graph: &RoutingGraph, words: &[u64]) -> f64 {
-    let mut length_um = 0.0;
-    for (i, &word) in words.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            length_um += graph.edges()[i * 64 + w.trailing_zeros() as usize].len_um;
-            w &= w - 1;
-        }
-    }
-    length_um
+/// The indices of the set bits of `words`, ascending.
+fn bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
+            .take_while(|&w| w != 0)
+            .map(move |w| (i * 64) as u32 + w.trailing_zeros())
+    })
 }
 
 /// A set of edge indices of one routing graph.
@@ -145,14 +133,6 @@ fn union_words_length_um(graph: &RoutingGraph, words: &[u64]) -> f64 {
 pub(crate) struct EdgeSet(Box<[u64]>);
 
 impl EdgeSet {
-    fn from_mask(mask: &[bool]) -> Self {
-        let mut words = vec![0u64; mask.len().div_ceil(64)];
-        for (e, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
-            words[e / 64] |= 1 << (e % 64);
-        }
-        Self(words.into_boxed_slice())
-    }
-
     /// Whether edge `e` is in the set.
     #[inline]
     pub(crate) fn contains(&self, e: u32) -> bool {
@@ -170,45 +150,8 @@ pub(crate) struct TreeDeps {
     /// Total length of the union of driver-to-sink shortest paths, in µm
     /// (bit-identical to [`tentative_length_um`]).
     pub(crate) length_um: f64,
-    /// The edges the tree depends on.
+    /// The edges the tree depends on: the tree's own.
     pub(crate) deps: EdgeSet,
-}
-
-/// Whether the exact reuse rules of [`ShortestPaths`] hold for `graph`:
-/// every edge is exactly zero long, or longer than one ulp of any
-/// distance a search can reach (a simple path sums to at most twice the
-/// total edge length, whatever the rounding). So a relaxation either
-/// keeps the distance (zero edges) or strictly increases it, and never
-/// rounds one way at one distance and the other way at another.
-pub(crate) fn tree_deps_exact(graph: &RoutingGraph) -> bool {
-    let bound = 4.0 * graph.edges().iter().map(|e| e.len_um).sum::<f64>();
-    graph
-        .edges()
-        .iter()
-        .all(|e| e.len_um == 0.0 || (e.len_um > 0.0 && bound + e.len_um > bound))
-}
-
-/// The grid every edge length must lie on for [`union_sum_exact`]: 2⁻¹⁰ µm.
-const SUM_GRID_UM: f64 = 1.0 / 1024.0;
-
-/// The bound the total edge length must stay below for
-/// [`union_sum_exact`]: 2⁴² µm, so every multiple of [`SUM_GRID_UM`]
-/// up to it has at most 52 significant bits.
-const SUM_CAP_UM: f64 = (1u64 << 42) as f64;
-
-/// Whether every sum of a subset of `graph`'s edge lengths is exact in
-/// any order: every length is a non-negative multiple of 2⁻¹⁰ µm and
-/// the total stays below 2⁴² µm, so every partial sum is a multiple of
-/// 2⁻¹⁰ below 2⁴², which an `f64` holds exactly. Then
-/// [`ShortestPaths::tree_without`] may update the current union's
-/// length by the edges it unlinks and links, bit-identically to summing
-/// the new union in edge-index order. The float total is a sound test:
-/// rounding is monotone and 2⁴² is representable, so it stays below the
-/// cap exactly when the true total does.
-pub(crate) fn union_sum_exact(graph: &RoutingGraph) -> bool {
-    let on_grid = |len: f64| len >= 0.0 && (len / SUM_GRID_UM).fract() == 0.0;
-    graph.edges().iter().all(|e| on_grid(e.len_um))
-        && graph.edges().iter().map(|e| e.len_um).sum::<f64>() < SUM_CAP_UM
 }
 
 /// The driver-rooted shortest-path search behind a tentative tree:
@@ -219,10 +162,20 @@ pub(crate) fn union_sum_exact(graph: &RoutingGraph) -> bool {
 ///
 /// # Exact reuse
 ///
+/// Every edge length is a multiple of 2⁻¹⁰ µm
+/// ([`LEN_GRID_UM`](crate::graph::LEN_GRID_UM)), and the engine admits
+/// only graphs whose total length stays below 2⁴² µm
+/// ([`LEN_CAP_UM`](crate::graph::LEN_CAP_UM)). Every distance a search
+/// forms is a simple path's length plus at most one more edge, so a
+/// multiple of 2⁻¹⁰ below 2⁴³, which an `f64` holds exactly: a
+/// relaxation keeps the distance along a zero edge and strictly
+/// increases it along any other, and every sum of distinct edges is
+/// exact in any order.
+///
 /// Everything rests on one lemma. Let `X` be a set of vertices closed
 /// under taking parents, and delete edges none of which is the parent
-/// edge of a vertex in `X`. If [`tree_deps_exact`] holds, every vertex
-/// of `X` keeps its distance and its parent edge.
+/// edge of a vertex in `X`. Then every vertex of `X` keeps its distance
+/// and its parent edge.
 ///
 /// *Proof.* Write `d` before and `d'` after. `X`'s tree paths survive
 /// and distances never shrink, so `d' = d` on `X`; a predecessor tight
@@ -233,7 +186,7 @@ pub(crate) fn union_sum_exact(graph: &RoutingGraph) -> bool {
 /// level; a vertex's parent is its first-settled tight predecessor
 /// (first tight edge in adjacency order). So it suffices that `u ∈ X`
 /// settled before a same-level `v` still is. If not, take the earliest
-/// such `v` after. By the weight condition no zero edge joins a vertex
+/// such `v` after. Since sums are exact, no zero edge joins a vertex
 /// that rose into the level to one that did not (it would have carried
 /// the old, lower distance), so `v` was reached from below — then also
 /// before, and it would have preceded `u` — or along a zero edge from an
@@ -252,9 +205,6 @@ pub(crate) fn union_sum_exact(graph: &RoutingGraph) -> bool {
 /// * **Tree-edge deletions** (`X` = all but the detached subtree):
 ///   only the subtree hanging below a deleted parent edge needs
 ///   re-settling ([`ShortestPaths::tree_without`]).
-///
-/// When the weight condition fails, dependencies widen to every edge
-/// and hypothetical trees fall back to full searches.
 ///
 /// The first hypothetical tree indexes the search once ([`Resettle`]);
 /// the index lives as long as the search, which the engine keeps for
@@ -306,28 +256,23 @@ impl ShortestPaths {
         }
     }
 
-    /// The tentative tree of this search with its dependencies: the tree
-    /// itself when `exact` ([`tree_deps_exact`]), otherwise every edge.
-    /// `None` if some terminal is unreachable.
-    pub(crate) fn tree(&self, graph: &RoutingGraph, exact: bool) -> Option<TreeDeps> {
-        let in_union = terminal_union(graph, &self.parent_edge)?;
-        let length_um = union_length_um(graph, &in_union);
-        let deps = if exact {
-            EdgeSet::from_mask(&in_union)
-        } else {
-            EdgeSet::from_mask(&vec![true; in_union.len()])
-        };
-        Some(TreeDeps { length_um, deps })
+    /// The tentative tree of this search with its dependencies (the
+    /// tree's own edges). `None` if some terminal is unreachable.
+    pub(crate) fn tree(&self, graph: &RoutingGraph) -> Option<TreeDeps> {
+        let union = terminal_union(graph, &self.parent_edge)?;
+        Some(TreeDeps {
+            length_um: union_length_um(graph, &union),
+            deps: EdgeSet(union.into_boxed_slice()),
+        })
     }
 
     /// The tentative tree assuming alive edge `e` deleted, bit-identical
-    /// to `Self::search(graph, Some(e)).tree(graph, exact)`, and the
-    /// number of vertices re-settled to find it (every vertex for a full
-    /// search, none when `e` is not a parent edge). `sum_exact` is
-    /// [`union_sum_exact`] for `graph`.
+    /// to `Self::search(graph, Some(e)).tree(graph)`, and the number of
+    /// vertices re-settled to find it (none when `e` is not a parent
+    /// edge).
     ///
-    /// When `exact` and `e` is a parent edge, only the subtree `S` below
-    /// it is re-settled. Every other vertex keeps its distance and
+    /// When `e` is a parent edge, only the subtree `S` below it is
+    /// re-settled. Every other vertex keeps its distance and
     /// parent, so the search replays just the vertices that can affect
     /// `S`: the outside vertices adjacent to it, plus their ancestors on
     /// the same level, which reach them along zero edges. Each enters
@@ -341,27 +286,16 @@ impl ShortestPaths {
     /// in scratch buffers that are cleared entry by entry.
     ///
     /// The new union is the current one minus the edges only detached
-    /// terminals used, plus their new chains. With `sum_exact` its
-    /// length is the current length minus the unlinked edges plus the
-    /// linked ones — exact, so bit-identical to the edge-index-order
-    /// sum a full search makes, which is the fallback otherwise.
-    pub(crate) fn tree_without(
-        &mut self,
-        graph: &RoutingGraph,
-        e: u32,
-        exact: bool,
-        sum_exact: bool,
-    ) -> (Option<TreeDeps>, u32) {
-        if !exact {
-            let full = Self::search(graph, Some(e)).tree(graph, false);
-            return (full, graph.verts().len() as u32);
-        }
+    /// terminals used, plus their new chains; its length is the current
+    /// length minus the unlinked edges plus the linked ones, exact like
+    /// every sum of grid lengths.
+    pub(crate) fn tree_without(&mut self, graph: &RoutingGraph, e: u32) -> (Option<TreeDeps>, u32) {
         let edge = &graph.edges()[e as usize];
         let Some(child) = [edge.a, edge.b]
             .into_iter()
             .find(|&v| self.parent_edge[v as usize] == e)
         else {
-            return (self.tree(graph, true), 0);
+            return (self.tree(graph), 0);
         };
         let (dist, parent_edge) = (&self.dist, &self.parent_edge);
         let s = self
@@ -496,11 +430,7 @@ impl ShortestPaths {
             }
         }
         let tree = reachable.then(|| TreeDeps {
-            length_um: if sum_exact {
-                length_um
-            } else {
-                union_words_length_um(graph, next_union)
-            },
+            length_um,
             deps: EdgeSet(next_union.clone().into_boxed_slice()),
         });
         let resettled = members.len() as u32;
@@ -545,7 +475,7 @@ struct SearchIndex {
     /// terminal chains use it.
     union: Vec<u64>,
     uses: Vec<u32>,
-    /// The union's length, summed in edge-index order.
+    /// The union's length.
     length_um: f64,
 }
 
@@ -614,7 +544,7 @@ impl Resettle {
             }
             adj_start.push(adj_list.len() as u32);
         }
-        let length_um = union_words_length_um(graph, &union);
+        let length_um = union_length_um(graph, &union);
         Self {
             index: SearchIndex {
                 parent,
@@ -685,8 +615,8 @@ mod tests {
 
     /// Every reuse rule of [`ShortestPaths`] against full searches, on
     /// random multigraphs with zero lengths, rounding-prone lengths and
-    /// sub-ulp lengths (which must disable the rules), through whole
-    /// random deletion sequences.
+    /// sub-ulp lengths (both snapped to the grid when the graph is
+    /// built), through whole random deletion sequences.
     #[test]
     fn reuse_rules_match_full_searches_on_random_graphs() {
         let length_sets: [&[f64]; 4] = [
@@ -696,30 +626,16 @@ mod tests {
             &[0.0, 1e-17, 1.0, 3.0],
         ];
         let mut rng = SplitMix64::new(0x7E57_7EE5);
-        let (mut resettled, mut inexact) = (0, 0);
-        let (mut summed, mut ordered) = (0, 0);
+        let mut resettled = 0;
         for case in 0..4000 {
-            let set = case % length_sets.len();
-            let lengths = length_sets[set];
+            let lengths = length_sets[case % length_sets.len()];
             let mut g = random_graph(&mut rng, lengths);
-            let exact = tree_deps_exact(&g);
-            // Only a sub-ulp length next to ordinary ones breaks the rules.
-            assert!(exact || lengths.contains(&1e-17));
-            inexact += !exact as usize;
-            // The first two sets lie on the 2⁻¹⁰ µm grid; the others fall
-            // back to ordered sums whenever they draw an off-grid length.
-            let sum_exact = union_sum_exact(&g);
-            assert!(sum_exact || set >= 2, "case {case}");
-            if exact {
-                summed += sum_exact as usize;
-                ordered += !sum_exact as usize;
-            }
             // Hypothetical trees cached across the deletion sequence.
             let mut kept: Vec<(u32, TreeDeps)> = Vec::new();
             loop {
                 let mut paths = ShortestPaths::search(&g, None);
                 let full = tentative_tree(&g, None).expect("connected");
-                let current = paths.tree(&g, exact).expect("connected");
+                let current = paths.tree(&g).expect("connected");
                 assert_eq!(current.length_um.to_bits(), full.length_um.to_bits());
                 for (skip, tree) in &kept {
                     let want = tentative_length_um(&g, Some(*skip)).expect("non-bridge");
@@ -736,20 +652,17 @@ mod tests {
                 kept.clear();
                 for &e in &deletable {
                     let want = tentative_tree(&g, Some(e)).expect("non-bridge");
-                    let (got, count) = paths.tree_without(&g, e, exact, sum_exact);
+                    let subtree = subtree_size(&g, &paths.parent_edge, e);
+                    let (got, count) = paths.tree_without(&g, e);
                     let got = got.expect("non-bridge");
                     assert_eq!(
                         got.length_um.to_bits(),
                         want.length_um.to_bits(),
                         "case {case}"
                     );
-                    if !exact {
-                        assert_eq!(count as usize, g.verts().len(), "case {case}");
-                        continue;
-                    }
-                    // A tentative-tree edge is a parent edge: it detaches
-                    // at least its child, and never more than the graph.
-                    assert!(count as usize <= g.verts().len(), "case {case}");
+                    // A search without `e` re-settles exactly the subtree
+                    // `e` hangs, and a tentative-tree edge hangs one.
+                    assert_eq!(count, subtree, "case {case}: edge {e}");
                     assert!(
                         count > 0 || !full.edges.contains(&e),
                         "case {case}: tree edge {e} re-settled nothing"
@@ -773,34 +686,30 @@ mod tests {
             resettled > 10_000,
             "only {resettled} subtree re-settles exercised"
         );
-        assert!(
-            inexact > 100,
-            "only {inexact} graphs exercised the fallback"
-        );
-        assert!(
-            summed > 100 && ordered > 100,
-            "{summed} incremental and {ordered} ordered union sums exercised"
-        );
     }
 
-    /// The exact-sum guard: lengths on the 2⁻¹⁰ µm grid pass, an
-    /// off-grid length or a total at the 2⁴² µm cap fails.
-    #[test]
-    fn union_sum_guard_needs_grid_lengths_below_the_cap() {
-        let path = |lengths: &[f64]| {
-            let edges: Vec<(u32, u32, f64)> = (0..lengths.len())
-                .map(|i| (i as u32, i as u32 + 1, lengths[i]))
-                .collect();
-            RoutingGraph::from_edges(lengths.len() + 1, &edges, &[0, lengths.len() as u32])
+    /// The number of vertices in the search-tree subtree below edge `e`
+    /// (0 when `e` is no vertex's parent edge).
+    fn subtree_size(graph: &RoutingGraph, parent_edge: &[u32], e: u32) -> u32 {
+        let edge = &graph.edges()[e as usize];
+        let Some(child) = [edge.a, edge.b]
+            .into_iter()
+            .find(|&v| parent_edge[v as usize] == e)
+        else {
+            return 0;
         };
-        assert!(union_sum_exact(&path(&[0.5, 0.25, 0.0, 30.0])));
-        assert!(union_sum_exact(&path(&[1.0 / 1024.0, 8.0])));
-        assert!(!union_sum_exact(&path(&[0.5, 0.1])));
-        assert!(!union_sum_exact(&path(&[1.0 / 2048.0])));
-        let half_cap = (1u64 << 41) as f64;
-        assert!(union_sum_exact(&path(&[half_cap, half_cap / 2.0])));
-        assert!(!union_sum_exact(&path(&[half_cap, half_cap])));
-        assert!(!union_sum_exact(&path(&[half_cap, half_cap, 1.0])));
+        let below = |mut v: u32| loop {
+            if v == child {
+                return true;
+            }
+            match parent_edge[v as usize] {
+                u32::MAX => return false,
+                pe => v = other_end(graph, pe, v),
+            }
+        };
+        (0..graph.verts().len() as u32)
+            .filter(|&v| below(v))
+            .count() as u32
     }
 
     /// Packed heap entries order like `(dist.total_cmp, vertex)`

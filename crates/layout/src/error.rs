@@ -20,6 +20,14 @@ pub enum LayoutError {
     PadPlacedTwice(PadId),
     /// A cell has a negative x position.
     NegativeX(CellId),
+    /// A geometry length is not finite and positive.
+    BadGeometry {
+        /// The [`crate::Geometry`] field (`pitch_um`, `row_height_um` or
+        /// `track_pitch_um`).
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for LayoutError {
@@ -32,6 +40,12 @@ impl std::fmt::Display for LayoutError {
             Self::UnplacedPad(p) => write!(f, "pad {p} was never positioned"),
             Self::PadPlacedTwice(p) => write!(f, "pad {p} positioned more than once"),
             Self::NegativeX(c) => write!(f, "cell {c} has a negative x position"),
+            Self::BadGeometry { field, value } => {
+                write!(
+                    f,
+                    "geometry {field} is {value}, not a finite positive length"
+                )
+            }
         }
     }
 }

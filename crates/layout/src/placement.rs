@@ -297,13 +297,24 @@ impl Placement {
         width_um * (rows_um + channels_um) / 1.0e6
     }
 
-    /// Validates the placement against a circuit: every cell placed once,
-    /// no overlaps, non-negative coordinates, every pad positioned.
+    /// Validates the placement against a circuit: finite positive
+    /// geometry lengths, every cell placed once, no overlaps,
+    /// non-negative coordinates, every pad positioned.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self, circuit: &Circuit) -> Result<(), LayoutError> {
+        let g = &self.geometry;
+        for (field, value) in [
+            ("pitch_um", g.pitch_um),
+            ("row_height_um", g.row_height_um),
+            ("track_pitch_um", g.track_pitch_um),
+        ] {
+            if !value.is_finite() || value <= 0.0 {
+                return Err(LayoutError::BadGeometry { field, value });
+            }
+        }
         for id in circuit.cell_ids() {
             if self.locs.get(id.index()).copied().flatten().is_none() {
                 return Err(LayoutError::Unplaced(id));
@@ -554,6 +565,44 @@ mod tests {
         let y_term = circuit.pads()[1].term();
         let pos = placement.term_pos(&circuit, y_term);
         assert_eq!(pos.channels(2), vec![ChannelId::new(2)]);
+    }
+
+    #[test]
+    fn rejects_non_positive_or_non_finite_geometry() {
+        let (circuit, cells, pads) = small_circuit();
+        let bad = [
+            Geometry {
+                pitch_um: -8.0,
+                ..Geometry::default()
+            },
+            Geometry {
+                row_height_um: 0.0,
+                ..Geometry::default()
+            },
+            Geometry {
+                track_pitch_um: f64::NAN,
+                ..Geometry::default()
+            },
+            Geometry {
+                pitch_um: f64::INFINITY,
+                ..Geometry::default()
+            },
+        ];
+        for (geometry, field) in
+            bad.into_iter()
+                .zip(["pitch_um", "row_height_um", "track_pitch_um", "pitch_um"])
+        {
+            let mut pb = PlacementBuilder::new(geometry, 1);
+            for &c in &cells {
+                pb.append_with_width(0, c, 3);
+            }
+            pb.place_pad_bottom(pads[0], 0);
+            pb.place_pad_top(pads[1], 5);
+            match pb.finish(&circuit) {
+                Err(LayoutError::BadGeometry { field: f, .. }) => assert_eq!(f, field),
+                other => panic!("{geometry:?} accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! - bytes after `end checkpoint` → `ParseError`;
 //! - a syntactically valid checkpoint whose alive-mask disconnects a
 //!   net → `RouteError::Checkpoint` at resume;
+//! - a syntactically valid step-0 checkpoint with a negative,
+//!   non-finite or NaN branch length → `RouteError::Checkpoint` at
+//!   resume (a negative edge length would spin the shortest-path
+//!   search forever);
+//! - branch lengths that push a net's routing graph to 2⁴² µm or more
+//!   → `RouteError::Checkpoint` at resume;
 //! - a `diff_pairs_locked` stat bump — parses and resumes cleanly, but
 //!   the finished result fails the differential-pair oracle of the
 //!   independent audit.
@@ -160,6 +166,81 @@ fn disconnecting_alive_mask_is_a_checkpoint_error() {
         "wrong variant: {err}"
     );
     assert!(err.to_string().contains("disconnect"), "unhelpful: {err}");
+}
+
+/// A checkpoint of the golden instance taken before its first step.
+fn step0_checkpoint() -> String {
+    let ds = golden_instance();
+    let session = RouteSession::start(
+        RouterConfig::default(),
+        ds.design.circuit,
+        ds.placement,
+        ds.design.constraints,
+        CollectingProbe::new(),
+    )
+    .expect("session starts");
+    write_checkpoint(&session.snapshot())
+}
+
+/// `text` with its first `count` branch-length (`b`) lines set to `um`.
+fn with_branch_lengths(text: &str, count: usize, um: f64) -> String {
+    let mut set = 0;
+    let lines: Vec<String> = text
+        .lines()
+        .map(|line| match line.strip_prefix("b ") {
+            Some(_) if set < count => {
+                set += 1;
+                format!("b {:016x}", um.to_bits())
+            }
+            _ => line.to_string(),
+        })
+        .collect();
+    assert_eq!(
+        set, count,
+        "checkpoint has fewer than {count} branch lengths"
+    );
+    lines.join("\n") + "\n"
+}
+
+/// Resumes `text`, which must parse, and returns the resume error.
+fn resume_error(text: &str, what: &str) -> RouteError {
+    let snapshot = parse_checkpoint(text).expect("the damage is syntactically valid");
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        RouteSession::resume(snapshot, CollectingProbe::new()).map(|_| ())
+    }));
+    match outcome {
+        Ok(Err(e)) => e,
+        Ok(Ok(())) => panic!("{what}: resume accepted the checkpoint"),
+        Err(_) => panic!("{what}: resume panicked instead of erroring"),
+    }
+}
+
+#[test]
+fn bad_branch_length_is_a_checkpoint_error() {
+    let text = step0_checkpoint();
+    for um in [-30.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let err = resume_error(&with_branch_lengths(&text, 1, um), &format!("b = {um}"));
+        assert!(
+            matches!(&err, RouteError::Checkpoint { .. }),
+            "b = {um}: wrong variant: {err}"
+        );
+        assert!(
+            err.to_string().contains("branch length"),
+            "unhelpful: {err}"
+        );
+    }
+}
+
+#[test]
+fn graph_over_the_length_cap_is_a_checkpoint_error() {
+    let text = step0_checkpoint();
+    let channels = text.lines().filter(|l| l.starts_with("b ")).count();
+    let err = resume_error(&with_branch_lengths(&text, channels, 1e13), "b = 1e13");
+    assert!(
+        matches!(&err, RouteError::Checkpoint { .. }),
+        "wrong variant: {err}"
+    );
+    assert!(err.to_string().contains("2^42"), "unhelpful: {err}");
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //! must route — or error with a structured `RouteError` — cleanly in
 //! both `OnViolation` modes, with no panic (DESIGN.md §11).
 
+use bgr::gen::{generate, place_design, GenParams, PlacementStyle};
+use bgr::io::{parse_placement, write_netlist, write_placement};
 use bgr::layout::{Geometry, Placement, PlacementBuilder};
 use bgr::netlist::{CellLibrary, Circuit, CircuitBuilder};
-use bgr::router::{GlobalRouter, OnViolation, Routed, RouterConfig};
+use bgr::router::{GlobalRouter, OnViolation, RouteError, Routed, RouterConfig};
 use bgr::timing::PathConstraint;
 
 fn config(ov: OnViolation) -> RouterConfig {
@@ -149,4 +151,63 @@ fn zero_constraints_with_use_constraints_on_routes() {
     assert_eq!(strict.result.violations, None);
     assert_eq!(lax.result.violations, None);
     assert_eq!(strict.result.trees.len(), 2);
+}
+
+/// A placement whose geometry puts a negative length on routing-graph
+/// edges (`pitch -8`) is refused when it is read, so `bgr route` fails
+/// fast with the structured layout error instead of searching a graph
+/// with negative weights forever.
+#[test]
+fn negative_pitch_placement_is_refused_by_route() {
+    let p = GenParams::small(1);
+    let design = generate(&p);
+    let placement = place_design(&design, &p, PlacementStyle::EvenFeed);
+    let good = write_placement(&design.circuit, &placement);
+    assert!(good.contains("geometry pitch 8 "), "{good}");
+    let bad = good.replacen("geometry pitch 8 ", "geometry pitch -8 ", 1);
+    let err = parse_placement(&design.circuit, &bad).expect_err("negative pitch must not parse");
+    assert!(
+        err.to_string().contains("pitch_um is -8"),
+        "unhelpful: {err}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("bgr-negative-pitch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (netlist, placement) = (dir.join("d.bgrn"), dir.join("d.bgrp"));
+    std::fs::write(&netlist, write_netlist(&design.circuit)).unwrap();
+    std::fs::write(&placement, bad).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bgr"))
+        .arg("route")
+        .arg("--netlist")
+        .arg(&netlist)
+        .arg("--placement")
+        .arg(&placement)
+        .output()
+        .expect("bgr runs");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "route accepted a negative pitch");
+    assert!(stderr.contains("pitch_um is -8"), "unhelpful: {stderr}");
+}
+
+/// A routing graph whose edges total 2⁴² µm or more cannot keep its
+/// length sums exact, so the route refuses it with a structured error
+/// in both modes rather than panicking.
+#[test]
+fn graph_over_the_length_cap_is_a_structured_error() {
+    let p = GenParams {
+        geometry: Geometry {
+            pitch_um: 1e12,
+            ..Geometry::default()
+        },
+        ..GenParams::small(1)
+    };
+    let design = generate(&p);
+    let placement = place_design(&design, &p, PlacementStyle::EvenFeed);
+    let err = route_both_modes(&design.circuit, &placement, &design.constraints)
+        .expect_err("a graph over the cap must be refused");
+    assert!(
+        matches!(err, RouteError::GraphTooLong(_)),
+        "wrong variant: {err}"
+    );
 }

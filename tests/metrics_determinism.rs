@@ -6,6 +6,8 @@
 //!   streams and selection logs across threads ∈ {1, 8} × shards ∈
 //!   {1, 4} — even though profiling restructures the deletion loop's
 //!   rekey batches for per-cause attribution.
+//! * The profile counts every guarded reroute, the area phase's
+//!   included.
 //! * `bgr-serve` job streams: byte-identical with and without a
 //!   [`MetricsRegistry`] attached, across thread counts.
 //! * The Prometheus exposition itself renders the serve metric family
@@ -13,7 +15,7 @@
 
 use bgr::gen::{generate, place_design, GenParams, PlacementStyle};
 use bgr::metrics::MetricsRegistry;
-use bgr::router::{GlobalRouter, RouterConfig};
+use bgr::router::{GlobalRouter, Phase, RouterConfig, TraceEvent};
 use bgr::serve::JobQueue;
 
 fn params() -> GenParams {
@@ -84,6 +86,45 @@ fn profiling_probe_changes_no_deterministic_observable() {
             }
         }
     }
+}
+
+/// Every improvement phase reroutes through the one guarded reroute, so
+/// the profiler sees area-phase reroutes too: in an unconstrained route
+/// (area phase only) the `improve_area` → `reroute` node counts exactly
+/// the phase's accepted and rejected reroutes.
+#[test]
+fn area_phase_reroutes_appear_in_the_profile() {
+    let p = params();
+    let design = generate(&p);
+    let placement = place_design(&design, &p, PlacementStyle::EvenFeed);
+    let config = RouterConfig {
+        use_constraints: false,
+        ..RouterConfig::default()
+    };
+    let (_, trace, profile) = GlobalRouter::new(config)
+        .route_profiled(design.circuit, placement, design.constraints)
+        .expect("instance routes");
+    let span = trace
+        .spans
+        .iter()
+        .find(|s| s.phase == Phase::ImproveArea)
+        .expect("the area phase ran");
+    let reroutes = trace.events[span.events_start..span.events_start + span.events_len]
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::RerouteAccepted { .. } | TraceEvent::RerouteRejected { .. }
+            )
+        })
+        .count() as u64;
+    assert!(reroutes > 0, "the area phase rerouted nothing");
+    let calls = profile
+        .entries()
+        .into_iter()
+        .find(|e| e.path == ["improve_area", "reroute"])
+        .map_or(0, |e| e.calls);
+    assert_eq!(calls, reroutes);
 }
 
 #[test]
