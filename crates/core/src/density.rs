@@ -71,28 +71,34 @@ struct MaxCountTree {
 
 impl MaxCountTree {
     fn new(width: usize) -> Self {
-        let n = width.max(1);
-        Self {
-            width: n,
-            max: vec![0; 4 * n],
-            cnt: Self::init_cnt(n),
-            lazy: vec![0; 4 * n],
-        }
+        Self::from_values(&vec![0; width.max(1)])
     }
 
-    fn init_cnt(n: usize) -> Vec<i32> {
-        // Every leaf starts at 0, so every node's count is its span size.
-        let mut cnt = vec![0; 4 * n];
-        fn fill(cnt: &mut [i32], node: usize, l: usize, r: usize) {
-            cnt[node] = (r - l) as i32;
-            if r - l > 1 {
-                let m = l + (r - l) / 2;
-                fill(cnt, 2 * node, l, m);
-                fill(cnt, 2 * node + 1, m, r);
-            }
+    /// A tree over the per-column profile `values` (at least one column),
+    /// built bottom-up with no pending adds: O(width), where one
+    /// [`MaxCountTree::range_add`] per span would cost O(log width) each.
+    fn from_values(values: &[i32]) -> Self {
+        let n = values.len();
+        let mut tree = Self {
+            width: n,
+            max: vec![0; 4 * n],
+            cnt: vec![0; 4 * n],
+            lazy: vec![0; 4 * n],
+        };
+        tree.build_rec(1, 0, n, values);
+        tree
+    }
+
+    fn build_rec(&mut self, node: usize, nl: usize, nr: usize, values: &[i32]) {
+        if nr - nl == 1 {
+            self.max[node] = values[nl];
+            self.cnt[node] = 1;
+            return;
         }
-        fill(&mut cnt, 1, 0, n);
-        cnt
+        let m = nl + (nr - nl) / 2;
+        self.build_rec(2 * node, nl, m, values);
+        self.build_rec(2 * node + 1, m, nr, values);
+        self.pull(node);
     }
 
     /// Adds `v` over `[l, r)` (caller clamps to `[0, width)`).
@@ -114,9 +120,14 @@ impl MaxCountTree {
         let m = nl + (nr - nl) / 2;
         self.add_rec(2 * node, nl, m, l, r, v);
         self.add_rec(2 * node + 1, m, nr, l, r, v);
-        let off = self.lazy[node];
+        self.pull(node);
+    }
+
+    /// Recomputes an inner node's `(max, count)` from its children and
+    /// its own pending add.
+    fn pull(&mut self, node: usize) {
         let (a, b) = (self.max[2 * node], self.max[2 * node + 1]);
-        self.max[node] = a.max(b) + off;
+        self.max[node] = a.max(b) + self.lazy[node];
         self.cnt[node] = if a == b {
             self.cnt[2 * node] + self.cnt[2 * node + 1]
         } else if a > b {
@@ -221,6 +232,12 @@ impl MaxCountTree {
     }
 }
 
+/// A span's columns `[x1, x2)` clamped to a chip of `width` columns.
+fn clamp_span(width: usize, x1: i32, x2: i32) -> (usize, usize) {
+    let clamp = |x: i32| x.clamp(0, width as i32) as usize;
+    (clamp(x1), clamp(x2))
+}
+
 #[derive(Debug, Clone)]
 struct Channel {
     d_max: MaxCountTree,
@@ -253,6 +270,69 @@ impl DensityMap {
         }
     }
 
+    /// A map holding `spans` — `(channel, x1, x2, weight, bridge)` — as if
+    /// each were passed to [`DensityMap::add_span`] on a
+    /// [`DensityMap::new`] map: every query answers the same, and later
+    /// updates work alike. Built in bulk: per-column difference arrays,
+    /// prefix sums, then each profile's tree bottom-up, in O(spans +
+    /// channels × width).
+    pub(crate) fn from_spans(
+        num_channels: usize,
+        width: usize,
+        spans: impl IntoIterator<Item = (ChannelId, i32, i32, i32, bool)>,
+    ) -> Self {
+        // Per channel, the `d_M` then the `d_m` difference array, each
+        // over the tree's columns plus one past the end.
+        let cols = width.max(1);
+        let stride = cols + 1;
+        let mut diff = vec![0i32; 2 * num_channels * stride];
+        for (channel, x1, x2, w, bridge) in spans {
+            let (a, b) = clamp_span(width, x1, x2);
+            if a >= b {
+                continue;
+            }
+            let base = 2 * channel.index() * stride;
+            diff[base + a] += w;
+            diff[base + b] -= w;
+            if bridge {
+                diff[base + stride + a] += w;
+                diff[base + stride + b] -= w;
+            }
+        }
+        let mut profile = vec![0i32; cols];
+        let mut tree = |diff: &[i32]| {
+            let mut sum = 0;
+            for (v, d) in profile.iter_mut().zip(diff) {
+                sum += d;
+                *v = sum;
+            }
+            MaxCountTree::from_values(&profile)
+        };
+        let channels = diff
+            .chunks_exact(2 * stride)
+            .map(|ch| Channel {
+                d_max: tree(&ch[..stride]),
+                d_min: tree(&ch[stride..]),
+            })
+            .collect();
+        Self { width, channels }
+    }
+
+    /// [`DensityMap::from_spans`] over the density footprint of every
+    /// graph: its alive trunk spans, weighted by the net's width, each
+    /// also in `d_m` while it is a bridge.
+    pub(crate) fn from_graphs(num_channels: usize, width: usize, graphs: &[RoutingGraph]) -> Self {
+        Self::from_spans(
+            num_channels,
+            width,
+            graphs.iter().flat_map(|g| {
+                let w = g.width() as i32;
+                g.trunk_spans()
+                    .map(move |(channel, x1, x2, bridge)| (channel, x1, x2, w, bridge))
+            }),
+        )
+    }
+
     /// Chip width in columns.
     pub fn width(&self) -> usize {
         self.width
@@ -263,16 +343,10 @@ impl DensityMap {
         self.channels.len()
     }
 
-    fn clamp(&self, x1: i32, x2: i32) -> (usize, usize) {
-        let a = x1.clamp(0, self.width as i32) as usize;
-        let b = x2.clamp(0, self.width as i32) as usize;
-        (a, b)
-    }
-
     /// Adds a trunk span of weight `w` over `[x1, x2)` to `d_M`; when
     /// `bridge`, also to `d_m`.
     pub fn add_span(&mut self, channel: ChannelId, x1: i32, x2: i32, w: i32, bridge: bool) {
-        let (a, b) = self.clamp(x1, x2);
+        let (a, b) = clamp_span(self.width, x1, x2);
         if a >= b {
             return;
         }
@@ -285,7 +359,7 @@ impl DensityMap {
 
     /// Removes a span previously added with the given bridge status.
     pub fn remove_span(&mut self, channel: ChannelId, x1: i32, x2: i32, w: i32, was_bridge: bool) {
-        let (a, b) = self.clamp(x1, x2);
+        let (a, b) = clamp_span(self.width, x1, x2);
         if a >= b {
             return;
         }
@@ -308,7 +382,7 @@ impl DensityMap {
 
     /// Promotes a span to bridge status (adds it to `d_m` only).
     pub fn promote_span(&mut self, channel: ChannelId, x1: i32, x2: i32, w: i32) {
-        let (a, b) = self.clamp(x1, x2);
+        let (a, b) = clamp_span(self.width, x1, x2);
         if a >= b {
             return;
         }
@@ -356,7 +430,7 @@ impl DensityMap {
     /// its maximum (0) with the true attained-count — see the module docs
     /// on the zero-density convention.
     pub fn edge_density(&self, channel: ChannelId, x1: i32, x2: i32) -> EdgeDensity {
-        let (a, b) = self.clamp(x1, x2);
+        let (a, b) = clamp_span(self.width, x1, x2);
         if a >= b {
             return EdgeDensity::default();
         }
@@ -543,5 +617,97 @@ mod tests {
         assert_eq!(d.c_max(c), 3);
         assert_eq!(d.nc_max(c), 1);
         assert_eq!(d.edge_density(c, 0, 1).d_min, 3);
+    }
+
+    /// Everything a reader of the map can observe: per channel the four
+    /// aggregates, both profiles, the leftmost peak column of each, and
+    /// every interval query over the chip (and a little beyond).
+    fn observe(d: &DensityMap) -> Vec<i32> {
+        let w = d.width() as i32;
+        let mut out = Vec::new();
+        for (c, ch) in d.channels.iter().enumerate() {
+            let c = ChannelId::new(c);
+            out.extend([d.c_max(c), d.nc_max(c), d.c_min(c), d.nc_min(c)]);
+            out.extend(ch.d_max.values());
+            out.extend(ch.d_min.values());
+            out.push(ch.d_max.first_max_column() as i32);
+            out.push(ch.d_min.first_max_column() as i32);
+            for x1 in -1..=w {
+                for x2 in x1..=w + 1 {
+                    let e = d.edge_density(c, x1, x2);
+                    out.extend([e.d_max, e.nd_max, e.d_min, e.nd_min]);
+                }
+            }
+        }
+        out.extend(
+            d.hottest_column()
+                .map_or([-1; 3], |(c, x, v)| [c.index() as i32, x as i32, v]),
+        );
+        out
+    }
+
+    /// The bulk build answers every query exactly like span-by-span
+    /// adds, before and after further random adds, removes and
+    /// promotions applied to both.
+    #[test]
+    fn bulk_build_matches_incremental_adds() {
+        let mut rng = bgr_netlist::SplitMix64::new(0xB01C_DE45);
+        for _ in 0..300 {
+            let channels = rng.range_usize(1, 4);
+            let width = rng.range_usize(0, 24);
+            let w = width as i32;
+            let span = |rng: &mut bgr_netlist::SplitMix64| {
+                let x1 = rng.range_i32(-3, w + 3);
+                (
+                    ChannelId::new(rng.range_usize(0, channels)),
+                    x1,
+                    x1 + rng.range_i32(0, w + 3),
+                    rng.range_i32(1, 4),
+                    rng.range_usize(0, 2) == 1,
+                )
+            };
+            let mut live: Vec<(ChannelId, i32, i32, i32, bool)> = (0..rng.range_usize(0, 40))
+                .map(|_| span(&mut rng))
+                .collect();
+            let mut bulk = DensityMap::from_spans(channels, width, live.iter().copied());
+            let mut incr = DensityMap::new(channels, width);
+            for &(c, x1, x2, wt, bridge) in &live {
+                incr.add_span(c, x1, x2, wt, bridge);
+            }
+            assert_eq!(
+                observe(&bulk),
+                observe(&incr),
+                "{live:?} over width {width}"
+            );
+            for _ in 0..20 {
+                let op = rng.range_usize(0, 3);
+                if op == 0 || live.is_empty() {
+                    let s = span(&mut rng);
+                    for d in [&mut bulk, &mut incr] {
+                        d.add_span(s.0, s.1, s.2, s.3, s.4);
+                    }
+                    live.push(s);
+                } else {
+                    let i = rng.range_usize(0, live.len());
+                    let (c, x1, x2, wt, bridge) = live[i];
+                    if op == 1 {
+                        live.swap_remove(i);
+                        for d in [&mut bulk, &mut incr] {
+                            d.remove_span(c, x1, x2, wt, bridge);
+                        }
+                    } else if !bridge {
+                        live[i].4 = true;
+                        for d in [&mut bulk, &mut incr] {
+                            d.promote_span(c, x1, x2, wt);
+                        }
+                    }
+                }
+                assert_eq!(
+                    observe(&bulk),
+                    observe(&incr),
+                    "{live:?} over width {width}"
+                );
+            }
+        }
     }
 }

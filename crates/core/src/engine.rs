@@ -831,6 +831,11 @@ impl<P: Probe> Engine<P> {
     /// Every graph's total edge length must stay below 2⁴² µm, so that
     /// its length sums are exact (checked in debug builds; a session
     /// rejects a longer graph with [`crate::RouteError::GraphTooLong`]).
+    ///
+    /// Each graph's dangling chains are pruned and its bridge flags
+    /// computed here, once, so the flags it arrives with are never read.
+    /// The density map is then built in bulk from every net's trunk
+    /// spans.
     pub fn with_probe(
         mut graphs: Vec<RoutingGraph>,
         sta: Sta,
@@ -843,14 +848,11 @@ impl<P: Probe> Engine<P> {
             graphs.iter().all(RoutingGraph::within_length_cap),
             "a routing graph's total length reaches the 2^42 um cap"
         );
-        let mut density = DensityMap::new(num_channels, chip_width);
         for g in &mut graphs {
             g.prune_dangling();
             g.recompute_bridges();
         }
-        for g in &graphs {
-            density.apply_net(g, 1);
-        }
+        let density = DensityMap::from_graphs(num_channels, chip_width, &graphs);
         let scan: Vec<NetScanState> = graphs.iter().map(NetScanState::new).collect();
         let mut channel_nets: Vec<Vec<ChannelNet>> = vec![Vec::new(); num_channels];
         for (i, state) in scan.iter().enumerate() {
@@ -1773,14 +1775,11 @@ impl<P: Probe> Engine<P> {
     fn set_alive(&mut self, net: NetId, mask: Option<&[bool]>) {
         let g = &mut self.graphs[net.index()];
         self.density.apply_net(g, -1);
-        match mask {
-            Some(mask) => g.set_alive_mask(mask),
-            None => {
-                g.restore_all();
-                g.prune_dangling();
-                g.recompute_bridges();
-            }
+        g.load_alive(mask);
+        if mask.is_none() {
+            g.prune_dangling();
         }
+        g.recompute_bridges();
         self.density.apply_net(g, 1);
         self.refresh_length(net);
     }

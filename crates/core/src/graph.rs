@@ -172,6 +172,23 @@ impl RoutingGraph {
         feeds: &[(usize, i32)],
         branch_len_um: &[f64],
     ) -> Self {
+        let mut graph = Self::build_unbridged(circuit, placement, net, feeds, branch_len_um);
+        graph.recompute_bridges();
+        graph
+    }
+
+    /// [`RoutingGraph::build_with_channel_branches`] without the bridge
+    /// pass: every bridge flag reads `false` until
+    /// [`RoutingGraph::recompute_bridges`] runs. For callers that change
+    /// the alive set before anything reads the flags (a session's
+    /// graphs get theirs once, in `Engine::with_probe`).
+    pub(crate) fn build_unbridged(
+        circuit: &Circuit,
+        placement: &Placement,
+        net: NetId,
+        feeds: &[(usize, i32)],
+        branch_len_um: &[f64],
+    ) -> Self {
         assert_eq!(
             branch_len_um.len(),
             placement.num_channels(),
@@ -182,12 +199,15 @@ impl RoutingGraph {
         let row_height = placement.geometry().row_height_um;
         let n = circuit.net(net);
 
-        let mut verts: Vec<RVert> = Vec::new();
-        let mut edges: Vec<REdge> = Vec::new();
-        let mut terminal_verts = Vec::new();
+        // Sized for two taps per terminal and per feed: every vector is
+        // allocated once.
+        let (terms, taps_len) = (n.sinks().len() + 1, 2 * (n.sinks().len() + 1 + feeds.len()));
+        let mut verts: Vec<RVert> = Vec::with_capacity(terms + feeds.len() + taps_len);
+        let mut edges: Vec<REdge> = Vec::with_capacity(2 * taps_len);
+        let mut terminal_verts = Vec::with_capacity(terms);
         let mut driver_vert = 0u32;
         // Taps per channel for trunk linking: (channel, x, vert).
-        let mut taps: Vec<(ChannelId, i32, u32)> = Vec::new();
+        let mut taps: Vec<(ChannelId, i32, u32)> = Vec::with_capacity(taps_len);
 
         let add_vert = |verts: &mut Vec<RVert>, kind, x| -> u32 {
             verts.push(RVert { kind, x });
@@ -236,8 +256,10 @@ impl RoutingGraph {
                 taps.push((channel, x, tap));
             }
         }
-        // Trunk edges: link consecutive taps within each channel.
-        taps.sort_by_key(|&(c, x, v)| (c, x, v));
+        // Trunk edges: link consecutive taps within each channel. The
+        // keys are distinct (vertices are), so an unstable sort gives the
+        // one order a stable sort would.
+        taps.sort_unstable_by_key(|&(c, x, v)| (c, x, v));
         for pair in taps.windows(2) {
             let (c1, x1, v1) = pair[0];
             let (c2, x2, v2) = pair[1];
@@ -291,19 +313,21 @@ impl RoutingGraph {
                 len_um,
             })
             .collect();
-        Self::from_parts(
+        let mut graph = Self::from_parts(
             NetId::new(0),
             1,
             verts,
             edges,
             terminals.to_vec(),
             terminals[0],
-        )
+        );
+        graph.recompute_bridges();
+        graph
     }
 
     /// Rounds every edge length to [`LEN_GRID_UM`] (on-grid lengths keep
-    /// every bit), indexes adjacency, marks every edge alive and finds
-    /// the bridges.
+    /// every bit), indexes adjacency and marks every edge alive; bridge
+    /// flags are left `false` for the caller to compute.
     ///
     /// The CSR arrays are filled by a counting sort over the edges in
     /// index order, so each vertex lists its incident edges exactly as
@@ -336,7 +360,7 @@ impl RoutingGraph {
                 cursor[v as usize] += 1;
             }
         }
-        let mut graph = Self {
+        Self {
             net,
             width,
             alive: vec![true; edges.len()],
@@ -349,9 +373,7 @@ impl RoutingGraph {
             terminal_verts,
             driver_vert,
             generation: 0,
-        };
-        graph.recompute_bridges();
-        graph
+        }
     }
 
     /// The net this graph routes.
@@ -476,9 +498,7 @@ impl RoutingGraph {
     /// Restores every edge to alive (rip-up for rerouting) and recomputes
     /// bridges.
     pub fn restore_all(&mut self) {
-        self.alive.iter_mut().for_each(|a| *a = true);
-        self.alive_count = self.edges.len();
-        self.generation += 1;
+        self.load_alive(None);
         self.recompute_bridges();
     }
 
@@ -493,11 +513,31 @@ impl RoutingGraph {
     ///
     /// Panics if the mask length does not match the edge count.
     pub fn set_alive_mask(&mut self, mask: &[bool]) {
-        assert_eq!(mask.len(), self.edges.len(), "mask length mismatch");
-        self.alive.copy_from_slice(mask);
-        self.alive_count = mask.iter().filter(|&&a| a).count();
-        self.generation += 1;
+        self.load_alive(Some(mask));
         self.recompute_bridges();
+    }
+
+    /// Sets the alive set to `mask`, or with `None` to every edge, and
+    /// bumps the generation — *without* the bridge pass: the flags are
+    /// stale until [`RoutingGraph::recompute_bridges`] runs, so a caller
+    /// that prunes first pays for one pass, not two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask length does not match the edge count.
+    pub(crate) fn load_alive(&mut self, mask: Option<&[bool]>) {
+        match mask {
+            Some(mask) => {
+                assert_eq!(mask.len(), self.edges.len(), "mask length mismatch");
+                self.alive.copy_from_slice(mask);
+                self.alive_count = mask.iter().filter(|&&a| a).count();
+            }
+            None => {
+                self.alive.iter_mut().for_each(|a| *a = true);
+                self.alive_count = self.edges.len();
+            }
+        }
+        self.generation += 1;
     }
 
     /// Prunes dangling chains: repeatedly removes the single alive edge of
@@ -589,6 +629,18 @@ impl RoutingGraph {
 
     /// Whether all terminal vertices lie in one alive component.
     pub fn terminals_connected(&self) -> bool {
+        self.terminals_connected_over(|e| self.alive[e as usize])
+    }
+
+    /// Whether the whole graph, dead edges included, connects the
+    /// terminals: whether *some* alive set can.
+    pub(crate) fn terminals_connectable(&self) -> bool {
+        self.terminals_connected_over(|_| true)
+    }
+
+    /// Whether all terminal vertices lie in one component of the edges
+    /// `usable` accepts.
+    fn terminals_connected_over(&self, usable: impl Fn(u32) -> bool) -> bool {
         let Some(&start) = self.terminal_verts.first() else {
             return true;
         };
@@ -597,7 +649,7 @@ impl RoutingGraph {
         seen[start as usize] = true;
         while let Some(v) = stack.pop() {
             for &(w, e) in self.adj(v) {
-                if self.alive[e as usize] && !seen[w as usize] {
+                if usable(e) && !seen[w as usize] {
                     seen[w as usize] = true;
                     stack.push(w);
                 }

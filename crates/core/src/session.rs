@@ -247,7 +247,9 @@ impl<P: Probe> RouteSession<P> {
         let est_graphs: Vec<RoutingGraph> = circuit
             .net_ids()
             .map(|n| {
-                RoutingGraph::build_with_channel_branches(
+                // Only a tentative tree is read off these graphs, never
+                // their bridge flags.
+                RoutingGraph::build_unbridged(
                     &circuit,
                     &placement,
                     n,
@@ -600,17 +602,45 @@ impl<P: Probe> RouteSession<P> {
             constraints: self.constraints.clone(),
             feeds: self.feeds.clone(),
             branch_lens: self.branch_lens.clone(),
-            alive: self
-                .engine
-                .graphs()
-                .iter()
-                .map(|g| g.alive_mask())
-                .collect(),
+            alive: self.alive_masks(),
             stage: self.stage,
             stats: self.engine.stats.clone(),
             recovery: self.recovery,
             events_emitted: self.events_emitted(),
         }
+    }
+
+    /// [`RouteSession::snapshot`] that consumes the session: the design,
+    /// configuration and counters move into the snapshot instead of
+    /// being cloned. Also returns the probe, like
+    /// [`RouteSession::into_probe`].
+    pub fn into_snapshot(self) -> (EngineSnapshot, P) {
+        let alive = self.alive_masks();
+        let events_emitted = self.events_emitted();
+        let mut engine = self.engine;
+        let snapshot = EngineSnapshot {
+            version: SNAPSHOT_VERSION,
+            config: self.config,
+            circuit: self.circuit,
+            placement: self.placement,
+            constraints: self.constraints,
+            feeds: self.feeds,
+            branch_lens: self.branch_lens,
+            alive,
+            stage: self.stage,
+            stats: std::mem::take(&mut engine.stats),
+            recovery: self.recovery,
+            events_emitted,
+        };
+        (snapshot, engine.into_parts().3)
+    }
+
+    fn alive_masks(&self) -> Vec<Vec<bool>> {
+        self.engine
+            .graphs()
+            .iter()
+            .map(|g| g.alive_mask())
+            .collect()
     }
 
     /// Consumes the session, returning the probe — the per-slice trace
@@ -719,12 +749,18 @@ impl<P: Probe> RouteSession<P> {
 
 /// The setup steps [`RouteSession::start`] and [`RouteSession::resume`]
 /// share: per-net routing graphs built from the feed assignment and
-/// branch lengths, lockstep partners for homogeneous differential pairs
-/// (§4.1) decided on those *fresh* graphs — homogeneity is structural,
-/// independent of deletions — then the `alive` masks of a resumed
-/// session applied, the timing analyzer built, and the engine set up
+/// branch lengths, the `alive` masks of a resumed session applied,
+/// lockstep partners for homogeneous differential pairs (§4.1) decided
+/// on the graphs' structure — homogeneity is independent of the alive
+/// set — the timing analyzer built, and the engine set up
 /// under the configured strategy, parallelism and verify level. The
 /// lockstep counts land in the engine's stats.
+///
+/// Each graph is checked for connectivity once, on its alive set: the
+/// masked graph is a subgraph of the fresh one, so when it connects its
+/// terminals both do, and only a failing net has its fresh graph tested
+/// too, to tell the two errors apart. Bridge flags are computed once, by
+/// [`Engine::with_probe`].
 ///
 /// # Errors
 ///
@@ -748,16 +784,22 @@ fn assemble_engine<P: Probe>(
     let mut graphs: Vec<RoutingGraph> = circuit
         .net_ids()
         .map(|n| {
-            RoutingGraph::build_with_channel_branches(
-                circuit,
-                placement,
-                n,
-                &feeds[n.index()],
-                branch_lens,
-            )
+            RoutingGraph::build_unbridged(circuit, placement, n, &feeds[n.index()], branch_lens)
         })
         .collect();
-    if let Some(i) = graphs.iter().position(|g| !g.terminals_connected()) {
+    let alive = alive.unwrap_or_default();
+    for (g, mask) in graphs.iter_mut().zip(alive) {
+        if mask.len() == g.edges().len() {
+            g.load_alive(Some(mask));
+        }
+    }
+    let connected: Vec<bool> = graphs
+        .iter()
+        .map(RoutingGraph::terminals_connected)
+        .collect();
+    if let Some(i) =
+        (0..graphs.len()).position(|i| !connected[i] && !graphs[i].terminals_connectable())
+    {
         return Err(RouteError::DisconnectedNet(NetId::new(i)));
     }
     if let Some(i) = graphs.iter().position(|g| !g.within_length_cap()) {
@@ -774,7 +816,7 @@ fn assemble_engine<P: Probe>(
             }
         }
     }
-    for (i, mask) in alive.unwrap_or_default().iter().enumerate() {
+    for (i, mask) in alive.iter().enumerate() {
         let bad = |message| RouteError::Checkpoint { message };
         if mask.len() != graphs[i].edges().len() {
             return Err(bad(format!(
@@ -783,8 +825,7 @@ fn assemble_engine<P: Probe>(
                 graphs[i].edges().len()
             )));
         }
-        graphs[i].set_alive_mask(mask);
-        if !graphs[i].terminals_connected() {
+        if !connected[i] {
             return Err(bad(format!(
                 "alive set of net {i} disconnects its terminals"
             )));

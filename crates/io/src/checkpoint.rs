@@ -116,6 +116,11 @@ pub fn reconfigure_checkpoint(
 }
 
 /// Serializes a snapshot to the checkpoint text format.
+///
+/// The text is the design prefix — the header and the three design
+/// blocks — followed by the state tail. The prefix depends only on the
+/// design, which a session never changes after it starts, so a serve
+/// slice re-uses the one it parsed ([`splice_checkpoint`]).
 pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC}{SNAPSHOT_VERSION}");
@@ -131,6 +136,20 @@ pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
     out.push_str(&write_constraints(&snap.circuit, &snap.constraints));
     let _ = writeln!(out, "end constraints");
     write_state(&mut out, snap);
+    out
+}
+
+/// `prefix` followed by the state tail of `snap`: the checkpoint
+/// [`write_checkpoint`] would emit, without re-encoding the design, when
+/// `prefix` is the design prefix it would emit for `snap` — such as the
+/// prefix of a canonical checkpoint `snap` was resumed from
+/// ([`parse_checkpoint_with_prefix`]).
+pub fn splice_checkpoint(prefix: &str, snap: &EngineSnapshot) -> String {
+    let mut tail = String::new();
+    write_state(&mut tail, snap);
+    let mut out = String::with_capacity(prefix.len() + tail.len());
+    out.push_str(prefix);
+    out.push_str(&tail);
     out
 }
 
@@ -349,6 +368,17 @@ fn design_block<'a>(
 /// bytes after `end checkpoint`, or any malformed line — by design this
 /// function never panics on arbitrary input.
 pub fn parse_checkpoint(text: &str) -> Result<EngineSnapshot, ParseError> {
+    parse_checkpoint_inner(text, None).map(|(snap, _)| snap)
+}
+
+/// [`parse_checkpoint`] that also returns the byte length of the text's
+/// design prefix (the header and the three design blocks), for
+/// [`splice_checkpoint`].
+///
+/// # Errors
+///
+/// Everything [`parse_checkpoint`] reports.
+pub fn parse_checkpoint_with_prefix(text: &str) -> Result<(EngineSnapshot, usize), ParseError> {
     parse_checkpoint_inner(text, None)
 }
 
@@ -368,7 +398,7 @@ pub fn parse_checkpoint_in(
     text: &str,
     base_dir: &std::path::Path,
 ) -> Result<EngineSnapshot, ParseError> {
-    parse_checkpoint_inner(text, Some(base_dir))
+    parse_checkpoint_inner(text, Some(base_dir)).map(|(snap, _)| snap)
 }
 
 /// One `design-ref <kind> <fnv64> <path>` line: resolve, read, verify.
@@ -434,7 +464,7 @@ fn design_ref_text(
 fn parse_checkpoint_inner(
     text: &str,
     base_dir: Option<&std::path::Path>,
-) -> Result<EngineSnapshot, ParseError> {
+) -> Result<(EngineSnapshot, usize), ParseError> {
     let mut cur = Reader::new(text.as_bytes());
     let header = cur.line()?;
     match header.strip_prefix(MAGIC) {
@@ -462,6 +492,7 @@ fn parse_checkpoint_inner(
                 design_block(&mut cur, text, "constraints")?.into(),
             )
         };
+    let prefix_len = cur.offset();
     let circuit =
         parse_netlist(&netlist_text).map_err(|e| cur.err(format!("embedded netlist: {e}")))?;
     let placement = parse_placement(&circuit, &placement_text)
@@ -638,7 +669,7 @@ fn parse_checkpoint_inner(
     }
     cur.finish()?;
 
-    Ok(EngineSnapshot {
+    let snap = EngineSnapshot {
         version: SNAPSHOT_VERSION,
         config,
         circuit,
@@ -651,7 +682,8 @@ fn parse_checkpoint_inner(
         stats,
         recovery,
         events_emitted,
-    })
+    };
+    Ok((snap, prefix_len))
 }
 
 #[cfg(test)]

@@ -24,7 +24,12 @@
 //! `bgr_io::write_checkpoint` / `bgr_io::parse_checkpoint` — never a
 //! kept-alive in-memory session, so the resume path is exercised on
 //! every boundary, and a queue can in principle be drained by a
-//! different process than the one that filled it.
+//! different process than the one that filled it. Nothing outlives a
+//! slice, and a slice re-encodes no design either: the design never
+//! changes after the session starts, so the outgoing checkpoint is the
+//! leased one's design prefix, byte for byte, followed by a fresh state
+//! tail ([`run_slice`]). That is exact because every checkpoint a queue
+//! holds is canonical ([`JobQueue::submit_checkpoint`]).
 //!
 //! # Streams
 //!
@@ -46,10 +51,11 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use bgr_core::probe::CollectingProbe;
-use bgr_core::session::{RouteSession, SessionStage, StepOutcome};
+use bgr_core::session::{EngineSnapshot, RouteSession, SessionStage, StepOutcome};
 use bgr_core::{par, RouteError, Routed, RouterConfig};
 use bgr_io::{
-    escape_json, parse_checkpoint, segment_seq_span, write_checkpoint, write_event_lines,
+    escape_json, parse_checkpoint, parse_checkpoint_with_prefix, segment_seq_span,
+    splice_checkpoint, write_checkpoint, write_event_lines,
 };
 use bgr_layout::Placement;
 use bgr_metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
@@ -164,8 +170,16 @@ pub enum SliceOutcome {
 /// Self-contained: the checkpoint embeds the design, configuration and
 /// the global event offset, so `(checkpoint, quota)` fully determines
 /// the outcome.
+///
+/// The outgoing checkpoint re-uses the incoming one's design prefix
+/// byte for byte ([`splice_checkpoint`]) and re-encodes only the state
+/// tail. That equals the full [`write_checkpoint`] because every
+/// checkpoint a queue holds is canonical (see
+/// [`JobQueue::submit_checkpoint`]); at [`bgr_core::VerifyLevel::Phases`]
+/// and above the slice checks it, failing with
+/// [`RouteError::Internal`] on any difference.
 pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
-    let snap = match parse_checkpoint(checkpoint) {
+    let (snap, prefix_len) = match parse_checkpoint_with_prefix(checkpoint) {
         Ok(snap) => snap,
         Err(e) => {
             return SliceOutcome::Failed {
@@ -188,12 +202,17 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
     };
     match outcome {
         StepOutcome::Suspended => {
-            let snap = session.snapshot();
+            let selections_done = session.selections_done();
+            let (snap, probe) = session.into_snapshot();
             let stage = snap.stage.label();
             let events_emitted = snap.events_emitted;
-            let selections_done = session.selections_done();
-            let checkpoint = write_checkpoint(&snap);
-            let trace = session.into_probe().finish();
+            let checkpoint = splice_checkpoint(&checkpoint[..prefix_len], &snap);
+            if snap.config.verify.at_phases() {
+                if let Err(error) = check_splice(&checkpoint, &snap) {
+                    return SliceOutcome::Failed { error };
+                }
+            }
+            let trace = probe.finish();
             SliceOutcome::Suspended {
                 checkpoint,
                 stage,
@@ -244,6 +263,28 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
             }
         }
     }
+}
+
+/// The splice oracle: `spliced` must equal the full serialization of
+/// `snap`, byte for byte.
+fn check_splice(spliced: &str, snap: &EngineSnapshot) -> Result<(), RouteError> {
+    let full = write_checkpoint(snap);
+    if spliced == full {
+        return Ok(());
+    }
+    let at = spliced
+        .bytes()
+        .zip(full.bytes())
+        .take_while(|(a, b)| a == b)
+        .count();
+    Err(RouteError::Internal {
+        phase: "serve",
+        message: format!(
+            "spliced checkpoint differs from write_checkpoint at byte {at} ({} vs {} bytes)",
+            spliced.len(),
+            full.len()
+        ),
+    })
 }
 
 /// Runs one leased slice — **the single slice executor**: local rounds
@@ -690,14 +731,13 @@ impl Job {
             design.constraints,
             CollectingProbe::new(),
         )?;
-        let snap = session.snapshot();
+        self.selections_done = session.selections_done();
+        let (snap, probe) = session.into_snapshot();
         self.stage = snap.stage.label();
         self.events_emitted = snap.events_emitted;
-        self.selections_done = session.selections_done();
         let checkpoint = write_checkpoint(&snap);
         self.checkpoint = Some(checkpoint.clone());
-        let trace = session.into_probe().finish();
-        self.stream.push_str(&write_event_lines(&trace, 0));
+        self.stream.push_str(&write_event_lines(&probe.finish(), 0));
         Ok(checkpoint)
     }
 
@@ -1198,9 +1238,13 @@ impl JobQueue {
     /// (see `bgr_io::reconfigure_checkpoint`) and race them.
     ///
     /// The checkpoint is parsed to validate it and to adopt its
-    /// counters; the job keeps only the text. It parks `Suspended`, and
-    /// its stream begins at the checkpoint (earlier slices belong to
-    /// whichever job produced it).
+    /// counters; the job keeps only its canonical re-serialization
+    /// (`bgr_io::write_checkpoint` of the parsed snapshot), so comments,
+    /// blank lines or any other valid variation in its design blocks do
+    /// not reach the design prefix every later slice re-uses verbatim
+    /// (see [`run_slice`]). It parks `Suspended`, and its stream begins
+    /// at the checkpoint (earlier slices belong to whichever job
+    /// produced it).
     ///
     /// # Errors
     ///
@@ -1218,7 +1262,7 @@ impl JobQueue {
         let id = self.push_job(name.into(), None, slice_quota, None);
         let job = &mut self.jobs[id];
         job.state = SessionState::Suspended;
-        job.checkpoint = Some(checkpoint.to_string());
+        job.checkpoint = Some(write_checkpoint(&snap));
         job.stage = snap.stage.label();
         job.events_emitted = snap.events_emitted;
         job.selections_done = snap.stats.selection_log.len() as u64;
@@ -1811,5 +1855,64 @@ mod tests {
             "{:?}",
             q.job(id).error()
         );
+    }
+
+    /// A mid-run checkpoint of `small_case(seed)` under `config`, and the
+    /// same checkpoint with a comment and a blank line inside its netlist
+    /// block — valid, but not what `write_checkpoint` emits.
+    fn canonical_and_annotated(seed: u64, config: RouterConfig) -> (String, String) {
+        let (c, p, k) = small_case(seed);
+        let mut session = RouteSession::start(config, c, p, k, CollectingProbe::new()).unwrap();
+        session.step(Some(3)).unwrap();
+        let canonical = write_checkpoint(&session.snapshot());
+        let annotated = canonical.replacen(
+            "begin netlist\nbgr-netlist v1\n",
+            "begin netlist\nbgr-netlist v1\n# note\n\n",
+            1,
+        );
+        assert_ne!(annotated, canonical);
+        (canonical, annotated)
+    }
+
+    #[test]
+    fn submitted_checkpoints_are_stored_canonical() {
+        let (canonical, annotated) = canonical_and_annotated(29, RouterConfig::default());
+        let mut plain = JobQueue::new();
+        let mut noted = JobQueue::new();
+        let a = plain.submit_checkpoint("arm", &canonical, Some(4)).unwrap();
+        let b = noted.submit_checkpoint("arm", &annotated, Some(4)).unwrap();
+        assert_eq!(noted.job(b).checkpoint(), Some(canonical.as_str()));
+        plain.run(1);
+        noted.run(1);
+        assert_eq!(noted.job(b).state(), SessionState::Completed);
+        assert_eq!(noted.job(b).stream(), plain.job(a).stream());
+    }
+
+    #[test]
+    fn splice_oracle_rejects_a_non_canonical_prefix() {
+        // Handed straight to `run_slice` (no queue canonicalizes it), a
+        // non-canonical prefix is carried forward verbatim...
+        let (_, annotated) = canonical_and_annotated(29, RouterConfig::default());
+        match run_slice(&annotated, Some(2)) {
+            SliceOutcome::Suspended { checkpoint, .. } => assert!(checkpoint.contains("# note")),
+            other => panic!("expected a suspension, got {other:?}"),
+        }
+        // ...unless the checkpoint asks for phase-level verification,
+        // where the slice compares it with the full serialization.
+        let config = RouterConfig {
+            verify: bgr_core::VerifyLevel::Phases,
+            ..RouterConfig::default()
+        };
+        let (canonical, annotated) = canonical_and_annotated(29, config);
+        assert!(matches!(
+            run_slice(&canonical, Some(2)),
+            SliceOutcome::Suspended { .. }
+        ));
+        match run_slice(&annotated, Some(2)) {
+            SliceOutcome::Failed {
+                error: RouteError::Internal { message, .. },
+            } => assert!(message.contains("spliced checkpoint differs"), "{message}"),
+            other => panic!("expected the splice oracle to fail the slice, got {other:?}"),
+        }
     }
 }

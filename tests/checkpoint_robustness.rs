@@ -14,7 +14,8 @@
 //! - version skew → `ParseError` naming the version;
 //! - bytes after `end checkpoint` → `ParseError`;
 //! - a syntactically valid checkpoint whose alive-mask disconnects a
-//!   net → `RouteError::Checkpoint` at resume;
+//!   net → `RouteError::Checkpoint` at resume, worded apart from a feed
+//!   assignment whose rebuilt graph cannot connect the net at all;
 //! - a syntactically valid step-0 checkpoint with a negative,
 //!   non-finite or NaN branch length → `RouteError::Checkpoint` at
 //!   resume (a negative edge length would spin the shortest-path
@@ -166,6 +167,64 @@ fn disconnecting_alive_mask_is_a_checkpoint_error() {
         "wrong variant: {err}"
     );
     assert!(err.to_string().contains("disconnect"), "unhelpful: {err}");
+}
+
+/// The `message` of a [`RouteError::Checkpoint`].
+fn checkpoint_message(err: RouteError) -> String {
+    match err {
+        RouteError::Checkpoint { message } => message,
+        other => panic!("wrong variant: {other}"),
+    }
+}
+
+#[test]
+fn disconnecting_alive_mask_keeps_its_exact_message() {
+    let text = mid_run_checkpoint();
+    let idx = text.find("\na ").expect("alive section present") + 1;
+    let end = text[idx..].find('\n').map(|e| idx + e).unwrap();
+    let dead = "a ".to_string() + &"0".repeat(end - idx - 2);
+    let damaged = format!("{}{}{}", &text[..idx], dead, &text[end..]);
+    let message = checkpoint_message(resume_error(&damaged, "dead net 0"));
+    assert_eq!(message, "alive set of net 0 disconnects its terminals");
+}
+
+#[test]
+fn unroutable_feed_assignment_keeps_its_exact_message() {
+    // Move the first feed of the first net that has one into another
+    // row: the rebuilt graph keeps its edge count, so the alive mask
+    // still fits, but no alive set can connect the net any more.
+    let text = step0_checkpoint();
+    let rows: usize = text
+        .lines()
+        .find_map(|l| l.strip_prefix("rows "))
+        .expect("placement row count")
+        .parse()
+        .unwrap();
+    assert!(rows > 2, "golden placement too small for a row move");
+    let feeds: Vec<&str> = text.lines().filter(|l| l.starts_with("f ")).collect();
+    let net = feeds
+        .iter()
+        .position(|l| !l.starts_with("f 0"))
+        .expect("some net crosses a row");
+    let line = feeds[net];
+    let (row, x) = line
+        .split(' ')
+        .nth(2)
+        .and_then(|t| t.split_once(':'))
+        .expect("feed token row:x");
+    let row: usize = row.parse().unwrap();
+    let moved_row = if row + 2 < rows { row + 2 } else { row - 2 };
+    let moved = line.replacen(&format!(" {row}:{x}"), &format!(" {moved_row}:{x}"), 1);
+    let damaged = text.replacen(&format!("\n{line}\n"), &format!("\n{moved}\n"), 1);
+    assert_ne!(damaged, text);
+    let message = checkpoint_message(resume_error(&damaged, "moved feed"));
+    assert_eq!(
+        message,
+        format!(
+            "rebuilt routing graph of net {net} is disconnected \
+             (feed assignment does not fit the embedded design)"
+        )
+    );
 }
 
 /// A checkpoint of the golden instance taken before its first step.

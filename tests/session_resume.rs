@@ -20,15 +20,17 @@
 //! — the identity must survive any parallelism/sharding choice, and
 //! every suspension passes through the *serialized* checkpoint codec
 //! (`write_checkpoint` → `parse_checkpoint`), not an in-memory
-//! snapshot. The golden instance's sliced run is additionally pinned
+//! snapshot. At every suspension the checkpoint a serve slice would
+//! write — the previous checkpoint's design prefix spliced onto the new
+//! state tail — must equal the full serialization byte for byte. The golden instance's sliced run is additionally pinned
 //! against the checked-in `tests/golden/trace.jsonl`, and a
 //! deletion-budgeted variant proves the fallback lands at the same
 //! point with or without interruption.
 
 use bgr::gen::golden_instance;
 use bgr::io::{
-    deterministic_event_lines, parse_checkpoint, write_checkpoint, write_event_lines,
-    write_trace_jsonl,
+    deterministic_event_lines, parse_checkpoint_with_prefix, splice_checkpoint, write_checkpoint,
+    write_event_lines, write_trace_jsonl,
 };
 use bgr::layout::Placement;
 use bgr::netlist::Circuit;
@@ -49,8 +51,9 @@ fn config(threads: usize, shards: usize) -> RouterConfig {
 }
 
 /// Routes in `quota`-selection slices, round-tripping through the
-/// serialized checkpoint codec at **every** suspension. Returns the
-/// result, the concatenated per-slice event lines, and the hop count.
+/// serialized checkpoint codec at **every** suspension and checking the
+/// spliced checkpoint against the full one there. Returns the result,
+/// the concatenated per-slice event lines, and the hop count.
 fn sliced_route(
     config: &RouterConfig,
     circuit: &Circuit,
@@ -69,6 +72,8 @@ fn sliced_route(
     let mut events = String::new();
     let mut start_events = 0u64;
     let mut hops = 0usize;
+    // The design prefix of the checkpoint the session last resumed from.
+    let mut prefix: Option<String> = None;
     loop {
         let outcome = session.step(Some(quota)).expect("step succeeds");
         if outcome == StepOutcome::Ready {
@@ -76,11 +81,18 @@ fn sliced_route(
         }
         // Suspension: serialize, drop the live session, re-parse,
         // resume — the codec is on the hot path of every boundary.
-        let snapshot = session.snapshot();
+        let (snapshot, probe) = session.into_snapshot();
         let text = write_checkpoint(&snapshot);
-        let trace = session.into_probe().finish();
-        events.push_str(&write_event_lines(&trace, start_events));
-        let reparsed = parse_checkpoint(&text).expect("checkpoint parses");
+        if let Some(prefix) = &prefix {
+            assert!(
+                splice_checkpoint(prefix, &snapshot) == text,
+                "spliced checkpoint differs from the full one after hop {hops}"
+            );
+        }
+        events.push_str(&write_event_lines(&probe.finish(), start_events));
+        let (reparsed, prefix_len) =
+            parse_checkpoint_with_prefix(&text).expect("checkpoint parses");
+        prefix = Some(text[..prefix_len].to_string());
         start_events = reparsed.events_emitted;
         session = RouteSession::resume(reparsed, CollectingProbe::new()).expect("resume succeeds");
         hops += 1;
