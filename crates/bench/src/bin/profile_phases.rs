@@ -18,15 +18,19 @@
 //! `hyp_cache_misses`.
 //!
 //! After each instance it prints the process's peak resident set
-//! (`VmHWM`), the memory of the constrained C3P1 route included.
+//! (`VmHWM`), the memory of the constrained C3P1 route included, and
+//! before it the timing layer's footprint: terminals, constraints, the
+//! members and member arcs summed over every constraint graph, and the
+//! time of `Sta::new`.
 //!
 //! Usage: `profile_phases [out_dir]` (default `target/profile`).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bgr_bench::resettled_per_search;
-use bgr_core::{Counter, GlobalRouter, RekeyCause, RouterConfig, Scope};
+use bgr_core::{Counter, GlobalRouter, RekeyCause, Routed, RouterConfig, Scope};
 use bgr_gen::{c2_cached, c3_cached, DataSet};
+use bgr_timing::Sta;
 
 fn profile(ds: &DataSet, out_dir: &str) {
     println!("{}: {} nets", ds.name, ds.design.circuit.nets().len());
@@ -52,6 +56,7 @@ fn profile(ds: &DataSet, out_dir: &str) {
     );
 
     print!("{}", profile.to_ascii());
+    println!("  {}", timing_footprint(&router, &routed, ds));
     let s = &routed.result.stats;
     println!(
         "  stats: deletions {} | reroutes {} | initial {:?} | improvement {:?}",
@@ -106,6 +111,41 @@ fn profile(ds: &DataSet, out_dir: &str) {
     std::fs::write(&folded_path, profile.to_folded()).expect("write folded stacks");
     println!("  wrote {folded_path}");
     println!("  process peak RSS so far (VmHWM): {}", peak_rss());
+}
+
+/// The timing layer's size on the routed circuit: terminals of `G_D`
+/// against the members and member arcs summed over every `G_d(P)`, and
+/// the median wall time of 21 `Sta::new` builds.
+fn timing_footprint(router: &GlobalRouter, routed: &Routed, ds: &DataSet) -> String {
+    let config = router.config();
+    let build = || {
+        Sta::new(
+            &routed.circuit,
+            ds.design.constraints.clone(),
+            config.delay_model,
+            config.wire,
+        )
+        .expect("constraints build")
+    };
+    let mut times: Vec<Duration> = (0..21)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(build());
+            t0.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    let sta = build();
+    let cons = (0..sta.num_constraints()).map(|c| sta.constraint(c));
+    let members: usize = cons.clone().map(|cg| cg.topo().len()).sum();
+    let arcs: usize = cons.map(|cg| cg.arcs().len()).sum();
+    format!(
+        "timing: {} terminals | {} constraints | Σ members {members} | Σ member arcs {arcs} | \
+         Sta::new {:?} (median of 21)",
+        routed.circuit.terms().len(),
+        sta.num_constraints(),
+        times[10]
+    )
 }
 
 /// The `VmHWM` line of `/proc/self/status` (the process's peak resident

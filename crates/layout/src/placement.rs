@@ -152,16 +152,6 @@ impl Placement {
         self.pads[pad.index()].expect("pad not placed")
     }
 
-    /// Channel below row `row`.
-    pub fn channel_below(&self, row: usize) -> ChannelId {
-        ChannelId::new(row)
-    }
-
-    /// Channel above row `row`.
-    pub fn channel_above(&self, row: usize) -> ChannelId {
-        ChannelId::new(row + 1)
-    }
-
     /// Physical position of a terminal.
     pub fn term_pos(&self, circuit: &Circuit, term: TermId) -> TermPos {
         match circuit.term(term).owner() {
@@ -270,12 +260,6 @@ impl Placement {
             .max()
             .unwrap_or(0);
         self.width_pitches = self.width_pitches.max(cell_max).max(pad_max);
-    }
-
-    /// Widens the chip by `extra` pitches (feed-cell insertion widens every
-    /// row by the same amount, per §4.3).
-    pub fn widen(&mut self, extra: i32) {
-        self.width_pitches += extra;
     }
 
     /// Chip core area in mm² given per-channel track counts.

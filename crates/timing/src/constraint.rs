@@ -1,12 +1,10 @@
 //! Critical path constraints and their delay constraint graphs `G_d(P)`
 //! (§2.2).
 
-use std::collections::HashMap;
-
 use bgr_netlist::{NetId, TermId};
 
 use crate::error::TimingError;
-use crate::graph::DelayGraph;
+use crate::graph::{ArcKind, DelayGraph};
 
 /// A critical path constraint `P = (S_P, T_P, τ_P)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,30 +31,52 @@ impl PathConstraint {
     }
 }
 
+/// One arc of `G_d(P)`: a `G_D` arc together with the member positions
+/// (indices into [`ConstraintGraph::topo`]) of its endpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemberArc {
+    /// Index of the arc in [`DelayGraph::arcs`].
+    pub arc: u32,
+    /// Member position of the arc's source terminal.
+    pub from: u32,
+    /// Member position of the arc's target terminal.
+    pub to: u32,
+}
+
 /// The delay constraint graph `G_d(P)`: the subgraph of `G_D` induced by
 /// all vertices on some `S_P → T_P` path, in topological order.
+///
+/// Everything it holds is sized by the paths it describes, not by the
+/// netlist: the member terminals, the member arcs with both endpoints as
+/// member positions, and those arcs grouped by loading net.
 #[derive(Debug, Clone)]
 pub struct ConstraintGraph {
     constraint: PathConstraint,
-    /// Member terminals in topological order.
+    /// Member terminals in topological order: `S_P` first, `T_P` last.
     topo: Vec<TermId>,
-    /// Dense index of each member terminal (`usize::MAX` if absent),
-    /// indexed by `TermId`.
-    dense: Vec<u32>,
-    /// `G_D` arc indices with both endpoints in the member set, ordered by
-    /// the topological position of their source.
-    arcs: Vec<u32>,
-    /// Arc indices grouped by loading net: `net → arcs of this graph whose
-    /// delay depends on that net's wire length`.
-    arcs_by_net: HashMap<NetId, Vec<u32>>,
-    /// The keys of `arcs_by_net`, ascending.
+    /// Arcs with both endpoints in the member set, ordered by the
+    /// topological position of their source, then by `G_D` out-arc order.
+    arcs: Vec<MemberArc>,
+    /// The loaded arcs of `arcs`, stable-sorted by loading net, so each
+    /// net's run keeps the order of `arcs`.
+    by_net: Vec<MemberArc>,
+    /// Nets with at least one loaded arc, ascending.
     nets: Vec<NetId>,
+    /// `by_net[net_start[i]..net_start[i + 1]]` are the arcs of `nets[i]`.
+    net_start: Vec<u32>,
 }
 
-const ABSENT: u32 = u32::MAX;
+/// Marks of the transient term-sized array in [`ConstraintGraph::build`];
+/// any smaller value is a member position.
+const OUTSIDE: u32 = u32::MAX;
+const IN_CONE: u32 = u32::MAX - 1;
 
 impl ConstraintGraph {
     /// Builds `G_d(P)` over the global delay graph.
+    ///
+    /// Walks the sink's fan-in cone, then walks forward from the source
+    /// inside that cone; every vertex the second walk reaches lies on an
+    /// `S_P → T_P` path, so it visits only the members.
     ///
     /// # Errors
     ///
@@ -64,73 +84,66 @@ impl ConstraintGraph {
     /// [`TimingError::CyclicConstraint`] if the member subgraph is cyclic.
     pub fn build(dg: &DelayGraph, constraint: PathConstraint) -> Result<Self, TimingError> {
         let n = dg.num_terms();
-        if constraint.source.index() >= n {
-            return Err(TimingError::UnknownTerm(constraint.source));
+        let (source, sink) = (constraint.source, constraint.sink);
+        if source.index() >= n {
+            return Err(TimingError::UnknownTerm(source));
         }
-        if constraint.sink.index() >= n {
-            return Err(TimingError::UnknownTerm(constraint.sink));
+        if sink.index() >= n {
+            return Err(TimingError::UnknownTerm(sink));
         }
-        // Forward reachability from S.
-        let mut fwd = vec![false; n];
-        let mut stack = vec![constraint.source];
-        fwd[constraint.source.index()] = true;
-        while let Some(v) = stack.pop() {
-            for &e in dg.out_arcs(v) {
-                let w = dg.arcs()[e as usize].to;
-                if !fwd[w.index()] {
-                    fwd[w.index()] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        if !fwd[constraint.sink.index()] {
-            return Err(TimingError::Unreachable {
-                source: constraint.source,
-                sink: constraint.sink,
-            });
-        }
-        // Backward reachability from T.
-        let mut bwd = vec![false; n];
-        stack.push(constraint.sink);
-        bwd[constraint.sink.index()] = true;
+        // The one term-sized array; it does not outlive this call.
+        let mut mark = vec![OUTSIDE; n];
+        mark[sink.index()] = IN_CONE;
+        let mut stack = vec![sink];
         while let Some(v) = stack.pop() {
             for &e in dg.in_arcs(v) {
-                let w = dg.arcs()[e as usize].from;
-                if !bwd[w.index()] {
-                    bwd[w.index()] = true;
-                    stack.push(w);
+                let u = dg.arcs()[e as usize].from;
+                if mark[u.index()] == OUTSIDE {
+                    mark[u.index()] = IN_CONE;
+                    stack.push(u);
                 }
             }
         }
-        let member = |t: TermId| fwd[t.index()] && bwd[t.index()];
-
-        // Kahn topological sort of the member subgraph.
-        let mut dense = vec![ABSENT; n];
-        let members: Vec<TermId> = (0..n).map(TermId::new).filter(|&t| member(t)).collect();
-        let mut indeg = vec![0u32; members.len()];
-        for (i, &t) in members.iter().enumerate() {
-            dense[t.index()] = i as u32;
+        if mark[source.index()] == OUTSIDE {
+            return Err(TimingError::Unreachable { source, sink });
         }
+        // Every vertex on a path from the source to a cone vertex is in
+        // the cone, so this walk reaches exactly the members.
+        let mut members = vec![source];
+        mark[source.index()] = 0;
+        let mut next = 0;
+        while let Some(&v) = members.get(next) {
+            next += 1;
+            for &e in dg.out_arcs(v) {
+                let w = dg.arcs()[e as usize].to;
+                if mark[w.index()] == IN_CONE {
+                    mark[w.index()] = members.len() as u32;
+                    members.push(w);
+                }
+            }
+        }
+        let position = |mark: &[u32], t: TermId| Some(mark[t.index()]).filter(|&p| p < IN_CONE);
+
+        // Kahn topological sort of the member subgraph. Every member but
+        // the source was reached over a member arc, so the source is the
+        // only possible seed and the order does not depend on the order
+        // of `members`.
+        let mut indeg = vec![0u32; members.len()];
         for &t in &members {
             for &e in dg.out_arcs(t) {
-                let to = dg.arcs()[e as usize].to;
-                if member(to) {
-                    indeg[dense[to.index()] as usize] += 1;
+                if let Some(p) = position(&mark, dg.arcs()[e as usize].to) {
+                    indeg[p as usize] += 1;
                 }
             }
         }
-        let mut queue: Vec<TermId> = members
-            .iter()
-            .copied()
-            .filter(|&t| indeg[dense[t.index()] as usize] == 0)
-            .collect();
+        let mut queue = if indeg[0] == 0 { vec![source] } else { vec![] };
         let mut topo = Vec::with_capacity(members.len());
         while let Some(v) = queue.pop() {
             topo.push(v);
             for &e in dg.out_arcs(v) {
                 let w = dg.arcs()[e as usize].to;
-                if member(w) {
-                    let d = &mut indeg[dense[w.index()] as usize];
+                if let Some(p) = position(&mark, w) {
+                    let d = &mut indeg[p as usize];
                     *d -= 1;
                     if *d == 0 {
                         queue.push(w);
@@ -139,37 +152,47 @@ impl ConstraintGraph {
             }
         }
         if topo.len() != members.len() {
-            return Err(TimingError::CyclicConstraint {
-                source: constraint.source,
-                sink: constraint.sink,
-            });
+            return Err(TimingError::CyclicConstraint { source, sink });
         }
-        // Re-densify in topological order so evaluation is a single sweep.
+        debug_assert!(topo[0] == source && topo[topo.len() - 1] == sink);
+        // Re-number members by topological position so evaluation is a
+        // single sweep.
         for (i, &t) in topo.iter().enumerate() {
-            dense[t.index()] = i as u32;
+            mark[t.index()] = i as u32;
         }
         let mut arcs = Vec::new();
-        let mut arcs_by_net: HashMap<NetId, Vec<u32>> = HashMap::new();
-        for &t in &topo {
+        for (from, &t) in topo.iter().enumerate() {
             for &e in dg.out_arcs(t) {
-                let arc = &dg.arcs()[e as usize];
-                if member(arc.to) {
-                    arcs.push(e);
-                    if let Some(net) = arc.loading_net() {
-                        arcs_by_net.entry(net).or_default().push(e);
-                    }
+                if let Some(to) = position(&mark, dg.arcs()[e as usize].to) {
+                    arcs.push(MemberArc {
+                        arc: e,
+                        from: from as u32,
+                        to,
+                    });
                 }
             }
         }
-        let mut nets: Vec<NetId> = arcs_by_net.keys().copied().collect();
-        nets.sort_unstable();
+        let mut loaded: Vec<(NetId, MemberArc)> = arcs
+            .iter()
+            .filter_map(|&m| Some((dg.arcs()[m.arc as usize].loading_net()?, m)))
+            .collect();
+        loaded.sort_by_key(|&(net, _)| net);
+        let mut nets = Vec::new();
+        let mut net_start = Vec::new();
+        for (i, &(net, _)) in loaded.iter().enumerate() {
+            if nets.last() != Some(&net) {
+                nets.push(net);
+                net_start.push(i as u32);
+            }
+        }
+        net_start.push(loaded.len() as u32);
         Ok(Self {
             constraint,
             topo,
-            dense,
             arcs,
-            arcs_by_net,
+            by_net: loaded.into_iter().map(|(_, m)| m).collect(),
             nets,
+            net_start,
         })
     }
 
@@ -178,61 +201,57 @@ impl ConstraintGraph {
         &self.constraint
     }
 
-    /// Member terminals in topological order.
+    /// Member terminals in topological order: `S_P` first, `T_P` last.
     pub fn topo(&self) -> &[TermId] {
         &self.topo
     }
 
-    /// Whether a terminal belongs to this constraint graph.
+    /// Whether a terminal belongs to this constraint graph (a linear
+    /// scan of the members).
     pub fn contains(&self, term: TermId) -> bool {
-        self.dense
-            .get(term.index())
-            .map(|&d| d != ABSENT)
-            .unwrap_or(false)
+        self.topo.contains(&term)
     }
 
-    /// Dense index of a member terminal.
+    /// Member position of a terminal (its index in [`Self::topo`]), by a
+    /// linear scan of the members.
     pub fn dense_index(&self, term: TermId) -> Option<usize> {
-        match self.dense.get(term.index()) {
-            Some(&d) if d != ABSENT => Some(d as usize),
-            _ => None,
-        }
+        self.topo.iter().position(|&t| t == term)
     }
 
-    /// `G_D` arc indices of this graph (topological source order).
-    pub fn arcs(&self) -> &[u32] {
+    /// The arcs of this graph, in topological source order and then `G_D`
+    /// out-arc order.
+    pub fn arcs(&self) -> &[MemberArc] {
         &self.arcs
     }
 
-    /// Arcs of this graph whose delay depends on `net`'s wire length.
-    pub fn arcs_for_net(&self, net: NetId) -> &[u32] {
-        self.arcs_by_net.get(&net).map(Vec::as_slice).unwrap_or(&[])
+    /// Arcs of this graph whose delay depends on `net`'s wire length, in
+    /// the order of [`Self::arcs`].
+    pub fn arcs_for_net(&self, net: NetId) -> &[MemberArc] {
+        match self.nets.binary_search(&net) {
+            Ok(i) => &self.by_net[self.net_start[i] as usize..self.net_start[i + 1] as usize],
+            Err(_) => &[],
+        }
     }
 
     /// Nets with at least one loading arc in this graph, ascending by
     /// [`NetId`] (the same order in every build from the same inputs).
-    pub fn nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.nets.iter().copied()
+    pub fn nets(&self) -> &[NetId] {
+        &self.nets
     }
 
-    /// Forward longest-path sweep: returns `lp(v)` per dense index (ps
-    /// from `S_P`) given the current wire state.
+    /// Forward longest-path sweep: returns `lp(v)` per member position
+    /// (ps from `S_P`) given the current wire state.
     ///
     /// Vertices that precede `S_P` in the member set cannot exist (the
     /// member set is exactly the S→T path union), so `lp(S_P) = 0` and
     /// every member is reachable.
     pub fn longest_paths(&self, dg: &DelayGraph, cl_ff: &[f64], rc_ps: &[f64]) -> Vec<f64> {
         let mut lp = vec![f64::NEG_INFINITY; self.topo.len()];
-        lp[self
-            .dense_index(self.constraint.source)
-            .expect("source is a member")] = 0.0;
-        for &e in &self.arcs {
-            let arc = &dg.arcs()[e as usize];
-            let from = self.dense[arc.from.index()] as usize;
-            let to = self.dense[arc.to.index()] as usize;
-            let cand = lp[from] + dg.arc_delay_ps(e, cl_ff, rc_ps);
-            if cand > lp[to] {
-                lp[to] = cand;
+        lp[0] = 0.0;
+        for m in &self.arcs {
+            let cand = lp[m.from as usize] + dg.arc_delay_ps(m.arc, cl_ff, rc_ps);
+            if cand > lp[m.to as usize] {
+                lp[m.to as usize] = cand;
             }
         }
         lp
@@ -242,16 +261,11 @@ impl ConstraintGraph {
     /// `T_P`.
     pub fn longest_paths_to_sink(&self, dg: &DelayGraph, cl_ff: &[f64], rc_ps: &[f64]) -> Vec<f64> {
         let mut bp = vec![f64::NEG_INFINITY; self.topo.len()];
-        bp[self
-            .dense_index(self.constraint.sink)
-            .expect("sink is a member")] = 0.0;
-        for &e in self.arcs.iter().rev() {
-            let arc = &dg.arcs()[e as usize];
-            let from = self.dense[arc.from.index()] as usize;
-            let to = self.dense[arc.to.index()] as usize;
-            let cand = bp[to] + dg.arc_delay_ps(e, cl_ff, rc_ps);
-            if cand > bp[from] {
-                bp[from] = cand;
+        bp[self.topo.len() - 1] = 0.0;
+        for m in self.arcs.iter().rev() {
+            let cand = bp[m.to as usize] + dg.arc_delay_ps(m.arc, cl_ff, rc_ps);
+            if cand > bp[m.from as usize] {
+                bp[m.from as usize] = cand;
             }
         }
         bp
@@ -259,9 +273,7 @@ impl ConstraintGraph {
 
     /// Critical path arrival at the sink: `lp(T_P)`.
     pub fn arrival_ps(&self, lp: &[f64]) -> f64 {
-        lp[self
-            .dense_index(self.constraint.sink)
-            .expect("sink is a member")]
+        lp[self.topo.len() - 1]
     }
 
     /// Margin `M(P) = τ_P − lp(T_P)`.
@@ -271,44 +283,34 @@ impl ConstraintGraph {
 
     /// Nets on the critical path, in sink-to-source discovery order.
     ///
-    /// Walks back from `T_P` choosing, at each vertex, a predecessor arc
-    /// that achieves its `lp` value; collects the loading net of every
-    /// cell arc and the traversed net of every net arc on the way.
+    /// Walks back from `T_P` choosing, at each vertex, the first
+    /// predecessor arc in `G_D` in-arc order that achieves its `lp`
+    /// value; collects the loading net of every cell arc and the
+    /// traversed net of every net arc on the way.
     pub fn critical_nets(&self, dg: &DelayGraph, cl_ff: &[f64], rc_ps: &[f64]) -> Vec<NetId> {
         let lp = self.longest_paths(dg, cl_ff, rc_ps);
         let mut nets = Vec::new();
         let mut cur = self.constraint.sink;
         const EPS: f64 = 1e-9;
         while cur != self.constraint.source {
-            let cur_lp = lp[self.dense[cur.index()] as usize];
+            let cur_lp = lp[self.dense_index(cur).expect("path vertex is a member")];
             let mut step = None;
             for &e in dg.in_arcs(cur) {
                 let arc = &dg.arcs()[e as usize];
-                if !self.contains(arc.from) {
+                let Some(from) = self.dense_index(arc.from) else {
                     continue;
-                }
-                let from_lp = lp[self.dense[arc.from.index()] as usize];
-                if (from_lp + dg.arc_delay_ps(e, cl_ff, rc_ps) - cur_lp).abs() <= EPS {
+                };
+                if (lp[from] + dg.arc_delay_ps(e, cl_ff, rc_ps) - cur_lp).abs() <= EPS {
                     step = Some(e);
                     break;
                 }
             }
             let e = step.expect("lp-consistent predecessor exists");
             let arc = &dg.arcs()[e as usize];
-            match arc.kind {
-                crate::graph::ArcKind::Cell { net } => {
-                    if let Some(net) = net {
-                        if nets.last() != Some(&net) {
-                            nets.push(net);
-                        }
-                    }
-                }
-                crate::graph::ArcKind::Net { net } => {
-                    if nets.last() != Some(&net) {
-                        nets.push(net);
-                    }
-                }
-            }
+            nets.extend(match arc.kind {
+                ArcKind::Cell { net } => net,
+                ArcKind::Net { net } => Some(net),
+            });
             cur = arc.from;
         }
         nets.dedup();
@@ -407,8 +409,8 @@ mod tests {
         let arcs = cg.arcs_for_net(bgr_netlist::NetId::new(1));
         assert_eq!(arcs.len(), 1);
         assert!(matches!(
-            dg.arcs()[arcs[0] as usize].kind,
-            crate::graph::ArcKind::Cell { .. }
+            dg.arcs()[arcs[0].arc as usize].kind,
+            ArcKind::Cell { .. }
         ));
     }
 

@@ -25,7 +25,7 @@ pub mod model;
 pub mod slack;
 pub mod sta;
 
-pub use constraint::{ConstraintGraph, PathConstraint};
+pub use constraint::{ConstraintGraph, MemberArc, PathConstraint};
 pub use error::TimingError;
 pub use graph::{ArcKind, DelayGraph};
 pub use model::{rc_skew_ps, DelayModel, WireParams};

@@ -31,13 +31,10 @@ pub fn net_ordering_slack(
         let cg = ConstraintGraph::build(&dg, c.clone())?;
         let lp = cg.longest_paths(&dg, &cl, &rc);
         let bp = cg.longest_paths_to_sink(&dg, &cl, &rc);
-        for net in cg.nets().collect::<Vec<NetId>>() {
-            for &e in cg.arcs_for_net(net) {
-                let arc = &dg.arcs()[e as usize];
-                let v = cg.dense_index(arc.from).expect("member");
-                let w = cg.dense_index(arc.to).expect("member");
-                let d = dg.arc_delay_ps(e, &cl, &rc);
-                let s = c.limit_ps - (lp[v] + d + bp[w]);
+        for &net in cg.nets() {
+            for m in cg.arcs_for_net(net) {
+                let d = dg.arc_delay_ps(m.arc, &cl, &rc);
+                let s = c.limit_ps - (lp[m.from as usize] + d + bp[m.to as usize]);
                 if s < slack[net.index()] {
                     slack[net.index()] = s;
                 }

@@ -92,6 +92,11 @@ impl NetLengths {
 
 /// Static timing analyzer: constraint graphs plus cached longest-path
 /// values and margins, refreshed incrementally as nets change length.
+///
+/// Each constraint's member nets and member arcs live in its
+/// [`ConstraintGraph`] alone; the analyzer adds only the per-net inverse
+/// ([`Sta::constraints_of_net`]) and the per-constraint `lp` vectors,
+/// indexed by member position.
 #[derive(Debug, Clone)]
 pub struct Sta {
     graph: DelayGraph,
@@ -101,8 +106,6 @@ pub struct Sta {
     margin: Vec<f64>,
     /// Per net: constraint indices whose graph contains the net.
     net_to_cons: Vec<Vec<u32>>,
-    /// Per constraint: member nets (inverse of `net_to_cons`).
-    cons_nets: Vec<Vec<NetId>>,
     /// Bumped whenever any cached `lp` / margin changes.
     generation: u64,
     /// Per constraint: bumped whenever its `lp` / margin is refreshed.
@@ -129,11 +132,9 @@ impl Sta {
             cons.push(ConstraintGraph::build(&graph, c)?);
         }
         let mut net_to_cons = vec![Vec::new(); circuit.nets().len()];
-        let mut cons_nets = vec![Vec::new(); cons.len()];
         for (i, cg) in cons.iter().enumerate() {
             for net in cg.nets() {
                 net_to_cons[net.index()].push(i as u32);
-                cons_nets[i].push(net);
             }
         }
         let num_cons = cons.len();
@@ -144,7 +145,6 @@ impl Sta {
             lp: Vec::new(),
             margin: Vec::new(),
             net_to_cons,
-            cons_nets,
             generation: 0,
             cons_generation: vec![0; num_cons],
         };
@@ -232,7 +232,7 @@ impl Sta {
     /// each affected constraint; incremental consumers must re-evaluate
     /// all of them.
     pub fn nets_of_constraint(&self, cid: usize) -> &[NetId] {
-        &self.cons_nets[cid]
+        self.cons[cid].nets()
     }
 
     /// Global invalidation stamp: changes whenever any cached longest
@@ -249,11 +249,11 @@ impl Sta {
 
     /// Sets a net's estimated length and refreshes affected constraints.
     ///
-    /// Returns `true` when the length actually changed (and margins were
-    /// refreshed); an unchanged length leaves every cache and generation
+    /// Returns `true` when the length changed, by any amount (and margins
+    /// were refreshed); an equal length leaves every cache and generation
     /// stamp untouched.
     pub fn set_net_length(&mut self, net: NetId, length_um: f64) -> bool {
-        if (self.lengths.length_um(net) - length_um).abs() < 1e-12 {
+        if self.lengths.length_um(net) == length_um {
             return false;
         }
         self.lengths.set_length_um(net, length_um);
@@ -262,11 +262,6 @@ impl Sta {
             self.refresh_one(cid as usize);
         }
         true
-    }
-
-    /// `lp(v)` of a member terminal of constraint `cid`.
-    pub fn lp(&self, cid: usize, term: bgr_netlist::TermId) -> Option<f64> {
-        self.cons[cid].dense_index(term).map(|d| self.lp[cid][d])
     }
 
     /// The paper's local-margin core: the worst `lp(v) + d' − lp(w)`
@@ -279,12 +274,10 @@ impl Sta {
         let cg = &self.cons[cid];
         let lp = &self.lp[cid];
         let mut worst = 0.0f64;
-        for &e in cg.arcs_for_net(net) {
-            let arc = &self.graph.arcs()[e as usize];
+        for m in cg.arcs_for_net(net) {
+            let arc = &self.graph.arcs()[m.arc as usize];
             let d_new = arc.static_ps + cl_ff * arc.td_ps_per_ff + rc_ps;
-            let v = cg.dense_index(arc.from).expect("arc source is a member");
-            let w = cg.dense_index(arc.to).expect("arc target is a member");
-            worst = worst.max(lp[v] + d_new - lp[w]);
+            worst = worst.max(lp[m.from as usize] + d_new - lp[m.to as usize]);
         }
         worst
     }
@@ -295,12 +288,12 @@ impl Sta {
     pub fn delay_increase_sum_ps(&self, cid: usize, net: NetId, cl_ff: f64, rc_ps: f64) -> f64 {
         let cg = &self.cons[cid];
         let mut sum = 0.0;
-        for &e in cg.arcs_for_net(net) {
-            let arc = &self.graph.arcs()[e as usize];
+        for m in cg.arcs_for_net(net) {
+            let arc = &self.graph.arcs()[m.arc as usize];
             let d_new = arc.static_ps + cl_ff * arc.td_ps_per_ff + rc_ps;
             let d_old = self
                 .graph
-                .arc_delay_ps(e, self.lengths.cl_ff(), self.lengths.rc_ps());
+                .arc_delay_ps(m.arc, self.lengths.cl_ff(), self.lengths.rc_ps());
             sum += (d_new - d_old).max(0.0);
         }
         sum
@@ -432,6 +425,17 @@ mod tests {
     }
 
     #[test]
+    fn any_length_change_refreshes() {
+        let (mut sta, _, _) = sta_for(1000.0);
+        let net = bgr_netlist::NetId::new(1);
+        assert!(sta.set_net_length(net, 100.0));
+        let c0 = sta.constraint_generation(0);
+        assert!(sta.set_net_length(net, 100.0 + 1e-13));
+        assert!(sta.constraint_generation(0) > c0);
+        assert_eq!(sta.lengths().length_um(net), 100.0 + 1e-13);
+    }
+
+    #[test]
     fn nets_of_constraint_inverts_membership() {
         let (sta, _, _) = sta_for(1000.0);
         let members = sta.nets_of_constraint(0);
@@ -461,8 +465,7 @@ mod tests {
         assert_eq!(members.len(), 24);
         assert_eq!(members, b.nets_of_constraint(0));
         assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
-        let listed: Vec<NetId> = a.constraint(0).nets().collect();
-        assert_eq!(listed, members);
+        assert_eq!(a.constraint(0).nets(), members);
     }
 
     #[test]
