@@ -95,6 +95,7 @@ pub use result::{
 pub use router::{GlobalRouter, Routed};
 pub use select::{deciding_tier, DecidingTier};
 pub use session::{
-    EngineSnapshot, RouteSession, SessionStage, SnapshotStats, StepOutcome, SNAPSHOT_VERSION,
+    EngineSnapshot, RouteSession, SessionDesign, SessionStage, SnapshotStats, StepOutcome,
+    SNAPSHOT_VERSION,
 };
 pub use shard::ShardMap;

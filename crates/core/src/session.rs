@@ -124,6 +124,73 @@ pub struct SnapshotStats {
     pub diff_pairs_independent: usize,
 }
 
+/// The design a session routes: the circuit *after* feed-cell
+/// insertion, the placement *after* widening, and the *requested*
+/// constraints (evaluated by the final report even when
+/// `config.use_constraints` is off).
+///
+/// Valid by construction: [`SessionDesign::new`] runs
+/// [`Circuit::validate`] and [`Placement::validate`], and the only other
+/// source is a session handing back the design it routes
+/// ([`RouteSession::snapshot`], [`RouteSession::into_snapshot`]), which
+/// [`RouteSession::start`] validated. So [`RouteSession::resume`] never
+/// validates, and a serve job that keeps its design between slices
+/// validates it once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionDesign {
+    circuit: Circuit,
+    placement: Placement,
+    constraints: Vec<PathConstraint>,
+}
+
+impl SessionDesign {
+    /// Validates a design: the circuit, then the placement against it.
+    ///
+    /// # Errors
+    ///
+    /// [`RouteError::Checkpoint`] naming the part that failed
+    /// validation.
+    pub fn new(
+        circuit: Circuit,
+        placement: Placement,
+        constraints: Vec<PathConstraint>,
+    ) -> Result<Self, RouteError> {
+        circuit.validate().map_err(|e| RouteError::Checkpoint {
+            message: format!("embedded circuit invalid: {e}"),
+        })?;
+        placement
+            .validate(&circuit)
+            .map_err(|e| RouteError::Checkpoint {
+                message: format!("embedded placement invalid: {e}"),
+            })?;
+        Ok(Self {
+            circuit,
+            placement,
+            constraints,
+        })
+    }
+
+    /// The circuit, after feed-cell insertion.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// The placement, after widening.
+    pub fn placement(&self) -> &Placement {
+        &self.placement
+    }
+
+    /// The requested constraints.
+    pub fn constraints(&self) -> &[PathConstraint] {
+        &self.constraints
+    }
+
+    /// Moves the circuit, placement and constraints out.
+    pub fn into_parts(self) -> (Circuit, Placement, Vec<PathConstraint>) {
+        (self.circuit, self.placement, self.constraints)
+    }
+}
+
 /// The full serializable mid-run state of a route session.
 ///
 /// Everything needed to continue the route in a fresh process:
@@ -138,13 +205,8 @@ pub struct EngineSnapshot {
     pub version: u32,
     /// The resolved router configuration the session runs under.
     pub config: RouterConfig,
-    /// The circuit, *after* feed-cell insertion.
-    pub circuit: Circuit,
-    /// The placement, *after* widening.
-    pub placement: Placement,
-    /// The *requested* constraints (evaluated by the final report even
-    /// when `config.use_constraints` is off).
-    pub constraints: Vec<PathConstraint>,
+    /// The post-insertion design, validated.
+    pub design: SessionDesign,
     /// Per net: assigned `(row, x)` feedthrough points.
     pub feeds: Vec<Vec<(usize, i32)>>,
     /// Per channel: estimated branch (pin-tap) length in µm.
@@ -235,6 +297,12 @@ impl<P: Probe> RouteSession<P> {
         let plan =
             assign_with_insertion(&mut circuit, &mut placement, &order, &pairs, 8, &mut probe)?;
         probe.phase_exit(Phase::FeedAssign);
+        // Insertion keeps the design valid; snapshots hand it out as a
+        // `SessionDesign` without validating it again.
+        debug_assert!(
+            circuit.validate().is_ok() && placement.validate(&circuit).is_ok(),
+            "feed-cell insertion broke the design"
+        );
         probe.phase_enter(Phase::GraphBuild);
 
         // Fig. 2 line 02: routing graphs — two passes. The first pass uses
@@ -333,6 +401,9 @@ impl<P: Probe> RouteSession<P> {
     /// `probe` starts empty; the snapshot's `events_emitted` is the
     /// `seq` offset at which its events continue the original stream.
     ///
+    /// The design is not validated again: a [`SessionDesign`] is valid
+    /// by construction.
+    ///
     /// # Errors
     ///
     /// [`RouteError::Checkpoint`] for any inconsistency — version
@@ -347,9 +418,7 @@ impl<P: Probe> RouteSession<P> {
         let EngineSnapshot {
             version,
             config,
-            circuit,
-            placement,
-            constraints,
+            design,
             feeds,
             branch_lens,
             alive,
@@ -363,12 +432,7 @@ impl<P: Probe> RouteSession<P> {
                 "snapshot version {version} unsupported (this build reads v{SNAPSHOT_VERSION})"
             )));
         }
-        circuit
-            .validate()
-            .map_err(|e| bad(format!("embedded circuit invalid: {e}")))?;
-        placement
-            .validate(&circuit)
-            .map_err(|e| bad(format!("embedded placement invalid: {e}")))?;
+        let (circuit, placement, constraints) = design.into_parts();
         let nets = circuit.nets().len();
         if feeds.len() != nets {
             return Err(bad(format!(
@@ -597,9 +661,11 @@ impl<P: Probe> RouteSession<P> {
         EngineSnapshot {
             version: SNAPSHOT_VERSION,
             config: self.config.clone(),
-            circuit: self.circuit.clone(),
-            placement: self.placement.clone(),
-            constraints: self.constraints.clone(),
+            design: SessionDesign {
+                circuit: self.circuit.clone(),
+                placement: self.placement.clone(),
+                constraints: self.constraints.clone(),
+            },
             feeds: self.feeds.clone(),
             branch_lens: self.branch_lens.clone(),
             alive: self.alive_masks(),
@@ -621,9 +687,11 @@ impl<P: Probe> RouteSession<P> {
         let snapshot = EngineSnapshot {
             version: SNAPSHOT_VERSION,
             config: self.config,
-            circuit: self.circuit,
-            placement: self.placement,
-            constraints: self.constraints,
+            design: SessionDesign {
+                circuit: self.circuit,
+                placement: self.placement,
+                constraints: self.constraints,
+            },
             feeds: self.feeds,
             branch_lens: self.branch_lens,
             alive,

@@ -20,7 +20,9 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use bgr_core::session::{EngineSnapshot, SessionStage, SnapshotStats, SNAPSHOT_VERSION};
+use bgr_core::session::{
+    EngineSnapshot, SessionDesign, SessionStage, SnapshotStats, SNAPSHOT_VERSION,
+};
 use bgr_core::{
     Budgets, CriteriaOrder, OnViolation, PhaseOutcome, RouterConfig, SelectionStrategy, VerifyLevel,
 };
@@ -79,14 +81,15 @@ pub fn externalize_design(
         placement: format!("{stem}.bgrp"),
         constraints: format!("{stem}.bgrt"),
     };
-    std::fs::write(dir.join(&refs.netlist), write_netlist(&snap.circuit))?;
+    let d = &snap.design;
+    std::fs::write(dir.join(&refs.netlist), write_netlist(d.circuit()))?;
     std::fs::write(
         dir.join(&refs.placement),
-        write_placement(&snap.circuit, &snap.placement),
+        write_placement(d.circuit(), d.placement()),
     )?;
     std::fs::write(
         dir.join(&refs.constraints),
-        write_constraints(&snap.circuit, &snap.constraints),
+        write_constraints(d.circuit(), d.constraints()),
     )?;
     Ok(refs)
 }
@@ -126,14 +129,15 @@ pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
     let _ = writeln!(out, "{MAGIC}{SNAPSHOT_VERSION}");
     // The embedded design first: everything after it is interpreted
     // against these objects.
+    let d = &snap.design;
     let _ = writeln!(out, "begin netlist");
-    out.push_str(&write_netlist(&snap.circuit));
+    out.push_str(&write_netlist(d.circuit()));
     let _ = writeln!(out, "end netlist");
     let _ = writeln!(out, "begin placement");
-    out.push_str(&write_placement(&snap.circuit, &snap.placement));
+    out.push_str(&write_placement(d.circuit(), d.placement()));
     let _ = writeln!(out, "end placement");
     let _ = writeln!(out, "begin constraints");
-    out.push_str(&write_constraints(&snap.circuit, &snap.constraints));
+    out.push_str(&write_constraints(d.circuit(), d.constraints()));
     let _ = writeln!(out, "end constraints");
     write_state(&mut out, snap);
     out
@@ -143,7 +147,7 @@ pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
 /// [`write_checkpoint`] would emit, without re-encoding the design, when
 /// `prefix` is the design prefix it would emit for `snap` — such as the
 /// prefix of a canonical checkpoint `snap` was resumed from
-/// ([`parse_checkpoint_with_prefix`]).
+/// ([`parse_checkpoint_with_prefix`], [`parse_checkpoint_with_design`]).
 pub fn splice_checkpoint(prefix: &str, snap: &EngineSnapshot) -> String {
     let mut tail = String::new();
     write_state(&mut tail, snap);
@@ -161,24 +165,25 @@ pub fn splice_checkpoint(prefix: &str, snap: &EngineSnapshot) -> String {
 /// [`parse_checkpoint_in`]; the plain parser reports a structured
 /// error directing there.
 pub fn write_checkpoint_ref(snap: &EngineSnapshot, refs: &DesignRefs) -> String {
+    let d = &snap.design;
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC}{SNAPSHOT_VERSION}");
     let _ = writeln!(
         out,
         "design-ref netlist {:016x} {}",
-        fnv1a(write_netlist(&snap.circuit).as_bytes()),
+        fnv1a(write_netlist(d.circuit()).as_bytes()),
         refs.netlist
     );
     let _ = writeln!(
         out,
         "design-ref placement {:016x} {}",
-        fnv1a(write_placement(&snap.circuit, &snap.placement).as_bytes()),
+        fnv1a(write_placement(d.circuit(), d.placement()).as_bytes()),
         refs.placement
     );
     let _ = writeln!(
         out,
         "design-ref constraints {:016x} {}",
-        fnv1a(write_constraints(&snap.circuit, &snap.constraints).as_bytes()),
+        fnv1a(write_constraints(d.circuit(), d.constraints()).as_bytes()),
         refs.constraints
     );
     write_state(&mut out, snap);
@@ -458,25 +463,54 @@ fn design_ref_text(
     Ok(text)
 }
 
-// Config fields are parsed sequentially in the fixed emission order so
-// errors point at the offending line; a struct literal can't do that.
-#[allow(clippy::field_reassign_with_default)]
+/// [`parse_checkpoint_with_prefix`] for a caller that already holds the
+/// checkpoint's design, such as a serve job that keeps the design its
+/// previous slice handed back: the header and the framing of the three
+/// design blocks are checked and the prefix measured, but only the
+/// state tail is parsed. The snapshot carries `design` in place of the
+/// embedded one.
+///
+/// Nothing compares `design` with the embedded blocks. A caller that
+/// writes the next checkpoint by splicing checks that at
+/// `VerifyLevel::Phases` and above, by comparing the spliced text with
+/// [`write_checkpoint`] of the snapshot (DESIGN.md §13).
+///
+/// # Errors
+///
+/// Everything [`parse_checkpoint`] reports about the header and the
+/// state tail, a missing or misnamed design block, and a
+/// design-by-reference checkpoint.
+pub fn parse_checkpoint_with_design(
+    text: &str,
+    design: SessionDesign,
+) -> Result<(EngineSnapshot, usize), ParseError> {
+    let mut cur = Reader::new(text.as_bytes());
+    read_header(&mut cur)?;
+    for name in ["netlist", "placement", "constraints"] {
+        design_block(&mut cur, text, name)?;
+    }
+    let prefix_len = cur.offset();
+    Ok((parse_state(cur, design)?, prefix_len))
+}
+
+/// The header line, which must name [`SNAPSHOT_VERSION`].
+fn read_header(cur: &mut Reader) -> Result<(), ParseError> {
+    let header = cur.line()?;
+    match header.strip_prefix(MAGIC) {
+        Some(v) if v == SNAPSHOT_VERSION.to_string() => Ok(()),
+        Some(v) => Err(cur.err(format!(
+            "checkpoint version {v:?} unsupported (this build reads v{SNAPSHOT_VERSION})"
+        ))),
+        None => Err(cur.err(format!("not a bgr checkpoint (header {header:?})"))),
+    }
+}
+
 fn parse_checkpoint_inner(
     text: &str,
     base_dir: Option<&std::path::Path>,
 ) -> Result<(EngineSnapshot, usize), ParseError> {
     let mut cur = Reader::new(text.as_bytes());
-    let header = cur.line()?;
-    match header.strip_prefix(MAGIC) {
-        Some(v) if v == SNAPSHOT_VERSION.to_string() => {}
-        Some(v) => {
-            return Err(cur.err(format!(
-                "checkpoint version {v:?} unsupported (this build reads v{SNAPSHOT_VERSION})"
-            )))
-        }
-        None => return Err(cur.err(format!("not a bgr checkpoint (header {header:?})"))),
-    }
-
+    read_header(&mut cur)?;
     let by_reference = cur.peek().is_some_and(|l| l.starts_with("design-ref "));
     let (netlist_text, placement_text, constraints_text): (Cow<str>, Cow<str>, Cow<str>) =
         if by_reference {
@@ -499,7 +533,17 @@ fn parse_checkpoint_inner(
         .map_err(|e| cur.err(format!("embedded placement: {e}")))?;
     let constraints = parse_constraints(&circuit, &constraints_text)
         .map_err(|e| cur.err(format!("embedded constraints: {e}")))?;
+    let design =
+        SessionDesign::new(circuit, placement, constraints).map_err(|e| cur.err(e.to_string()))?;
+    Ok((parse_state(cur, design)?, prefix_len))
+}
 
+/// The state tail (everything after the design prefix), read from `cur`
+/// through `end checkpoint`, which must end the input.
+// Config fields are parsed sequentially in the fixed emission order so
+// errors point at the offending line; a struct literal can't do that.
+#[allow(clippy::field_reassign_with_default)]
+fn parse_state(mut cur: Reader, design: SessionDesign) -> Result<EngineSnapshot, ParseError> {
     // Config fields, in the fixed emission order.
     let mut config = RouterConfig::default();
     config.use_constraints = cur.get::<Flag>("config use_constraints")?.0;
@@ -669,12 +713,10 @@ fn parse_checkpoint_inner(
     }
     cur.finish()?;
 
-    let snap = EngineSnapshot {
+    Ok(EngineSnapshot {
         version: SNAPSHOT_VERSION,
         config,
-        circuit,
-        placement,
-        constraints,
+        design,
         feeds,
         branch_lens,
         alive,
@@ -682,8 +724,7 @@ fn parse_checkpoint_inner(
         stats,
         recovery,
         events_emitted,
-    };
-    Ok((snap, prefix_len))
+    })
 }
 
 #[cfg(test)]
@@ -826,6 +867,29 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n");
             assert!(parse_checkpoint_in(&mangled, &dir).is_err(), "{bad}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn design_parse_reads_the_same_prefix_and_state() {
+        let snap = sample_snapshot();
+        let text = write_checkpoint(&snap);
+        let (full, full_prefix) = parse_checkpoint_with_prefix(&text).unwrap();
+        let (kept, kept_prefix) = parse_checkpoint_with_design(&text, full.design).unwrap();
+        assert_eq!(kept_prefix, full_prefix);
+        assert!(text[..kept_prefix].ends_with("end constraints\n"));
+        assert_eq!(write_checkpoint(&kept), text);
+
+        // The framing is still checked: a cut inside a design block, a
+        // misnamed block and a by-reference checkpoint are errors.
+        let cut = &text[..text.find("end placement").unwrap()];
+        let misnamed = text.replacen("begin placement\n", "begin placements\n", 1);
+        let dir = std::env::temp_dir().join("bgr_ckpt_design_parse");
+        let refs = externalize_design(&snap, &dir, "design").unwrap();
+        let by_ref = write_checkpoint_ref(&snap, &refs);
+        for bad in [cut, misnamed.as_str(), by_ref.as_str()] {
+            assert!(parse_checkpoint_with_design(bad, snap.design.clone()).is_err());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -61,8 +61,9 @@ pub mod svg;
 pub mod trace;
 
 pub use checkpoint::{
-    externalize_design, parse_checkpoint, parse_checkpoint_in, parse_checkpoint_with_prefix,
-    reconfigure_checkpoint, splice_checkpoint, write_checkpoint, write_checkpoint_ref, DesignRefs,
+    externalize_design, parse_checkpoint, parse_checkpoint_in, parse_checkpoint_with_design,
+    parse_checkpoint_with_prefix, reconfigure_checkpoint, splice_checkpoint, write_checkpoint,
+    write_checkpoint_ref, DesignRefs,
 };
 pub use constraints::{parse_constraints, write_constraints};
 pub use error::ParseError;

@@ -27,7 +27,7 @@ pub struct PlacedCell {
 }
 
 /// One horizontal cell row, cells ordered by x.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Row {
     cells: Vec<PlacedCell>,
 }
@@ -96,7 +96,7 @@ impl TermPos {
 }
 
 /// A validated standard-cell placement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     geometry: Geometry,
     rows: Vec<Row>,

@@ -126,7 +126,7 @@ impl Net {
 }
 
 /// A validated circuit: library + instances + connectivity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     library: CellLibrary,
     cells: Vec<Cell>,

@@ -307,7 +307,7 @@ impl CellKindBuilder {
 }
 
 /// An immutable collection of [`CellKind`]s.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellLibrary {
     kinds: Vec<CellKind>,
 }

@@ -24,12 +24,15 @@
 //! `bgr_io::write_checkpoint` / `bgr_io::parse_checkpoint` — never a
 //! kept-alive in-memory session, so the resume path is exercised on
 //! every boundary, and a queue can in principle be drained by a
-//! different process than the one that filled it. Nothing outlives a
-//! slice, and a slice re-encodes no design either: the design never
+//! different process than the one that filled it. No session outlives
+//! a slice, and a slice re-encodes no design either: the design never
 //! changes after the session starts, so the outgoing checkpoint is the
 //! leased one's design prefix, byte for byte, followed by a fresh state
 //! tail ([`run_slice`]). That is exact because every checkpoint a queue
-//! holds is canonical ([`JobQueue::submit_checkpoint`]).
+//! holds is canonical ([`JobQueue::submit_checkpoint`]). Only the
+//! design outlives a local slice: a job drained by
+//! [`JobQueue::run_round`] keeps it and moves it through each slice, so
+//! its slices parse the checkpoint's state tail alone.
 //!
 //! # Streams
 //!
@@ -51,11 +54,11 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use bgr_core::probe::CollectingProbe;
-use bgr_core::session::{EngineSnapshot, RouteSession, SessionStage, StepOutcome};
+use bgr_core::session::{EngineSnapshot, RouteSession, SessionDesign, SessionStage, StepOutcome};
 use bgr_core::{par, RouteError, Routed, RouterConfig};
 use bgr_io::{
-    escape_json, parse_checkpoint, parse_checkpoint_with_prefix, segment_seq_span,
-    splice_checkpoint, write_checkpoint, write_event_lines,
+    escape_json, parse_checkpoint, parse_checkpoint_with_design, parse_checkpoint_with_prefix,
+    segment_seq_span, splice_checkpoint, write_checkpoint, write_event_lines,
 };
 use bgr_layout::Placement;
 use bgr_metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
@@ -164,8 +167,8 @@ pub enum SliceOutcome {
 
 /// Runs one budgeted slice from a serialized checkpoint: parse →
 /// resume → one [`RouteSession::step`] → re-checkpoint or finish +
-/// independent audit. [`run_lease`] is its one caller on the serving
-/// path.
+/// independent audit. The serving path runs the same executor through
+/// [`run_lease`] and [`JobQueue::run_round`].
 ///
 /// Self-contained: the checkpoint embeds the design, configuration and
 /// the global event offset, so `(checkpoint, quota)` fully determines
@@ -179,26 +182,52 @@ pub enum SliceOutcome {
 /// and above the slice checks it, failing with
 /// [`RouteError::Internal`] on any difference.
 pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
-    let (snap, prefix_len) = match parse_checkpoint_with_prefix(checkpoint) {
-        Ok(snap) => snap,
+    execute(checkpoint, None, quota, None).0
+}
+
+/// The one slice executor behind [`run_slice`], [`run_lease`] and the
+/// local slices of [`JobQueue::run_round`].
+///
+/// A spent budget (`deadline_ms == Some(0)`) abandons the slice unrun.
+/// With `design` — the design `checkpoint` embeds, kept by its job —
+/// only the checkpoint's state tail is parsed
+/// ([`parse_checkpoint_with_design`]); without it the whole checkpoint
+/// is. A suspended slice hands the design back for the job to keep.
+/// At [`bgr_core::VerifyLevel::Phases`] and above the splice oracle
+/// ([`check_splice`]) writes the full checkpoint from that design, so a
+/// kept design that differs from the embedded one fails the slice.
+fn execute(
+    checkpoint: &str,
+    design: Option<SessionDesign>,
+    quota: Option<u64>,
+    deadline_ms: Option<u64>,
+) -> (SliceOutcome, Option<SessionDesign>) {
+    let failed = |error| (SliceOutcome::Failed { error }, None);
+    if deadline_ms == Some(0) {
+        return failed(RouteError::DeadlineExpired {});
+    }
+    let parsed = match design {
+        Some(design) => parse_checkpoint_with_design(checkpoint, design),
+        None => parse_checkpoint_with_prefix(checkpoint),
+    };
+    let (snap, prefix_len) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
-            return SliceOutcome::Failed {
-                error: RouteError::Checkpoint {
-                    message: e.to_string(),
-                },
-            }
+            return failed(RouteError::Checkpoint {
+                message: e.to_string(),
+            })
         }
     };
     let start_events = snap.events_emitted;
-    let constraints = snap.constraints.clone();
+    let constraints = snap.design.constraints().to_vec();
     let config = snap.config.clone();
     let mut session = match RouteSession::resume(snap, CollectingProbe::new()) {
         Ok(s) => s,
-        Err(e) => return SliceOutcome::Failed { error: e },
+        Err(e) => return failed(e),
     };
     let outcome = match session.step(quota) {
         Ok(o) => o,
-        Err(e) => return SliceOutcome::Failed { error: e },
+        Err(e) => return failed(e),
     };
     match outcome {
         StepOutcome::Suspended => {
@@ -209,17 +238,18 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
             let checkpoint = splice_checkpoint(&checkpoint[..prefix_len], &snap);
             if snap.config.verify.at_phases() {
                 if let Err(error) = check_splice(&checkpoint, &snap) {
-                    return SliceOutcome::Failed { error };
+                    return failed(error);
                 }
             }
             let trace = probe.finish();
-            SliceOutcome::Suspended {
+            let out = SliceOutcome::Suspended {
                 checkpoint,
                 stage,
                 events_emitted,
                 selections_done,
                 events_jsonl: write_event_lines(&trace, start_events),
-            }
+            };
+            (out, Some(snap.design))
         }
         StepOutcome::Ready => {
             let events_emitted = session.events_emitted();
@@ -250,23 +280,26 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
                             .sum(),
                         total_length_um: routed.result.total_length_um,
                     };
-                    SliceOutcome::Finished {
+                    let out = SliceOutcome::Finished {
                         events_emitted,
                         selections_done,
                         events_jsonl,
                         verdict,
                         routed: Some(Box::new(routed)),
                         report: Some(report),
-                    }
+                    };
+                    (out, None)
                 }
-                Err(e) => SliceOutcome::Failed { error: e },
+                Err(e) => failed(e),
             }
         }
     }
 }
 
 /// The splice oracle: `spliced` must equal the full serialization of
-/// `snap`, byte for byte.
+/// `snap`, byte for byte. For a slice that resumed from a kept design
+/// this is also the kept-design oracle: the prefix of `spliced` is the
+/// checkpoint's embedded design and `snap` carries the kept one.
 fn check_splice(spliced: &str, snap: &EngineSnapshot) -> Result<(), RouteError> {
     let full = write_checkpoint(snap);
     if spliced == full {
@@ -287,21 +320,18 @@ fn check_splice(spliced: &str, snap: &EngineSnapshot) -> Result<(), RouteError> 
     })
 }
 
-/// Runs one leased slice — **the single slice executor**: local rounds
-/// ([`JobQueue::run_round`]) and `bgr-net` workers both call it, so a
-/// distributed drain is byte-identical to a local one by construction,
-/// not by parallel maintenance of two pipelines.
+/// Runs one leased slice on the single slice executor that local rounds
+/// ([`JobQueue::run_round`]) run too, so a distributed drain is
+/// byte-identical to a local one by construction, not by parallel
+/// maintenance of two pipelines. A local slice differs only in its
+/// inputs: it reads its job's own checkpoint and resumes from the
+/// job's kept design.
 ///
 /// A lease whose frozen budget is spent (`deadline_ms == Some(0)`) is
 /// abandoned unrun with [`RouteError::DeadlineExpired`]; any other
 /// lease is [`run_slice`] from its checkpoint under its quota.
 pub fn run_lease(spec: &LeaseSpec) -> SliceOutcome {
-    if spec.deadline_ms == Some(0) {
-        return SliceOutcome::Failed {
-            error: RouteError::DeadlineExpired {},
-        };
-    }
-    run_slice(&spec.checkpoint, spec.quota)
+    execute(&spec.checkpoint, None, spec.quota, spec.deadline_ms).0
 }
 
 /// Admission limits for a [`JobQueue`] — the serve layer's half of the
@@ -429,6 +459,9 @@ pub struct ServeMetrics {
     pub rejected_checkpoint_bytes_total: CounterHandle,
     /// Jobs failed because their wall-clock deadline budget expired.
     pub deadline_missed_total: CounterHandle,
+    /// Local slices that resumed from their job's kept design instead
+    /// of parsing the checkpoint's design blocks.
+    pub design_reused_total: CounterHandle,
 }
 
 impl ServeMetrics {
@@ -502,6 +535,11 @@ impl ServeMetrics {
                 "Jobs failed because their wall-clock deadline budget expired",
                 &[],
             ),
+            design_reused_total: registry.counter(
+                "bgr_slice_design_reused_total",
+                "Local slices that resumed from their job's kept design",
+                &[],
+            ),
         }
     }
 }
@@ -556,6 +594,13 @@ pub struct Job {
     /// Present from submission until materialization moves it into the
     /// session that writes the step-0 checkpoint.
     design: Option<Design>,
+    /// The post-insertion design the checkpoint embeds, kept between
+    /// local slices so they parse only the state tail: set by
+    /// materialization, by [`JobQueue::submit_checkpoint`] and by every
+    /// suspended local slice. Dropped when a slice is leased out
+    /// ([`JobQueue::lease_spec`]), on cancellation and at a terminal
+    /// state.
+    kept: Option<SessionDesign>,
     /// Max deletion-loop selections per slice (`None` = run each stage
     /// to its natural end).
     slice_quota: Option<u64>,
@@ -663,6 +708,7 @@ impl Job {
     }
 
     fn fail(&mut self, err: RouteError) {
+        self.kept = None;
         self.stream_record(&format!(
             "{{\"type\":\"done\",\"slice\":{},\"state\":\"failed\"}}",
             self.slices
@@ -703,7 +749,7 @@ impl Job {
     /// where the monolithic run puts them; the first real slice then
     /// continues at the checkpoint's embedded `seq` offset, keeping the
     /// concatenated stream byte-identical to the pre-distributed path.
-    fn materialize_checkpoint(&mut self) -> Result<String, RouteError> {
+    fn materialize_checkpoint(&mut self) -> Result<(), RouteError> {
         // The deadline clock starts at the job's first activity, not at
         // submission, so a job parked behind a long backlog gets its
         // full budget once it finally runs.
@@ -712,8 +758,8 @@ impl Job {
                 self.deadline_at = Some(Instant::now() + Duration::from_millis(ms));
             }
         }
-        if let Some(checkpoint) = &self.checkpoint {
-            return Ok(checkpoint.clone());
+        if self.checkpoint.is_some() {
+            return Ok(());
         }
         // A runnable job holds a design until its first checkpoint and a
         // checkpoint after it; losing both is an internal invariant
@@ -735,32 +781,30 @@ impl Job {
         let (snap, probe) = session.into_snapshot();
         self.stage = snap.stage.label();
         self.events_emitted = snap.events_emitted;
-        let checkpoint = write_checkpoint(&snap);
-        self.checkpoint = Some(checkpoint.clone());
+        self.checkpoint = Some(write_checkpoint(&snap));
+        self.kept = Some(snap.design);
         self.stream.push_str(&write_event_lines(&probe.finish(), 0));
-        Ok(checkpoint)
+        Ok(())
     }
 
-    /// This job's next leasable slice, for the queue id `id` (see
-    /// [`JobQueue::lease_spec`]). Materialization counts its setup
-    /// events and selections; a materialization failure fails the job
-    /// and counts it in `bgr_jobs_terminal_total`, not as a slice.
-    fn lease(
+    /// Readies this job's next slice: materializes the step-0
+    /// checkpoint when there is none yet and freezes the remaining
+    /// deadline budget. Returns the slice index and that budget, or
+    /// `None` for a job that cannot advance. Materialization counts its
+    /// setup events and selections; a materialization failure fails the
+    /// job and counts it in `bgr_jobs_terminal_total`, not as a slice.
+    fn next_slice(
         &mut self,
-        id: usize,
         metrics: Option<&ServeMetrics>,
-    ) -> Result<Option<LeaseSpec>, RouteError> {
+    ) -> Result<Option<(u64, Option<u64>)>, RouteError> {
         if !self.runnable() {
             return Ok(None);
         }
         let fresh = self.checkpoint.is_none();
-        let checkpoint = match self.materialize_checkpoint() {
-            Ok(checkpoint) => checkpoint,
-            Err(e) => {
-                self.abort(e.clone(), metrics);
-                return Err(e);
-            }
-        };
+        if let Err(e) = self.materialize_checkpoint() {
+            self.abort(e.clone(), metrics);
+            return Err(e);
+        }
         if let (true, Some(m)) = (fresh, metrics) {
             // Step 0's setup work, counted from zero.
             m.selections_total.add(self.selections_done);
@@ -782,13 +826,62 @@ impl Job {
                 ms
             }
         });
+        Ok(Some((slice, deadline_ms)))
+    }
+
+    /// This job's next leasable slice, for the queue id `id` (see
+    /// [`JobQueue::lease_spec`]). The lease carries its own copy of the
+    /// checkpoint, and the job stops keeping its design: a worker
+    /// elsewhere runs the slice.
+    fn lease(
+        &mut self,
+        id: usize,
+        metrics: Option<&ServeMetrics>,
+    ) -> Result<Option<LeaseSpec>, RouteError> {
+        let Some((slice, deadline_ms)) = self.next_slice(metrics)? else {
+            return Ok(None);
+        };
+        self.kept = None;
         Ok(Some(LeaseSpec {
             job: id,
             slice,
             quota: self.slice_quota,
             deadline_ms,
-            checkpoint,
+            checkpoint: self.checkpoint.clone().unwrap_or_default(),
         }))
+    }
+
+    /// Runs this job's next slice in-process and applies it: the slice
+    /// executor of [`run_lease`], reading the job's own checkpoint
+    /// instead of a copy and resuming from the kept design when there is
+    /// one. A suspended slice's design is kept for the next. Returns
+    /// whether a slice ran.
+    fn run_local(&mut self, metrics: Option<&ServeMetrics>) -> bool {
+        let Ok(Some((slice, deadline_ms))) = self.next_slice(metrics) else {
+            return false;
+        };
+        let kept = self.kept.take();
+        if let (true, Some(m)) = (kept.is_some() && deadline_ms != Some(0), metrics) {
+            m.design_reused_total.inc();
+        }
+        let checkpoint = self.checkpoint.as_deref().unwrap_or_default();
+        let (out, design) = execute(checkpoint, kept, self.slice_quota, deadline_ms);
+        if !self.apply(slice, out, metrics) {
+            // A local slice always continues its own job's stream, so
+            // a rejection is an executor bug: fail the job rather than
+            // re-run the slice forever.
+            let message = "slice outcome does not continue the job's stream".into();
+            self.abort(
+                RouteError::Internal {
+                    phase: "serve",
+                    message,
+                },
+                metrics,
+            );
+        } else if self.runnable() {
+            self.kept = design;
+        }
+        true
     }
 
     /// Whether `out`'s trace segment contiguously continues this job's
@@ -893,6 +986,7 @@ impl Job {
                 self.events_emitted = events_emitted;
                 self.selections_done = selections_done;
                 self.checkpoint = None;
+                self.kept = None;
                 self.stream.push_str(&events_jsonl);
                 let clean = verdict.audit_clean;
                 // One-line `Display`s of the audit and (when present)
@@ -1106,6 +1200,7 @@ impl JobQueue {
         self.jobs.push(Job {
             name,
             design,
+            kept: None,
             slice_quota,
             deadline_ms,
             deadline_at: None,
@@ -1142,7 +1237,9 @@ impl JobQueue {
 
     /// Requests cooperative cancellation: the job stops at its next
     /// slice boundary and parks as `Suspended` with its checkpoint
-    /// intact. No-op on terminal jobs.
+    /// intact, dropping its kept design (the first local slice after
+    /// [`JobQueue::reactivate`] parses the checkpoint whole). No-op on
+    /// terminal jobs.
     ///
     /// # Panics
     ///
@@ -1155,6 +1252,7 @@ impl JobQueue {
                 }
             }
             self.jobs[id].cancelled = true;
+            self.jobs[id].kept = None;
         }
     }
 
@@ -1176,48 +1274,32 @@ impl JobQueue {
     /// Advances every runnable job by one slice, fanning the slices
     /// over `threads` workers. Returns how many jobs advanced.
     ///
-    /// Each slice is [`JobQueue::lease_spec`] → [`run_lease`] →
-    /// [`JobQueue::apply_remote`] on its own job, exactly what a
-    /// `bgr-net` worker drives remotely; only `bgr_slice_latency_us`
-    /// and `bgr_queue_depth` are observed here alone. Slices are
-    /// independent (each owns its job's state), and `scoped_map`
-    /// preserves submission order, so round outcomes are deterministic
-    /// for any thread count.
+    /// Each slice readies, runs and applies its job's next slice on the
+    /// executor [`run_lease`] runs and through the validation
+    /// [`JobQueue::apply_remote`] applies, exactly what a `bgr-net`
+    /// worker drives remotely, except that it reads the job's own
+    /// checkpoint and resumes from the job's kept design, parsing only
+    /// the state tail (DESIGN.md §13); `bgr_slice_latency_us`,
+    /// `bgr_queue_depth` and `bgr_slice_design_reused_total` are
+    /// observed here alone. Slices are independent (each owns its job's
+    /// state), and `scoped_map` preserves submission order, so round
+    /// outcomes are deterministic for any thread count.
     pub fn run_round(&mut self, threads: usize) -> usize {
         let metrics = self.metrics.as_ref();
-        let mut active: Vec<(usize, &mut Job)> = self
-            .jobs
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, j)| j.runnable())
-            .collect();
+        let mut active: Vec<&mut Job> = self.jobs.iter_mut().filter(|j| j.runnable()).collect();
         if let Some(m) = metrics {
             m.queue_depth.set(active.len() as i64);
         }
         if active.is_empty() {
             return 0;
         }
-        par::scoped_map(threads, &mut active, |(id, job)| {
+        par::scoped_map(threads, &mut active, |job| {
             let start = Instant::now();
-            let Ok(Some(spec)) = job.lease(*id, metrics) else {
-                return;
-            };
-            if !job.apply(spec.slice, run_lease(&spec), metrics) {
-                // A local slice always continues its own job's stream, so
-                // a rejection is an executor bug: fail the job rather
-                // than re-run the slice forever.
-                let message = "slice outcome does not continue the job's stream".into();
-                job.abort(
-                    RouteError::Internal {
-                        phase: "serve",
-                        message,
-                    },
-                    metrics,
-                );
-            }
-            if let Some(m) = metrics {
-                m.slice_latency_us
-                    .observe(start.elapsed().as_micros() as u64);
+            if job.run_local(metrics) {
+                if let Some(m) = metrics {
+                    m.slice_latency_us
+                        .observe(start.elapsed().as_micros() as u64);
+                }
             }
         });
         active.len()
@@ -1242,9 +1324,9 @@ impl JobQueue {
     /// (`bgr_io::write_checkpoint` of the parsed snapshot), so comments,
     /// blank lines or any other valid variation in its design blocks do
     /// not reach the design prefix every later slice re-uses verbatim
-    /// (see [`run_slice`]). It parks `Suspended`, and its stream begins
-    /// at the checkpoint (earlier slices belong to whichever job
-    /// produced it).
+    /// (see [`run_slice`]), and keeps the parsed design for its local
+    /// slices. It parks `Suspended`, and its stream begins at the
+    /// checkpoint (earlier slices belong to whichever job produced it).
     ///
     /// # Errors
     ///
@@ -1266,12 +1348,14 @@ impl JobQueue {
         job.stage = snap.stage.label();
         job.events_emitted = snap.events_emitted;
         job.selections_done = snap.stats.selection_log.len() as u64;
+        job.kept = Some(snap.design);
         Ok(id)
     }
 
     /// The next leasable slice of job `id`, materializing the first
     /// checkpoint of a `Created` job on demand. Returns `Ok(None)` for
-    /// terminal or cancelled jobs.
+    /// terminal or cancelled jobs. A leased job keeps no design: its
+    /// next local slice, if any, parses the checkpoint whole.
     ///
     /// Leasing consumes nothing: the identical spec is returned until a
     /// result for it is applied, which is what makes expiry-driven
@@ -1747,13 +1831,16 @@ mod tests {
             .expect("admission is separate from deadline");
     }
 
-    /// Rendered metrics minus the two instruments only local rounds
-    /// observe.
+    /// Rendered metrics minus the instruments only local rounds observe.
     fn shared_metrics(registry: &MetricsRegistry) -> String {
         registry
             .render_prometheus()
             .lines()
-            .filter(|l| !l.contains("bgr_slice_latency_us") && !l.contains("bgr_queue_depth"))
+            .filter(|l| {
+                !l.contains("bgr_slice_latency_us")
+                    && !l.contains("bgr_queue_depth")
+                    && !l.contains("bgr_slice_design_reused_total")
+            })
             .map(|l| format!("{l}\n"))
             .collect()
     }
@@ -1891,14 +1978,19 @@ mod tests {
     #[test]
     fn splice_oracle_rejects_a_non_canonical_prefix() {
         // Handed straight to `run_slice` (no queue canonicalizes it), a
-        // non-canonical prefix is carried forward verbatim...
-        let (_, annotated) = canonical_and_annotated(29, RouterConfig::default());
+        // non-canonical prefix is carried forward verbatim below
+        // phase-level verification...
+        let config = RouterConfig {
+            verify: bgr_core::VerifyLevel::Off,
+            ..RouterConfig::default()
+        };
+        let (_, annotated) = canonical_and_annotated(29, config);
         match run_slice(&annotated, Some(2)) {
             SliceOutcome::Suspended { checkpoint, .. } => assert!(checkpoint.contains("# note")),
             other => panic!("expected a suspension, got {other:?}"),
         }
-        // ...unless the checkpoint asks for phase-level verification,
-        // where the slice compares it with the full serialization.
+        // ...and at phase-level verification the slice compares it with
+        // the full serialization.
         let config = RouterConfig {
             verify: bgr_core::VerifyLevel::Phases,
             ..RouterConfig::default()
@@ -1914,5 +2006,159 @@ mod tests {
             } => assert!(message.contains("spliced checkpoint differs"), "{message}"),
             other => panic!("expected the splice oracle to fail the slice, got {other:?}"),
         }
+    }
+
+    /// Each job's checkpoint (`None` once terminal), keyed by its slice
+    /// count; a job not yet materialized has no entry.
+    type Checkpoints = std::collections::BTreeMap<u64, Option<String>>;
+
+    fn record_checkpoints(q: &JobQueue, seen: &mut [Checkpoints]) {
+        for (job, seen) in q.jobs().iter().zip(seen) {
+            if job.checkpoint().is_some() || job.state().is_terminal() {
+                seen.insert(job.slices(), job.checkpoint().map(str::to_owned));
+            }
+        }
+    }
+
+    fn submit_three(q: &mut JobQueue) {
+        for (seed, quota) in [(3u64, Some(3)), (11, Some(4)), (42, Some(5))] {
+            let (c, p, k) = small_case(seed);
+            q.submit(format!("s{seed}"), c, p, k, RouterConfig::default(), quota);
+        }
+    }
+
+    #[test]
+    fn kept_design_drain_equals_reparsing_drain() {
+        // Reference: every slice leased out, so every slice parses its
+        // whole checkpoint; job 2's first two outcomes are journaled.
+        let mut reparsed = JobQueue::new();
+        submit_three(&mut reparsed);
+        let mut want = vec![Checkpoints::new(); 3];
+        let mut journal = Vec::new();
+        loop {
+            let mut advanced = false;
+            for id in 0..3 {
+                if let Some(spec) = reparsed.lease_spec(id).unwrap() {
+                    if id == 2 && spec.slice < 2 {
+                        journal.push((id, spec.slice, run_lease(&spec)));
+                    }
+                    assert!(reparsed.apply_remote(id, spec.slice, run_lease(&spec)));
+                    advanced = true;
+                }
+            }
+            record_checkpoints(&reparsed, &mut want);
+            if !advanced {
+                break;
+            }
+        }
+
+        // Kept designs: job 0 keeps its design from materialization,
+        // job 1 is leased once and then run locally, and job 2 is
+        // restored from the journal and then run locally.
+        let registry = MetricsRegistry::new();
+        let mut kept = JobQueue::with_metrics(&registry);
+        submit_three(&mut kept);
+        let mut got = vec![Checkpoints::new(); 3];
+        let spec = kept.lease_spec(1).unwrap().unwrap();
+        assert!(kept.jobs[1].kept.is_none(), "a leased job keeps no design");
+        assert!(kept.apply_remote(1, spec.slice, run_lease(&spec)));
+        let replayed = kept.replay(journal);
+        assert_eq!(replayed.applied, 2);
+        assert!(
+            kept.jobs[2].kept.is_none(),
+            "a replayed job keeps no design"
+        );
+        record_checkpoints(&kept, &mut got);
+        while kept.run_round(1) > 0 {
+            for job in kept.jobs().iter().filter(|j| j.runnable()) {
+                assert!(job.kept.is_some(), "{} lost its design", job.name());
+            }
+            record_checkpoints(&kept, &mut got);
+        }
+        assert_eq!(got[0], want[0], "job 0: checkpoints differ");
+        for id in 1..3 {
+            let resumed_at = *got[id].keys().next().unwrap();
+            assert_eq!(resumed_at, if id == 1 { 1 } else { 2 });
+            let tail: Checkpoints = want[id]
+                .range(resumed_at..)
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
+            assert_eq!(got[id], tail, "job {id}: checkpoints differ");
+        }
+        for id in 0..3 {
+            let (a, b) = (kept.job(id), reparsed.job(id));
+            assert_eq!(a.state(), SessionState::Completed, "{:?}", a.error());
+            assert_eq!(a.stream(), b.stream(), "job {id}: streams differ");
+            assert_eq!(a.verdict(), b.verdict());
+        }
+        // Every local slice reused a kept design except the first one of
+        // jobs 1 and 2, which parsed their checkpoints whole.
+        let m = ServeMetrics::register(&registry);
+        let local: u64 = (0..3).map(|id| kept.job(id).slices()).sum::<u64>() - 3;
+        assert_eq!(m.slices_total.get(), local + 3);
+        assert_eq!(m.design_reused_total.get(), local - 2);
+    }
+
+    #[test]
+    fn altered_kept_design_fails_the_slice_at_phases() {
+        let config = RouterConfig {
+            verify: bgr_core::VerifyLevel::Phases,
+            ..RouterConfig::default()
+        };
+        let (c, p, k) = small_case(29);
+        let mut q = JobQueue::new();
+        let id = q.submit("altered", c, p, k, config, Some(2));
+        q.run_round(1);
+        assert_eq!(q.job(id).state(), SessionState::Suspended);
+        let (c, p, mut k) = q.jobs[id].kept.take().unwrap().into_parts();
+        k[0].limit_ps += 1.0;
+        q.jobs[id].kept = Some(SessionDesign::new(c, p, k).unwrap());
+        q.run_round(1);
+        assert_eq!(q.job(id).state(), SessionState::Failed);
+        match q.job(id).error() {
+            Some(RouteError::Internal { message, .. }) => {
+                assert!(message.contains("spliced checkpoint differs"), "{message}")
+            }
+            other => panic!("expected the kept-design oracle to fail the slice, got {other:?}"),
+        }
+        assert!(q.jobs[id].kept.is_none());
+    }
+
+    #[test]
+    fn terminal_and_cancelled_jobs_hold_no_design() {
+        let mut q = JobQueue::new();
+        let (c, p, k) = small_case(3);
+        let done = q.submit("done", c, p, k, RouterConfig::default(), Some(4));
+        let (c, p, k) = small_case(11);
+        let parked = q.submit("parked", c, p, k, RouterConfig::default(), Some(4));
+        q.set_policy(QueuePolicy {
+            deadline_ms: Some(0),
+            ..QueuePolicy::default()
+        });
+        let (c, p, k) = small_case(13);
+        let doomed = q
+            .try_submit("doomed", c, p, k, RouterConfig::default(), Some(4))
+            .unwrap();
+        q.run_round(1);
+        assert!(q.jobs[done].kept.is_some());
+        assert!(q.jobs[parked].kept.is_some());
+        assert_eq!(q.job(doomed).state(), SessionState::Failed);
+        assert!(q.jobs[doomed].kept.is_none());
+
+        q.cancel(parked);
+        assert!(q.jobs[parked].kept.is_none());
+        q.run(1);
+        assert_eq!(q.job(done).state(), SessionState::Completed);
+        assert!(q.jobs[done].kept.is_none());
+        assert!(q.jobs[parked].kept.is_none());
+
+        // Reactivated, it parses its checkpoint once and keeps the
+        // design again until it completes.
+        q.reactivate(parked);
+        q.run_round(1);
+        assert!(q.jobs[parked].kept.is_some());
+        q.run(1);
+        assert_eq!(q.job(parked).state(), SessionState::Completed);
+        assert!(q.jobs.iter().all(|j| j.kept.is_none()));
     }
 }

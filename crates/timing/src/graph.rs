@@ -54,74 +54,98 @@ impl DelayArc {
     }
 }
 
-/// The global delay graph `G_D`.
+/// The global delay graph `G_D`, with its adjacency in compressed
+/// sparse rows: a terminal's out-arcs (in-arcs) are one slice of a
+/// single index vector, in ascending arc order.
 #[derive(Debug, Clone)]
 pub struct DelayGraph {
     arcs: Vec<DelayArc>,
-    /// Out-edge indices per terminal.
-    out: Vec<Vec<u32>>,
-    /// In-edge indices per terminal.
-    rev: Vec<Vec<u32>>,
+    /// `out[out_start[t]..out_start[t + 1]]` are terminal `t`'s out-arcs.
+    out_start: Vec<u32>,
+    out: Vec<u32>,
+    /// `rev[rev_start[t]..rev_start[t + 1]]` are terminal `t`'s in-arcs.
+    rev_start: Vec<u32>,
+    rev: Vec<u32>,
     num_nets: usize,
 }
 
+/// Compressed rows of `arcs` keyed by `key`: row starts (one per
+/// terminal, plus the end) and the arc indices, ascending within a row.
+fn csr(
+    num_terms: usize,
+    arcs: &[DelayArc],
+    key: impl Fn(&DelayArc) -> TermId,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; num_terms + 1];
+    for arc in arcs {
+        start[key(arc).index() + 1] += 1;
+    }
+    for t in 0..num_terms {
+        start[t + 1] += start[t];
+    }
+    let mut fill = start.clone();
+    let mut idx = vec![0u32; arcs.len()];
+    for (i, arc) in arcs.iter().enumerate() {
+        let slot = &mut fill[key(arc).index()];
+        idx[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    (start, idx)
+}
+
 impl DelayGraph {
-    /// Builds `G_D` from a circuit.
+    /// Builds `G_D` from a circuit: the cell arcs of every cell in cell
+    /// order, then the net arcs of every net in net order.
     pub fn build(circuit: &Circuit) -> Self {
-        let num_terms = circuit.terms().len();
-        let mut arcs = Vec::new();
-        let mut out = vec![Vec::new(); num_terms];
-        let mut rev = vec![Vec::new(); num_terms];
-        let push = |arcs: &mut Vec<DelayArc>,
-                    out: &mut Vec<Vec<u32>>,
-                    rev: &mut Vec<Vec<u32>>,
-                    arc: DelayArc| {
-            let idx = arcs.len() as u32;
-            out[arc.from.index()].push(idx);
-            rev[arc.to.index()].push(idx);
-            arcs.push(arc);
-        };
+        let library = circuit.library();
+        let num_arcs = circuit
+            .cells()
+            .iter()
+            .map(|cell| library.kind(cell.kind()).arcs().len())
+            .sum::<usize>()
+            + circuit
+                .nets()
+                .iter()
+                .map(|n| n.sinks().len())
+                .sum::<usize>();
+        let mut arcs = Vec::with_capacity(num_arcs);
         for cell in circuit.cells() {
-            let kind = circuit.library().kind(cell.kind());
+            let kind = library.kind(cell.kind());
             for arc in kind.arcs() {
                 let from = cell.terms()[arc.from];
                 let to = cell.terms()[arc.to];
                 let net = circuit.term(to).net();
                 let fanout_ff = net.map(|n| circuit.net_fanout_ff(n)).unwrap_or(0.0);
-                push(
-                    &mut arcs,
-                    &mut out,
-                    &mut rev,
-                    DelayArc {
-                        from,
-                        to,
-                        kind: ArcKind::Cell { net },
-                        static_ps: arc.intrinsic_ps + fanout_ff * kind.fanin_delay_ps_per_ff(),
-                        td_ps_per_ff: kind.load_delay_ps_per_ff(),
-                    },
-                );
+                arcs.push(DelayArc {
+                    from,
+                    to,
+                    kind: ArcKind::Cell { net },
+                    static_ps: arc.intrinsic_ps + fanout_ff * kind.fanin_delay_ps_per_ff(),
+                    td_ps_per_ff: kind.load_delay_ps_per_ff(),
+                });
             }
         }
         for (i, net) in circuit.nets().iter().enumerate() {
             let id = NetId::new(i);
             for &sink in net.sinks() {
-                push(
-                    &mut arcs,
-                    &mut out,
-                    &mut rev,
-                    DelayArc {
-                        from: net.driver(),
-                        to: sink,
-                        kind: ArcKind::Net { net: id },
-                        static_ps: 0.0,
-                        td_ps_per_ff: 0.0,
-                    },
-                );
+                arcs.push(DelayArc {
+                    from: net.driver(),
+                    to: sink,
+                    kind: ArcKind::Net { net: id },
+                    static_ps: 0.0,
+                    td_ps_per_ff: 0.0,
+                });
             }
         }
+        debug_assert_eq!(arcs.len(), num_arcs);
+        let num_terms = circuit.terms().len();
+        let (out_start, out) = csr(num_terms, &arcs, |a| a.from);
+        let (rev_start, rev) = csr(num_terms, &arcs, |a| a.to);
         Self {
             arcs,
+            out_start,
             out,
+            rev_start,
             rev,
             num_nets: circuit.nets().len(),
         }
@@ -134,7 +158,7 @@ impl DelayGraph {
 
     /// Number of terminals (vertices).
     pub fn num_terms(&self) -> usize {
-        self.out.len()
+        self.out_start.len() - 1
     }
 
     /// Number of nets in the underlying circuit.
@@ -142,14 +166,16 @@ impl DelayGraph {
         self.num_nets
     }
 
-    /// Out-edge indices of a terminal.
+    /// Out-edge indices of a terminal, ascending.
     pub fn out_arcs(&self, term: TermId) -> &[u32] {
-        &self.out[term.index()]
+        let t = term.index();
+        &self.out[self.out_start[t] as usize..self.out_start[t + 1] as usize]
     }
 
-    /// In-edge indices of a terminal.
+    /// In-edge indices of a terminal, ascending.
     pub fn in_arcs(&self, term: TermId) -> &[u32] {
-        &self.rev[term.index()]
+        let t = term.index();
+        &self.rev[self.rev_start[t] as usize..self.rev_start[t + 1] as usize]
     }
 
     /// Delay of arc `idx` in ps given the current per-net wire state.
@@ -202,6 +228,29 @@ mod tests {
         assert_eq!(dg.arcs().len(), 5);
         assert_eq!(dg.out_arcs(terms[0]).len(), 1);
         assert_eq!(dg.in_arcs(terms[5]).len(), 1);
+    }
+
+    #[test]
+    fn adjacency_rows_list_each_arc_once_in_ascending_order() {
+        let (circuit, _) = chain();
+        let dg = DelayGraph::build(&circuit);
+        type Row = fn(&DelayGraph, TermId) -> &[u32];
+        type End = fn(&DelayArc) -> TermId;
+        let rows: [(Row, End); 2] = [
+            (DelayGraph::out_arcs, |a| a.from),
+            (DelayGraph::in_arcs, |a| a.to),
+        ];
+        for (row, end) in rows {
+            let mut seen = 0;
+            for t in 0..dg.num_terms() {
+                let term = TermId::new(t);
+                let arcs = row(&dg, term);
+                assert!(arcs.windows(2).all(|w| w[0] < w[1]), "{arcs:?}");
+                assert!(arcs.iter().all(|&i| end(&dg.arcs()[i as usize]) == term));
+                seen += arcs.len();
+            }
+            assert_eq!(seen, dg.arcs().len());
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!   search forever);
 //! - branch lengths that push a net's routing graph to 2⁴² µm or more
 //!   → `RouteError::Checkpoint` at resume;
+//! - a hand-built snapshot design whose placement does not fit its
+//!   circuit → `RouteError::Checkpoint` from `SessionDesign::new`, the
+//!   only way to build the design a snapshot hands to resume;
 //! - a `diff_pairs_locked` stat bump — parses and resumes cleanly, but
 //!   the finished result fails the differential-pair oracle of the
 //!   independent audit.
@@ -30,7 +33,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bgr::gen::golden_instance;
 use bgr::io::{parse_checkpoint, write_checkpoint, ParseError};
-use bgr::router::{CollectingProbe, RouteError, RouteSession, RouterConfig, SNAPSHOT_VERSION};
+use bgr::router::{
+    CollectingProbe, RouteError, RouteSession, RouterConfig, SessionDesign, SNAPSHOT_VERSION,
+};
 use bgr::verify::{audit, Invariant};
 
 /// A mid-run checkpoint of the golden instance (parked inside the
@@ -338,4 +343,31 @@ fn stat_mutation_is_caught_by_the_post_restore_audit() {
         "corruption should fail the differential-pair oracle, got: {:?}",
         report.first_failure()
     );
+}
+
+/// `RouteSession::resume` takes the design as a `SessionDesign`, which
+/// only validation or a running session produce: a hand-built snapshot
+/// with an invalid design is rejected when its design is built.
+#[test]
+fn invalid_hand_built_design_is_a_checkpoint_error() {
+    let text = mid_run_checkpoint();
+    let snapshot = parse_checkpoint(&text).expect("checkpoint parses");
+    let p = bgr::gen::GenParams::small(5);
+    let other = bgr::gen::generate(&p);
+    let placement = bgr::gen::place_design(&other, &p, bgr::gen::PlacementStyle::EvenFeed);
+    let (circuit, _, constraints) = snapshot.design.into_parts();
+    let message = checkpoint_message(
+        SessionDesign::new(circuit.clone(), placement, constraints.clone())
+            .expect_err("a placement of another circuit must not validate"),
+    );
+    assert!(message.contains("embedded placement invalid"), "{message}");
+
+    // The same parts with their own placement rebuild a design that
+    // resumes.
+    let snapshot = parse_checkpoint(&text).expect("checkpoint parses");
+    let design = SessionDesign::new(circuit, snapshot.design.placement().clone(), constraints)
+        .expect("the checkpoint's own design validates");
+    assert!(design == snapshot.design);
+    let snapshot = bgr::router::EngineSnapshot { design, ..snapshot };
+    assert!(RouteSession::resume(snapshot, CollectingProbe::new()).is_ok());
 }

@@ -9,7 +9,9 @@
 //! * The profile counts every guarded reroute, the area phase's
 //!   included.
 //! * `bgr-serve` job streams: byte-identical with and without a
-//!   [`MetricsRegistry`] attached, across thread counts.
+//!   [`MetricsRegistry`] attached, across thread counts; every slice of
+//!   a local drain resumes from its job's kept design
+//!   (`bgr_slice_design_reused_total` equals `bgr_slices_total`).
 //! * The Prometheus exposition itself renders the serve metric family
 //!   deterministically (names, labels, ordering).
 
@@ -164,9 +166,25 @@ fn serve_streams_are_identical_with_and_without_metrics() {
             if metered {
                 // The exposition is live and renders every family.
                 let text = registry.render_prometheus();
-                for name in ["bgr_slices_total", "bgr_slice_latency_us_count"] {
+                for name in [
+                    "bgr_slices_total",
+                    "bgr_slice_latency_us_count",
+                    "bgr_slice_design_reused_total",
+                ] {
                     assert!(text.contains(name), "missing {name}");
                 }
+                // A local drain keeps each job's design from its step-0
+                // checkpoint on, so every slice resumes from it, for any
+                // thread count.
+                let m = bgr::serve::ServeMetrics::register(&registry);
+                let slices: u64 = q.jobs().iter().map(|j| j.slices()).sum();
+                assert!(slices > 2, "the quota'd job takes several slices");
+                assert_eq!(m.slices_total.get(), slices);
+                assert_eq!(
+                    m.design_reused_total.get(),
+                    slices,
+                    "threads={threads}: a local slice parsed its design"
+                );
             }
         }
     }

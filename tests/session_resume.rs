@@ -52,7 +52,8 @@ fn config(threads: usize, shards: usize) -> RouterConfig {
 
 /// Routes in `quota`-selection slices, round-tripping through the
 /// serialized checkpoint codec at **every** suspension and checking the
-/// spliced checkpoint against the full one there. Returns the result,
+/// spliced checkpoint against the full one, and the parsed design
+/// against the written one, there. Returns the result,
 /// the concatenated per-slice event lines, and the hop count.
 fn sliced_route(
     config: &RouterConfig,
@@ -92,6 +93,12 @@ fn sliced_route(
         events.push_str(&write_event_lines(&probe.finish(), start_events));
         let (reparsed, prefix_len) =
             parse_checkpoint_with_prefix(&text).expect("checkpoint parses");
+        // The post-insertion design survives the codec exactly: what a
+        // serve job keeps between slices is what its checkpoint embeds.
+        assert!(
+            reparsed.design == snapshot.design,
+            "parse(write(design)) differs from the design after hop {hops}"
+        );
         prefix = Some(text[..prefix_len].to_string());
         start_events = reparsed.events_emitted;
         session = RouteSession::resume(reparsed, CollectingProbe::new()).expect("resume succeeds");
