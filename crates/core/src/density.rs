@@ -13,12 +13,20 @@
 //!
 //! # Complexity
 //!
-//! Each profile is a segment tree maintaining `(max, count-of-max)` under
-//! lazy range-add. `add_span` / `remove_span` / `promote_span` and every
-//! interval query run in O(log width); the channel aggregates are read
-//! off the root in O(1). The seed implementation kept flat per-column
-//! vectors with a dirty flag and rescanned the whole chip width per
-//! refresh — O(width) on the engine's hottest path.
+//! Each channel keeps **one** segment tree over its columns, and every
+//! node packs both profiles: `(max, count-of-max, pending add)` for
+//! `d_M` and the same triple for `d_m` (one 24-byte node). A span
+//! update adds `(w, w)` (a bridge), `(w, 0)` (a plain trunk) or `(0, w)`
+//! (a promotion) in one descent, and [`DensityMap::edge_density`] reads
+//! all four window terms `D_M, ND_M, D_m, ND_m` in one descent: it walks
+//! to the node where `[x1, x2)` splits, then down the window's left and
+//! right boundaries without recursion. Updates and queries are
+//! O(log width); the channel aggregates are read off the root in O(1).
+//! Nodes are heap-indexed (children `2i`, `2i + 1`, split at the
+//! midpoint), so a tree over `n` columns needs `2 · n.next_power_of_two()`
+//! slots. The seed implementation kept flat per-column vectors with a
+//! dirty flag and rescanned the whole chip width per refresh — O(width)
+//! on the engine's hottest path.
 //!
 //! # Zero-density convention
 //!
@@ -50,158 +58,215 @@ pub struct EdgeDensity {
     pub nd_min: i32,
 }
 
-/// A segment tree over `width` columns maintaining `(max, count-of-max)`
-/// under lazy range-add updates.
-///
-/// Nodes store the subtree maximum and the number of leaves attaining
-/// it; pending adds are kept in `lazy` and never pushed down — queries
-/// carry the accumulated offset on the way down instead, so reads take
-/// `&self`.
-#[derive(Debug, Clone)]
-struct MaxCountTree {
-    width: usize,
-    /// Subtree max (including this node's own lazy offset).
-    max: Vec<i32>,
-    /// Leaves attaining `max` within the subtree.
-    cnt: Vec<i32>,
-    /// Pending add for the node's whole subtree, *already included* in
-    /// `max` of this node but not in its children.
-    lazy: Vec<i32>,
-}
+impl EdgeDensity {
+    /// The identity of [`EdgeDensity::merge`]: no columns at all.
+    const EMPTY: Self = Self {
+        d_max: i32::MIN,
+        nd_max: 0,
+        d_min: i32::MIN,
+        nd_min: 0,
+    };
 
-impl MaxCountTree {
-    fn new(width: usize) -> Self {
-        Self::from_values(&vec![0; width.max(1)])
+    /// The terms over the union of two disjoint column sets.
+    #[inline]
+    fn merge(self, o: Self) -> Self {
+        let (d_max, nd_max) = merge_max(self.d_max, self.nd_max, o.d_max, o.nd_max);
+        let (d_min, nd_min) = merge_max(self.d_min, self.nd_min, o.d_min, o.nd_min);
+        Self {
+            d_max,
+            nd_max,
+            d_min,
+            nd_min,
+        }
     }
 
-    /// A tree over the per-column profile `values` (at least one column),
-    /// built bottom-up with no pending adds: O(width), where one
-    /// [`MaxCountTree::range_add`] per span would cost O(log width) each.
-    fn from_values(values: &[i32]) -> Self {
-        let n = values.len();
+    /// The terms with `om` added to every `d_M` column and `on` to every
+    /// `d_m` column.
+    #[inline]
+    fn shifted(self, (om, on): (i32, i32)) -> Self {
+        Self {
+            d_max: self.d_max + om,
+            d_min: self.d_min + on,
+            ..self
+        }
+    }
+}
+
+/// `(max, count-of-max)` over the union of two disjoint column sets.
+#[inline]
+fn merge_max(a: i32, ac: i32, b: i32, bc: i32) -> (i32, i32) {
+    if a == b {
+        (a, ac + bc)
+    } else if a > b {
+        (a, ac)
+    } else {
+        (b, bc)
+    }
+}
+
+/// One node of a channel's fused tree: both profiles' subtree maxima,
+/// the leaves attaining them, and the pending adds. A pending add is
+/// *already included* in this node's maxima but not in its children's;
+/// it is never pushed down — reads carry the accumulated offset on the
+/// way down instead, so they take `&self`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Node {
+    /// `d_M` then `d_m` window terms of the subtree, offsets included.
+    agg: EdgeDensity,
+    /// Pending adds `(d_M, d_m)` for the whole subtree.
+    lazy: (i32, i32),
+}
+
+/// Sums two `(d_M, d_m)` offsets.
+#[inline]
+fn add(a: (i32, i32), b: (i32, i32)) -> (i32, i32) {
+    (a.0 + b.0, a.1 + b.1)
+}
+
+/// A channel's `d_M` and `d_m` profiles in one segment tree over `width`
+/// columns, maintaining both `(max, count-of-max)` pairs under lazy
+/// range-add updates (see the module docs for the layout).
+#[derive(Debug, Clone)]
+struct ChannelTree {
+    width: usize,
+    nodes: Vec<Node>,
+}
+
+impl ChannelTree {
+    /// A tree over the per-column profiles `d_max` and `d_min` (equal
+    /// lengths, at least one column), built bottom-up with no pending
+    /// adds: O(width), where one [`ChannelTree::range_add`] per span
+    /// would cost O(log width) each.
+    fn from_profiles(d_max: &[i32], d_min: &[i32]) -> Self {
+        let n = d_max.len();
+        debug_assert!(n >= 1 && d_min.len() == n);
         let mut tree = Self {
             width: n,
-            max: vec![0; 4 * n],
-            cnt: vec![0; 4 * n],
-            lazy: vec![0; 4 * n],
+            nodes: vec![Node::default(); 2 * n.next_power_of_two()],
         };
-        tree.build_rec(1, 0, n, values);
+        tree.build_rec(1, 0, n, d_max, d_min);
         tree
     }
 
-    fn build_rec(&mut self, node: usize, nl: usize, nr: usize, values: &[i32]) {
+    fn build_rec(&mut self, node: usize, nl: usize, nr: usize, d_max: &[i32], d_min: &[i32]) {
         if nr - nl == 1 {
-            self.max[node] = values[nl];
-            self.cnt[node] = 1;
+            self.nodes[node].agg = EdgeDensity {
+                d_max: d_max[nl],
+                nd_max: 1,
+                d_min: d_min[nl],
+                nd_min: 1,
+            };
             return;
         }
         let m = nl + (nr - nl) / 2;
-        self.build_rec(2 * node, nl, m, values);
-        self.build_rec(2 * node + 1, m, nr, values);
+        self.build_rec(2 * node, nl, m, d_max, d_min);
+        self.build_rec(2 * node + 1, m, nr, d_max, d_min);
         self.pull(node);
     }
 
-    /// Adds `v` over `[l, r)` (caller clamps to `[0, width)`).
-    fn range_add(&mut self, l: usize, r: usize, v: i32) {
-        if l < r {
-            self.add_rec(1, 0, self.width, l, r, v);
-        }
+    /// Adds `vm` to `d_M` and `vn` to `d_m` over `[l, r)` (caller clamps
+    /// to `[0, width)`; `l < r`).
+    fn range_add(&mut self, l: usize, r: usize, vm: i32, vn: i32) {
+        self.add_rec(1, 0, self.width, l, r, vm, vn);
     }
 
-    fn add_rec(&mut self, node: usize, nl: usize, nr: usize, l: usize, r: usize, v: i32) {
-        if r <= nl || nr <= l {
-            return;
-        }
+    #[allow(clippy::too_many_arguments)]
+    fn add_rec(&mut self, node: usize, nl: usize, nr: usize, l: usize, r: usize, vm: i32, vn: i32) {
         if l <= nl && nr <= r {
-            self.max[node] += v;
-            self.lazy[node] += v;
+            let nd = &mut self.nodes[node];
+            nd.agg = nd.agg.shifted((vm, vn));
+            nd.lazy = add(nd.lazy, (vm, vn));
             return;
         }
         let m = nl + (nr - nl) / 2;
-        self.add_rec(2 * node, nl, m, l, r, v);
-        self.add_rec(2 * node + 1, m, nr, l, r, v);
+        if l < m {
+            self.add_rec(2 * node, nl, m, l, r, vm, vn);
+        }
+        if m < r {
+            self.add_rec(2 * node + 1, m, nr, l, r, vm, vn);
+        }
         self.pull(node);
     }
 
-    /// Recomputes an inner node's `(max, count)` from its children and
-    /// its own pending add.
+    /// Recomputes an inner node's terms from its children and its own
+    /// pending adds.
+    #[inline]
     fn pull(&mut self, node: usize) {
-        let (a, b) = (self.max[2 * node], self.max[2 * node + 1]);
-        self.max[node] = a.max(b) + self.lazy[node];
-        self.cnt[node] = if a == b {
-            self.cnt[2 * node] + self.cnt[2 * node + 1]
-        } else if a > b {
-            self.cnt[2 * node]
-        } else {
-            self.cnt[2 * node + 1]
-        };
+        let merged = self.nodes[2 * node].agg.merge(self.nodes[2 * node + 1].agg);
+        let nd = &mut self.nodes[node];
+        nd.agg = merged.shifted(nd.lazy);
     }
 
-    /// Maximum over the whole profile.
+    /// Both profiles' whole-channel terms.
     #[inline]
-    fn root_max(&self) -> i32 {
-        self.max[1]
+    fn root(&self) -> EdgeDensity {
+        self.nodes[1].agg
     }
 
-    /// Columns attaining the whole-profile maximum.
-    #[inline]
-    fn root_cnt(&self) -> i32 {
-        self.cnt[1]
-    }
-
-    /// `(max, count-of-max)` over `[l, r)` (caller clamps; `l < r`).
-    fn query(&self, l: usize, r: usize) -> (i32, i32) {
-        self.query_rec(1, 0, self.width, l, r, 0)
-    }
-
-    fn query_rec(
-        &self,
-        node: usize,
-        nl: usize,
-        nr: usize,
-        l: usize,
-        r: usize,
-        off: i32,
-    ) -> (i32, i32) {
-        if l <= nl && nr <= r {
-            return (self.max[node] + off, self.cnt[node]);
-        }
-        let m = nl + (nr - nl) / 2;
-        let off = off + self.lazy[node];
-        let left = if l < m {
-            Some(self.query_rec(2 * node, nl, m, l, r, off))
-        } else {
-            None
-        };
-        let right = if r > m {
-            Some(self.query_rec(2 * node + 1, m, nr, l, r, off))
-        } else {
-            None
-        };
-        match (left, right) {
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (Some((am, ac)), Some((bm, bc))) => {
-                if am == bm {
-                    (am, ac + bc)
-                } else if am > bm {
-                    (am, ac)
-                } else {
-                    (bm, bc)
-                }
+    /// The four terms over `[l, r)` (caller clamps; `l < r`) in one
+    /// descent: down to the node where the window splits at its
+    /// midpoint, then along the window's left boundary (a suffix of the
+    /// left child) and its right boundary (a prefix of the right child).
+    fn query(&self, l: usize, r: usize) -> EdgeDensity {
+        let (mut node, mut nl, mut nr, mut off) = (1usize, 0usize, self.width, (0i32, 0i32));
+        let m = loop {
+            let nd = &self.nodes[node];
+            if l <= nl && nr <= r {
+                return nd.agg.shifted(off);
             }
-            (None, None) => unreachable!("query range does not straddle node"),
+            off = add(off, nd.lazy);
+            let m = nl + (nr - nl) / 2;
+            if r <= m {
+                node *= 2;
+                nr = m;
+            } else if m <= l {
+                node = 2 * node + 1;
+                nl = m;
+            } else {
+                break m;
+            }
+        };
+        // Left boundary: `[l, m)` is a suffix of the left child.
+        let mut acc = EdgeDensity::EMPTY;
+        let (mut n, mut a, mut b, mut o) = (2 * node, nl, m, off);
+        while a < l {
+            o = add(o, self.nodes[n].lazy);
+            let mid = a + (b - a) / 2;
+            if l < mid {
+                acc = acc.merge(self.nodes[2 * n + 1].agg.shifted(o));
+                n *= 2;
+                b = mid;
+            } else {
+                n = 2 * n + 1;
+                a = mid;
+            }
         }
+        acc = acc.merge(self.nodes[n].agg.shifted(o));
+        // Right boundary: `[m, r)` is a prefix of the right child.
+        let (mut n, mut a, mut b, mut o) = (2 * node + 1, m, nr, off);
+        while r < b {
+            o = add(o, self.nodes[n].lazy);
+            let mid = a + (b - a) / 2;
+            if mid < r {
+                acc = acc.merge(self.nodes[2 * n].agg.shifted(o));
+                n = 2 * n + 1;
+                a = mid;
+            } else {
+                n *= 2;
+                b = mid;
+            }
+        }
+        acc.merge(self.nodes[n].agg.shifted(o))
     }
 
-    /// Leftmost column attaining the whole-profile maximum.
+    /// Leftmost column attaining the whole-channel `d_M` maximum.
     fn first_max_column(&self) -> usize {
-        let target = self.root_max();
+        let target = self.root().d_max;
         let (mut node, mut nl, mut nr, mut off) = (1usize, 0usize, self.width, 0i32);
         while nr - nl > 1 {
-            off += self.lazy[node];
+            off += self.nodes[node].lazy.0;
             let m = nl + (nr - nl) / 2;
-            if self.max[2 * node] + off == target {
+            if self.nodes[2 * node].agg.d_max + off == target {
                 node *= 2;
                 nr = m;
             } else {
@@ -212,23 +277,33 @@ impl MaxCountTree {
         nl
     }
 
-    /// Reconstructs the flat per-column profile (O(width); reporting
-    /// only).
-    fn values(&self) -> Vec<i32> {
-        let mut out = vec![0; self.width];
-        self.values_rec(1, 0, self.width, 0, &mut out);
+    /// Reconstructs the flat per-column `(d_M, d_m)` profiles (O(width);
+    /// reporting only).
+    fn profiles(&self) -> (Vec<i32>, Vec<i32>) {
+        let mut out = (vec![0; self.width], vec![0; self.width]);
+        self.profiles_rec(1, 0, self.width, (0, 0), &mut out);
         out
     }
 
-    fn values_rec(&self, node: usize, nl: usize, nr: usize, off: i32, out: &mut [i32]) {
+    fn profiles_rec(
+        &self,
+        node: usize,
+        nl: usize,
+        nr: usize,
+        off: (i32, i32),
+        out: &mut (Vec<i32>, Vec<i32>),
+    ) {
+        let nd = &self.nodes[node];
         if nr - nl == 1 {
-            out[nl] = self.max[node] + off;
+            let v = nd.agg.shifted(off);
+            out.0[nl] = v.d_max;
+            out.1[nl] = v.d_min;
             return;
         }
-        let off = off + self.lazy[node];
+        let off = add(off, nd.lazy);
         let m = nl + (nr - nl) / 2;
-        self.values_rec(2 * node, nl, m, off, out);
-        self.values_rec(2 * node + 1, m, nr, off, out);
+        self.profiles_rec(2 * node, nl, m, off, out);
+        self.profiles_rec(2 * node + 1, m, nr, off, out);
     }
 }
 
@@ -238,35 +313,21 @@ fn clamp_span(width: usize, x1: i32, x2: i32) -> (usize, usize) {
     (clamp(x1), clamp(x2))
 }
 
-#[derive(Debug, Clone)]
-struct Channel {
-    d_max: MaxCountTree,
-    d_min: MaxCountTree,
-}
-
-impl Channel {
-    fn new(width: usize) -> Self {
-        Self {
-            d_max: MaxCountTree::new(width),
-            d_min: MaxCountTree::new(width),
-        }
-    }
-}
-
 /// Density state over all channels.
 #[derive(Debug, Clone)]
 pub struct DensityMap {
     width: usize,
-    channels: Vec<Channel>,
+    channels: Vec<ChannelTree>,
 }
 
 impl DensityMap {
     /// Creates an all-zero map for `num_channels` channels over a chip of
     /// `width` pitch columns.
     pub fn new(num_channels: usize, width: usize) -> Self {
+        let zeros = vec![0; width.max(1)];
         Self {
             width,
-            channels: (0..num_channels).map(|_| Channel::new(width)).collect(),
+            channels: vec![ChannelTree::from_profiles(&zeros, &zeros); num_channels],
         }
     }
 
@@ -299,20 +360,20 @@ impl DensityMap {
                 diff[base + stride + b] -= w;
             }
         }
-        let mut profile = vec![0i32; cols];
-        let mut tree = |diff: &[i32]| {
+        let (mut d_max, mut d_min) = (vec![0i32; cols], vec![0i32; cols]);
+        let prefix_sums = |profile: &mut [i32], diff: &[i32]| {
             let mut sum = 0;
             for (v, d) in profile.iter_mut().zip(diff) {
                 sum += d;
                 *v = sum;
             }
-            MaxCountTree::from_values(&profile)
         };
         let channels = diff
             .chunks_exact(2 * stride)
-            .map(|ch| Channel {
-                d_max: tree(&ch[..stride]),
-                d_min: tree(&ch[stride..]),
+            .map(|ch| {
+                prefix_sums(&mut d_max, &ch[..stride]);
+                prefix_sums(&mut d_min, &ch[stride..]);
+                ChannelTree::from_profiles(&d_max, &d_min)
             })
             .collect();
         Self { width, channels }
@@ -350,11 +411,7 @@ impl DensityMap {
         if a >= b {
             return;
         }
-        let ch = &mut self.channels[channel.index()];
-        ch.d_max.range_add(a, b, w);
-        if bridge {
-            ch.d_min.range_add(a, b, w);
-        }
+        self.channels[channel.index()].range_add(a, b, w, if bridge { w } else { 0 });
     }
 
     /// Removes a span previously added with the given bridge status.
@@ -363,11 +420,7 @@ impl DensityMap {
         if a >= b {
             return;
         }
-        let ch = &mut self.channels[channel.index()];
-        ch.d_max.range_add(a, b, -w);
-        if was_bridge {
-            ch.d_min.range_add(a, b, -w);
-        }
+        self.channels[channel.index()].range_add(a, b, -w, if was_bridge { -w } else { 0 });
     }
 
     /// Adds (`sign = 1`) or removes (`sign = -1`) the whole density
@@ -386,40 +439,40 @@ impl DensityMap {
         if a >= b {
             return;
         }
-        self.channels[channel.index()].d_min.range_add(a, b, w);
+        self.channels[channel.index()].range_add(a, b, 0, w);
     }
 
     /// `C_M(c)`: maximum of `d_M` in the channel.
     pub fn c_max(&self, channel: ChannelId) -> i32 {
-        self.channels[channel.index()].d_max.root_max()
+        self.channels[channel.index()].root().d_max
     }
 
     /// `NC_M(c)`: number of columns attaining `C_M(c)`.
     ///
     /// Zero-density convention: reports 0 (not `width`) when `C_M` is 0.
     pub fn nc_max(&self, channel: ChannelId) -> i32 {
-        let t = &self.channels[channel.index()].d_max;
-        if t.root_max() == 0 {
+        let t = self.channels[channel.index()].root();
+        if t.d_max == 0 {
             0
         } else {
-            t.root_cnt()
+            t.nd_max
         }
     }
 
     /// `C_m(c)`: maximum of `d_m` in the channel.
     pub fn c_min(&self, channel: ChannelId) -> i32 {
-        self.channels[channel.index()].d_min.root_max()
+        self.channels[channel.index()].root().d_min
     }
 
     /// `NC_m(c)`: number of columns attaining `C_m(c)`.
     ///
     /// Zero-density convention: reports 0 (not `width`) when `C_m` is 0.
     pub fn nc_min(&self, channel: ChannelId) -> i32 {
-        let t = &self.channels[channel.index()].d_min;
-        if t.root_max() == 0 {
+        let t = self.channels[channel.index()].root();
+        if t.d_min == 0 {
             0
         } else {
-            t.root_cnt()
+            t.nd_min
         }
     }
 
@@ -434,27 +487,19 @@ impl DensityMap {
         if a >= b {
             return EdgeDensity::default();
         }
-        let ch = &self.channels[channel.index()];
-        let (d_max, nd_max) = ch.d_max.query(a, b);
-        let (d_min, nd_min) = ch.d_min.query(a, b);
-        EdgeDensity {
-            d_max,
-            nd_max,
-            d_min,
-            nd_min,
-        }
+        self.channels[channel.index()].query(a, b)
     }
 
     /// Column of the globally highest `d_M` and its channel.
     pub fn hottest_column(&self) -> Option<(ChannelId, usize, i32)> {
         let mut best: Option<(ChannelId, usize, i32)> = None;
         for (c, ch) in self.channels.iter().enumerate() {
-            let m = ch.d_max.root_max();
+            let m = ch.root().d_max;
             if m == 0 {
                 continue;
             }
             if best.map(|(_, _, d)| m > d).unwrap_or(true) {
-                best = Some((ChannelId::new(c), ch.d_max.first_max_column(), m));
+                best = Some((ChannelId::new(c), ch.first_max_column(), m));
             }
         }
         best
@@ -463,12 +508,12 @@ impl DensityMap {
     /// Snapshot of `d_M` per channel (for reporting and for the channel
     /// router's lower-bound checks).
     pub fn snapshot_max(&self) -> Vec<Vec<i32>> {
-        self.channels.iter().map(|c| c.d_max.values()).collect()
+        self.channels.iter().map(|c| c.profiles().0).collect()
     }
 
     /// Snapshot of `d_m` per channel (for the engine's self-audit).
     pub fn snapshot_min(&self) -> Vec<Vec<i32>> {
-        self.channels.iter().map(|c| c.d_min.values()).collect()
+        self.channels.iter().map(|c| c.profiles().1).collect()
     }
 
     /// Final per-channel density (`C_M`), the global-routing estimate of
@@ -620,7 +665,7 @@ mod tests {
     }
 
     /// Everything a reader of the map can observe: per channel the four
-    /// aggregates, both profiles, the leftmost peak column of each, and
+    /// aggregates, both profiles, the leftmost `d_M` peak column, and
     /// every interval query over the chip (and a little beyond).
     fn observe(d: &DensityMap) -> Vec<i32> {
         let w = d.width() as i32;
@@ -628,10 +673,10 @@ mod tests {
         for (c, ch) in d.channels.iter().enumerate() {
             let c = ChannelId::new(c);
             out.extend([d.c_max(c), d.nc_max(c), d.c_min(c), d.nc_min(c)]);
-            out.extend(ch.d_max.values());
-            out.extend(ch.d_min.values());
-            out.push(ch.d_max.first_max_column() as i32);
-            out.push(ch.d_min.first_max_column() as i32);
+            let (d_max, d_min) = ch.profiles();
+            out.extend(d_max);
+            out.extend(d_min);
+            out.push(ch.first_max_column() as i32);
             for x1 in -1..=w {
                 for x2 in x1..=w + 1 {
                     let e = d.edge_density(c, x1, x2);

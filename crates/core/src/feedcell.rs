@@ -20,7 +20,7 @@ use crate::error::RouteError;
 use crate::probe::{Probe, TraceEvent};
 
 /// Result of assignment-with-insertion.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedPlan {
     /// Final slot occupancy.
     pub slots: SlotStore,
@@ -32,33 +32,40 @@ pub struct FeedPlan {
     pub widened: i32,
 }
 
-/// Gap indices eligible for insertion in a row: between two cells where
-/// not both neighbors are feed cells (so existing adjacent feed windows
-/// are never split), plus the row ends.
-fn eligible_gaps(circuit: &Circuit, placement: &Placement, row: usize) -> Vec<usize> {
-    let cells = placement.rows()[row].cells();
-    let is_feed = |i: usize| {
-        circuit
-            .library()
-            .kind(circuit.cell(cells[i].cell).kind())
-            .is_feed()
-    };
+/// Whether each cell of `row`, left to right, is a feed cell.
+fn feed_flags(circuit: &Circuit, placement: &Placement, row: usize) -> Vec<bool> {
+    placement.rows()[row]
+        .cells()
+        .iter()
+        .map(|pc| {
+            circuit
+                .library()
+                .kind(circuit.cell(pc.cell).kind())
+                .is_feed()
+        })
+        .collect()
+}
+
+/// Gap indices eligible for insertion in a row whose cells' feed flags
+/// are `is_feed`: between two cells where not both neighbors are feed
+/// cells (so existing adjacent feed windows are never split), plus the
+/// row ends.
+fn eligible_gaps(is_feed: &[bool]) -> Vec<usize> {
     let mut gaps = vec![0];
-    for g in 1..cells.len() {
-        if !(is_feed(g - 1) && is_feed(g)) {
-            gaps.push(g);
-        }
-    }
-    gaps.push(cells.len());
+    gaps.extend((1..is_feed.len()).filter(|&g| !(is_feed[g - 1] && is_feed[g])));
+    gaps.push(is_feed.len());
     gaps.dedup();
     gaps
 }
 
 /// Inserts a group of `w` adjacent 1-pitch feed cells at gap `gap` of
-/// `row`; returns the inserted cell ids.
+/// `row`, keeping the row's feed flags `is_feed` in step; returns the
+/// inserted cell ids.
+#[allow(clippy::too_many_arguments)]
 fn insert_group<P: Probe>(
     circuit: &mut Circuit,
     placement: &mut Placement,
+    is_feed: &mut Vec<bool>,
     row: usize,
     gap: usize,
     w: u32,
@@ -86,6 +93,12 @@ fn insert_group<P: Probe>(
             })
             .unwrap_or(0)
     };
+    // `insert_cell_at_x` puts the cell at `x + k` just left of every
+    // cell at or right of it, so the group lands at consecutive indices
+    // from the first cell's.
+    let at = cells.partition_point(|c| c.x < x);
+    let flag = circuit.library().kind(feed_kind).is_feed();
+    is_feed.splice(at..at, std::iter::repeat_n(flag, w as usize));
     let mut ids = Vec::with_capacity(w as usize);
     for k in 0..w {
         let id = circuit.add_feed_cell(format!("feedins{}", *counter), feed_kind);
@@ -194,12 +207,22 @@ pub fn assign_with_insertion<P: Probe>(
                 continue;
             }
             let total = groups.len();
+            let mut is_feed = feed_flags(circuit, placement, row);
             for (k, w) in groups.into_iter().enumerate() {
                 // Spread groups evenly over the currently eligible gaps.
-                let gaps = eligible_gaps(circuit, placement, row);
+                let gaps = eligible_gaps(&is_feed);
                 let gi = ((k + 1) * gaps.len()) / (total + 1);
                 let gap = gaps[gi.min(gaps.len() - 1)];
-                let ids = insert_group(circuit, placement, row, gap, w, &mut name_counter, probe);
+                let ids = insert_group(
+                    circuit,
+                    placement,
+                    &mut is_feed,
+                    row,
+                    gap,
+                    w,
+                    &mut name_counter,
+                    probe,
+                );
                 inserted_cells += ids.len();
                 if w > 1 {
                     for id in ids {

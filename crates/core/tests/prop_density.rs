@@ -1,32 +1,41 @@
-//! Randomized differential tests: the incremental (segment-tree) density
-//! map must agree with a naive per-column recomputation oracle under any
-//! sequence of add/remove/promote operations — on every aggregate
-//! (`C_M`, `NC_M`, `C_m`, `NC_m`), every interval query (`edge_density`),
-//! and the hottest-column scan.
+//! Randomized differential tests: the incremental density map (one fused
+//! segment tree per channel) must agree with a naive per-column
+//! recomputation oracle under any sequence of add/remove/promote
+//! operations — on every aggregate (`C_M`, `NC_M`, `C_m`, `NC_m`, with
+//! the zero-density count convention), every interval query
+//! (`edge_density`, clamped windows included), the hottest-column scan
+//! and both profile snapshots, over chips from one column wide up.
 
 use bgr_core::density::DensityMap;
 use bgr_layout::ChannelId;
 use bgr_netlist::SplitMix64;
 
-const CHANNELS: usize = 3;
 const W: usize = 30;
 
 /// Naive oracle: a flat span list, recomputed per column on demand.
-#[derive(Default)]
 struct Oracle {
+    /// Chip width in columns.
+    width: usize,
     /// `(channel, x1, x2, w, bridge)` for every live span.
     spans: Vec<(usize, i32, i32, i32, bool)>,
 }
 
 impl Oracle {
-    fn columns(&self, c: usize) -> ([i32; W], [i32; W]) {
-        let mut d_max = [0i32; W];
-        let mut d_min = [0i32; W];
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            spans: Vec::new(),
+        }
+    }
+
+    fn columns(&self, c: usize) -> (Vec<i32>, Vec<i32>) {
+        let mut d_max = vec![0i32; self.width];
+        let mut d_min = vec![0i32; self.width];
         for &(oc, x1, x2, w, bridge) in &self.spans {
             if oc != c {
                 continue;
             }
-            for x in x1.max(0)..x2.min(W as i32) {
+            for x in x1.max(0)..x2.min(self.width as i32) {
                 d_max[x as usize] += w;
                 if bridge {
                     d_min[x as usize] += w;
@@ -48,8 +57,39 @@ fn agg(cols: &[i32]) -> (i32, i32) {
     }
 }
 
+/// Every window `[x1, x2)` with both ends within two columns of the
+/// chip, clamped the way `edge_density` clamps.
+fn check_every_window(map: &DensityMap, oracle: &Oracle) {
+    let w = oracle.width as i32;
+    for c in 0..map.num_channels() {
+        let ch = ChannelId::new(c);
+        let (d_max, d_min) = oracle.columns(c);
+        for x1 in -2..=w + 2 {
+            for x2 in x1 - 1..=w + 2 {
+                let ed = map.edge_density(ch, x1, x2);
+                let (lo, hi) = (x1.clamp(0, w) as usize, x2.clamp(0, w) as usize);
+                let want = if lo >= hi {
+                    (0, 0, 0, 0)
+                } else {
+                    let window = |cols: &[i32]| {
+                        let m = *cols[lo..hi].iter().max().unwrap();
+                        (m, cols[lo..hi].iter().filter(|&&d| d == m).count() as i32)
+                    };
+                    let ((a, b), (e, f)) = (window(&d_max), window(&d_min));
+                    (a, b, e, f)
+                };
+                assert_eq!(
+                    (ed.d_max, ed.nd_max, ed.d_min, ed.nd_min),
+                    want,
+                    "window [{x1},{x2}) of channel {c} over width {w}"
+                );
+            }
+        }
+    }
+}
+
 fn check_all(map: &DensityMap, oracle: &Oracle, rng: &mut SplitMix64) {
-    for c in 0..CHANNELS {
+    for c in 0..map.num_channels() {
         let ch = ChannelId::new(c);
         let (d_max, d_min) = oracle.columns(c);
         let (cm, ncm) = agg(&d_max);
@@ -64,8 +104,8 @@ fn check_all(map: &DensityMap, oracle: &Oracle, rng: &mut SplitMix64) {
             let b = rng.range_i32(-5, W as i32 + 5);
             let (x1, x2) = (a.min(b), a.max(b));
             let ed = map.edge_density(ch, x1, x2);
-            let lo = x1.clamp(0, W as i32) as usize;
-            let hi = x2.clamp(0, W as i32) as usize;
+            let lo = x1.clamp(0, oracle.width as i32) as usize;
+            let hi = x2.clamp(0, oracle.width as i32) as usize;
             if lo >= hi {
                 assert_eq!((ed.d_max, ed.nd_max, ed.d_min, ed.nd_min), (0, 0, 0, 0));
                 continue;
@@ -84,7 +124,7 @@ fn check_all(map: &DensityMap, oracle: &Oracle, rng: &mut SplitMix64) {
     }
     // Hottest column agrees with a full scan of the oracle.
     let mut best: Option<(usize, usize, i32)> = None;
-    for c in 0..CHANNELS {
+    for c in 0..map.num_channels() {
         let (d_max, _) = oracle.columns(c);
         let (cm, _) = agg(&d_max);
         if cm == 0 {
@@ -101,34 +141,45 @@ fn check_all(map: &DensityMap, oracle: &Oracle, rng: &mut SplitMix64) {
         best,
         "hottest column"
     );
-    // snapshot_max reproduces the exact column vectors.
-    let snap = map.snapshot_max();
-    for (c, cols) in snap.iter().enumerate() {
-        let (d_max, _) = oracle.columns(c);
-        assert_eq!(*cols, d_max.to_vec(), "snapshot channel {c}");
+    // Both snapshots reproduce the exact column vectors.
+    let (snap_max, snap_min) = (map.snapshot_max(), map.snapshot_min());
+    for c in 0..map.num_channels() {
+        let (d_max, d_min) = oracle.columns(c);
+        assert_eq!(snap_max[c], d_max, "d_M snapshot channel {c}");
+        assert_eq!(snap_min[c], d_min, "d_m snapshot channel {c}");
     }
 }
 
+/// Random add/remove/promote sequences on chips 1 to 40 columns wide
+/// (every tenth exactly one column), with spans reaching past both chip
+/// edges and empty spans; after every operation the map must match the
+/// oracle on every observable and every window. Each sequence ends by
+/// removing every span, back to the zero-density counts.
 #[test]
 fn matches_naive_oracle_on_random_op_sequences() {
-    for seed in 0..40u64 {
-        let mut rng = SplitMix64::new(0xD1FF ^ seed);
-        let mut map = DensityMap::new(CHANNELS, W);
-        let mut oracle = Oracle::default();
-        let ops = rng.range_usize(1, 60);
-        for _ in 0..ops {
-            match rng.range_usize(0, 3) {
-                0 => {
-                    let c = rng.range_usize(0, CHANNELS);
-                    let a = rng.range_i32(0, W as i32);
-                    let b = rng.range_i32(0, W as i32);
-                    let (x1, x2) = (a.min(b), a.max(b));
-                    let w = rng.range_i32(1, 3);
+    for seed in 0..120u64 {
+        let mut rng = SplitMix64::new(0xF05E ^ (seed << 9));
+        let width = if seed % 10 == 0 {
+            1
+        } else {
+            rng.range_usize(1, 41)
+        };
+        let channels = rng.range_usize(1, 4);
+        let w = width as i32;
+        let mut map = DensityMap::new(channels, width);
+        let mut oracle = Oracle::new(width);
+        for _ in 0..rng.range_usize(1, 50) {
+            match rng.range_usize(0, 4) {
+                0 | 1 => {
+                    let c = rng.range_usize(0, channels);
+                    let x1 = rng.range_i32(-4, w + 4);
+                    let x2 = x1 + rng.range_i32(0, w + 4);
+                    let wt = rng.range_i32(1, 4);
                     let bridge = rng.next_bool(0.5);
-                    map.add_span(ChannelId::new(c), x1, x2, w, bridge);
-                    oracle.spans.push((c, x1, x2, w, bridge));
+                    map.add_span(ChannelId::new(c), x1, x2, wt, bridge);
+                    oracle.spans.push((c, x1, x2, wt, bridge));
                 }
-                1 => {
+                2 => {
                     // Promote a random live non-bridge span.
                     let nb: Vec<usize> = (0..oracle.spans.len())
                         .filter(|&i| !oracle.spans[i].4)
@@ -137,8 +188,8 @@ fn matches_naive_oracle_on_random_op_sequences() {
                         continue;
                     }
                     let i = nb[rng.range_usize(0, nb.len())];
-                    let (c, x1, x2, w, _) = oracle.spans[i];
-                    map.promote_span(ChannelId::new(c), x1, x2, w);
+                    let (c, x1, x2, wt, _) = oracle.spans[i];
+                    map.promote_span(ChannelId::new(c), x1, x2, wt);
                     oracle.spans[i].4 = true;
                 }
                 _ => {
@@ -146,11 +197,22 @@ fn matches_naive_oracle_on_random_op_sequences() {
                         continue;
                     }
                     let i = rng.range_usize(0, oracle.spans.len());
-                    let (c, x1, x2, w, bridge) = oracle.spans.remove(i);
-                    map.remove_span(ChannelId::new(c), x1, x2, w, bridge);
+                    let (c, x1, x2, wt, bridge) = oracle.spans.swap_remove(i);
+                    map.remove_span(ChannelId::new(c), x1, x2, wt, bridge);
                 }
             }
             check_all(&map, &oracle, &mut rng);
+            check_every_window(&map, &oracle);
+        }
+        while let Some((c, x1, x2, wt, bridge)) = oracle.spans.pop() {
+            map.remove_span(ChannelId::new(c), x1, x2, wt, bridge);
+        }
+        check_all(&map, &oracle, &mut rng);
+        check_every_window(&map, &oracle);
+        for c in 0..channels {
+            let ch = ChannelId::new(c);
+            let counts = (map.nc_max(ch), map.nc_min(ch));
+            assert_eq!(counts, (0, 0), "emptied channel {c} reports count 0");
         }
     }
 }
@@ -158,7 +220,7 @@ fn matches_naive_oracle_on_random_op_sequences() {
 #[test]
 fn spans_clamped_outside_chip_match_oracle() {
     let mut map = DensityMap::new(1, W);
-    let mut oracle = Oracle::default();
+    let mut oracle = Oracle::new(W);
     map.add_span(ChannelId::new(0), -10, W as i32 + 10, 2, true);
     oracle.spans.push((0, -10, W as i32 + 10, 2, true));
     map.add_span(ChannelId::new(0), 5, 9, 1, false);

@@ -81,7 +81,10 @@ impl DataSet {
     }
 }
 
-fn c1_params() -> GenParams {
+/// The generation parameters of C1: [`generate`] and
+/// [`crate::placegen::place_design`] on them give the circuit and placement
+/// of [`c1`] without its constraint-anchoring reference route.
+pub fn c1_params() -> GenParams {
     GenParams {
         seed: 0xC1,
         logic_cells: 700,
@@ -101,7 +104,10 @@ fn c1_params() -> GenParams {
     }
 }
 
-fn c2_params() -> GenParams {
+/// The generation parameters of C2: [`generate`] and
+/// [`crate::placegen::place_design`] on them give the circuit and placement
+/// of [`c2`] without its constraint-anchoring reference route.
+pub fn c2_params() -> GenParams {
     GenParams {
         seed: 0xC2,
         logic_cells: 1400,
@@ -121,7 +127,10 @@ fn c2_params() -> GenParams {
     }
 }
 
-fn c3_params() -> GenParams {
+/// The generation parameters of C3: [`generate`] and
+/// [`crate::placegen::place_design`] on them give the circuit and placement
+/// of [`c3`] without its constraint-anchoring reference route.
+pub fn c3_params() -> GenParams {
     GenParams {
         seed: 0xC3,
         logic_cells: 2600,

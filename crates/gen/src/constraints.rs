@@ -22,7 +22,23 @@ pub fn harvest_constraints(
     wire_budget: f64,
     seed: u64,
 ) -> Vec<PathConstraint> {
-    let dg = DelayGraph::build(circuit);
+    harvest_in(
+        &DelayGraph::build(circuit),
+        circuit,
+        count,
+        wire_budget,
+        seed,
+    )
+}
+
+/// [`harvest_constraints`] over an already built `G_D` of `circuit`.
+fn harvest_in(
+    dg: &DelayGraph,
+    circuit: &Circuit,
+    count: usize,
+    wire_budget: f64,
+    seed: u64,
+) -> Vec<PathConstraint> {
     let zero = vec![0.0; dg.num_nets()];
 
     let mut sources: Vec<TermId> = Vec::new();
@@ -59,10 +75,10 @@ pub fn harvest_constraints(
             break;
         }
         let c = PathConstraint::new(format!("p{}", out.len()), s, t, f64::INFINITY);
-        let Ok(cg) = ConstraintGraph::build(&dg, c) else {
+        let Ok(cg) = ConstraintGraph::build(dg, c) else {
             continue;
         };
-        let lp = cg.longest_paths(&dg, &zero, &zero);
+        let lp = cg.longest_paths(dg, &zero, &zero);
         let gate_delay = cg.arrival_ps(&lp);
         if gate_delay <= 0.0 {
             continue;
@@ -86,16 +102,30 @@ pub fn arrival_with_lengths(
     lengths_um: &[f64],
 ) -> Option<f64> {
     let dg = DelayGraph::build(circuit);
+    let cg = path_graph(&dg, source, sink)?;
+    Some(arrival_at(&dg, &cg, &wire_loads(circuit, lengths_um)))
+}
+
+/// `G_d` of the `(source, sink)` path, or `None` when unreachable.
+fn path_graph(dg: &DelayGraph, source: TermId, sink: TermId) -> Option<ConstraintGraph> {
+    ConstraintGraph::build(dg, PathConstraint::new("tmp", source, sink, 0.0)).ok()
+}
+
+/// Per-net wire loads (fF) at the given lengths under the default
+/// capacitance model.
+fn wire_loads(circuit: &Circuit, lengths_um: &[f64]) -> Vec<f64> {
     let wire = bgr_timing::WireParams::default();
     let model = bgr_timing::DelayModel::Capacitance;
-    let cl: Vec<f64> = circuit
+    circuit
         .net_ids()
         .map(|n| model.wire_cap_ff(&wire, lengths_um[n.index()], circuit.net(n).width_pitches()))
-        .collect();
+        .collect()
+}
+
+/// Arrival time (ps) of a path graph at per-net wire loads `cl`.
+fn arrival_at(dg: &DelayGraph, cg: &ConstraintGraph, cl: &[f64]) -> f64 {
     let rc = vec![0.0; cl.len()];
-    let cg = ConstraintGraph::build(&dg, PathConstraint::new("tmp", source, sink, 0.0)).ok()?;
-    let lp = cg.longest_paths(&dg, &cl, &rc);
-    Some(cg.arrival_ps(&lp))
+    cg.arrival_ps(&cg.longest_paths(dg, cl, &rc))
 }
 
 /// Harvests constraints with limits set *between* a per-path lower bound
@@ -116,15 +146,20 @@ pub fn harvest_between(
     lb_lengths_um: &[f64],
     ref_lengths_um: &[f64],
 ) -> Vec<PathConstraint> {
-    // Reuse the gate-budget harvester purely for (source, sink) picking.
-    let picked = harvest_constraints(circuit, count, 0.0, seed);
-    picked
+    // One `G_D` for the whole harvest; the gate-budget harvester is
+    // reused purely for (source, sink) picking.
+    let dg = DelayGraph::build(circuit);
+    let (lb_loads, ref_loads) = (
+        wire_loads(circuit, lb_lengths_um),
+        wire_loads(circuit, ref_lengths_um),
+    );
+    harvest_in(&dg, circuit, count, 0.0, seed)
         .into_iter()
         .enumerate()
         .filter_map(|(i, c)| {
-            let lb = arrival_with_lengths(circuit, c.source, c.sink, lb_lengths_um)?;
-            let rf = arrival_with_lengths(circuit, c.source, c.sink, ref_lengths_um)?;
-            let rf = rf.max(lb);
+            let cg = path_graph(&dg, c.source, c.sink)?;
+            let lb = arrival_at(&dg, &cg, &lb_loads);
+            let rf = arrival_at(&dg, &cg, &ref_loads).max(lb);
             Some(PathConstraint::new(
                 format!("p{i}"),
                 c.source,
@@ -154,6 +189,10 @@ mod tests {
             let at_rf = arrival_with_lengths(&design.circuit, c.source, c.sink, &rf).unwrap();
             assert!(c.limit_ps >= at_lb - 1e-9, "lower bound satisfies");
             assert!(c.limit_ps <= at_rf + 1e-9, "reference violates");
+            // The harvest's one shared `G_D` gives the limit the two
+            // stand-alone arrival computations give, bit for bit.
+            let want = at_lb + 0.5 * (at_rf.max(at_lb) - at_lb);
+            assert_eq!(c.limit_ps.to_bits(), want.to_bits());
         }
     }
 

@@ -32,8 +32,8 @@ use bgr_timing::{DelayModel, WireParams};
 use crate::codec::{f64_hex, fnv1a, opt_u64, Reader};
 use crate::constraints::{parse_constraints, write_constraints};
 use crate::error::ParseError;
-use crate::netlist::{parse_netlist, write_netlist};
-use crate::placement::{parse_placement, write_placement};
+use crate::netlist::{read_netlist, write_netlist};
+use crate::placement::{read_placement, write_placement};
 
 /// The header line is this prefix followed by [`SNAPSHOT_VERSION`].
 const MAGIC: &str = "bgr-checkpoint v";
@@ -527,9 +527,10 @@ fn parse_checkpoint_inner(
             )
         };
     let prefix_len = cur.offset();
+    // Read unvalidated: `SessionDesign::new` validates the design once.
     let circuit =
-        parse_netlist(&netlist_text).map_err(|e| cur.err(format!("embedded netlist: {e}")))?;
-    let placement = parse_placement(&circuit, &placement_text)
+        read_netlist(&netlist_text).map_err(|e| cur.err(format!("embedded netlist: {e}")))?;
+    let placement = read_placement(&circuit, &placement_text)
         .map_err(|e| cur.err(format!("embedded placement: {e}")))?;
     let constraints = parse_constraints(&circuit, &constraints_text)
         .map_err(|e| cur.err(format!("embedded constraints: {e}")))?;

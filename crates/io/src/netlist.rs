@@ -211,6 +211,16 @@ fn kv<'a>(tokens: &[&'a str]) -> HashMap<&'a str, &'a str> {
 /// Returns a [`ParseError`] with the offending line on malformed input,
 /// unknown references, or netlist-validation failures.
 pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
+    let circuit = read_netlist(text)?;
+    circuit
+        .validate()
+        .map_err(|e| ParseError::new(0, e.to_string()))?;
+    Ok(circuit)
+}
+
+/// [`parse_netlist`] without the final [`Circuit::validate`]: for the
+/// checkpoint reader, whose `SessionDesign::new` validates the design.
+pub(crate) fn read_netlist(text: &str) -> Result<Circuit, ParseError> {
     let mut lines = Lines::new(text);
     match lines.next_tokens() {
         Some((_, t)) if t == ["bgr-netlist", "v1"] => {}
@@ -386,10 +396,9 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
             other => return Err(ParseError::new(ln, format!("unknown directive `{other}`"))),
         }
     }
-    builder
+    Ok(builder
         .unwrap_or_else(|| CircuitBuilder::new(library))
-        .finish()
-        .map_err(|e| ParseError::new(0, e.to_string()))
+        .finish_unvalidated())
 }
 
 #[cfg(test)]

@@ -57,6 +57,17 @@ pub fn write_placement(circuit: &Circuit, placement: &Placement) -> String {
 /// Returns a [`ParseError`] on malformed input, unknown cell/pad names,
 /// or placement-validation failures (overlaps, unplaced cells).
 pub fn parse_placement(circuit: &Circuit, text: &str) -> Result<Placement, ParseError> {
+    let placement = read_placement(circuit, text)?;
+    placement
+        .validate(circuit)
+        .map_err(|e| ParseError::new(0, e.to_string()))?;
+    Ok(placement)
+}
+
+/// [`parse_placement`] without the final [`Placement::validate`]: for
+/// the checkpoint reader, whose `SessionDesign::new` validates the
+/// design.
+pub(crate) fn read_placement(circuit: &Circuit, text: &str) -> Result<Placement, ParseError> {
     let cells: HashMap<&str, (CellId, u32)> = circuit
         .cell_ids()
         .map(|id| {
@@ -163,10 +174,9 @@ pub fn parse_placement(circuit: &Circuit, text: &str) -> Result<Placement, Parse
             other => return Err(ParseError::new(ln, format!("unknown directive `{other}`"))),
         }
     }
-    builder
+    Ok(builder
         .ok_or_else(|| ParseError::new(0, "missing `rows` directive"))?
-        .finish(circuit)
-        .map_err(|e| ParseError::new(0, e.to_string()))
+        .finish_unvalidated())
 }
 
 #[cfg(test)]

@@ -198,15 +198,7 @@ impl Placement {
             // Start at the left edge of the displaced cell (or row end).
             cells.get(gap).map(|c| c.x).unwrap_or(row_end)
         };
-        for moved in &mut cells[gap..] {
-            moved.x += width as i32;
-            self.locs[moved.cell.index()] = Some(CellLoc { row, x: moved.x });
-        }
-        self.rows[row]
-            .cells
-            .insert(gap, PlacedCell { cell, x, width });
-        self.locs[cell.index()] = Some(CellLoc { row, x });
-        self.recompute_width();
+        self.shift_and_insert(row, gap, PlacedCell { cell, x, width });
     }
 
     /// Right edge (in pitches) of the rightmost cell in `row`, or 0 for an
@@ -230,36 +222,26 @@ impl Placement {
         if self.locs.len() <= cell.index() {
             self.locs.resize(cell.index() + 1, None);
         }
-        let cells = &mut self.rows[row].cells;
-        let gap = cells.partition_point(|c| c.x < x);
-        for moved in &mut cells[gap..] {
-            moved.x += width as i32;
-            self.locs[moved.cell.index()] = Some(CellLoc { row, x: moved.x });
-        }
-        self.rows[row]
-            .cells
-            .insert(gap, PlacedCell { cell, x, width });
-        self.locs[cell.index()] = Some(CellLoc { row, x });
-        self.recompute_width();
+        let gap = self.rows[row].cells.partition_point(|c| c.x < x);
+        self.shift_and_insert(row, gap, PlacedCell { cell, x, width });
     }
 
-    /// Recomputes the chip width after insertions.
-    pub fn recompute_width(&mut self) {
-        let cell_max = self
-            .rows
-            .iter()
-            .flat_map(|r| r.cells.iter())
-            .map(|c| c.x + c.width as i32)
-            .max()
-            .unwrap_or(0);
-        let pad_max = self
-            .pads
-            .iter()
-            .flatten()
-            .map(|&(_, x)| x + 1)
-            .max()
-            .unwrap_or(0);
-        self.width_pitches = self.width_pitches.max(cell_max).max(pad_max);
+    /// Shifts the cells of `row` from gap index `gap` on right by the new
+    /// cell's width and inserts it there. Only the shifted cells and the
+    /// new one can end further right than before (cells left of the gap
+    /// and pads never move), so the chip width grows to their furthest
+    /// right end in the same pass: O(row), not a rescan of the chip.
+    fn shift_and_insert(&mut self, row: usize, gap: usize, placed: PlacedCell) {
+        let mut right = placed.x + placed.width as i32;
+        let cells = &mut self.rows[row].cells;
+        for moved in &mut cells[gap..] {
+            moved.x += placed.width as i32;
+            right = right.max(moved.x + moved.width as i32);
+            self.locs[moved.cell.index()] = Some(CellLoc { row, x: moved.x });
+        }
+        cells.insert(gap, placed);
+        self.locs[placed.cell.index()] = Some(CellLoc { row, x: placed.x });
+        self.width_pitches = self.width_pitches.max(right);
     }
 
     /// Chip core area in mm² given per-channel track counts.
@@ -444,6 +426,17 @@ impl PlacementBuilder {
     ///
     /// Propagates any invariant violation from [`Placement::validate`].
     pub fn finish(self, circuit: &Circuit) -> Result<Placement, LayoutError> {
+        let placement = self.finish_unvalidated();
+        placement.validate(circuit)?;
+        Ok(placement)
+    }
+
+    /// Finishes the placement without [`Placement::validate`], for a
+    /// reader that validates the whole design once afterwards (a
+    /// checkpoint's embedded design is validated by the session that
+    /// takes it). The result must be validated against its circuit
+    /// before anything routes it.
+    pub fn finish_unvalidated(self) -> Placement {
         let mut width = 0;
         for row in &self.rows {
             for pc in &row.cells {
@@ -453,15 +446,13 @@ impl PlacementBuilder {
         for &(_, x) in self.pads.iter().flatten() {
             width = width.max(x + 1);
         }
-        let placement = Placement {
+        Placement {
             geometry: self.geometry,
             rows: self.rows,
             locs: self.locs,
             pads: self.pads,
             width_pitches: width,
-        };
-        placement.validate(circuit)?;
-        Ok(placement)
+        }
     }
 }
 

@@ -51,7 +51,7 @@ pub enum FlagPolicy {
     Respect,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct RowSlots {
     /// Sorted x positions, one per slot.
     xs: Vec<i32>,
@@ -63,7 +63,7 @@ struct RowSlots {
 }
 
 /// All feedthrough slots of a placement, with occupancy and width flags.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotStore {
     rows: Vec<RowSlots>,
 }
@@ -201,7 +201,15 @@ impl SlotStore {
 
     /// Finds `width` adjacent free slots in `row` whose center is nearest
     /// to `target_x` (the paper searches outward from the mean of the
-    /// net's terminal x coordinates, §3.1).
+    /// net's terminal x coordinates, §3.1); of two windows equally near,
+    /// the one starting at the lower slot index.
+    ///
+    /// An eligible window's slots have consecutive x, so its doubled
+    /// center `2·x + width − 1` never decreases with its start index. The
+    /// search binary-searches the first start whose center is not left
+    /// of the target and walks outward from there to the nearest
+    /// eligible window on each side: O(log n) plus the slots the walks
+    /// skip, not a scan of the row.
     ///
     /// Returns `None` when no eligible window exists.
     pub fn find_adjacent_free(
@@ -213,25 +221,27 @@ impl SlotStore {
     ) -> Option<SlotRange> {
         let w = width as usize;
         let r = &self.rows[row];
-        let mut best: Option<(i64, SlotRange)> = None;
-        for start in 0..r.xs.len() {
-            if !self.window_ok(row, start, w, policy) {
-                continue;
-            }
-            let center2 = r.xs[start] as i64 + r.xs[start + w - 1] as i64;
-            let dist = (center2 - 2 * target_x as i64).abs();
-            if best.map(|(d, _)| dist < d).unwrap_or(true) {
-                best = Some((
-                    dist,
-                    SlotRange {
-                        row: row as u32,
-                        start: start as u32,
-                        len: width,
-                    },
-                ));
-            }
-        }
-        best.map(|(_, r)| r)
+        let target2 = 2 * i64::from(target_x);
+        // Doubled center of an eligible window starting at column `x`.
+        let center2 = |x: i32| 2 * i64::from(x) + i64::from(width) - 1;
+        let ok = |start: usize| self.window_ok(row, start, w, policy);
+        let pivot = r.xs.partition_point(|&x| center2(x) < target2);
+        let right = (pivot..r.xs.len()).find(|&s| ok(s));
+        // Starts at one x share a center: the lowest eligible one wins.
+        let left = (0..pivot).rev().find(|&s| ok(s)).map(|s| {
+            let lo = r.xs[..s].partition_point(|&x| x < r.xs[s]);
+            (lo..s).find(|&t| ok(t)).unwrap_or(s)
+        });
+        let start = match (left, right) {
+            (Some(a), Some(b)) if center2(r.xs[b]) - target2 < target2 - center2(r.xs[a]) => b,
+            (Some(a), _) => a,
+            (None, b) => b?,
+        };
+        Some(SlotRange {
+            row: row as u32,
+            start: start as u32,
+            len: width,
+        })
     }
 
     /// Like [`SlotStore::find_adjacent_free`], but requires the window to

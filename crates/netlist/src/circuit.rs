@@ -596,16 +596,24 @@ impl CircuitBuilder {
     ///
     /// Propagates any invariant violation from [`Circuit::validate`].
     pub fn finish(self) -> Result<Circuit, NetlistError> {
-        let circuit = Circuit {
+        let circuit = self.finish_unvalidated();
+        circuit.validate()?;
+        Ok(circuit)
+    }
+
+    /// Finishes the circuit without [`Circuit::validate`], for a reader
+    /// that validates the whole design once afterwards (a checkpoint's
+    /// embedded design is validated by the session that takes it). The
+    /// result must be validated before anything routes or times it.
+    pub fn finish_unvalidated(self) -> Circuit {
+        Circuit {
             library: self.library,
             cells: self.cells,
             pads: self.pads,
             terms: self.terms,
             nets: self.nets,
             diff_pairs: self.diff_pairs,
-        };
-        circuit.validate()?;
-        Ok(circuit)
+        }
     }
 }
 

@@ -25,6 +25,8 @@
 //! - a hand-built snapshot design whose placement does not fit its
 //!   circuit → `RouteError::Checkpoint` from `SessionDesign::new`, the
 //!   only way to build the design a snapshot hands to resume;
+//! - a checkpoint whose embedded placement overlaps two cells →
+//!   `ParseError` from the one validation `SessionDesign::new` makes;
 //! - a `diff_pairs_locked` stat bump — parses and resumes cleanly, but
 //!   the finished result fails the differential-pair oracle of the
 //!   independent audit.
@@ -370,4 +372,38 @@ fn invalid_hand_built_design_is_a_checkpoint_error() {
     assert!(design == snapshot.design);
     let snapshot = bgr::router::EngineSnapshot { design, ..snapshot };
     assert!(RouteSession::resume(snapshot, CollectingProbe::new()).is_ok());
+}
+
+/// The checkpoint reader reads its embedded design unvalidated and
+/// validates it once, in `SessionDesign::new`: a placement that stacks
+/// two cells on one column is still refused, with that validation's
+/// wording.
+#[test]
+fn overlapping_embedded_placement_is_a_parse_error() {
+    let text = mid_run_checkpoint();
+    // Move the second cell of some row onto the first's column.
+    let lines: Vec<&str> = text.lines().collect();
+    let place = |l: &str| {
+        let t: Vec<&str> = l.split(' ').collect();
+        (t.len() == 6 && t[0] == "place").then(|| (t[3].to_owned(), t[5].parse::<i32>().unwrap()))
+    };
+    let (i, first_x) = (1..lines.len())
+        .find_map(|i| match (place(lines[i - 1]), place(lines[i])) {
+            (Some((r0, x0)), Some((r1, x1))) if r0 == r1 && x0 < x1 => Some((i, x0)),
+            _ => None,
+        })
+        .expect("a row with two placed cells");
+    let mut moved: Vec<&str> = lines[i].split(' ').collect();
+    let x = first_x.to_string();
+    moved[5] = &x;
+    let damaged = lines
+        .iter()
+        .enumerate()
+        .map(|(j, l)| if j == i { moved.join(" ") } else { (*l).to_owned() } + "\n")
+        .collect::<String>();
+    let err = parse_checkpoint(&damaged).expect_err("overlapping placement must not parse");
+    assert!(
+        err.to_string().contains("embedded placement invalid"),
+        "{err}"
+    );
 }
