@@ -61,8 +61,7 @@ pub enum OnViolation {
 /// pure function of the input and fires at the same point in every run:
 /// the `BudgetExhausted` trace event stays in the deterministic
 /// [`crate::TraceEvent`] stream without breaking the byte-identical
-/// guarantee across threads, shards and selection strategies (DESIGN.md
-/// §9–§11). `None` means unlimited (the default).
+/// guarantee across selection strategies (DESIGN.md §9, §11). `None` means unlimited (the default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budgets {
     /// Ceiling on deletion-loop selections during initial routing. On
@@ -203,16 +202,14 @@ pub struct RouterConfig {
     /// Candidate-selection implementation; the result is identical
     /// either way (see [`SelectionStrategy`]).
     pub selection: SelectionStrategy,
-    /// Worker threads for the scoreboard's champion re-keying (1 =
-    /// fully sequential; the `BGR_THREADS` environment variable
-    /// overrides the default). Every deterministic observable —
-    /// selection log, trees, track counts, trace-event stream — is
-    /// byte-identical across thread counts (`tests/parallel_determinism.rs`).
+    /// Has no effect: the router re-keys on one thread. The field remains
+    /// (default 1) only because the repository benchmark sets and prints
+    /// it; checkpoints still carry it as their `config threads` line.
     pub threads: usize,
-    /// Channel-region shards of the scoreboard's candidate pool (1 =
-    /// one global heap; `BGR_SHARDS` overrides the default; clamped to
-    /// the channel count at run time). Like `threads`, shard count
-    /// never changes the routing result.
+    /// Has no effect: the scoreboard keeps one cached top per channel
+    /// heap. The field (default 4) remains only because the repository
+    /// benchmark sets and prints it; checkpoints still carry it as their
+    /// `config shards` line.
     pub shards: usize,
     /// Degradation policy when recovery leaves residual violations.
     pub on_violation: OnViolation,
@@ -231,16 +228,6 @@ pub struct RouterConfig {
     pub deadline: Option<std::time::Duration>,
 }
 
-/// Reads a positive integer from environment variable `name`, falling
-/// back to `default` when unset, unparsable or zero.
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(default)
-}
-
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
@@ -255,8 +242,8 @@ impl Default for RouterConfig {
             pair_differential: true,
             slack_ordering: true,
             selection: SelectionStrategy::default(),
-            threads: env_usize("BGR_THREADS", 1),
-            shards: env_usize("BGR_SHARDS", 4),
+            threads: 1,
+            shards: 4,
             on_violation: OnViolation::default(),
             verify: VerifyLevel::from_env(),
             budgets: Budgets::default(),
@@ -297,21 +284,6 @@ mod tests {
             RouterConfig::default().selection,
             SelectionStrategy::Scoreboard
         );
-    }
-
-    #[test]
-    fn env_usize_rejects_garbage_and_zero() {
-        assert_eq!(env_usize("BGR_TEST_UNSET_VARIABLE", 3), 3);
-        // Set/garbage/zero cases go through the same parse pipeline.
-        std::env::set_var("BGR_TEST_THREADS_OK", " 8 ");
-        std::env::set_var("BGR_TEST_THREADS_BAD", "lots");
-        std::env::set_var("BGR_TEST_THREADS_ZERO", "0");
-        assert_eq!(env_usize("BGR_TEST_THREADS_OK", 1), 8);
-        assert_eq!(env_usize("BGR_TEST_THREADS_BAD", 2), 2);
-        assert_eq!(env_usize("BGR_TEST_THREADS_ZERO", 5), 5);
-        std::env::remove_var("BGR_TEST_THREADS_OK");
-        std::env::remove_var("BGR_TEST_THREADS_BAD");
-        std::env::remove_var("BGR_TEST_THREADS_ZERO");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! and only on the heaps whose keys can have moved; since aggregates
 //! are not stored, aggregate motion dirties **no** net — the engine
 //! merely calls `Scoreboard::refresh_channel` for each channel whose
-//! aggregates moved, so the shard's cached minimum is recomposed. The
+//! aggregates moved, so its heap's cached top is recomposed. The
 //! dirty set is derived from explicit invalidation hooks:
 //!
 //! * **graph** — the deleted net and its cascaded partner (their
@@ -53,12 +53,12 @@
 //! The rescan itself remains available as
 //! [`SelectionStrategy::FullRescan`] — an executable oracle used by the
 //! differential tests to prove byte-identical deletion sequences.
-//! Every minimum either path takes — scan, tournament, runner-up —
-//! goes through `select::ranks_first` (strict-less: the first scanned
+//! Every minimum either path takes — scan, cached heap tops, runner-up
+//! — goes through `select::ranks_first` (strict-less: the first scanned
 //! wins), and a rip-up and a snapshot restore are one operation,
 //! `Engine::set_alive`.
 //!
-//! # Per-net scan state and parallel re-keying
+//! # Per-net scan state
 //!
 //! Each net carries a private `NetScanState`: its shortest-path search,
 //! its current tentative tree, and the *hypothetical* trees (assuming one
@@ -70,14 +70,10 @@
 //! invalidations skip the delay recomputation entirely) — and its trunk
 //! edges' density windows, cached for one scoreboard run.
 //!
-//! Because a champion scan touches only that per-net state plus the
-//! shared density map and timing analyzer immutably, re-keying a dirty
-//! batch fans out over [`crate::par::scoped_map`] when
-//! [`Engine::set_parallelism`] granted threads: the per-net states are
-//! taken out of the engine, scanned on scoped worker threads, and
-//! merged back — results and probe counters alike — in ascending net-id
-//! order, keeping every observable byte-identical to the sequential
-//! run (DESIGN.md §10).
+//! After a deletion the dirty nets are re-keyed one at a time, in
+//! ascending net-id order. A scan reads the graphs, the density map and
+//! the timing analyzer, never the scoreboard, so re-keying the nets one
+//! by one pushes exactly the keys a batch would.
 
 use std::collections::BTreeMap;
 
@@ -89,14 +85,12 @@ use crate::config::{CriteriaOrder, SelectionStrategy, VerifyLevel};
 use crate::criteria::{DelayCriteria, HypWire};
 use crate::density::{DensityMap, EdgeDensity};
 use crate::graph::{REdgeKind, RoutingGraph};
-use crate::par;
 use crate::probe::{
     Corruption, Counter, Hist, NoopProbe, Phase, Probe, RekeyCause, Scope, TraceEvent,
 };
 use crate::scoreboard::Scoreboard;
 use crate::select::{deciding_tier, ranks_first, DecidingTier, EdgeKey};
 use crate::session::SnapshotStats;
-use crate::shard::ShardMap;
 use crate::tentative::{tentative_length_um, EdgeSet, ShortestPaths, TreeDeps};
 
 /// One tentative tree cached for a net: its wire state, the edges it
@@ -127,9 +121,7 @@ impl CachedTree {
     }
 }
 
-/// The mutable state one champion scan needs: everything per-net, so
-/// scans of distinct nets are data-disjoint and may run on worker
-/// threads (see the [module docs](self)).
+/// The mutable state one champion scan needs, kept per net.
 ///
 /// It holds the net's shortest-path search, its *current* tentative
 /// tree and, per edge the current tree depends on, the *hypothetical*
@@ -228,7 +220,7 @@ impl NetScanState {
         e: u32,
         (channel, x1, x2): (ChannelId, i32, i32),
         touched: &[(ChannelId, i32, i32)],
-        c: &mut ScanCounters,
+        probe: &mut impl Probe,
     ) -> EdgeDensity {
         let slot = &mut self.windows[e as usize];
         let moved = touched
@@ -237,7 +229,7 @@ impl NetScanState {
         match slot {
             Some(w) if !moved => *w,
             _ => {
-                c.window_queries += 1;
+                probe.count(Counter::DensityWindowQuery, 1);
                 let w = density.edge_density(channel, x1, x2);
                 *slot = Some(w);
                 w
@@ -313,7 +305,7 @@ impl NetScanState {
         sta: &Sta,
         net: NetId,
         e: u32,
-        c: &mut ScanCounters,
+        probe: &mut impl Probe,
     ) -> DelayCriteria {
         let depends = self.current_tree(g, sta, net).deps.contains(e);
         if self.hyp.is_empty() {
@@ -336,16 +328,16 @@ impl NetScanState {
             self.current.as_ref()
         };
         if let Some(d) = cached.and_then(|t| t.delay) {
-            c.memo_hits += 1;
+            probe.count(Counter::DelayMemoHit, 1);
             return d;
         }
-        c.memo_misses += 1;
+        probe.count(Counter::DelayMemoMiss, 1);
         if cached.is_some() {
-            c.hyp_hits += 1;
+            probe.count(Counter::HypCacheHit, 1);
         } else {
-            c.hyp_misses += 1;
+            probe.count(Counter::HypCacheMiss, 1);
             let (tree, resettled) = self.paths(g).tree_without(g, e);
-            c.resettled += u64::from(resettled);
+            probe.count(Counter::HypResettled, u64::from(resettled));
             self.hyp[e as usize] = Some(Box::new(CachedTree::new(sta, net, tree)));
         }
         let tree = if own {
@@ -390,40 +382,7 @@ fn net_timing_stamp(sta: &Sta, net: NetId) -> u64 {
         .sum()
 }
 
-/// Probe counters accumulated by one scan, flushed to the engine's
-/// probe after the (possibly parallel) batch — always in ascending
-/// net-id order, so totals are independent of the thread count.
-#[derive(Debug, Default, Clone, Copy)]
-struct ScanCounters {
-    key_evals: u64,
-    hyp_hits: u64,
-    hyp_misses: u64,
-    resettled: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-    window_queries: u64,
-    aggregate_queries: u64,
-}
-
-impl ScanCounters {
-    fn flush<P: Probe>(&self, probe: &mut P) {
-        if !P::ENABLED {
-            return;
-        }
-        probe.count(Counter::KeyEval, self.key_evals);
-        probe.count(Counter::HypCacheHit, self.hyp_hits);
-        probe.count(Counter::HypCacheMiss, self.hyp_misses);
-        probe.count(Counter::HypResettled, self.resettled);
-        probe.count(Counter::DelayMemoHit, self.memo_hits);
-        probe.count(Counter::DelayMemoMiss, self.memo_misses);
-        probe.count(Counter::DensityWindowQuery, self.window_queries);
-        probe.count(Counter::DensityAggregateQuery, self.aggregate_queries);
-    }
-}
-
 /// Builds the full comparison key for a deletable edge of `net`.
-/// Callable from worker threads: everything mutable it needs is in
-/// `state` and `c`.
 fn scan_edge_key(
     g: &RoutingGraph,
     density: &DensityMap,
@@ -431,19 +390,19 @@ fn scan_edge_key(
     net: NetId,
     e: u32,
     state: &mut NetScanState,
-    c: &mut ScanCounters,
+    probe: &mut impl Probe,
 ) -> EdgeKey {
-    c.key_evals += 1;
+    probe.count(Counter::KeyEval, 1);
     let delay = if sta.constraints_of_net(net).is_empty() {
         DelayCriteria::default()
     } else {
-        state.delay(g, sta, net, e, c)
+        state.delay(g, sta, net, e, probe)
     };
     let edge = g.edges()[e as usize];
     let (is_trunk, f_min, n_min, f_max, n_max) = match edge.kind {
         REdgeKind::Trunk { channel } => {
-            c.window_queries += 1;
-            c.aggregate_queries += 1;
+            probe.count(Counter::DensityWindowQuery, 1);
+            probe.count(Counter::DensityAggregateQuery, 1);
             let ed = density.edge_density(channel, edge.x1, edge.x2);
             (
                 true,
@@ -454,7 +413,7 @@ fn scan_edge_key(
             )
         }
         REdgeKind::Branch { channel } => {
-            c.aggregate_queries += 1;
+            probe.count(Counter::DensityAggregateQuery, 1);
             (
                 false,
                 density.c_min(channel),
@@ -480,8 +439,7 @@ fn scan_edge_key(
 
 /// `net`'s *champion*: the minimum key over its deletable edges, found
 /// with the first-wins linear scan ([`ranks_first`]) shared by both
-/// selection strategies (and by every worker thread of a parallel
-/// batch).
+/// selection strategies.
 fn scan_champion(
     g: &RoutingGraph,
     density: &DensityMap,
@@ -489,14 +447,14 @@ fn scan_champion(
     net: NetId,
     order: CriteriaOrder,
     state: &mut NetScanState,
-    c: &mut ScanCounters,
+    probe: &mut impl Probe,
 ) -> Option<EdgeKey> {
     let mut best: Option<EdgeKey> = None;
     for e in 0..g.edges().len() as u32 {
         if !g.is_alive(e) || g.is_bridge(e) {
             continue;
         }
-        let key = scan_edge_key(g, density, sta, net, e, state, c);
+        let key = scan_edge_key(g, density, sta, net, e, state, probe);
         if ranks_first(&key, best.as_ref(), order) {
             best = Some(key);
         }
@@ -506,10 +464,9 @@ fn scan_champion(
     best
 }
 
-/// What every scan of one scoreboard re-key batch shares: the state
-/// read immutably, the criteria order, the scoreboard run (for the
-/// window cache) and the spans the current deletion touched.
-#[derive(Clone, Copy)]
+/// What every re-key scan of one deletion shares: the state read
+/// immutably, the criteria order, the scoreboard run (for the window
+/// cache) and the spans the current deletion touched.
 struct RawScan<'a> {
     density: &'a DensityMap,
     sta: &'a Sta,
@@ -529,19 +486,19 @@ fn scan_edge_key_raw(
     e: u32,
     cx: &RawScan<'_>,
     state: &mut NetScanState,
-    c: &mut ScanCounters,
+    probe: &mut impl Probe,
 ) -> EdgeKey {
-    c.key_evals += 1;
+    probe.count(Counter::KeyEval, 1);
     let delay = if cx.sta.constraints_of_net(net).is_empty() {
         DelayCriteria::default()
     } else {
-        state.delay(g, cx.sta, net, e, c)
+        state.delay(g, cx.sta, net, e, probe)
     };
     let edge = g.edges()[e as usize];
     let (is_trunk, f_min, n_min, f_max, n_max) = match edge.kind {
         REdgeKind::Trunk { channel } => {
             let span = (channel, edge.x1, edge.x2);
-            let ed = state.window(cx.density, e, span, cx.touched, c);
+            let ed = state.window(cx.density, e, span, cx.touched, probe);
             (true, -ed.d_min, -ed.nd_min, -ed.d_max, -ed.nd_max)
         }
         REdgeKind::Branch { .. } | REdgeKind::FeedHalf { .. } => (false, 0, 0, 0, 0),
@@ -601,7 +558,7 @@ fn scan_raw_keys(
     lanes: Lanes,
     cx: &RawScan<'_>,
     state: &mut NetScanState,
-    c: &mut ScanCounters,
+    probe: &mut impl Probe,
 ) -> Vec<(Option<ChannelId>, Option<EdgeKey>)> {
     state.sync_windows(cx.run, g.edges().len());
     let mut out = Vec::new();
@@ -624,7 +581,7 @@ fn scan_raw_keys(
                 lo = lo.min(edge.x1);
                 hi = hi.max(edge.x2);
             }
-            let key = scan_edge_key_raw(g, net, e, cx, state, c);
+            let key = scan_edge_key_raw(g, net, e, cx, state, probe);
             if ranks_first(&key, best.as_ref(), cx.order) {
                 best = Some(key);
             }
@@ -677,8 +634,7 @@ struct Dirty {
 ///
 /// Aggregate motion is *not* a dirty cause: raw keys carry no
 /// aggregates, so a channel whose aggregates moved only needs its
-/// shard's cached minimum recomposed
-/// ([`Scoreboard::refresh_channel`]).
+/// heap's cached top recomposed ([`Scoreboard::refresh_channel`]).
 ///
 /// Each argument is one clause of the dirty-set derivation (§8); they
 /// stay separate so the signature reads as the specification.
@@ -733,11 +689,6 @@ fn derive_dirty<'a>(
         .collect()
 }
 
-/// Below this many champion scans per worker, a batch runs on the
-/// calling thread: a scoped spawn costs tens of microseconds, and a
-/// typical post-deletion dirty set is a handful of cheap scans.
-const MIN_TASKS_PER_THREAD: usize = 8;
-
 /// Outcome of one [`Engine::continue_deletion`] slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeletionRun {
@@ -759,8 +710,7 @@ pub struct Engine<P: Probe = NoopProbe> {
     graphs: Vec<RoutingGraph>,
     density: DensityMap,
     sta: Sta,
-    /// Per-net scan state (hyp cache + delay memo); taken out and
-    /// restored around parallel batches.
+    /// Per-net scan state (hyp cache + delay memo).
     scan: Vec<NetScanState>,
     partner: Vec<Option<NetId>>,
     /// Static reverse index: per channel, every net owning at least one
@@ -774,10 +724,6 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// run they were read in, and none is current between runs.
     window_run: u64,
     selection: SelectionStrategy,
-    /// Worker threads for champion re-keying (1 = fully sequential).
-    threads: usize,
-    /// Scoreboard shards (1 = the single global heap).
-    shards: usize,
     /// Density spans touched during the current deletion (scratch,
     /// drained by the scoreboard loop).
     delta_spans: Vec<(ChannelId, i32, i32)>,
@@ -874,8 +820,6 @@ impl<P: Probe> Engine<P> {
             channel_nets,
             window_run: 0,
             selection: SelectionStrategy::default(),
-            threads: 1,
-            shards: 1,
             delta_spans: Vec::new(),
             delta_snap: Vec::new(),
             delta_cons: Vec::new(),
@@ -928,18 +872,6 @@ impl<P: Probe> Engine<P> {
     /// deletion sequences; `FullRescan` is the testing oracle.
     pub fn set_selection(&mut self, selection: SelectionStrategy) {
         self.selection = selection;
-    }
-
-    /// Grants the scoreboard path `threads` worker threads for champion
-    /// re-keying and splits its candidate pool into `shards`
-    /// channel-region shards. Both default to 1 (fully sequential,
-    /// single global heap) and both leave every deterministic
-    /// observable — selection log, trees, trace-event stream —
-    /// byte-identical (see the [module docs](self) and DESIGN.md §10);
-    /// only wall-clock and the parallelism diagnostics counters move.
-    pub fn set_parallelism(&mut self, threads: usize, shards: usize) {
-        self.threads = threads.max(1);
-        self.shards = shards.max(1);
     }
 
     /// Selects the self-audit level. `Steps` audits inside the deletion
@@ -1153,15 +1085,16 @@ impl<P: Probe> Engine<P> {
     /// live entries in `sb` — one per heap it has a deletable edge in —
     /// must equal the per-heap minima a cache-free [`scan_raw_keys`]
     /// computes from scratch (fresh scan state: no cached trees, delay
-    /// prefixes or windows). The scoreboard's live counts and compaction
-    /// bound are checked first ([`Scoreboard::audit_live_counts`]).
+    /// prefixes or windows). The scoreboard's live counts, compaction
+    /// bound and clean heaps' cached tops are checked first
+    /// ([`Scoreboard::audit`]).
     ///
     /// # Panics
     ///
     /// Panics naming the first net whose live entries diverge, or the
-    /// first heap whose live accounting does.
+    /// first heap whose live accounting or cached top does.
     fn audit_scoreboard(&self, sb: &Scoreboard, nets: &[NetId]) {
-        sb.audit_live_counts();
+        sb.audit(&self.density);
         let heap = |h: &Option<ChannelId>| h.map_or(usize::MAX, ChannelId::index);
         let mut live: Vec<Vec<(Option<ChannelId>, EdgeKey)>> = vec![Vec::new(); self.graphs.len()];
         for (h, key) in sb.live_entries() {
@@ -1177,9 +1110,8 @@ impl<P: Probe> Engine<P> {
         for &net in nets {
             let g = &self.graphs[net.index()];
             let mut state = NetScanState::new(g);
-            let mut c = ScanCounters::default();
             let mut want: Vec<(Option<ChannelId>, EdgeKey)> =
-                scan_raw_keys(g, net, Lanes::ALL, &cx, &mut state, &mut c)
+                scan_raw_keys(g, net, Lanes::ALL, &cx, &mut state, &mut NoopProbe)
                     .into_iter()
                     .filter_map(|(h, key)| key.map(|k| (h, k)))
                     .collect();
@@ -1380,11 +1312,10 @@ impl<P: Probe> Engine<P> {
     /// [`Phase::InitialRouting`], the only budgeted phase) and, per net
     /// in ascending id order, deletes the first alive non-bridge edge
     /// until only bridges remain. It skips all key evaluation and is a
-    /// pure function of the graph state at the stop point, which every
-    /// strategy, thread and shard count reaches identically, so the
-    /// trace stays byte-identical across them. Returns the number of
-    /// fallback deletions; emits nothing when there was nothing left to
-    /// do.
+    /// pure function of the graph state at the stop point, which both
+    /// strategies reach identically, so the trace stays byte-identical
+    /// across them. Returns the number of fallback deletions; emits
+    /// nothing when there was nothing left to do.
     pub(crate) fn fallback_complete(&mut self, scope: Option<&[NetId]>, steps_used: u64) -> usize {
         let nets = self.scope_nets(scope);
         let deletable = |g: &RoutingGraph| g.alive_edges().find(|&e| !g.is_bridge(e));
@@ -1470,38 +1401,28 @@ impl<P: Probe> Engine<P> {
     /// `net`'s *champion*: the minimum key over its deletable edges
     /// (see [`scan_champion`]).
     fn champion(&mut self, net: NetId, order: CriteriaOrder) -> Option<EdgeKey> {
-        let mut c = ScanCounters::default();
-        let best = scan_champion(
+        scan_champion(
             &self.graphs[net.index()],
             &self.density,
             &self.sta,
             net,
             order,
             &mut self.scan[net.index()],
-            &mut c,
-        );
-        c.flush(&mut self.probe);
-        best
+            &mut self.probe,
+        )
     }
 
-    /// Re-keys the selected lanes of each net in `batch` (ascending net
-    /// ids, no duplicates): scans them ([`scan_raw_keys`]), then per lane
-    /// invalidates the net's entries in that heap — unless `invalidate`
-    /// is `false` (the initial build, where nothing was pushed yet) —
-    /// and pushes the fresh minimum. `touched` are the spans of the
-    /// deletion being re-keyed for (empty for the initial build).
-    ///
-    /// The scans fan out over [`par::scoped_map`] when the batch is big
-    /// enough for the granted thread count to pay for its spawns. Every
-    /// observable is independent of the fan-out: each scan reads the
-    /// shared density map / analyzer immutably and owns its net's
-    /// [`NetScanState`] (taken out of the engine, restored after the
-    /// join), results come back in input order, and per-scan probe
-    /// counters are flushed in that same order.
+    /// Re-keys the selected `lanes` of `net`: scans them
+    /// ([`scan_raw_keys`]), then per lane invalidates the net's entries
+    /// in that heap — unless `invalidate` is `false` (the initial build,
+    /// where nothing was pushed yet) — and pushes the fresh minimum.
+    /// `touched` are the spans of the deletion being re-keyed for (empty
+    /// for the initial build).
     fn rekey(
         &mut self,
         sb: &mut Scoreboard,
-        batch: &[(NetId, Lanes)],
+        net: NetId,
+        lanes: Lanes,
         touched: &[(ChannelId, i32, i32)],
         invalidate: bool,
     ) {
@@ -1512,69 +1433,36 @@ impl<P: Probe> Engine<P> {
             run: self.window_run,
             touched,
         };
-        let graphs = &self.graphs;
-        let threads = self.threads.min(batch.len() / MIN_TASKS_PER_THREAD).max(1);
-        let results = if threads <= 1 {
-            batch
-                .iter()
-                .map(|&(net, lanes)| {
-                    let mut c = ScanCounters::default();
-                    let state = &mut self.scan[net.index()];
-                    let keys = scan_raw_keys(&graphs[net.index()], net, lanes, &cx, state, &mut c);
-                    (keys, c)
-                })
-                .collect::<Vec<_>>()
-        } else {
-            let mut tasks: Vec<(NetId, Lanes, NetScanState)> = batch
-                .iter()
-                .map(|&(n, lanes)| (n, lanes, std::mem::take(&mut self.scan[n.index()])))
-                .collect();
-            let results = par::scoped_map(threads, &mut tasks, |(net, lanes, state)| {
-                let mut c = ScanCounters::default();
-                let keys = scan_raw_keys(&graphs[net.index()], *net, *lanes, &cx, state, &mut c);
-                (keys, c)
-            });
-            for (net, _, state) in tasks {
-                self.scan[net.index()] = state;
+        let ni = net.index();
+        let keys = scan_raw_keys(
+            &self.graphs[ni],
+            net,
+            lanes,
+            &cx,
+            &mut self.scan[ni],
+            &mut self.probe,
+        );
+        if invalidate {
+            let purged: u64 = keys.iter().map(|&(heap, _)| sb.invalidate(net, heap)).sum();
+            if P::ENABLED && purged > 0 {
+                self.probe.count(Counter::StaleHeapPurged, purged);
             }
-            if P::ENABLED {
-                self.probe.count(Counter::ParBatch, 1);
-                self.probe.count(Counter::ParTask, batch.len() as u64);
-            }
-            results
-        };
-        if P::ENABLED && invalidate {
-            let fresh = results
-                .iter()
-                .flat_map(|(keys, _)| keys)
-                .filter(|(_, k)| k.is_some())
-                .count();
-            self.probe.sample(Hist::MergeBatchSize, fresh as u64);
         }
-        for (&(net, _), (keys, c)) in batch.iter().zip(results) {
-            c.flush(&mut self.probe);
-            if invalidate {
-                let purged: u64 = keys.iter().map(|&(heap, _)| sb.invalidate(net, heap)).sum();
-                if P::ENABLED && purged > 0 {
-                    self.probe.count(Counter::StaleHeapPurged, purged);
-                }
+        if P::ENABLED && self.frozen == Some(net) {
+            // StaleChampion injection: invalidation ran but the fresh
+            // candidates are silently dropped — the loop now believes
+            // the net is finished.
+            return;
+        }
+        let mut pushes = 0u64;
+        for (heap, key) in keys {
+            if let Some(key) = key {
+                sb.push(key, heap);
+                pushes += 1;
             }
-            if P::ENABLED && self.frozen == Some(net) {
-                // StaleChampion injection: invalidation ran but the
-                // fresh candidates are silently dropped — the loop now
-                // believes the net is finished.
-                continue;
-            }
-            let mut pushes = 0u64;
-            for (heap, key) in keys {
-                if let Some(key) = key {
-                    sb.push(key, heap);
-                    pushes += 1;
-                }
-            }
-            if P::ENABLED && pushes > 0 {
-                self.probe.count(Counter::HeapPush, pushes);
-            }
+        }
+        if P::ENABLED && pushes > 0 {
+            self.probe.count(Counter::HeapPush, pushes);
         }
     }
 
@@ -1593,33 +1481,22 @@ impl<P: Probe> Engine<P> {
         for &n in &nets {
             in_scope[n.index()] = true;
         }
-        let map = if self.shards <= 1 {
-            ShardMap::single(self.channel_nets.len() + 1)
-        } else {
-            // Band channels by live entry population (nets with edges in
-            // the channel == the heap's maximum entry count), not by
-            // channel count alone, so a few hot channels don't
-            // concentrate most rebuild work in one shard. Diagnostics
-            // only: shard layout never changes the selection sequence.
-            let weights: Vec<usize> = self.channel_nets.iter().map(Vec::len).collect();
-            ShardMap::by_channel_bands_weighted(self.shards, &weights)
-        };
-        let mut sb = Scoreboard::with_shards(map, self.graphs.len(), order);
+        let mut sb = Scoreboard::new(self.graphs.len(), self.channel_nets.len(), order);
         self.window_run += 1;
         self.apply_corruption();
         if P::PROFILING {
             self.probe.scope_enter(Scope::Rekey);
         }
-        let all: Vec<(NetId, Lanes)> = nets.iter().map(|&n| (n, Lanes::ALL)).collect();
-        self.rekey(&mut sb, &all, &[], false);
+        for &net in &nets {
+            self.rekey(&mut sb, net, Lanes::ALL, &[], false);
+        }
         if P::PROFILING {
             self.probe.scope_exit(Scope::Rekey);
         }
         let mut selections: u64 = 0;
         let complete = loop {
             // The budget check precedes the pop, so the stop point (and
-            // the heap-pop diagnostics under a fixed shard count) is the
-            // same in every run.
+            // the heap-pop diagnostics) is the same in every run.
             if stop.is_some_and(|b| start + selections >= b) {
                 break false;
             }
@@ -1670,7 +1547,7 @@ impl<P: Probe> Engine<P> {
             // attributed to one cause under the deterministic precedence
             // of `derive_dirty` and re-keyed on the lanes its causes
             // reach. Channels whose aggregates moved dirty no net —
-            // their shard minima are merely recomposed.
+            // their heaps' cached tops are merely recomposed.
             let d_nets = std::mem::take(&mut self.delta_nets);
             let d_spans = std::mem::take(&mut self.delta_spans);
             let d_snap = std::mem::take(&mut self.delta_snap);
@@ -1690,29 +1567,23 @@ impl<P: Probe> Engine<P> {
                 |cid| self.sta.nets_of_constraint(cid),
             );
             self.probe.sample(Hist::DirtySetSize, dirty.len() as u64);
-            for d in &dirty {
-                self.probe.rekey(d.net, d.cause);
-            }
             if P::PROFILING {
                 self.probe.scope_exit(Scope::DeriveDirty);
-                // Per-cause attribution: re-key each dirty net alone so
-                // its wall-clock lands under `rekey:<cause>`. Same nets,
-                // same lanes, same order, same keys pushed —
-                // deterministic observables are untouched; only the
-                // batch-size diagnostics (MergeBatchSize, ParBatch)
-                // differ, which strategy-dependent counters are allowed
-                // to do.
                 self.probe.scope_enter(Scope::Rekey);
-                for d in &dirty {
+            }
+            for d in &dirty {
+                self.probe.rekey(d.net, d.cause);
+                if P::PROFILING {
                     self.probe.scope_enter(Scope::RekeyFor(d.cause));
-                    self.rekey(&mut sb, &[(d.net, d.lanes)], &d_spans, true);
+                }
+                self.rekey(&mut sb, d.net, d.lanes, &d_spans, true);
+                if P::PROFILING {
                     self.probe.scope_exit(Scope::RekeyFor(d.cause));
                 }
+            }
+            if P::PROFILING {
                 self.probe.scope_exit(Scope::Rekey);
                 self.probe.scope_enter(Scope::Audit);
-            } else {
-                let batch: Vec<(NetId, Lanes)> = dirty.iter().map(|d| (d.net, d.lanes)).collect();
-                self.rekey(&mut sb, &batch, &d_spans, true);
             }
             // Hand the scratch buffers back for reuse.
             self.delta_nets = d_nets;
@@ -1801,14 +1672,9 @@ mod tests {
     use super::*;
     use crate::graph::tests::same_row_net;
     use crate::graph::RoutingGraph;
-    use crate::probe::CollectingProbe;
     use bgr_timing::{DelayModel, Sta, WireParams};
 
     fn engine_for_same_row() -> Engine {
-        engine_for_same_row_with(NoopProbe)
-    }
-
-    fn engine_for_same_row_with<P: Probe>(probe: P) -> Engine<P> {
         let (circuit, placement, _net) = same_row_net();
         let graphs: Vec<RoutingGraph> = circuit
             .net_ids()
@@ -1823,7 +1689,7 @@ mod tests {
         .unwrap();
         let partner = vec![None; circuit.nets().len()];
         let width = placement.width_pitches() as usize;
-        Engine::with_probe(graphs, sta, partner, placement.num_channels(), width, probe)
+        Engine::new(graphs, sta, partner, placement.num_channels(), width)
     }
 
     #[test]
@@ -1942,33 +1808,6 @@ mod tests {
             let after: Vec<_> = engine.graphs().iter().map(|g| g.alive_mask()).collect();
             assert_eq!(masks, after, "{strategy:?} touched a graph");
         }
-    }
-
-    #[test]
-    fn parallel_rekeying_matches_sequential_engine_byte_for_byte() {
-        let mut seq = engine_for_same_row_with(CollectingProbe::new());
-        let mut par = engine_for_same_row_with(CollectingProbe::new());
-        par.set_parallelism(8, 4);
-        let s1 = seq.run_deletion(None, CriteriaOrder::DelayFirst);
-        let s2 = par.run_deletion(None, CriteriaOrder::DelayFirst);
-        assert_eq!(s1, s2);
-        assert_eq!(seq.stats.selection_log, par.stats.selection_log);
-        for (gs, gp) in seq.graphs().iter().zip(par.graphs()) {
-            assert_eq!(gs.alive_mask(), gp.alive_mask());
-        }
-        let (seq, par) = (seq.into_parts().3.finish(), par.into_parts().3.finish());
-        for cause in RekeyCause::ALL {
-            assert_eq!(
-                seq.counter(cause.counter()),
-                par.counter(cause.counter()),
-                "{} re-keys differ across thread counts",
-                cause.label()
-            );
-        }
-        assert!(
-            seq.counter(Counter::RekeyGraph) > 0,
-            "every selection re-keys the deleted net"
-        );
     }
 
     /// `(net, cause, lane mask)` triples of a derived dirty set.
@@ -2155,13 +1994,12 @@ mod tests {
     /// Opens a scoreboard run as `run_deletion_scoreboard` does: a new
     /// window run, with every lane of every net keyed.
     fn open_run<P: Probe>(engine: &mut Engine<P>) -> Scoreboard {
-        let map = ShardMap::single(engine.channel_nets.len() + 1);
-        let mut sb = Scoreboard::with_shards(map, engine.graphs.len(), CriteriaOrder::DelayFirst);
+        let (nets, channels) = (engine.graphs.len(), engine.channel_nets.len());
+        let mut sb = Scoreboard::new(nets, channels, CriteriaOrder::DelayFirst);
         engine.window_run += 1;
-        let all: Vec<(NetId, Lanes)> = (0..engine.graphs.len())
-            .map(|n| (NetId::new(n), Lanes::ALL))
-            .collect();
-        engine.rekey(&mut sb, &all, &[], false);
+        for n in 0..nets {
+            engine.rekey(&mut sb, NetId::new(n), Lanes::ALL, &[], false);
+        }
         sb
     }
 

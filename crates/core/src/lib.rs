@@ -73,7 +73,6 @@ pub mod router;
 pub mod scoreboard;
 pub mod select;
 pub mod session;
-pub mod shard;
 pub mod tentative;
 
 pub use baseline::{SequentialConfig, SequentialRouter};
@@ -98,4 +97,3 @@ pub use session::{
     EngineSnapshot, RouteSession, SessionDesign, SessionStage, SnapshotStats, StepOutcome,
     SNAPSHOT_VERSION,
 };
-pub use shard::ShardMap;

@@ -1,12 +1,10 @@
-//! Deterministic fork-join execution over disjoint per-net state.
+//! Deterministic fork-join execution over disjoint items.
 //!
-//! The deletion engine's dominant cost is champion re-keying: after a
-//! deletion, every dirty net re-scans its deletable edges for the
-//! minimum [`crate::select::EdgeKey`]. Each scan touches only its own
-//! net's state (routing graph, hypothetical-wire cache, delay memo)
-//! plus the shared [`crate::density::DensityMap`] / [`bgr_timing::Sta`]
-//! immutably — embarrassingly parallel, but only worth parallelizing if
-//! the result is *bit-identical* to the sequential run.
+//! The router itself runs on one thread; parallelism lives a level up,
+//! across independent units of work whose results must be
+//! *bit-identical* to a sequential run: the serve layer's jobs
+//! (`JobQueue::run_round`) and the independent auditor's oracles
+//! (`bgr_verify::audit_parallel`).
 //!
 //! [`scoped_map`] is the whole subsystem: a `std::thread::scope`-based
 //! map over a mutable slice that
@@ -14,9 +12,8 @@
 //! * partitions the slice into **contiguous chunks in input order** and
 //!   concatenates the per-chunk results back **in chunk order**, so
 //!   `scoped_map(t, items, f)[i] == f(&mut items[i])` for every `i`
-//!   regardless of `threads` — the caller sorts its work list (the
-//!   engine uses ascending net id) and the merge order is then a pure
-//!   function of the input;
+//!   regardless of `threads` — the caller orders its work list and the
+//!   merge order is then a pure function of the input;
 //! * runs the **first chunk on the calling thread**, so small batches
 //!   pay zero spawn cost beyond the `threads <= 1` early-out and large
 //!   batches use the caller as one of the workers;
@@ -30,8 +27,7 @@
 //! which item affects neither the item's result nor any shared state,
 //! and the concatenation order is fixed, so the output vector — and any
 //! per-item side effect the caller later folds **in input order** — is
-//! independent of the thread count. See DESIGN.md §10 for how the
-//! engine builds byte-identical trace streams on top of this.
+//! independent of the thread count.
 
 /// Maps `f` over `items` using up to `threads` OS threads, returning
 /// the results in input order.

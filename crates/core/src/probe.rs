@@ -3,8 +3,7 @@
 //! The router is a long sequence of heuristic decisions — ranked
 //! criterion comparisons (§3.3–§3.4), three rip-up phases (§4.2),
 //! feed-cell insertion (§4.3) — and every performance hypothesis about
-//! it (parallel re-keying, sharded scoreboards, tighter density
-//! invalidation) is an argument about *which* of those decisions
+//! it (cached heap tops, tighter density invalidation) is an argument about *which* of those decisions
 //! dominate. This module defines the instrumentation contract that
 //! makes them measurable without giving up the engine's two core
 //! properties:
@@ -127,8 +126,8 @@ impl RekeyCause {
 /// [`TraceEvent`] stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scope {
-    /// Champion tournament: popping (and stale-draining) the next valid
-    /// deletion candidate from the scoreboard.
+    /// Selection: popping (and stale-draining) the next valid deletion
+    /// candidate from the scoreboard.
     Select,
     /// Applying the selected deletion: edge removal, differential
     /// cascade, dangling-chain pruning and density mutation.
@@ -139,8 +138,7 @@ pub enum Scope {
     /// paper scale: hypothetical tentative trees under `rekey:graph`).
     Rekey,
     /// Re-keying attributed to one [`RekeyCause`] — children of
-    /// [`Scope::Rekey`] when per-cause attribution is enabled
-    /// (single-thread profiling runs).
+    /// [`Scope::Rekey`] under a profiling probe.
     RekeyFor(RekeyCause),
     /// One guarded reroute attempt in an improvement phase.
     Reroute,
@@ -318,14 +316,10 @@ pub enum Counter {
     /// miss performs exactly one hypothetical-wire lookup, so
     /// `delay_memo_misses == hyp_cache_hits + hyp_cache_misses`.
     DelayMemoMiss,
-    /// Champion-scan tasks handed to the parallel executor (one per net
-    /// in a fanned-out batch).
-    ParTask,
-    /// Fan-out batches dispatched by the parallel executor.
-    ParBatch,
-    /// Cached shard minima rebuilt at pop time: one per shard whose
-    /// cache a push, an invalidation, an aggregate refresh or the
-    /// previous pop had invalidated.
+    /// Scoreboard heap tops recomposed at pop time: one per heap whose
+    /// cached top a push, an invalidation, an aggregate refresh or the
+    /// previous pop had dirtied. (The `shard_rebuilds` label predates
+    /// the per-heap cache.)
     ShardRebuild,
     /// Improvement-phase stops forced by the wall-clock deadline
     /// (`RouterConfig::deadline`). Inherently machine-dependent, which
@@ -340,7 +334,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 17;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -358,8 +352,6 @@ impl Counter {
         Counter::HypResettled,
         Counter::DelayMemoHit,
         Counter::DelayMemoMiss,
-        Counter::ParTask,
-        Counter::ParBatch,
         Counter::ShardRebuild,
         Counter::DeadlineStop,
         Counter::StaleHeapPurged,
@@ -387,8 +379,6 @@ impl Counter {
             Counter::HypResettled => "hyp_resettled",
             Counter::DelayMemoHit => "delay_memo_hits",
             Counter::DelayMemoMiss => "delay_memo_misses",
-            Counter::ParTask => "par_tasks",
-            Counter::ParBatch => "par_batches",
             Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
             Counter::StaleHeapPurged => "stale_heap_purged",
@@ -403,9 +393,6 @@ pub enum Hist {
     DirtySetSize,
     /// Stale entries discarded per scoreboard selection pop.
     StalePopsPerSelection,
-    /// Fresh champions merged back into the scoreboard per re-key batch
-    /// (the fan-in width of one deletion's parallel scan).
-    MergeBatchSize,
 }
 
 /// Bucket count of every [`Hist`]: powers of two —
@@ -414,14 +401,10 @@ pub const HIST_BUCKETS: usize = 8;
 
 impl Hist {
     /// Number of histograms (array dimension).
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
 
     /// Every histogram, in declaration order.
-    pub const ALL: [Hist; Hist::COUNT] = [
-        Hist::DirtySetSize,
-        Hist::StalePopsPerSelection,
-        Hist::MergeBatchSize,
-    ];
+    pub const ALL: [Hist; Hist::COUNT] = [Hist::DirtySetSize, Hist::StalePopsPerSelection];
 
     /// Dense index into histogram arrays: the declaration order.
     pub fn index(self) -> usize {
@@ -433,7 +416,6 @@ impl Hist {
         match self {
             Hist::DirtySetSize => "dirty_set_size",
             Hist::StalePopsPerSelection => "stale_pops_per_selection",
-            Hist::MergeBatchSize => "merge_batch_size",
         }
     }
 
@@ -481,11 +463,10 @@ pub trait Probe {
     const ENABLED: bool = true;
 
     /// Whether this probe profiles sub-phase [`Scope`]s. Call sites use
-    /// this to skip restructuring done *only* for time attribution
-    /// (e.g. splitting one dirty-set re-key batch into per-cause
-    /// sub-batches); with the default `false` those branches
-    /// constant-fold away, so non-profiling runs keep the exact hot
-    /// path.
+    /// this to skip work done *only* for time attribution (opening and
+    /// closing scopes around each re-key); with the default `false`
+    /// those branches constant-fold away, so non-profiling runs keep
+    /// the exact hot path.
     const PROFILING: bool = false;
 
     /// A deterministic decision event.

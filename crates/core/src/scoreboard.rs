@@ -1,7 +1,7 @@
 //! The candidate scoreboard: an ordered pool of **raw** [`EdgeKey`]s
 //! with generation-stamped lazy invalidation, one heap per channel,
-//! channel aggregates composed in at pop time, and per-shard cached
-//! minima so selection skips shards with no fresh entries.
+//! channel aggregates composed in at pop time, and a cached composed
+//! top per heap so selection recomposes only the heaps that changed.
 //!
 //! The deletion loop (Fig. 2 lines 04–07) needs the minimum-ranked
 //! deletable edge across every in-scope net on every iteration. The
@@ -39,7 +39,7 @@
 //! live in a trailing **channelless heap** composed with the identity.
 //! Aggregate motion thus never invalidates a stored entry; the engine
 //! only has to [`Scoreboard::refresh_channel`] the affected channel so
-//! the *cached shard minimum* below is recomposed.
+//! its heap's *cached top* below is recomposed.
 //!
 //! # Invalidation contract
 //!
@@ -79,29 +79,25 @@
 //! the keys pushed over the run. A compaction scans `len` entries and
 //! drops `len − live ≥ live + 64` of them — at least half of what it
 //! scans — so its cost is amortised `O(1)` per push. It leaves the set
-//! of live entries unchanged, so no cached shard minimum moves and no
-//! shard needs to be dirtied. A push stays `O(log heap)`, and a pop
-//! amortizes over the stale entries it drains.
+//! of live entries unchanged, so no cached top moves and no heap needs
+//! to be dirtied. A push stays `O(log heap)`, and a pop amortizes over
+//! the stale entries it drains.
 //!
-//! # Sharding, cached minima and the tournament
+//! # Cached tops
 //!
-//! The heaps are grouped into contiguous channel bands by a
-//! [`ShardMap`], and each shard caches its minimum *composed* key. A
-//! cache stays valid until something that could move it happens: a push
-//! into the shard, a pop out of it, an [`Scoreboard::invalidate`]
-//! touching a heap the net has entries in, or a
-//! [`Scoreboard::refresh_channel`] on one of its channels. Selection
-//! rebuilds only the invalid shards (draining stale heap tops,
-//! composing each heap's live top — one aggregate read per heap — and
-//! taking the strict-less minimum in ascending heap index), then runs a
-//! **tournament** over the cached shard minima in ascending shard index
-//! with a strict-less comparison — so ties (under the EPS-fuzzy
-//! [`compare`]) resolve to the lowest heap index holding the minimum,
-//! exactly as a single global heap would resolve them, because every
-//! live entry's key carries its `(net, edge)` identity and [`compare`]
-//! ends in that total tiebreak. DESIGN.md §10 gives the full
-//! determinism argument, including why EPS-fuzziness does not perturb
-//! it.
+//! Each heap caches its *composed* top — its best live entry under the
+//! current aggregates — and carries a dirty bit. The bit is set by
+//! everything that could move the top: a push into the heap, a pop out
+//! of it, an [`Scoreboard::invalidate`] that kills live entries there,
+//! and a [`Scoreboard::refresh_channel`] of its channel. A pop
+//! recomposes only the dirty heaps (draining stale entries off the top,
+//! one aggregate read per non-empty heap), then takes the strict-less
+//! minimum over the cached tops in ascending heap index, the
+//! channelless heap last (`select::ranks_first`). Ties under the EPS-fuzzy
+//! [`compare`] therefore resolve to the lowest heap index holding the
+//! minimum, and since every key ends in its `(net, edge)` identity the
+//! result is a pure function of the live entries and the current
+//! aggregates. DESIGN.md §8 gives the determinism argument.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -113,7 +109,6 @@ use crate::config::CriteriaOrder;
 use crate::density::DensityMap;
 use crate::probe::{Counter, Hist, NoopProbe, Probe};
 use crate::select::{compare, ranks_first, EdgeKey};
-use crate::shard::ShardMap;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -160,66 +155,46 @@ struct Slot {
     gen: u64,
     /// Entries pushed under the current generation and not yet popped
     /// (the slot's live entries): only while it is non-zero does an
-    /// invalidation change the heap's live set and dirty its shard.
+    /// invalidation change the heap's live set and dirty its top.
     live: u32,
 }
 
-/// Cached minimum of one shard: the best composed key over its heaps,
-/// valid until the shard receives a push / pop / invalidation /
-/// aggregate refresh.
-#[derive(Debug, Clone, Default)]
-struct ShardCache {
-    valid: bool,
-    /// `(heap, composed key)` of the shard's best live entry, `None`
-    /// when the shard is empty of live entries.
-    min: Option<(u32, EdgeKey)>,
+/// One heap of the pool with its live count and cached composed top.
+#[derive(Debug, Default)]
+struct Heap {
+    entries: BinaryHeap<Entry>,
+    /// Live entries: the sum of the heap's slots' live counts.
+    live: usize,
+    /// The composed key of the best live entry, under the aggregates of
+    /// the last recomposition; `None` when the heap had no live entry.
+    top: Option<EdgeKey>,
+    /// Whether `top` may be out of date (see the module docs).
+    dirty: bool,
 }
 
 /// Ordered candidate pool over every deletable edge of the in-scope
 /// nets. See the [module docs](self) for raw keys, the invalidation
-/// contract and the sharded tournament.
+/// contract and the cached tops.
 #[derive(Debug)]
 pub struct Scoreboard {
     /// One heap per channel, plus the trailing channelless heap
     /// (feed-half candidates; composed with the identity).
-    heaps: Vec<BinaryHeap<Entry>>,
-    map: ShardMap,
-    /// Live entries per heap: the sum of its slots' live counts.
-    live: Vec<usize>,
+    heaps: Vec<Heap>,
     /// Per net: `(heap, slot)` of every heap it ever pushed into.
     net_slots: Vec<Vec<(u32, u32)>>,
     slots: Vec<Slot>,
-    cache: Vec<ShardCache>,
-    /// Precomputed shard → heaps expansion of `map`.
-    shard_heaps: Vec<Vec<u32>>,
     order: CriteriaOrder,
 }
 
 impl Scoreboard {
-    /// Creates an empty single-shard scoreboard for `num_nets` nets
-    /// over `num_channels` channels (plus the channelless heap),
-    /// comparing keys with `order`.
-    pub fn new(num_nets: usize, num_channels: usize, order: CriteriaOrder) -> Self {
-        Self::with_shards(ShardMap::single(num_channels + 1), num_nets, order)
-    }
-
-    /// Creates an empty scoreboard sharded by `map` (which covers the
-    /// channel heaps plus the trailing channelless heap), comparing
+    /// Creates an empty scoreboard for `num_nets` nets over
+    /// `num_channels` channels (plus the channelless heap), comparing
     /// keys with `order`.
-    pub fn with_shards(map: ShardMap, num_nets: usize, order: CriteriaOrder) -> Self {
-        let shards = map.count();
-        let mut shard_heaps = vec![Vec::new(); shards];
-        for h in 0..map.num_heaps() {
-            shard_heaps[map.shard_of_heap(h)].push(h as u32);
-        }
+    pub fn new(num_nets: usize, num_channels: usize, order: CriteriaOrder) -> Self {
         Self {
-            heaps: (0..map.num_heaps()).map(|_| BinaryHeap::new()).collect(),
-            live: vec![0; map.num_heaps()],
+            heaps: (0..=num_channels).map(|_| Heap::default()).collect(),
             net_slots: vec![Vec::new(); num_nets],
             slots: Vec::new(),
-            cache: vec![ShardCache::default(); shards],
-            shard_heaps,
-            map,
             order,
         }
     }
@@ -227,22 +202,17 @@ impl Scoreboard {
     /// Number of entries the heaps hold, live and stale: fewer than
     /// `2 × live + 64` per heap (see the [module docs](self)).
     pub fn len(&self) -> usize {
-        self.heaps.iter().map(BinaryHeap::len).sum()
+        self.heaps.iter().map(|h| h.entries.len()).sum()
     }
 
     /// Whether the heaps hold no entries at all, live or stale.
     pub fn is_empty(&self) -> bool {
-        self.heaps.iter().all(BinaryHeap::is_empty)
+        self.heaps.iter().all(|h| h.entries.is_empty())
     }
 
     /// The criteria order this scoreboard compares keys with.
     pub fn order(&self) -> CriteriaOrder {
         self.order
-    }
-
-    /// Number of shards the heaps are grouped into.
-    pub fn num_shards(&self) -> usize {
-        self.cache.len()
     }
 
     /// The index of the channelless heap (feed-half candidates).
@@ -273,11 +243,6 @@ impl Scoreboard {
         k
     }
 
-    fn dirty_shard_of_heap(&mut self, heap: usize) {
-        let s = self.map.shard_of_heap(heap);
-        self.cache[s].valid = false;
-    }
-
     /// The slot of `(net, heap)`, if the net ever pushed there.
     fn slot_of(&self, net: NetId, heap: usize) -> Option<usize> {
         self.net_slots[net.index()]
@@ -289,24 +254,27 @@ impl Scoreboard {
     /// Compacts heap `h` if its length has reached `2 × live +
     /// COMPACT_SLACK`: drops every stale entry and re-heapifies the live
     /// ones. Returns how many stale entries were dropped. The live set
-    /// is unchanged, so no shard cache is dirtied.
+    /// is unchanged, so the cached top is not dirtied.
     fn compact_if_due(&mut self, h: usize) -> u64 {
-        let live = self.live[h];
         let heap = &mut self.heaps[h];
-        let before = heap.len();
-        if before < 2 * live + COMPACT_SLACK {
+        let before = heap.entries.len();
+        if before < 2 * heap.live + COMPACT_SLACK {
             return 0;
         }
         let slots = &self.slots;
-        heap.retain(|e| is_live(slots, e));
-        debug_assert_eq!(heap.len(), live, "heap {h}: live count diverged");
-        (before - heap.len()) as u64
+        heap.entries.retain(|e| is_live(slots, e));
+        debug_assert_eq!(
+            heap.entries.len(),
+            heap.live,
+            "heap {h}: live count diverged"
+        );
+        (before - heap.entries.len()) as u64
     }
 
     /// Invalidates every entry of `net` in `channel`'s heap (the
     /// channelless heap when `None`): bumps the (net, heap) generation
-    /// so existing entries die lazily, and dirties the heap's shard if
-    /// the net had live entries there. The net's entries in other heaps
+    /// so existing entries die lazily, and dirties the heap's top if the
+    /// net had live entries there. The net's entries in other heaps
     /// stay live. Call before re-pushing the heap's current key.
     ///
     /// Returns the stale entries a compaction of the heap dropped (see
@@ -333,45 +301,46 @@ impl Scoreboard {
         if died == 0 {
             return 0;
         }
-        self.live[heap] -= died as usize;
-        self.dirty_shard_of_heap(heap);
+        self.heaps[heap].live -= died as usize;
+        self.heaps[heap].dirty = true;
         self.compact_if_due(heap)
     }
 
     /// Declares that `channel`'s aggregates moved: the raw entries of
-    /// its heap are all still valid, but the shard's cached minimum was
-    /// composed under the old aggregates and must be recomposed.
+    /// its heap are all still valid, but its cached top was composed
+    /// under the old aggregates and must be recomposed.
     pub fn refresh_channel(&mut self, channel: ChannelId) {
-        self.dirty_shard_of_heap(channel.index());
+        self.heaps[channel.index()].dirty = true;
     }
 
     /// Pushes a raw candidate key into its channel's heap (the
     /// channelless heap when `channel` is `None`), stamped with the
     /// (net, heap) pair's current generation.
     pub fn push(&mut self, key: EdgeKey, channel: Option<ChannelId>) {
-        let heap = self.heap_of(channel);
-        let s = match self.slot_of(key.net, heap) {
+        let h = self.heap_of(channel);
+        let s = match self.slot_of(key.net, h) {
             Some(s) => s,
             None => {
                 let s = self.slots.len();
                 self.slots.push(Slot::default());
-                self.net_slots[key.net.index()].push((heap as u32, s as u32));
+                self.net_slots[key.net.index()].push((h as u32, s as u32));
                 s
             }
         };
         self.slots[s].live += 1;
-        self.live[heap] += 1;
-        self.heaps[heap].push(Entry {
+        let heap = &mut self.heaps[h];
+        heap.live += 1;
+        heap.entries.push(Entry {
             key,
             stamp: self.slots[s].gen,
             slot: s as u32,
             order: self.order,
         });
+        heap.dirty = true;
         debug_assert!(
-            self.heaps[heap].len() < 2 * self.live[heap] + COMPACT_SLACK,
-            "heap {heap} outgrew its compaction bound"
+            heap.entries.len() < 2 * heap.live + COMPACT_SLACK,
+            "heap {h} outgrew its compaction bound"
         );
-        self.dirty_shard_of_heap(heap);
     }
 
     /// Every live entry as `(channel, raw key)` (`None` = the
@@ -383,7 +352,8 @@ impl Scoreboard {
         for (h, heap) in self.heaps.iter().enumerate() {
             let channel = (h != channelless).then(|| ChannelId::new(h));
             out.extend(
-                heap.iter()
+                heap.entries
+                    .iter()
                     .filter(|e| is_live(&self.slots, e))
                     .map(|e| (channel, e.key)),
             );
@@ -391,34 +361,49 @@ impl Scoreboard {
         out
     }
 
-    /// The step-level check of the live accounting: recounts the live
-    /// entries of every heap and slot against the maintained counts, and
-    /// checks every heap against the compaction bound
-    /// `len < 2 × live + 64`. `O(entries)`.
+    /// The step-level check of the pool's bookkeeping: recounts the
+    /// live entries of every heap and slot against the maintained
+    /// counts, checks every heap against the compaction bound
+    /// `len < 2 × live + 64`, and recomposes every clean heap's top from
+    /// a drained copy of the heap under `density`'s aggregates, which
+    /// must equal the cached one. `O(entries)`.
     ///
     /// # Panics
     ///
-    /// Panics naming the first heap or slot whose count diverges or the
-    /// first heap over the bound.
-    pub(crate) fn audit_live_counts(&self) {
+    /// Panics naming the first heap or slot whose count diverges, the
+    /// first heap over the bound, or the first clean heap whose cached
+    /// top diverges.
+    pub(crate) fn audit(&self, density: &DensityMap) {
         let mut slot_live = vec![0u32; self.slots.len()];
         for (h, heap) in self.heaps.iter().enumerate() {
             let mut live = 0;
-            for e in heap.iter().filter(|e| is_live(&self.slots, e)) {
+            for e in heap.entries.iter().filter(|e| is_live(&self.slots, e)) {
                 live += 1;
                 slot_live[e.slot as usize] += 1;
             }
             assert!(
-                live == self.live[h],
+                live == heap.live,
                 "self-audit: scoreboard heap {h} holds {live} live entries, \
                  its live count says {}",
-                self.live[h]
+                heap.live
             );
             assert!(
-                heap.len() < 2 * live + COMPACT_SLACK,
+                heap.entries.len() < 2 * live + COMPACT_SLACK,
                 "self-audit: scoreboard heap {h} holds {} entries, over the \
                  compaction bound 2 × {live} + {COMPACT_SLACK}",
-                heap.len()
+                heap.entries.len()
+            );
+            if heap.dirty {
+                continue;
+            }
+            let mut fresh = heap.entries.clone();
+            drain_stale(&mut fresh, &self.slots);
+            let want = fresh.peek().map(|e| self.compose(h, e.key, density));
+            assert!(
+                heap.top == want,
+                "self-audit: cached top of clean scoreboard heap {h} diverged: \
+                 cached {:?}, recomposed {want:?}",
+                heap.top
             );
         }
         for (s, (slot, &live)) in self.slots.iter().zip(&slot_live).enumerate() {
@@ -431,46 +416,20 @@ impl Scoreboard {
         }
     }
 
-    /// Drains stale entries off the top of heap `h`, returning how many
-    /// were discarded. Afterwards the heap's top (if any) is live.
-    fn drain_stale_top(&mut self, h: usize) -> u64 {
-        let mut stale = 0u64;
-        while let Some(e) = self.heaps[h].peek() {
-            if is_live(&self.slots, e) {
-                break;
-            }
-            self.heaps[h].pop();
-            stale += 1;
-        }
-        stale
-    }
-
-    /// Rebuilds the cached minimum of shard `s`: drains stale heap
-    /// tops, composes each live top under the current aggregates (one
-    /// aggregate read per non-empty heap) and takes the strict-less
-    /// minimum in ascending heap index. Returns the stale-drain count.
-    fn rebuild_shard<P: Probe>(&mut self, s: usize, density: &DensityMap, probe: &mut P) -> u64 {
+    /// Recomposes heap `h`'s cached top: drains stale entries off the
+    /// heap, then composes its live top under the current aggregates.
+    /// Returns the stale-drain count.
+    fn recompose<P: Probe>(&mut self, h: usize, density: &DensityMap, probe: &mut P) -> u64 {
+        let stale = drain_stale(&mut self.heaps[h].entries, &self.slots);
+        let raw = self.heaps[h].entries.peek().map(|e| e.key);
         if P::ENABLED {
             probe.count(Counter::ShardRebuild, 1);
+            probe.count(Counter::DensityAggregateQuery, u64::from(raw.is_some()));
         }
-        let mut stale = 0u64;
-        let mut min: Option<(u32, EdgeKey)> = None;
-        let heaps = std::mem::take(&mut self.shard_heaps[s]);
-        for &h in &heaps {
-            stale += self.drain_stale_top(h as usize);
-            let Some(raw) = self.heaps[h as usize].peek().map(|e| e.key) else {
-                continue;
-            };
-            if P::ENABLED {
-                probe.count(Counter::DensityAggregateQuery, 1);
-            }
-            let composed = self.compose(h as usize, raw, density);
-            if ranks_first(&composed, min.as_ref().map(|(_, b)| b), self.order) {
-                min = Some((h, composed));
-            }
-        }
-        self.shard_heaps[s] = heaps;
-        self.cache[s] = ShardCache { valid: true, min };
+        let top = raw.map(|raw| self.compose(h, raw, density));
+        let heap = &mut self.heaps[h];
+        heap.top = top;
+        heap.dirty = false;
         stale
     }
 
@@ -484,48 +443,49 @@ impl Scoreboard {
     /// [`Scoreboard::pop_valid`] with instrumentation: every pop is
     /// counted ([`Counter::HeapPop`]), stale discards additionally as
     /// [`Counter::StaleHeapPop`], the discards preceding the answer are
-    /// one [`Hist::StalePopsPerSelection`] observation, every shard
-    /// whose cached minimum had to be rebuilt counts one
-    /// [`Counter::ShardRebuild`] (shards with no fresh entries are
-    /// skipped — their cache is still valid), and the stale entries a
+    /// one [`Hist::StalePopsPerSelection`] observation, every dirty
+    /// heap whose top is recomposed counts one [`Counter::ShardRebuild`]
+    /// (clean heaps keep their cached top), and the stale entries a
     /// compaction of the winner's heap drops count as
     /// [`Counter::StaleHeapPurged`].
     ///
-    /// The tournament scans cached shard minima in ascending shard
-    /// index and takes a candidate only when strictly less than the
-    /// best so far, so the result is a pure function of the live
-    /// entries and current aggregates (see the [module docs](self)).
+    /// The minimum scans the cached tops in ascending heap index and
+    /// takes a candidate only when strictly less than the best so far,
+    /// so the result is a pure function of the live entries and current
+    /// aggregates (see the [module docs](self)).
     pub fn pop_valid_probed<P: Probe>(
         &mut self,
         density: &DensityMap,
         probe: &mut P,
     ) -> Option<EdgeKey> {
         let mut stale = 0u64;
-        for s in 0..self.cache.len() {
-            if !self.cache[s].valid {
-                stale += self.rebuild_shard(s, density, probe);
+        for h in 0..self.heaps.len() {
+            if self.heaps[h].dirty {
+                stale += self.recompose(h, density, probe);
             }
         }
         let mut best: Option<(usize, EdgeKey)> = None;
-        for c in &self.cache {
-            let Some((heap, key)) = c.min else { continue };
-            if ranks_first(&key, best.as_ref().map(|(_, b)| b), self.order) {
-                best = Some((heap as usize, key));
+        for (h, heap) in self.heaps.iter().enumerate() {
+            let Some(key) = &heap.top else { continue };
+            if ranks_first(key, best.as_ref().map(|(_, b)| b), self.order) {
+                best = Some((h, *key));
             }
         }
         let mut purged = 0;
-        let out = best.map(|(heap, key)| {
-            let popped = self.heaps[heap]
+        let out = best.map(|(h, key)| {
+            let heap = &mut self.heaps[h];
+            let popped = heap
+                .entries
                 .pop()
-                .expect("tournament winner heap has a top entry");
+                .expect("the winning heap has a top entry");
             debug_assert!(
                 popped.key.net == key.net && popped.key.edge == key.edge,
-                "cached shard minimum diverged from its heap top"
+                "cached heap top diverged from the heap"
             );
+            heap.live -= 1;
+            heap.dirty = true;
             self.slots[popped.slot as usize].live -= 1;
-            self.live[heap] -= 1;
-            self.dirty_shard_of_heap(heap);
-            purged = self.compact_if_due(heap);
+            purged = self.compact_if_due(h);
             key
         });
         if P::ENABLED {
@@ -543,26 +503,26 @@ impl Scoreboard {
     /// second-best champion.
     ///
     /// Excluded entries are popped and re-pushed verbatim (same stamp),
-    /// so the live set — and with it every live count and every shard's
-    /// cached minimum — is unchanged; only stale entries are
-    /// (harmlessly) drained. Unprobed
-    /// on purpose: provenance peeking must not perturb the heap-pop
-    /// diagnostics.
+    /// so the live set — and with it every live count and every cached
+    /// top — is unchanged; only stale entries are (harmlessly) drained.
+    /// Unprobed on purpose: provenance peeking must not perturb the
+    /// heap-pop diagnostics.
     pub fn runner_up(&mut self, exclude: NetId, density: &DensityMap) -> Option<EdgeKey> {
         let mut best: Option<EdgeKey> = None;
         let mut stash: Vec<(usize, Entry)> = Vec::new();
         for h in 0..self.heaps.len() {
-            while let Some(e) = self.heaps[h].peek() {
+            let entries = &mut self.heaps[h].entries;
+            while let Some(e) = entries.peek() {
                 if !is_live(&self.slots, e) {
-                    self.heaps[h].pop();
+                    entries.pop();
                 } else if e.key.net == exclude {
-                    let e = self.heaps[h].pop().expect("peeked entry pops");
+                    let e = entries.pop().expect("peeked entry pops");
                     stash.push((h, e));
                 } else {
                     break;
                 }
             }
-            let Some(raw) = self.heaps[h].peek().map(|e| e.key) else {
+            let Some(raw) = entries.peek().map(|e| e.key) else {
                 continue;
             };
             let composed = self.compose(h, raw, density);
@@ -571,7 +531,7 @@ impl Scoreboard {
             }
         }
         for (h, e) in stash {
-            self.heaps[h].push(e);
+            self.heaps[h].entries.push(e);
         }
         best
     }
@@ -581,6 +541,17 @@ impl Scoreboard {
 /// push.
 fn is_live(slots: &[Slot], e: &Entry) -> bool {
     e.stamp == slots[e.slot as usize].gen
+}
+
+/// Drains stale entries off the top of `entries`, returning how many
+/// were discarded. Afterwards the top (if any) is live.
+fn drain_stale(entries: &mut BinaryHeap<Entry>, slots: &[Slot]) -> u64 {
+    let mut stale = 0u64;
+    while entries.peek().is_some_and(|e| !is_live(slots, e)) {
+        entries.pop();
+        stale += 1;
+    }
+    stale
 }
 
 #[cfg(test)]
@@ -610,12 +581,6 @@ mod tests {
     /// composition is the identity and raw keys compare as-is.
     fn flat() -> DensityMap {
         DensityMap::new(4, 100)
-    }
-
-    /// Four channel heaps in two shards: channels 0-1 in shard 0,
-    /// channels 2-3 in shard 1 (the channelless heap rides in shard 0).
-    fn two_shard_map() -> ShardMap {
-        ShardMap::by_channel_bands(2, 4)
     }
 
     #[test]
@@ -666,44 +631,52 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
     }
 
+    /// The minimum over the cached tops is the global one, ties across
+    /// heaps fall to the `(net, edge)` order of [`compare`] whatever the
+    /// heap index, and a push dirties only its own heap: every other
+    /// heap's cached top survives it untouched.
     #[test]
-    fn tournament_pops_the_global_minimum_across_shards() {
+    fn pops_the_global_minimum_across_heaps_and_keeps_clean_tops() {
+        use crate::probe::CollectingProbe;
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        assert_eq!(sb.num_shards(), 2);
-        sb.push(key(0, 0, 4), ch(0)); // shard 0
-        sb.push(key(2, 0, -1), ch(2)); // shard 1: global minimum
-        sb.push(key(3, 0, 2), ch(3)); // shard 1
-        sb.push(key(1, 0, 0), ch(1)); // shard 0
-        let pops: Vec<usize> =
-            std::iter::from_fn(|| sb.pop_valid(&d).map(|k| k.net.index())).collect();
-        assert_eq!(pops, vec![2, 1, 3, 0]);
+        let mut sb = Scoreboard::new(6, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, 4), ch(0));
+        sb.push(key(2, 0, -1), ch(2)); // the global minimum
+        sb.push(key(3, 0, 2), ch(3));
+        sb.push(key(1, 0, 0), ch(1));
+        // Ties: identical criteria in channels 3 and 0 — the lower net
+        // id wins although its heap index is higher.
+        sb.push(key(5, 0, 1), ch(0));
+        sb.push(key(4, 0, 1), ch(3));
+        let mut probe = CollectingProbe::new();
+        let first = sb.pop_valid_probed(&d, &mut probe).map(|k| k.net.index());
+        assert_eq!(first, Some(2));
+        let clean = sb.heaps[3].top;
+        assert_eq!(clean.map(|k| k.net.index()), Some(4));
+        sb.push(key(1, 1, 7), ch(1));
+        assert!(!sb.heaps[3].dirty, "a push into heap 1 dirtied heap 3");
+        assert_eq!(sb.heaps[3].top, clean);
+        let rest: Vec<usize> =
+            std::iter::from_fn(|| sb.pop_valid_probed(&d, &mut probe).map(|k| k.net.index()))
+                .collect();
+        assert_eq!(rest, vec![1, 4, 5, 3, 0, 1]);
         assert!(sb.is_empty());
+        // The first pop recomposes the four pushed heaps, the second the
+        // first winner's heap and heap 1 (pushed into), and each of the
+        // six calls after it only the previous winner's heap.
+        let trace = probe.finish();
+        assert_eq!(trace.counter(Counter::ShardRebuild), 4 + 2 + 6);
     }
 
     #[test]
-    fn tournament_ties_resolve_by_total_key_order_not_shard_order() {
-        // Identical criteria in both shards: the (net, edge) tiebreak of
-        // `compare` decides, exactly as a single global heap would.
-        let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(2, 0, 0), ch(2)); // shard 1, lower net id than…
-        sb.push(key(3, 0, 0), ch(3)); // …its shard 1 sibling
-        sb.push(key(0, 1, 0), ch(0)); // shard 0, lowest net id of all
-        let pops: Vec<usize> =
-            std::iter::from_fn(|| sb.pop_valid(&d).map(|k| k.net.index())).collect();
-        assert_eq!(pops, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn stale_champion_of_fully_bridged_net_is_skipped_in_every_shard() {
+    fn stale_champion_of_fully_bridged_net_is_skipped() {
         // A net whose last deletable edge became a bridge re-keys to *no*
         // entries: its generation bumps and nothing is re-pushed. The
-        // tournament must see through the stale top of its heap.
+        // pop must see through the stale top of its heap.
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, -5), ch(0)); // shard 0: would win the tournament…
-        sb.push(key(2, 0, 3), ch(2)); // shard 1
+        let mut sb = Scoreboard::new(4, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, -5), ch(0)); // would win…
+        sb.push(key(2, 0, 3), ch(2));
         sb.invalidate(NetId::new(0), ch(0)); // …but its net is now fully bridged
         assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(2)));
         assert_eq!(sb.pop_valid(&d), None);
@@ -722,10 +695,10 @@ mod tests {
     #[test]
     fn invalidating_one_heap_keeps_the_nets_other_heaps_live() {
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 2, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, -5), ch(0)); // shard 0
-        sb.push(key(0, 1, -4), ch(2)); // shard 1
-        sb.push(key(0, 2, -3), None); // channelless heap, shard 0
+        let mut sb = Scoreboard::new(2, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, -5), ch(0));
+        sb.push(key(0, 1, -4), ch(2));
+        sb.push(key(0, 2, -3), None); // channelless heap
         sb.push(key(1, 0, 0), ch(2));
         // Re-key net 0's channel-0 heap only: its old entry dies, the
         // fresh one and the untouched heaps' entries stay live.
@@ -746,46 +719,46 @@ mod tests {
     }
 
     #[test]
-    fn probed_pop_counts_stale_discards_and_shard_rebuilds() {
+    fn probed_pop_counts_stale_discards_and_recomposed_tops() {
         use crate::probe::CollectingProbe;
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
+        let mut sb = Scoreboard::new(4, 4, CriteriaOrder::DelayFirst);
         sb.push(key(0, 0, 1), ch(0));
         sb.push(key(0, 1, 2), ch(0));
         sb.push(key(2, 0, 5), ch(2));
-        sb.invalidate(NetId::new(0), ch(0)); // both shard-0 entries go stale
+        sb.invalidate(NetId::new(0), ch(0)); // both channel-0 entries go stale
         let mut probe = CollectingProbe::new();
         let got = sb.pop_valid_probed(&d, &mut probe);
         assert_eq!(got.map(|k| k.net), Some(NetId::new(2)));
         let trace = probe.finish();
         assert_eq!(trace.counter(Counter::StaleHeapPop), 2);
         assert_eq!(trace.counter(Counter::HeapPop), 3);
-        // Both shards were fresh-dirty, so both rebuilt.
+        // Both heaps were dirty, so both tops were recomposed.
         assert_eq!(trace.counter(Counter::ShardRebuild), 2);
     }
 
     #[test]
-    fn valid_shards_skip_the_rebuild() {
+    fn clean_heaps_skip_the_recompose() {
         use crate::probe::CollectingProbe;
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, 1), ch(0)); // shard 0
-        sb.push(key(2, 0, 2), ch(2)); // shard 1
-        sb.push(key(3, 0, 3), ch(3)); // shard 1
+        let mut sb = Scoreboard::new(4, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, 1), ch(0));
+        sb.push(key(2, 0, 2), ch(2));
+        sb.push(key(3, 0, 3), ch(3));
         let mut probe = CollectingProbe::new();
-        // First pop rebuilds both shards and takes net 0 from shard 0.
+        // First pop recomposes all three tops and takes net 0.
         assert_eq!(
             sb.pop_valid_probed(&d, &mut probe).map(|k| k.net),
             Some(NetId::new(0))
         );
-        // Second pop: only shard 0 (the winner's) is dirty; shard 1's
-        // cached minimum is reused untouched.
+        // Second pop: only heap 0 (the winner's) is dirty; the cached
+        // tops of heaps 2 and 3 are reused untouched.
         assert_eq!(
             sb.pop_valid_probed(&d, &mut probe).map(|k| k.net),
             Some(NetId::new(2))
         );
         let trace = probe.finish();
-        assert_eq!(trace.counter(Counter::ShardRebuild), 2 + 1);
+        assert_eq!(trace.counter(Counter::ShardRebuild), 3 + 1);
     }
 
     #[test]
@@ -807,15 +780,15 @@ mod tests {
     }
 
     #[test]
-    fn refresh_channel_recomposes_a_cached_shard_minimum() {
+    fn refresh_channel_recomposes_a_cached_top() {
         let mut d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, 0), ch(0)); // shard 0
-        sb.push(key(2, 0, 0), ch(2)); // shard 1
-                                      // First pop caches shard 1's minimum under zero aggregates.
+        let mut sb = Scoreboard::new(4, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, 0), ch(0));
+        sb.push(key(2, 0, 0), ch(2));
+        // The first pop caches heap 2's top under zero aggregates.
         assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(0)));
-        // Channel 2's aggregates move (no push into shard 1), and a new
-        // shard-0 entry arrives that beats the *new* composed value.
+        // Channel 2's aggregates move (no push into its heap), and a new
+        // channel-1 entry arrives that beats the *new* composed value.
         d.add_span(ChannelId::new(2), 0, 10, 5, true);
         sb.refresh_channel(ChannelId::new(2));
         sb.push(key(1, 0, 3), ch(1));
@@ -843,7 +816,7 @@ mod tests {
                 "{what}: {} ≥ 2 × {n} + 64",
                 sb.len()
             );
-            sb.audit_live_counts();
+            sb.audit(&d);
         };
         for step in 0..600u32 {
             let net = rng.range_usize(0, nets);
@@ -884,13 +857,13 @@ mod tests {
     #[test]
     fn runner_up_excludes_one_net_and_leaves_the_pool_intact() {
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
+        let mut sb = Scoreboard::new(4, 4, CriteriaOrder::DelayFirst);
         sb.push(key(0, 0, 1), ch(0));
         sb.push(key(0, 1, 2), ch(0));
         sb.push(key(1, 0, 5), ch(1));
         sb.push(key(2, 0, 3), ch(2));
         // Best of everything-but-net-0 is net 2, across both of net 0's
-        // entries sitting above it in shard 0.
+        // entries sitting above it in channel 0's heap.
         assert_eq!(
             sb.runner_up(NetId::new(0), &d).map(|k| k.net),
             Some(NetId::new(2))

@@ -101,10 +101,10 @@ pub fn compare(a: &EdgeKey, b: &EdgeKey, order: CriteriaOrder) -> Ordering {
     }
 }
 
-/// The first-wins minimum rule every selection scan and tournament
-/// shares: `key` displaces the running minimum `best` only when it
-/// ranks strictly before it, so of two candidates [`compare`] cannot
-/// separate the one scanned first wins (DESIGN.md §10).
+/// The first-wins minimum rule every selection scan shares: `key`
+/// displaces the running minimum `best` only when it ranks strictly
+/// before it, so of two candidates [`compare`] cannot separate the one
+/// scanned first wins (DESIGN.md §8, "Cached heap tops").
 pub(crate) fn ranks_first(key: &EdgeKey, best: Option<&EdgeKey>, order: CriteriaOrder) -> bool {
     best.is_none_or(|b| compare(key, b, order) == Ordering::Less)
 }

@@ -38,8 +38,7 @@
 //! offset 0; improvement phases run whole-phase per step). Hence the
 //! concatenation of per-slice deterministic event streams is
 //! byte-identical to the uninterrupted stream — the golden-trace
-//! resume harness (`tests/session_resume.rs`) proves it across
-//! thread and shard counts.
+//! resume harness (`tests/session_resume.rs`) proves it.
 
 use std::time::{Duration, Instant};
 
@@ -821,7 +820,7 @@ impl<P: Probe> RouteSession<P> {
 /// lockstep partners for homogeneous differential pairs (§4.1) decided
 /// on the graphs' structure — homogeneity is independent of the alive
 /// set — the timing analyzer built, and the engine set up
-/// under the configured strategy, parallelism and verify level. The
+/// under the configured strategy and verify level. The
 /// lockstep counts land in the engine's stats.
 ///
 /// Each graph is checked for connectivity once, on its alive set: the
@@ -919,7 +918,6 @@ fn assemble_engine<P: Probe>(
         probe,
     );
     engine.set_selection(config.selection);
-    engine.set_parallelism(config.threads, config.shards);
     engine.set_verify(config.verify);
     engine.stats.diff_pairs_locked = locked;
     engine.stats.diff_pairs_independent = circuit.diff_pairs().len() - locked;

@@ -100,8 +100,10 @@ pub fn externalize_design(
 ///
 /// Only deterministically safe knobs should differ between arms:
 /// `criteria_order` (changes future deletion decisions — the point of
-/// racing), `threads`/`shards`/`selection` (proven
-/// observable-invariant), budgets and verify level. Changing
+/// racing), `selection` (proven observable-invariant), budgets and
+/// verify level. The `threads` and `shards` fields have no effect: a
+/// checkpoint carries them as its `config threads`/`config shards`
+/// lines, and any values drain identically. Changing
 /// `use_constraints` or the delay model mid-run re-interprets state the
 /// suspended session already computed and is rejected by nothing here —
 /// callers own that contract.

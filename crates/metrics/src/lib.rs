@@ -10,7 +10,7 @@
 //!
 //! Wall-clock time only ever flows *into* the registry (observed
 //! latencies); nothing here is read back by the routing engine, so the
-//! byte-identical deterministic-trace guarantee (DESIGN.md §9/§10) is
+//! byte-identical deterministic-trace guarantee (DESIGN.md §9) is
 //! untouched. See DESIGN.md §14.
 
 use std::fmt::Write as _;

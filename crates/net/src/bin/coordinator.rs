@@ -159,9 +159,9 @@ fn parse_args() -> Args {
 
 /// The arm configurations a `--portfolio N` race cycles through:
 /// different improvement-criteria orders are genuinely different
-/// strategies; repeats beyond the three orders vary only thread count,
-/// which the determinism invariant makes a guaranteed tie (won by the
-/// lower arm index).
+/// strategies. Arms after the third repeat an order (with a different
+/// `threads` value, which has no effect), so they tie with that order's
+/// first arm by construction, and the lower arm index wins.
 fn arm_configs(n: u64) -> Vec<(String, bgr_core::RouterConfig)> {
     let orders = [
         CriteriaOrder::DelayFirst,

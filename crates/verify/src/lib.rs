@@ -3,7 +3,7 @@
 //!
 //! The router maintains several *incremental* structures — a
 //! diff-array density profile, memoized net lengths inside the static
-//! timing analyzer, a sharded candidate scoreboard — whose
+//! timing analyzer, a candidate scoreboard with cached heap tops — whose
 //! correctness rests on invalidation contracts (DESIGN.md §7–§8). A
 //! bug in any contract produces a *silently* wrong result: the route
 //! completes, every internal `debug_assert!` that happens to be

@@ -1,4 +1,4 @@
-//! Golden-trace regression check (DESIGN.md §10).
+//! Golden-trace regression check (DESIGN.md §11).
 //!
 //! Routes the fixed [`bgr::gen::golden_instance`] and compares the
 //! deterministic prefix of its trace (meta + event lines) against the

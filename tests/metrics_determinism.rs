@@ -3,9 +3,8 @@
 //! deterministic observable.
 //!
 //! * [`ProfilingProbe`] vs [`CollectingProbe`]: identical `TraceEvent`
-//!   streams and selection logs across threads ∈ {1, 8} × shards ∈
-//!   {1, 4} — even though profiling restructures the deletion loop's
-//!   rekey batches for per-cause attribution.
+//!   streams and selection logs — even though profiling opens a
+//!   per-cause scope around every re-key of the deletion loop.
 //! * The profile counts every guarded reroute, the area phase's
 //!   included.
 //! * `bgr-serve` job streams: byte-identical with and without a
@@ -36,58 +35,32 @@ fn profiling_probe_changes_no_deterministic_observable() {
     let design = generate(&p);
     let placement = place_design(&design, &p, PlacementStyle::EvenFeed);
 
-    type DeterministicKey = (Vec<String>, Vec<(bgr::netlist::NetId, u32)>);
-    let mut reference: Option<DeterministicKey> = None;
-    for threads in [1usize, 8] {
-        for shards in [1usize, 4] {
-            let config = RouterConfig {
-                threads,
-                shards,
-                ..RouterConfig::default()
-            };
-            let (traced, trace) = GlobalRouter::new(config.clone())
-                .route_traced(
-                    design.circuit.clone(),
-                    placement.clone(),
-                    design.constraints.clone(),
-                )
-                .expect("instance routes");
-            let (profiled, profile_trace, profile) = GlobalRouter::new(config)
-                .route_profiled(
-                    design.circuit.clone(),
-                    placement.clone(),
-                    design.constraints.clone(),
-                )
-                .expect("instance routes");
+    let config = RouterConfig::default();
+    let (traced, trace) = GlobalRouter::new(config.clone())
+        .route_traced(
+            design.circuit.clone(),
+            placement.clone(),
+            design.constraints.clone(),
+        )
+        .expect("instance routes");
+    let (profiled, profile_trace, profile) = GlobalRouter::new(config)
+        .route_profiled(
+            design.circuit.clone(),
+            placement.clone(),
+            design.constraints.clone(),
+        )
+        .expect("instance routes");
 
-            assert_eq!(
-                trace.events, profile_trace.events,
-                "threads={threads} shards={shards}: profiling changed the event stream"
-            );
-            assert_eq!(
-                traced.result.stats.selection_log, profiled.result.stats.selection_log,
-                "threads={threads} shards={shards}: profiling changed the selection log"
-            );
-            assert!(profile.total() > std::time::Duration::ZERO);
-            assert!(!profile.entries().is_empty());
-
-            // And every (threads, shards) cell agrees with the first.
-            let key = (
-                bgr::io::deterministic_lines(&bgr::io::write_trace_jsonl(&trace))
-                    .lines()
-                    .map(str::to_owned)
-                    .collect::<Vec<_>>(),
-                traced.result.stats.selection_log.clone(),
-            );
-            match &reference {
-                None => reference = Some(key),
-                Some(want) => assert_eq!(
-                    want, &key,
-                    "threads={threads} shards={shards}: deterministic stream drifted"
-                ),
-            }
-        }
-    }
+    assert_eq!(
+        trace.events, profile_trace.events,
+        "profiling changed the event stream"
+    );
+    assert_eq!(
+        traced.result.stats.selection_log, profiled.result.stats.selection_log,
+        "profiling changed the selection log"
+    );
+    assert!(profile.total() > std::time::Duration::ZERO);
+    assert!(!profile.entries().is_empty());
 }
 
 /// Every improvement phase reroutes through the one guarded reroute, so

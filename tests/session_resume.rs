@@ -16,39 +16,31 @@
 //! - the routing result (trees, channel tracks) and its independent
 //!   `bgr::verify` audit on both endpoints.
 //!
-//! The matrix crosses worker threads {1, 8} × scoreboard shards {1, 4}
-//! — the identity must survive any parallelism/sharding choice, and
-//! every suspension passes through the *serialized* checkpoint codec
+//! Every suspension passes through the *serialized* checkpoint codec
 //! (`write_checkpoint` → `parse_checkpoint`), not an in-memory
 //! snapshot. At every suspension the checkpoint a serve slice would
 //! write — the previous checkpoint's design prefix spliced onto the new
-//! state tail — must equal the full serialization byte for byte. The golden instance's sliced run is additionally pinned
-//! against the checked-in `tests/golden/trace.jsonl`, and a
-//! deletion-budgeted variant proves the fallback lands at the same
-//! point with or without interruption.
+//! state tail — must equal the full serialization byte for byte. The
+//! golden instance's sliced run is additionally pinned against the
+//! checked-in `tests/golden/trace.jsonl`, a deletion-budgeted variant
+//! proves the fallback lands at the same point with or without
+//! interruption, and a checkpoint carrying other `config threads` /
+//! `config shards` values (which have no effect) drains exactly like
+//! the default one.
 
 use bgr::gen::golden_instance;
 use bgr::io::{
-    deterministic_event_lines, parse_checkpoint_with_prefix, splice_checkpoint, write_checkpoint,
-    write_event_lines, write_trace_jsonl,
+    deterministic_event_lines, parse_checkpoint_with_prefix, reconfigure_checkpoint,
+    splice_checkpoint, write_checkpoint, write_event_lines, write_trace_jsonl,
 };
 use bgr::layout::Placement;
 use bgr::netlist::Circuit;
 use bgr::router::{
     Budgets, CollectingProbe, GlobalRouter, RouteSession, Routed, RouterConfig, StepOutcome,
 };
+use bgr::serve::{run_slice, FinishVerdict, SliceOutcome};
 use bgr::timing::PathConstraint;
-use bgr::verify::audit_parallel;
-
-const MATRIX: [(usize, usize); 4] = [(1, 1), (1, 4), (8, 1), (8, 4)];
-
-fn config(threads: usize, shards: usize) -> RouterConfig {
-    RouterConfig {
-        threads,
-        shards,
-        ..RouterConfig::default()
-    }
-}
+use bgr::verify::audit;
 
 /// Routes in `quota`-selection slices, round-tripping through the
 /// serialized checkpoint codec at **every** suspension and checking the
@@ -110,69 +102,131 @@ fn sliced_route(
     (routed, events, hops)
 }
 
+/// The default configuration sliced at quota 3. `threads` and `shards`
+/// have no effect; `checkpoint_threads_and_shards_lines_have_no_effect`
+/// drains a checkpoint carrying other values for them.
 #[test]
 fn resume_equals_uninterrupted_across_threads_and_shards() {
     let ds = golden_instance();
-    let mut event_streams: Vec<String> = Vec::new();
-    for (threads, shards) in MATRIX {
-        let config = config(threads, shards);
-        let (full, trace) = GlobalRouter::new(config.clone())
-            .route_traced(
-                ds.design.circuit.clone(),
-                ds.placement.clone(),
-                ds.design.constraints.clone(),
-            )
-            .expect("full route succeeds");
-        let full_events = deterministic_event_lines(&write_trace_jsonl(&trace));
+    let config = RouterConfig::default();
+    let (full, trace) = GlobalRouter::new(config.clone())
+        .route_traced(
+            ds.design.circuit.clone(),
+            ds.placement.clone(),
+            ds.design.constraints.clone(),
+        )
+        .expect("full route succeeds");
+    let full_events = deterministic_event_lines(&write_trace_jsonl(&trace));
 
-        let (sliced, sliced_events, hops) = sliced_route(
-            &config,
-            &ds.design.circuit,
-            &ds.placement,
-            &ds.design.constraints,
-            3,
-        );
-        assert!(hops > 3, "quota 3 must force several resumes (got {hops})");
+    let (sliced, sliced_events, hops) = sliced_route(
+        &config,
+        &ds.design.circuit,
+        &ds.placement,
+        &ds.design.constraints,
+        3,
+    );
+    assert!(hops > 3, "quota 3 must force several resumes (got {hops})");
 
-        // Byte-identical observables on both sides of the interruption.
-        assert_eq!(
-            sliced_events, full_events,
-            "event stream diverged at threads={threads} shards={shards}"
-        );
-        assert_eq!(sliced.result.trees, full.result.trees);
-        assert_eq!(sliced.result.channel_tracks, full.result.channel_tracks);
-        assert_eq!(
-            sliced.result.stats.selection_log,
-            full.result.stats.selection_log
-        );
-        assert_eq!(sliced.result.stats.deletions, full.result.stats.deletions);
+    // Byte-identical observables on both sides of the interruption.
+    assert_eq!(sliced_events, full_events, "event stream diverged");
+    assert_eq!(sliced.result.trees, full.result.trees);
+    assert_eq!(sliced.result.channel_tracks, full.result.channel_tracks);
+    assert_eq!(
+        sliced.result.stats.selection_log,
+        full.result.stats.selection_log
+    );
+    assert_eq!(sliced.result.stats.deletions, full.result.stats.deletions);
 
-        // Independent audit certifies both endpoints, identically.
-        let audit_full = audit_parallel(
-            threads,
-            &full.circuit,
-            &full.placement,
+    // Independent audit certifies both endpoints, identically.
+    let audit_of = |routed: &Routed| {
+        audit(
+            &routed.circuit,
+            &routed.placement,
             &ds.design.constraints,
             &config,
-            &full.result,
-        );
-        let audit_sliced = audit_parallel(
-            threads,
-            &sliced.circuit,
-            &sliced.placement,
-            &ds.design.constraints,
-            &config,
-            &sliced.result,
-        );
-        assert!(audit_full.is_clean(), "{:?}", audit_full.first_failure());
-        assert_eq!(audit_full, audit_sliced);
+            &routed.result,
+        )
+    };
+    let audit_full = audit_of(&full);
+    assert!(audit_full.is_clean(), "{:?}", audit_full.first_failure());
+    assert_eq!(audit_full, audit_of(&sliced));
+}
 
-        event_streams.push(sliced_events);
+/// Drains `checkpoint` through the serve slice executor in
+/// `quota`-selection slices. Returns every suspended slice's checkpoint,
+/// the concatenated event lines and the finish verdict.
+fn drain(mut checkpoint: String, quota: u64) -> (Vec<String>, String, FinishVerdict) {
+    let mut checkpoints = Vec::new();
+    let mut events = String::new();
+    loop {
+        match run_slice(&checkpoint, Some(quota)) {
+            SliceOutcome::Suspended {
+                checkpoint: next,
+                events_jsonl,
+                ..
+            } => {
+                events.push_str(&events_jsonl);
+                checkpoints.push(next.clone());
+                checkpoint = next;
+            }
+            SliceOutcome::Finished {
+                events_jsonl,
+                verdict,
+                ..
+            } => {
+                events.push_str(&events_jsonl);
+                return (checkpoints, events, verdict);
+            }
+            SliceOutcome::Failed { error } => panic!("slice failed: {error}"),
+        }
     }
-    // The whole matrix agrees on the deterministic stream.
-    for s in &event_streams[1..] {
-        assert_eq!(*s, event_streams[0], "matrix entries disagree");
+}
+
+/// `RouterConfig::{threads, shards}` have no effect. A checkpoint whose
+/// `config threads`/`config shards` lines say 8 and 1 — as one written
+/// by an earlier build or for a coordinator's portfolio arm may — drains
+/// exactly like the default one: each spliced checkpoint differs from
+/// the default drain's only in those two lines, and the event stream and
+/// finish verdict are equal.
+#[test]
+fn checkpoint_threads_and_shards_lines_have_no_effect() {
+    let ds = golden_instance();
+    let session = RouteSession::start(
+        RouterConfig::default(),
+        ds.design.circuit.clone(),
+        ds.placement.clone(),
+        ds.design.constraints.clone(),
+        CollectingProbe::new(),
+    )
+    .expect("session starts");
+    let default = write_checkpoint(&session.into_snapshot().0);
+    let other = RouterConfig {
+        threads: 8,
+        shards: 1,
+        ..RouterConfig::default()
+    };
+    let rewritten = reconfigure_checkpoint(&default, &other).expect("checkpoint parses");
+    assert!(
+        rewritten.contains("\nconfig threads 8\n") && rewritten.contains("\nconfig shards 1\n")
+    );
+
+    let (want, want_events, want_verdict) = drain(default, 3);
+    let (got, got_events, got_verdict) = drain(rewritten, 3);
+    assert!(want.len() > 3, "quota 3 must force several slices");
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "the drains took different slice counts"
+    );
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        let want = reconfigure_checkpoint(want, &other).expect("checkpoint parses");
+        assert!(
+            *got == want,
+            "checkpoint {i} differs beyond its config lines"
+        );
     }
+    assert_eq!(got_events, want_events);
+    assert_eq!(got_verdict, want_verdict);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! `RouterConfig::verify` wiring: audit scheduling per [`VerifyLevel`]
-//! and the §9/§10 determinism guarantee that `Off` and `Final` produce
+//! and the §9 determinism guarantee that `Off` and `Final` produce
 //! byte-identical traces (DESIGN.md §12).
 
 use bgr::gen::{generate, place_design, GenParams, PlacementStyle};
