@@ -13,9 +13,12 @@
 //! unprofiled run's (asserted here against `route`), so the numbers
 //! describe the production code path, not an instrumented variant.
 //!
-//! Next to the re-settled vertices per hypothetical search it prints
-//! the tree layer's time per search: `rekey:graph` self time over
-//! `hyp_cache_misses`.
+//! Next to the hypothetical-tree misses, split into re-settles and
+//! re-patches of carried detours, and the vertices re-settled per
+//! re-settle, it prints the tree layer's time per miss: `rekey:graph`
+//! self time over `hyp_cache_misses`. It exits non-zero if C2P1
+//! re-patches no carried detour (`hyp_repatched` is 0), so the CI
+//! profile also gates that path.
 //!
 //! After each instance it prints the process's peak resident set
 //! (`VmHWM`), the memory of the constrained C3P1 route included, and
@@ -27,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use bgr_bench::resettled_per_search;
+use bgr_bench::hypothetical_tree_work;
 use bgr_core::{Counter, GlobalRouter, RekeyCause, Routed, RouterConfig, Scope};
 use bgr_gen::{c2_cached, c3_cached, DataSet};
 use bgr_timing::Sta;
@@ -90,20 +93,25 @@ fn profile(ds: &DataSet, out_dir: &str) {
             trace.counter(cause.counter())
         );
     }
-    println!("  {}", resettled_per_search(&trace));
-    // The tree layer's cost per hypothetical search: `rekey:graph` self
-    // time over every path it occurs on, per hypothetical-tree miss.
+    println!("  {}", hypothetical_tree_work(&trace));
+    assert!(
+        ds.name != "C2P1" || trace.counter(Counter::HypRepatched) > 0,
+        "{}: no hypothetical tree was re-patched from a carried detour",
+        ds.name
+    );
+    // The tree layer's cost per hypothetical-tree miss: `rekey:graph`
+    // self time over every path it occurs on, per miss.
     let graph_label = Scope::RekeyFor(RekeyCause::Graph).label();
     let graph_self: Duration = rekey_entries
         .iter()
         .filter(|e| e.path.last() == Some(&graph_label))
         .map(|e| e.self_time)
         .sum();
-    let searches = trace.counter(Counter::HypCacheMiss);
+    let misses = trace.counter(Counter::HypCacheMiss);
     println!(
-        "  hypothetical trees: {:.2} µs of {graph_label} self time per search \
-         ({graph_self:?} over {searches} searches)",
-        graph_self.as_secs_f64() * 1e6 / searches.max(1) as f64
+        "  hypothetical trees: {:.2} µs of {graph_label} self time per miss \
+         ({graph_self:?} over {misses} misses)",
+        graph_self.as_secs_f64() * 1e6 / misses.max(1) as f64
     );
 
     std::fs::create_dir_all(out_dir).expect("create out dir");

@@ -19,7 +19,7 @@
 //! the process exits non-zero. Run with `BGR_BLESS=1` to rewrite the
 //! golden after an intentional behavior change.
 
-use bgr_bench::resettled_per_search;
+use bgr_bench::hypothetical_tree_work;
 use bgr_core::{Counter, GlobalRouter, RouterConfig};
 use bgr_gen::golden_instance;
 use bgr_io::{deterministic_lines, trace_divergence, write_trace_jsonl, TraceStats};
@@ -72,7 +72,7 @@ fn main() {
         "memoization must keep hypothetical-tree lookups ({hyp_lookups}) below key evaluations ({key_evals})"
     );
     println!("delay memo: {memo_hits} hits / {memo_misses} misses over {key_evals} key evals");
-    println!("{}", resettled_per_search(&trace));
+    println!("{}", hypothetical_tree_work(&trace));
     println!(
         "scoreboard: {} pushes, {} stale entries drained by pops, {} purged by compaction",
         trace.counter(Counter::HeapPush),

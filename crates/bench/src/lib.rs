@@ -140,15 +140,19 @@ pub fn table2_row(m: &Measurement) -> String {
     )
 }
 
-/// The tree layer's work per hypothetical search: vertices re-settled
-/// (`hyp_resettled`) over searches (`hyp_cache_misses`), as one line.
-pub fn resettled_per_search(trace: &RouteTrace) -> String {
-    let searches = trace.counter(Counter::HypCacheMiss);
+/// The tree layer's work per hypothetical-tree miss, as one line: how
+/// many misses re-settled a subtree and how many only re-patched the
+/// union of a carried detour (`hyp_repatched`), and the vertices
+/// re-settled (`hyp_resettled`) per re-settle.
+pub fn hypothetical_tree_work(trace: &RouteTrace) -> String {
+    let misses = trace.counter(Counter::HypCacheMiss);
+    let repatched = trace.counter(Counter::HypRepatched);
+    let resettles = misses - repatched;
     let resettled = trace.counter(Counter::HypResettled);
-    let per = resettled as f64 / searches.max(1) as f64;
+    let per = resettled as f64 / resettles.max(1) as f64;
     format!(
-        "hypothetical trees: {per:.1} re-settled vertices per search \
-         ({resettled} over {searches} searches)"
+        "hypothetical trees: {resettles} re-settles vs {repatched} re-patches over {misses} \
+         misses; {per:.1} re-settled vertices per re-settle ({resettled} in all)"
     )
 }
 

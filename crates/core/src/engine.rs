@@ -18,9 +18,12 @@
 //! (see the scoreboard docs for why in-heap order is invariant under
 //! composition). After a deletion only the *dirty* nets are re-keyed,
 //! and only on the heaps whose keys can have moved; since aggregates
-//! are not stored, aggregate motion dirties **no** net — the engine
-//! merely calls `Scoreboard::refresh_channel` for each channel whose
-//! aggregates moved, so its heap's cached top is recomposed. The
+//! are not stored, aggregate motion dirties **no** net. Nor does it
+//! need a hook of its own to recompose a heap's cached top: every span
+//! that moves a channel's aggregates belongs to a trunk that was
+//! deletable just before, in the lane of the deleted net (or its
+//! partner) for that channel, and that net's graph re-key kills its
+//! live entry there, which dirties the heap (DESIGN.md §8). The
 //! dirty set is derived from explicit invalidation hooks:
 //!
 //! * **graph** — the deleted net and its cascaded partner (their
@@ -91,7 +94,7 @@ use crate::probe::{
 use crate::scoreboard::Scoreboard;
 use crate::select::{deciding_tier, ranks_first, DecidingTier, EdgeKey};
 use crate::session::SnapshotStats;
-use crate::tentative::{tentative_length_um, EdgeSet, ShortestPaths, TreeDeps};
+use crate::tentative::{tentative_length_um, Detour, EdgeSet, Region, ShortestPaths, TreeDeps};
 
 /// One tentative tree cached for a net: its wire state, the edges it
 /// depends on, and the delay prefix memoized for it.
@@ -136,6 +139,13 @@ impl CachedTree {
 /// full searches. The search itself lives for one scan
 /// ([`scan_raw_keys`]).
 ///
+/// Each re-settled tree also leaves its [`Detour`]. A deletion whose
+/// [`Region`] misses a detour carries it to the next search (rule 4),
+/// so when its tree was dropped, the next lookup only patches the union
+/// ([`ShortestPaths::repatch`]). The region is read off the search tree
+/// of the graph before the deletion, whose parent edges the net keeps
+/// from its last scan while it has detours.
+///
 /// Delay prefixes are memoized per tree, stamped with the *sum* of
 /// [`Sta::constraint_generation`] over the net's constraints: each
 /// refresh strictly increases one term, so the sum is strictly
@@ -162,6 +172,13 @@ struct NetScanState {
     /// Per edge: the tentative tree assuming that edge deleted (empty
     /// until the net's first delay key).
     hyp: Vec<Option<Box<CachedTree>>>,
+    /// Per edge (sized with `hyp`): the detour its hypothetical tree
+    /// re-settled, relative to the search of the current graph.
+    detours: Vec<Option<Detour>>,
+    /// The parent edges of the search of the current graph, kept from
+    /// the last scan for the next deletion's [`Region`] while `detours`
+    /// has any.
+    search: Option<Vec<u32>>,
     /// The net's *lanes*: its edges grouped by the scoreboard heap they
     /// key into (`None` = the channelless feed heap), heaps in order of
     /// first appearance, edges ascending. Static: edge sets never grow.
@@ -241,15 +258,44 @@ impl NetScanState {
     fn sync_graph(&mut self, g: &RoutingGraph) {
         if self.stamp != g.generation() {
             self.paths = None;
+            self.search = None;
             self.current = None;
             self.hyp.fill(None);
+            self.detours.fill(None);
             self.stamp = g.generation();
+        }
+    }
+
+    /// Ends a scan: drops the search, keeping its parent edges while
+    /// the net has detours relative to it.
+    fn end_scan(&mut self) {
+        if let Some(paths) = self.paths.take() {
+            if self.detours.iter().any(Option::is_some) {
+                self.search = Some(paths.into_parent_edges());
+            }
+        }
+    }
+
+    /// Called before `g` loses edges: makes sure the search the
+    /// detours are relative to is at hand for [`Region::new`],
+    /// searching once more if the last scan did not need one.
+    fn before_delete(&mut self, g: &RoutingGraph) {
+        if self.search.is_none()
+            && self.stamp == g.generation()
+            && self.detours.iter().any(Option::is_some)
+        {
+            let paths = self
+                .paths
+                .take()
+                .unwrap_or_else(|| ShortestPaths::search(g, None));
+            self.search = Some(paths.into_parent_edges());
         }
     }
 
     /// The graph went from generation `before` to its current one by
     /// losing exactly the edges `deleted`: keeps the trees that provably
-    /// did not change (see the type docs).
+    /// did not change and the detours the deletion's region misses (see
+    /// the type docs).
     fn retain_after(&mut self, g: &RoutingGraph, before: u64, deleted: &[u32]) {
         if self.stamp != before {
             self.sync_graph(g);
@@ -265,13 +311,18 @@ impl NetScanState {
                 *slot = None;
             }
         }
+        match self.search.take() {
+            Some(parent_edge) => {
+                let region = Region::new(g, &parent_edge, deleted);
+                for slot in &mut self.detours {
+                    if !slot.as_ref().is_some_and(|d| region.carries(d)) {
+                        *slot = None;
+                    }
+                }
+            }
+            None => self.detours.fill(None),
+        }
         self.stamp = g.generation();
-    }
-
-    fn paths(&mut self, g: &RoutingGraph) -> &mut ShortestPaths {
-        self.sync_graph(g);
-        self.paths
-            .get_or_insert_with(|| ShortestPaths::search(g, None))
     }
 
     /// The net's current tentative tree, searched only if no cached one
@@ -310,6 +361,7 @@ impl NetScanState {
         let depends = self.current_tree(g, sta, net).deps.contains(e);
         if self.hyp.is_empty() {
             self.hyp.resize(g.edges().len(), None);
+            self.detours.resize(g.edges().len(), None);
         }
         let sta_stamp = net_timing_stamp(sta, net);
         if self.sta_stamp != sta_stamp {
@@ -336,8 +388,26 @@ impl NetScanState {
             probe.count(Counter::HypCacheHit, 1);
         } else {
             probe.count(Counter::HypCacheMiss, 1);
-            let (tree, resettled) = self.paths(g).tree_without(g, e);
-            probe.count(Counter::HypResettled, u64::from(resettled));
+            self.sync_graph(g);
+            let paths = self
+                .paths
+                .get_or_insert_with(|| ShortestPaths::search(g, None));
+            let slot = &mut self.detours[e as usize];
+            let tree = match slot {
+                Some(detour) => {
+                    probe.count(Counter::HypRepatched, 1);
+                    paths.repatch(g, e, detour)
+                }
+                None => {
+                    let (tree, detour) = paths.tree_without(g, e);
+                    probe.count(
+                        Counter::HypResettled,
+                        detour.as_ref().map_or(0, |d| d.len().into()),
+                    );
+                    *slot = detour;
+                    tree
+                }
+            };
             self.hyp[e as usize] = Some(Box::new(CachedTree::new(sta, net, tree)));
         }
         let tree = if own {
@@ -460,7 +530,7 @@ fn scan_champion(
         }
     }
     // Every deletable edge's tree is cached now (see `scan_raw_keys`).
-    state.paths = None;
+    state.end_scan();
     best
 }
 
@@ -593,7 +663,7 @@ fn scan_raw_keys(
     // The search lives for one scan. Every graph change re-keys all of
     // a net's lanes, which caches a tree for each deletable edge, so
     // later scans of the same graph never need the search again.
-    state.paths = None;
+    state.end_scan();
     out
 }
 
@@ -634,7 +704,8 @@ struct Dirty {
 ///
 /// Aggregate motion is *not* a dirty cause: raw keys carry no
 /// aggregates, so a channel whose aggregates moved only needs its
-/// heap's cached top recomposed ([`Scoreboard::refresh_channel`]).
+/// heap's cached top recomposed, which the graph clause's re-key of
+/// the deleted net already forces (see the module docs).
 ///
 /// Each argument is one clause of the dirty-set derivation (§8); they
 /// stay separate so the signature reads as the specification.
@@ -727,9 +798,6 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// Density spans touched during the current deletion (scratch,
     /// drained by the scoreboard loop).
     delta_spans: Vec<(ChannelId, i32, i32)>,
-    /// Aggregate snapshot (`C_M`, `NC_M`, `C_m`, `NC_m`) of each touched
-    /// channel, captured before its first mutation of the deletion.
-    delta_snap: Vec<(ChannelId, [i32; 4])>,
     /// Constraints the analyzer refreshed during the current deletion.
     delta_cons: Vec<u32>,
     /// Nets whose graph changed during the current deletion.
@@ -821,7 +889,6 @@ impl<P: Probe> Engine<P> {
             window_run: 0,
             selection: SelectionStrategy::default(),
             delta_spans: Vec::new(),
-            delta_snap: Vec::new(),
             delta_cons: Vec::new(),
             delta_nets: Vec::new(),
             stats: SnapshotStats::default(),
@@ -884,30 +951,8 @@ impl<P: Probe> Engine<P> {
 
     fn clear_delta(&mut self) {
         self.delta_spans.clear();
-        self.delta_snap.clear();
         self.delta_cons.clear();
         self.delta_nets.clear();
-    }
-
-    /// Records an imminent density mutation over `[x1, x2]` of `channel`:
-    /// snapshots the channel's aggregates on first touch (so the
-    /// scoreboard loop can tell whether they actually moved) and logs the
-    /// span. Must be called *before* the mutation.
-    fn note_touch(&mut self, channel: ChannelId, x1: i32, x2: i32) {
-        if !self.delta_snap.iter().any(|(c, _)| *c == channel) {
-            self.delta_snap
-                .push((channel, self.channel_aggregates(channel)));
-        }
-        self.delta_spans.push((channel, x1, x2));
-    }
-
-    fn channel_aggregates(&self, channel: ChannelId) -> [i32; 4] {
-        [
-            self.density.c_max(channel),
-            self.density.nc_max(channel),
-            self.density.c_min(channel),
-            self.density.nc_min(channel),
-        ]
     }
 
     fn refresh_length(&mut self, net: NetId) {
@@ -950,8 +995,8 @@ impl<P: Probe> Engine<P> {
                 x2,
                 width,
             } => {
-                // A phantom span added without `note_touch`: no snapshot,
-                // no re-keying — the incremental profile silently drifts
+                // A phantom span added without logging it: no
+                // re-keying — the incremental profile silently drifts
                 // from what the alive trees imply.
                 if (channel as usize) < self.density.num_channels() {
                     self.density
@@ -1077,8 +1122,39 @@ impl<P: Probe> Engine<P> {
                      incremental {got:?} um, full search {want:?} um"
                 );
             }
+            self.audit_detours(i);
         }
         checks
+    }
+
+    /// The oracle of rule 4: every detour net `i` keeps — carried across
+    /// deletions or just re-settled — must be the members and parents a
+    /// fresh search re-settles without its edge, and a kept search must
+    /// be the current graph's. Uncounted, because the detours a net
+    /// holds depend on which scans ran, and so on the strategy.
+    fn audit_detours(&self, i: usize) {
+        let (g, state) = (&self.graphs[i], &self.scan[i]);
+        if state.stamp != g.generation()
+            || (state.search.is_none() && state.detours.iter().all(Option::is_none))
+        {
+            return;
+        }
+        if let Some(kept) = &state.search {
+            assert!(
+                *kept == ShortestPaths::search(g, None).into_parent_edges(),
+                "self-audit: kept search of net {i} diverged from a fresh search"
+            );
+        }
+        let mut fresh = ShortestPaths::search(g, None);
+        for (e, detour) in state.detours.iter().enumerate() {
+            let Some(detour) = detour else { continue };
+            let (_, want) = fresh.tree_without(g, e as u32);
+            assert!(
+                want.as_ref() == Some(detour),
+                "self-audit: detour of net {i} without edge {e} diverged: \
+                 kept {detour:?}, fresh search {want:?}"
+            );
+        }
     }
 
     /// The step-level oracle of the scoreboard path: every in-scope net's
@@ -1172,7 +1248,7 @@ impl<P: Probe> Engine<P> {
         let edge = g.edges()[e as usize];
         if let REdgeKind::Trunk { channel } = edge.kind {
             let (w, bridge) = (g.width() as i32, g.is_bridge(e));
-            self.note_touch(channel, edge.x1, edge.x2);
+            self.delta_spans.push((channel, edge.x1, edge.x2));
             self.density
                 .remove_span(channel, edge.x1, edge.x2, w, bridge);
         }
@@ -1195,6 +1271,7 @@ impl<P: Probe> Engine<P> {
         assert!(self.graphs[ni].is_alive(e), "edge already dead");
         assert!(!self.graphs[ni].is_bridge(e), "refusing to delete a bridge");
         let before = self.graphs[ni].generation();
+        self.scan[ni].before_delete(&self.graphs[ni]);
         self.remove_density(net, e);
         self.graphs[ni].delete_edge(e);
         self.stats.deletions += 1;
@@ -1222,7 +1299,7 @@ impl<P: Probe> Engine<P> {
                 let edge = g.edges()[i as usize];
                 if let REdgeKind::Trunk { channel } = edge.kind {
                     let w = g.width() as i32;
-                    self.note_touch(channel, edge.x1, edge.x2);
+                    self.delta_spans.push((channel, edge.x1, edge.x2));
                     self.density.promote_span(channel, edge.x1, edge.x2, w);
                 }
             }
@@ -1546,17 +1623,10 @@ impl<P: Probe> Engine<P> {
             // refreshed constraints, restricted to the scope, each net
             // attributed to one cause under the deterministic precedence
             // of `derive_dirty` and re-keyed on the lanes its causes
-            // reach. Channels whose aggregates moved dirty no net —
-            // their heaps' cached tops are merely recomposed.
+            // reach. Channels whose aggregates moved dirty no net.
             let d_nets = std::mem::take(&mut self.delta_nets);
             let d_spans = std::mem::take(&mut self.delta_spans);
-            let d_snap = std::mem::take(&mut self.delta_snap);
             let d_cons = std::mem::take(&mut self.delta_cons);
-            for &(c, before) in &d_snap {
-                if before != self.channel_aggregates(c) {
-                    sb.refresh_channel(c);
-                }
-            }
             let dirty = derive_dirty(
                 &in_scope,
                 &d_nets,
@@ -1581,6 +1651,13 @@ impl<P: Probe> Engine<P> {
                     self.probe.scope_exit(Scope::RekeyFor(d.cause));
                 }
             }
+            // Every touched span is a trunk that was deletable just
+            // before, so the deleted net's re-key dirtied its heap and
+            // no cached top outlives an aggregate move (DESIGN.md §8).
+            debug_assert!(
+                self.frozen.is_some() || d_spans.iter().all(|&(c, ..)| sb.is_dirty(c)),
+                "a touched channel's heap kept its cached top"
+            );
             if P::PROFILING {
                 self.probe.scope_exit(Scope::Rekey);
                 self.probe.scope_enter(Scope::Audit);
@@ -1588,7 +1665,6 @@ impl<P: Probe> Engine<P> {
             // Hand the scratch buffers back for reuse.
             self.delta_nets = d_nets;
             self.delta_spans = d_spans;
-            self.delta_snap = d_snap;
             self.delta_cons = d_cons;
             self.maybe_step_audit(start + selections, Some((&sb, &nets)));
             if P::PROFILING {

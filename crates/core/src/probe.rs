@@ -305,8 +305,9 @@ pub enum Counter {
     /// Hypothetical-wire cache misses (tentative-tree recomputations).
     HypCacheMiss,
     /// Vertices re-settled by those recomputations: the subtree each
-    /// detached tree edge hangs, so `hyp_resettled / hyp_cache_misses`
-    /// is the re-settled vertices per hypothetical search.
+    /// detached tree edge hangs, so `hyp_resettled / (hyp_cache_misses
+    /// − hyp_repatched)` is the re-settled vertices per re-settle.
+    /// Re-patched trees re-settle nothing.
     HypResettled,
     /// Delay-prefix memo hits: key evaluations that reused a memoized
     /// `C_d/Gl/LD` prefix and skipped the hypothetical-wire path
@@ -317,9 +318,9 @@ pub enum Counter {
     /// `delay_memo_misses == hyp_cache_hits + hyp_cache_misses`.
     DelayMemoMiss,
     /// Scoreboard heap tops recomposed at pop time: one per heap whose
-    /// cached top a push, an invalidation, an aggregate refresh or the
-    /// previous pop had dirtied. (The `shard_rebuilds` label predates
-    /// the per-heap cache.)
+    /// cached top a push, an invalidation or the previous pop had
+    /// dirtied. (The `shard_rebuilds` label predates the per-heap
+    /// cache.)
     ShardRebuild,
     /// Improvement-phase stops forced by the wall-clock deadline
     /// (`RouterConfig::deadline`). Inherently machine-dependent, which
@@ -330,11 +331,15 @@ pub enum Counter {
     /// drained by a pop, so `stale_heap_pops + stale_heap_purged`
     /// counts every stale entry the heaps discarded.
     StaleHeapPurged,
+    /// Of the hypothetical-wire cache misses, those answered from a
+    /// carried detour by patching the union alone, re-settling nothing
+    /// (`ShortestPaths::repatch`).
+    HypRepatched,
 }
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 18;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -355,6 +360,7 @@ impl Counter {
         Counter::ShardRebuild,
         Counter::DeadlineStop,
         Counter::StaleHeapPurged,
+        Counter::HypRepatched,
     ];
 
     /// Dense index into counter arrays: the declaration order.
@@ -382,6 +388,7 @@ impl Counter {
             Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
             Counter::StaleHeapPurged => "stale_heap_purged",
+            Counter::HypRepatched => "hyp_repatched",
         }
     }
 }

@@ -37,9 +37,10 @@
 //! untouched). Branch keys store zero window terms (they read
 //! aggregates only) and feed-half keys — which read no density at all —
 //! live in a trailing **channelless heap** composed with the identity.
-//! Aggregate motion thus never invalidates a stored entry; the engine
-//! only has to [`Scoreboard::refresh_channel`] the affected channel so
-//! its heap's *cached top* below is recomposed.
+//! Aggregate motion thus never invalidates a stored entry. Only the
+//! heap's *cached top* below must be recomposed, and the re-keys that
+//! follow a deletion already dirty every heap whose channel's
+//! aggregates it can move (`Engine::run_deletion`).
 //!
 //! # Invalidation contract
 //!
@@ -52,8 +53,8 @@
 //!   minimum may have changed — every heap of a net whose graph or
 //!   timing constraints moved, and the heaps of the channels where a
 //!   touched span overlaps the net's trunks (see `Engine::run_deletion`)
-//!   — and call [`Scoreboard::refresh_channel`] for every channel whose
-//!   aggregates moved;
+//!   — and must have dirtied the heap of every channel whose aggregates
+//!   moved;
 //! * (net, heap) pairs outside that set keep their entries, which remain
 //!   *exactly* the raw keys a full rescan would compute, because every
 //!   raw-key input is covered by the dirty-set definition.
@@ -88,8 +89,8 @@
 //! Each heap caches its *composed* top — its best live entry under the
 //! current aggregates — and carries a dirty bit. The bit is set by
 //! everything that could move the top: a push into the heap, a pop out
-//! of it, an [`Scoreboard::invalidate`] that kills live entries there,
-//! and a [`Scoreboard::refresh_channel`] of its channel. A pop
+//! of it, and an [`Scoreboard::invalidate`] that kills live entries
+//! there. A pop
 //! recomposes only the dirty heaps (draining stale entries off the top,
 //! one aggregate read per non-empty heap), then takes the strict-less
 //! minimum over the cached tops in ascending heap index, the
@@ -306,11 +307,10 @@ impl Scoreboard {
         self.compact_if_due(heap)
     }
 
-    /// Declares that `channel`'s aggregates moved: the raw entries of
-    /// its heap are all still valid, but its cached top was composed
-    /// under the old aggregates and must be recomposed.
-    pub fn refresh_channel(&mut self, channel: ChannelId) {
-        self.heaps[channel.index()].dirty = true;
+    /// Whether `channel`'s heap will recompose its cached top at the
+    /// next pop.
+    pub(crate) fn is_dirty(&self, channel: ChannelId) -> bool {
+        self.heaps[channel.index()].dirty
     }
 
     /// Pushes a raw candidate key into its channel's heap (the
@@ -777,24 +777,6 @@ mod tests {
         assert_eq!(second.net, NetId::new(1));
         // The returned key is the *composed* one.
         assert_eq!(second.f_min, 3);
-    }
-
-    #[test]
-    fn refresh_channel_recomposes_a_cached_top() {
-        let mut d = flat();
-        let mut sb = Scoreboard::new(4, 4, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, 0), ch(0));
-        sb.push(key(2, 0, 0), ch(2));
-        // The first pop caches heap 2's top under zero aggregates.
-        assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(0)));
-        // Channel 2's aggregates move (no push into its heap), and a new
-        // channel-1 entry arrives that beats the *new* composed value.
-        d.add_span(ChannelId::new(2), 0, 10, 5, true);
-        sb.refresh_channel(ChannelId::new(2));
-        sb.push(key(1, 0, 3), ch(1));
-        let k = sb.pop_valid(&d).unwrap();
-        assert_eq!(k.net, NetId::new(1), "stale composed minimum won");
-        assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(2)));
     }
 
     #[test]

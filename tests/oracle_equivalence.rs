@@ -92,6 +92,10 @@ fn small_constrained_circuit_matches_oracle() {
         trace.counter(Counter::HypResettled) > 0,
         "the instance exercises subtree re-settles"
     );
+    assert!(
+        trace.counter(Counter::HypRepatched) > 0,
+        "the instance exercises re-patches of carried detours"
+    );
 }
 
 #[test]
