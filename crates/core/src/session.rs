@@ -94,6 +94,19 @@ impl SessionStage {
             Self::Finished => "finished",
         }
     }
+
+    /// The inverse of [`SessionStage::label`], with `done == 0` for
+    /// `initial_routing` (the label does not carry the count).
+    pub fn from_label(label: &str) -> Option<Self> {
+        Some(match label {
+            "initial_routing" => Self::InitialRouting { done: 0 },
+            "recover_violate" => Self::RecoverViolate,
+            "improve_delay" => Self::ImproveDelay,
+            "improve_area" => Self::ImproveArea,
+            "finished" => Self::Finished,
+            _ => return None,
+        })
+    }
 }
 
 /// Cumulative deterministic counters carried across suspensions —
@@ -931,6 +944,22 @@ mod tests {
     use crate::router::GlobalRouter;
     use bgr_layout::{Geometry, PlacementBuilder};
     use bgr_netlist::{CellId, CellLibrary, CircuitBuilder};
+
+    #[test]
+    fn stage_labels_invert() {
+        for stage in [
+            SessionStage::InitialRouting { done: 0 },
+            SessionStage::RecoverViolate,
+            SessionStage::ImproveDelay,
+            SessionStage::ImproveArea,
+            SessionStage::Finished,
+        ] {
+            assert_eq!(SessionStage::from_label(stage.label()), Some(stage));
+        }
+        for junk in ["setup", "initial_routing 3", "improvize_delay", ""] {
+            assert_eq!(SessionStage::from_label(junk), None, "{junk:?}");
+        }
+    }
 
     /// The router test fixture: 2 rows, 6 nets, 2 constraints.
     fn testcase() -> (Circuit, Placement, Vec<PathConstraint>) {

@@ -4,8 +4,8 @@
 //! (`.bgrj`) are line-oriented text built from the same few rules, and
 //! this module is their only home:
 //!
-//! * **FNV-1a 64** ([`fnv1a`]) — the integrity hash of design
-//!   references, journal records and wire frames;
+//! * **FNV-1a 64** ([`fnv1a`]) — the integrity hash of journal records
+//!   and wire frames;
 //! * **floats as bits** ([`f64_hex`] / [`parse_f64_hex`]) — `to_bits`
 //!   in hex, so every float round-trips bit-exactly;
 //! * **`key value` lines** ([`Reader::get`] and friends) — every line
@@ -129,11 +129,6 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| self.err_next("unexpected end of input"))
     }
 
-    /// The next line, without consuming it.
-    pub(crate) fn peek(&self) -> Option<&'a str> {
-        self.clone().try_line().ok().flatten()
-    }
-
     /// The value of the next line, which must read `key value` (`key`
     /// may itself hold spaces, as in `config threads`).
     pub fn value(&mut self, key: &str) -> Result<&'a str, ParseError> {
@@ -217,8 +212,8 @@ mod tests {
 
     #[test]
     fn fnv1a_matches_the_pinned_vectors() {
-        // A changed algorithm would silently orphan every by-reference
-        // checkpoint and journal on disk.
+        // A changed algorithm would silently orphan every journal on
+        // disk.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a(b"net n0"), fnv1a(b"net n1"));
@@ -274,7 +269,6 @@ mod tests {
     fn an_unterminated_line_is_truncation() {
         let mut r = Reader::new(b"job 1\nslice 2");
         assert_eq!(r.try_line().unwrap(), Some("job 1"));
-        assert_eq!(r.peek(), None);
         assert_eq!(r.try_line().unwrap(), None);
         assert_eq!(r.offset(), 6, "a torn line is left unconsumed");
         assert_eq!(r.line().unwrap_err().line, 2);

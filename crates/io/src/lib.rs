@@ -61,9 +61,8 @@ pub mod svg;
 pub mod trace;
 
 pub use checkpoint::{
-    externalize_design, parse_checkpoint, parse_checkpoint_in, parse_checkpoint_with_design,
-    parse_checkpoint_with_prefix, reconfigure_checkpoint, splice_checkpoint, write_checkpoint,
-    write_checkpoint_ref, DesignRefs,
+    parse_checkpoint, parse_checkpoint_with_design, parse_checkpoint_with_prefix,
+    reconfigure_checkpoint, splice_checkpoint, write_checkpoint,
 };
 pub use constraints::{parse_constraints, write_constraints};
 pub use error::ParseError;
@@ -77,5 +76,5 @@ pub use placement::{parse_placement, write_placement};
 pub use svg::render_svg;
 pub use trace::{
     deterministic_event_lines, deterministic_lines, segment_seq_span, trace_divergence,
-    write_event_lines, write_trace_jsonl, write_trace_jsonl_offset, TraceStats,
+    write_event_lines, write_trace_jsonl, TraceStats,
 };

@@ -214,12 +214,6 @@ pub fn segment_seq_span(segment: &str) -> Result<Option<(u64, u64)>, String> {
     Ok(span)
 }
 
-/// Serializes a trace as JSON lines (see the [module docs](self) for the
-/// schema).
-pub fn write_trace_jsonl(trace: &RouteTrace) -> String {
-    write_trace_jsonl_offset(trace, 0)
-}
-
 /// The `"type":"event"` lines of `trace` only, newline-terminated, with
 /// `seq` numbers starting at `seq_offset`. This is the slice a resumed
 /// session appends to its stream: concatenating the event lines of
@@ -234,19 +228,16 @@ pub fn write_event_lines(trace: &RouteTrace, seq_offset: u64) -> String {
     out
 }
 
-/// [`write_trace_jsonl`] with event `seq` numbers starting at
-/// `seq_offset` — the serialization of one *slice* of a checkpointed
-/// session, whose events continue a stream that already emitted
-/// `seq_offset` events (the snapshot's `events_emitted`). The meta
-/// line's `events` count still covers only this document's events.
-pub fn write_trace_jsonl_offset(trace: &RouteTrace, seq_offset: u64) -> String {
+/// Serializes a trace as JSON lines (see the [module docs](self) for the
+/// schema).
+pub fn write_trace_jsonl(trace: &RouteTrace) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{{\"type\":\"meta\",\"format\":\"bgr-trace\",\"version\":1,\"events\":{}}}",
         trace.events.len()
     );
-    out.push_str(&write_event_lines(trace, seq_offset));
+    out.push_str(&write_event_lines(trace, 0));
     for c in Counter::ALL {
         let _ = writeln!(
             out,
@@ -734,12 +725,19 @@ mod tests {
     #[test]
     fn event_lines_are_the_documents_event_lines() {
         let trace = sample_trace();
-        for offset in [0, 17] {
-            assert_eq!(
-                write_event_lines(&trace, offset),
-                deterministic_event_lines(&write_trace_jsonl_offset(&trace, offset))
-            );
-        }
+        let document = deterministic_event_lines(&write_trace_jsonl(&trace));
+        assert_eq!(write_event_lines(&trace, 0), document);
+        // At an offset only the `seq` numbers move.
+        let renumbered: String = document
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                let seq = |n: usize| format!("{{\"type\":\"event\",\"seq\":{n},");
+                format!("{}\n", l.replacen(&seq(i), &seq(i + 17), 1))
+            })
+            .collect();
+        assert_ne!(renumbered, document);
+        assert_eq!(write_event_lines(&trace, 17), renumbered);
         assert!(write_event_lines(&trace, 17).starts_with("{\"type\":\"event\",\"seq\":17,"));
     }
 

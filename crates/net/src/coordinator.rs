@@ -36,7 +36,7 @@ use bgr_metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot};
 use bgr_serve::{JobQueue, LeaseSpec, ReplayStats, SessionState, SliceOutcome};
 
 use crate::frame::Frame;
-use crate::proto::{Message, ProtoError, WireOutcome};
+use crate::proto::{result_payload, Message, ProtoError};
 
 /// Diagnostic counters for the coordination layer, registered beside
 /// the queue's [`bgr_serve::ServeMetrics`]. Observational only — no
@@ -252,7 +252,7 @@ impl Coordinator {
                     job,
                     slice,
                     outcome,
-                } => outcomes.push((job as usize, slice, outcome.into_outcome()?)),
+                } => outcomes.push((job as usize, slice, outcome)),
                 other => {
                     return Err(ProtoError::Malformed {
                         message: format!("journal result record decoded as kind {}", other.kind()),
@@ -445,12 +445,7 @@ impl Coordinator {
         // path re-validates through `apply_remote` anyway, so an
         // over-journaled stale record would merely be re-rejected).
         if self.journal.is_some() && self.queue.job(job).slices() == slice {
-            let payload = Message::Result {
-                job: job as u64,
-                slice,
-                outcome: WireOutcome::from_outcome(&out),
-            }
-            .encode_payload();
+            let payload = result_payload(job as u64, slice, &out);
             let writer = self.journal.as_mut().expect("checked above");
             if let Err(e) = writer.append("result", &payload) {
                 // Durability degrades loudly (metric + recorded cause);

@@ -184,21 +184,15 @@ fn handle_worker(
                 slice,
                 outcome,
             } => {
-                match outcome.into_outcome() {
-                    Ok(out) => {
-                        coord.lock().expect("coordinator mutex").apply_result(
-                            job as usize,
-                            slice,
-                            out,
-                        );
-                        // Stale results are harmless duplicates (the
-                        // applied one was byte-identical); either way
-                        // the worker just needs its next instruction.
-                        let reply = lease_or_nowork(coord);
-                        send(&mut stream, &reply)?;
-                    }
-                    Err(e) => nack(&mut stream, "bad-request", e.to_string())?,
-                }
+                coord
+                    .lock()
+                    .expect("coordinator mutex")
+                    .apply_result(job as usize, slice, outcome);
+                // Stale results are harmless duplicates (the applied one
+                // was byte-identical); either way the worker just needs
+                // its next instruction.
+                let reply = lease_or_nowork(coord);
+                send(&mut stream, &reply)?;
             }
             Message::Heartbeat { job, slice } => {
                 coord.lock().expect("coordinator mutex").heartbeat(

@@ -68,5 +68,5 @@ pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, MAX_PAYLOAD,
     PROTO_VERSION,
 };
-pub use proto::{recv, send, Message, ProtoError, WireOutcome};
+pub use proto::{recv, send, Message, ProtoError};
 pub use worker::{run_worker, WorkerMetrics, WorkerOptions, WorkerReport};

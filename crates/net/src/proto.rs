@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use bgr_core::session::SessionStage;
 use bgr_core::RouteError;
 use bgr_io::codec::{f64_hex, opt_u64, put_block, put_line, Reader};
 use bgr_io::ParseError;
@@ -128,152 +129,6 @@ fn malformed(message: impl Into<String>) -> ProtoError {
     }
 }
 
-/// A slice result in wire form: [`SliceOutcome`] minus the
-/// non-serializable in-process artifacts (`Routed`, `AuditReport`),
-/// whose deterministic content travels inside the [`FinishVerdict`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireOutcome {
-    /// The session suspended at a fresh checkpoint.
-    Suspended {
-        /// Serialized checkpoint of the suspension.
-        checkpoint: String,
-        /// Stage label the session parked at.
-        stage: String,
-        /// Events emitted across the whole session.
-        events_emitted: u64,
-        /// Selections performed across the whole session.
-        selections_done: u64,
-        /// The slice's event lines at the stream's global offset.
-        events_jsonl: String,
-    },
-    /// The session finished and was audited on the worker.
-    Finished {
-        /// Events emitted across the whole session.
-        events_emitted: u64,
-        /// Selections performed across the whole session.
-        selections_done: u64,
-        /// The slice's event lines at the stream's global offset.
-        events_jsonl: String,
-        /// The deterministic completion verdict.
-        verdict: FinishVerdict,
-    },
-    /// The slice failed structurally on the worker.
-    Failed {
-        /// The structured error's display.
-        message: String,
-    },
-}
-
-/// Stage labels are `&'static str` throughout the serve layer; map a
-/// wire string back onto the known set (a lease result can only park at
-/// a pipeline stage the session state machine has).
-fn intern_stage(label: &str) -> Result<&'static str, ProtoError> {
-    const STAGES: &[&str] = &[
-        "setup",
-        "initial_routing",
-        "recover_violate",
-        "improve_delay",
-        "improve_area",
-        "finished",
-    ];
-    STAGES
-        .iter()
-        .find(|&&s| s == label)
-        .copied()
-        .ok_or_else(|| malformed(format!("unknown stage label {label:?}")))
-}
-
-impl WireOutcome {
-    /// Projects an in-process outcome onto its wire form, dropping the
-    /// artifacts that cannot (and need not) travel.
-    pub fn from_outcome(out: &SliceOutcome) -> Self {
-        match out {
-            SliceOutcome::Suspended {
-                checkpoint,
-                stage,
-                events_emitted,
-                selections_done,
-                events_jsonl,
-            } => Self::Suspended {
-                checkpoint: checkpoint.clone(),
-                stage: (*stage).to_string(),
-                events_emitted: *events_emitted,
-                selections_done: *selections_done,
-                events_jsonl: events_jsonl.clone(),
-            },
-            SliceOutcome::Finished {
-                events_emitted,
-                selections_done,
-                events_jsonl,
-                verdict,
-                ..
-            } => Self::Finished {
-                events_emitted: *events_emitted,
-                selections_done: *selections_done,
-                events_jsonl: events_jsonl.clone(),
-                verdict: verdict.clone(),
-            },
-            SliceOutcome::Failed { error } => Self::Failed {
-                message: error.to_string(),
-            },
-        }
-    }
-
-    /// Reconstructs the [`SliceOutcome`] a coordinator applies.
-    /// Remote finishes carry no `Routed`/`AuditReport`; remote failures
-    /// surface as [`RouteError::Internal`] in phase `"remote"` — except
-    /// a deadline abandonment, whose message (the error's `Display`,
-    /// or the longer `"... (budget 0 ms)"` text of older journals) maps
-    /// back onto [`RouteError::DeadlineExpired`] so coordinator-side
-    /// accounting (the `bgr_deadline_missed_total` counter) matches the
-    /// local path.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Malformed`] on a stage label outside the session
-    /// state machine's set.
-    pub fn into_outcome(self) -> Result<SliceOutcome, ProtoError> {
-        Ok(match self {
-            Self::Suspended {
-                checkpoint,
-                stage,
-                events_emitted,
-                selections_done,
-                events_jsonl,
-            } => SliceOutcome::Suspended {
-                checkpoint,
-                stage: intern_stage(&stage)?,
-                events_emitted,
-                selections_done,
-                events_jsonl,
-            },
-            Self::Finished {
-                events_emitted,
-                selections_done,
-                events_jsonl,
-                verdict,
-            } => SliceOutcome::Finished {
-                events_emitted,
-                selections_done,
-                events_jsonl,
-                verdict,
-                routed: None,
-                report: None,
-            },
-            Self::Failed { message } => SliceOutcome::Failed {
-                error: if message.starts_with("slice deadline expired") {
-                    RouteError::DeadlineExpired {}
-                } else {
-                    RouteError::Internal {
-                        phase: "remote",
-                        message,
-                    }
-                },
-            },
-        })
-    }
-}
-
 /// Every message of the `bgr-net` protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -314,8 +169,10 @@ pub enum Message {
         job: u64,
         /// Slice index the lease named.
         slice: u64,
-        /// What the slice concluded.
-        outcome: WireOutcome,
+        /// What the slice concluded. Decoded, a failure's error is
+        /// [`RouteError::DeadlineExpired`] or [`RouteError::Internal`] in
+        /// phase `"remote"` (see [`Message::decode`]).
+        outcome: SliceOutcome,
     },
     /// Worker → coordinator: still computing a lease; extends its
     /// deadline.
@@ -385,6 +242,93 @@ fn read_verdict(r: &mut Reader<'_>) -> Result<FinishVerdict, ProtoError> {
     })
 }
 
+/// The phase of the [`RouteError::Internal`] a remote failure decodes to.
+const REMOTE: &str = "remote";
+
+/// The payload of `Message::Result { job, slice, outcome }`, written
+/// from a borrowed outcome (the coordinator journals a result before
+/// applying it).
+pub(crate) fn result_payload(job: u64, slice: u64, outcome: &SliceOutcome) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_line(&mut out, "job", job);
+    put_line(&mut out, "slice", slice);
+    match outcome {
+        SliceOutcome::Suspended {
+            checkpoint,
+            stage,
+            events_emitted,
+            selections_done,
+            events_jsonl,
+        } => {
+            put_line(&mut out, "outcome", "suspended");
+            put_line(&mut out, "stage", stage);
+            put_line(&mut out, "events_emitted", events_emitted);
+            put_line(&mut out, "selections_done", selections_done);
+            put_block(&mut out, "checkpoint", checkpoint);
+            put_block(&mut out, "events_jsonl", events_jsonl);
+        }
+        SliceOutcome::Finished {
+            events_emitted,
+            selections_done,
+            events_jsonl,
+            verdict,
+        } => {
+            put_line(&mut out, "outcome", "finished");
+            put_line(&mut out, "events_emitted", events_emitted);
+            put_line(&mut out, "selections_done", selections_done);
+            put_block(&mut out, "events_jsonl", events_jsonl);
+            put_verdict(&mut out, verdict);
+        }
+        SliceOutcome::Failed { error } => {
+            put_line(&mut out, "outcome", "failed");
+            match error {
+                RouteError::Internal {
+                    phase: REMOTE,
+                    message,
+                } => put_block(&mut out, "message", message),
+                error => put_block(&mut out, "message", &error.to_string()),
+            }
+        }
+    }
+    out
+}
+
+fn read_outcome(r: &mut Reader<'_>) -> Result<SliceOutcome, ProtoError> {
+    Ok(match r.value("outcome")? {
+        "suspended" => SliceOutcome::Suspended {
+            stage: {
+                let label = r.value("stage")?;
+                SessionStage::from_label(label)
+                    .ok_or_else(|| malformed(format!("unknown stage label {label:?}")))?
+                    .label()
+            },
+            events_emitted: r.get("events_emitted")?,
+            selections_done: r.get("selections_done")?,
+            checkpoint: r.block("checkpoint")?.to_owned(),
+            events_jsonl: r.block("events_jsonl")?.to_owned(),
+        },
+        "finished" => SliceOutcome::Finished {
+            events_emitted: r.get("events_emitted")?,
+            selections_done: r.get("selections_done")?,
+            events_jsonl: r.block("events_jsonl")?.to_owned(),
+            verdict: read_verdict(r)?,
+        },
+        "failed" => {
+            let message = r.block("message")?;
+            let error = if message.starts_with("slice deadline expired") {
+                RouteError::DeadlineExpired {}
+            } else {
+                RouteError::Internal {
+                    phase: REMOTE,
+                    message: message.to_owned(),
+                }
+            };
+            SliceOutcome::Failed { error }
+        }
+        v => return Err(malformed(format!("unknown outcome {v:?}"))),
+    })
+}
+
 impl Message {
     /// The frame kind discriminant this message travels under.
     pub fn kind(&self) -> u8 {
@@ -441,42 +385,7 @@ impl Message {
                 job,
                 slice,
                 outcome,
-            } => {
-                put_line(&mut out, "job", job);
-                put_line(&mut out, "slice", slice);
-                match outcome {
-                    WireOutcome::Suspended {
-                        checkpoint,
-                        stage,
-                        events_emitted,
-                        selections_done,
-                        events_jsonl,
-                    } => {
-                        put_line(&mut out, "outcome", "suspended");
-                        put_line(&mut out, "stage", stage);
-                        put_line(&mut out, "events_emitted", events_emitted);
-                        put_line(&mut out, "selections_done", selections_done);
-                        put_block(&mut out, "checkpoint", checkpoint);
-                        put_block(&mut out, "events_jsonl", events_jsonl);
-                    }
-                    WireOutcome::Finished {
-                        events_emitted,
-                        selections_done,
-                        events_jsonl,
-                        verdict,
-                    } => {
-                        put_line(&mut out, "outcome", "finished");
-                        put_line(&mut out, "events_emitted", events_emitted);
-                        put_line(&mut out, "selections_done", selections_done);
-                        put_block(&mut out, "events_jsonl", events_jsonl);
-                        put_verdict(&mut out, verdict);
-                    }
-                    WireOutcome::Failed { message } => {
-                        put_line(&mut out, "outcome", "failed");
-                        put_block(&mut out, "message", message);
-                    }
-                }
-            }
+            } => return result_payload(*job, *slice, outcome),
             Self::Heartbeat { job, slice } => {
                 put_line(&mut out, "job", job);
                 put_line(&mut out, "slice", slice);
@@ -497,11 +406,22 @@ impl Message {
 
     /// Decodes a frame into a typed message.
     ///
+    /// A `Result`'s stage label must be one a suspended session can park
+    /// at ([`SessionStage::from_label`]). A failed outcome carries only
+    /// its error's message, which decodes to
+    /// [`RouteError::DeadlineExpired`] when it starts "slice deadline
+    /// expired" (the current `Display`, and the longer text of older
+    /// journals), so coordinator-side deadline accounting matches the
+    /// local path, and to [`RouteError::Internal`] in phase `"remote"`
+    /// otherwise. Re-encoding such an `Internal` writes its message
+    /// verbatim, so a decoded payload re-encodes to itself.
+    ///
     /// # Errors
     ///
     /// [`ProtoError::UnknownKind`] on an unrecognized discriminant,
     /// [`ProtoError::Malformed`] on any schema violation — including
-    /// trailing bytes after a complete message. Never panics.
+    /// an unknown stage label and trailing bytes after a complete
+    /// message. Never panics.
     pub fn decode(frame: &Frame) -> Result<Self, ProtoError> {
         let mut r = Reader::new(&frame.payload);
         let msg = match frame.kind {
@@ -538,34 +458,11 @@ impl Message {
             5 => Self::NoWork {
                 settled: r.get("settled")?,
             },
-            6 => {
-                let job = r.get("job")?;
-                let slice = r.get("slice")?;
-                let outcome = match r.value("outcome")? {
-                    "suspended" => WireOutcome::Suspended {
-                        stage: r.value("stage")?.to_owned(),
-                        events_emitted: r.get("events_emitted")?,
-                        selections_done: r.get("selections_done")?,
-                        checkpoint: r.block("checkpoint")?.to_owned(),
-                        events_jsonl: r.block("events_jsonl")?.to_owned(),
-                    },
-                    "finished" => WireOutcome::Finished {
-                        events_emitted: r.get("events_emitted")?,
-                        selections_done: r.get("selections_done")?,
-                        events_jsonl: r.block("events_jsonl")?.to_owned(),
-                        verdict: read_verdict(&mut r)?,
-                    },
-                    "failed" => WireOutcome::Failed {
-                        message: r.block("message")?.to_owned(),
-                    },
-                    v => return Err(malformed(format!("unknown outcome {v:?}"))),
-                };
-                Self::Result {
-                    job,
-                    slice,
-                    outcome,
-                }
-            }
+            6 => Self::Result {
+                job: r.get("job")?,
+                slice: r.get("slice")?,
+                outcome: read_outcome(&mut r)?,
+            },
             7 => Self::Heartbeat {
                 job: r.get("job")?,
                 slice: r.get("slice")?,
@@ -659,9 +556,9 @@ mod tests {
         round_trip(Message::Result {
             job: 2,
             slice: 4,
-            outcome: WireOutcome::Suspended {
+            outcome: SliceOutcome::Suspended {
                 checkpoint: "cp\nwith\nlines".into(),
-                stage: "improve_delay".into(),
+                stage: "improve_delay",
                 events_emitted: 42,
                 selections_done: 17,
                 events_jsonl: "{\"type\":\"event\",\"seq\":41}\n".into(),
@@ -670,7 +567,7 @@ mod tests {
         round_trip(Message::Result {
             job: 2,
             slice: 5,
-            outcome: WireOutcome::Finished {
+            outcome: SliceOutcome::Finished {
                 events_emitted: 99,
                 selections_done: 31,
                 events_jsonl: String::new(),
@@ -689,8 +586,18 @@ mod tests {
         round_trip(Message::Result {
             job: 1,
             slice: 0,
-            outcome: WireOutcome::Failed {
-                message: "checkpoint damaged".into(),
+            outcome: SliceOutcome::Failed {
+                error: RouteError::Internal {
+                    phase: "remote",
+                    message: "checkpoint damaged".into(),
+                },
+            },
+        });
+        round_trip(Message::Result {
+            job: 1,
+            slice: 1,
+            outcome: SliceOutcome::Failed {
+                error: RouteError::DeadlineExpired {},
             },
         });
         round_trip(Message::Heartbeat { job: 1, slice: 2 });
@@ -716,7 +623,7 @@ mod tests {
             let msg = Message::Result {
                 job: 0,
                 slice: 0,
-                outcome: WireOutcome::Finished {
+                outcome: SliceOutcome::Finished {
                     events_emitted: 0,
                     selections_done: 0,
                     events_jsonl: String::new(),
@@ -736,7 +643,7 @@ mod tests {
             let (frame, _) = decode_frame(&bytes).unwrap();
             let back = Message::decode(&frame).unwrap();
             let Message::Result {
-                outcome: WireOutcome::Finished { verdict, .. },
+                outcome: SliceOutcome::Finished { verdict, .. },
                 ..
             } = back
             else {
@@ -760,7 +667,7 @@ mod tests {
         };
         let msg = Message::decode(&frame).unwrap();
         let Message::Result {
-            outcome: WireOutcome::Finished { verdict, .. },
+            outcome: SliceOutcome::Finished { verdict, .. },
             ..
         } = &msg
         else {
@@ -813,34 +720,149 @@ mod tests {
         assert!(!auth.is_retryable(), "deterministic refusals are fatal");
     }
 
+    /// Encodes a worker's `Result` and decodes it, as the coordinator
+    /// receives it.
+    fn received(job: u64, slice: u64, outcome: SliceOutcome) -> (Vec<u8>, Message) {
+        let payload = Message::Result {
+            job,
+            slice,
+            outcome,
+        }
+        .encode_payload();
+        let frame = Frame {
+            kind: 6,
+            payload: payload.clone(),
+        };
+        (payload, Message::decode(&frame).unwrap())
+    }
+
     #[test]
     fn deadline_abandonment_maps_back_to_the_structured_error() {
         // The current message, and the one journals written before the
         // error lost its budget field carry.
-        let legacy = "slice deadline expired (budget 0 ms)".to_string();
-        for message in [RouteError::DeadlineExpired {}.to_string(), legacy] {
-            let out = WireOutcome::Failed { message }.into_outcome().unwrap();
-            assert!(matches!(
-                out,
+        let legacy = b"job 0\nslice 0\noutcome failed\nmessage 36\n\
+            slice deadline expired (budget 0 ms)\n";
+        let frame = Frame {
+            kind: 6,
+            payload: legacy.to_vec(),
+        };
+        let (_, current) = received(
+            0,
+            0,
+            SliceOutcome::Failed {
+                error: RouteError::DeadlineExpired {},
+            },
+        );
+        for msg in [Message::decode(&frame).unwrap(), current] {
+            assert!(
+                matches!(
+                    msg,
+                    Message::Result {
+                        outcome: SliceOutcome::Failed {
+                            error: RouteError::DeadlineExpired { .. }
+                        },
+                        ..
+                    }
+                ),
+                "{msg:?}"
+            );
+        }
+        let (_, msg) = received(
+            0,
+            0,
+            SliceOutcome::Failed {
+                error: RouteError::Checkpoint {
+                    message: "boom".into(),
+                },
+            },
+        );
+        let Message::Result {
+            outcome:
                 SliceOutcome::Failed {
-                    error: RouteError::DeadlineExpired { .. }
-                }
-            ));
-        }
-        let out = WireOutcome::Failed {
-            message: "checkpoint damaged".into(),
-        }
-        .into_outcome()
-        .unwrap();
-        assert!(matches!(
-            out,
+                    error: RouteError::Internal { phase, message },
+                },
+            ..
+        } = msg
+        else {
+            panic!("wrong shape: {msg:?}");
+        };
+        assert_eq!(
+            (phase, message.as_str()),
+            ("remote", "checkpoint rejected: boom")
+        );
+    }
+
+    #[test]
+    fn decoded_results_re_encode_to_themselves() {
+        // What the coordinator journals is the re-encoding of what it
+        // decoded; it must be the payload the worker sent.
+        let verdict = FinishVerdict {
+            audit_clean: false,
+            audit_checks: 3,
+            audit_line: "audit FAILED: 1 of 3 checks".into(),
+            violations_line: None,
+            feasible: true,
+            worst_margin_ps: 1.5,
+            area_tracks: 7,
+            total_length_um: 88.25,
+        };
+        for outcome in [
+            SliceOutcome::Suspended {
+                checkpoint: "cp\n".into(),
+                stage: "initial_routing",
+                events_emitted: 5,
+                selections_done: 2,
+                events_jsonl: "{\"type\":\"event\",\"seq\":4}\n".into(),
+            },
+            SliceOutcome::Finished {
+                events_emitted: 9,
+                selections_done: 4,
+                events_jsonl: String::new(),
+                verdict,
+            },
+            SliceOutcome::Failed {
+                error: RouteError::Checkpoint {
+                    message: "boom".into(),
+                },
+            },
             SliceOutcome::Failed {
                 error: RouteError::Internal {
-                    phase: "remote",
-                    ..
-                }
-            }
-        ));
+                    phase: "serve",
+                    message: "spliced checkpoint differs".into(),
+                },
+            },
+            SliceOutcome::Failed {
+                error: RouteError::DeadlineExpired {},
+            },
+        ] {
+            let (sent, msg) = received(3, 1, outcome);
+            assert_eq!(
+                String::from_utf8(msg.encode_payload()).unwrap(),
+                String::from_utf8(sent).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn stage_labels_outside_a_suspension_are_malformed() {
+        let frame = |label: &str| Frame {
+            kind: 6,
+            payload: format!(
+                "job 0\nslice 0\noutcome suspended\nstage {label}\nevents_emitted 0\n\
+                 selections_done 0\ncheckpoint 0\n\nevents_jsonl 0\n\n"
+            )
+            .into_bytes(),
+        };
+        assert!(Message::decode(&frame("improve_delay")).is_ok());
+        for label in ["setup", "improvize_delay", "initial_routing 3"] {
+            assert!(
+                matches!(
+                    Message::decode(&frame(label)),
+                    Err(ProtoError::Malformed { .. })
+                ),
+                "{label:?}"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use bgr_metrics::{CounterHandle, HistogramHandle, MetricsRegistry};
 use bgr_serve::{run_lease, LeaseSpec, SliceOutcome};
 
 use crate::frame::PROTO_VERSION;
-use crate::proto::{recv, send, Message, ProtoError, WireOutcome};
+use crate::proto::{recv, send, Message, ProtoError};
 
 /// Per-worker operational counters, merged fleet-wide by the
 /// coordinator via snapshot shipping.
@@ -197,7 +197,7 @@ struct DrainState {
     /// is sent, cleared once *any* reply arrives (strict
     /// request/response pairs them), resent first on a fresh
     /// connection. Duplicates are rejected stale by the coordinator.
-    pending: Option<(u64, u64, WireOutcome)>,
+    pending: Option<(u64, u64, SliceOutcome)>,
     /// Results submitted (send completed) — monotonic across
     /// reconnects, so `die_after_result`'s equality check fires once.
     submitted: u64,
@@ -376,18 +376,17 @@ fn drain_connection(
                         .observe(start.elapsed().as_micros() as u64);
                     state.report.slices += 1;
                 }
-                let wire = WireOutcome::from_outcome(&out);
-                match &wire {
-                    WireOutcome::Suspended { .. } => metrics.suspended_total.inc(),
-                    WireOutcome::Finished { .. } => metrics.finished_total.inc(),
-                    WireOutcome::Failed { .. } => metrics.failed_total.inc(),
+                match &out {
+                    SliceOutcome::Suspended { .. } => metrics.suspended_total.inc(),
+                    SliceOutcome::Finished { .. } => metrics.finished_total.inc(),
+                    SliceOutcome::Failed { .. } => metrics.failed_total.inc(),
                 }
                 // The computed result must survive the connection: park
                 // it as in-doubt *before* anything can fail, so a dead
                 // stream (including one detected by the heartbeat loop)
                 // resends it after reconnecting instead of wasting the
                 // slice.
-                state.pending = Some((spec.job as u64, spec.slice, wire));
+                state.pending = Some((spec.job as u64, spec.slice, out));
                 if let Some(e) = hb_err {
                     return Err(e);
                 }

@@ -20,10 +20,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bgr_net::{
-    decode_frame, encode_frame, read_frame, Frame, FrameError, Message, ProtoError, WireOutcome,
-    MAX_PAYLOAD, PROTO_VERSION,
+    decode_frame, encode_frame, read_frame, Frame, FrameError, Message, ProtoError, MAX_PAYLOAD,
+    PROTO_VERSION,
 };
-use bgr_serve::FinishVerdict;
+use bgr_serve::{FinishVerdict, SliceOutcome};
 
 /// A realistic frame: a RESULT carrying a suspended outcome with
 /// multi-line text blocks, as a worker would send it.
@@ -31,9 +31,9 @@ fn sample_frame_bytes() -> Vec<u8> {
     let msg = Message::Result {
         job: 2,
         slice: 5,
-        outcome: WireOutcome::Suspended {
+        outcome: SliceOutcome::Suspended {
             checkpoint: "bgr-checkpoint v1\nconfig 4 2\nstage improve_delay\n".into(),
-            stage: "improve_delay".into(),
+            stage: "improve_delay",
             events_emitted: 321,
             selections_done: 87,
             events_jsonl: "{\"type\":\"event\",\"seq\":320,\"kind\":\"select\"}\n".into(),
@@ -177,8 +177,11 @@ fn lying_block_lengths_and_junk_stages_are_rejected() {
     let msg = Message::Result {
         job: 0,
         slice: 0,
-        outcome: WireOutcome::Failed {
-            message: "x".into(),
+        outcome: SliceOutcome::Failed {
+            error: bgr_core::RouteError::Internal {
+                phase: "remote",
+                message: "x".into(),
+            },
         },
     };
     let mut payload = msg.encode_payload();
@@ -192,18 +195,18 @@ fn lying_block_lengths_and_junk_stages_are_rejected() {
         Message::decode(&frame),
         Err(ProtoError::Malformed { .. })
     ));
-    // A suspended RESULT whose stage label names no pipeline stage
-    // decodes at the message layer but must refuse reconstruction into
-    // a `SliceOutcome`.
-    let outcome = WireOutcome::Suspended {
-        checkpoint: "cp".into(),
-        stage: "improvize_delay".into(),
-        events_emitted: 0,
-        selections_done: 0,
-        events_jsonl: String::new(),
-    };
+    // A suspended RESULT whose stage label names no stage a suspended
+    // session parks at is refused at decode.
+    let (mut frame, _) = decode_frame(&sample_frame_bytes()).unwrap();
+    let text = String::from_utf8(frame.payload).unwrap();
+    let junk = text.replace(
+        "stage improve_delay\nevents",
+        "stage improvize_delay\nevents",
+    );
+    assert_ne!(text, junk, "fixture must carry a stage line");
+    frame.payload = junk.into_bytes();
     assert!(matches!(
-        outcome.into_outcome(),
+        Message::decode(&frame),
         Err(ProtoError::Malformed { .. })
     ));
     // Trailing bytes after a structurally complete message.
@@ -221,7 +224,7 @@ fn verdict_payload_damage_is_rejected_field_by_field() {
     let msg = Message::Result {
         job: 1,
         slice: 9,
-        outcome: WireOutcome::Finished {
+        outcome: SliceOutcome::Finished {
             events_emitted: 10,
             selections_done: 3,
             events_jsonl: String::new(),

@@ -124,8 +124,9 @@ impl FinishVerdict {
 
 /// What one budgeted slice of a checkpointed session concluded — the
 /// transport-agnostic result of [`run_slice`], applied to a [`Job`] by
-/// the local queue and shipped over `bgr-net` by remote workers.
-#[derive(Debug)]
+/// the local queue and shipped over `bgr-net` by remote workers, in the
+/// same form either way: every field is deterministic and serializable.
+#[derive(Debug, Clone, PartialEq)]
 pub enum SliceOutcome {
     /// The session suspended again: a fresh checkpoint plus the slice's
     /// deterministic event lines (already serialized at the stream's
@@ -152,11 +153,6 @@ pub enum SliceOutcome {
         events_jsonl: String,
         /// The deterministic completion verdict.
         verdict: FinishVerdict,
-        /// The finished route — present only when the slice ran
-        /// in-process (never crosses the wire).
-        routed: Option<Box<Routed>>,
-        /// The full audit report — in-process only, like `routed`.
-        report: Option<AuditReport>,
     },
     /// The slice failed structurally.
     Failed {
@@ -185,6 +181,18 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
     execute(checkpoint, None, quota, None).0
 }
 
+/// What a slice hands back beside its [`SliceOutcome`] to a job that
+/// ran it in-process ([`Job::run_local`]). None of it leaves the
+/// process: the outcome alone is what a remote worker ships.
+enum Artifacts {
+    /// A failed slice leaves nothing.
+    None,
+    /// The design a suspended slice resumed with, for the job to keep.
+    Design(Box<SessionDesign>),
+    /// The route and completion audit of a finished slice.
+    Finished(Box<Routed>, AuditReport),
+}
+
 /// The one slice executor behind [`run_slice`], [`run_lease`] and the
 /// local slices of [`JobQueue::run_round`].
 ///
@@ -192,7 +200,8 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
 /// With `design` — the design `checkpoint` embeds, kept by its job —
 /// only the checkpoint's state tail is parsed
 /// ([`parse_checkpoint_with_design`]); without it the whole checkpoint
-/// is. A suspended slice hands the design back for the job to keep.
+/// is. A suspended slice hands the design back for the job to keep, a
+/// finished one its route and audit ([`Artifacts`]).
 /// At [`bgr_core::VerifyLevel::Phases`] and above the splice oracle
 /// ([`check_splice`]) writes the full checkpoint from that design, so a
 /// kept design that differs from the embedded one fails the slice.
@@ -201,8 +210,8 @@ fn execute(
     design: Option<SessionDesign>,
     quota: Option<u64>,
     deadline_ms: Option<u64>,
-) -> (SliceOutcome, Option<SessionDesign>) {
-    let failed = |error| (SliceOutcome::Failed { error }, None);
+) -> (SliceOutcome, Artifacts) {
+    let failed = |error| (SliceOutcome::Failed { error }, Artifacts::None);
     if deadline_ms == Some(0) {
         return failed(RouteError::DeadlineExpired {});
     }
@@ -249,7 +258,7 @@ fn execute(
                 selections_done,
                 events_jsonl: write_event_lines(&trace, start_events),
             };
-            (out, Some(snap.design))
+            (out, Artifacts::Design(Box::new(snap.design)))
         }
         StepOutcome::Ready => {
             let events_emitted = session.events_emitted();
@@ -285,10 +294,8 @@ fn execute(
                         selections_done,
                         events_jsonl,
                         verdict,
-                        routed: Some(Box::new(routed)),
-                        report: Some(report),
                     };
-                    (out, None)
+                    (out, Artifacts::Finished(Box::new(routed), report))
                 }
                 Err(e) => failed(e),
             }
@@ -680,7 +687,8 @@ impl Job {
     }
 
     /// The completion audit (present on `Completed` and on `Failed`
-    /// when the route finished but the audit flagged it).
+    /// when the route finished but the audit flagged it). Absent, like
+    /// [`Job::routed`], when the finishing slice ran on a remote worker.
     pub fn audit(&self) -> Option<&AuditReport> {
         self.audit.as_ref()
     }
@@ -854,8 +862,9 @@ impl Job {
     /// Runs this job's next slice in-process and applies it: the slice
     /// executor of [`run_lease`], reading the job's own checkpoint
     /// instead of a copy and resuming from the kept design when there is
-    /// one. A suspended slice's design is kept for the next. Returns
-    /// whether a slice ran.
+    /// one. A suspended slice's design is kept for the next; a finished
+    /// slice's route and audit are stored ([`Job::routed`],
+    /// [`Job::audit`]). Returns whether a slice ran.
     fn run_local(&mut self, metrics: Option<&ServeMetrics>) -> bool {
         let Ok(Some((slice, deadline_ms))) = self.next_slice(metrics) else {
             return false;
@@ -865,7 +874,7 @@ impl Job {
             m.design_reused_total.inc();
         }
         let checkpoint = self.checkpoint.as_deref().unwrap_or_default();
-        let (out, design) = execute(checkpoint, kept, self.slice_quota, deadline_ms);
+        let (out, artifacts) = execute(checkpoint, kept, self.slice_quota, deadline_ms);
         if !self.apply(slice, out, metrics) {
             // A local slice always continues its own job's stream, so
             // a rejection is an executor bug: fail the job rather than
@@ -878,8 +887,15 @@ impl Job {
                 },
                 metrics,
             );
-        } else if self.runnable() {
-            self.kept = design;
+        } else {
+            match artifacts {
+                Artifacts::Design(design) if self.runnable() => self.kept = Some(*design),
+                Artifacts::Finished(routed, audit) => {
+                    self.routed = Some(*routed);
+                    self.audit = Some(audit);
+                }
+                _ => {}
+            }
         }
         true
     }
@@ -978,8 +994,6 @@ impl Job {
                 selections_done,
                 events_jsonl,
                 verdict,
-                routed,
-                report,
             } => {
                 self.slices += 1;
                 self.stage = SessionStage::Finished.label();
@@ -1007,8 +1021,6 @@ impl Job {
                 }
                 line.push('}');
                 self.stream_record(&line);
-                self.audit = report;
-                self.routed = routed.map(|b| *b);
                 self.verdict = Some(verdict);
                 self.state = if clean {
                     SessionState::Completed
@@ -2039,10 +2051,11 @@ mod tests {
             let mut advanced = false;
             for id in 0..3 {
                 if let Some(spec) = reparsed.lease_spec(id).unwrap() {
+                    let out = run_lease(&spec);
                     if id == 2 && spec.slice < 2 {
-                        journal.push((id, spec.slice, run_lease(&spec)));
+                        journal.push((id, spec.slice, out.clone()));
                     }
-                    assert!(reparsed.apply_remote(id, spec.slice, run_lease(&spec)));
+                    assert!(reparsed.apply_remote(id, spec.slice, out));
                     advanced = true;
                 }
             }
