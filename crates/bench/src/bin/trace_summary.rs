@@ -18,6 +18,10 @@
 //! `BGR_GOLDEN`); on divergence the first differing line is printed and
 //! the process exits non-zero. Run with `BGR_BLESS=1` to rewrite the
 //! golden after an intentional behavior change.
+//!
+//! Scoreboard check: the route's `stale_heap_pops` counter must be 0
+//! (the scoreboard holds one current key per (net, heap)); otherwise
+//! the process exits non-zero.
 
 use bgr_bench::hypothetical_tree_work;
 use bgr_core::{Counter, GlobalRouter, RouterConfig};
@@ -74,11 +78,17 @@ fn main() {
     println!("delay memo: {memo_hits} hits / {memo_misses} misses over {key_evals} key evals");
     println!("{}", hypothetical_tree_work(&trace));
     println!(
-        "scoreboard: {} pushes, {} stale entries drained by pops, {} purged by compaction",
+        "scoreboard: {} pushes, {} pops",
         trace.counter(Counter::HeapPush),
-        trace.counter(Counter::StaleHeapPop),
-        trace.counter(Counter::StaleHeapPurged)
+        trace.counter(Counter::HeapPop)
     );
+    // The scoreboard keeps one current key per (net, heap), so nothing
+    // it pops can be stale; a non-zero count means lazy deletion is back.
+    let stale = trace.counter(Counter::StaleHeapPop);
+    if stale != 0 {
+        eprintln!("scoreboard popped {stale} stale entries; it holds only current keys");
+        std::process::exit(1);
+    }
 
     // Independent audit (DESIGN.md §12): recompute every claim of the
     // result from scratch. Runs *outside* the router, so it can never

@@ -24,10 +24,10 @@ pub enum CriteriaOrder {
 /// differential testing and for auditing suspected scoreboard bugs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
-    /// Incremental candidate scoreboard: every deletable edge's key is
-    /// held in an ordered structure with generation-stamped lazy
-    /// invalidation, and a deletion only re-keys the nets whose graph,
-    /// partner, timing margins or touched channels actually changed.
+    /// Incremental candidate scoreboard: each net's best key per
+    /// channel is held in an indexed heap and updated in place, and a
+    /// deletion only re-keys the nets whose graph, partner, timing
+    /// margins or touched channels actually changed.
     #[default]
     Scoreboard,
     /// The naive oracle: recompute every in-scope candidate key from

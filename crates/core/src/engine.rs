@@ -13,8 +13,8 @@
 //! Selection runs on a [`Scoreboard`] by
 //! default: every deletable edge's **raw** [`EdgeKey`] — delay prefix
 //! plus the edge's own density window, *without* the channel
-//! aggregates — sits in its channel's heap with generation-stamped
-//! lazy invalidation, and the aggregates are composed in at pop time
+//! aggregates — sits in its channel's heap, one key per (net, heap)
+//! updated in place, and the aggregates are composed in at pop time
 //! (see the scoreboard docs for why in-heap order is invariant under
 //! composition). After a deletion only the *dirty* nets are re-keyed,
 //! and only on the heaps whose keys can have moved; since aggregates
@@ -22,8 +22,8 @@
 //! need a hook of its own to recompose a heap's cached top: every span
 //! that moves a channel's aggregates belongs to a trunk that was
 //! deletable just before, in the lane of the deleted net (or its
-//! partner) for that channel, and that net's graph re-key kills its
-//! live entry there, which dirties the heap (DESIGN.md §8). The
+//! partner) for that channel, and that net's graph re-key replaces or
+//! removes its entry there, which dirties the heap (DESIGN.md §8). The
 //! dirty set is derived from explicit invalidation hooks:
 //!
 //! * **graph** — the deleted net and its cascaded partner (their
@@ -1158,23 +1158,22 @@ impl<P: Probe> Engine<P> {
     }
 
     /// The step-level oracle of the scoreboard path: every in-scope net's
-    /// live entries in `sb` — one per heap it has a deletable edge in —
-    /// must equal the per-heap minima a cache-free [`scan_raw_keys`]
-    /// computes from scratch (fresh scan state: no cached trees, delay
-    /// prefixes or windows). The scoreboard's live counts, compaction
-    /// bound and clean heaps' cached tops are checked first
-    /// ([`Scoreboard::audit`]).
+    /// entries in `sb` — one per heap it has a deletable edge in — must
+    /// equal the per-heap minima a cache-free [`scan_raw_keys`] computes
+    /// from scratch (fresh scan state: no cached trees, delay prefixes
+    /// or windows). The scoreboard's position map, heap order and clean
+    /// heaps' cached tops are checked first ([`Scoreboard::audit`]).
     ///
     /// # Panics
     ///
-    /// Panics naming the first net whose live entries diverge, or the
-    /// first heap whose live accounting or cached top does.
+    /// Panics naming the first net whose entries diverge, or the first
+    /// slot, entry or heap whose position, order or cached top does.
     fn audit_scoreboard(&self, sb: &Scoreboard, nets: &[NetId]) {
         sb.audit(&self.density);
         let heap = |h: &Option<ChannelId>| h.map_or(usize::MAX, ChannelId::index);
-        let mut live: Vec<Vec<(Option<ChannelId>, EdgeKey)>> = vec![Vec::new(); self.graphs.len()];
-        for (h, key) in sb.live_entries() {
-            live[key.net.index()].push((h, key));
+        let mut held: Vec<Vec<(Option<ChannelId>, EdgeKey)>> = vec![Vec::new(); self.graphs.len()];
+        for (h, key) in sb.entries() {
+            held[key.net.index()].push((h, key));
         }
         let cx = RawScan {
             density: &self.density,
@@ -1191,13 +1190,13 @@ impl<P: Probe> Engine<P> {
                     .into_iter()
                     .filter_map(|(h, key)| key.map(|k| (h, k)))
                     .collect();
-            let got = &mut live[net.index()];
+            let got = &mut held[net.index()];
             want.sort_by_key(|(h, _)| heap(h));
             got.sort_by_key(|(h, _)| heap(h));
             assert!(
                 *got == want,
                 "self-audit: scoreboard entries of net {} diverged from a cache-free scan: \
-                 live {got:?}, from-scratch {want:?}",
+                 held {got:?}, from-scratch {want:?}",
                 net.index()
             );
         }
@@ -1490,18 +1489,16 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Re-keys the selected `lanes` of `net`: scans them
-    /// ([`scan_raw_keys`]), then per lane invalidates the net's entries
-    /// in that heap — unless `invalidate` is `false` (the initial build,
-    /// where nothing was pushed yet) — and pushes the fresh minimum.
-    /// `touched` are the spans of the deletion being re-keyed for (empty
-    /// for the initial build).
+    /// ([`scan_raw_keys`]) and sets each lane's fresh minimum as the
+    /// net's key in that heap, or removes the net from the heap when the
+    /// lane has no deletable edge left. `touched` are the spans of the
+    /// deletion being re-keyed for (empty for the initial build).
     fn rekey(
         &mut self,
         sb: &mut Scoreboard,
         net: NetId,
         lanes: Lanes,
         touched: &[(ChannelId, i32, i32)],
-        invalidate: bool,
     ) {
         let cx = RawScan {
             density: &self.density,
@@ -1519,24 +1516,15 @@ impl<P: Probe> Engine<P> {
             &mut self.scan[ni],
             &mut self.probe,
         );
-        if invalidate {
-            let purged: u64 = keys.iter().map(|&(heap, _)| sb.invalidate(net, heap)).sum();
-            if P::ENABLED && purged > 0 {
-                self.probe.count(Counter::StaleHeapPurged, purged);
-            }
-        }
-        if P::ENABLED && self.frozen == Some(net) {
-            // StaleChampion injection: invalidation ran but the fresh
-            // candidates are silently dropped — the loop now believes
-            // the net is finished.
-            return;
-        }
+        // StaleChampion injection: the net's keys are removed and the
+        // fresh candidates silently dropped — the loop now believes the
+        // net is finished.
+        let frozen = P::ENABLED && self.frozen == Some(net);
         let mut pushes = 0u64;
         for (heap, key) in keys {
-            if let Some(key) = key {
-                sb.push(key, heap);
-                pushes += 1;
-            }
+            let key = key.filter(|_| !frozen);
+            pushes += u64::from(key.is_some());
+            sb.set(net, heap, key);
         }
         if P::ENABLED && pushes > 0 {
             self.probe.count(Counter::HeapPush, pushes);
@@ -1565,7 +1553,7 @@ impl<P: Probe> Engine<P> {
             self.probe.scope_enter(Scope::Rekey);
         }
         for &net in &nets {
-            self.rekey(&mut sb, net, Lanes::ALL, &[], false);
+            self.rekey(&mut sb, net, Lanes::ALL, &[]);
         }
         if P::PROFILING {
             self.probe.scope_exit(Scope::Rekey);
@@ -1581,7 +1569,7 @@ impl<P: Probe> Engine<P> {
             if P::PROFILING {
                 self.probe.scope_enter(Scope::Select);
             }
-            let popped = sb.pop_valid_probed(&self.density, &mut self.probe);
+            let popped = sb.pop(&self.density, &mut self.probe);
             let Some(key) = popped else {
                 if P::PROFILING {
                     self.probe.scope_exit(Scope::Select);
@@ -1595,7 +1583,7 @@ impl<P: Probe> Engine<P> {
             );
             if P::ENABLED {
                 // Runner-up peek: the best composed key over every other
-                // net's live entries — the same runner-up champion the
+                // net's entries — the same runner-up champion the
                 // rescan oracle tracks. Unprobed on purpose — provenance
                 // peeking must not perturb the heap-pop diagnostics.
                 let tier = match sb.runner_up(key.net, &self.density) {
@@ -1646,7 +1634,7 @@ impl<P: Probe> Engine<P> {
                 if P::PROFILING {
                     self.probe.scope_enter(Scope::RekeyFor(d.cause));
                 }
-                self.rekey(&mut sb, d.net, d.lanes, &d_spans, true);
+                self.rekey(&mut sb, d.net, d.lanes, &d_spans);
                 if P::PROFILING {
                     self.probe.scope_exit(Scope::RekeyFor(d.cause));
                 }
@@ -2074,7 +2062,7 @@ mod tests {
         let mut sb = Scoreboard::new(nets, channels, CriteriaOrder::DelayFirst);
         engine.window_run += 1;
         for n in 0..nets {
-            engine.rekey(&mut sb, NetId::new(n), Lanes::ALL, &[], false);
+            engine.rekey(&mut sb, NetId::new(n), Lanes::ALL, &[]);
         }
         sb
     }

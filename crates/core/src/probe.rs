@@ -284,9 +284,12 @@ pub enum Counter {
     KeyEval,
     /// Scoreboard heap pushes.
     HeapPush,
-    /// Scoreboard heap pops, valid and stale.
+    /// Scoreboard heap pops: one per selection the scoreboard makes.
     HeapPop,
-    /// Of the pops, generation-stale entries discarded.
+    /// Always 0: the scoreboard holds one current key per (net, heap)
+    /// and never discards a stale entry. Kept only for the benchmark's
+    /// `core.stale_heap_pops` layer metric, until the benchmark stops
+    /// reading it.
     StaleHeapPop,
     /// Re-keys caused by a changed graph (deleted net / partner).
     RekeyGraph,
@@ -318,7 +321,7 @@ pub enum Counter {
     /// `delay_memo_misses == hyp_cache_hits + hyp_cache_misses`.
     DelayMemoMiss,
     /// Scoreboard heap tops recomposed at pop time: one per heap whose
-    /// cached top a push, an invalidation or the previous pop had
+    /// cached top a stored key, a removal or the previous pop had
     /// dirtied. (The `shard_rebuilds` label predates the per-heap
     /// cache.)
     ShardRebuild,
@@ -327,10 +330,6 @@ pub enum Counter {
     /// is exactly why deadline firings are a counter and not a
     /// [`TraceEvent`].
     DeadlineStop,
-    /// Stale scoreboard entries dropped by heap compaction rather than
-    /// drained by a pop, so `stale_heap_pops + stale_heap_purged`
-    /// counts every stale entry the heaps discarded.
-    StaleHeapPurged,
     /// Of the hypothetical-wire cache misses, those answered from a
     /// carried detour by patching the union alone, re-settling nothing
     /// (`ShortestPaths::repatch`).
@@ -339,7 +338,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 17;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -359,7 +358,6 @@ impl Counter {
         Counter::DelayMemoMiss,
         Counter::ShardRebuild,
         Counter::DeadlineStop,
-        Counter::StaleHeapPurged,
         Counter::HypRepatched,
     ];
 
@@ -387,7 +385,6 @@ impl Counter {
             Counter::DelayMemoMiss => "delay_memo_misses",
             Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
-            Counter::StaleHeapPurged => "stale_heap_purged",
             Counter::HypRepatched => "hyp_repatched",
         }
     }
@@ -398,8 +395,6 @@ impl Counter {
 pub enum Hist {
     /// Nets re-keyed per deletion (dirty-set size).
     DirtySetSize,
-    /// Stale entries discarded per scoreboard selection pop.
-    StalePopsPerSelection,
 }
 
 /// Bucket count of every [`Hist`]: powers of two —
@@ -408,10 +403,10 @@ pub const HIST_BUCKETS: usize = 8;
 
 impl Hist {
     /// Number of histograms (array dimension).
-    pub const COUNT: usize = 2;
+    pub const COUNT: usize = 1;
 
     /// Every histogram, in declaration order.
-    pub const ALL: [Hist; Hist::COUNT] = [Hist::DirtySetSize, Hist::StalePopsPerSelection];
+    pub const ALL: [Hist; Hist::COUNT] = [Hist::DirtySetSize];
 
     /// Dense index into histogram arrays: the declaration order.
     pub fn index(self) -> usize {
@@ -422,7 +417,6 @@ impl Hist {
     pub fn label(self) -> &'static str {
         match self {
             Hist::DirtySetSize => "dirty_set_size",
-            Hist::StalePopsPerSelection => "stale_pops_per_selection",
         }
     }
 

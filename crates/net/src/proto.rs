@@ -170,8 +170,9 @@ pub enum Message {
         /// Slice index the lease named.
         slice: u64,
         /// What the slice concluded. Decoded, a failure's error is
-        /// [`RouteError::DeadlineExpired`] or [`RouteError::Internal`] in
-        /// phase `"remote"` (see [`Message::decode`]).
+        /// [`RouteError::DeadlineExpired`], [`RouteError::Checkpoint`] or
+        /// [`RouteError::Internal`] in phase `"remote"` (see
+        /// [`Message::decode`]).
         outcome: SliceOutcome,
     },
     /// Worker → coordinator: still computing a lease; extends its
@@ -245,6 +246,10 @@ fn read_verdict(r: &mut Reader<'_>) -> Result<FinishVerdict, ProtoError> {
 /// The phase of the [`RouteError::Internal`] a remote failure decodes to.
 const REMOTE: &str = "remote";
 
+/// How [`RouteError::Checkpoint`]'s `Display` starts; a remote failure
+/// message with this prefix decodes back to that variant.
+const CHECKPOINT_REJECTED: &str = "checkpoint rejected: ";
+
 /// The payload of `Message::Result { job, slice, outcome }`, written
 /// from a borrowed outcome (the coordinator journals a result before
 /// applying it).
@@ -317,6 +322,10 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<SliceOutcome, ProtoError> {
             let message = r.block("message")?;
             let error = if message.starts_with("slice deadline expired") {
                 RouteError::DeadlineExpired {}
+            } else if let Some(message) = message.strip_prefix(CHECKPOINT_REJECTED) {
+                RouteError::Checkpoint {
+                    message: message.to_owned(),
+                }
             } else {
                 RouteError::Internal {
                     phase: REMOTE,
@@ -412,8 +421,10 @@ impl Message {
     /// [`RouteError::DeadlineExpired`] when it starts "slice deadline
     /// expired" (the current `Display`, and the longer text of older
     /// journals), so coordinator-side deadline accounting matches the
-    /// local path, and to [`RouteError::Internal`] in phase `"remote"`
-    /// otherwise. Re-encoding such an `Internal` writes its message
+    /// local path, to [`RouteError::Checkpoint`] when it starts
+    /// "checkpoint rejected: " (that variant's `Display`; the rest is
+    /// its message), and to [`RouteError::Internal`] in phase
+    /// `"remote"` otherwise. Re-encoding such an `Internal` writes its message
     /// verbatim, so a decoded payload re-encodes to itself.
     ///
     /// # Errors
@@ -767,28 +778,26 @@ mod tests {
                 "{msg:?}"
             );
         }
-        let (_, msg) = received(
-            0,
-            0,
-            SliceOutcome::Failed {
-                error: RouteError::Checkpoint {
-                    message: "boom".into(),
-                },
-            },
-        );
-        let Message::Result {
-            outcome:
-                SliceOutcome::Failed {
-                    error: RouteError::Internal { phase, message },
-                },
-            ..
-        } = msg
-        else {
-            panic!("wrong shape: {msg:?}");
+        // A checkpoint rejection keeps its variant and message; any
+        // other failure arrives as a remote internal error carrying its
+        // message.
+        let decoded = |error: RouteError| match received(0, 0, SliceOutcome::Failed { error }).1 {
+            Message::Result {
+                outcome: SliceOutcome::Failed { error },
+                ..
+            } => error,
+            msg => panic!("wrong shape: {msg:?}"),
         };
+        let rejected = RouteError::Checkpoint {
+            message: "boom: bad mask".into(),
+        };
+        assert_eq!(decoded(rejected.clone()), rejected);
         assert_eq!(
-            (phase, message.as_str()),
-            ("remote", "checkpoint rejected: boom")
+            decoded(RouteError::MissingFeedKind),
+            RouteError::Internal {
+                phase: "remote",
+                message: RouteError::MissingFeedKind.to_string(),
+            }
         );
     }
 

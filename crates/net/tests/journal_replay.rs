@@ -64,9 +64,8 @@ fn replayed_remote_failure_keeps_the_live_error() {
     assert_eq!(live_job.state(), SessionState::Failed);
     assert_eq!(
         live_job.error(),
-        Some(&RouteError::Internal {
-            phase: "remote",
-            message: "checkpoint rejected: boom".into(),
+        Some(&RouteError::Checkpoint {
+            message: "boom".into(),
         })
     );
 

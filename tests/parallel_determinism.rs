@@ -167,7 +167,6 @@ fn scan_counters_are_thread_invariant() {
             Counter::HeapPush,
             Counter::HeapPop,
             Counter::StaleHeapPop,
-            Counter::StaleHeapPurged,
             Counter::ShardRebuild,
         ] {
             assert_eq!(
