@@ -68,6 +68,25 @@ impl DelayCriteria {
         }
         out
     }
+
+    /// The *floor* of `net`'s delay prefix: `(#{P : M(P) ≤ 0}, 0, 0)`,
+    /// which ranks no later than [`DelayCriteria::evaluate`] at any
+    /// hypothetical wire, and needs no tree. Each term of `evaluate`
+    /// bounds it: [`Sta::lm_excess_ps`] starts its maximum at 0, so
+    /// `LM ≤ M` and a constraint with `M ≤ 0` is counted in `C_d`; `pen`
+    /// is non-increasing, so every `Gl` term is ≥ 0; and every `LD` term
+    /// is clamped at 0 (DESIGN.md §8, "Bound-first lane scans").
+    pub fn floor(sta: &Sta, net: NetId) -> Self {
+        let cd = sta
+            .constraints_of_net(net)
+            .iter()
+            .filter(|&&cid| sta.margin_ps(cid as usize) <= 0.0)
+            .count();
+        Self {
+            cd: cd as u32,
+            ..Self::default()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -65,13 +65,18 @@
 //!
 //! Each net carries a private `NetScanState`: its shortest-path search,
 //! its current tentative tree, and the *hypothetical* trees (assuming one
-//! edge deleted) of the edges that tree depends on — every other edge
-//! shares the current tree, and cached trees survive deletions that miss
-//! them (exact rules in `tentative::ShortestPaths`) — each with
-//! a *delay-prefix memo* (the `C_d/Gl/LD` triple, keyed on the summed
-//! generations of the net's timing constraints, so density-only
-//! invalidations skip the delay recomputation entirely) — and its trunk
-//! edges' density windows, cached for one scoreboard run.
+//! edge deleted) of the tree edges whose keys were evaluated — every
+//! other edge shares the current tree, and cached trees survive
+//! deletions that miss them (exact rules in `tentative::ShortestPaths`)
+//! — each with a *delay-prefix memo* (the `C_d/Gl/LD` triple, keyed on
+//! the summed generations of the net's timing constraints, so
+//! density-only invalidations skip the delay recomputation entirely) —
+//! and its trunk edges' density windows, cached for one scoreboard run.
+//!
+//! A re-key scan builds a hypothetical tree only for an edge that can
+//! still win its lane: every other tree edge keeps its *floor* key, whose
+//! delay prefix ranks no later than the real one and needs no tree
+//! ([`DelayCriteria::floor`], DESIGN.md §8 "Bound-first lane scans").
 //!
 //! After a deletion the dirty nets are re-keyed one at a time, in
 //! ascending net-id order. A scan reads the graphs, the density map and
@@ -92,7 +97,7 @@ use crate::probe::{
     Corruption, Counter, Hist, NoopProbe, Phase, Probe, RekeyCause, Scope, TraceEvent,
 };
 use crate::scoreboard::Scoreboard;
-use crate::select::{deciding_tier, ranks_first, DecidingTier, EdgeKey};
+use crate::select::{compare, deciding_tier, ranks_first, DecidingTier, EdgeKey};
 use crate::session::SnapshotStats;
 use crate::tentative::{tentative_length_um, Detour, EdgeSet, Region, ShortestPaths, TreeDeps};
 
@@ -137,7 +142,9 @@ impl CachedTree {
 /// snapshot restore) drops everything. The rules are exact — see
 /// [`ShortestPaths`] — and [`Engine::audit_state`] checks them against
 /// full searches. The search itself lives for one scan
-/// ([`scan_raw_keys`]).
+/// ([`scan_raw_keys`]), which builds the hypothetical trees of only the
+/// edges whose floor keys could still win their lane; a later scan that
+/// must evaluate one of the others searches again.
 ///
 /// Each re-settled tree also leaves its [`Detour`]. A deletion whose
 /// [`Region`] misses a detour carries it to the next search (rule 4),
@@ -165,7 +172,7 @@ struct NetScanState {
     /// Summed constraint generations the memoized delays belong to.
     sta_stamp: u64,
     /// The driver-rooted search of the current graph, kept for one scan
-    /// of the net (the scan leaves every tree it needs cached).
+    /// of the net.
     paths: Option<ShortestPaths>,
     /// The net's current tentative tree.
     current: Option<CachedTree>,
@@ -267,7 +274,8 @@ impl NetScanState {
     }
 
     /// Ends a scan: drops the search, keeping its parent edges while
-    /// the net has detours relative to it.
+    /// the net has detours relative to it. The next scan that needs a
+    /// hypothetical tree not cached by then searches again.
     fn end_scan(&mut self) {
         if let Some(paths) = self.paths.take() {
             if self.detours.iter().any(Option::is_some) {
@@ -358,11 +366,8 @@ impl NetScanState {
         e: u32,
         probe: &mut impl Probe,
     ) -> DelayCriteria {
+        self.alloc_hyp(g);
         let depends = self.current_tree(g, sta, net).deps.contains(e);
-        if self.hyp.is_empty() {
-            self.hyp.resize(g.edges().len(), None);
-            self.detours.resize(g.edges().len(), None);
-        }
         let sta_stamp = net_timing_stamp(sta, net);
         if self.sta_stamp != sta_stamp {
             for t in self.hyp.iter_mut().flatten() {
@@ -389,9 +394,10 @@ impl NetScanState {
         } else {
             probe.count(Counter::HypCacheMiss, 1);
             self.sync_graph(g);
-            let paths = self
-                .paths
-                .get_or_insert_with(|| ShortestPaths::search(g, None));
+            let paths = self.paths.get_or_insert_with(|| {
+                probe.count(Counter::HypSearch, 1);
+                ShortestPaths::search(g, None)
+            });
             let slot = &mut self.detours[e as usize];
             let tree = match slot {
                 Some(detour) => {
@@ -419,6 +425,23 @@ impl NetScanState {
         let d = DelayCriteria::evaluate(sta, net, &tree.wire);
         tree.delay = Some(d);
         d
+    }
+
+    /// Marks the net as one whose keys carry delay criteria: sizes `hyp`
+    /// and `detours`, so [`NetScanState::current_tree`] keeps its search.
+    fn alloc_hyp(&mut self, g: &RoutingGraph) {
+        if self.hyp.is_empty() {
+            self.hyp.resize(g.edges().len(), None);
+            self.detours.resize(g.edges().len(), None);
+        }
+    }
+
+    /// Whether the delay prefix of deleting `e` needs a hypothetical
+    /// tree that is not cached: `e` is an edge of the current tree and
+    /// its own tree was not kept. Only called for constrained nets.
+    fn needs_tree(&mut self, g: &RoutingGraph, sta: &Sta, net: NetId, e: u32) -> bool {
+        self.alloc_hyp(g);
+        self.current_tree(g, sta, net).deps.contains(e) && self.hyp[e as usize].is_none()
     }
 
     /// The hypothetical length the scan uses for deleting `e` — cached,
@@ -529,41 +552,41 @@ fn scan_champion(
             best = Some(key);
         }
     }
-    // Every deletable edge's tree is cached now (see `scan_raw_keys`).
+    // A full scan: every deletable edge's tree is cached now, so unlike
+    // after a bound-first `scan_raw_keys` the next scan of the same graph
+    // needs no search.
     state.end_scan();
     best
 }
 
 /// What every re-key scan of one deletion shares: the state read
 /// immutably, the criteria order, the scoreboard run (for the window
-/// cache) and the spans the current deletion touched.
+/// cache), the spans the current deletion touched, and whether lane
+/// scans are bound-first (`prune`; only the scoreboard audit scans
+/// every edge exactly, so it does not check the pruning against itself).
 struct RawScan<'a> {
     density: &'a DensityMap,
     sta: &'a Sta,
     order: CriteriaOrder,
     run: u64,
     touched: &'a [(ChannelId, i32, i32)],
+    prune: bool,
 }
 
 /// Builds the **raw** (composition-free) key for a deletable edge of
-/// `net`. Raw trunk keys carry the *negated* own window terms, so
-/// adding the channel aggregates at pop time yields exactly
-/// [`scan_edge_key`]'s composed values; branch and feed keys carry
-/// zero density terms (see the scoreboard docs).
-fn scan_edge_key_raw(
+/// `net` with the given delay prefix. Raw trunk keys carry the
+/// *negated* own window terms, so adding the channel aggregates at pop
+/// time yields exactly [`scan_edge_key`]'s composed values; branch and
+/// feed keys carry zero density terms (see the scoreboard docs).
+fn raw_key(
     g: &RoutingGraph,
     net: NetId,
     e: u32,
+    delay: DelayCriteria,
     cx: &RawScan<'_>,
     state: &mut NetScanState,
     probe: &mut impl Probe,
 ) -> EdgeKey {
-    probe.count(Counter::KeyEval, 1);
-    let delay = if cx.sta.constraints_of_net(net).is_empty() {
-        DelayCriteria::default()
-    } else {
-        state.delay(g, cx.sta, net, e, probe)
-    };
     let edge = g.edges()[e as usize];
     let (is_trunk, f_min, n_min, f_max, n_max) = match edge.kind {
         REdgeKind::Trunk { channel } => {
@@ -617,9 +640,25 @@ impl Lanes {
 /// champion — pushing them would only bloat the heaps (ties cannot
 /// occur: [`crate::select::compare`] ends in a net/edge id tie-break).
 ///
+/// For a constrained net the scan is *bound-first* (with `cx.prune`).
+/// It keys exactly every edge whose delay prefix needs no new tree (off
+/// the current tree, or with its tree cached) and gives every other edge
+/// its floor key: the net's [`DelayCriteria::floor`] with the edge's own
+/// density tail, which ranks no later than its real key. It then
+/// evaluates those edges in floor-key order while the floor still ranks
+/// strictly before the lane's best, and stops at the first that does
+/// not: neither that edge nor any later one can displace the best
+/// (DESIGN.md §8, "Bound-first lane scans"). The edges left at their
+/// floor build no tree. Nets without constraints key every edge in one
+/// pass.
+///
+/// `deferred` is the scratch for one lane's floor keys, empty between
+/// scans; the engine reuses one for every net.
+///
 /// The same walk records each scanned lane's live trunk extent
 /// ([`NetScanState::extents`]), which [`derive_dirty`] tests touched
-/// spans against. Non-deletable edges drop their cached windows: they
+/// spans against; it reads the window of every deletable trunk edge,
+/// pruned or not. Non-deletable edges drop their cached windows: they
 /// are never read again in this run, and dropping them keeps every
 /// cached window exact for [`Engine::audit_state`].
 fn scan_raw_keys(
@@ -628,9 +667,12 @@ fn scan_raw_keys(
     lanes: Lanes,
     cx: &RawScan<'_>,
     state: &mut NetScanState,
+    deferred: &mut Vec<EdgeKey>,
     probe: &mut impl Probe,
 ) -> Vec<(Option<ChannelId>, Option<EdgeKey>)> {
     state.sync_windows(cx.run, g.edges().len());
+    let constrained = !cx.sta.constraints_of_net(net).is_empty();
+    let floor = (constrained && cx.prune).then(|| DelayCriteria::floor(cx.sta, net));
     let mut out = Vec::new();
     // The lane lists are static; take them out so the scan can borrow
     // the rest of the state mutably.
@@ -651,18 +693,41 @@ fn scan_raw_keys(
                 lo = lo.min(edge.x1);
                 hi = hi.max(edge.x2);
             }
-            let key = scan_edge_key_raw(g, net, e, cx, state, probe);
-            if ranks_first(&key, best.as_ref(), cx.order) {
+            probe.count(Counter::KeyEval, 1);
+            let bound = floor.filter(|_| state.needs_tree(g, cx.sta, net, e));
+            let delay = match bound {
+                Some(floor) => floor,
+                None if constrained => state.delay(g, cx.sta, net, e, probe),
+                None => DelayCriteria::default(),
+            };
+            let key = raw_key(g, net, e, delay, cx, state, probe);
+            if bound.is_some() {
+                deferred.push(key);
+            } else if ranks_first(&key, best.as_ref(), cx.order) {
                 best = Some(key);
             }
+        }
+        if floor.is_some() {
+            deferred.sort_unstable_by(|a, b| compare(a, b, cx.order));
+            let mut pruned = deferred.len() as u64;
+            for mut key in deferred.drain(..) {
+                if !ranks_first(&key, best.as_ref(), cx.order) {
+                    break;
+                }
+                pruned -= 1;
+                key.delay = state.delay(g, cx.sta, net, key.edge, probe);
+                if ranks_first(&key, best.as_ref(), cx.order) {
+                    best = Some(key);
+                }
+            }
+            probe.count(Counter::DelayPruned, pruned);
         }
         state.extents[lane] = (lo, hi);
         out.push((*heap, best));
     }
     state.lanes = all;
-    // The search lives for one scan. Every graph change re-keys all of
-    // a net's lanes, which caches a tree for each deletable edge, so
-    // later scans of the same graph never need the search again.
+    // The search lives for one scan; a later scan that must evaluate an
+    // edge this one left at its floor searches again.
     state.end_scan();
     out
 }
@@ -800,6 +865,9 @@ pub struct Engine<P: Probe = NoopProbe> {
     delta_spans: Vec<(ChannelId, i32, i32)>,
     /// Constraints the analyzer refreshed during the current deletion.
     delta_cons: Vec<u32>,
+    /// Scratch of the bound-first lane scans ([`scan_raw_keys`]), shared
+    /// by every net and empty between scans.
+    deferred: Vec<EdgeKey>,
     /// Nets whose graph changed during the current deletion.
     delta_nets: Vec<NetId>,
     /// The route's cumulative deterministic counters. The engine
@@ -891,6 +959,7 @@ impl<P: Probe> Engine<P> {
             delta_spans: Vec::new(),
             delta_cons: Vec::new(),
             delta_nets: Vec::new(),
+            deferred: Vec::new(),
             stats: SnapshotStats::default(),
             verify: VerifyLevel::Off,
             frozen: None,
@@ -1159,9 +1228,10 @@ impl<P: Probe> Engine<P> {
 
     /// The step-level oracle of the scoreboard path: every in-scope net's
     /// entries in `sb` — one per heap it has a deletable edge in — must
-    /// equal the per-heap minima a cache-free [`scan_raw_keys`] computes
-    /// from scratch (fresh scan state: no cached trees, delay prefixes
-    /// or windows). The scoreboard's position map, heap order and clean
+    /// equal the per-heap minima a cache-free, unpruned [`scan_raw_keys`]
+    /// computes from scratch (fresh scan state: no cached trees, delay
+    /// prefixes or windows; every edge keyed exactly, so the bound-first
+    /// scans are checked against a scan that skips nothing). The scoreboard's position map, heap order and clean
     /// heaps' cached tops are checked first ([`Scoreboard::audit`]).
     ///
     /// # Panics
@@ -1181,15 +1251,23 @@ impl<P: Probe> Engine<P> {
             order: sb.order(),
             run: 0,
             touched: &[],
+            prune: false,
         };
         for &net in nets {
             let g = &self.graphs[net.index()];
             let mut state = NetScanState::new(g);
-            let mut want: Vec<(Option<ChannelId>, EdgeKey)> =
-                scan_raw_keys(g, net, Lanes::ALL, &cx, &mut state, &mut NoopProbe)
-                    .into_iter()
-                    .filter_map(|(h, key)| key.map(|k| (h, k)))
-                    .collect();
+            let mut want: Vec<(Option<ChannelId>, EdgeKey)> = scan_raw_keys(
+                g,
+                net,
+                Lanes::ALL,
+                &cx,
+                &mut state,
+                &mut Vec::new(),
+                &mut NoopProbe,
+            )
+            .into_iter()
+            .filter_map(|(h, key)| key.map(|k| (h, k)))
+            .collect();
             let got = &mut held[net.index()];
             want.sort_by_key(|(h, _)| heap(h));
             got.sort_by_key(|(h, _)| heap(h));
@@ -1506,6 +1584,7 @@ impl<P: Probe> Engine<P> {
             order: sb.order(),
             run: self.window_run,
             touched,
+            prune: true,
         };
         let ni = net.index();
         let keys = scan_raw_keys(
@@ -1514,6 +1593,7 @@ impl<P: Probe> Engine<P> {
             lanes,
             &cx,
             &mut self.scan[ni],
+            &mut self.deferred,
             &mut self.probe,
         );
         // StaleChampion injection: the net's keys are removed and the
@@ -2139,5 +2219,215 @@ mod tests {
         }
         assert_eq!(fast.stats.selection_log, oracle.stats.selection_log);
         assert_eq!(fast.stats.deletions, oracle.stats.deletions);
+    }
+
+    /// A random constrained one-row instance: 3–9 gates (INV or NOR2)
+    /// in topological order, each input driven by an input pad or an
+    /// earlier gate, and an output pad on every gate without sinks. Each
+    /// output pad is constrained from an input pad upstream of it, with
+    /// a limit of its arrival on the unrouted graphs times a factor in
+    /// `[0.8, 1.3)`, so some margins are negative from the start and
+    /// more turn negative as deletions lengthen the nets.
+    fn random_constrained(rng: &mut bgr_netlist::SplitMix64) -> Engine {
+        use bgr_layout::{Geometry, PlacementBuilder};
+        use bgr_netlist::{CellLibrary, CircuitBuilder, PadId};
+        use bgr_timing::PathConstraint;
+
+        let lib = CellLibrary::ecl();
+        let kinds = [("INV", 3, &["A"][..]), ("NOR2", 4, &["A", "B"][..])];
+        let kind = |name| lib.kind_by_name(name).expect("ECL library kind");
+        let kinds = kinds.map(|(name, width, pins)| (kind(name), width, pins));
+        let mut cb = CircuitBuilder::new(lib.clone());
+        let mut in_pads: Vec<(PadId, Vec<bgr_netlist::TermId>)> = Vec::new();
+        // Per gate: its width, the terminals it drives, and one input pad
+        // upstream of it.
+        let mut gates: Vec<(u32, Vec<bgr_netlist::TermId>, usize)> = Vec::new();
+        for i in 0..rng.range_usize(3, 10) {
+            let (kind, width, pins) = kinds[rng.range_usize(0, kinds.len())];
+            let cell = cb.add_cell(format!("u{i}"), kind);
+            let mut root = None;
+            for pin in pins {
+                let term = cb.cell_term(cell, pin).unwrap();
+                let pad_root = if i == 0 || rng.next_bool(0.3) {
+                    let p = if in_pads.is_empty() || rng.next_bool(0.5) {
+                        in_pads.push((cb.add_input_pad(format!("i{}", in_pads.len())), vec![]));
+                        in_pads.len() - 1
+                    } else {
+                        rng.range_usize(0, in_pads.len())
+                    };
+                    in_pads[p].1.push(term);
+                    p
+                } else {
+                    let j = rng.range_usize(0, i);
+                    gates[j].1.push(term);
+                    gates[j].2
+                };
+                root.get_or_insert(pad_root);
+            }
+            gates.push((width, vec![], root.unwrap()));
+        }
+        let mut out_pads = Vec::new();
+        for (i, (_, sinks, root)) in gates.iter_mut().enumerate() {
+            if sinks.is_empty() || rng.next_bool(0.2) {
+                let pad = cb.add_output_pad(format!("o{i}"));
+                sinks.push(cb.pad_term(pad));
+                out_pads.push((pad, *root));
+            }
+        }
+        for (p, (pad, sinks)) in in_pads.iter().enumerate() {
+            cb.add_net(format!("ni{p}"), cb.pad_term(*pad), sinks.iter().copied())
+                .unwrap();
+        }
+        for (i, (_, sinks, _)) in gates.iter().enumerate() {
+            let cell = bgr_netlist::CellId::new(i);
+            cb.add_net(
+                format!("n{i}"),
+                cb.cell_term(cell, "Y").unwrap(),
+                sinks.iter().copied(),
+            )
+            .unwrap();
+        }
+        let ends: Vec<_> = out_pads
+            .iter()
+            .map(|&(pad, root)| (cb.pad_term(in_pads[root].0), cb.pad_term(pad)))
+            .collect();
+        let constraints = |limits: &[f64]| -> Vec<PathConstraint> {
+            ends.iter()
+                .zip(limits)
+                .enumerate()
+                .map(|(c, (&(from, to), &limit))| {
+                    PathConstraint::new(format!("c{c}"), from, to, limit)
+                })
+                .collect()
+        };
+        let loose = constraints(&vec![1e9; ends.len()]);
+        let mut order: Vec<usize> = (0..gates.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.range_usize(0, i + 1));
+        }
+        let circuit = cb.finish().unwrap();
+        let mut pb = PlacementBuilder::new(Geometry::default(), 1);
+        for &i in &order {
+            pb.append_with_width(0, bgr_netlist::CellId::new(i), gates[i].0);
+        }
+        let width: i32 = gates.iter().map(|g| g.0 as i32).sum();
+        for p in 0..circuit.pads().len() {
+            let x = rng.range_i32(0, width);
+            if rng.next_bool(0.5) {
+                pb.place_pad_bottom(PadId::new(p), x);
+            } else {
+                pb.place_pad_top(PadId::new(p), x);
+            }
+        }
+        let placement = pb.finish(&circuit).unwrap();
+        let build = |cons: Vec<PathConstraint>| {
+            let graphs: Vec<RoutingGraph> = circuit
+                .net_ids()
+                .map(|n| RoutingGraph::build(&circuit, &placement, n, &[], 30.0))
+                .collect();
+            let sta = Sta::new(
+                &circuit,
+                cons,
+                DelayModel::Capacitance,
+                WireParams::default(),
+            )
+            .unwrap();
+            let partner = vec![None; circuit.nets().len()];
+            let width = placement.width_pitches() as usize;
+            Engine::new(graphs, sta, partner, placement.num_channels(), width)
+        };
+        let arrivals: Vec<f64> = {
+            let engine = build(loose);
+            (0..ends.len())
+                .map(|c| engine.sta().arrival_ps(c) * rng.range_f64(0.8, 1.3))
+                .collect()
+        };
+        build(constraints(&arrivals))
+    }
+
+    /// The bound behind bound-first lane scans, on random constrained
+    /// nets under every criteria order and along whole deletion runs:
+    /// every deletable edge's floor key ranks no later than its real key,
+    /// and a pruned scan on the engine's own cached state keeps the same
+    /// lane minima, field for field, as an unpruned scan from scratch.
+    #[test]
+    fn pruned_lane_minima_equal_full_scans_on_random_constrained_nets() {
+        use crate::probe::CollectingProbe;
+        let mut rng = bgr_netlist::SplitMix64::new(0xF1_00_12);
+        let orders = [
+            CriteriaOrder::DelayFirst,
+            CriteriaOrder::AreaFirst,
+            CriteriaOrder::DensityOnly,
+        ];
+        let (mut pruned, mut violated, mut scans) = (0u64, 0u64, 0u64);
+        for case in 0..60 {
+            let order = orders[case % orders.len()];
+            let mut engine = random_constrained(&mut rng);
+            engine.set_verify(VerifyLevel::Steps(1));
+            let mut done = 0;
+            loop {
+                for n in 0..engine.graphs.len() {
+                    let net = NetId::new(n);
+                    if engine.sta.constraints_of_net(net).is_empty() {
+                        continue;
+                    }
+                    let g = &engine.graphs[n];
+                    let floor = DelayCriteria::floor(&engine.sta, net);
+                    violated += u64::from(floor.cd > 0);
+                    let mut fresh = NetScanState::new(g);
+                    for e in g.non_bridge_edges() {
+                        let delay = fresh.delay(g, &engine.sta, net, e, &mut NoopProbe);
+                        let real = EdgeKey {
+                            delay,
+                            is_trunk: false,
+                            f_min: 0,
+                            n_min: 0,
+                            f_max: 0,
+                            n_max: 0,
+                            len_um: g.edges()[e as usize].len_um,
+                            net,
+                            edge: e,
+                        };
+                        let bound = EdgeKey {
+                            delay: floor,
+                            ..real
+                        };
+                        for o in orders {
+                            assert_ne!(
+                                compare(&bound, &real, o),
+                                std::cmp::Ordering::Greater,
+                                "case {case} net {n} edge {e}: floor {floor:?} ranks after \
+                                 {delay:?} under {o:?}"
+                            );
+                        }
+                    }
+                    let scan = |prune, state: &mut NetScanState, probe: &mut CollectingProbe| {
+                        let cx = RawScan {
+                            density: &engine.density,
+                            sta: &engine.sta,
+                            order,
+                            run: engine.window_run,
+                            touched: &[],
+                            prune,
+                        };
+                        scan_raw_keys(g, net, Lanes::ALL, &cx, state, &mut Vec::new(), probe)
+                    };
+                    let mut probe = CollectingProbe::new();
+                    let want = scan(false, &mut NetScanState::new(g), &mut probe);
+                    let got = scan(true, &mut engine.scan[n], &mut probe);
+                    assert_eq!(got, want, "case {case} net {n} under {order:?}");
+                    pruned += probe.finish().counter(Counter::DelayPruned);
+                    scans += 1;
+                }
+                let run = engine.continue_deletion(None, order, done, Some(done + 3));
+                if run.complete {
+                    break;
+                }
+                done += run.selections;
+            }
+        }
+        assert!(scans > 500, "only {scans} constrained scans");
+        assert!(violated > 0, "no scan started from a violated constraint");
+        assert!(pruned > 0, "no scan left an edge at its floor");
     }
 }

@@ -279,8 +279,9 @@ pub enum TraceEvent {
 /// strategies (the full rescan pushes no heap entries at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Candidate keys evaluated (one per deletable edge per champion
-    /// scan).
+    /// Candidate keys formed: one per deletable edge per scan (a
+    /// champion scan or a lane re-key), whether its delay prefix was
+    /// evaluated or left at its floor ([`Counter::DelayPruned`]).
     KeyEval,
     /// Scoreboard heap pushes.
     HeapPush,
@@ -334,11 +335,21 @@ pub enum Counter {
     /// carried detour by patching the union alone, re-settling nothing
     /// (`ShortestPaths::repatch`).
     HypRepatched,
+    /// Candidate keys of constrained nets that a bound-first lane scan
+    /// left at their floor key: their delay prefix needed a hypothetical
+    /// tree, and their floor could no longer win the lane, so no tree
+    /// was built.
+    DelayPruned,
+    /// Full `ShortestPaths::search` calls started for a hypothetical-tree
+    /// miss because no search of the current graph was at hand (the
+    /// search lives for one scan, so a later scan of the same graph
+    /// that must build a tree searches again).
+    HypSearch,
 }
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 19;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -359,6 +370,8 @@ impl Counter {
         Counter::ShardRebuild,
         Counter::DeadlineStop,
         Counter::HypRepatched,
+        Counter::DelayPruned,
+        Counter::HypSearch,
     ];
 
     /// Dense index into counter arrays: the declaration order.
@@ -386,6 +399,8 @@ impl Counter {
             Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
             Counter::HypRepatched => "hyp_repatched",
+            Counter::DelayPruned => "delay_pruned",
+            Counter::HypSearch => "hyp_searches",
         }
     }
 }

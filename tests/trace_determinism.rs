@@ -190,9 +190,20 @@ fn phase_markers_bracket_the_route() {
         .count();
     assert_eq!(enters, exits);
     assert_eq!(enters, trace.spans.len());
-    assert!(matches!(trace.events[0], TraceEvent::PhaseEnter { .. }));
+    // Self-audits (`BGR_VERIFY=phases` or `steps`) may follow a phase's
+    // exit; the markers bracket the routing events.
+    let mut routing = trace.events.iter().filter(|e| {
+        !matches!(
+            e,
+            TraceEvent::AuditPassed { .. } | TraceEvent::AuditStep { .. }
+        )
+    });
     assert!(matches!(
-        trace.events[trace.events.len() - 1],
-        TraceEvent::PhaseExit { .. }
+        routing.next(),
+        Some(TraceEvent::PhaseEnter { .. })
+    ));
+    assert!(matches!(
+        routing.next_back(),
+        Some(TraceEvent::PhaseExit { .. })
     ));
 }
