@@ -140,24 +140,21 @@ pub fn table2_row(m: &Measurement) -> String {
     )
 }
 
-/// The tree layer's work per hypothetical-tree miss, as one line: how
-/// many misses re-settled a subtree and how many only re-patched the
-/// union of a carried detour (`hyp_repatched`), the vertices re-settled
-/// (`hyp_resettled`) per re-settle, the full searches those misses
-/// started (`hyp_searches`), and the candidate keys that bound-first
-/// lane scans left at their floor without a tree (`delay_pruned`).
+/// The tree layer's work per hypothetical-tree miss, as one line: the
+/// misses, each of which re-settles a subtree, the vertices re-settled
+/// (`hyp_resettled`) per miss, the full searches those misses started
+/// (`hyp_searches`), and the candidate keys that bound-first lane scans
+/// left at their floor without a tree (`delay_pruned`).
 pub fn hypothetical_tree_work(trace: &RouteTrace) -> String {
     let misses = trace.counter(Counter::HypCacheMiss);
-    let repatched = trace.counter(Counter::HypRepatched);
-    let resettles = misses - repatched;
     let resettled = trace.counter(Counter::HypResettled);
-    let per = resettled as f64 / resettles.max(1) as f64;
+    let per = resettled as f64 / misses.max(1) as f64;
     let searches = trace.counter(Counter::HypSearch);
     let pruned = trace.counter(Counter::DelayPruned);
     format!(
-        "hypothetical trees: {resettles} re-settles vs {repatched} re-patches over {misses} \
-         misses; {per:.1} re-settled vertices per re-settle ({resettled} in all); \
-         {searches} full searches started by misses; {pruned} keys left at their floor"
+        "hypothetical trees: {misses} misses; {per:.1} re-settled vertices per miss \
+         ({resettled} in all); {searches} full searches started by misses; \
+         {pruned} keys left at their floor"
     )
 }
 

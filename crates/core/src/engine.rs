@@ -99,7 +99,7 @@ use crate::probe::{
 use crate::scoreboard::Scoreboard;
 use crate::select::{compare, deciding_tier, ranks_first, DecidingTier, EdgeKey};
 use crate::session::SnapshotStats;
-use crate::tentative::{tentative_length_um, Detour, EdgeSet, Region, ShortestPaths, TreeDeps};
+use crate::tentative::{tentative_length_um, EdgeSet, ShortestPaths, TreeDeps};
 
 /// One tentative tree cached for a net: its wire state, the edges it
 /// depends on, and the delay prefix memoized for it.
@@ -143,15 +143,10 @@ impl CachedTree {
 /// [`ShortestPaths`] — and [`Engine::audit_state`] checks them against
 /// full searches. The search itself lives for one scan
 /// ([`scan_raw_keys`]), which builds the hypothetical trees of only the
-/// edges whose floor keys could still win their lane; a later scan that
-/// must evaluate one of the others searches again.
-///
-/// Each re-settled tree also leaves its [`Detour`]. A deletion whose
-/// [`Region`] misses a detour carries it to the next search (rule 4),
-/// so when its tree was dropped, the next lookup only patches the union
-/// ([`ShortestPaths::repatch`]). The region is read off the search tree
-/// of the graph before the deletion, whose parent edges the net keeps
-/// from its last scan while it has detours.
+/// edges whose floor keys could still win their lane. A later scan that
+/// must evaluate one of the others, or an edge whose tree a deletion
+/// dropped, searches again and re-settles that edge's subtree: nothing
+/// of a dropped tree is kept.
 ///
 /// Delay prefixes are memoized per tree, stamped with the *sum* of
 /// [`Sta::constraint_generation`] over the net's constraints: each
@@ -179,13 +174,6 @@ struct NetScanState {
     /// Per edge: the tentative tree assuming that edge deleted (empty
     /// until the net's first delay key).
     hyp: Vec<Option<Box<CachedTree>>>,
-    /// Per edge (sized with `hyp`): the detour its hypothetical tree
-    /// re-settled, relative to the search of the current graph.
-    detours: Vec<Option<Detour>>,
-    /// The parent edges of the search of the current graph, kept from
-    /// the last scan for the next deletion's [`Region`] while `detours`
-    /// has any.
-    search: Option<Vec<u32>>,
     /// The net's *lanes*: its edges grouped by the scoreboard heap they
     /// key into (`None` = the channelless feed heap), heaps in order of
     /// first appearance, edges ascending. Static: edge sets never grow.
@@ -265,45 +253,15 @@ impl NetScanState {
     fn sync_graph(&mut self, g: &RoutingGraph) {
         if self.stamp != g.generation() {
             self.paths = None;
-            self.search = None;
             self.current = None;
             self.hyp.fill(None);
-            self.detours.fill(None);
             self.stamp = g.generation();
-        }
-    }
-
-    /// Ends a scan: drops the search, keeping its parent edges while
-    /// the net has detours relative to it. The next scan that needs a
-    /// hypothetical tree not cached by then searches again.
-    fn end_scan(&mut self) {
-        if let Some(paths) = self.paths.take() {
-            if self.detours.iter().any(Option::is_some) {
-                self.search = Some(paths.into_parent_edges());
-            }
-        }
-    }
-
-    /// Called before `g` loses edges: makes sure the search the
-    /// detours are relative to is at hand for [`Region::new`],
-    /// searching once more if the last scan did not need one.
-    fn before_delete(&mut self, g: &RoutingGraph) {
-        if self.search.is_none()
-            && self.stamp == g.generation()
-            && self.detours.iter().any(Option::is_some)
-        {
-            let paths = self
-                .paths
-                .take()
-                .unwrap_or_else(|| ShortestPaths::search(g, None));
-            self.search = Some(paths.into_parent_edges());
         }
     }
 
     /// The graph went from generation `before` to its current one by
     /// losing exactly the edges `deleted`: keeps the trees that provably
-    /// did not change and the detours the deletion's region misses (see
-    /// the type docs).
+    /// did not change (see the type docs).
     fn retain_after(&mut self, g: &RoutingGraph, before: u64, deleted: &[u32]) {
         if self.stamp != before {
             self.sync_graph(g);
@@ -318,17 +276,6 @@ impl NetScanState {
             if !slot.as_deref().is_some_and(keep) {
                 *slot = None;
             }
-        }
-        match self.search.take() {
-            Some(parent_edge) => {
-                let region = Region::new(g, &parent_edge, deleted);
-                for slot in &mut self.detours {
-                    if !slot.as_ref().is_some_and(|d| region.carries(d)) {
-                        *slot = None;
-                    }
-                }
-            }
-            None => self.detours.fill(None),
         }
         self.stamp = g.generation();
     }
@@ -398,22 +345,8 @@ impl NetScanState {
                 probe.count(Counter::HypSearch, 1);
                 ShortestPaths::search(g, None)
             });
-            let slot = &mut self.detours[e as usize];
-            let tree = match slot {
-                Some(detour) => {
-                    probe.count(Counter::HypRepatched, 1);
-                    paths.repatch(g, e, detour)
-                }
-                None => {
-                    let (tree, detour) = paths.tree_without(g, e);
-                    probe.count(
-                        Counter::HypResettled,
-                        detour.as_ref().map_or(0, |d| d.len().into()),
-                    );
-                    *slot = detour;
-                    tree
-                }
-            };
+            let (tree, resettled) = paths.tree_without(g, e);
+            probe.count(Counter::HypResettled, resettled.into());
             self.hyp[e as usize] = Some(Box::new(CachedTree::new(sta, net, tree)));
         }
         let tree = if own {
@@ -427,12 +360,11 @@ impl NetScanState {
         d
     }
 
-    /// Marks the net as one whose keys carry delay criteria: sizes `hyp`
-    /// and `detours`, so [`NetScanState::current_tree`] keeps its search.
+    /// Marks the net as one whose keys carry delay criteria: sizes
+    /// `hyp`, so [`NetScanState::current_tree`] keeps its search.
     fn alloc_hyp(&mut self, g: &RoutingGraph) {
         if self.hyp.is_empty() {
             self.hyp.resize(g.edges().len(), None);
-            self.detours.resize(g.edges().len(), None);
         }
     }
 
@@ -555,7 +487,7 @@ fn scan_champion(
     // A full scan: every deletable edge's tree is cached now, so unlike
     // after a bound-first `scan_raw_keys` the next scan of the same graph
     // needs no search.
-    state.end_scan();
+    state.paths = None;
     best
 }
 
@@ -728,7 +660,7 @@ fn scan_raw_keys(
     state.lanes = all;
     // The search lives for one scan; a later scan that must evaluate an
     // edge this one left at its floor searches again.
-    state.end_scan();
+    state.paths = None;
     out
 }
 
@@ -1191,39 +1123,8 @@ impl<P: Probe> Engine<P> {
                      incremental {got:?} um, full search {want:?} um"
                 );
             }
-            self.audit_detours(i);
         }
         checks
-    }
-
-    /// The oracle of rule 4: every detour net `i` keeps — carried across
-    /// deletions or just re-settled — must be the members and parents a
-    /// fresh search re-settles without its edge, and a kept search must
-    /// be the current graph's. Uncounted, because the detours a net
-    /// holds depend on which scans ran, and so on the strategy.
-    fn audit_detours(&self, i: usize) {
-        let (g, state) = (&self.graphs[i], &self.scan[i]);
-        if state.stamp != g.generation()
-            || (state.search.is_none() && state.detours.iter().all(Option::is_none))
-        {
-            return;
-        }
-        if let Some(kept) = &state.search {
-            assert!(
-                *kept == ShortestPaths::search(g, None).into_parent_edges(),
-                "self-audit: kept search of net {i} diverged from a fresh search"
-            );
-        }
-        let mut fresh = ShortestPaths::search(g, None);
-        for (e, detour) in state.detours.iter().enumerate() {
-            let Some(detour) = detour else { continue };
-            let (_, want) = fresh.tree_without(g, e as u32);
-            assert!(
-                want.as_ref() == Some(detour),
-                "self-audit: detour of net {i} without edge {e} diverged: \
-                 kept {detour:?}, fresh search {want:?}"
-            );
-        }
     }
 
     /// The step-level oracle of the scoreboard path: every in-scope net's
@@ -1348,7 +1249,6 @@ impl<P: Probe> Engine<P> {
         assert!(self.graphs[ni].is_alive(e), "edge already dead");
         assert!(!self.graphs[ni].is_bridge(e), "refusing to delete a bridge");
         let before = self.graphs[ni].generation();
-        self.scan[ni].before_delete(&self.graphs[ni]);
         self.remove_density(net, e);
         self.graphs[ni].delete_edge(e);
         self.stats.deletions += 1;

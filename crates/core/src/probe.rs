@@ -309,9 +309,8 @@ pub enum Counter {
     /// Hypothetical-wire cache misses (tentative-tree recomputations).
     HypCacheMiss,
     /// Vertices re-settled by those recomputations: the subtree each
-    /// detached tree edge hangs, so `hyp_resettled / (hyp_cache_misses
-    /// − hyp_repatched)` is the re-settled vertices per re-settle.
-    /// Re-patched trees re-settle nothing.
+    /// detached tree edge hangs, so `hyp_resettled / hyp_cache_misses`
+    /// is the re-settled vertices per miss.
     HypResettled,
     /// Delay-prefix memo hits: key evaluations that reused a memoized
     /// `C_d/Gl/LD` prefix and skipped the hypothetical-wire path
@@ -331,10 +330,6 @@ pub enum Counter {
     /// is exactly why deadline firings are a counter and not a
     /// [`TraceEvent`].
     DeadlineStop,
-    /// Of the hypothetical-wire cache misses, those answered from a
-    /// carried detour by patching the union alone, re-settling nothing
-    /// (`ShortestPaths::repatch`).
-    HypRepatched,
     /// Candidate keys of constrained nets that a bound-first lane scan
     /// left at their floor key: their delay prefix needed a hypothetical
     /// tree, and their floor could no longer win the lane, so no tree
@@ -349,7 +344,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 18;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -369,7 +364,6 @@ impl Counter {
         Counter::DelayMemoMiss,
         Counter::ShardRebuild,
         Counter::DeadlineStop,
-        Counter::HypRepatched,
         Counter::DelayPruned,
         Counter::HypSearch,
     ];
@@ -398,7 +392,6 @@ impl Counter {
             Counter::DelayMemoMiss => "delay_memo_misses",
             Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
-            Counter::HypRepatched => "hyp_repatched",
             Counter::DelayPruned => "delay_pruned",
             Counter::HypSearch => "hyp_searches",
         }

@@ -195,7 +195,7 @@ pub(crate) struct TreeDeps {
 /// settled, the same holds for its first reached ancestor on the level,
 /// which keeps its reach because its lower parent is untouched. ∎
 ///
-/// Three rules follow:
+/// Two rules follow:
 ///
 /// * **Off-tree deletions** (`X` = the tree's vertices): deleting edges
 ///   outside the tentative tree leaves it unchanged. So the tree
@@ -205,12 +205,6 @@ pub(crate) struct TreeDeps {
 /// * **Tree-edge deletions** (`X` = all but the detached subtree):
 ///   only the subtree hanging below a deleted parent edge needs
 ///   re-settling ([`ShortestPaths::tree_without`]).
-/// * **Carried detours** (`X` = all but the subtrees the deleted edges
-///   detach): the subtree `S_f` below parent edge `f` and its
-///   re-settled parents (its [`Detour`]) stay those of the next search
-///   when a deletion's [`Region`] misses `S_f`, so the hypothetical tree
-///   of `f` only needs its union patched ([`ShortestPaths::repatch`]).
-///   DESIGN.md §8 proves it (rule 4).
 ///
 /// The first hypothetical tree indexes the search once ([`Resettle`]);
 /// the index lives as long as the search, which the engine keeps for
@@ -273,9 +267,9 @@ impl ShortestPaths {
     }
 
     /// The tentative tree assuming alive edge `e` deleted, bit-identical
-    /// to `Self::search(graph, Some(e)).tree(graph)`, and the [`Detour`]
-    /// re-settled to find it (none when `e` is not a parent edge: the
-    /// tree is then this search's own).
+    /// to `Self::search(graph, Some(e)).tree(graph)`, and the number of
+    /// vertices re-settled to find it (none when `e` is not a parent
+    /// edge: the tree is then this search's own).
     ///
     /// When `e` is a parent edge, only the subtree `S` below it is
     /// re-settled. Every other vertex keeps its distance and
@@ -295,13 +289,13 @@ impl ShortestPaths {
     /// terminals used, plus their new chains; its length is the current
     /// length minus the unlinked edges plus the linked ones, exact like
     /// every sum of grid lengths.
-    pub(crate) fn tree_without(
-        &mut self,
-        graph: &RoutingGraph,
-        e: u32,
-    ) -> (Option<TreeDeps>, Option<Detour>) {
-        let Some(child) = self.child_below(graph, e) else {
-            return (self.tree(graph), None);
+    pub(crate) fn tree_without(&mut self, graph: &RoutingGraph, e: u32) -> (Option<TreeDeps>, u32) {
+        let edge = &graph.edges()[e as usize];
+        let Some(child) = [edge.a, edge.b]
+            .into_iter()
+            .find(|&v| self.parent_edge[v as usize] == e)
+        else {
+            return (self.tree(graph), 0);
         };
         let (dist, parent_edge) = (&self.dist, &self.parent_edge);
         let s = self
@@ -314,8 +308,8 @@ impl ShortestPaths {
             parent_edge: new_parent_edge,
             members,
             replayed,
+            next_union,
             heap,
-            ..
         } = &mut **s;
         // S: `child` and its descendants, unsettled.
         mark[child as usize] = Mark::Detached;
@@ -382,153 +376,64 @@ impl ShortestPaths {
                 }
             }
         }
-        let detour = Detour(
-            members
-                .iter()
-                .map(|&v| (v, new_parent_edge[v as usize]))
-                .collect(),
-        );
-        let tree = s.patch_union(graph, parent_edge);
-        (tree, Some(detour))
-    }
-
-    /// The tentative tree assuming alive edge `e` deleted, from the
-    /// `detour` a [`ShortestPaths::tree_without`] of an earlier search
-    /// re-settled, carried to this one by rule 4 (see [`Region`]):
-    /// only the union is patched, with the recorded parents.
-    /// Bit-identical to `tree_without(graph, e).0`.
-    pub(crate) fn repatch(
-        &mut self,
-        graph: &RoutingGraph,
-        e: u32,
-        detour: &Detour,
-    ) -> Option<TreeDeps> {
-        debug_assert_eq!(self.child_below(graph, e), Some(detour.0[0].0));
-        let parent_edge = &self.parent_edge;
-        let s = self
-            .resettle
-            .get_or_insert_with(|| Box::new(Resettle::index(graph, parent_edge)));
-        for &(v, pe) in detour.0.iter() {
-            s.mark[v as usize] = Mark::Detached;
-            s.members.push(v);
-            s.parent_edge[v as usize] = pe;
-        }
-        s.patch_union(graph, parent_edge)
-    }
-
-    /// The end of parent edge `e` below it, if `e` is a parent edge.
-    fn child_below(&self, graph: &RoutingGraph, e: u32) -> Option<u32> {
-        let edge = &graph.edges()[e as usize];
-        [edge.a, edge.b]
-            .into_iter()
-            .find(|&v| self.parent_edge[v as usize] == e)
-    }
-
-    /// The search's parent edge of every vertex (`u32::MAX` for the
-    /// driver and unreached vertices), kept for a [`Region`].
-    pub(crate) fn into_parent_edges(self) -> Vec<u32> {
-        self.parent_edge
-    }
-}
-
-/// What [`ShortestPaths::tree_without`] re-settled for one parent edge
-/// `f`: the subtree `S_f` below it, the child end of `f` first, each
-/// member with its re-settled parent edge (`u32::MAX` if unreached).
-/// Eight bytes per member.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Detour(Box<[(u32, u32)]>);
-
-impl Detour {
-    /// The number of vertices re-settled to find it.
-    pub(crate) fn len(&self) -> u32 {
-        self.0.len() as u32
-    }
-}
-
-/// The vertices of a search tree `T` whose subtree meets the *region*
-/// `R = X ∪ N(X)` of a deletion `D`, where `X` is `D`'s endpoints plus
-/// every subtree of `T` that `D` detaches and `N(X)` is `X`'s
-/// neighbourhood over the edges still alive. A [`Detour`] of `T` whose
-/// subtree misses `R` — whose child end is not marked — is also the
-/// detour of the search after `D` (rule 4 of [`ShortestPaths`]).
-///
-/// Built in `O(V)` for `T`'s child lists plus `O(|R| + depth)`: each
-/// vertex of `R` marks its ancestors up to the first marked one.
-#[derive(Debug)]
-pub(crate) struct Region(Vec<bool>);
-
-impl Region {
-    /// The region of deleting `deleted` from the graph searched with
-    /// parent edges `parent_edge`; `graph` has lost them already.
-    pub(crate) fn new(graph: &RoutingGraph, parent_edge: &[u32], deleted: &[u32]) -> Self {
-        let nv = parent_edge.len();
-        let parent = |v: u32| match parent_edge[v as usize] {
-            u32::MAX => None,
-            pe => Some(other_end(graph, pe, v)),
-        };
-        let mut first_child = vec![u32::MAX; nv];
-        let mut next_sibling = vec![u32::MAX; nv];
-        for v in 0..nv as u32 {
-            if let Some(p) = parent(v) {
-                next_sibling[v as usize] = first_child[p as usize];
-                first_child[p as usize] = v;
-            }
-        }
-        // X: the endpoints, then the detached subtrees.
-        let mut in_x = vec![false; nv];
-        let mut x = Vec::new();
-        let mut roots = Vec::new();
-        for &d in deleted {
-            let edge = &graph.edges()[d as usize];
-            for v in [edge.a, edge.b] {
-                if !in_x[v as usize] {
-                    in_x[v as usize] = true;
-                    x.push(v);
-                }
-                if parent_edge[v as usize] == d {
-                    roots.push(v);
-                }
-            }
-        }
-        let mut detached = vec![false; nv];
-        while let Some(v) = roots.pop() {
-            if std::mem::replace(&mut detached[v as usize], true) {
-                continue;
-            }
-            if !std::mem::replace(&mut in_x[v as usize], true) {
-                x.push(v);
-            }
-            let mut w = first_child[v as usize];
-            while w != u32::MAX {
-                roots.push(w);
-                w = next_sibling[w as usize];
-            }
-        }
-        // Every vertex of R marks its ancestors.
-        let mut meets = detached;
-        meets.fill(false);
-        let mut mark_up = |mut v: u32| {
-            while !std::mem::replace(&mut meets[v as usize], true) {
-                match parent(v) {
-                    Some(p) => v = p,
-                    None => break,
-                }
+        // The union: the current one, minus what only detached terminals
+        // used — edges inside S, `e`, and the chain above `e` up to the
+        // first edge that other terminals use too — plus their new
+        // chains, which end on the first edge still in the union (its
+        // chain to the driver is in it too).
+        let src = graph.driver_vert();
+        let len_of = |f: u32| graph.edges()[f as usize].len_um;
+        next_union.clone_from(&ix.union);
+        let mut length_um = ix.length_um;
+        let mut unlink = |f: u32| {
+            let (word, bit) = (f as usize / 64, 1 << (f % 64));
+            if next_union[word] & bit != 0 {
+                next_union[word] &= !bit;
+                length_um -= len_of(f);
             }
         };
-        for &v in &x {
-            mark_up(v);
-            for &(w, f) in graph.adj(v) {
-                if graph.is_alive(f) {
-                    mark_up(w);
+        let mut k = 0;
+        for &v in members.iter() {
+            unlink(parent_edge[v as usize]);
+            k += ix.terminals[v as usize];
+        }
+        let mut cur = ix.parent[child as usize];
+        while cur != src {
+            let pe = parent_edge[cur as usize];
+            if ix.uses[pe as usize] > k {
+                break;
+            }
+            unlink(pe);
+            cur = ix.parent[cur as usize];
+        }
+        let mut reachable = true;
+        'terminals: for &t in members.iter().filter(|&&t| ix.terminals[t as usize] > 0) {
+            let mut cur = t;
+            while cur != src {
+                let pe = match mark[cur as usize] {
+                    Mark::Detached => new_parent_edge[cur as usize],
+                    _ => parent_edge[cur as usize],
+                };
+                if pe == u32::MAX {
+                    reachable = false;
+                    break 'terminals;
                 }
+                let (word, bit) = (pe as usize / 64, 1 << (pe % 64));
+                if next_union[word] & bit != 0 {
+                    break;
+                }
+                next_union[word] |= bit;
+                length_um += len_of(pe);
+                cur = other_end(graph, pe, cur);
             }
         }
-        Self(meets)
-    }
-
-    /// Whether `detour` carries over the deletion.
-    pub(crate) fn carries(&self, detour: &Detour) -> bool {
-        !self.0[detour.0[0].0 as usize]
+        let tree = reachable.then(|| TreeDeps {
+            length_um,
+            deps: EdgeSet(next_union.clone().into_boxed_slice()),
+        });
+        let resettled = members.len() as u32;
+        s.clear();
+        (tree, resettled)
     }
 }
 
@@ -658,78 +563,6 @@ impl Resettle {
         }
     }
 
-    /// The tentative tree with the detached `members` (the child end
-    /// first) on their re-settled parents, patched from the search's
-    /// union; `parent_edge` is the search's. Clears the scratch state.
-    ///
-    /// The union is the current one, minus what only detached terminals
-    /// used — edges inside S, the deleted edge, and the chain above it
-    /// up to the first edge that other terminals use too — plus their
-    /// new chains, which end on the first edge still in the union (its
-    /// chain to the driver is in it too).
-    fn patch_union(&mut self, graph: &RoutingGraph, parent_edge: &[u32]) -> Option<TreeDeps> {
-        let Self {
-            index: ix,
-            mark,
-            parent_edge: new_parent_edge,
-            members,
-            next_union,
-            ..
-        } = self;
-        let src = graph.driver_vert();
-        let len_of = |f: u32| graph.edges()[f as usize].len_um;
-        next_union.clone_from(&ix.union);
-        let mut length_um = ix.length_um;
-        let mut unlink = |f: u32| {
-            let (word, bit) = (f as usize / 64, 1 << (f % 64));
-            if next_union[word] & bit != 0 {
-                next_union[word] &= !bit;
-                length_um -= len_of(f);
-            }
-        };
-        let mut k = 0;
-        for &v in members.iter() {
-            unlink(parent_edge[v as usize]);
-            k += ix.terminals[v as usize];
-        }
-        let mut cur = ix.parent[members[0] as usize];
-        while cur != src {
-            let pe = parent_edge[cur as usize];
-            if ix.uses[pe as usize] > k {
-                break;
-            }
-            unlink(pe);
-            cur = ix.parent[cur as usize];
-        }
-        let mut reachable = true;
-        'terminals: for &t in members.iter().filter(|&&t| ix.terminals[t as usize] > 0) {
-            let mut cur = t;
-            while cur != src {
-                let pe = match mark[cur as usize] {
-                    Mark::Detached => new_parent_edge[cur as usize],
-                    _ => parent_edge[cur as usize],
-                };
-                if pe == u32::MAX {
-                    reachable = false;
-                    break 'terminals;
-                }
-                let (word, bit) = (pe as usize / 64, 1 << (pe % 64));
-                if next_union[word] & bit != 0 {
-                    break;
-                }
-                next_union[word] |= bit;
-                length_um += len_of(pe);
-                cur = other_end(graph, pe, cur);
-            }
-        }
-        let tree = reachable.then(|| TreeDeps {
-            length_um,
-            deps: EdgeSet(next_union.clone().into_boxed_slice()),
-        });
-        self.clear();
-        tree
-    }
-
     fn clear(&mut self) {
         for v in self.members.drain(..).chain(self.replayed.drain(..)) {
             self.mark[v as usize] = Mark::Clear;
@@ -815,8 +648,7 @@ mod tests {
                 for &e in &deletable {
                     let want = tentative_tree(&g, Some(e)).expect("non-bridge");
                     let subtree = subtree_size(&g, &paths.parent_edge, e);
-                    let (got, detour) = paths.tree_without(&g, e);
-                    let count = detour.as_ref().map_or(0, Detour::len);
+                    let (got, count) = paths.tree_without(&g, e);
                     let got = got.expect("non-bridge");
                     assert_eq!(
                         got.length_um.to_bits(),
@@ -881,23 +713,19 @@ mod tests {
         g
     }
 
-    /// Rule 4 against full searches. Random deletion sequences on graphs
-    /// of 100+ vertices take turns deleting a tentative-tree edge, an
-    /// edge off the tree and an edge whose deletion prunes a chain. Each
-    /// deletion carries the detours its [`Region`] misses; after it,
-    /// every carried detour must be what a fresh search re-settles, and
-    /// the tree re-patched from it must equal a full search bit for bit,
-    /// in length and in deps.
+    /// Subtree re-settles against full searches on graphs of 100+
+    /// vertices, through random deletion sequences that take turns
+    /// deleting a tentative-tree edge, an edge off the tree and an edge
+    /// whose deletion prunes a chain: every deletable edge's tree must
+    /// equal a full search bit for bit, in length and in deps.
     #[test]
-    fn carried_detours_match_full_searches_on_large_graphs() {
+    fn resettles_match_full_searches_on_large_graphs() {
         let length_sets: [&[f64]; 3] =
             [&[0.0, 8.0, 16.0, 30.0], &[0.0, 0.0, 1.0], &[0.0, 0.1, 0.7]];
         let mut rng = SplitMix64::new(0xCA77_1ED5);
-        let mut carried = 0;
         let mut deletions = [0; 3];
         for case in 0..8 {
             let mut g = random_large_graph(&mut rng, length_sets[case % length_sets.len()]);
-            let mut detours: Vec<Option<Detour>> = vec![None; g.edges().len()];
             for step in 0.. {
                 let mut paths = ShortestPaths::search(&g, None);
                 let current = paths.tree(&g).expect("connected");
@@ -907,24 +735,7 @@ mod tests {
                 }
                 for &e in &deletable {
                     let want = tentative_tree(&g, Some(e)).expect("non-bridge");
-                    let got = match &detours[e as usize] {
-                        Some(detour) => {
-                            carried += 1;
-                            let (_, fresh) = paths.tree_without(&g, e);
-                            assert_eq!(
-                                fresh.as_ref(),
-                                Some(detour),
-                                "case {case} step {step}: carried detour of edge {e}"
-                            );
-                            paths.repatch(&g, e, detour)
-                        }
-                        None => {
-                            let (tree, detour) = paths.tree_without(&g, e);
-                            detours[e as usize] = detour;
-                            tree
-                        }
-                    };
-                    let got = got.expect("non-bridge");
+                    let got = paths.tree_without(&g, e).0.expect("non-bridge");
                     assert_eq!(
                         got.length_um.to_bits(),
                         want.length_um.to_bits(),
@@ -958,20 +769,11 @@ mod tests {
                 };
                 let doomed = pool[rng.range_usize(0, pool.len())];
                 deletions[kind] += usize::from(!of_kind.is_empty());
-                let parent_edge = paths.into_parent_edges();
                 g.delete_edge(doomed);
-                let mut deleted = g.prune_dangling();
-                deleted.push(doomed);
+                g.prune_dangling();
                 g.recompute_bridges();
-                let region = Region::new(&g, &parent_edge, &deleted);
-                for slot in &mut detours {
-                    if !slot.as_ref().is_some_and(|d| region.carries(d)) {
-                        *slot = None;
-                    }
-                }
             }
         }
-        assert!(carried > 1000, "only {carried} carried detours re-patched");
         assert!(
             deletions.iter().all(|&n| n > 100),
             "deletions by kind (tree, off-tree, pruning): {deletions:?}"

@@ -75,6 +75,6 @@ pub use netlist::{parse_netlist, write_netlist};
 pub use placement::{parse_placement, write_placement};
 pub use svg::render_svg;
 pub use trace::{
-    deterministic_event_lines, deterministic_lines, segment_seq_span, trace_divergence,
-    write_event_lines, write_trace_jsonl, TraceStats,
+    deterministic_event_lines, deterministic_lines, routing_event_lines, segment_seq_span,
+    trace_divergence, write_event_lines, write_trace_jsonl, TraceStats,
 };

@@ -174,6 +174,36 @@ pub fn deterministic_event_lines(trace_text: &str) -> String {
         .collect()
 }
 
+/// The routing events of a trace JSONL document (or of its event lines
+/// alone): every `"type":"event"` line but the self-audits'
+/// (`audit_passed`, `audit_step`), renumbered from `seq` 0,
+/// newline-terminated. A route emits audit events only at
+/// `VerifyLevel::Phases` or `Steps`, and they change no decision, so a
+/// route at any verify level yields the same routing events as one
+/// without audits: this is how a route compares with a golden trace
+/// whatever level it ran at.
+///
+/// # Panics
+///
+/// Panics on an event line without a `seq` followed by more fields,
+/// which [`write_event_lines`] never writes.
+pub fn routing_event_lines(trace_text: &str) -> String {
+    trace_text
+        .lines()
+        .filter(|l| {
+            l.contains("\"type\":\"event\"")
+                && !l.contains("\"kind\":\"audit_passed\"")
+                && !l.contains("\"kind\":\"audit_step\"")
+        })
+        .enumerate()
+        .map(|(seq, l)| {
+            let (head, tail) = l.split_once("\"seq\":").expect("event line has a seq");
+            let tail = &tail[tail.find(',').expect("the seq is followed by the kind")..];
+            format!("{head}\"seq\":{seq}{tail}\n")
+        })
+        .collect()
+}
+
 /// Validates a per-slice trace segment (event lines only, as produced
 /// by [`write_event_lines`]) and returns its `seq` span as
 /// `Some((first, last))`, or `None` for a segment with no events.
@@ -631,6 +661,38 @@ mod tests {
         // A golden holding only the deterministic prefix compares clean
         // against the full document.
         assert_eq!(trace_divergence(&det, &text), None);
+    }
+
+    #[test]
+    fn routing_event_lines_drop_audits_and_renumber() {
+        let mut p = CollectingProbe::new();
+        p.phase_enter(Phase::InitialRouting);
+        p.event(TraceEvent::AuditStep { step: 1, checks: 9 });
+        p.event(TraceEvent::Pruned {
+            net: NetId::new(2),
+            count: 3,
+        });
+        p.phase_exit(Phase::InitialRouting);
+        p.event(TraceEvent::AuditPassed {
+            phase: Phase::InitialRouting,
+            checks: 9,
+        });
+        let audited = write_trace_jsonl(&p.finish());
+        let plain = write_trace_jsonl(&sample_trace());
+        let want = "{\"type\":\"event\",\"seq\":0,\"kind\":\"phase_enter\",\"phase\":\"initial_routing\"}\n\
+                    {\"type\":\"event\",\"seq\":1,\"kind\":\"pruned\",\"net\":2,\"count\":3}\n\
+                    {\"type\":\"event\",\"seq\":2,\"kind\":\"phase_exit\",\"phase\":\"initial_routing\"}\n";
+        assert_eq!(routing_event_lines(&audited), want);
+        // Event lines alone give the same lines as the whole document,
+        // and a stream without audits is its own routing events.
+        assert_eq!(
+            routing_event_lines(&deterministic_event_lines(&audited)),
+            want
+        );
+        assert_eq!(
+            routing_event_lines(&plain),
+            deterministic_event_lines(&plain)
+        );
     }
 
     #[test]

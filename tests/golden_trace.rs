@@ -12,6 +12,14 @@
 //! BGR_BLESS=1 cargo test --test golden_trace
 //! ```
 //!
+//! The comparison holds at every `BGR_VERIFY` level. The routing
+//! events — every event but the self-audits' `audit_passed` and
+//! `audit_step`, renumbered — must match the golden's at any level; at
+//! a level that emits no audit events (`off`, the default, and `final`)
+//! the whole deterministic prefix, meta line included, must match too.
+//! A bless refuses a route whose events include audits, so the golden
+//! stays audit-free.
+//!
 //! The failure message quotes the first diverging deterministic line,
 //! so behavioral drift (a different deletion pick, a new or missing
 //! budget/degradation event) is caught at event granularity.
@@ -19,7 +27,10 @@
 use std::path::PathBuf;
 
 use bgr::gen::golden_instance;
-use bgr::io::{deterministic_lines, trace_divergence, write_trace_jsonl};
+use bgr::io::{
+    deterministic_event_lines, deterministic_lines, routing_event_lines, trace_divergence,
+    write_trace_jsonl,
+};
 use bgr::router::{GlobalRouter, RouterConfig};
 
 fn golden_path() -> PathBuf {
@@ -32,7 +43,10 @@ fn golden_path() -> PathBuf {
 #[test]
 fn deterministic_events_match_checked_in_golden() {
     let ds = golden_instance();
-    let (routed, trace) = GlobalRouter::new(RouterConfig::default())
+    let config = RouterConfig::default();
+    // `off` and `final` emit no audit events.
+    let emits_audits = config.verify.at_phases();
+    let (routed, trace) = GlobalRouter::new(config)
         .route_traced(
             ds.design.circuit.clone(),
             ds.placement.clone(),
@@ -44,6 +58,10 @@ fn deterministic_events_match_checked_in_golden() {
     let jsonl = write_trace_jsonl(&trace);
     let path = golden_path();
     if std::env::var("BGR_BLESS").is_ok_and(|v| v == "1") {
+        assert!(
+            routing_event_lines(&jsonl) == deterministic_event_lines(&jsonl),
+            "refusing to bless a trace with audit events: bless at BGR_VERIFY=off or final"
+        );
         let det = deterministic_lines(&jsonl);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &det).expect("write golden trace");
@@ -60,7 +78,11 @@ fn deterministic_events_match_checked_in_golden() {
             path.display()
         )
     });
-    if let Some(diff) = trace_divergence(&golden, &jsonl) {
+    let routing = trace_divergence(&routing_event_lines(&golden), &routing_event_lines(&jsonl));
+    let whole = (!emits_audits)
+        .then(|| trace_divergence(&golden, &jsonl))
+        .flatten();
+    if let Some(diff) = routing.or(whole) {
         panic!(
             "golden trace drift against {}:\n{diff}\n\
              if the change is intentional, re-bless with BGR_BLESS=1",

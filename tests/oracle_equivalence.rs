@@ -93,8 +93,8 @@ fn small_constrained_circuit_matches_oracle() {
         "the instance exercises subtree re-settles"
     );
     assert!(
-        trace.counter(Counter::HypRepatched) > 0,
-        "the instance exercises re-patches of carried detours"
+        trace.counter(Counter::DelayPruned) > 0,
+        "the instance exercises bound-first pruning"
     );
 }
 

@@ -161,7 +161,6 @@ fn scan_counters_are_thread_invariant() {
             Counter::HypCacheHit,
             Counter::HypCacheMiss,
             Counter::HypResettled,
-            Counter::HypRepatched,
             Counter::DelayMemoHit,
             Counter::DelayMemoMiss,
             Counter::HeapPush,

@@ -31,7 +31,7 @@
 use bgr::gen::golden_instance;
 use bgr::io::{
     deterministic_event_lines, parse_checkpoint_with_prefix, reconfigure_checkpoint,
-    splice_checkpoint, write_checkpoint, write_event_lines, write_trace_jsonl,
+    routing_event_lines, splice_checkpoint, write_checkpoint, write_event_lines, write_trace_jsonl,
 };
 use bgr::layout::Placement;
 use bgr::netlist::Circuit;
@@ -249,29 +249,9 @@ fn sliced_golden_instance_matches_checked_in_trace() {
     assert!(hops > 0);
     assert_eq!(
         routing_event_lines(&sliced_events),
-        routing_event_lines(&deterministic_event_lines(&golden)),
+        routing_event_lines(&golden),
         "sliced run drifted from the checked-in golden event lines"
     );
-}
-
-/// The routing events among event lines: every line but the
-/// self-audits' (`audit_passed`, `audit_step`), which a route emits only
-/// under `BGR_VERIFY=phases` or `steps`, renumbered from `seq` 0. So a
-/// route at any verify level compares with the golden, which was
-/// recorded without audits, and every routing event is still checked.
-fn routing_event_lines(lines: &str) -> String {
-    lines
-        .lines()
-        .filter(|l| {
-            !l.contains("\"kind\":\"audit_passed\"") && !l.contains("\"kind\":\"audit_step\"")
-        })
-        .enumerate()
-        .map(|(seq, l)| {
-            let (head, tail) = l.split_once("\"seq\":").expect("event line has a seq");
-            let tail = &tail[tail.find(',').expect("the seq is followed by the kind")..];
-            format!("{head}\"seq\":{seq}{tail}\n")
-        })
-        .collect()
 }
 
 #[test]
