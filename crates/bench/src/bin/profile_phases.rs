@@ -2,11 +2,15 @@
 //! routing time goes, per phase, per deletion-loop scope, and per
 //! [`RekeyCause`] (DESIGN.md §14).
 //!
-//! Routes `C2P1` and `C3P1` under the [`bgr_core::ProfilingProbe`] and
-//! prints each call-tree (total vs self time, call counts) plus the
+//! Routes `C2P1` and `C3P1` with the default configuration, then `C3P1`
+//! once more under [`RouterConfig::unconstrained`] (the instance of the
+//! benchmark's `route_c3_unconstrained` workload, where
+//! `delete_modify` is a visible share), each under the
+//! [`bgr_core::ProfilingProbe`], and prints each call-tree (total vs self time, call counts) plus the
 //! rekey-cause breakdown of the deletion loop — the data behind the
 //! scoreboard-vs-rescan tradeoff. Also writes flamegraph-collapsed
-//! stacks (`<name>.folded` under the out dir) for external flamegraph
+//! stacks (`<name>.folded` under the out dir, e.g.
+//! `C3P1-unconstrained.folded`) for external flamegraph
 //! tooling.
 //!
 //! The profiled run's deterministic observables are identical to an
@@ -19,9 +23,9 @@
 //!
 //! After each instance it prints the process's peak resident set
 //! (`VmHWM`), the memory of the constrained C3P1 route included, and
-//! before it the timing layer's footprint: terminals, constraints, the
-//! members and member arcs summed over every constraint graph, and the
-//! time of `Sta::new`.
+//! before it, for the constrained routes, the timing layer's footprint:
+//! terminals, constraints, the members and member arcs summed over every
+//! constraint graph, and the time of `Sta::new`.
 //!
 //! Usage: `profile_phases [out_dir]` (default `target/profile`).
 
@@ -32,9 +36,17 @@ use bgr_core::{Counter, GlobalRouter, RekeyCause, Routed, RouterConfig, Scope};
 use bgr_gen::{c2_cached, c3_cached, DataSet};
 use bgr_timing::Sta;
 
-fn profile(ds: &DataSet, out_dir: &str) {
-    println!("{}: {} nets", ds.name, ds.design.circuit.nets().len());
-    let router = GlobalRouter::new(RouterConfig::default());
+/// Profiles one route of `ds` under `config`, labelled with the data
+/// set's name, suffixed `-unconstrained` without delay criteria.
+fn profile(ds: &DataSet, config: RouterConfig, out_dir: &str) {
+    let use_constraints = config.use_constraints;
+    let name = if use_constraints {
+        ds.name.clone()
+    } else {
+        format!("{}-unconstrained", ds.name)
+    };
+    println!("{name}: {} nets", ds.design.circuit.nets().len());
+    let router = GlobalRouter::new(config);
     let (routed, trace, profile) = router
         .route_profiled(
             ds.design.circuit.clone(),
@@ -51,12 +63,13 @@ fn profile(ds: &DataSet, out_dir: &str) {
         .expect("instance routes");
     assert_eq!(
         routed.result.stats.selection_log, plain.result.stats.selection_log,
-        "profiling changed the selection stream on {}",
-        ds.name
+        "profiling changed the selection stream on {name}"
     );
 
     print!("{}", profile.to_ascii());
-    println!("  {}", timing_footprint(&router, &routed, ds));
+    if use_constraints {
+        println!("  {}", timing_footprint(&router, &routed, ds));
+    }
     let s = &routed.result.stats;
     println!(
         "  stats: deletions {} | reroutes {} | initial {:?} | improvement {:?}",
@@ -107,7 +120,7 @@ fn profile(ds: &DataSet, out_dir: &str) {
     );
 
     std::fs::create_dir_all(out_dir).expect("create out dir");
-    let folded_path = format!("{out_dir}/{}.folded", ds.name);
+    let folded_path = format!("{out_dir}/{name}.folded");
     std::fs::write(&folded_path, profile.to_folded()).expect("write folded stacks");
     println!("  wrote {folded_path}");
     println!("  process peak RSS so far (VmHWM): {}", peak_rss());
@@ -166,6 +179,7 @@ fn main() {
     let out_dir = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/profile".to_owned());
-    profile(c2_cached(), &out_dir);
-    profile(c3_cached(), &out_dir);
+    profile(c2_cached(), RouterConfig::default(), &out_dir);
+    profile(c3_cached(), RouterConfig::default(), &out_dir);
+    profile(c3_cached(), RouterConfig::unconstrained(), &out_dir);
 }

@@ -925,7 +925,12 @@ impl<P: Probe> Engine<P> {
         &self.density
     }
 
-    /// The timing analyzer.
+    /// The timing analyzer. Its wire lengths are tracked only for the
+    /// nets some constraint graph loads ([`Sta::constraints_of_net`]
+    /// non-empty); every other net keeps the length the analyzer was
+    /// built with, which no margin, arrival or critical path reads. Take
+    /// a net's length from its graph instead
+    /// ([`tentative_length_um`], [`RoutingGraph::alive_length_um`]).
     pub fn sta(&self) -> &Sta {
         &self.sta
     }
@@ -956,7 +961,14 @@ impl<P: Probe> Engine<P> {
         self.delta_nets.clear();
     }
 
+    /// Memoizes `net`'s current tentative length in the analyzer and
+    /// records the constraints that refresh. A net no constraint graph
+    /// loads returns at once: no analyzer read reaches its length, so
+    /// it is never tracked and searches no current tree.
     fn refresh_length(&mut self, net: NetId) {
+        if self.sta.constraints_of_net(net).is_empty() {
+            return;
+        }
         let ni = net.index();
         let mut len = self.scan[ni]
             .current_tree(&self.graphs[ni], &self.sta, net)
@@ -1015,8 +1027,9 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// Recomputes the density profile, every memoized net length and
-    /// every deletable edge's hypothetical length from scratch and
+    /// Recomputes the density profile, every net's prune closure and
+    /// bridge flags, the memoized length of every net a constraint loads
+    /// and every deletable edge's hypothetical length from scratch and
     /// compares them against the incremental state. Returns the number
     /// of comparisons performed.
     ///
@@ -1101,15 +1114,39 @@ impl<P: Probe> Engine<P> {
             }
         }
         for (i, g) in self.graphs.iter().enumerate() {
-            let want = tentative_length_um(g, None)
-                .expect("audited graphs stay connected (§3.2 invariant)");
-            let got = self.sta.lengths().length_um(NetId::new(i));
+            // The local prune and bridge pass of every deletion against
+            // a whole-graph prune check and low-link.
             checks += 1;
             assert!(
-                got == want,
-                "self-audit: memoized length of net {i} diverged: \
-                 incremental {got} um, from-scratch {want} um"
+                g.prune_closed(),
+                "self-audit: net {i} keeps a dangling non-terminal vertex"
             );
+            let mut fresh = g.clone();
+            fresh.recompute_bridges();
+            checks += 1;
+            if let Some(e) = g
+                .alive_edges()
+                .find(|&e| g.is_bridge(e) != fresh.is_bridge(e))
+            {
+                panic!(
+                    "self-audit: bridge flag of net {i} edge {e} diverged: \
+                     incremental {}, whole-graph low-link {}",
+                    g.is_bridge(e),
+                    fresh.is_bridge(e)
+                );
+            }
+            let net = NetId::new(i);
+            if !self.sta.constraints_of_net(net).is_empty() {
+                let want = tentative_length_um(g, None)
+                    .expect("audited graphs stay connected (§3.2 invariant)");
+                let got = self.sta.lengths().length_um(net);
+                checks += 1;
+                assert!(
+                    got == want,
+                    "self-audit: memoized length of net {i} diverged: \
+                     incremental {got} um, from-scratch {want} um"
+                );
+            }
             // The hypothetical length of every deletable edge — cached,
             // shared with the current tree, or searched with dependency
             // tracking — must be bit-identical to a full search.
@@ -1232,11 +1269,14 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// Deletes one edge of one net and restores every invariant: density
-    /// spans, pruned dangling chains, bridge flags (with `d_m`
-    /// promotions), the net's cached tentative trees (kept only where
-    /// they provably did not change), and its tentative length /
-    /// margins.
+    /// Deletes one edge of one net and restores every invariant in one
+    /// local pass (DESIGN.md §8, "One pass per deletion"): density spans,
+    /// the dangling chains the deletion leaves (pruned from the edge's
+    /// ends), bridge flags (re-computed only over the edge's old
+    /// 2-edge-connected component, with `d_m` promotions), the net's
+    /// cached tentative trees (kept only where they provably did not
+    /// change), and — for a net some constraint loads — its tentative
+    /// length and margins.
     ///
     /// Touched channels, refreshed constraints and the changed net are
     /// recorded in the engine's delta scratch for scoreboard re-keying.
@@ -1250,11 +1290,9 @@ impl<P: Probe> Engine<P> {
         assert!(!self.graphs[ni].is_bridge(e), "refusing to delete a bridge");
         let before = self.graphs[ni].generation();
         self.remove_density(net, e);
-        self.graphs[ni].delete_edge(e);
-        self.stats.deletions += 1;
+        let (pruned, promoted) = self.graphs[ni].delete_non_bridge(e);
+        self.stats.deletions += 1 + pruned.len();
         self.delta_nets.push(net);
-        let pruned = self.graphs[ni].prune_dangling();
-        self.stats.deletions += pruned.len();
         if !pruned.is_empty() {
             self.probe.event(TraceEvent::Pruned {
                 net,
@@ -1262,23 +1300,18 @@ impl<P: Probe> Engine<P> {
             });
         }
         for &pe in &pruned {
-            // Density removal uses the stale bridge flag, which is exactly
-            // the status the span was added/promoted under.
+            // Density removal uses the pruned edge's bridge flag, which
+            // the local pass leaves alone: exactly the status the span
+            // was added/promoted under.
             self.remove_density(net, pe);
         }
-        let old_bridge: Vec<bool> = (0..self.graphs[ni].edges().len() as u32)
-            .map(|i| self.graphs[ni].is_bridge(i))
-            .collect();
-        self.graphs[ni].recompute_bridges();
-        for i in 0..self.graphs[ni].edges().len() as u32 {
-            let g = &self.graphs[ni];
-            if g.is_alive(i) && !old_bridge[i as usize] && g.is_bridge(i) {
-                let edge = g.edges()[i as usize];
-                if let REdgeKind::Trunk { channel } = edge.kind {
-                    let w = g.width() as i32;
-                    self.delta_spans.push((channel, edge.x1, edge.x2));
-                    self.density.promote_span(channel, edge.x1, edge.x2, w);
-                }
+        let g = &self.graphs[ni];
+        for &i in &promoted {
+            let edge = g.edges()[i as usize];
+            if let REdgeKind::Trunk { channel } = edge.kind {
+                let w = g.width() as i32;
+                self.delta_spans.push((channel, edge.x1, edge.x2));
+                self.density.promote_span(channel, edge.x1, edge.x2, w);
             }
         }
         let mut deleted = pruned;
@@ -1745,7 +1778,17 @@ mod tests {
             .map(|c| engine.density().c_max(bgr_layout::ChannelId::new(c)))
             .sum();
         assert!(total > 0);
-        assert!(engine.sta().lengths().total_length_um() > 0.0);
+        assert!(total_length_um(&engine) > 0.0);
+    }
+
+    /// The summed tentative length of every net, read off the graphs:
+    /// an unconstrained engine tracks no length in its analyzer.
+    fn total_length_um(engine: &Engine) -> f64 {
+        engine
+            .graphs()
+            .iter()
+            .map(|g| tentative_length_um(g, None).expect("connected"))
+            .sum()
     }
 
     #[test]
@@ -1780,11 +1823,11 @@ mod tests {
     fn reroute_restores_and_resolves() {
         let mut engine = engine_for_same_row();
         engine.run_deletion(None, CriteriaOrder::DelayFirst);
-        let len_before = engine.sta().lengths().total_length_um();
+        let len_before = total_length_um(&engine);
         engine.reroute_net(bgr_netlist::NetId::new(1), CriteriaOrder::AreaFirst);
         assert!(engine.all_trees());
         // Deterministic graphs: rerouting an optimal tree keeps length.
-        let len_after = engine.sta().lengths().total_length_um();
+        let len_after = total_length_um(&engine);
         assert!((len_before - len_after).abs() < 1e-6);
     }
 
@@ -1796,8 +1839,9 @@ mod tests {
             e.graphs().iter().map(RoutingGraph::alive_mask).collect()
         };
         let lengths = |e: &Engine| -> Vec<u64> {
-            (0..e.graphs().len())
-                .map(|i| e.sta().lengths().length_um(NetId::new(i)).to_bits())
+            e.graphs()
+                .iter()
+                .map(|g| tentative_length_um(g, None).expect("connected").to_bits())
                 .collect()
         };
         let before = (
@@ -2243,6 +2287,58 @@ mod tests {
                 .collect()
         };
         build(constraints(&arrivals))
+    }
+
+    /// A constrained net's memoized length is its tentative tree's length
+    /// after every deletion and after a snapshot restore; the lengths of
+    /// nets no constraint loads are never written.
+    #[test]
+    fn constrained_lengths_track_deletions_and_restores() {
+        let mut rng = bgr_netlist::SplitMix64::new(0x1E_6A7E);
+        let mut moved = 0;
+        for _ in 0..16 {
+            let mut engine = random_constrained(&mut rng);
+            let nets: Vec<NetId> = (0..engine.graphs().len()).map(NetId::new).collect();
+            let (constrained, free): (Vec<NetId>, Vec<NetId>) = nets
+                .iter()
+                .partition(|&&n| !engine.sta().constraints_of_net(n).is_empty());
+            let check = |engine: &Engine| {
+                for &net in &constrained {
+                    let g = &engine.graphs()[net.index()];
+                    let want = tentative_length_um(g, None).expect("connected");
+                    assert_eq!(engine.sta().lengths().length_um(net), want, "{net:?}");
+                }
+                for &net in &free {
+                    assert_eq!(engine.sta().lengths().length_um(net), 0.0, "{net:?}");
+                }
+            };
+            check(&engine);
+            let before: Vec<f64> = nets
+                .iter()
+                .map(|&n| engine.sta().lengths().length_um(n))
+                .collect();
+            let snap: Vec<(NetId, Vec<bool>)> =
+                nets.iter().flat_map(|&n| engine.snapshot(n)).collect();
+            for &net in &nets {
+                while let Some(e) = engine.graphs()[net.index()].non_bridge_edges().last() {
+                    engine.delete_one(net, e);
+                    check(&engine);
+                }
+            }
+            moved += nets
+                .iter()
+                .zip(&before)
+                .filter(|&(&n, &b)| engine.sta().lengths().length_um(n) != b)
+                .count();
+            engine.restore(&snap);
+            check(&engine);
+            let after: Vec<f64> = nets
+                .iter()
+                .map(|&n| engine.sta().lengths().length_um(n))
+                .collect();
+            assert_eq!(after, before);
+        }
+        assert!(moved > 0, "no deletion ever moved a memoized length");
     }
 
     /// The bound behind bound-first lane scans, on random constrained

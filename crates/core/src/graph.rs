@@ -421,7 +421,8 @@ impl RoutingGraph {
         self.alive_count
     }
 
-    /// Invalidation stamp: bumped by [`RoutingGraph::delete_edge`],
+    /// Invalidation stamp: bumped by [`RoutingGraph::delete_edge`] (so by
+    /// [`RoutingGraph::delete_non_bridge`]),
     /// [`RoutingGraph::restore_all`], [`RoutingGraph::set_alive_mask`],
     /// [`RoutingGraph::prune_dangling`] and
     /// [`RoutingGraph::recompute_bridges`]. Caches derived from the alive
@@ -483,7 +484,9 @@ impl RoutingGraph {
 
     /// Deletes a single edge (marks dead). Callers are responsible for
     /// only deleting non-bridges and for re-running
-    /// [`RoutingGraph::prune_dangling`] / [`RoutingGraph::recompute_bridges`].
+    /// [`RoutingGraph::prune_dangling`] / [`RoutingGraph::recompute_bridges`];
+    /// [`RoutingGraph::delete_non_bridge`] does all three in one local
+    /// pass.
     ///
     /// # Panics
     ///
@@ -543,13 +546,20 @@ impl RoutingGraph {
     /// Prunes dangling chains: repeatedly removes the single alive edge of
     /// any degree-1 non-terminal vertex. Returns the pruned edge indices.
     pub fn prune_dangling(&mut self) -> Vec<u32> {
+        self.prune_from((0..self.verts.len() as u32).collect())
+    }
+
+    /// The one prune loop, seeded with `queue` (popped from the back): a
+    /// degree-1 non-terminal vertex loses its one alive edge and the
+    /// edge's other end is queued; any other vertex is skipped. Every
+    /// dangling vertex must be seeded — [`RoutingGraph::prune_dangling`]
+    /// seeds them all, [`RoutingGraph::delete_non_bridge`] only the ends
+    /// of the deleted edge, the only vertices a deletion from a
+    /// prune-closed graph can leave dangling. Skipped seeds change
+    /// nothing, so an ascending seed list prunes the dangling ones in the
+    /// order a list of those alone would.
+    fn prune_from(&mut self, mut queue: Vec<u32>) -> Vec<u32> {
         let mut pruned = Vec::new();
-        let mut queue: Vec<u32> = (0..self.verts.len() as u32)
-            .filter(|&v| {
-                !matches!(self.verts[v as usize].kind, RVertKind::Terminal(_))
-                    && self.degree(v) == 1
-            })
-            .collect();
         while let Some(v) = queue.pop() {
             if matches!(self.verts[v as usize].kind, RVertKind::Terminal(_)) {
                 continue;
@@ -575,18 +585,61 @@ impl RoutingGraph {
         pruned
     }
 
-    /// Recomputes bridge flags over the alive subgraph (iterative DFS
-    /// low-link; parallel edges handled via edge ids).
+    /// Deletes the non-bridge edge `e` in one local pass (DESIGN.md §8,
+    /// "One pass per deletion"): prunes the dangling chains it leaves,
+    /// starting from its endpoints, and re-runs the bridge low-link only
+    /// over `e`'s old 2-edge-connected component — the alive edges not
+    /// flagged as bridges that the endpoints of `e` and of the pruned
+    /// edges reach. Returns the pruned edges, in prune order, and the
+    /// edges it promoted to bridges, ascending; pruned edges keep their
+    /// flags. The graph must be prune-closed and its flags current, as
+    /// every deletion leaves them.
+    ///
+    /// Equivalent to [`RoutingGraph::delete_edge`],
+    /// [`RoutingGraph::prune_dangling`] and
+    /// [`RoutingGraph::recompute_bridges`], with `promoted` the edges
+    /// whose flag that sequence turns on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge is dead or a bridge.
+    pub fn delete_non_bridge(&mut self, e: u32) -> (Vec<u32>, Vec<u32>) {
+        assert!(!self.bridge[e as usize], "refusing to delete bridge {e}");
+        self.delete_edge(e);
+        let REdge { a, b, .. } = self.edges[e as usize];
+        let pruned = self.prune_from(vec![a.min(b), a.max(b)]);
+        let seeds: Vec<u32> = pruned
+            .iter()
+            .flat_map(|&p| [self.edges[p as usize].a, self.edges[p as usize].b])
+            .chain([a, b])
+            .collect();
+        let mut promoted = self.mark_bridges(&seeds);
+        promoted.sort_unstable();
+        (pruned, promoted)
+    }
+
+    /// Recomputes bridge flags over the alive subgraph: clears every flag,
+    /// then runs the low-link DFS from every vertex.
     pub fn recompute_bridges(&mut self) {
         self.generation += 1;
-        let nv = self.verts.len();
         self.bridge.iter_mut().for_each(|b| *b = false);
+        let roots: Vec<u32> = (0..self.verts.len() as u32).collect();
+        self.mark_bridges(&roots);
+    }
+
+    /// The low-link DFS (iterative; parallel edges told apart by edge
+    /// id) over the alive edges not flagged as bridges, from each root
+    /// in `roots` not reached yet. Flags every bridge of that subgraph
+    /// and returns them in discovery order.
+    fn mark_bridges(&mut self, roots: &[u32]) -> Vec<u32> {
+        let nv = self.verts.len();
+        let mut found = Vec::new();
         let mut disc = vec![0u32; nv];
         let mut low = vec![0u32; nv];
         let mut time = 1u32;
         // Frame: (vertex, incoming edge id (u32::MAX for root), adj cursor)
         let mut stack: Vec<(u32, u32, usize)> = Vec::new();
-        for root in 0..nv as u32 {
+        for &root in roots {
             if disc[root as usize] != 0 {
                 continue;
             }
@@ -600,7 +653,11 @@ impl RoutingGraph {
                 if *cur < adj.len() {
                     let (w, e) = adj[*cur];
                     *cur += 1;
-                    if !self.alive[e as usize] || e == pe {
+                    // A flag set during this DFS is on a tree edge whose
+                    // child is finished and whose parent's cursor is past
+                    // it, so the filter only reads flags the DFS started
+                    // with.
+                    if !self.alive[e as usize] || self.bridge[e as usize] || e == pe {
                         continue;
                     }
                     let wi = w as usize;
@@ -620,11 +677,21 @@ impl RoutingGraph {
                         if low[vi] > disc[pi] {
                             // pe is the tree edge p -> v.
                             self.bridge[pe as usize] = true;
+                            found.push(pe);
                         }
                     }
                 }
             }
         }
+        found
+    }
+
+    /// Whether the alive subgraph is prune-closed: no non-terminal vertex
+    /// has alive degree 1.
+    pub(crate) fn prune_closed(&self) -> bool {
+        (0..self.verts.len() as u32).all(|v| {
+            matches!(self.verts[v as usize].kind, RVertKind::Terminal(_)) || self.degree(v) != 1
+        })
     }
 
     /// Whether all terminal vertices lie in one alive component.
@@ -954,6 +1021,58 @@ pub(crate) mod tests {
                 assert_eq!(g.adj(v as u32), &want[..], "vertex {v} of {edges:?}");
             }
         }
+    }
+
+    /// The one-pass deletion against the whole-graph sequence it
+    /// replaces, on random multigraphs (parallel edges, self-loops,
+    /// several components) with random terminals, along random runs of
+    /// non-bridge deletions: the same alive mask, bridge flags of alive
+    /// edges and pruned edges (in the same order), and `promoted` equal
+    /// to the flags the whole-graph pass turns on.
+    #[test]
+    fn delete_non_bridge_matches_whole_graph_passes() {
+        let mut rng = bgr_netlist::SplitMix64::new(0x0E_DE1E7E);
+        let mut promotions = 0;
+        for _ in 0..400 {
+            let nv = rng.range_usize(2, 14);
+            let edges: Vec<(u32, u32, f64)> = (0..rng.range_usize(1, 28))
+                .map(|_| {
+                    let a = rng.range_usize(0, nv) as u32;
+                    (a, rng.range_usize(0, nv) as u32, 1.0)
+                })
+                .collect();
+            let terminals: Vec<u32> = (0..nv as u32)
+                .filter(|&v| v == 0 || rng.next_bool(0.3))
+                .collect();
+            let mut g = RoutingGraph::from_edges(nv, &edges, &terminals);
+            g.prune_dangling();
+            g.recompute_bridges();
+            loop {
+                let candidates: Vec<u32> = g.non_bridge_edges().collect();
+                if candidates.is_empty() {
+                    break;
+                }
+                let e = candidates[rng.range_usize(0, candidates.len())];
+                let mut want = g.clone();
+                want.delete_edge(e);
+                let want_pruned = want.prune_dangling();
+                want.recompute_bridges();
+                let want_promoted: Vec<u32> = want
+                    .alive_edges()
+                    .filter(|&i| want.is_bridge(i) && !g.is_bridge(i))
+                    .collect();
+                let (pruned, promoted) = g.delete_non_bridge(e);
+                assert_eq!(g.alive_mask(), want.alive_mask(), "{edges:?} minus {e}");
+                assert_eq!(pruned, want_pruned, "{edges:?} minus {e}");
+                assert_eq!(promoted, want_promoted, "{edges:?} minus {e}");
+                for i in g.alive_edges() {
+                    assert_eq!(g.is_bridge(i), want.is_bridge(i), "edge {i} of {edges:?}");
+                }
+                assert!(g.prune_closed());
+                promotions += promoted.len();
+            }
+        }
+        assert!(promotions > 0, "no deletion ever promoted a bridge");
     }
 
     use bgr_layout::Placement;

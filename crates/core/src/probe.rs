@@ -1026,6 +1026,8 @@ pub enum Corruption {
     /// refresh, so the engine's incremental STA believes the net is
     /// shorter/longer than its tree → the **timing** oracle (full
     /// recompute from reported geometry) must flag the divergence.
+    /// Only observable on a net some constraint graph loads: no other
+    /// net's length is memoized, so the skew of one is never applied.
     SkewDelay {
         /// Skewed net.
         net: NetId,

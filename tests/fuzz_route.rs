@@ -17,8 +17,10 @@
 //!
 //! 8. every `BestEffort` result passes the full independent audit
 //!    (`bgr::verify`, DESIGN.md §12) — all six from-scratch oracles.
-//! 9. reused hypothetical tentative trees match full searches after
-//!    every selection (`VerifyLevel::Steps(1)`, DESIGN.md §8).
+//! 9. after every selection (`VerifyLevel::Steps(1)`, DESIGN.md §8),
+//!    reused hypothetical tentative trees match full searches, every
+//!    alive edge's bridge flag from the one-pass deletion matches a
+//!    whole-graph low-link, and no dangling chain is left unpruned.
 //!
 //! On any violated expectation the failing seed is written to
 //! `target/fuzz/failing_seed.txt` (the CI `fuzz-smoke` job uploads it as
