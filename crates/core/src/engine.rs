@@ -92,7 +92,7 @@ use bgr_timing::Sta;
 use crate::config::{CriteriaOrder, SelectionStrategy, VerifyLevel};
 use crate::criteria::{DelayCriteria, HypWire};
 use crate::density::{DensityMap, EdgeDensity};
-use crate::graph::{REdgeKind, RoutingGraph};
+use crate::graph::{GraphScratch, REdgeKind, RoutingGraph};
 use crate::probe::{
     Corruption, Counter, Hist, NoopProbe, Phase, Probe, RekeyCause, Scope, TraceEvent,
 };
@@ -174,10 +174,10 @@ struct NetScanState {
     /// Per edge: the tentative tree assuming that edge deleted (empty
     /// until the net's first delay key).
     hyp: Vec<Option<Box<CachedTree>>>,
-    /// The net's *lanes*: its edges grouped by the scoreboard heap they
-    /// key into (`None` = the channelless feed heap), heaps in order of
-    /// first appearance, edges ascending. Static: edge sets never grow.
-    lanes: Vec<(Option<ChannelId>, Vec<u32>)>,
+    /// The net's lanes ([`LaneIndex`]), built for its first scan
+    /// (`Engine::index_lanes`): a net that is a tree whenever a run
+    /// opens is never scanned.
+    lanes: LaneIndex,
     /// Scoreboard run the cached windows belong to.
     window_run: u64,
     /// Per edge: its density window, cached during run `window_run`
@@ -192,18 +192,71 @@ struct NetScanState {
 /// The empty extent `(MAX, MIN)`: overlaps no span.
 const NO_EXTENT: (i32, i32) = (i32::MAX, i32::MIN);
 
-impl NetScanState {
+/// A net's *lanes*: its edges grouped by the scoreboard heap they key
+/// into (`None` = the channelless feed heap), heaps in order of first
+/// appearance, edges ascending. One CSR array holds every lane's edges:
+/// lane `l`'s run from `heads[l].1` to the next lane's start (the last
+/// to the end). Static: edge sets never grow.
+#[derive(Debug, Default)]
+struct LaneIndex {
+    /// Per lane: its heap and the start of its edges in `edges`.
+    heads: Vec<(Option<ChannelId>, u32)>,
+    edges: Vec<u32>,
+}
+
+impl LaneIndex {
     fn new(g: &RoutingGraph) -> Self {
-        let mut lanes: Vec<(Option<ChannelId>, Vec<u32>)> = Vec::new();
-        for (e, edge) in g.edges().iter().enumerate() {
+        // Count each lane's edges into its head (heads in order of first
+        // appearance), sum the counts into each lane's end, then fill
+        // from the last edge down, which leaves every head at its lane's
+        // start.
+        let mut heads: Vec<(Option<ChannelId>, u32)> = Vec::new();
+        for edge in g.edges() {
             let heap = edge.kind.channel();
-            match lanes.iter_mut().find(|(h, _)| *h == heap) {
-                Some((_, edges)) => edges.push(e as u32),
-                None => lanes.push((heap, vec![e as u32])),
+            match heads.iter_mut().find(|(h, _)| *h == heap) {
+                Some((_, n)) => *n += 1,
+                None => heads.push((heap, 1)),
             }
         }
+        let mut end = 0;
+        for (_, n) in &mut heads {
+            end += *n;
+            *n = end;
+        }
+        let mut edges = vec![0; g.edges().len()];
+        for (e, edge) in g.edges().iter().enumerate().rev() {
+            let heap = edge.kind.channel();
+            let (_, at) = heads
+                .iter_mut()
+                .find(|(h, _)| *h == heap)
+                .expect("every heap was counted");
+            *at -= 1;
+            edges[*at as usize] = e as u32;
+        }
+        Self { heads, edges }
+    }
+
+    fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Every lane's heap and edges, in lane order.
+    fn iter(&self) -> impl Iterator<Item = (Option<ChannelId>, &[u32])> {
+        self.heads.iter().enumerate().map(|(l, &(heap, start))| {
+            let end = self
+                .heads
+                .get(l + 1)
+                .map_or(self.edges.len(), |&(_, s)| s as usize);
+            (heap, &self.edges[start as usize..end])
+        })
+    }
+}
+
+impl NetScanState {
+    /// A fresh state with `g`'s lanes built, for a one-off scan.
+    fn new(g: &RoutingGraph) -> Self {
         Self {
-            lanes,
+            lanes: LaneIndex::new(g),
             ..Self::default()
         }
     }
@@ -602,6 +655,10 @@ fn scan_raw_keys(
     deferred: &mut Vec<EdgeKey>,
     probe: &mut impl Probe,
 ) -> Vec<(Option<ChannelId>, Option<EdgeKey>)> {
+    debug_assert!(
+        state.lanes.len() > 0 || g.edges().is_empty(),
+        "scanning a net whose lanes are not built"
+    );
     state.sync_windows(cx.run, g.edges().len());
     let constrained = !cx.sta.constraints_of_net(net).is_empty();
     let floor = (constrained && cx.prune).then(|| DelayCriteria::floor(cx.sta, net));
@@ -655,7 +712,7 @@ fn scan_raw_keys(
             probe.count(Counter::DelayPruned, pruned);
         }
         state.extents[lane] = (lo, hi);
-        out.push((*heap, best));
+        out.push((heap, best));
     }
     state.lanes = all;
     // The search lives for one scan; a later scan that must evaluate an
@@ -697,7 +754,8 @@ struct Dirty {
 /// for every net a span can dirty: a lane's deletable set changes only
 /// with its net's graph, which re-keys every lane of the net (the graph
 /// clause), and each scoreboard run starts by re-keying every in-scope
-/// lane.
+/// lane of every net with a deletable edge. A tree's lanes, not scanned
+/// in the run, have none, and the caller reads them as empty.
 ///
 /// Aggregate motion is *not* a dirty cause: raw keys carry no
 /// aggregates, so a channel whose aggregates moved only needs its
@@ -781,11 +839,13 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// Per-net scan state (hyp cache + delay memo).
     scan: Vec<NetScanState>,
     partner: Vec<Option<NetId>>,
-    /// Static reverse index: per channel, every net owning at least one
-    /// trunk or branch edge there, with its lane there. Edge sets never
-    /// grow, so this needs no maintenance; whether a touched span
-    /// dirties the lane is decided by its live extent
-    /// ([`NetScanState::extents`]).
+    /// Reverse index: per channel, every net owning at least one trunk
+    /// or branch edge there, with its lane there — registered by the
+    /// net's first scan, which builds its lanes. Edge sets never grow, so
+    /// an entry needs no maintenance; whether a touched span dirties the
+    /// lane is decided by its live extent ([`Engine::lane_extent`]). A
+    /// net not registered yet has never been scanned, so it has been a
+    /// tree at every run's start and since, and its extents read empty.
     channel_nets: Vec<Vec<ChannelNet>>,
     /// Scoreboard run counter, bumped on entry to and exit from every
     /// scoreboard run: cached density windows are valid only within the
@@ -802,6 +862,9 @@ pub struct Engine<P: Probe = NoopProbe> {
     deferred: Vec<EdgeKey>,
     /// Nets whose graph changed during the current deletion.
     delta_nets: Vec<NetId>,
+    /// Work arrays of every graph walk the engine runs (deletions,
+    /// rip-ups, restores).
+    scratch: GraphScratch,
     /// The route's cumulative deterministic counters. The engine
     /// advances the work counters (the selection log — the audit trail
     /// compared across strategies by the oracle tests — deletions,
@@ -847,11 +910,33 @@ impl<P: Probe> Engine<P> {
     /// rejects a longer graph with [`crate::RouteError::GraphTooLong`]).
     ///
     /// Each graph's dangling chains are pruned and its bridge flags
-    /// computed here, once, so the flags it arrives with are never read.
-    /// The density map is then built in bulk from every net's trunk
-    /// spans.
+    /// computed here, once, so the flags it arrives with are never read;
+    /// a graph that already is a routed tree is proved one by a single
+    /// walk instead (DESIGN.md §8, "The tree path"). The density map is
+    /// then built in bulk from every net's trunk spans.
     pub fn with_probe(
         mut graphs: Vec<RoutingGraph>,
+        sta: Sta,
+        partner: Vec<Option<NetId>>,
+        num_channels: usize,
+        chip_width: usize,
+        probe: P,
+    ) -> Self {
+        let mut scratch = GraphScratch::default();
+        let trees: Vec<bool> = graphs.iter_mut().map(|g| g.settle(&mut scratch)).collect();
+        Self::from_settled(graphs, &trees, sta, partner, num_channels, chip_width, probe)
+    }
+
+    /// [`Engine::with_probe`] over graphs already settled
+    /// ([`RoutingGraph::settle`]), `trees[i]` telling whether net `i`'s
+    /// graph was a routed tree. Such a net's memoized length is the sum
+    /// of its alive edges, with no search: a prune-closed tree is its own
+    /// tentative tree — each of its edges lies on the driver's path to
+    /// some terminal, every leaf being one — and its grid lengths sum
+    /// exactly in any order (DESIGN.md §8, "The tree path").
+    pub(crate) fn from_settled(
+        graphs: Vec<RoutingGraph>,
+        trees: &[bool],
         sta: Sta,
         partner: Vec<Option<NetId>>,
         num_channels: usize,
@@ -862,44 +947,38 @@ impl<P: Probe> Engine<P> {
             graphs.iter().all(RoutingGraph::within_length_cap),
             "a routing graph's total length reaches the 2^42 um cap"
         );
-        for g in &mut graphs {
-            g.prune_dangling();
-            g.recompute_bridges();
-        }
         let density = DensityMap::from_graphs(num_channels, chip_width, &graphs);
-        let scan: Vec<NetScanState> = graphs.iter().map(NetScanState::new).collect();
-        let mut channel_nets: Vec<Vec<ChannelNet>> = vec![Vec::new(); num_channels];
-        for (i, state) in scan.iter().enumerate() {
-            for (lane, (heap, _)) in state.lanes.iter().enumerate() {
-                if let Some(c) = heap {
-                    channel_nets[c.index()].push(ChannelNet {
-                        net: NetId::new(i),
-                        lane,
-                    });
-                }
-            }
-        }
+        let scan: Vec<NetScanState> = std::iter::repeat_with(NetScanState::default)
+            .take(graphs.len())
+            .collect();
         let mut engine = Self {
             graphs,
             density,
             sta,
             scan,
             partner,
-            channel_nets,
+            channel_nets: vec![Vec::new(); num_channels],
             window_run: 0,
             selection: SelectionStrategy::default(),
             delta_spans: Vec::new(),
             delta_cons: Vec::new(),
             delta_nets: Vec::new(),
             deferred: Vec::new(),
+            scratch: GraphScratch::default(),
             stats: SnapshotStats::default(),
             verify: VerifyLevel::Off,
             frozen: None,
             skew: None,
             probe,
         };
-        for i in 0..engine.graphs.len() {
-            engine.refresh_length(NetId::new(i));
+        for (i, &tree) in trees.iter().enumerate() {
+            let net = NetId::new(i);
+            if !tree {
+                engine.refresh_length(net);
+            } else if !engine.sta.constraints_of_net(net).is_empty() {
+                let len = engine.graphs[i].tree_length_um();
+                engine.sta.set_net_length(net, len);
+            }
         }
         engine.clear_delta();
         engine
@@ -931,7 +1010,7 @@ impl<P: Probe> Engine<P> {
     /// built with, which no margin, arrival or critical path reads. Take
     /// a net's length from its graph instead
     /// ([`tentative_length_um`], [`RoutingGraph::alive_length_um`]).
-    pub fn sta(&self) -> &Sta {
+    pub(crate) fn sta(&self) -> &Sta {
         &self.sta
     }
 
@@ -1290,7 +1369,7 @@ impl<P: Probe> Engine<P> {
         assert!(!self.graphs[ni].is_bridge(e), "refusing to delete a bridge");
         let before = self.graphs[ni].generation();
         self.remove_density(net, e);
-        let (pruned, promoted) = self.graphs[ni].delete_non_bridge(e);
+        let (pruned, promoted) = self.graphs[ni].delete_non_bridge(e, &mut self.scratch);
         self.stats.deletions += 1 + pruned.len();
         self.delta_nets.push(net);
         if !pruned.is_empty() {
@@ -1499,6 +1578,21 @@ impl<P: Probe> Engine<P> {
         )
     }
 
+    /// Builds `net`'s lanes before its first scan and registers them in
+    /// [`Engine::channel_nets`].
+    fn index_lanes(&mut self, net: NetId) {
+        let (g, state) = (&self.graphs[net.index()], &mut self.scan[net.index()]);
+        if state.lanes.len() > 0 || g.edges().is_empty() {
+            return;
+        }
+        state.lanes = LaneIndex::new(g);
+        for (lane, (heap, _)) in state.lanes.iter().enumerate() {
+            if let Some(c) = heap {
+                self.channel_nets[c.index()].push(ChannelNet { net, lane });
+            }
+        }
+    }
+
     /// Re-keys the selected `lanes` of `net`: scans them
     /// ([`scan_raw_keys`]) and sets each lane's fresh minimum as the
     /// net's key in that heap, or removes the net from the heap when the
@@ -1511,6 +1605,7 @@ impl<P: Probe> Engine<P> {
         lanes: Lanes,
         touched: &[(ChannelId, i32, i32)],
     ) {
+        self.index_lanes(net);
         let cx = RawScan {
             density: &self.density,
             sta: &self.sta,
@@ -1544,6 +1639,20 @@ impl<P: Probe> Engine<P> {
         }
     }
 
+    /// The live trunk extent of a channel's lane, as the lane's last scan
+    /// in the current scoreboard run recorded it, or empty when none did:
+    /// an in-scope net this run never scanned was a tree when the run
+    /// opened, and a tree stays one for the whole run (deletions take
+    /// only non-bridges). See [`derive_dirty`].
+    fn lane_extent(&self, cn: ChannelNet) -> (i32, i32) {
+        let state = &self.scan[cn.net.index()];
+        if state.window_run == self.window_run {
+            state.extents[cn.lane]
+        } else {
+            NO_EXTENT
+        }
+    }
+
     /// The incremental path: scoreboard selection with dirty-set
     /// re-keying (see the [module docs](self) for the invalidation
     /// derivation).
@@ -1566,7 +1675,12 @@ impl<P: Probe> Engine<P> {
             self.probe.scope_enter(Scope::Rekey);
         }
         for &net in &nets {
-            self.rekey(&mut sb, net, Lanes::ALL, &[]);
+            // A tree has no deletable edge: no key to push, and its lanes'
+            // extents stay empty (the dirty derivation below reads every
+            // extent not taken in this run as empty).
+            if self.graphs[net.index()].has_non_bridge() {
+                self.rekey(&mut sb, net, Lanes::ALL, &[]);
+            }
         }
         if P::PROFILING {
             self.probe.scope_exit(Scope::Rekey);
@@ -1633,7 +1747,7 @@ impl<P: Probe> Engine<P> {
                 &d_nets,
                 &d_spans,
                 &self.channel_nets,
-                |cn| self.scan[cn.net.index()].extents[cn.lane],
+                |cn| self.lane_extent(cn),
                 &d_cons,
                 |cid| self.sta.nets_of_constraint(cid),
             );
@@ -1718,16 +1832,14 @@ impl<P: Probe> Engine<P> {
 
     /// Sets `net`'s alive edges to `mask`, or with `None` to the whole
     /// graph minus its dangling chains (a rip-up), and rebuilds what
-    /// depends on them: the net's density spans, bridge flags and
-    /// memoized length (with the margins it feeds).
+    /// depends on them: the net's bridge flags ([`RoutingGraph::settle`];
+    /// a snapshot's mask is prune-closed, so only a rip-up prunes),
+    /// density spans and memoized length (with the margins it feeds).
     fn set_alive(&mut self, net: NetId, mask: Option<&[bool]>) {
         let g = &mut self.graphs[net.index()];
         self.density.apply_net(g, -1);
         g.load_alive(mask);
-        if mask.is_none() {
-            g.prune_dangling();
-        }
-        g.recompute_bridges();
+        g.settle(&mut self.scratch);
         self.density.apply_net(g, 1);
         self.refresh_length(net);
     }
@@ -2080,20 +2192,25 @@ mod tests {
     }
 
     /// Opens a scoreboard run as `run_deletion_scoreboard` does: a new
-    /// window run, with every lane of every net keyed.
+    /// window run, with every lane of every net that has a deletable
+    /// edge keyed.
     fn open_run<P: Probe>(engine: &mut Engine<P>) -> Scoreboard {
         let (nets, channels) = (engine.graphs.len(), engine.channel_nets.len());
         let mut sb = Scoreboard::new(nets, channels, CriteriaOrder::DelayFirst);
         engine.window_run += 1;
         for n in 0..nets {
-            engine.rekey(&mut sb, NetId::new(n), Lanes::ALL, &[]);
+            if engine.graphs[n].has_non_bridge() {
+                engine.rekey(&mut sb, NetId::new(n), Lanes::ALL, &[]);
+            }
         }
         sb
     }
 
-    /// Once every net is a tree, every lane is all bridges: its live
-    /// extent is empty, so no span dirties it — although its static
-    /// bounding interval over every trunk edge still overlaps the span.
+    /// Once every net is a tree, every lane is all bridges: a run scans
+    /// none of them, and their live extents read as empty, so no span
+    /// dirties them — although a lane's static bounding interval over
+    /// every trunk edge still overlaps the span. The lanes `LaneIndex`
+    /// builds are the ones `channel_nets` numbers.
     #[test]
     fn derive_dirty_skips_all_bridge_lanes() {
         let mut engine = engine_for_same_row();
@@ -2104,8 +2221,10 @@ mod tests {
         let mut spans = 0;
         for (c, nets) in engine.channel_nets.iter().enumerate() {
             for cn in nets {
-                let (_, edges) = &engine.scan[cn.net.index()].lanes[cn.lane];
                 let g = &engine.graphs[cn.net.index()];
+                let lanes = LaneIndex::new(g);
+                let (heap, edges) = lanes.iter().nth(cn.lane).unwrap();
+                assert_eq!(heap, Some(ChannelId::new(c)));
                 let trunks = edges
                     .iter()
                     .map(|&e| g.edges()[e as usize])
@@ -2122,7 +2241,7 @@ mod tests {
                     &[],
                     &[(ChannelId::new(c), lo, hi.max(lo + 1))],
                     &engine.channel_nets,
-                    |cn| engine.scan[cn.net.index()].extents[cn.lane],
+                    |cn| engine.lane_extent(cn),
                     &[],
                     |_| &[],
                 );
@@ -2367,10 +2486,11 @@ mod tests {
                     if engine.sta.constraints_of_net(net).is_empty() {
                         continue;
                     }
+                    engine.index_lanes(net);
                     let g = &engine.graphs[n];
                     let floor = DelayCriteria::floor(&engine.sta, net);
                     violated += u64::from(floor.cd > 0);
-                    let mut fresh = NetScanState::new(g);
+                    let mut fresh = NetScanState::default();
                     for e in g.non_bridge_edges() {
                         let delay = fresh.delay(g, &engine.sta, net, e, &mut NoopProbe);
                         let real = EdgeKey {

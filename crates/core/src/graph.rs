@@ -140,6 +140,48 @@ pub struct RoutingGraph {
     generation: u64,
 }
 
+/// Reusable work arrays of the graph walks — the prune queue, the
+/// low-link DFS, the tree proof and the connectivity walk — and the tap
+/// list of the graph build, shared by every graph a caller walks, so
+/// that once they have grown to the largest graph no walk allocates.
+///
+/// Between walks every `disc` entry is 0 and every list is empty: a walk
+/// records each vertex it discovers in `reached` and clears exactly those
+/// entries when it ends, never the whole array.
+#[derive(Debug, Default)]
+pub(crate) struct GraphScratch {
+    /// Per vertex: its discovery time, 0 while undiscovered.
+    disc: Vec<u32>,
+    /// Per vertex: its low-link, read only where `disc` is set.
+    low: Vec<u32>,
+    /// The vertices the current walk discovered.
+    reached: Vec<u32>,
+    /// DFS frames: (vertex, incoming edge, adjacency cursor).
+    stack: Vec<(u32, u32, usize)>,
+    /// The prune queue.
+    queue: Vec<u32>,
+    /// The build's `(channel, x, vertex)` taps.
+    taps: Vec<(ChannelId, i32, u32)>,
+}
+
+impl GraphScratch {
+    /// Grows the per-vertex arrays to `nv` vertices.
+    fn fit(&mut self, nv: usize) -> &mut Self {
+        if self.disc.len() < nv {
+            self.disc.resize(nv, 0);
+            self.low.resize(nv, 0);
+        }
+        self
+    }
+
+    /// Clears the discovery marks of the walk that just ended.
+    fn reset(&mut self) {
+        for v in self.reached.drain(..) {
+            self.disc[v as usize] = 0;
+        }
+    }
+}
+
 impl RoutingGraph {
     /// Builds `G_r(n)` for `net` given the feedthrough points assigned to
     /// it (`feeds` = `(row, x)` pairs, one per crossed row).
@@ -172,7 +214,14 @@ impl RoutingGraph {
         feeds: &[(usize, i32)],
         branch_len_um: &[f64],
     ) -> Self {
-        let mut graph = Self::build_unbridged(circuit, placement, net, feeds, branch_len_um);
+        let mut graph = Self::build_unbridged(
+            circuit,
+            placement,
+            net,
+            feeds,
+            branch_len_um,
+            &mut GraphScratch::default(),
+        );
         graph.recompute_bridges();
         graph
     }
@@ -181,13 +230,15 @@ impl RoutingGraph {
     /// pass: every bridge flag reads `false` until
     /// [`RoutingGraph::recompute_bridges`] runs. For callers that change
     /// the alive set before anything reads the flags (a session's
-    /// graphs get theirs once, in `Engine::with_probe`).
+    /// graphs get theirs once, from [`RoutingGraph::settle`]). The tap
+    /// list lives in `scratch`.
     pub(crate) fn build_unbridged(
         circuit: &Circuit,
         placement: &Placement,
         net: NetId,
         feeds: &[(usize, i32)],
         branch_len_um: &[f64],
+        scratch: &mut GraphScratch,
     ) -> Self {
         assert_eq!(
             branch_len_um.len(),
@@ -207,7 +258,8 @@ impl RoutingGraph {
         let mut terminal_verts = Vec::with_capacity(terms);
         let mut driver_vert = 0u32;
         // Taps per channel for trunk linking: (channel, x, vert).
-        let mut taps: Vec<(ChannelId, i32, u32)> = Vec::with_capacity(taps_len);
+        let taps = &mut scratch.taps;
+        taps.clear();
 
         let add_vert = |verts: &mut Vec<RVert>, kind, x| -> u32 {
             verts.push(RVert { kind, x });
@@ -330,7 +382,8 @@ impl RoutingGraph {
     /// flags are left `false` for the caller to compute.
     ///
     /// The CSR arrays are filled by a counting sort over the edges in
-    /// index order, so each vertex lists its incident edges exactly as
+    /// reverse index order, each vertex's entries from the end of its
+    /// range down, so each vertex lists its incident edges exactly as
     /// per-vertex pushes in edge order would: Dijkstra's tie-breaking
     /// and the reuse rules of `ShortestPaths` depend on that order.
     fn from_parts(
@@ -344,20 +397,21 @@ impl RoutingGraph {
         for e in &mut edges {
             e.len_um = (e.len_um / LEN_GRID_UM).round() * LEN_GRID_UM;
         }
+        // Counted into `adj_start[v]`, summed into the end of each
+        // range, then decremented to its start by the fill.
         let mut adj_start = vec![0u32; verts.len() + 1];
         for e in &edges {
-            adj_start[e.a as usize + 1] += 1;
-            adj_start[e.b as usize + 1] += 1;
+            adj_start[e.a as usize] += 1;
+            adj_start[e.b as usize] += 1;
         }
-        for v in 0..verts.len() {
-            adj_start[v + 1] += adj_start[v];
+        for v in 1..=verts.len() {
+            adj_start[v] += adj_start[v - 1];
         }
-        let mut cursor = adj_start.clone();
         let mut adj_list = vec![(0u32, 0u32); 2 * edges.len()];
-        for (i, e) in edges.iter().enumerate() {
-            for (v, w) in [(e.a, e.b), (e.b, e.a)] {
-                adj_list[cursor[v as usize] as usize] = (w, i as u32);
-                cursor[v as usize] += 1;
+        for (i, e) in edges.iter().enumerate().rev() {
+            for (v, w) in [(e.b, e.a), (e.a, e.b)] {
+                adj_start[v as usize] -= 1;
+                adj_list[adj_start[v as usize] as usize] = (w, i as u32);
             }
         }
         Self {
@@ -422,12 +476,14 @@ impl RoutingGraph {
     }
 
     /// Invalidation stamp: bumped by [`RoutingGraph::delete_edge`] (so by
-    /// [`RoutingGraph::delete_non_bridge`]),
+    /// the engine's one-pass deletion),
     /// [`RoutingGraph::restore_all`], [`RoutingGraph::set_alive_mask`],
     /// [`RoutingGraph::prune_dangling`] and
-    /// [`RoutingGraph::recompute_bridges`]. Caches derived from the alive
-    /// subgraph or its bridge flags stay valid exactly while this value is
-    /// unchanged.
+    /// [`RoutingGraph::recompute_bridges`]; the engine's tree path, which
+    /// settles a routed tree without those passes, bumps it once, as the
+    /// bridge pass it replaces would. Caches derived from the alive
+    /// subgraph or its bridge flags stay valid exactly while this value
+    /// is unchanged.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -485,8 +541,8 @@ impl RoutingGraph {
     /// Deletes a single edge (marks dead). Callers are responsible for
     /// only deleting non-bridges and for re-running
     /// [`RoutingGraph::prune_dangling`] / [`RoutingGraph::recompute_bridges`];
-    /// [`RoutingGraph::delete_non_bridge`] does all three in one local
-    /// pass.
+    /// the engine's deletions do all three in one local pass (DESIGN.md
+    /// §8, "One pass per deletion").
     ///
     /// # Panics
     ///
@@ -510,6 +566,11 @@ impl RoutingGraph {
         self.alive.clone()
     }
 
+    /// Consumes the graph, returning its alive mask without a copy.
+    pub(crate) fn into_alive(self) -> Vec<bool> {
+        self.alive
+    }
+
     /// Restores a previously captured alive mask and recomputes bridges.
     ///
     /// # Panics
@@ -522,8 +583,9 @@ impl RoutingGraph {
 
     /// Sets the alive set to `mask`, or with `None` to every edge, and
     /// bumps the generation — *without* the bridge pass: the flags are
-    /// stale until [`RoutingGraph::recompute_bridges`] runs, so a caller
-    /// that prunes first pays for one pass, not two.
+    /// stale until [`RoutingGraph::recompute_bridges`] or
+    /// [`RoutingGraph::settle`] runs, so a caller that prunes first pays
+    /// for one pass, not two.
     ///
     /// # Panics
     ///
@@ -546,43 +608,53 @@ impl RoutingGraph {
     /// Prunes dangling chains: repeatedly removes the single alive edge of
     /// any degree-1 non-terminal vertex. Returns the pruned edge indices.
     pub fn prune_dangling(&mut self) -> Vec<u32> {
-        self.prune_from((0..self.verts.len() as u32).collect())
+        self.prune_from(0..self.verts.len() as u32, &mut Vec::new())
     }
 
-    /// The one prune loop, seeded with `queue` (popped from the back): a
-    /// degree-1 non-terminal vertex loses its one alive edge and the
-    /// edge's other end is queued; any other vertex is skipped. Every
-    /// dangling vertex must be seeded — [`RoutingGraph::prune_dangling`]
-    /// seeds them all, [`RoutingGraph::delete_non_bridge`] only the ends
-    /// of the deleted edge, the only vertices a deletion from a
-    /// prune-closed graph can leave dangling. Skipped seeds change
-    /// nothing, so an ascending seed list prunes the dangling ones in the
-    /// order a list of those alone would.
-    fn prune_from(&mut self, mut queue: Vec<u32>) -> Vec<u32> {
+    /// The one prune loop: each seed in turn, from the last, is queued
+    /// (`queue` is scratch, empty between calls) and the queue drained
+    /// from its back. A degree-1 non-terminal vertex loses its one alive
+    /// edge and the edge's other end is queued; any other vertex is
+    /// skipped. Every dangling vertex must be seeded —
+    /// [`RoutingGraph::prune_dangling`] seeds them all,
+    /// [`RoutingGraph::delete_non_bridge`] only the ends of the deleted
+    /// edge, the only vertices a deletion from a prune-closed graph can
+    /// leave dangling. Skipped seeds change nothing, so ascending seeds
+    /// prune the dangling ones in the order seeds of those alone would.
+    fn prune_from(
+        &mut self,
+        seeds: impl DoubleEndedIterator<Item = u32>,
+        queue: &mut Vec<u32>,
+    ) -> Vec<u32> {
         let mut pruned = Vec::new();
-        while let Some(v) = queue.pop() {
-            if matches!(self.verts[v as usize].kind, RVertKind::Terminal(_)) {
-                continue;
-            }
-            if self.degree(v) != 1 {
-                continue;
-            }
-            let &(w, e) = self
-                .adj(v)
-                .iter()
-                .find(|&&(_, e)| self.alive[e as usize])
-                .expect("§3.2 prune invariant: a degree-1 vertex has exactly one alive edge");
-            self.alive[e as usize] = false;
-            self.alive_count -= 1;
-            pruned.push(e);
-            if self.degree(w) == 1 {
-                queue.push(w);
+        for seed in seeds.rev() {
+            queue.push(seed);
+            while let Some(v) = queue.pop() {
+                if self.is_terminal(v) || self.degree(v) != 1 {
+                    continue;
+                }
+                let &(w, e) = self
+                    .adj(v)
+                    .iter()
+                    .find(|&&(_, e)| self.alive[e as usize])
+                    .expect("§3.2 prune invariant: a degree-1 vertex has exactly one alive edge");
+                self.alive[e as usize] = false;
+                self.alive_count -= 1;
+                pruned.push(e);
+                if self.degree(w) == 1 {
+                    queue.push(w);
+                }
             }
         }
         if !pruned.is_empty() {
             self.generation += 1;
         }
         pruned
+    }
+
+    /// Whether vertex `v` is one of the net's terminals.
+    fn is_terminal(&self, v: u32) -> bool {
+        matches!(self.verts[v as usize].kind, RVertKind::Terminal(_))
     }
 
     /// Deletes the non-bridge edge `e` in one local pass (DESIGN.md §8,
@@ -603,17 +675,26 @@ impl RoutingGraph {
     /// # Panics
     ///
     /// Panics if the edge is dead or a bridge.
-    pub fn delete_non_bridge(&mut self, e: u32) -> (Vec<u32>, Vec<u32>) {
+    pub(crate) fn delete_non_bridge(
+        &mut self,
+        e: u32,
+        scratch: &mut GraphScratch,
+    ) -> (Vec<u32>, Vec<u32>) {
         assert!(!self.bridge[e as usize], "refusing to delete bridge {e}");
         self.delete_edge(e);
         let REdge { a, b, .. } = self.edges[e as usize];
-        let pruned = self.prune_from(vec![a.min(b), a.max(b)]);
-        let seeds: Vec<u32> = pruned
-            .iter()
-            .flat_map(|&p| [self.edges[p as usize].a, self.edges[p as usize].b])
-            .chain([a, b])
-            .collect();
-        let mut promoted = self.mark_bridges(&seeds);
+        let pruned = self.prune_from([a.min(b), a.max(b)].into_iter(), &mut scratch.queue);
+        let mut roots = std::mem::take(&mut scratch.queue);
+        roots.extend(
+            pruned
+                .iter()
+                .flat_map(|&p| [self.edges[p as usize].a, self.edges[p as usize].b])
+                .chain([a, b]),
+        );
+        let mut promoted = Vec::new();
+        self.mark_bridges(roots.iter().copied(), scratch, Some(&mut promoted));
+        roots.clear();
+        scratch.queue = roots;
         promoted.sort_unstable();
         (pruned, promoted)
     }
@@ -621,31 +702,112 @@ impl RoutingGraph {
     /// Recomputes bridge flags over the alive subgraph: clears every flag,
     /// then runs the low-link DFS from every vertex.
     pub fn recompute_bridges(&mut self) {
+        self.recompute_bridges_in(&mut GraphScratch::default());
+    }
+
+    /// [`RoutingGraph::recompute_bridges`] in `scratch`.
+    fn recompute_bridges_in(&mut self, scratch: &mut GraphScratch) {
         self.generation += 1;
         self.bridge.iter_mut().for_each(|b| *b = false);
-        let roots: Vec<u32> = (0..self.verts.len() as u32).collect();
-        self.mark_bridges(&roots);
+        self.mark_bridges(0..self.verts.len() as u32, scratch, None);
+    }
+
+    /// Prunes the dangling chains of a loaded alive set and computes its
+    /// bridge flags — [`RoutingGraph::prune_dangling`] and
+    /// [`RoutingGraph::recompute_bridges`] — with one walk instead when
+    /// the set is already a routed tree (DESIGN.md §8, "The tree path"):
+    /// when [`RoutingGraph::is_pruned_tree`] proves it, nothing dangles
+    /// and every alive edge is a bridge, so the flags are copied from the
+    /// alive set. Returns whether it was such a tree.
+    pub(crate) fn settle(&mut self, scratch: &mut GraphScratch) -> bool {
+        if self.is_pruned_tree(scratch) {
+            self.bridge.copy_from_slice(&self.alive);
+            self.generation += 1;
+            return true;
+        }
+        self.prune_from(0..self.verts.len() as u32, &mut scratch.queue);
+        self.recompute_bridges_in(scratch);
+        false
+    }
+
+    /// Whether the alive subgraph is a prune-closed tree spanning the
+    /// terminals, in one DFS from the driver: the walk must meet no alive
+    /// edge twice (no cycle, parallel edge or self-loop), reach every
+    /// alive edge (one component) and every terminal, and find no
+    /// non-terminal vertex of alive degree 1. Stops at the first
+    /// violation.
+    fn is_pruned_tree(&self, scratch: &mut GraphScratch) -> bool {
+        let GraphScratch {
+            disc: seen,
+            reached,
+            stack,
+            ..
+        } = scratch.fit(self.verts.len());
+        let root = self.driver_vert;
+        seen[root as usize] = 1;
+        reached.push(root);
+        stack.push((root, u32::MAX, 0));
+        let mut tree_edges = 0;
+        let mut tree = true;
+        'walk: while let Some((v, pe, _)) = stack.pop() {
+            let mut degree = 0;
+            for &(w, e) in self.adj(v) {
+                if !self.alive[e as usize] {
+                    continue;
+                }
+                degree += 1;
+                if e == pe {
+                    continue;
+                }
+                if seen[w as usize] != 0 {
+                    tree = false;
+                    break 'walk;
+                }
+                seen[w as usize] = 1;
+                reached.push(w);
+                stack.push((w, e, 0));
+                tree_edges += 1;
+            }
+            if degree == 1 && !self.is_terminal(v) {
+                tree = false;
+                break;
+            }
+        }
+        tree = tree
+            && tree_edges == self.alive_count
+            && self.terminal_verts.iter().all(|&t| seen[t as usize] != 0);
+        stack.clear();
+        scratch.reset();
+        tree
     }
 
     /// The low-link DFS (iterative; parallel edges told apart by edge
     /// id) over the alive edges not flagged as bridges, from each root
     /// in `roots` not reached yet. Flags every bridge of that subgraph
-    /// and returns them in discovery order.
-    fn mark_bridges(&mut self, roots: &[u32]) -> Vec<u32> {
-        let nv = self.verts.len();
-        let mut found = Vec::new();
-        let mut disc = vec![0u32; nv];
-        let mut low = vec![0u32; nv];
+    /// and pushes it onto `found`, if given, in discovery order.
+    fn mark_bridges(
+        &mut self,
+        roots: impl IntoIterator<Item = u32>,
+        scratch: &mut GraphScratch,
+        mut found: Option<&mut Vec<u32>>,
+    ) {
+        let GraphScratch {
+            disc,
+            low,
+            reached,
+            stack,
+            ..
+        } = scratch.fit(self.verts.len());
         let mut time = 1u32;
         // Frame: (vertex, incoming edge id (u32::MAX for root), adj cursor)
-        let mut stack: Vec<(u32, u32, usize)> = Vec::new();
-        for &root in roots {
+        for root in roots {
             if disc[root as usize] != 0 {
                 continue;
             }
             disc[root as usize] = time;
             low[root as usize] = time;
             time += 1;
+            reached.push(root);
             stack.push((root, u32::MAX, 0));
             while let Some(&mut (v, pe, ref mut cur)) = stack.last_mut() {
                 let vi = v as usize;
@@ -665,6 +827,7 @@ impl RoutingGraph {
                         disc[wi] = time;
                         low[wi] = time;
                         time += 1;
+                        reached.push(w);
                         stack.push((w, e, 0));
                     } else {
                         low[vi] = low[vi].min(disc[wi]);
@@ -677,52 +840,71 @@ impl RoutingGraph {
                         if low[vi] > disc[pi] {
                             // pe is the tree edge p -> v.
                             self.bridge[pe as usize] = true;
-                            found.push(pe);
+                            if let Some(found) = &mut found {
+                                found.push(pe);
+                            }
                         }
                     }
                 }
             }
         }
-        found
+        scratch.reset();
     }
 
     /// Whether the alive subgraph is prune-closed: no non-terminal vertex
     /// has alive degree 1.
     pub(crate) fn prune_closed(&self) -> bool {
-        (0..self.verts.len() as u32).all(|v| {
-            matches!(self.verts[v as usize].kind, RVertKind::Terminal(_)) || self.degree(v) != 1
-        })
+        (0..self.verts.len() as u32).all(|v| self.is_terminal(v) || self.degree(v) != 1)
     }
 
     /// Whether all terminal vertices lie in one alive component.
     pub fn terminals_connected(&self) -> bool {
-        self.terminals_connected_over(|e| self.alive[e as usize])
+        self.terminals_connected_in(&mut GraphScratch::default())
+    }
+
+    /// [`RoutingGraph::terminals_connected`] in `scratch`.
+    pub(crate) fn terminals_connected_in(&self, scratch: &mut GraphScratch) -> bool {
+        self.terminals_connected_over(|e| self.alive[e as usize], scratch)
     }
 
     /// Whether the whole graph, dead edges included, connects the
     /// terminals: whether *some* alive set can.
     pub(crate) fn terminals_connectable(&self) -> bool {
-        self.terminals_connected_over(|_| true)
+        self.terminals_connected_over(|_| true, &mut GraphScratch::default())
     }
 
     /// Whether all terminal vertices lie in one component of the edges
     /// `usable` accepts.
-    fn terminals_connected_over(&self, usable: impl Fn(u32) -> bool) -> bool {
+    fn terminals_connected_over(
+        &self,
+        usable: impl Fn(u32) -> bool,
+        scratch: &mut GraphScratch,
+    ) -> bool {
         let Some(&start) = self.terminal_verts.first() else {
             return true;
         };
-        let mut seen = vec![false; self.verts.len()];
-        let mut stack = vec![start];
-        seen[start as usize] = true;
-        while let Some(v) = stack.pop() {
+        let GraphScratch {
+            disc: seen,
+            reached,
+            ..
+        } = scratch.fit(self.verts.len());
+        seen[start as usize] = 1;
+        reached.push(start);
+        // `reached` doubles as the stack: its entries from `next` on are
+        // still to be expanded.
+        let mut next = 0;
+        while let Some(&v) = reached.get(next) {
+            next += 1;
             for &(w, e) in self.adj(v) {
-                if usable(e) && !seen[w as usize] {
-                    seen[w as usize] = true;
-                    stack.push(w);
+                if usable(e) && seen[w as usize] == 0 {
+                    seen[w as usize] = 1;
+                    reached.push(w);
                 }
             }
         }
-        self.terminal_verts.iter().all(|&t| seen[t as usize])
+        let connected = self.terminal_verts.iter().all(|&t| seen[t as usize] != 0);
+        scratch.reset();
+        connected
     }
 
     /// Whether the alive subgraph is a tree spanning the terminals (no
@@ -736,6 +918,17 @@ impl RoutingGraph {
         self.alive_edges()
             .map(|e| self.edges[e as usize].len_um)
             .sum()
+    }
+
+    /// The tentative length of a graph [`RoutingGraph::settle`] found to
+    /// be a routed tree: the sum of its alive edges, each of which lies
+    /// on the driver's path to some terminal. Summed from +0 as a search
+    /// sums a path (an empty `f64` sum is −0); the order does not matter,
+    /// every length being on the [`LEN_GRID_UM`] grid and the total
+    /// below [`LEN_CAP_UM`].
+    pub(crate) fn tree_length_um(&self) -> f64 {
+        self.alive_edges()
+            .fold(0.0, |sum, e| sum + self.edges[e as usize].len_um)
     }
 
     /// Whether the total length of every edge, dead ones included, stays
@@ -1047,6 +1240,7 @@ pub(crate) mod tests {
             let mut g = RoutingGraph::from_edges(nv, &edges, &terminals);
             g.prune_dangling();
             g.recompute_bridges();
+            let mut scratch = GraphScratch::default();
             loop {
                 let candidates: Vec<u32> = g.non_bridge_edges().collect();
                 if candidates.is_empty() {
@@ -1061,7 +1255,7 @@ pub(crate) mod tests {
                     .alive_edges()
                     .filter(|&i| want.is_bridge(i) && !g.is_bridge(i))
                     .collect();
-                let (pruned, promoted) = g.delete_non_bridge(e);
+                let (pruned, promoted) = g.delete_non_bridge(e, &mut scratch);
                 assert_eq!(g.alive_mask(), want.alive_mask(), "{edges:?} minus {e}");
                 assert_eq!(pruned, want_pruned, "{edges:?} minus {e}");
                 assert_eq!(promoted, want_promoted, "{edges:?} minus {e}");
@@ -1073,6 +1267,112 @@ pub(crate) mod tests {
             }
         }
         assert!(promotions > 0, "no deletion ever promoted a bridge");
+    }
+
+    /// The tree path of `settle` against the whole-graph passes it
+    /// replaces — `prune_dangling`, `recompute_bridges` and
+    /// `terminals_connected` — on random multigraphs (parallel edges,
+    /// self-loops, several components) with random terminals and grid
+    /// lengths, over five kinds of alive mask: routed trees, prune-closed
+    /// non-trees, trees with a dangling non-terminal leaf, disconnected
+    /// masks and empty ones. Both must leave the same alive set, bridge
+    /// flags and generation; the tree path must be taken exactly for a
+    /// prune-closed tree spanning the terminals, whose alive-edge sum
+    /// must equal its tentative length bit for bit.
+    #[test]
+    fn settle_tree_path_matches_whole_graph_passes() {
+        const TREE: usize = 0;
+        const NON_TREE: usize = 1;
+        const LEAF: usize = 2;
+        const CUT: usize = 3;
+        const EMPTY: usize = 4;
+        let mut rng = bgr_netlist::SplitMix64::new(0x5E_771E);
+        let mut scratch = GraphScratch::default();
+        // Per mask kind: how often the tree path was not / was taken.
+        let mut seen = [[0u32; 2]; 5];
+        for _ in 0..400 {
+            let nv = rng.range_usize(2, 14);
+            let edges: Vec<(u32, u32, f64)> = (0..rng.range_usize(1, 28))
+                .map(|_| {
+                    let a = rng.range_usize(0, nv) as u32;
+                    let len = rng.range_usize(0, 1 << 14) as f64 / 1024.0;
+                    (a, rng.range_usize(0, nv) as u32, len)
+                })
+                .collect();
+            let terminals: Vec<u32> = (0..nv as u32)
+                .filter(|&v| v == 0 || rng.next_bool(0.3))
+                .collect();
+            let mut g = RoutingGraph::from_edges(nv, &edges, &terminals);
+            let random: Vec<bool> = edges.iter().map(|_| rng.next_bool(0.5)).collect();
+            let mut masks = vec![(EMPTY, vec![false; edges.len()]), (CUT, random)];
+            g.prune_dangling();
+            g.recompute_bridges();
+            let connected = g.terminals_connected();
+            loop {
+                let candidates: Vec<u32> = g.non_bridge_edges().collect();
+                if candidates.is_empty() {
+                    break;
+                }
+                if connected {
+                    masks.push((NON_TREE, g.alive_mask()));
+                }
+                g.delete_edge(candidates[rng.range_usize(0, candidates.len())]);
+                g.prune_dangling();
+                g.recompute_bridges();
+            }
+            if connected {
+                let tree = g.alive_mask();
+                let in_tree = |v: u32| v == g.driver_vert() || g.degree(v) > 0;
+                let pendant = (0..edges.len()).find(|&e| {
+                    let (a, b, _) = edges[e];
+                    !tree[e] && a != b && in_tree(a) != in_tree(b) && {
+                        let outside = if in_tree(a) { b } else { a };
+                        !terminals.contains(&outside)
+                    }
+                });
+                if let Some(e) = pendant {
+                    let mut leaf = tree.clone();
+                    leaf[e] = true;
+                    masks.push((LEAF, leaf));
+                }
+                if let Some(e) = g.alive_edges().next() {
+                    let mut cut = tree.clone();
+                    cut[e as usize] = false;
+                    masks.push((CUT, cut));
+                }
+                masks.push((TREE, tree));
+            }
+            for (kind, mask) in masks {
+                let mut got = g.clone();
+                got.load_alive(Some(&mask));
+                let mut want = got.clone();
+                let tree = got.settle(&mut scratch);
+                let pruned = want.prune_dangling();
+                want.recompute_bridges();
+                let case = format!("kind {kind}, {edges:?} over {terminals:?}, mask {mask:?}");
+                assert_eq!(got.alive_mask(), want.alive_mask(), "{case}");
+                for e in 0..edges.len() as u32 {
+                    assert_eq!(got.is_bridge(e), want.is_bridge(e), "edge {e}: {case}");
+                }
+                assert_eq!(got.generation(), want.generation(), "{case}");
+                let spanning =
+                    pruned.is_empty() && !want.has_non_bridge() && want.terminals_connected();
+                assert_eq!(tree, spanning, "{case}");
+                if tree {
+                    let len = crate::tentative::tentative_length_um(&want, None)
+                        .expect("a spanning tree reaches every terminal");
+                    assert_eq!(got.tree_length_um().to_bits(), len.to_bits(), "{case}");
+                }
+                seen[kind][usize::from(tree)] += 1;
+            }
+        }
+        assert!(seen[TREE][1] > 100 && seen[TREE][0] == 0, "{seen:?}");
+        for kind in [NON_TREE, LEAF, CUT] {
+            assert!(seen[kind][0] > 100, "{seen:?}");
+        }
+        assert!(seen[NON_TREE][1] == 0 && seen[LEAF][1] == 0, "{seen:?}");
+        // An empty mask is a tree exactly when the net has one terminal.
+        assert!(seen[EMPTY][0] > 100 && seen[EMPTY][1] > 10, "{seen:?}");
     }
 
     use bgr_layout::Placement;

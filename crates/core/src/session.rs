@@ -51,7 +51,7 @@ use crate::diffpair::{is_homogeneous, PairMap};
 use crate::engine::Engine;
 use crate::error::RouteError;
 use crate::feedcell::assign_with_insertion;
-use crate::graph::RoutingGraph;
+use crate::graph::{GraphScratch, RoutingGraph};
 use crate::improve::{improve_area, improve_delay, recover_violate, PhaseLimits, PhaseOutcome};
 use crate::probe::{Phase, Probe};
 use crate::result::{NetTree, RouteStats, RoutingResult, TimingReport, ViolationReport};
@@ -211,7 +211,7 @@ impl SessionDesign {
 /// cumulative observable counters. Serialized to the versioned text
 /// checkpoint format by `bgr_io::write_checkpoint` /
 /// `bgr_io::parse_checkpoint`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Format version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
@@ -324,6 +324,7 @@ impl<P: Probe> RouteSession<P> {
         // each pin tap half the *expected* channel height so delay
         // estimates track what the channel router will realize.
         let nominal = vec![config.branch_length_um; placement.num_channels()];
+        let mut scratch = GraphScratch::default();
         let est_graphs: Vec<RoutingGraph> = circuit
             .net_ids()
             .map(|n| {
@@ -335,6 +336,7 @@ impl<P: Probe> RouteSession<P> {
                     n,
                     &plan.feeds[n.index()],
                     &nominal,
+                    &mut scratch,
                 )
             })
             .collect();
@@ -343,7 +345,7 @@ impl<P: Probe> RouteSession<P> {
             placement.width_pitches().max(1) as usize,
         );
         for g in &est_graphs {
-            if !g.terminals_connected() {
+            if !g.terminals_connected_in(&mut scratch) {
                 continue; // reported as an error after the real build
             }
             // The tentative tree picks one channel per span, like the
@@ -680,7 +682,7 @@ impl<P: Probe> RouteSession<P> {
             },
             feeds: self.feeds.clone(),
             branch_lens: self.branch_lens.clone(),
-            alive: self.alive_masks(),
+            alive: self.engine.graphs().iter().map(|g| g.alive_mask()).collect(),
             stage: self.stage,
             stats: self.engine.stats.clone(),
             recovery: self.recovery,
@@ -689,13 +691,15 @@ impl<P: Probe> RouteSession<P> {
     }
 
     /// [`RouteSession::snapshot`] that consumes the session: the design,
-    /// configuration and counters move into the snapshot instead of
-    /// being cloned. Also returns the probe, like
+    /// configuration, counters and alive masks move into the snapshot
+    /// instead of being cloned. Also returns the probe, like
     /// [`RouteSession::into_probe`].
     pub fn into_snapshot(self) -> (EngineSnapshot, P) {
-        let alive = self.alive_masks();
         let events_emitted = self.events_emitted();
         let mut engine = self.engine;
+        let stats = std::mem::take(&mut engine.stats);
+        let (graphs, _, _, probe) = engine.into_parts();
+        let alive = graphs.into_iter().map(RoutingGraph::into_alive).collect();
         let snapshot = EngineSnapshot {
             version: SNAPSHOT_VERSION,
             config: self.config,
@@ -708,19 +712,11 @@ impl<P: Probe> RouteSession<P> {
             branch_lens: self.branch_lens,
             alive,
             stage: self.stage,
-            stats: std::mem::take(&mut engine.stats),
+            stats,
             recovery: self.recovery,
             events_emitted,
         };
-        (snapshot, engine.into_parts().3)
-    }
-
-    fn alive_masks(&self) -> Vec<Vec<bool>> {
-        self.engine
-            .graphs()
-            .iter()
-            .map(|g| g.alive_mask())
-            .collect()
+        (snapshot, probe)
     }
 
     /// Consumes the session, returning the probe — the per-slice trace
@@ -836,11 +832,14 @@ impl<P: Probe> RouteSession<P> {
 /// under the configured strategy and verify level. The
 /// lockstep counts land in the engine's stats.
 ///
-/// Each graph is checked for connectivity once, on its alive set: the
-/// masked graph is a subgraph of the fresh one, so when it connects its
-/// terminals both do, and only a failing net has its fresh graph tested
-/// too, to tell the two errors apart. Bridge flags are computed once, by
-/// [`Engine::with_probe`].
+/// Each graph is settled once ([`RoutingGraph::settle`]): a routed tree
+/// — at a resume, most nets — is proved a prune-closed tree spanning its
+/// terminals by one walk, which is also its connectivity check and its
+/// bridge pass; any other graph is pruned and bridged, then checked for
+/// connectivity on its alive set. The masked graph is a subgraph of the
+/// fresh one, so when it connects its terminals both do, and only a
+/// failing net has its fresh graph tested too, to tell the two errors
+/// apart. One [`GraphScratch`] serves every build and walk.
 ///
 /// # Errors
 ///
@@ -861,21 +860,30 @@ fn assemble_engine<P: Probe>(
     alive: Option<&[Vec<bool>]>,
     probe: P,
 ) -> Result<Engine<P>, RouteError> {
+    let mut scratch = GraphScratch::default();
+    let alive = alive.unwrap_or_default();
     let mut graphs: Vec<RoutingGraph> = circuit
         .net_ids()
         .map(|n| {
-            RoutingGraph::build_unbridged(circuit, placement, n, &feeds[n.index()], branch_lens)
+            let mut g = RoutingGraph::build_unbridged(
+                circuit,
+                placement,
+                n,
+                &feeds[n.index()],
+                branch_lens,
+                &mut scratch,
+            );
+            if let Some(mask) = alive.get(n.index()).filter(|m| m.len() == g.edges().len()) {
+                g.load_alive(Some(mask));
+            }
+            g
         })
         .collect();
-    let alive = alive.unwrap_or_default();
-    for (g, mask) in graphs.iter_mut().zip(alive) {
-        if mask.len() == g.edges().len() {
-            g.load_alive(Some(mask));
-        }
-    }
+    let trees: Vec<bool> = graphs.iter_mut().map(|g| g.settle(&mut scratch)).collect();
     let connected: Vec<bool> = graphs
         .iter()
-        .map(RoutingGraph::terminals_connected)
+        .zip(&trees)
+        .map(|(g, &tree)| tree || g.terminals_connected_in(&mut scratch))
         .collect();
     if let Some(i) =
         (0..graphs.len()).position(|i| !connected[i] && !graphs[i].terminals_connectable())
@@ -922,8 +930,9 @@ fn assemble_engine<P: Probe>(
         config.delay_model,
         config.wire,
     )?;
-    let mut engine = Engine::with_probe(
+    let mut engine = Engine::from_settled(
         graphs,
+        &trees,
         sta,
         partner,
         placement.num_channels(),

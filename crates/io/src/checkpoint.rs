@@ -79,6 +79,13 @@ pub fn reconfigure_checkpoint(
 /// design, which a session never changes after it starts, so a serve
 /// slice re-uses the one it parsed ([`splice_checkpoint`]).
 pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
+    write_checkpoint_with_prefix(snap).0
+}
+
+/// [`write_checkpoint`] that also returns the byte length of the text's
+/// design prefix, as [`parse_checkpoint_with_prefix`] would report it:
+/// what a caller that keeps `snap` needs to splice the next checkpoint.
+pub fn write_checkpoint_with_prefix(snap: &EngineSnapshot) -> (String, usize) {
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC}{SNAPSHOT_VERSION}");
     // The embedded design first: everything after it is interpreted
@@ -93,15 +100,16 @@ pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
     let _ = writeln!(out, "begin constraints");
     out.push_str(&write_constraints(d.circuit(), d.constraints()));
     let _ = writeln!(out, "end constraints");
+    let prefix_len = out.len();
     write_state(&mut out, snap);
-    out
+    (out, prefix_len)
 }
 
 /// `prefix` followed by the state tail of `snap`: the checkpoint
 /// [`write_checkpoint`] would emit, without re-encoding the design, when
 /// `prefix` is the design prefix it would emit for `snap` — such as the
 /// prefix of a canonical checkpoint `snap` was resumed from
-/// ([`parse_checkpoint_with_prefix`], [`parse_checkpoint_with_design`]).
+/// ([`parse_checkpoint_with_prefix`], [`write_checkpoint_with_prefix`]).
 pub fn splice_checkpoint(prefix: &str, snap: &EngineSnapshot) -> String {
     let mut tail = String::new();
     write_state(&mut tail, snap);
@@ -316,32 +324,6 @@ pub fn parse_checkpoint_with_prefix(text: &str) -> Result<(EngineSnapshot, usize
         .map_err(|e| cur.err(format!("embedded constraints: {e}")))?;
     let design =
         SessionDesign::new(circuit, placement, constraints).map_err(|e| cur.err(e.to_string()))?;
-    Ok((parse_state(cur, design)?, prefix_len))
-}
-
-/// [`parse_checkpoint_with_prefix`] for a caller that already holds the
-/// checkpoint's design, such as a serve job that keeps the design its
-/// previous slice handed back: the header and the framing of the three
-/// design blocks are checked and the prefix measured, but only the
-/// state tail is parsed. The snapshot carries `design` in place of the
-/// embedded one.
-///
-/// Nothing compares `design` with the embedded blocks. A caller that
-/// writes the next checkpoint by splicing checks that at
-/// `VerifyLevel::Phases` and above, by comparing the spliced text with
-/// [`write_checkpoint`] of the snapshot (DESIGN.md §13).
-///
-/// # Errors
-///
-/// Everything [`parse_checkpoint`] reports about the header and the
-/// state tail, and a missing or misnamed design block.
-pub fn parse_checkpoint_with_design(
-    text: &str,
-    design: SessionDesign,
-) -> Result<(EngineSnapshot, usize), ParseError> {
-    let mut cur = Reader::new(text.as_bytes());
-    read_prefix(&mut cur, text)?;
-    let prefix_len = cur.offset();
     Ok((parse_state(cur, design)?, prefix_len))
 }
 
@@ -613,22 +595,13 @@ mod tests {
     }
 
     #[test]
-    fn design_parse_reads_the_same_prefix_and_state() {
+    fn written_and_parsed_prefixes_agree() {
         let snap = sample_snapshot();
-        let text = write_checkpoint(&snap);
-        let (full, full_prefix) = parse_checkpoint_with_prefix(&text).unwrap();
-        let (kept, kept_prefix) = parse_checkpoint_with_design(&text, full.design).unwrap();
-        assert_eq!(kept_prefix, full_prefix);
-        assert!(text[..kept_prefix].ends_with("end constraints\n"));
-        assert_eq!(write_checkpoint(&kept), text);
-
-        // The framing is still checked: a cut inside a design block and a
-        // misnamed block are errors.
-        let cut = &text[..text.find("end placement").unwrap()];
-        let misnamed = text.replacen("begin placement\n", "begin placements\n", 1);
-        for bad in [cut, misnamed.as_str()] {
-            assert!(parse_checkpoint_with_design(bad, snap.design.clone()).is_err());
-        }
+        let (text, prefix_len) = write_checkpoint_with_prefix(&snap);
+        let (back, parsed_prefix) = parse_checkpoint_with_prefix(&text).unwrap();
+        assert_eq!(prefix_len, parsed_prefix);
+        assert!(text[..prefix_len].ends_with("end constraints\n"));
+        assert_eq!(splice_checkpoint(&text[..prefix_len], &back), text);
     }
 
     #[test]

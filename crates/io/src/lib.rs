@@ -61,8 +61,8 @@ pub mod svg;
 pub mod trace;
 
 pub use checkpoint::{
-    parse_checkpoint, parse_checkpoint_with_design, parse_checkpoint_with_prefix,
-    reconfigure_checkpoint, splice_checkpoint, write_checkpoint,
+    parse_checkpoint, parse_checkpoint_with_prefix, reconfigure_checkpoint, splice_checkpoint,
+    write_checkpoint, write_checkpoint_with_prefix,
 };
 pub use constraints::{parse_constraints, write_constraints};
 pub use error::ParseError;

@@ -30,9 +30,15 @@
 //! leased one's design prefix, byte for byte, followed by a fresh state
 //! tail ([`run_slice`]). That is exact because every checkpoint a queue
 //! holds is canonical ([`JobQueue::submit_checkpoint`]). Only the
-//! design outlives a local slice: a job drained by
-//! [`JobQueue::run_round`] keeps it and moves it through each slice, so
-//! its slices parse the checkpoint's state tail alone.
+//! snapshot outlives a local slice: a job drained by
+//! [`JobQueue::run_round`] keeps the [`EngineSnapshot`] its last slice
+//! suspended at — the one its checkpoint serializes — and the next local
+//! slice resumes from it without parsing the checkpoint at all. The
+//! checkpoint is still written every slice: it is what a lease, a
+//! cancelled job or a journal reads. Every path that hands the job's
+//! next slice to text (a lease, cancellation, a replayed or submitted
+//! checkpoint, a failure) drops the kept snapshot, so that slice parses
+//! the checkpoint whole.
 //!
 //! # Streams
 //!
@@ -54,11 +60,11 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use bgr_core::probe::CollectingProbe;
-use bgr_core::session::{EngineSnapshot, RouteSession, SessionDesign, SessionStage, StepOutcome};
+use bgr_core::session::{EngineSnapshot, RouteSession, SessionStage, StepOutcome};
 use bgr_core::{par, RouteError, Routed, RouterConfig};
 use bgr_io::{
-    escape_json, parse_checkpoint, parse_checkpoint_with_design, parse_checkpoint_with_prefix,
-    segment_seq_span, splice_checkpoint, write_checkpoint, write_event_lines,
+    escape_json, parse_checkpoint, parse_checkpoint_with_prefix, segment_seq_span,
+    splice_checkpoint, write_checkpoint, write_checkpoint_with_prefix, write_event_lines,
 };
 use bgr_layout::Placement;
 use bgr_metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
@@ -187,27 +193,37 @@ pub fn run_slice(checkpoint: &str, quota: Option<u64>) -> SliceOutcome {
 enum Artifacts {
     /// A failed slice leaves nothing.
     None,
-    /// The design a suspended slice resumed with, for the job to keep.
-    Design(Box<SessionDesign>),
+    /// The snapshot a suspended slice stopped at, for the job to keep.
+    Snapshot(Box<Kept>),
     /// The route and completion audit of a finished slice.
     Finished(Box<Routed>, AuditReport),
+}
+
+/// The snapshot a job's last local slice (or its materialization)
+/// suspended at, kept for the next local slice to resume from: the
+/// job's checkpoint is its serialization, and the checkpoint's first
+/// `prefix_len` bytes are the design prefix the next slice splices.
+#[derive(Debug)]
+struct Kept {
+    snapshot: EngineSnapshot,
+    prefix_len: usize,
 }
 
 /// The one slice executor behind [`run_slice`], [`run_lease`] and the
 /// local slices of [`JobQueue::run_round`].
 ///
 /// A spent budget (`deadline_ms == Some(0)`) abandons the slice unrun.
-/// With `design` — the design `checkpoint` embeds, kept by its job —
-/// only the checkpoint's state tail is parsed
-/// ([`parse_checkpoint_with_design`]); without it the whole checkpoint
-/// is. A suspended slice hands the design back for the job to keep, a
-/// finished one its route and audit ([`Artifacts`]).
-/// At [`bgr_core::VerifyLevel::Phases`] and above the splice oracle
-/// ([`check_splice`]) writes the full checkpoint from that design, so a
-/// kept design that differs from the embedded one fails the slice.
+/// With `kept` — the snapshot `checkpoint` serializes, kept by its job —
+/// nothing is parsed; without it the whole checkpoint is. A suspended
+/// slice hands its snapshot back for the job to keep, a finished one its
+/// route and audit ([`Artifacts`]). At
+/// [`bgr_core::VerifyLevel::Phases`] and above the splice oracle
+/// ([`check_splice`]) writes the full checkpoint from the outgoing
+/// snapshot, so a kept snapshot whose design differs from the embedded
+/// one fails the slice.
 fn execute(
     checkpoint: &str,
-    design: Option<SessionDesign>,
+    kept: Option<Kept>,
     quota: Option<u64>,
     deadline_ms: Option<u64>,
 ) -> (SliceOutcome, Artifacts) {
@@ -215,17 +231,19 @@ fn execute(
     if deadline_ms == Some(0) {
         return failed(RouteError::DeadlineExpired {});
     }
-    let parsed = match design {
-        Some(design) => parse_checkpoint_with_design(checkpoint, design),
-        None => parse_checkpoint_with_prefix(checkpoint),
-    };
-    let (snap, prefix_len) = match parsed {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            return failed(RouteError::Checkpoint {
-                message: e.to_string(),
-            })
-        }
+    let (snap, prefix_len) = match kept {
+        Some(Kept {
+            snapshot,
+            prefix_len,
+        }) => (snapshot, prefix_len),
+        None => match parse_checkpoint_with_prefix(checkpoint) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                return failed(RouteError::Checkpoint {
+                    message: e.to_string(),
+                })
+            }
+        },
     };
     let start_events = snap.events_emitted;
     let constraints = snap.design.constraints().to_vec();
@@ -258,7 +276,11 @@ fn execute(
                 selections_done,
                 events_jsonl: write_event_lines(&trace, start_events),
             };
-            (out, Artifacts::Design(Box::new(snap.design)))
+            let kept = Kept {
+                snapshot: snap,
+                prefix_len,
+            };
+            (out, Artifacts::Snapshot(Box::new(kept)))
         }
         StepOutcome::Ready => {
             let events_emitted = session.events_emitted();
@@ -304,7 +326,7 @@ fn execute(
 }
 
 /// The splice oracle: `spliced` must equal the full serialization of
-/// `snap`, byte for byte. For a slice that resumed from a kept design
+/// `snap`, byte for byte. For a slice that resumed from a kept snapshot
 /// this is also the kept-design oracle: the prefix of `spliced` is the
 /// checkpoint's embedded design and `snap` carries the kept one.
 fn check_splice(spliced: &str, snap: &EngineSnapshot) -> Result<(), RouteError> {
@@ -332,7 +354,7 @@ fn check_splice(spliced: &str, snap: &EngineSnapshot) -> Result<(), RouteError> 
 /// byte-identical to a local one by construction, not by parallel
 /// maintenance of two pipelines. A local slice differs only in its
 /// inputs: it reads its job's own checkpoint and resumes from the
-/// job's kept design.
+/// job's kept snapshot.
 ///
 /// A lease whose frozen budget is spent (`deadline_ms == Some(0)`) is
 /// abandoned unrun with [`RouteError::DeadlineExpired`]; any other
@@ -466,8 +488,8 @@ pub struct ServeMetrics {
     pub rejected_checkpoint_bytes_total: CounterHandle,
     /// Jobs failed because their wall-clock deadline budget expired.
     pub deadline_missed_total: CounterHandle,
-    /// Local slices that resumed from their job's kept design instead
-    /// of parsing the checkpoint's design blocks.
+    /// Local slices that resumed from their job's kept snapshot (which
+    /// carries the design) instead of parsing the checkpoint.
     pub design_reused_total: CounterHandle,
 }
 
@@ -601,13 +623,13 @@ pub struct Job {
     /// Present from submission until materialization moves it into the
     /// session that writes the step-0 checkpoint.
     design: Option<Design>,
-    /// The post-insertion design the checkpoint embeds, kept between
-    /// local slices so they parse only the state tail: set by
-    /// materialization, by [`JobQueue::submit_checkpoint`] and by every
+    /// The snapshot the checkpoint serializes, kept between local slices
+    /// so they parse nothing: set by materialization and by every
     /// suspended local slice. Dropped when a slice is leased out
-    /// ([`JobQueue::lease_spec`]), on cancellation and at a terminal
-    /// state.
-    kept: Option<SessionDesign>,
+    /// ([`JobQueue::lease_spec`], so also by a replay), on cancellation
+    /// and at a terminal state; a job submitted as a checkpoint
+    /// ([`JobQueue::submit_checkpoint`]) starts without one.
+    kept: Option<Kept>,
     /// Max deletion-loop selections per slice (`None` = run each stage
     /// to its natural end).
     slice_quota: Option<u64>,
@@ -786,11 +808,15 @@ impl Job {
             CollectingProbe::new(),
         )?;
         self.selections_done = session.selections_done();
-        let (snap, probe) = session.into_snapshot();
-        self.stage = snap.stage.label();
-        self.events_emitted = snap.events_emitted;
-        self.checkpoint = Some(write_checkpoint(&snap));
-        self.kept = Some(snap.design);
+        let (snapshot, probe) = session.into_snapshot();
+        self.stage = snapshot.stage.label();
+        self.events_emitted = snapshot.events_emitted;
+        let (checkpoint, prefix_len) = write_checkpoint_with_prefix(&snapshot);
+        self.checkpoint = Some(checkpoint);
+        self.kept = Some(Kept {
+            snapshot,
+            prefix_len,
+        });
         self.stream.push_str(&write_event_lines(&probe.finish(), 0));
         Ok(())
     }
@@ -839,7 +865,7 @@ impl Job {
 
     /// This job's next leasable slice, for the queue id `id` (see
     /// [`JobQueue::lease_spec`]). The lease carries its own copy of the
-    /// checkpoint, and the job stops keeping its design: a worker
+    /// checkpoint, and the job stops keeping its snapshot: a worker
     /// elsewhere runs the slice.
     fn lease(
         &mut self,
@@ -861,9 +887,9 @@ impl Job {
 
     /// Runs this job's next slice in-process and applies it: the slice
     /// executor of [`run_lease`], reading the job's own checkpoint
-    /// instead of a copy and resuming from the kept design when there is
-    /// one. A suspended slice's design is kept for the next; a finished
-    /// slice's route and audit are stored ([`Job::routed`],
+    /// instead of a copy and resuming from the kept snapshot when there
+    /// is one. A suspended slice's snapshot is kept for the next; a
+    /// finished slice's route and audit are stored ([`Job::routed`],
     /// [`Job::audit`]). Returns whether a slice ran.
     fn run_local(&mut self, metrics: Option<&ServeMetrics>) -> bool {
         let Ok(Some((slice, deadline_ms))) = self.next_slice(metrics) else {
@@ -889,7 +915,7 @@ impl Job {
             );
         } else {
             match artifacts {
-                Artifacts::Design(design) if self.runnable() => self.kept = Some(*design),
+                Artifacts::Snapshot(kept) if self.runnable() => self.kept = Some(*kept),
                 Artifacts::Finished(routed, audit) => {
                     self.routed = Some(*routed);
                     self.audit = Some(audit);
@@ -1249,7 +1275,7 @@ impl JobQueue {
 
     /// Requests cooperative cancellation: the job stops at its next
     /// slice boundary and parks as `Suspended` with its checkpoint
-    /// intact, dropping its kept design (the first local slice after
+    /// intact, dropping its kept snapshot (the first local slice after
     /// [`JobQueue::reactivate`] parses the checkpoint whole). No-op on
     /// terminal jobs.
     ///
@@ -1290,8 +1316,8 @@ impl JobQueue {
     /// executor [`run_lease`] runs and through the validation
     /// [`JobQueue::apply_remote`] applies, exactly what a `bgr-net`
     /// worker drives remotely, except that it reads the job's own
-    /// checkpoint and resumes from the job's kept design, parsing only
-    /// the state tail (DESIGN.md §13); `bgr_slice_latency_us`,
+    /// checkpoint and resumes from the job's kept snapshot, parsing
+    /// nothing (DESIGN.md §13); `bgr_slice_latency_us`,
     /// `bgr_queue_depth` and `bgr_slice_design_reused_total` are
     /// observed here alone. Slices are independent (each owns its job's
     /// state), and `scoped_map` preserves submission order, so round
@@ -1336,9 +1362,10 @@ impl JobQueue {
     /// (`bgr_io::write_checkpoint` of the parsed snapshot), so comments,
     /// blank lines or any other valid variation in its design blocks do
     /// not reach the design prefix every later slice re-uses verbatim
-    /// (see [`run_slice`]), and keeps the parsed design for its local
-    /// slices. It parks `Suspended`, and its stream begins at the
-    /// checkpoint (earlier slices belong to whichever job produced it).
+    /// (see [`run_slice`]). It keeps no snapshot, so its first local
+    /// slice parses the stored checkpoint. It parks `Suspended`, and its
+    /// stream begins at the checkpoint (earlier slices belong to
+    /// whichever job produced it).
     ///
     /// # Errors
     ///
@@ -1360,13 +1387,12 @@ impl JobQueue {
         job.stage = snap.stage.label();
         job.events_emitted = snap.events_emitted;
         job.selections_done = snap.stats.selection_log.len() as u64;
-        job.kept = Some(snap.design);
         Ok(id)
     }
 
     /// The next leasable slice of job `id`, materializing the first
     /// checkpoint of a `Created` job on demand. Returns `Ok(None)` for
-    /// terminal or cancelled jobs. A leased job keeps no design: its
+    /// terminal or cancelled jobs. A leased job keeps no snapshot: its
     /// next local slice, if any, parses the checkpoint whole.
     ///
     /// Leasing consumes nothing: the identical spec is returned until a
@@ -1462,6 +1488,7 @@ pub struct ReplayStats {
 mod tests {
     use super::*;
     use bgr_core::GlobalRouter;
+    use bgr_core::session::SessionDesign;
     use bgr_io::{deterministic_event_lines, write_trace_jsonl};
 
     fn small_case(seed: u64) -> (Circuit, Placement, Vec<PathConstraint>) {
@@ -1907,15 +1934,9 @@ mod tests {
         let mut q = JobQueue::with_metrics(&registry);
         let id = q.submit("shifted", c, p, k, config, Some(2));
         q.run_round(1);
-        // A checkpoint that parses but claims a different event offset:
-        // the slice it resumes emits a segment the job cannot splice.
-        let events = q.job(id).events_emitted();
-        let shifted = q.jobs[id].checkpoint.take().unwrap().replacen(
-            &format!("\nevents_emitted {events}\n"),
-            &format!("\nevents_emitted {}\n", events + 1),
-            1,
-        );
-        q.jobs[id].checkpoint = Some(shifted);
+        // A kept snapshot that claims a different event offset: the slice
+        // it resumes emits a segment the job cannot splice.
+        q.jobs[id].kept.as_mut().unwrap().snapshot.events_emitted += 1;
         let stream_before = q.job(id).stream().to_string();
         assert_eq!(q.run_round(1), 1);
         assert_eq!(q.job(id).state(), SessionState::Failed);
@@ -1940,13 +1961,15 @@ mod tests {
         let id = q.submit("corrupt", c, p, k, config, Some(2));
         q.run_round(1);
         assert_eq!(q.job(id).state(), SessionState::Suspended);
-        // Sabotage the checkpoint text between rounds.
+        // Sabotage the checkpoint text between rounds, and drop the kept
+        // snapshot so that the next slice reads the text, as a lease does.
         let garbled = q.jobs[id].checkpoint.take().unwrap().replacen(
             &format!("bgr-checkpoint v{}", bgr_core::SNAPSHOT_VERSION),
             "bgr-checkpoint v9",
             1,
         );
         q.jobs[id].checkpoint = Some(garbled);
+        q.jobs[id].kept = None;
         q.run(1);
         assert_eq!(q.job(id).state(), SessionState::Failed);
         assert!(
@@ -2039,17 +2062,28 @@ mod tests {
         }
     }
 
+    /// Submits the three `submit_three` jobs, a fourth with quota 3 and
+    /// a fifth from `checkpoint`.
+    fn submit_five(q: &mut JobQueue, checkpoint: &str) {
+        submit_three(q);
+        let (c, p, k) = small_case(7);
+        q.submit("s7", c, p, k, RouterConfig::default(), Some(3));
+        q.submit_checkpoint("arm", checkpoint, Some(4)).unwrap();
+    }
+
     #[test]
-    fn kept_design_drain_equals_reparsing_drain() {
+    fn kept_snapshot_drain_equals_reparsing_drain() {
+        let (checkpoint, _) = canonical_and_annotated(29, RouterConfig::default());
         // Reference: every slice leased out, so every slice parses its
         // whole checkpoint; job 2's first two outcomes are journaled.
         let mut reparsed = JobQueue::new();
-        submit_three(&mut reparsed);
-        let mut want = vec![Checkpoints::new(); 3];
+        submit_five(&mut reparsed, &checkpoint);
+        let mut want = vec![Checkpoints::new(); 5];
         let mut journal = Vec::new();
+        record_checkpoints(&reparsed, &mut want);
         loop {
             let mut advanced = false;
-            for id in 0..3 {
+            for id in 0..5 {
                 if let Some(spec) = reparsed.lease_spec(id).unwrap() {
                     let out = run_lease(&spec);
                     if id == 2 && spec.slice < 2 {
@@ -2065,51 +2099,67 @@ mod tests {
             }
         }
 
-        // Kept designs: job 0 keeps its design from materialization,
-        // job 1 is leased once and then run locally, and job 2 is
-        // restored from the journal and then run locally.
+        // Kept snapshots: job 0 keeps the one of its materialization, job
+        // 1 is leased once and then run locally, job 2 is restored from
+        // the journal and then run locally, job 3 is cancelled after its
+        // first local slice and later reactivated, and job 4 starts from
+        // a submitted checkpoint. Each path but job 0's leaves the job
+        // without a snapshot, so its next local slice parses.
         let registry = MetricsRegistry::new();
         let mut kept = JobQueue::with_metrics(&registry);
-        submit_three(&mut kept);
-        let mut got = vec![Checkpoints::new(); 3];
+        submit_five(&mut kept, &checkpoint);
+        assert!(kept.jobs[4].kept.is_none(), "a submitted job keeps no snapshot");
+        let mut got = vec![Checkpoints::new(); 5];
         let spec = kept.lease_spec(1).unwrap().unwrap();
-        assert!(kept.jobs[1].kept.is_none(), "a leased job keeps no design");
+        assert!(kept.jobs[1].kept.is_none(), "a leased job keeps no snapshot");
         assert!(kept.apply_remote(1, spec.slice, run_lease(&spec)));
+        assert!(kept.jobs[1].kept.is_none(), "a remote slice leaves no snapshot");
         let replayed = kept.replay(journal);
         assert_eq!(replayed.applied, 2);
         assert!(
             kept.jobs[2].kept.is_none(),
-            "a replayed job keeps no design"
+            "a replayed job keeps no snapshot"
         );
         record_checkpoints(&kept, &mut got);
+        let mut rounds = 0;
         while kept.run_round(1) > 0 {
+            rounds += 1;
             for job in kept.jobs().iter().filter(|j| j.runnable()) {
-                assert!(job.kept.is_some(), "{} lost its design", job.name());
+                assert!(job.kept.is_some(), "{} lost its snapshot", job.name());
             }
             record_checkpoints(&kept, &mut got);
+            match rounds {
+                1 => {
+                    kept.cancel(3);
+                    assert!(kept.jobs[3].kept.is_none(), "a cancelled job keeps no snapshot");
+                }
+                3 => kept.reactivate(3),
+                _ => {}
+            }
         }
-        assert_eq!(got[0], want[0], "job 0: checkpoints differ");
-        for id in 1..3 {
-            let resumed_at = *got[id].keys().next().unwrap();
-            assert_eq!(resumed_at, if id == 1 { 1 } else { 2 });
+        for (id, resumed_at) in [1, 1, 2, 1, 0].into_iter().enumerate() {
+            assert_eq!(*got[id].keys().next().unwrap(), resumed_at, "job {id}");
             let tail: Checkpoints = want[id]
                 .range(resumed_at..)
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
             assert_eq!(got[id], tail, "job {id}: checkpoints differ");
         }
-        for id in 0..3 {
+        for id in 0..5 {
             let (a, b) = (kept.job(id), reparsed.job(id));
             assert_eq!(a.state(), SessionState::Completed, "{:?}", a.error());
             assert_eq!(a.stream(), b.stream(), "job {id}: streams differ");
             assert_eq!(a.verdict(), b.verdict());
+            assert!(a.kept.is_none(), "a completed job keeps no snapshot");
         }
-        // Every local slice reused a kept design except the first one of
-        // jobs 1 and 2, which parsed their checkpoints whole.
+        // Every local slice resumed from a kept snapshot except four that
+        // parsed their checkpoints whole: the first local slices of jobs
+        // 1, 2 and 4, and job 3's first after its reactivation.
         let m = ServeMetrics::register(&registry);
-        let local: u64 = (0..3).map(|id| kept.job(id).slices()).sum::<u64>() - 3;
-        assert_eq!(m.slices_total.get(), local + 3);
-        assert_eq!(m.design_reused_total.get(), local - 2);
+        let slices: u64 = (0..5).map(|id| kept.job(id).slices()).sum();
+        let local = slices - 3;
+        assert_eq!(m.slices_total.get(), slices);
+        assert_eq!(m.design_reused_total.get(), local - 4);
     }
 
     #[test]
@@ -2123,9 +2173,17 @@ mod tests {
         let id = q.submit("altered", c, p, k, config, Some(2));
         q.run_round(1);
         assert_eq!(q.job(id).state(), SessionState::Suspended);
-        let (c, p, mut k) = q.jobs[id].kept.take().unwrap().into_parts();
+        let Kept {
+            mut snapshot,
+            prefix_len,
+        } = q.jobs[id].kept.take().unwrap();
+        let (c, p, mut k) = snapshot.design.into_parts();
         k[0].limit_ps += 1.0;
-        q.jobs[id].kept = Some(SessionDesign::new(c, p, k).unwrap());
+        snapshot.design = SessionDesign::new(c, p, k).unwrap();
+        q.jobs[id].kept = Some(Kept {
+            snapshot,
+            prefix_len,
+        });
         q.run_round(1);
         assert_eq!(q.job(id).state(), SessionState::Failed);
         match q.job(id).error() {
@@ -2165,8 +2223,8 @@ mod tests {
         assert!(q.jobs[done].kept.is_none());
         assert!(q.jobs[parked].kept.is_none());
 
-        // Reactivated, it parses its checkpoint once and keeps the
-        // design again until it completes.
+        // Reactivated, it parses its checkpoint once and keeps a
+        // snapshot again until it completes.
         q.reactivate(parked);
         q.run_round(1);
         assert!(q.jobs[parked].kept.is_some());

@@ -9,7 +9,7 @@
 //!   included.
 //! * `bgr-serve` job streams: byte-identical with and without a
 //!   [`MetricsRegistry`] attached, across thread counts; every slice of
-//!   a local drain resumes from its job's kept design
+//!   a local drain resumes from its job's kept snapshot
 //!   (`bgr_slice_design_reused_total` equals `bgr_slices_total`).
 //! * The Prometheus exposition itself renders the serve metric family
 //!   deterministically (names, labels, ordering).

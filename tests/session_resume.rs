@@ -44,7 +44,7 @@ use bgr::verify::audit;
 
 /// Routes in `quota`-selection slices, round-tripping through the
 /// serialized checkpoint codec at **every** suspension and checking the
-/// spliced checkpoint against the full one, and the parsed design
+/// spliced checkpoint against the full one, and the parsed snapshot
 /// against the written one, there. Returns the result,
 /// the concatenated per-slice event lines, and the hop count.
 fn sliced_route(
@@ -85,11 +85,12 @@ fn sliced_route(
         events.push_str(&write_event_lines(&probe.finish(), start_events));
         let (reparsed, prefix_len) =
             parse_checkpoint_with_prefix(&text).expect("checkpoint parses");
-        // The post-insertion design survives the codec exactly: what a
-        // serve job keeps between slices is what its checkpoint embeds.
+        // The whole snapshot survives the codec exactly: a serve job
+        // resumes its next local slice from the snapshot it keeps, in
+        // place of its checkpoint's parse.
         assert!(
-            reparsed.design == snapshot.design,
-            "parse(write(design)) differs from the design after hop {hops}"
+            reparsed == snapshot,
+            "parse(write(snapshot)) differs from the snapshot after hop {hops}"
         );
         prefix = Some(text[..prefix_len].to_string());
         start_events = reparsed.events_emitted;
