@@ -112,12 +112,14 @@ fn profile(ds: &DataSet, config: RouterConfig, out_dir: &str) {
         .filter(|e| e.path.last() == Some(&graph_label))
         .map(|e| e.self_time)
         .sum();
-    let misses = trace.counter(Counter::HypCacheMiss);
-    println!(
-        "  hypothetical trees: {:.2} µs of {graph_label} self time per miss \
-         ({graph_self:?} over {misses} misses)",
-        graph_self.as_secs_f64() * 1e6 / misses.max(1) as f64
-    );
+    match trace.counter(Counter::HypCacheMiss) {
+        0 => println!("  hypothetical trees: no hypothetical-tree misses"),
+        misses => println!(
+            "  hypothetical trees: {:.2} µs of {graph_label} self time per miss \
+             ({graph_self:?} over {misses} misses)",
+            graph_self.as_secs_f64() * 1e6 / misses as f64
+        ),
+    }
 
     std::fs::create_dir_all(out_dir).expect("create out dir");
     let folded_path = format!("{out_dir}/{name}.folded");

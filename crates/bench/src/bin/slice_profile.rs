@@ -32,7 +32,9 @@ use bgr_core::session::{EngineSnapshot, RouteSession, StepOutcome};
 use bgr_core::{Budgets, OnViolation, RouterConfig, SelectionStrategy, VerifyLevel};
 use bgr_gen::circuits::c1_params;
 use bgr_gen::{custom, DataSet, GenParams, PlacementStyle};
-use bgr_io::{parse_checkpoint_with_prefix, splice_checkpoint, write_checkpoint, write_event_lines};
+use bgr_io::{
+    parse_checkpoint_with_prefix, splice_checkpoint, write_checkpoint, write_event_lines,
+};
 use bgr_netlist::NetId;
 use bgr_serve::JobQueue;
 use bgr_verify::audit;
@@ -246,7 +248,13 @@ fn queue_drain(designs: &[DataSet]) -> (Cost, Outcome) {
         .jobs()
         .iter()
         .map(|j| {
-            let log = j.routed().expect("job finished").result.stats.selection_log.clone();
+            let log = j
+                .routed()
+                .expect("job finished")
+                .result
+                .stats
+                .selection_log
+                .clone();
             (j.stream().to_owned(), log)
         })
         .collect();
@@ -385,7 +393,10 @@ fn main() {
         let (q, want) = queue_drain(&designs);
         let (s, got) = staged_drain(&designs);
         for ((ws, wl), (gs, gl)) in want.iter().zip(&got) {
-            assert!(wl == gl, "hand-driven selection log differs from the queue's");
+            assert!(
+                wl == gl,
+                "hand-driven selection log differs from the queue's"
+            );
             assert!(
                 event_lines(ws) == event_lines(gs),
                 "hand-driven event stream differs from the queue's"

@@ -334,22 +334,24 @@ impl NetScanState {
     }
 
     /// The net's current tentative tree, searched only if no cached one
-    /// survived. The search is kept only for nets whose keys carry delay
-    /// criteria (the first [`NetScanState::delay`] allocates `hyp`):
-    /// other nets never ask for a hypothetical tree.
+    /// survived and the graph still has a deletable edge: a routed tree
+    /// is its own tentative tree ([`TreeDeps::routed`]). The search is
+    /// kept only for nets whose keys carry delay criteria (the first
+    /// [`NetScanState::delay`] allocates `hyp`): other nets never ask for
+    /// a hypothetical tree.
     fn current_tree(&mut self, g: &RoutingGraph, sta: &Sta, net: NetId) -> &CachedTree {
         self.sync_graph(g);
         if self.current.is_none() {
-            let tree = match &self.paths {
-                Some(paths) => paths.tree(g),
-                None => {
-                    let paths = ShortestPaths::search(g, None);
-                    let tree = paths.tree(g);
-                    if !self.hyp.is_empty() {
-                        self.paths = Some(paths);
-                    }
-                    tree
+            let tree = if g.has_non_bridge() {
+                let search = || ShortestPaths::search(g, None);
+                let paths = self.paths.take().unwrap_or_else(search);
+                let tree = paths.tree(g);
+                if !self.hyp.is_empty() {
+                    self.paths = Some(paths);
                 }
+                tree
+            } else {
+                Some(TreeDeps::routed(g))
             };
             self.current = Some(CachedTree::new(sta, net, tree));
         }
@@ -884,59 +886,25 @@ pub struct Engine<P: Probe = NoopProbe> {
     probe: P,
 }
 
-impl Engine<NoopProbe> {
-    /// Creates an unobserved engine over freshly built routing graphs.
+impl<P: Probe> Engine<P> {
+    /// Creates an engine over graphs already settled
+    /// ([`RoutingGraph::settle`]: pruned, with current bridge flags),
+    /// observed by `probe` (moved in; retrieve it with
+    /// [`Engine::into_parts`] or borrow via [`Engine::probe_mut`]).
     ///
     /// `partner[net]` marks differential-pair lockstep partners whose
     /// graphs have been verified homogeneous (§4.1); deletions cascade to
     /// them.
-    pub fn new(
-        graphs: Vec<RoutingGraph>,
-        sta: Sta,
-        partner: Vec<Option<NetId>>,
-        num_channels: usize,
-        chip_width: usize,
-    ) -> Self {
-        Self::with_probe(graphs, sta, partner, num_channels, chip_width, NoopProbe)
-    }
-}
-
-impl<P: Probe> Engine<P> {
-    /// [`Engine::new`] with an explicit [`Probe`] (moved in; retrieve it
-    /// with [`Engine::into_parts`] or borrow via [`Engine::probe_mut`]).
     ///
     /// Every graph's total edge length must stay below 2⁴² µm, so that
     /// its length sums are exact (checked in debug builds; a session
     /// rejects a longer graph with [`crate::RouteError::GraphTooLong`]).
-    ///
-    /// Each graph's dangling chains are pruned and its bridge flags
-    /// computed here, once, so the flags it arrives with are never read;
-    /// a graph that already is a routed tree is proved one by a single
-    /// walk instead (DESIGN.md §8, "The tree path"). The density map is
-    /// then built in bulk from every net's trunk spans.
-    pub fn with_probe(
-        mut graphs: Vec<RoutingGraph>,
-        sta: Sta,
-        partner: Vec<Option<NetId>>,
-        num_channels: usize,
-        chip_width: usize,
-        probe: P,
-    ) -> Self {
-        let mut scratch = GraphScratch::default();
-        let trees: Vec<bool> = graphs.iter_mut().map(|g| g.settle(&mut scratch)).collect();
-        Self::from_settled(graphs, &trees, sta, partner, num_channels, chip_width, probe)
-    }
-
-    /// [`Engine::with_probe`] over graphs already settled
-    /// ([`RoutingGraph::settle`]), `trees[i]` telling whether net `i`'s
-    /// graph was a routed tree. Such a net's memoized length is the sum
-    /// of its alive edges, with no search: a prune-closed tree is its own
-    /// tentative tree — each of its edges lies on the driver's path to
-    /// some terminal, every leaf being one — and its grid lengths sum
-    /// exactly in any order (DESIGN.md §8, "The tree path").
+    /// The density map is built in bulk from every net's trunk spans, and
+    /// every constrained net's length memoized; a net that already is a
+    /// routed tree gets its length from its alive edges, with no search
+    /// ([`NetScanState::current_tree`]).
     pub(crate) fn from_settled(
         graphs: Vec<RoutingGraph>,
-        trees: &[bool],
         sta: Sta,
         partner: Vec<Option<NetId>>,
         num_channels: usize,
@@ -947,15 +915,13 @@ impl<P: Probe> Engine<P> {
             graphs.iter().all(RoutingGraph::within_length_cap),
             "a routing graph's total length reaches the 2^42 um cap"
         );
-        let density = DensityMap::from_graphs(num_channels, chip_width, &graphs);
-        let scan: Vec<NetScanState> = std::iter::repeat_with(NetScanState::default)
-            .take(graphs.len())
-            .collect();
         let mut engine = Self {
+            density: DensityMap::from_graphs(num_channels, chip_width, &graphs),
+            scan: std::iter::repeat_with(NetScanState::default)
+                .take(graphs.len())
+                .collect(),
             graphs,
-            density,
             sta,
-            scan,
             partner,
             channel_nets: vec![Vec::new(); num_channels],
             window_run: 0,
@@ -971,14 +937,8 @@ impl<P: Probe> Engine<P> {
             skew: None,
             probe,
         };
-        for (i, &tree) in trees.iter().enumerate() {
-            let net = NetId::new(i);
-            if !tree {
-                engine.refresh_length(net);
-            } else if !engine.sta.constraints_of_net(net).is_empty() {
-                let len = engine.graphs[i].tree_length_um();
-                engine.sta.set_net_length(net, len);
-            }
+        for i in 0..engine.graphs.len() {
+            engine.refresh_length(NetId::new(i));
         }
         engine.clear_delta();
         engine
@@ -1857,11 +1817,27 @@ impl<P: Probe> Engine<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::tests::same_row_net;
     use crate::graph::RoutingGraph;
     use bgr_timing::{DelayModel, Sta, WireParams};
+
+    /// An unobserved engine over built graphs, settled first as a session
+    /// settles its own.
+    pub(crate) fn settled_engine(
+        mut graphs: Vec<RoutingGraph>,
+        sta: Sta,
+        partner: Vec<Option<NetId>>,
+        num_channels: usize,
+        chip_width: usize,
+    ) -> Engine {
+        let mut scratch = GraphScratch::default();
+        for g in &mut graphs {
+            g.settle(&mut scratch);
+        }
+        Engine::from_settled(graphs, sta, partner, num_channels, chip_width, NoopProbe)
+    }
 
     fn engine_for_same_row() -> Engine {
         let (circuit, placement, _net) = same_row_net();
@@ -1878,7 +1854,7 @@ mod tests {
         .unwrap();
         let partner = vec![None; circuit.nets().len()];
         let width = placement.width_pitches() as usize;
-        Engine::new(graphs, sta, partner, placement.num_channels(), width)
+        settled_engine(graphs, sta, partner, placement.num_channels(), width)
     }
 
     #[test]
@@ -2397,7 +2373,7 @@ mod tests {
             .unwrap();
             let partner = vec![None; circuit.nets().len()];
             let width = placement.width_pitches() as usize;
-            Engine::new(graphs, sta, partner, placement.num_channels(), width)
+            settled_engine(graphs, sta, partner, placement.num_channels(), width)
         };
         let arrivals: Vec<f64> = {
             let engine = build(loose);
@@ -2408,13 +2384,16 @@ mod tests {
         build(constraints(&arrivals))
     }
 
-    /// A constrained net's memoized length is its tentative tree's length
-    /// after every deletion and after a snapshot restore; the lengths of
-    /// nets no constraint loads are never written.
+    /// A constrained net's memoized length is its tentative tree's length,
+    /// bit for bit, after every deletion — the last one of a net, which
+    /// makes it a routed tree, included — after a restore of the unrouted
+    /// snapshot and after each restore of a routed one (the routed-tree
+    /// rule of [`NetScanState::current_tree`]); the lengths of nets no
+    /// constraint loads are never written.
     #[test]
     fn constrained_lengths_track_deletions_and_restores() {
         let mut rng = bgr_netlist::SplitMix64::new(0x1E_6A7E);
-        let mut moved = 0;
+        let (mut moved, mut completed, mut restored) = (0, 0, 0);
         for _ in 0..16 {
             let mut engine = random_constrained(&mut rng);
             let nets: Vec<NetId> = (0..engine.graphs().len()).map(NetId::new).collect();
@@ -2425,7 +2404,8 @@ mod tests {
                 for &net in &constrained {
                     let g = &engine.graphs()[net.index()];
                     let want = tentative_length_um(g, None).expect("connected");
-                    assert_eq!(engine.sta().lengths().length_um(net), want, "{net:?}");
+                    let got = engine.sta().lengths().length_um(net);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{net:?}");
                 }
                 for &net in &free {
                     assert_eq!(engine.sta().lengths().length_um(net), 0.0, "{net:?}");
@@ -2439,16 +2419,22 @@ mod tests {
             let snap: Vec<(NetId, Vec<bool>)> =
                 nets.iter().flat_map(|&n| engine.snapshot(n)).collect();
             for &net in &nets {
+                let mut deleted = false;
                 while let Some(e) = engine.graphs()[net.index()].non_bridge_edges().last() {
                     engine.delete_one(net, e);
                     check(&engine);
+                    deleted = true;
                 }
+                assert!(engine.graphs()[net.index()].is_tree());
+                completed += usize::from(deleted && constrained.contains(&net));
             }
             moved += nets
                 .iter()
                 .zip(&before)
                 .filter(|&(&n, &b)| engine.sta().lengths().length_um(n) != b)
                 .count();
+            let routed: Vec<(NetId, Vec<bool>)> =
+                nets.iter().flat_map(|&n| engine.snapshot(n)).collect();
             engine.restore(&snap);
             check(&engine);
             let after: Vec<f64> = nets
@@ -2456,8 +2442,18 @@ mod tests {
                 .map(|&n| engine.sta().lengths().length_um(n))
                 .collect();
             assert_eq!(after, before);
+            for entry in &routed {
+                engine.restore(std::slice::from_ref(entry));
+                check(&engine);
+                assert!(engine.graphs()[entry.0.index()].is_tree());
+                restored += usize::from(constrained.contains(&entry.0));
+            }
         }
         assert!(moved > 0, "no deletion ever moved a memoized length");
+        assert!(
+            completed > 10 && restored > 10,
+            "{completed} completions, {restored} restores"
+        );
     }
 
     /// The bound behind bound-first lane scans, on random constrained

@@ -196,42 +196,30 @@ impl RoutingGraph {
         branch_length_um: f64,
     ) -> Self {
         let lens = vec![branch_length_um; placement.num_channels()];
-        Self::build_with_channel_branches(circuit, placement, net, feeds, &lens)
-    }
-
-    /// Like [`RoutingGraph::build`], but with a per-channel branch length
-    /// (the router auto-calibrates these to half the *expected* channel
-    /// height, so tentative-tree delay estimates track the lengths the
-    /// channel router will later realize).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branch_len_um.len() != placement.num_channels()`.
-    pub fn build_with_channel_branches(
-        circuit: &Circuit,
-        placement: &Placement,
-        net: NetId,
-        feeds: &[(usize, i32)],
-        branch_len_um: &[f64],
-    ) -> Self {
         let mut graph = Self::build_unbridged(
             circuit,
             placement,
             net,
             feeds,
-            branch_len_um,
+            &lens,
             &mut GraphScratch::default(),
         );
         graph.recompute_bridges();
         graph
     }
 
-    /// [`RoutingGraph::build_with_channel_branches`] without the bridge
-    /// pass: every bridge flag reads `false` until
-    /// [`RoutingGraph::recompute_bridges`] runs. For callers that change
-    /// the alive set before anything reads the flags (a session's
-    /// graphs get theirs once, from [`RoutingGraph::settle`]). The tap
-    /// list lives in `scratch`.
+    /// [`RoutingGraph::build`] with a per-channel branch length (a
+    /// session calibrates these to half the *expected* channel height, so
+    /// tentative-tree delay estimates track the lengths the channel
+    /// router will later realize) and without the bridge pass: every
+    /// bridge flag reads `false` until [`RoutingGraph::recompute_bridges`]
+    /// runs. For callers that change the alive set before anything reads
+    /// the flags (a session's graphs get theirs once, from
+    /// [`RoutingGraph::settle`]). The tap list lives in `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `branch_len_um.len() != placement.num_channels()`.
     pub(crate) fn build_unbridged(
         circuit: &Circuit,
         placement: &Placement,
@@ -476,8 +464,7 @@ impl RoutingGraph {
     }
 
     /// Invalidation stamp: bumped by [`RoutingGraph::delete_edge`] (so by
-    /// the engine's one-pass deletion),
-    /// [`RoutingGraph::restore_all`], [`RoutingGraph::set_alive_mask`],
+    /// the engine's one-pass deletion), [`RoutingGraph::set_alive_mask`],
     /// [`RoutingGraph::prune_dangling`] and
     /// [`RoutingGraph::recompute_bridges`]; the engine's tree path, which
     /// settles a routed tree without those passes, bumps it once, as the
@@ -552,13 +539,6 @@ impl RoutingGraph {
         self.alive[e as usize] = false;
         self.alive_count -= 1;
         self.generation += 1;
-    }
-
-    /// Restores every edge to alive (rip-up for rerouting) and recomputes
-    /// bridges.
-    pub fn restore_all(&mut self) {
-        self.load_alive(None);
-        self.recompute_bridges();
     }
 
     /// Snapshot of the alive mask (for revertible rerouting).
@@ -718,9 +698,12 @@ impl RoutingGraph {
     /// the set is already a routed tree (DESIGN.md §8, "The tree path"):
     /// when [`RoutingGraph::is_pruned_tree`] proves it, nothing dangles
     /// and every alive edge is a bridge, so the flags are copied from the
-    /// alive set. Returns whether it was such a tree.
+    /// alive set. Returns whether it was such a tree. The proof is not
+    /// tried when the set has at least as many edges as the graph has
+    /// vertices: a forest has fewer, so such a set holds a cycle (a fresh
+    /// graph almost always does).
     pub(crate) fn settle(&mut self, scratch: &mut GraphScratch) -> bool {
-        if self.is_pruned_tree(scratch) {
+        if self.alive_count < self.verts.len() && self.is_pruned_tree(scratch) {
             self.bridge.copy_from_slice(&self.alive);
             self.generation += 1;
             return true;
@@ -913,20 +896,10 @@ impl RoutingGraph {
         self.terminals_connected() && !self.has_non_bridge()
     }
 
-    /// Total alive wire length in µm.
+    /// Total alive wire length in µm, summed from +0 in ascending edge
+    /// order (an empty `f64` sum would be −0): on a routed tree, its
+    /// tentative length bit for bit (DESIGN.md §8, "The tree path").
     pub fn alive_length_um(&self) -> f64 {
-        self.alive_edges()
-            .map(|e| self.edges[e as usize].len_um)
-            .sum()
-    }
-
-    /// The tentative length of a graph [`RoutingGraph::settle`] found to
-    /// be a routed tree: the sum of its alive edges, each of which lies
-    /// on the driver's path to some terminal. Summed from +0 as a search
-    /// sums a path (an empty `f64` sum is −0); the order does not matter,
-    /// every length being on the [`LEN_GRID_UM`] grid and the total
-    /// below [`LEN_CAP_UM`].
-    pub(crate) fn tree_length_um(&self) -> f64 {
         self.alive_edges()
             .fold(0.0, |sum, e| sum + self.edges[e as usize].len_um)
     }
@@ -936,40 +909,6 @@ impl RoutingGraph {
     /// monotone and the cap representable (a NaN total fails).
     pub(crate) fn within_length_cap(&self) -> bool {
         self.edges.iter().map(|e| e.len_um).sum::<f64>() < LEN_CAP_UM
-    }
-
-    /// Wire distance (µm) from the driver to every terminal over the
-    /// alive subgraph — on a routed tree, the unique path lengths that
-    /// determine per-sink delay and skew (§4.2).
-    ///
-    /// Unreachable terminals (never the case on a routed net) get `∞`.
-    pub fn terminal_distances_um(&self) -> Vec<(TermId, f64)> {
-        let nv = self.verts.len();
-        let mut dist = vec![f64::INFINITY; nv];
-        let src = self.driver_vert as usize;
-        dist[src] = 0.0;
-        // BFS-like relaxation: the alive subgraph is (close to) a tree,
-        // so a simple stack pass suffices.
-        let mut stack = vec![self.driver_vert];
-        while let Some(v) = stack.pop() {
-            for &(w, e) in self.adj(v) {
-                if !self.alive[e as usize] {
-                    continue;
-                }
-                let nd = dist[v as usize] + self.edges[e as usize].len_um;
-                if nd < dist[w as usize] {
-                    dist[w as usize] = nd;
-                    stack.push(w);
-                }
-            }
-        }
-        self.terminal_verts
-            .iter()
-            .filter_map(|&t| match self.verts[t as usize].kind {
-                RVertKind::Terminal(term) => Some((term, dist[t as usize])),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -1061,12 +1000,8 @@ pub(crate) mod tests {
         g.recompute_bridges();
         let g2 = g.generation();
         assert!(g2 > g1, "prune/recompute bump");
-        let mask = g.alive_mask();
-        g.restore_all();
-        assert!(g.generation() > g2, "restore_all bumps");
-        let g3 = g.generation();
-        g.set_alive_mask(&mask);
-        assert!(g.generation() > g3, "set_alive_mask bumps");
+        g.set_alive_mask(&vec![true; g.edges().len()]);
+        assert!(g.generation() > g2, "set_alive_mask bumps");
     }
 
     #[test]
@@ -1142,13 +1077,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn restore_all_undoes_deletions() {
+    fn set_alive_mask_undoes_deletions() {
         let (circuit, placement, net) = same_row_net();
         let mut g = RoutingGraph::build(&circuit, &placement, net, &[], 30.0);
+        let full = g.alive_mask();
         let e = g.non_bridge_edges().next().unwrap();
         g.delete_edge(e);
         g.prune_dangling();
-        g.restore_all();
+        g.set_alive_mask(&full);
         assert_eq!(g.alive_count(), g.edges().len());
         assert_eq!(g.non_bridge_edges().count(), 6);
     }
@@ -1273,12 +1209,14 @@ pub(crate) mod tests {
     /// replaces — `prune_dangling`, `recompute_bridges` and
     /// `terminals_connected` — on random multigraphs (parallel edges,
     /// self-loops, several components) with random terminals and grid
-    /// lengths, over five kinds of alive mask: routed trees, prune-closed
+    /// lengths, over six kinds of alive mask: routed trees, prune-closed
     /// non-trees, trees with a dangling non-terminal leaf, disconnected
-    /// masks and empty ones. Both must leave the same alive set, bridge
-    /// flags and generation; the tree path must be taken exactly for a
-    /// prune-closed tree spanning the terminals, whose alive-edge sum
-    /// must equal its tentative length bit for bit.
+    /// masks, empty ones and whole unpruned graphs. Both must leave the
+    /// same alive set, bridge flags and generation; the tree path must be
+    /// taken exactly for a prune-closed tree spanning the terminals,
+    /// whose alive-edge sum must equal its tentative length bit for bit.
+    /// The edge-count shortcut that skips the proof must never skip a
+    /// mask the proof accepts.
     #[test]
     fn settle_tree_path_matches_whole_graph_passes() {
         const TREE: usize = 0;
@@ -1286,10 +1224,13 @@ pub(crate) mod tests {
         const LEAF: usize = 2;
         const CUT: usize = 3;
         const EMPTY: usize = 4;
+        const FULL: usize = 5;
         let mut rng = bgr_netlist::SplitMix64::new(0x5E_771E);
         let mut scratch = GraphScratch::default();
         // Per mask kind: how often the tree path was not / was taken.
-        let mut seen = [[0u32; 2]; 5];
+        let mut seen = [[0u32; 2]; 6];
+        // Masks the edge-count shortcut skipped the proof for.
+        let mut skipped = 0;
         for _ in 0..400 {
             let nv = rng.range_usize(2, 14);
             let edges: Vec<(u32, u32, f64)> = (0..rng.range_usize(1, 28))
@@ -1304,7 +1245,11 @@ pub(crate) mod tests {
                 .collect();
             let mut g = RoutingGraph::from_edges(nv, &edges, &terminals);
             let random: Vec<bool> = edges.iter().map(|_| rng.next_bool(0.5)).collect();
-            let mut masks = vec![(EMPTY, vec![false; edges.len()]), (CUT, random)];
+            let mut masks = vec![
+                (EMPTY, vec![false; edges.len()]),
+                (CUT, random),
+                (FULL, vec![true; edges.len()]),
+            ];
             g.prune_dangling();
             g.recompute_bridges();
             let connected = g.terminals_connected();
@@ -1345,6 +1290,10 @@ pub(crate) mod tests {
             for (kind, mask) in masks {
                 let mut got = g.clone();
                 got.load_alive(Some(&mask));
+                let proved = got.is_pruned_tree(&mut scratch);
+                let shortcut = got.alive_count() >= nv;
+                assert!(!(proved && shortcut), "shortcut skips a tree: {mask:?}");
+                skipped += u32::from(shortcut);
                 let mut want = got.clone();
                 let tree = got.settle(&mut scratch);
                 let pruned = want.prune_dangling();
@@ -1361,7 +1310,7 @@ pub(crate) mod tests {
                 if tree {
                     let len = crate::tentative::tentative_length_um(&want, None)
                         .expect("a spanning tree reaches every terminal");
-                    assert_eq!(got.tree_length_um().to_bits(), len.to_bits(), "{case}");
+                    assert_eq!(got.alive_length_um().to_bits(), len.to_bits(), "{case}");
                 }
                 seen[kind][usize::from(tree)] += 1;
             }
@@ -1371,6 +1320,8 @@ pub(crate) mod tests {
             assert!(seen[kind][0] > 100, "{seen:?}");
         }
         assert!(seen[NON_TREE][1] == 0 && seen[LEAF][1] == 0, "{seen:?}");
+        assert!(seen[FULL][0] > 100, "{seen:?}");
+        assert!(skipped > 100, "the shortcut skipped {skipped} proofs");
         // An empty mask is a tree exactly when the net has one terminal.
         assert!(seen[EMPTY][0] > 100 && seen[EMPTY][1] > 10, "{seen:?}");
     }

@@ -327,7 +327,7 @@ mod tests {
         .unwrap();
         let partner = vec![None; circuit.nets().len()];
         let width = placement.width_pitches() as usize;
-        Engine::new(graphs, sta, partner, placement.num_channels(), width)
+        crate::engine::tests::settled_engine(graphs, sta, partner, placement.num_channels(), width)
     }
 
     #[test]

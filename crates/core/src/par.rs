@@ -3,8 +3,7 @@
 //! The router itself runs on one thread; parallelism lives a level up,
 //! across independent units of work whose results must be
 //! *bit-identical* to a sequential run: the serve layer's jobs
-//! (`JobQueue::run_round`) and the independent auditor's oracles
-//! (`bgr_verify::audit_parallel`).
+//! (`JobQueue::run_round`).
 //!
 //! [`scoped_map`] is the whole subsystem: a `std::thread::scope`-based
 //! map over a mutable slice that

@@ -5,6 +5,7 @@ use bgr_netlist::{Circuit, NetId, TermId};
 use bgr_timing::{DelayModel, PathConstraint, Sta, TimingError, WireParams};
 
 use crate::graph::{REdgeKind, RVertKind, RoutingGraph};
+use crate::tentative::ShortestPaths;
 
 /// One wiring piece of a routed net.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,11 +85,21 @@ impl NetTree {
                 }
             }
         }
+        // On a routed tree the unique path lengths that determine
+        // per-sink delay and skew (§4.2); `∞` for an unreachable terminal.
+        let dist = ShortestPaths::search(graph, None).dist;
         Self {
             segments,
             length_um: graph.alive_length_um(),
             width_pitches: graph.width(),
-            terminal_dists_um: graph.terminal_distances_um(),
+            terminal_dists_um: graph
+                .terminal_verts()
+                .iter()
+                .filter_map(|&t| match graph.verts()[t as usize].kind {
+                    RVertKind::Terminal(term) => Some((term, dist[t as usize])),
+                    _ => None,
+                })
+                .collect(),
         }
     }
 

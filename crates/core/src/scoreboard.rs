@@ -6,10 +6,12 @@
 //! The deletion loop (Fig. 2 lines 04–07) needs the minimum-ranked
 //! deletable edge across every in-scope net on every iteration. The
 //! naive formulation recomputes every key per iteration —
-//! `O(nets × edges)` key evaluations per selection, each one a Dijkstra
-//! over the net's routing graph. The scoreboard instead keeps all
-//! current keys in binary heaps and re-keys only *dirty* nets after a
-//! deletion.
+//! `O(nets × edges)` key evaluations per selection, each reading a
+//! density window and, for a constrained net's tree edge, a
+//! hypothetical tentative tree (a subtree re-settle of the net's
+//! shortest-path search, see `tentative::ShortestPaths`). The
+//! scoreboard instead keeps all current keys in binary heaps and
+//! re-keys only *dirty* nets after a deletion.
 //!
 //! # Raw keys and compose-at-pop
 //!

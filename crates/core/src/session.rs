@@ -682,7 +682,12 @@ impl<P: Probe> RouteSession<P> {
             },
             feeds: self.feeds.clone(),
             branch_lens: self.branch_lens.clone(),
-            alive: self.engine.graphs().iter().map(|g| g.alive_mask()).collect(),
+            alive: self
+                .engine
+                .graphs()
+                .iter()
+                .map(|g| g.alive_mask())
+                .collect(),
             stage: self.stage,
             stats: self.engine.stats.clone(),
             recovery: self.recovery,
@@ -932,7 +937,6 @@ fn assemble_engine<P: Probe>(
     )?;
     let mut engine = Engine::from_settled(
         graphs,
-        &trees,
         sta,
         partner,
         placement.num_channels(),

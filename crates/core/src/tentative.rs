@@ -67,11 +67,10 @@ pub fn tentative_tree_with(
     skip: Option<u32>,
     weight: impl Fn(u32) -> f64,
 ) -> Option<TentativeTree> {
-    let paths = ShortestPaths::search_with(graph, skip, weight);
-    let union = terminal_union(graph, &paths.parent_edge)?;
+    let tree = ShortestPaths::search_with(graph, skip, weight).tree(graph)?;
     Some(TentativeTree {
-        length_um: union_length_um(graph, &union),
-        edges: bits(&union).collect(),
+        length_um: tree.length_um,
+        edges: bits(&tree.deps.0).collect(),
     })
 }
 
@@ -154,6 +153,27 @@ pub(crate) struct TreeDeps {
     pub(crate) deps: EdgeSet,
 }
 
+impl TreeDeps {
+    /// The tentative tree of a routed tree: `graph`'s alive set, which
+    /// must be connected, prune-closed and free of deletable edges, as
+    /// every engine graph with no deletable edge is. No search runs:
+    /// every leaf of such a tree is a terminal, so each alive edge lies
+    /// on the driver's only path to some terminal, and the union is the
+    /// alive set. Its length, [`RoutingGraph::alive_length_um`], sums the
+    /// same edges in the same order from +0 as [`ShortestPaths::tree`]
+    /// (DESIGN.md §8, "The tree path").
+    pub(crate) fn routed(graph: &RoutingGraph) -> Self {
+        let mut words = vec![0u64; graph.edges().len().div_ceil(64)];
+        for e in graph.alive_edges() {
+            words[e as usize / 64] |= 1 << (e % 64);
+        }
+        Self {
+            length_um: graph.alive_length_um(),
+            deps: EdgeSet(words.into_boxed_slice()),
+        }
+    }
+}
+
 /// The driver-rooted shortest-path search behind a tentative tree:
 /// Dijkstra over the alive edges with strict relaxation and pops ordered
 /// by `(dist, vertex)`, kept whole (every vertex's distance and parent
@@ -211,7 +231,8 @@ pub(crate) struct TreeDeps {
 /// one scan of the net.
 #[derive(Debug, Clone)]
 pub(crate) struct ShortestPaths {
-    dist: Vec<f64>,
+    /// Per vertex: its distance from the driver (`∞` if unreached).
+    pub(crate) dist: Vec<f64>,
     parent_edge: Vec<u32>,
     resettle: Option<Box<Resettle>>,
 }
@@ -282,8 +303,10 @@ impl ShortestPaths {
     /// parent chosen inside `S`, is the full search's. The work is
     /// proportional to `S`, its surroundings and the new tree, not to
     /// the graph: the search's [`Resettle`] index answers every
-    /// structural question, and all per-vertex and per-edge state lives
-    /// in scratch buffers that are cleared entry by entry.
+    /// search-tree question, neighbours are read from the graph's own
+    /// adjacency (dead edges skipped, in the order the full search reads
+    /// them), and all per-vertex and per-edge state lives in scratch
+    /// buffers that are cleared entry by entry.
     ///
     /// The new union is the current one minus the edges only detached
     /// terminals used, plus their new chains; its length is the current
@@ -330,8 +353,8 @@ impl ShortestPaths {
         // The replayed outside vertices; those reached from a lower level
         // (or the driver) start in the heap.
         for &v in members.iter() {
-            for &(w, f, _) in ix.adj(v) {
-                if f == e {
+            for &(w, f) in graph.adj(v) {
+                if f == e || !graph.is_alive(f) {
                     continue;
                 }
                 let mut u = w;
@@ -355,14 +378,14 @@ impl ShortestPaths {
             if inside && d > new_dist[v as usize] {
                 continue;
             }
-            for &(w, f, len_um) in ix.adj(v) {
-                if f == e {
+            for &(w, f) in graph.adj(v) {
+                if f == e || !graph.is_alive(f) {
                     continue;
                 }
                 let wi = w as usize;
                 match mark[wi] {
                     Mark::Detached => {
-                        let nd = d + len_um;
+                        let nd = d + graph.edges()[f as usize].len_um;
                         if nd < new_dist[wi] {
                             new_dist[wi] = nd;
                             new_parent_edge[wi] = f;
@@ -449,8 +472,8 @@ enum Mark {
 }
 
 /// What every [`ShortestPaths::tree_without`] of one search reads,
-/// built once before its first detach. Alive edges and the search tree
-/// are fixed for the search's life.
+/// built once before its first detach. The alive set, and so the search
+/// tree, is fixed for the search's life: a deletion drops the search.
 #[derive(Debug, Clone)]
 struct SearchIndex {
     /// Per vertex: its parent in the search tree (`u32::MAX` for the
@@ -464,25 +487,12 @@ struct SearchIndex {
     /// Per vertex: how often it occurs in the graph's terminal list
     /// (repeats count, as in `uses`).
     terminals: Vec<u32>,
-    /// Alive-only adjacency `(neighbour, edge, len_um)` in CSR form,
-    /// filtered from the graph's adjacency in its order (with strict
-    /// relaxation the first tight relaxer becomes the parent).
-    adj_start: Vec<u32>,
-    adj_list: Vec<(u32, u32, f64)>,
     /// The search's own union as bit words, and per edge how many
     /// terminal chains use it.
     union: Vec<u64>,
     uses: Vec<u32>,
     /// The union's length.
     length_um: f64,
-}
-
-impl SearchIndex {
-    #[inline]
-    fn adj(&self, v: u32) -> &[(u32, u32, f64)] {
-        let v = v as usize;
-        &self.adj_list[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
-    }
 }
 
 /// State of [`ShortestPaths::tree_without`]: the search's [`SearchIndex`]
@@ -531,15 +541,6 @@ impl Resettle {
                 cur = parent[cur as usize];
             }
         }
-        let mut adj_start = Vec::with_capacity(nv + 1);
-        let mut adj_list = Vec::with_capacity(2 * graph.alive_count());
-        adj_start.push(0);
-        for v in 0..nv as u32 {
-            for &(w, f) in graph.adj(v).iter().filter(|&&(_, f)| graph.is_alive(f)) {
-                adj_list.push((w, f, graph.edges()[f as usize].len_um));
-            }
-            adj_start.push(adj_list.len() as u32);
-        }
         let length_um = union_length_um(graph, &union);
         Self {
             index: SearchIndex {
@@ -547,8 +548,6 @@ impl Resettle {
                 first_child,
                 next_sibling,
                 terminals,
-                adj_start,
-                adj_list,
                 union,
                 uses,
                 length_um,

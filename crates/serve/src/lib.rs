@@ -20,17 +20,16 @@
 //! ([`JobQueue::apply_remote`] validates the trace segment and folds
 //! the [`SliceOutcome`]). [`JobQueue::run_round`] takes those steps for
 //! every runnable job over `bgr_core::par::scoped_map`.
-//! **Every suspension round-trips through the serialized codec** —
-//! `bgr_io::write_checkpoint` / `bgr_io::parse_checkpoint` — never a
-//! kept-alive in-memory session, so the resume path is exercised on
-//! every boundary, and a queue can in principle be drained by a
-//! different process than the one that filled it. No session outlives
-//! a slice, and a slice re-encodes no design either: the design never
-//! changes after the session starts, so the outgoing checkpoint is the
-//! leased one's design prefix, byte for byte, followed by a fresh state
-//! tail ([`run_slice`]). That is exact because every checkpoint a queue
-//! holds is canonical ([`JobQueue::submit_checkpoint`]). Only the
-//! snapshot outlives a local slice: a job drained by
+//! **No session outlives a slice:** every slice rebuilds its session
+//! with `RouteSession::resume` and ends by writing a serialized
+//! checkpoint, so a queue can in principle be drained by a different
+//! process than the one that filled it. A slice re-encodes no design
+//! either: the design never changes after the session starts, so the
+//! outgoing checkpoint is the leased one's design prefix, byte for
+//! byte, followed by a fresh state tail ([`run_slice`]). That is exact
+//! because every checkpoint a queue holds is canonical
+//! ([`JobQueue::submit_checkpoint`]). Only the snapshot outlives a
+//! local slice: a job drained by
 //! [`JobQueue::run_round`] keeps the [`EngineSnapshot`] its last slice
 //! suspended at — the one its checkpoint serializes — and the next local
 //! slice resumes from it without parsing the checkpoint at all. The
@@ -1487,8 +1486,8 @@ pub struct ReplayStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgr_core::GlobalRouter;
     use bgr_core::session::SessionDesign;
+    use bgr_core::GlobalRouter;
     use bgr_io::{deterministic_event_lines, write_trace_jsonl};
 
     fn small_case(seed: u64) -> (Circuit, Placement, Vec<PathConstraint>) {
@@ -2108,12 +2107,21 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut kept = JobQueue::with_metrics(&registry);
         submit_five(&mut kept, &checkpoint);
-        assert!(kept.jobs[4].kept.is_none(), "a submitted job keeps no snapshot");
+        assert!(
+            kept.jobs[4].kept.is_none(),
+            "a submitted job keeps no snapshot"
+        );
         let mut got = vec![Checkpoints::new(); 5];
         let spec = kept.lease_spec(1).unwrap().unwrap();
-        assert!(kept.jobs[1].kept.is_none(), "a leased job keeps no snapshot");
+        assert!(
+            kept.jobs[1].kept.is_none(),
+            "a leased job keeps no snapshot"
+        );
         assert!(kept.apply_remote(1, spec.slice, run_lease(&spec)));
-        assert!(kept.jobs[1].kept.is_none(), "a remote slice leaves no snapshot");
+        assert!(
+            kept.jobs[1].kept.is_none(),
+            "a remote slice leaves no snapshot"
+        );
         let replayed = kept.replay(journal);
         assert_eq!(replayed.applied, 2);
         assert!(
@@ -2131,7 +2139,10 @@ mod tests {
             match rounds {
                 1 => {
                     kept.cancel(3);
-                    assert!(kept.jobs[3].kept.is_none(), "a cancelled job keeps no snapshot");
+                    assert!(
+                        kept.jobs[3].kept.is_none(),
+                        "a cancelled job keeps no snapshot"
+                    );
                 }
                 3 => kept.reactivate(3),
                 _ => {}
